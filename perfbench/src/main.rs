@@ -269,7 +269,32 @@ fn provenance(args: &Args) -> String {
     format!("{{\"provenance\": {{{}}}}}", body.join(", "))
 }
 
+/// Puts every thread of this process on glibc's main malloc arena.
+///
+/// The service workload starts a fresh worker thread for every segment,
+/// and glibc hands each new thread an arena of its own or an old one with
+/// whatever freed memory it still holds. Which one it got moved the
+/// workload's peak RSS by up to a third between runs of the same code;
+/// with one arena it repeats to within 0.1%.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn one_malloc_arena() {
+    extern "C" {
+        fn mallopt(param: i32, value: i32) -> i32;
+    }
+    /// glibc's `M_ARENA_MAX` parameter number.
+    const M_ARENA_MAX: i32 = -8;
+    // SAFETY: `mallopt` takes two plain integers and only changes the
+    // allocator's tuning; it runs before this process starts any thread.
+    unsafe {
+        mallopt(M_ARENA_MAX, 1);
+    }
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn one_malloc_arena() {}
+
 fn main() -> ExitCode {
+    one_malloc_arena();
     let args = match parse_args() {
         Ok(args) => args,
         Err(e) => {

@@ -7,7 +7,7 @@
 //! `Pipeline::oracle`, and the simulated statistics of each run must
 //! repeat exactly from pass to pass.
 
-use crate::report::{median, quantile, timed, HostSpeed, Report, UnitTimes};
+use crate::report::{median, quantile, sample_setup, timed, HostSpeed, Report, UnitTimes};
 use crate::Budget;
 use dpapi::{MapOp, Pipeline, PipelineOutput, Pred, ReduceOp, ScanOp, ZipOp};
 use mastodon::{SimConfig, Stats};
@@ -137,6 +137,7 @@ impl PipeSet {
             for i in 0..self.units.len() {
                 let took = self.run_unit(i, reference, report);
                 times.unit(i, took);
+                times.poll(host);
             }
         });
         times.end(wall, host);
@@ -168,12 +169,10 @@ impl PipeSet {
 
 /// Runs the workload for the budget and records its metrics.
 pub fn run(seed: u64, budget: &Budget, trace: bool, report: &mut Report) -> Result<(), String> {
-    // Another set-up follows every pass, so set-up is sampled across the
-    // run.
+    // Set-up is sampled after every pass, so across the run.
     let mut host = HostSpeed::default();
-    let (set, took) = timed(|| PipeSet::setup(seed));
-    let set = set?;
-    let mut setups = vec![took.as_secs_f64()];
+    let set = PipeSet::setup(seed)?;
+    let mut setups = Vec::new();
     let mut reference = vec![None; set.units.len()];
     let mut times = UnitTimes::new(set.units.len());
     let mut traced = Vec::new();
@@ -182,13 +181,12 @@ pub fn run(seed: u64, budget: &Budget, trace: bool, report: &mut Report) -> Resu
         if trace {
             traced.push(set.traced_pass(&mut reference, report));
         }
-        setups.push(timed(|| PipeSet::setup(seed)).1.as_secs_f64());
+        sample_setup(&mut setups, &mut host, || PipeSet::setup(seed));
     }
-    let factor = host.factor();
-    report.metric("host_factor", factor, "ratio");
+    report.metric("host_factor", host.factor(), "ratio");
 
     if !trace {
-        report.metric("setup_s", median(&setups) / factor, "s");
+        report.metric("setup_s", median(&setups), "s");
         // dpapi keeps no memo between launches: every pass starts cold,
         // so both pass metrics report the same estimate.
         report.metric("warm_pass_s", times.pass_estimate(), "s");

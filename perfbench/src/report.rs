@@ -110,12 +110,14 @@ const REFERENCE_NOMINAL_S: f64 = 0.013;
 /// How fast the shared host is running, read from a fixed memory-bound
 /// reference loop that belongs to the benchmark.
 ///
-/// On a shared 2-vCPU Intel Xeon VM, other tenants' load slows a run by
-/// up to 2× for minutes at a time, and it slows cache- and memory-bound code (the simulator, this
-/// loop) while leaving pure ALU loops alone. Each pass is divided by the
-/// mean of the factors read just before and just after it, so reported
-/// times are seconds at the nominal host speed. The loop never calls into
-/// the simulator, so a change to the simulator cannot move it.
+/// On a shared 2-vCPU Intel Xeon VM, other tenants' cache and memory
+/// traffic switches the host between speed regimes, up to 1.9x apart and
+/// lasting seconds to minutes, and it slows cache- and memory-bound code
+/// (the simulator, this loop) while leaving pure ALU loops alone. Timed
+/// units are divided by the mean of the readings taken just before and
+/// just after them (see [`UnitTimes`]), so reported times are seconds at
+/// the nominal host speed. The loop never calls into the simulator, so a
+/// change to the simulator cannot move it.
 #[derive(Default)]
 pub struct HostSpeed {
     factors: Vec<f64>,
@@ -160,19 +162,26 @@ impl HostSpeed {
     }
 }
 
+/// Longest stretch of timed units between two host readings in a pass
+/// that polls (see [`UnitTimes::poll`]). A reading costs ~15-25 ms, and a
+/// regime switch inside a stretch skews only that stretch's units.
+const HOST_EVERY: Duration = Duration::from_millis(150);
+
 /// Per-unit wall times gathered over repeated passes of a fixed list of
 /// units (kernel tasks, pipeline runs, chunks of service jobs), each
-/// divided by its pass's host factor (see [`HostSpeed`]).
+/// divided by the host factor around it (see [`HostSpeed`]).
 ///
 /// Each unit's median over the run's passes estimates its cost, and
 /// summing them over the list estimates one pass.
 pub struct UnitTimes {
     times: Vec<Vec<f64>>,
     passes: Vec<f64>,
-    /// Unit times of the pass in progress, not yet divided.
-    current: Vec<(usize, f64)>,
-    /// Host factor read when the pass in progress began.
-    before: f64,
+    /// Units timed since the last host reading, not yet divided.
+    pending: Vec<(usize, f64)>,
+    /// The last host reading and when it ended.
+    last: (f64, Instant),
+    /// Time the pass in progress spent reading the host.
+    reading: Duration,
 }
 
 impl UnitTimes {
@@ -181,30 +190,50 @@ impl UnitTimes {
         UnitTimes {
             times: vec![Vec::new(); units],
             passes: Vec::new(),
-            current: Vec::new(),
-            before: 1.0,
+            pending: Vec::new(),
+            last: (1.0, Instant::now()),
+            reading: Duration::ZERO,
         }
     }
 
-    /// Starts a pass, reading the host factor first.
+    /// Starts a pass, reading the host first.
     pub fn begin(&mut self, host: &mut HostSpeed) {
-        self.before = host.sample();
+        self.last = (host.sample(), Instant::now());
+        self.reading = Duration::ZERO;
     }
 
     /// Records one unit's wall time in the pass in progress.
     pub fn unit(&mut self, index: usize, took: Duration) {
-        self.current.push((index, took.as_secs_f64()));
+        self.pending.push((index, took.as_secs_f64()));
     }
 
-    /// Ends the pass: reads the host factor again and files the pass's
-    /// unit times divided by the mean of the two readings. `took` is the
-    /// pass's own wall time, kept as measured.
-    pub fn end(&mut self, took: Duration, host: &mut HostSpeed) {
-        let factor = (self.before + host.sample()) / 2.0;
-        for (index, t) in self.current.drain(..) {
-            self.times[index].push(t / factor);
+    /// Reads the host again if `HOST_EVERY` has passed since the last
+    /// reading. Call it between units of a pass that may stall there.
+    pub fn poll(&mut self, host: &mut HostSpeed) {
+        if self.last.1.elapsed() >= HOST_EVERY {
+            self.read(host);
         }
-        self.passes.push(took.as_secs_f64());
+    }
+
+    /// Reads the host and files the pending units, each divided by the
+    /// mean of this reading and the previous one.
+    fn read(&mut self, host: &mut HostSpeed) {
+        let start = Instant::now();
+        let factor = host.sample();
+        let mean = (self.last.0 + factor) / 2.0;
+        for (index, t) in self.pending.drain(..) {
+            self.times[index].push(t / mean);
+        }
+        self.last = (factor, Instant::now());
+        self.reading += start.elapsed();
+    }
+
+    /// Ends the pass, reading the host once more. `took` is the pass's
+    /// wall time; the time spent reading the host inside it is taken out,
+    /// and the rest is kept as measured.
+    pub fn end(&mut self, took: Duration, host: &mut HostSpeed) {
+        self.read(host);
+        self.passes.push(took.saturating_sub(self.reading).as_secs_f64());
     }
 
     /// Passes recorded.
@@ -226,6 +255,25 @@ impl UnitTimes {
     pub fn pass_median(&self) -> f64 {
         median(&self.passes)
     }
+}
+
+/// Set-ups timed back to back at each point a run samples set-up.
+const SETUP_REPS: usize = 3;
+
+/// Times `SETUP_REPS` set-ups with `setup` between two host readings and
+/// appends their times, divided by the readings' mean, to `setups`;
+/// `setup_s` is the median of a run's samples.
+pub fn sample_setup<T>(setups: &mut Vec<f64>, host: &mut HostSpeed, setup: impl Fn() -> T) {
+    let before = host.sample();
+    let took: Vec<f64> = (0..SETUP_REPS)
+        .map(|_| {
+            let (out, took) = timed(&setup);
+            black_box(out);
+            took.as_secs_f64()
+        })
+        .collect();
+    let factor = (before + host.sample()) / 2.0;
+    setups.extend(took.iter().map(|t| t / factor));
 }
 
 /// Runs `f` and returns its result with the wall time it took.

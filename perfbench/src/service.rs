@@ -12,12 +12,12 @@
 //! admission and its watchdog scan them, so its overhead grows with the
 //! jobs it has seen. The run is therefore a series of identical segments,
 //! each on a freshly started service: one closed-loop pass on the empty
-//! recipe pool (cold), an open-loop phase at a fixed rate, closed-loop
-//! passes on the warm pool, then one more cold pass on another fresh
-//! service. Preemption is off: checkpointing a running job whenever a
-//! higher-priority one arrives makes pass times depend on arrival timing.
+//! recipe pool (cold), an open-loop phase at a fixed rate, then
+//! closed-loop passes on the warm pool. Preemption is off: checkpointing a
+//! running job whenever a higher-priority one arrives makes pass times
+//! depend on arrival timing.
 
-use crate::report::{median, quantile, timed, HostSpeed, Report, UnitTimes};
+use crate::report::{median, quantile, sample_setup, HostSpeed, Report, UnitTimes};
 use crate::Budget;
 use experiments::chaos::{gen_job, oracle, roomy_limits, GenJob, JobKind, MixConfig};
 use rand::rngs::StdRng;
@@ -34,16 +34,16 @@ const QUEUE: usize = 256;
 /// Jobs in flight in a closed-loop pass: enough that the worker never
 /// waits on the client, far below the shedding threshold.
 const IN_FLIGHT: usize = 16;
-/// Completions per timed chunk of a closed-loop pass.
+/// Jobs per timed chunk of a closed-loop pass.
 const CHUNK: usize = 50;
 /// Open-loop jobs per segment, sent at `--svc-rate`.
 const OPEN_JOBS: usize = 1000;
 /// Closed-loop passes over all jobs per segment once the service is warm.
-const WARM_PASSES: usize = 3;
-/// Approximate length of one segment on an idle host. The number of
-/// segments is fixed from `--seconds` up front, not by the clock: peak
-/// memory grows with the segments a run holds, so a busy host must not
-/// change how many run.
+const WARM_PASSES: usize = 2;
+/// Share of `--seconds` one segment stands for: 30-second runs hold four
+/// segments (~6 s each on an idle host). The number of segments is fixed
+/// from `--seconds` up front, not by the clock, so a busy host does not
+/// change how much work a run does.
 const SEGMENT: Duration = Duration::from_millis(7500);
 
 fn mix() -> MixConfig {
@@ -79,9 +79,11 @@ fn matches_oracle(job: &GenJob, outcome: &JobOutcome) -> bool {
         })
 }
 
-/// One closed-loop pass: every job once, `IN_FLIGHT` at a time, timed
-/// per chunk of `CHUNK` completions into `times`. Returns the simulated
-/// (instructions, cycles) of its ok jobs.
+/// One closed-loop pass: every job once, `IN_FLIGHT` at a time, in
+/// chunks of `CHUNK` jobs, each timed into `times`. A chunk is drained
+/// before the next one starts, so the host can be read between chunks
+/// without the worker running dry inside a timed chunk. Returns the
+/// simulated (instructions, cycles) of its ok jobs.
 fn closed_pass(
     service: &Service,
     jobs: &[GenJob],
@@ -91,58 +93,59 @@ fn closed_pass(
 ) -> (u64, u64) {
     times.begin(host);
     let start = Instant::now();
-    let mut chunk_start = start;
-    let mut done = 0;
     let (mut instructions, mut cycles) = (0, 0);
-    let mut next = 0;
     let mut in_flight: Vec<(JobId, usize)> = Vec::with_capacity(IN_FLIGHT);
-    while next < jobs.len() || !in_flight.is_empty() {
-        while in_flight.len() < IN_FLIGHT && next < jobs.len() {
-            match service.submit(jobs[next].spec.clone()) {
-                Ok(id) => in_flight.push((id, next)),
-                Err(e) => report.check(false, || format!("job {next} refused: {e}")),
-            }
-            next += 1;
-        }
-        let before = in_flight.len();
-        in_flight.retain(|&(id, j)| match service.try_outcome(id) {
-            None => true,
-            Some(outcome) => {
-                if let Ok(r) = &outcome.result {
-                    instructions += r.instructions;
-                    cycles += r.cycles;
+    for chunk in 0..jobs.len() / CHUNK {
+        let chunk_start = Instant::now();
+        let (mut next, end) = (chunk * CHUNK, (chunk + 1) * CHUNK);
+        while next < end || !in_flight.is_empty() {
+            while in_flight.len() < IN_FLIGHT && next < end {
+                match service.submit(jobs[next].spec.clone()) {
+                    Ok(id) => in_flight.push((id, next)),
+                    Err(e) => report.check(false, || format!("job {next} refused: {e}")),
                 }
-                report.check(matches_oracle(&jobs[j], &outcome), || {
-                    format!(
-                        "job {j} ({}): {:?}",
-                        jobs[j].kind.label(),
-                        outcome.result.as_ref().err()
-                    )
-                });
-                done += 1;
-                if done % CHUNK == 0 {
-                    let now = Instant::now();
-                    times.unit(done / CHUNK - 1, now - chunk_start);
-                    chunk_start = now;
-                }
-                false
+                next += 1;
             }
-        });
-        if in_flight.len() == before {
-            // Sixteen queued jobs outlast this nap, so the worker never
-            // waits on the client.
-            std::thread::sleep(Duration::from_micros(50));
+            let before = in_flight.len();
+            in_flight.retain(|&(id, j)| match service.try_outcome(id) {
+                None => true,
+                Some(outcome) => {
+                    if let Ok(r) = &outcome.result {
+                        instructions += r.instructions;
+                        cycles += r.cycles;
+                    }
+                    report.check(matches_oracle(&jobs[j], &outcome), || {
+                        format!(
+                            "job {j} ({}): {:?}",
+                            jobs[j].kind.label(),
+                            outcome.result.as_ref().err()
+                        )
+                    });
+                    false
+                }
+            });
+            if in_flight.len() == before {
+                // Sixteen queued jobs outlast this nap, so the worker never
+                // waits on the client.
+                std::thread::sleep(Duration::from_micros(50));
+            }
         }
+        times.unit(chunk, chunk_start.elapsed());
+        times.poll(host);
     }
     times.end(start.elapsed(), host);
     (instructions, cycles)
 }
 
-/// Samples from the open-loop phases. Every segment sends the same
-/// schedule, so slot `k` holds the same job in every segment.
+/// Samples from the open-loop phases.
+#[derive(Default)]
 struct OpenLoop {
-    /// Latency per schedule slot, one sample per segment, ms.
-    slots: Vec<Vec<f64>>,
+    /// Every latency with its schedule slot, ms.
+    latencies: Vec<(usize, f64)>,
+    /// Each phase's latency (p50, p99), ms. `p50_ms` and `p99_ms` are their
+    /// medians over the run's segments, so a burst on the host that lifts
+    /// one whole phase moves neither.
+    phase_quantiles: Vec<(f64, f64)>,
     /// Every latency of segments whose admissions were timed, ms.
     timed_ms: Vec<f64>,
     /// Every latency of segments whose admissions were not timed, ms.
@@ -153,33 +156,40 @@ struct OpenLoop {
     late_ms: Vec<f64>,
 }
 
-impl OpenLoop {
-    fn new() -> Self {
-        OpenLoop {
-            slots: vec![Vec::new(); OPEN_JOBS],
-            timed_ms: Vec::new(),
-            untimed_ms: Vec::new(),
-            admit_us: Vec::new(),
-            late_ms: Vec::new(),
-        }
-    }
-
-    /// Each slot's median latency across segments, which drops the
-    /// bursts a busy host adds to one segment but keeps the queueing a
-    /// slot meets in every segment.
-    fn slot_estimates(&self) -> Vec<f64> {
-        self.slots.iter().map(|v| median(v)).collect()
-    }
+/// The open-loop send order: every job once, the slow ones spread evenly
+/// among the compute ones.
+///
+/// In generation order the mix has runs of slow jobs, each of which
+/// outlasts the send period, and the jobs queued behind a run made the
+/// tail: latencies of the form "the run's service times minus a few
+/// periods", which move several times as much as the service times do.
+/// Spread out, most slow jobs finish before the next one arrives, and the
+/// tail is the slow jobs' own latency.
+fn send_order(jobs: &[GenJob]) -> Vec<usize> {
+    let (slow, compute): (Vec<usize>, Vec<usize>) =
+        (0..jobs.len()).partition(|&j| jobs[j].kind == JobKind::Slow);
+    let (n, s) = (jobs.len(), slow.len());
+    let (mut slow, mut compute) = (slow.into_iter(), compute.into_iter());
+    // Position t is slow when floor((t + 1) s / n) steps past floor(t s / n).
+    (0..n)
+        .map(|t| {
+            let next = if (t + 1) * s / n > t * s / n { slow.next() } else { compute.next() };
+            next.expect("the two kinds cover every position")
+        })
+        .collect()
 }
 
-/// Open loop: `OPEN_JOBS` jobs sent at `rate` jobs/s, samples appended
-/// to `out`. Latency runs from each job's scheduled send time, so a
-/// stalled client or service charges the wait to every job it delays.
-/// Latencies are divided by the mean host factor read around the phase
-/// (see [`HostSpeed`]). With `timed`, every admission is timed.
+/// Open loop: `OPEN_JOBS` jobs sent in `order` at `rate` jobs/s, samples
+/// appended to `out`. Latency runs from each job's scheduled send time, so
+/// a stalled client or service charges the wait to every job it delays.
+/// Latencies are divided by the mean host factor read
+/// around the phase (see [`HostSpeed`]). With `timed`, every admission is
+/// timed.
+#[allow(clippy::too_many_arguments)]
 fn open_loop(
     service: &Service,
     jobs: &[GenJob],
+    order: &[usize],
     rate: f64,
     timed: bool,
     host: &mut HostSpeed,
@@ -187,37 +197,36 @@ fn open_loop(
     report: &mut Report,
 ) {
     let factor_before = host.sample();
-    let mut segment: Vec<(usize, f64)> = Vec::with_capacity(OPEN_JOBS);
+    let mut phase: Vec<(usize, f64)> = Vec::with_capacity(OPEN_JOBS);
     let period = Duration::from_secs_f64(1.0 / rate);
-    let total = OPEN_JOBS;
     let mut in_flight: Vec<(JobId, usize, Instant)> = Vec::new();
-    let mut sent = 0;
-    let mut spec = jobs[0].spec.clone();
+    let job = |slot: usize| &jobs[order[slot % order.len()]];
+    let mut next = 0;
+    let mut spec = job(next).spec.clone();
     let start = Instant::now() + Duration::from_millis(1);
     let mut due = start;
-    while sent < total || !in_flight.is_empty() {
-        if sent < total && Instant::now() >= due {
+    while next < OPEN_JOBS || !in_flight.is_empty() {
+        if next < OPEN_JOBS && Instant::now() >= due {
             let sending = Instant::now();
             out.late_ms.push((sending - due).as_secs_f64() * 1e3);
-            let admitted = service
-                .submit(std::mem::replace(&mut spec, jobs[(sent + 1) % jobs.len()].spec.clone()));
+            let admitted = service.submit(std::mem::replace(&mut spec, job(next + 1).spec.clone()));
             if timed {
                 out.admit_us.push(sending.elapsed().as_secs_f64() * 1e6);
             }
             match admitted {
-                Ok(id) => in_flight.push((id, sent, due)),
-                Err(e) => report.check(false, || format!("open-loop job {sent} refused: {e}")),
+                Ok(id) => in_flight.push((id, next, due)),
+                Err(e) => report.check(false, || format!("open-loop job {next} refused: {e}")),
             }
-            sent += 1;
-            due = start + period * sent as u32;
+            next += 1;
+            due = start + period * next as u32;
             continue;
         }
         let before = in_flight.len();
         in_flight.retain(|&(id, slot, due)| match service.try_outcome(id) {
             None => true,
             Some(outcome) => {
-                segment.push((slot, due.elapsed().as_secs_f64() * 1e3));
-                let j = slot % jobs.len();
+                phase.push((slot, due.elapsed().as_secs_f64() * 1e3));
+                let j = order[slot % order.len()];
                 report.check(matches_oracle(&jobs[j], &outcome), || {
                     format!(
                         "open-loop job {j} ({}): {:?}",
@@ -233,8 +242,10 @@ fn open_loop(
         }
     }
     let factor = (factor_before + host.sample()) / 2.0;
-    for (slot, ms) in segment {
-        out.slots[slot].push(ms / factor);
+    let ms: Vec<f64> = phase.iter().map(|&(_, ms)| ms / factor).collect();
+    out.phase_quantiles.push((quantile(&ms, 0.50), quantile(&ms, 0.99)));
+    for (slot, ms) in phase {
+        out.latencies.push((slot, ms / factor));
         if timed { &mut out.timed_ms } else { &mut out.untimed_ms }.push(ms / factor);
     }
 }
@@ -273,17 +284,18 @@ pub fn run(
     report: &mut Report,
 ) -> Result<(), String> {
     let mut host = HostSpeed::default();
-    let (jobs, took) = timed(|| generate(seed));
-    let mut setups = vec![took.as_secs_f64()];
+    let jobs = generate(seed);
+    let mut setups = Vec::new();
     if let Some(bad) = jobs.iter().find(|j| !matches!(j.kind, JobKind::Compute | JobKind::Slow)) {
         return Err(format!("generator produced a {} job", bad.kind.label()));
     }
 
-    // Segments are identical and each starts a fresh service. Another
-    // set-up follows each segment, so set-up is sampled across the run.
+    let order = send_order(&jobs);
+    // Segments are identical and each starts a fresh service. Set-up is
+    // sampled after every segment, so across the run.
     let mut cold = UnitTimes::new(JOBS / CHUNK);
     let mut warm = UnitTimes::new(JOBS / CHUNK);
-    let mut open = OpenLoop::new();
+    let mut open = OpenLoop::default();
     let mut sim = (0, 0);
     let mut health = Vec::new();
     for _ in 0..budget.reps(SEGMENT) {
@@ -292,41 +304,30 @@ pub fn run(
         // Traced runs time admissions in every other segment only, so the
         // untimed segments show what the timing costs.
         let time_admissions = trace && health.len() % 2 == 1;
-        open_loop(&service, &jobs, rate, time_admissions, &mut host, &mut open, report);
+        open_loop(&service, &jobs, &order, rate, time_admissions, &mut host, &mut open, report);
         for _ in 0..WARM_PASSES {
             closed_pass(&service, &jobs, &mut warm, &mut host, report);
         }
         health.push(service.health());
         service.shutdown();
-        drop(service);
-        // A second cold sample per segment, on a service used for nothing
-        // else.
-        let fresh = start(seed);
-        closed_pass(&fresh, &jobs, &mut cold, &mut host, report);
-        fresh.shutdown();
-        setups.push(timed(|| generate(seed)).1.as_secs_f64());
+        sample_setup(&mut setups, &mut host, || generate(seed));
     }
-    let factor = host.factor();
-    report.metric("setup_s", median(&setups) / factor, "s");
-    report.metric("host_factor", factor, "ratio");
+    report.metric("setup_s", median(&setups), "s");
+    report.metric("host_factor", host.factor(), "ratio");
 
-    let slots = open.slot_estimates();
     let warm_pass = warm.pass_estimate();
     if !trace {
+        let (p50, p99): (Vec<f64>, Vec<f64>) = open.phase_quantiles.iter().copied().unzip();
         report.metric("cold_pass_s", cold.pass_estimate(), "s");
         report.metric("warm_pass_s", warm_pass, "s");
-        report.metric("p50_ms", quantile(&slots, 0.50), "ms");
-        report.metric("p99_ms", quantile(&slots, 0.99), "ms");
+        report.metric("p50_ms", median(&p50), "ms");
+        report.metric("p99_ms", median(&p99), "ms");
         return Ok(());
     }
 
     let of = |kind: JobKind| -> Vec<f64> {
-        slots
-            .iter()
-            .enumerate()
-            .filter(|(k, _)| jobs[k % JOBS].kind == kind)
-            .map(|(_, &ms)| ms)
-            .collect()
+        let latencies = open.latencies.iter();
+        latencies.filter(|&&(slot, _)| jobs[order[slot]].kind == kind).map(|&(_, ms)| ms).collect()
     };
     report.metric("svc.admit_p50_us", quantile(&open.admit_us, 0.50), "us");
     report.metric("svc.admit_p99_us", quantile(&open.admit_us, 0.99), "us");

@@ -8,7 +8,7 @@
 //! and fusion into the pool, register loads, `Mpu::run`, and readback
 //! with the golden compare.
 
-use crate::report::{median, quantile, timed, HostSpeed, Report, UnitTimes};
+use crate::report::{median, quantile, sample_setup, timed, HostSpeed, Report, UnitTimes};
 use crate::Budget;
 use mastodon::{Mpu, RecipePool, SimConfig, Stats};
 use microjson::Value;
@@ -218,6 +218,7 @@ impl Sweep {
                 let (result, took) =
                     timed(|| run_kernel_pooled(kernel, config, N, self.seed, Some(pool)));
                 times.unit(i, took);
+                times.poll(host);
                 match (result, &reference[i]) {
                     (Err(e), _) => report.check(false, || format!("{}: {e}", self.describe(i))),
                     (Ok(run), Some(want)) => report.check(run == *want, || {
@@ -356,12 +357,10 @@ const SUBSTRATES: [&str; 5] = ["racer", "mimdram", "dualitycache", "pluto", "dpu
 
 /// Runs the workload for the budget and records its metrics.
 pub fn run(seed: u64, budget: &Budget, trace: bool, report: &mut Report) -> Result<(), String> {
-    // Another set-up follows every cycle of passes, so set-up is sampled
-    // across the run.
+    // Set-up is sampled after every cycle of passes, so across the run.
     let mut host = HostSpeed::default();
-    let (sweep, took) = timed(|| Sweep::setup(seed));
-    let sweep = sweep?;
-    let mut setups = vec![took.as_secs_f64()];
+    let sweep = Sweep::setup(seed)?;
+    let mut setups = Vec::new();
     let tasks = sweep.tasks.len();
 
     // The first pass fills the shared pool and records the reference
@@ -381,10 +380,9 @@ pub fn run(seed: u64, budget: &Budget, trace: bool, report: &mut Report) -> Resu
             for _ in 0..2 {
                 sweep.pass(&shared, &mut warm, &mut host, &mut reference, report);
             }
-            setups.push(timed(|| Sweep::setup(seed)).1.as_secs_f64());
+            sample_setup(&mut setups, &mut host, || Sweep::setup(seed));
         }
-        let factor = host.factor();
-        report.metric("setup_s", median(&setups) / factor, "s");
+        report.metric("setup_s", median(&setups), "s");
         report.metric("cold_pass_s", cold.pass_estimate(), "s");
         report.metric("warm_pass_s", warm.pass_estimate(), "s");
         let per_task = warm.unit_estimates();
@@ -407,7 +405,7 @@ pub fn run(seed: u64, budget: &Budget, trace: bool, report: &mut Report) -> Resu
         sweep.pass(&shared, &mut warm, &mut host, &mut reference, report);
         warm_lookups = shared.stats().lookups - before.lookups;
         warm_spans.push(sweep.traced_pass(&shared, false, &reference, report));
-        setups.push(timed(|| Sweep::setup(seed)).1.as_secs_f64());
+        sample_setup(&mut setups, &mut host, || Sweep::setup(seed));
     }
     report.metric("host_factor", host.factor(), "ratio");
     let warm_misses = shared.stats().misses - before_warm.misses;
