@@ -87,7 +87,7 @@ pub use datapath::{DatapathBuilder, DatapathKind, DatapathModel, Geometry};
 pub use fault::{FaultModel, FaultPrng};
 pub use features::{supports, Feature, Platform};
 pub use logic::{GateBuilder, LogicFamily};
-pub use microop::{lut3_word, word_kind, MicroOp, MicroOpKind};
+pub use microop::{lut3_word, word_kind, MicroOp, MicroOpKind, Planes};
 pub use opt::{optimize, OptConfig, OptRule, OptStats, RuleStats};
 pub use recipe::{build_recipe, semantics, Recipe, RecipeCtx};
 pub use trace_tier::{fuse_ensemble, fuse_ensemble_with, EnsembleStep, EnsembleTrace};

@@ -253,6 +253,49 @@ pub fn lut3_word(table: u8, x: u64, y: u64, z: u64) -> u64 {
     out
 }
 
+/// The planes one micro-op reads or writes ([`MicroOp::reads`],
+/// [`MicroOp::writes`]): at most three, held inline so dataflow queries
+/// never allocate. Dereferences to a slice in operand (or write) order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Planes {
+    len: u8,
+    planes: [Plane; 3],
+}
+
+impl Planes {
+    fn new(planes: &[Plane]) -> Planes {
+        let mut set = Planes { len: planes.len() as u8, planes: [Plane::Const(false); 3] };
+        set.planes[..planes.len()].copy_from_slice(planes);
+        set
+    }
+}
+
+impl std::ops::Deref for Planes {
+    type Target = [Plane];
+
+    fn deref(&self) -> &[Plane] {
+        &self.planes[..usize::from(self.len)]
+    }
+}
+
+impl IntoIterator for Planes {
+    type Item = Plane;
+    type IntoIter = std::iter::Take<std::array::IntoIter<Plane, 3>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.planes.into_iter().take(usize::from(self.len))
+    }
+}
+
+impl<'a> IntoIterator for &'a Planes {
+    type Item = &'a Plane;
+    type IntoIter = std::slice::Iter<'a, Plane>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
 impl MicroOp {
     /// This micro-op's kind.
     pub fn kind(&self) -> MicroOpKind {
@@ -296,17 +339,17 @@ impl MicroOp {
     /// [`MicroOp::FullAdd`] reads its addends and the carry-in; the carry
     /// plane also appears in [`MicroOp::writes`] because it receives the
     /// carry-out. `Set` reads nothing. Used by the recipe optimizer's
-    /// dataflow analysis (`crate::opt`).
-    pub fn reads(&self) -> Vec<Plane> {
+    /// dataflow analysis (`crate::opt`), so it never allocates.
+    pub fn reads(&self) -> Planes {
         match *self {
             MicroOp::Nor { a, b, .. }
             | MicroOp::And { a, b, .. }
             | MicroOp::Or { a, b, .. }
-            | MicroOp::Xor { a, b, .. } => vec![a, b],
-            MicroOp::Tra { a, b, c, .. } | MicroOp::Lut { a, b, c, .. } => vec![a, b, c],
-            MicroOp::Not { a, .. } | MicroOp::Copy { a, .. } => vec![a],
-            MicroOp::FullAdd { a, b, carry, .. } => vec![a, b, carry],
-            MicroOp::Set { .. } => vec![],
+            | MicroOp::Xor { a, b, .. } => Planes::new(&[a, b]),
+            MicroOp::Tra { a, b, c, .. } | MicroOp::Lut { a, b, c, .. } => Planes::new(&[a, b, c]),
+            MicroOp::Not { a, .. } | MicroOp::Copy { a, .. } => Planes::new(&[a]),
+            MicroOp::FullAdd { a, b, carry, .. } => Planes::new(&[a, b, carry]),
+            MicroOp::Set { .. } => Planes::new(&[]),
             // Coarse word-level summary: bit 0 stands for the whole
             // register. The optimizer never analyzes word-serial recipes
             // (it returns them unmodified), so this is documentation, not
@@ -320,7 +363,7 @@ impl MicroOp {
     /// [`MicroOp::FullAdd`] writes the reserved scratch latch plane (the
     /// staged sum), then the carry plane, then the sum plane — the exact
     /// sequence [`MicroOp::apply`] performs.
-    pub fn writes(&self) -> Vec<Plane> {
+    pub fn writes(&self) -> Planes {
         match *self {
             MicroOp::Nor { out, .. }
             | MicroOp::Tra { out, .. }
@@ -330,10 +373,12 @@ impl MicroOp {
             | MicroOp::Xor { out, .. }
             | MicroOp::Copy { out, .. }
             | MicroOp::Set { out, .. }
-            | MicroOp::Lut { out, .. } => vec![out],
-            MicroOp::FullAdd { carry, sum, .. } => {
-                vec![Plane::Scratch(crate::bitplane::SCRATCH_PLANES as u16 - 1), carry, sum]
-            }
+            | MicroOp::Lut { out, .. } => Planes::new(&[out]),
+            MicroOp::FullAdd { carry, sum, .. } => Planes::new(&[
+                Plane::Scratch(crate::bitplane::SCRATCH_PLANES as u16 - 1),
+                carry,
+                sum,
+            ]),
             MicroOp::Word { instr } => word_reg_planes(&instr, Access::Write),
         }
     }
@@ -391,26 +436,29 @@ enum Access {
 
 /// The bit-0 planes of the registers a word-serial instruction touches,
 /// used for the coarse [`MicroOp::reads`]/[`MicroOp::writes`] summaries.
-fn word_reg_planes(instr: &Instruction, access: Access) -> Vec<Plane> {
+fn word_reg_planes(instr: &Instruction, access: Access) -> Planes {
     let reg = |r: mpu_isa::RegId| Plane::Reg { reg: r.0 as u8, bit: 0 };
     match (instr, access) {
         (Instruction::Binary { rs, rt, rd, .. }, Access::Read) => {
-            vec![reg(*rs), reg(*rt), reg(*rd)]
+            Planes::new(&[reg(*rs), reg(*rt), reg(*rd)])
         }
         (Instruction::Binary { op: BinaryOp::QRDiv, rt, rd, .. }, Access::Write) => {
-            vec![reg(*rt), reg(*rd)]
+            Planes::new(&[reg(*rt), reg(*rd)])
         }
-        (Instruction::Binary { rd, .. }, Access::Write) => vec![reg(*rd)],
-        (Instruction::Unary { rs, .. }, Access::Read) => vec![reg(*rs)],
-        (Instruction::Unary { rd, .. }, Access::Write) => vec![reg(*rd)],
-        (Instruction::Compare { rs, rt, .. }, Access::Read) => vec![reg(*rs), reg(*rt)],
-        (Instruction::Compare { .. }, Access::Write) => vec![Plane::Cond],
-        (Instruction::Fuzzy { rs, rt, rd }, Access::Read) => vec![reg(*rs), reg(*rt), reg(*rd)],
-        (Instruction::Fuzzy { .. }, Access::Write) => vec![Plane::Cond],
-        (Instruction::Cas { rs, rt }, Access::Read) => vec![reg(*rs), reg(*rt)],
-        (Instruction::Cas { rs, rt }, Access::Write) => vec![reg(*rs), reg(*rt)],
-        (Instruction::Init { .. }, Access::Read) => vec![],
-        (Instruction::Init { rd, .. }, Access::Write) => vec![reg(*rd)],
+        (Instruction::Binary { rd, .. }, Access::Write) => Planes::new(&[reg(*rd)]),
+        (Instruction::Unary { rs, .. }, Access::Read) => Planes::new(&[reg(*rs)]),
+        (Instruction::Unary { rd, .. }, Access::Write) => Planes::new(&[reg(*rd)]),
+        (Instruction::Compare { rs, rt, .. }, Access::Read) => Planes::new(&[reg(*rs), reg(*rt)]),
+        (Instruction::Compare { .. }, Access::Write) => Planes::new(&[Plane::Cond]),
+        (Instruction::Fuzzy { rs, rt, rd }, Access::Read) => {
+            Planes::new(&[reg(*rs), reg(*rt), reg(*rd)])
+        }
+        (Instruction::Fuzzy { .. }, Access::Write) => Planes::new(&[Plane::Cond]),
+        (Instruction::Cas { rs, rt }, Access::Read | Access::Write) => {
+            Planes::new(&[reg(*rs), reg(*rt)])
+        }
+        (Instruction::Init { .. }, Access::Read) => Planes::new(&[]),
+        (Instruction::Init { rd, .. }, Access::Write) => Planes::new(&[reg(*rd)]),
         (other, _) => panic!("word micro-op carries non-compute instruction {other:?}"),
     }
 }

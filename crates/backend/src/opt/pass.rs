@@ -22,6 +22,13 @@
 //! merge), an unmasked store kills both, and any read revives both.
 //! Architectural planes (`Reg`/`Cond`/`Mask`) are live at recipe exit;
 //! scratch planes are not.
+//!
+//! Data layout: every per-plane table (current value, liveness) is a flat
+//! vector indexed by a dense plane slot ([`PlaneIndex`]); holder lists are
+//! indexed by the packed [`ValRef`]; only node interning hashes, with a
+//! multiplicative [`NodeHasher`]. Node numbers are assigned in insertion
+//! order and holder lists keep establishment order, so none of these
+//! choices can change a rewrite decision (DESIGN.md §10).
 
 use super::{OptConfig, OptRule, OptStats};
 use crate::bitplane::{BitPlaneVrf, Plane, SCRATCH_PLANES};
@@ -29,37 +36,46 @@ use crate::logic::LogicFamily;
 use crate::microop::{MicroOp, MicroOpKind};
 use crate::recipe::Recipe;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Fixpoint cap. Each round strictly removes ops or reaches quiescence;
 /// synthesized templates converge in two or three rounds.
 const MAX_ROUNDS: usize = 4;
 
-const TRUE: ValRef = ValRef { idx: 0, neg: false };
-const FALSE: ValRef = ValRef { idx: 0, neg: true };
+const TRUE: ValRef = ValRef(0);
+const FALSE: ValRef = ValRef(1);
 
 fn latch_plane() -> Plane {
     Plane::Scratch(SCRATCH_PLANES as u16 - 1)
 }
 
-/// A reference to a hash-consed value node, with a complement bit on the
-/// edge so negation is free and double negation cancels structurally.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct ValRef {
-    idx: u32,
-    neg: bool,
-}
+/// A reference to a hash-consed value node, packed as `idx << 1 | neg`:
+/// the complement bit rides on the edge, so negation is free and double
+/// negation cancels structurally. The packed order is the `(idx, neg)`
+/// order operand canonicalization sorts by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+struct ValRef(u32);
 
 impl ValRef {
     fn not(self) -> ValRef {
-        ValRef { idx: self.idx, neg: !self.neg }
+        ValRef(self.0 ^ 1)
+    }
+
+    /// The same node with a positive edge.
+    fn pos(self) -> ValRef {
+        ValRef(self.0 & !1)
+    }
+
+    fn is_neg(self) -> bool {
+        self.0 & 1 != 0
     }
 
     fn is_const(self) -> bool {
-        self.idx == 0
+        self.0 < 2
     }
 
-    fn key(self) -> (u32, bool) {
-        (self.idx, self.neg)
+    fn idx(self) -> usize {
+        (self.0 >> 1) as usize
     }
 }
 
@@ -75,36 +91,153 @@ enum Node {
     Merge(ValRef, ValRef),
 }
 
+/// FxHash's multiply-rotate step, for the node-interning table. A node is
+/// a few small integers, so SipHash's flooding resistance buys nothing
+/// here; the table maps nodes to insertion-ordered numbers, so the hasher
+/// sets its speed and never its answers.
+#[derive(Default)]
+struct NodeHasher(u64);
+
+impl NodeHasher {
+    fn add(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for NodeHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_u8(&mut self, x: u8) {
+        self.add(u64::from(x));
+    }
+
+    fn write_u16(&mut self, x: u16) {
+        self.add(u64::from(x));
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.add(u64::from(x));
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.add(x as u64);
+    }
+}
+
+/// Dense numbering of the planes one recipe touches: register bits
+/// (`reg * bits + bit`), then scratch, cond, mask and the two constants.
+/// Sized from the recipe, so per-plane state is a short flat vector.
+/// Rewrites only ever redirect to planes the recipe already names (or to
+/// the constant planes), so the index built before the first round covers
+/// every later round.
+#[derive(Clone, Copy)]
+struct PlaneIndex {
+    bits: usize,
+    regs: usize,
+    scratch: usize,
+}
+
+impl PlaneIndex {
+    fn of(ops: &[MicroOp]) -> PlaneIndex {
+        let mut ix = PlaneIndex { bits: 1, regs: 0, scratch: SCRATCH_PLANES };
+        for p in ops.iter().flat_map(|op| op.reads().into_iter().chain(op.writes())) {
+            match p {
+                Plane::Reg { reg, bit } => {
+                    ix.regs = ix.regs.max(usize::from(reg) + 1);
+                    ix.bits = ix.bits.max(usize::from(bit) + 1);
+                }
+                Plane::Scratch(i) => ix.scratch = ix.scratch.max(usize::from(i) + 1),
+                Plane::Cond | Plane::Mask | Plane::Const(_) => {}
+            }
+        }
+        ix
+    }
+
+    fn len(self) -> usize {
+        self.regs * self.bits + self.scratch + 4
+    }
+
+    fn slot(self, p: Plane) -> usize {
+        let base = self.regs * self.bits;
+        match p {
+            Plane::Reg { reg, bit } => {
+                debug_assert!(usize::from(reg) < self.regs && usize::from(bit) < self.bits);
+                usize::from(reg) * self.bits + usize::from(bit)
+            }
+            Plane::Scratch(i) => base + usize::from(i),
+            Plane::Cond => base + self.scratch,
+            Plane::Mask => base + self.scratch + 1,
+            Plane::Const(b) => base + self.scratch + 2 + usize::from(b),
+        }
+    }
+}
+
 /// The forward value-numbering state: plane → value, value → holder
-/// planes, and the hash-consed node table.
+/// planes, and the hash-consed node table. Allocated once per recipe and
+/// [`Values::reset`] before each forward pass.
 struct Values {
+    planes: PlaneIndex,
     nodes: Vec<Node>,
-    index: HashMap<Node, u32>,
-    val: HashMap<Plane, ValRef>,
-    holders: HashMap<ValRef, Vec<Plane>>,
+    index: HashMap<Node, u32, BuildHasherDefault<NodeHasher>>,
+    /// Current value per plane slot; `None` until first read or write.
+    val: Vec<Option<ValRef>>,
+    /// Planes holding each value, indexed by the packed [`ValRef`], in
+    /// the order they came to hold it.
+    holders: Vec<Vec<Plane>>,
 }
 
 impl Values {
-    fn new() -> Values {
-        let mut index = HashMap::new();
-        index.insert(Node::True, 0);
-        Values { nodes: vec![Node::True], index, val: HashMap::new(), holders: HashMap::new() }
+    fn new(planes: PlaneIndex) -> Values {
+        let mut vals = Values {
+            planes,
+            nodes: Vec::new(),
+            index: HashMap::default(),
+            val: vec![None; planes.len()],
+            holders: Vec::new(),
+        };
+        vals.reset();
+        vals
+    }
+
+    /// Back to the recipe-entry state (only the `True` node), keeping
+    /// every allocation.
+    fn reset(&mut self) {
+        self.nodes.clear();
+        self.index.clear();
+        self.val.fill(None);
+        for list in &mut self.holders {
+            list.clear();
+        }
+        self.intern(Node::True);
     }
 
     fn node(&self, v: ValRef) -> Node {
-        self.nodes[v.idx as usize]
+        self.nodes[v.idx()]
     }
 
     fn intern(&mut self, node: Node) -> ValRef {
-        let idx = if let Some(&i) = self.index.get(&node) {
-            i
-        } else {
-            let i = self.nodes.len() as u32;
-            self.nodes.push(node);
-            self.index.insert(node, i);
-            i
+        let idx = match self.index.get(&node) {
+            Some(&i) => i,
+            None => {
+                let i = self.nodes.len() as u32;
+                self.nodes.push(node);
+                self.index.insert(node, i);
+                let refs = 2 * self.nodes.len();
+                if self.holders.len() < refs {
+                    self.holders.resize_with(refs, Vec::new);
+                }
+                i
+            }
         };
-        ValRef { idx, neg: false }
+        ValRef(idx << 1)
     }
 
     fn cref(value: bool) -> ValRef {
@@ -121,28 +254,28 @@ impl Values {
         if let Plane::Const(b) = p {
             return Values::cref(b);
         }
-        if let Some(&v) = self.val.get(&p) {
+        let s = self.planes.slot(p);
+        if let Some(v) = self.val[s] {
             return v;
         }
         let v = self.intern(Node::Input(p));
-        self.val.insert(p, v);
-        self.holders.entry(v).or_default().push(p);
+        self.val[s] = Some(v);
+        self.holders[v.0 as usize].push(p);
         v
     }
 
     fn write(&mut self, p: Plane, v: ValRef) {
-        if let Some(&old) = self.val.get(&p) {
-            if let Some(list) = self.holders.get_mut(&old) {
-                list.retain(|&q| q != p);
-            }
+        let s = self.planes.slot(p);
+        if let Some(old) = self.val[s] {
+            self.holders[old.0 as usize].retain(|&q| q != p);
         }
-        self.val.insert(p, v);
-        self.holders.entry(v).or_default().push(p);
+        self.val[s] = Some(v);
+        self.holders[v.0 as usize].push(p);
     }
 
     /// The canonical (earliest-established, still-valid) plane holding `v`.
     fn holder(&self, v: ValRef) -> Option<Plane> {
-        self.holders.get(&v).and_then(|l| l.first()).copied()
+        self.holders[v.0 as usize].first().copied()
     }
 
     fn mk_and(&mut self, x: ValRef, y: ValRef) -> ValRef {
@@ -161,7 +294,7 @@ impl Values {
         if x == y.not() {
             return FALSE;
         }
-        let (x, y) = if x.key() <= y.key() { (x, y) } else { (y, x) };
+        let (x, y) = if x <= y { (x, y) } else { (y, x) };
         self.intern(Node::And(x, y))
     }
 
@@ -186,9 +319,9 @@ impl Values {
         if y.is_const() {
             return if y == FALSE { x } else { x.not() };
         }
-        let neg = x.neg ^ y.neg;
-        let (px, py) = (ValRef { neg: false, ..x }, ValRef { neg: false, ..y });
-        let (px, py) = if px.key() <= py.key() { (px, py) } else { (py, px) };
+        let neg = x.is_neg() ^ y.is_neg();
+        let (px, py) = (x.pos(), y.pos());
+        let (px, py) = if px <= py { (px, py) } else { (py, px) };
         let r = self.intern(Node::Xor(px, py));
         if neg {
             r.not()
@@ -225,11 +358,11 @@ impl Values {
         // Majority is self-dual: Maj(!a, !b, !c) = !Maj(a, b, c). Normalize
         // the all-negated form so both polarities hash to one node.
         let mut v = [a, b, c];
-        let neg = v.iter().all(|r| r.neg);
+        let neg = v.iter().all(|r| r.is_neg());
         if neg {
             v = [a.not(), b.not(), c.not()];
         }
-        v.sort_by_key(|r| r.key());
+        v.sort();
         let r = self.intern(Node::Maj(v[0], v[1], v[2]));
         if neg {
             r.not()
@@ -263,7 +396,7 @@ impl Values {
         }
         // Re-merging the same enabled-lane value is idempotent:
         // merge(merge(o, n), n) = merge(o, n) for any (wave-constant) mask.
-        if !old.neg {
+        if !old.is_neg() {
             if let Node::Merge(_, prev_new) = self.node(old) {
                 if prev_new == new {
                     return old;
@@ -305,32 +438,33 @@ impl Values {
     }
 }
 
+/// Which rules may fire, and the substrate's per-kind `(cycles, energy)`
+/// prices, read once per recipe into a table indexed by
+/// [`MicroOpKind::index`].
 struct RuleGate {
     family: LogicFamily,
     config: OptConfig,
+    costs: [Option<(u64, f64)>; MicroOpKind::ALL.len()],
 }
 
 impl RuleGate {
     fn on(&self, rule: OptRule) -> bool {
         self.config.rule_enabled(rule) && rule.sound_for(self.family)
     }
-}
 
-/// True when issuing `new` instead of `old` is legal on this substrate and
-/// no worse on both cost axes with a strict improvement on at least one.
-fn improves(
-    cost: &dyn Fn(MicroOpKind) -> Option<(u64, f64)>,
-    family: LogicFamily,
-    new: MicroOpKind,
-    old: MicroOpKind,
-) -> bool {
-    if !family.supports(new) {
-        return false;
+    /// True when issuing `new` instead of `old` is legal on this substrate
+    /// and no worse on both cost axes with a strict improvement on at
+    /// least one.
+    fn improves(&self, new: MicroOpKind, old: MicroOpKind) -> bool {
+        if !self.family.supports(new) {
+            return false;
+        }
+        let (Some((nc, ne)), Some((oc, oe))) = (self.costs[new.index()], self.costs[old.index()])
+        else {
+            return false;
+        };
+        nc <= oc && ne <= oe && (nc < oc || ne < oe)
     }
-    let (Some((nc, ne)), Some((oc, oe))) = (cost(new), cost(old)) else {
-        return false;
-    };
-    nc <= oc && ne <= oe && (nc < oc || ne < oe)
 }
 
 struct Slot {
@@ -372,15 +506,20 @@ pub(super) fn run(
     if ops.iter().any(|op| op.writes().iter().any(|w| matches!(w, Plane::Mask | Plane::Const(_)))) {
         return (recipe.with_optimized_ops(ops, 0), stats);
     }
-    let gate = RuleGate { family, config };
+    let gate = RuleGate { family, config, costs: MicroOpKind::ALL.map(cost) };
+    let planes = PlaneIndex::of(&ops);
+    let mut vals = Values::new(planes);
+    let mut live = vec![None; planes.len()];
     let mut slots: Vec<Slot> =
         ops.into_iter().map(|op| Slot { op, live: true, dup: false }).collect();
     for _ in 0..MAX_ROUNDS {
         for s in &mut slots {
             s.dup = false;
         }
-        let mut changed = forward(&mut slots, &gate, cost, &mut stats);
-        changed |= liveness(&mut slots, &gate, &mut stats);
+        vals.reset();
+        let mut changed = forward(&mut slots, &mut vals, &gate, &mut stats);
+        live.fill(None);
+        changed |= liveness(&mut slots, planes, &mut live, &gate, &mut stats);
         changed |= coalesce(&mut slots, &gate, &mut stats);
         slots.retain(|s| s.live);
         if !changed {
@@ -392,14 +531,9 @@ pub(super) fn run(
     (recipe.with_optimized_ops(optimized, saved), stats)
 }
 
-/// Forward value-numbering rewrite pass over the live ops.
-fn forward(
-    slots: &mut [Slot],
-    gate: &RuleGate,
-    cost: &dyn Fn(MicroOpKind) -> Option<(u64, f64)>,
-    stats: &mut OptStats,
-) -> bool {
-    let mut vals = Values::new();
+/// Forward value-numbering rewrite pass over the live ops, starting from
+/// a freshly reset `vals`.
+fn forward(slots: &mut [Slot], vals: &mut Values, gate: &RuleGate, stats: &mut OptStats) -> bool {
     let mut changed = false;
     for slot in slots.iter_mut() {
         if !slot.live {
@@ -413,7 +547,7 @@ fn forward(
                 let va = vals.read(a);
                 let vb = vals.read(b);
                 let v = vals.mk_nor(va, vb);
-                changed |= finish_single(slot, out, v, &mut vals, gate, cost, stats);
+                changed |= finish_single(slot, out, v, vals, gate, stats);
             }
             MicroOp::And { mut a, mut b, out } => {
                 changed |= vals.rewrite_operand(&mut a, gate, stats);
@@ -422,7 +556,7 @@ fn forward(
                 let va = vals.read(a);
                 let vb = vals.read(b);
                 let v = vals.mk_and(va, vb);
-                changed |= finish_single(slot, out, v, &mut vals, gate, cost, stats);
+                changed |= finish_single(slot, out, v, vals, gate, stats);
             }
             MicroOp::Or { mut a, mut b, out } => {
                 changed |= vals.rewrite_operand(&mut a, gate, stats);
@@ -431,7 +565,7 @@ fn forward(
                 let va = vals.read(a);
                 let vb = vals.read(b);
                 let v = vals.mk_or(va, vb);
-                changed |= finish_single(slot, out, v, &mut vals, gate, cost, stats);
+                changed |= finish_single(slot, out, v, vals, gate, stats);
             }
             MicroOp::Xor { mut a, mut b, out } => {
                 changed |= vals.rewrite_operand(&mut a, gate, stats);
@@ -440,7 +574,7 @@ fn forward(
                 let va = vals.read(a);
                 let vb = vals.read(b);
                 let v = vals.mk_xor(va, vb);
-                changed |= finish_single(slot, out, v, &mut vals, gate, cost, stats);
+                changed |= finish_single(slot, out, v, vals, gate, stats);
             }
             MicroOp::Tra { mut a, mut b, mut c, out } => {
                 changed |= vals.rewrite_operand(&mut a, gate, stats);
@@ -451,23 +585,23 @@ fn forward(
                 let vb = vals.read(b);
                 let vc = vals.read(c);
                 let v = vals.mk_maj(va, vb, vc);
-                changed |= finish_single(slot, out, v, &mut vals, gate, cost, stats);
+                changed |= finish_single(slot, out, v, vals, gate, stats);
             }
             MicroOp::Not { mut a, out } => {
                 changed |= vals.rewrite_operand(&mut a, gate, stats);
                 slot.op = MicroOp::Not { a, out };
                 let v = vals.read(a).not();
-                changed |= finish_single(slot, out, v, &mut vals, gate, cost, stats);
+                changed |= finish_single(slot, out, v, vals, gate, stats);
             }
             MicroOp::Copy { mut a, out } => {
                 changed |= vals.rewrite_operand(&mut a, gate, stats);
                 slot.op = MicroOp::Copy { a, out };
                 let v = vals.read(a);
-                changed |= finish_single(slot, out, v, &mut vals, gate, cost, stats);
+                changed |= finish_single(slot, out, v, vals, gate, stats);
             }
             MicroOp::Set { out, value } => {
                 let v = Values::cref(value);
-                changed |= finish_single(slot, out, v, &mut vals, gate, cost, stats);
+                changed |= finish_single(slot, out, v, vals, gate, stats);
             }
             MicroOp::Lut { mut a, mut b, mut c, out, table } => {
                 changed |= vals.rewrite_operand(&mut a, gate, stats);
@@ -478,7 +612,7 @@ fn forward(
                 let vb = vals.read(b);
                 let vc = vals.read(c);
                 let v = vals.mk_lut(table, va, vb, vc);
-                changed |= finish_single(slot, out, v, &mut vals, gate, cost, stats);
+                changed |= finish_single(slot, out, v, vals, gate, stats);
             }
             MicroOp::Word { .. } => {
                 unreachable!("word-serial recipes bypass the optimizer (run() passes them through)")
@@ -525,7 +659,6 @@ fn finish_single(
     v: ValRef,
     vals: &mut Values,
     gate: &RuleGate,
-    cost: &dyn Fn(MicroOpKind) -> Option<(u64, f64)>,
     stats: &mut OptStats,
 ) -> bool {
     let mut changed = false;
@@ -548,7 +681,7 @@ fn finish_single(
         // maskedness is a property of the destination and is preserved.)
         if kind != MicroOpKind::Set
             && gate.on(OptRule::ConstFold)
-            && improves(cost, gate.family, MicroOpKind::Set, kind)
+            && gate.improves(MicroOpKind::Set, kind)
         {
             slot.op = MicroOp::Set { out, value: v == TRUE };
             stats.rule_mut(OptRule::ConstFold).fires += 1;
@@ -561,10 +694,7 @@ fn finish_single(
             // liveness can attribute its deletion; materialize a Copy only
             // where the substrate prices Copy below the computing kind.
             slot.dup = true;
-            if kind != MicroOpKind::Copy
-                && q != out
-                && improves(cost, gate.family, MicroOpKind::Copy, kind)
-            {
+            if kind != MicroOpKind::Copy && q != out && gate.improves(MicroOpKind::Copy, kind) {
                 slot.op = MicroOp::Copy { a: q, out };
                 stats.rule_mut(OptRule::ChainCollapse).fires += 1;
                 changed = true;
@@ -576,15 +706,21 @@ fn finish_single(
 }
 
 /// Backward two-bit liveness (enabled lanes, mask-disabled lanes) and
-/// dead-op deletion, with per-rule attribution of each removal.
-fn liveness(slots: &mut [Slot], gate: &RuleGate, stats: &mut OptStats) -> bool {
+/// dead-op deletion, with per-rule attribution of each removal. `live` is
+/// indexed by plane slot and starts all `None` (= live as at recipe exit).
+fn liveness(
+    slots: &mut [Slot],
+    planes: PlaneIndex,
+    live: &mut [Option<(bool, bool)>],
+    gate: &RuleGate,
+    stats: &mut OptStats,
+) -> bool {
     fn exit_live(p: Plane) -> (bool, bool) {
         match p {
             Plane::Scratch(_) => (false, false),
             _ => (true, true),
         }
     }
-    let mut live: HashMap<Plane, (bool, bool)> = HashMap::new();
     let mut changed = false;
     for slot in slots.iter_mut().rev() {
         if !slot.live {
@@ -594,7 +730,7 @@ fn liveness(slots: &mut [Slot], gate: &RuleGate, stats: &mut OptStats) -> bool {
         let mut needed = false;
         let mut masked_d_live = false;
         for &w in &writes {
-            let (e, d) = live.get(&w).copied().unwrap_or_else(|| exit_live(w));
+            let (e, d) = live[planes.slot(w)].unwrap_or_else(|| exit_live(w));
             if BitPlaneVrf::is_masked_target(w) {
                 // A masked store only defines the enabled lanes; if only
                 // the disabled lanes are live, deleting it is exact (they
@@ -633,7 +769,7 @@ fn liveness(slots: &mut [Slot], gate: &RuleGate, stats: &mut OptStats) -> bool {
         // (kills first so in-place ops end up fully live).
         let mut any_masked = false;
         for &w in &writes {
-            let entry = live.entry(w).or_insert_with(|| exit_live(w));
+            let entry = live[planes.slot(w)].get_or_insert_with(|| exit_live(w));
             if BitPlaneVrf::is_masked_target(w) {
                 entry.0 = false;
                 any_masked = true;
@@ -642,10 +778,10 @@ fn liveness(slots: &mut [Slot], gate: &RuleGate, stats: &mut OptStats) -> bool {
             }
         }
         for r in slot.op.reads() {
-            live.insert(r, (true, true));
+            live[planes.slot(r)] = Some((true, true));
         }
         if any_masked {
-            live.insert(Plane::Mask, (true, true));
+            live[planes.slot(Plane::Mask)] = Some((true, true));
         }
     }
     changed

@@ -4,8 +4,9 @@
 //! wave, so host-side throughput of `MicroOp::apply` (and the compiled
 //! recipe path) bounds overall simulation speed. The lane transpose sits
 //! on every host data load, transfer block, message application, and
-//! kernel verification. Snapshots of these numbers live in
-//! `BENCH_microops.json` at the repository root.
+//! kernel verification. These medians print to stdout; the recorded host
+//! wall-clock ledger, end to end and per layer, is `perfbench/` (declared
+//! in `BENCHMARK.json` at the repository root).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mpu_isa::{BinaryOp, Instruction, RegId};

@@ -20,12 +20,21 @@
 //! with the reduce ALU op before the host reads a single MPU. Other
 //! pipelines shard embarrassingly: identical programs, independent
 //! readback, no NoC traffic.
+//!
+//! ## Recipes
+//!
+//! Every MPU of every launch in one [`Pipeline::run_sharded`] call shares
+//! one [`RecipePool`], so each template is synthesized and optimized once
+//! per call rather than once per chunk. The pool is host-side only: the
+//! simulated template fetch is charged per MPU exactly as without it, so
+//! the returned [`Stats`] are unchanged.
 
 use crate::lower::{emit_kops, Lowered};
 use crate::pipeline::{apply_map, apply_zip, Pipeline, ReduceOp, Stage};
 use crate::DpError;
-use mastodon::{run_single, Mpu, RegisterInit, SimConfig, Stats, System};
+use mastodon::{run_single_pooled, Mpu, RecipePool, RegisterInit, SimConfig, Stats, System};
 use mpu_isa::{BinaryOp, Instruction, Program, RegId};
+use std::sync::Arc;
 
 /// Ensemble members simulated per MPU (mirrors the workloads harness:
 /// simulate a slice, scale analytically).
@@ -323,6 +332,7 @@ impl Pipeline {
         let g = config.datapath.geometry();
         let mpus = mpus.clamp(1, g.mpus_per_chip);
         let cap = members.len() * lanes * lowered.seg;
+        let pool = Arc::new(RecipePool::new());
 
         // Running wrapping prefix for scan pipelines, carried across
         // chunks.
@@ -344,7 +354,7 @@ impl Pipeline {
             if let (Some(op), true) = (reduce_op, chunk_bounds.len() > 1) {
                 // On-device aggregation over SEND/RECV.
                 let leaves = chunk_bounds.len() - 1;
-                let mut system = System::new(config.clone(), chunk_bounds.len());
+                let mut system = System::new_pooled(config.clone(), chunk_bounds.len(), &pool);
                 system.set_program(0, lowered.root_program(&members, leaves, op)?);
                 let leaf_program = lowered.leaf_program(&members)?;
                 for j in 1..chunk_bounds.len() {
@@ -385,8 +395,9 @@ impl Pipeline {
                         lowered.zips.iter().map(|&(c, _)| (c, &columns[c][s..e])).collect();
                     let inputs =
                         lowered.launch_inputs(&members, lanes, &primary[s..e], &zip_chunks);
-                    let (stats, mut mpu) = run_single(config.clone(), &program, &inputs)
-                        .map_err(|err| DpError::Sim(err.to_string()))?;
+                    let (stats, mut mpu) =
+                        run_single_pooled(config.clone(), &program, &inputs, Some(&pool))
+                            .map_err(|err| DpError::Sim(err.to_string()))?;
                     let mut chunk_stats = stats;
                     let mut launches = 1u64;
                     let (vals, flags) = read_chunk(&mut mpu, &lowered, &members, lanes, e - s)?;
@@ -437,7 +448,7 @@ impl Pipeline {
                                 }
                                 scan_carry = offset;
                                 let (stats2, mut mpu2) =
-                                    run_single(config.clone(), p2, &inputs2)
+                                    run_single_pooled(config.clone(), p2, &inputs2, Some(&pool))
                                         .map_err(|err| DpError::Sim(err.to_string()))?;
                                 chunk_stats.merge_sequential(&stats2);
                                 launches += 1;

@@ -9,12 +9,20 @@
 //!
 //! Not a general-purpose JSON library: numbers are `f64` (like
 //! JavaScript), and `\uXXXX` escapes outside the basic multilingual plane
-//! must come as surrogate pairs.
+//! must come as surrogate pairs. Nesting deeper than [`MAX_DEPTH`] is
+//! rejected, so a hostile document cannot exhaust the parsing thread's
+//! stack.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt;
+
+/// Deepest array/object nesting [`Value::parse`] accepts. The parser
+/// recurses once per level, so this bound is what keeps a document such
+/// as 200 KB of `[` from overflowing the stack. Real documents (trace
+/// exports, benchmark baselines, service frames) nest a few levels.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,9 +47,12 @@ impl Value {
     ///
     /// # Errors
     ///
-    /// Returns a [`ParseError`] describing the first offending byte.
+    /// Returns a [`ParseError`] describing the first offending byte:
+    /// [`ParseErrorKind::Syntax`] for malformed text,
+    /// [`ParseErrorKind::TooDeep`] at the bracket that opens level
+    /// [`MAX_DEPTH`]` + 1`.
     pub fn parse(text: &str) -> Result<Value, ParseError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -103,11 +114,22 @@ impl Value {
     }
 }
 
+/// The class of a [`ParseError`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ParseErrorKind {
+    /// The text is not well-formed JSON.
+    Syntax,
+    /// Arrays and objects nest deeper than [`MAX_DEPTH`].
+    TooDeep,
+}
+
 /// Why a document failed to parse.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
     /// Byte offset of the failure.
     pub pos: usize,
+    /// The class of failure.
+    pub kind: ParseErrorKind,
     /// What went wrong.
     pub message: String,
 }
@@ -123,11 +145,32 @@ impl std::error::Error for ParseError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn err(&self, message: &str) -> ParseError {
-        ParseError { pos: self.pos, message: message.to_string() }
+        ParseError { pos: self.pos, kind: ParseErrorKind::Syntax, message: message.to_string() }
+    }
+
+    /// Parses one array or object one level deeper, refusing to open
+    /// level [`MAX_DEPTH`]` + 1`.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(ParseError {
+                pos: self.pos,
+                kind: ParseErrorKind::TooDeep,
+                message: format!("nesting deeper than {MAX_DEPTH} levels"),
+            });
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn peek(&self) -> Option<u8> {
@@ -160,8 +203,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.eat_literal("true", Value::Bool(true)),
             Some(b'f') => self.eat_literal("false", Value::Bool(false)),
@@ -410,6 +453,27 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":}", "tru", "1 2", "\"unterminated", "{\"a\" 1}"] {
             assert!(Value::parse(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_with_a_typed_error() {
+        // 200 KB of `[` would overflow the stack of an unbounded
+        // recursive-descent parser long before reaching the end.
+        let hostile = "[".repeat(200 << 10);
+        let err = Value::parse(&hostile).unwrap_err();
+        assert_eq!(err.kind, ParseErrorKind::TooDeep);
+        assert_eq!(err.pos, MAX_DEPTH, "offset of the first bracket past the bound");
+
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Value::parse(&deepest).is_ok(), "exactly MAX_DEPTH levels parse");
+        let one_more = format!("[{deepest}]");
+        assert_eq!(Value::parse(&one_more).unwrap_err().kind, ParseErrorKind::TooDeep);
+
+        // Objects count towards the same bound.
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1);
+        let err = Value::parse(&objects).unwrap_err();
+        assert_eq!((err.kind, err.pos), (ParseErrorKind::TooDeep, 5 * MAX_DEPTH));
+        assert_eq!(Value::parse("[1,").unwrap_err().kind, ParseErrorKind::Syntax);
     }
 
     #[test]

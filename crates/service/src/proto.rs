@@ -47,7 +47,10 @@ pub fn write_frame(w: &mut impl Write, v: &Value) -> std::io::Result<()> {
 }
 
 /// Reads one frame. `Ok(None)` on clean EOF at a frame boundary;
-/// oversized or unparseable frames surface as `InvalidData`.
+/// oversized or unparseable frames surface as `InvalidData`. A body that
+/// fails to parse carries the [`microjson::ParseError`] as the I/O
+/// error's inner error, so callers can tell syntax from excess nesting
+/// ([`microjson::MAX_DEPTH`]) without matching on text.
 ///
 /// # Errors
 ///
@@ -72,7 +75,7 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Value>> {
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
     Value::parse(&text)
         .map(Some)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
 }
 
 /// Encodes a u64 losslessly (hex string).
@@ -488,6 +491,21 @@ mod tests {
         spec.deadline_ms = Some(1500);
         spec.fault = Some(FaultRequest { seed: 0xDEAD_BEEF_CAFE_F00D, transient_rate: 1e-4 });
         spec
+    }
+
+    #[test]
+    fn deeply_nested_frame_is_rejected_with_a_typed_error() {
+        let body = "[".repeat(200 << 10);
+        let mut frame = (body.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(body.as_bytes());
+        let err = read_frame(&mut std::io::Cursor::new(frame)).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let parse = err
+            .get_ref()
+            .and_then(|inner| inner.downcast_ref::<microjson::ParseError>())
+            .expect("the parse error travels inside the I/O error");
+        assert_eq!(parse.kind, microjson::ParseErrorKind::TooDeep);
+        assert_eq!(parse.pos, microjson::MAX_DEPTH);
     }
 
     #[test]
