@@ -92,9 +92,10 @@ enum Node {
 }
 
 /// FxHash's multiply-rotate step, for the node-interning table. A node is
-/// a few small integers, so SipHash's flooding resistance buys nothing
-/// here; the table maps nodes to insertion-ordered numbers, so the hasher
-/// sets its speed and never its answers.
+/// a few small integers the pass itself assigns (node numbers, plane
+/// ids), never bytes from outside the program, so SipHash's flooding
+/// resistance buys nothing here; the table maps nodes to insertion-ordered
+/// numbers, so the hasher sets its speed and never its answers.
 #[derive(Default)]
 struct NodeHasher(u64);
 

@@ -52,7 +52,7 @@ impl Value {
     /// [`ParseErrorKind::TooDeep`] at the bracket that opens level
     /// [`MAX_DEPTH`]` + 1`.
     pub fn parse(text: &str) -> Result<Value, ParseError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
+        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -143,6 +143,7 @@ impl fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects currently open.
@@ -316,17 +317,19 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
+                Some(b) if b < 0x20 => {
+                    return Err(self.err("unescaped control character in string"));
+                }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("unterminated string"))?;
-                    if (c as u32) < 0x20 {
-                        return Err(self.err("unescaped control character in string"));
+                    // Copy the run up to the next quote, backslash or
+                    // control byte in one step. All three are ASCII, so
+                    // the run ends on a char boundary of the (valid UTF-8)
+                    // input and each byte is looked at once.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                        self.pos += 1;
                     }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -474,6 +477,17 @@ mod tests {
         let err = Value::parse(&objects).unwrap_err();
         assert_eq!((err.kind, err.pos), (ParseErrorKind::TooDeep, 5 * MAX_DEPTH));
         assert_eq!(Value::parse("[1,").unwrap_err().kind, ParseErrorKind::Syntax);
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // Re-validating the rest of the input per character would make
+        // this 4 MB string (half of a service frame's ceiling) take hours.
+        let body = "é".repeat(2 << 20);
+        let v = Value::parse(&format!("[\"{body}\", \"a\\u00e9\\n\"]")).unwrap();
+        assert_eq!(v.as_arr().unwrap()[0].as_str(), Some(body.as_str()));
+        assert_eq!(v.as_arr().unwrap()[1].as_str(), Some("aé\n"));
+        assert!(Value::parse("\"tab\there\"").is_err(), "raw control byte");
     }
 
     #[test]
