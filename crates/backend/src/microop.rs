@@ -287,15 +287,6 @@ impl IntoIterator for Planes {
     }
 }
 
-impl<'a> IntoIterator for &'a Planes {
-    type Item = &'a Plane;
-    type IntoIter = std::slice::Iter<'a, Plane>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
-    }
-}
-
 impl MicroOp {
     /// This micro-op's kind.
     pub fn kind(&self) -> MicroOpKind {

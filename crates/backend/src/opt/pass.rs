@@ -730,7 +730,7 @@ fn liveness(
         let writes = slot.op.writes();
         let mut needed = false;
         let mut masked_d_live = false;
-        for &w in &writes {
+        for &w in writes.iter() {
             let (e, d) = live[planes.slot(w)].unwrap_or_else(|| exit_live(w));
             if BitPlaneVrf::is_masked_target(w) {
                 // A masked store only defines the enabled lanes; if only
@@ -769,7 +769,7 @@ fn liveness(
         // Kept: kill the written lane-sets, then revive everything read
         // (kills first so in-place ops end up fully live).
         let mut any_masked = false;
-        for &w in &writes {
+        for &w in writes.iter() {
             let entry = live[planes.slot(w)].get_or_insert_with(|| exit_live(w));
             if BitPlaneVrf::is_masked_target(w) {
                 entry.0 = false;
