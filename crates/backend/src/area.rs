@@ -10,10 +10,8 @@
 //! per-gate constants. The calibration targets are the paper's totals and
 //! breakdown shares; tests pin both.
 
-use serde::{Deserialize, Serialize};
-
 /// Table III front-end capacities, from which component costs derive.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrontEndConfig {
     /// Playback buffer entries (27 bits each).
     pub playback_entries: usize,
@@ -41,7 +39,7 @@ impl Default for FrontEndConfig {
 }
 
 /// One control-path component's synthesized cost.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComponentCost {
     /// Component name as shown in Fig. 11.
     pub name: &'static str,
@@ -56,7 +54,7 @@ pub struct ComponentCost {
 }
 
 /// The full front-end cost model.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FrontEndModel {
     components: Vec<ComponentCost>,
 }
@@ -168,7 +166,7 @@ impl Default for FrontEndModel {
 /// Chip-level effect of adding `mpus` front ends to a RACER chip
 /// (paper §VIII-A example: 512 MPUs grow a 4.00 cm² chip to 4.63 cm² and
 /// 330 mW static to 955 mW; max control-path draw 36.7 W).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChipAugmentation {
     /// Chip area including front ends, cm².
     pub total_area_cm2: f64,

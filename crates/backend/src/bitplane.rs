@@ -22,11 +22,10 @@
 use crate::fault::FaultModel;
 use crate::microop::MicroOpKind;
 use crate::DATA_BITS;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifies one bit-plane of a VRF, as addressed by micro-ops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Plane {
     /// Bit `bit` of architectural vector register `reg`.
     Reg {
@@ -99,7 +98,7 @@ fn transpose_64x64(a: &mut [u64; 64]) {
 /// vrf.write_lane_values(0, &[7; 64]);
 /// assert_eq!(vrf.read_lane_values(0)[5], 7);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BitPlaneVrf {
     lanes: usize,
     regs: usize,
@@ -112,13 +111,12 @@ pub struct BitPlaneVrf {
     mask_enabled: bool,
     /// Cached popcount of the mask plane, refreshed whenever the mask
     /// plane is written (it is a pure function of `storage`, so derived
-    /// equality and serialization stay consistent).
+    /// equality stays consistent).
     mask_lanes: usize,
     /// Optional seeded hardware fault model (see [`crate::fault`]). `None`
     /// (the default) keeps every hot-path hook down to one branch, so a
     /// fault-free VRF behaves byte-identically to one built without the
     /// fault layer.
-    #[serde(default)]
     faults: Option<Box<FaultModel>>,
 }
 

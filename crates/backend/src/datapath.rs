@@ -24,11 +24,10 @@ use crate::logic::LogicFamily;
 use crate::microop::MicroOpKind;
 use crate::recipe::{build_recipe, Recipe, RecipeCtx};
 use mpu_isa::Instruction;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Which shipped datapath a model describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DatapathKind {
     /// ReRAM-based RACER with OSCAR NOR primitives.
     Racer,
@@ -91,7 +90,7 @@ const _: () = {
 
 /// Physical organization of a datapath, mapping the MPU abstraction onto
 /// hardware (paper §IV and Table III).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Geometry {
     /// Vector lanes per VRF (rows of a RACER pipeline tile, columns of a
     /// DRAM mat / SRAM subarray).
@@ -139,7 +138,7 @@ impl Geometry {
 }
 
 /// A calibrated PUM datapath model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatapathModel {
     kind: DatapathKind,
     name: String,
@@ -161,12 +160,10 @@ pub struct DatapathModel {
     /// Die area of one VRF's memory arrays, mm².
     vrf_area_mm2: f64,
     /// Recipe-optimizer configuration applied by [`DatapathModel::recipe`].
-    #[serde(default)]
     opt: crate::opt::OptConfig,
     /// True for word-serial near-bank cores (UPMEM-style DPUs): one
     /// micro-op processes the VRF's lanes sequentially, so recipe cycle
     /// counts scale with `lanes_per_vrf` (energy is already per-lane).
-    #[serde(default)]
     word_serial: bool,
 }
 

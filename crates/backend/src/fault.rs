@@ -28,7 +28,6 @@
 //! the fault layer.
 
 use crate::microop::MicroOpKind;
-use serde::{Deserialize, Serialize};
 
 /// SplitMix64 finalizer: a high-quality 64-bit mixing permutation.
 #[inline]
@@ -44,7 +43,7 @@ fn mix64(mut x: u64) -> u64 {
 /// Unlike a stateful generator, any draw can be reproduced in isolation,
 /// which makes every injected fault replayable from its `(seed, site)`
 /// coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPrng {
     seed: u64,
     site: u64,
@@ -103,7 +102,7 @@ pub fn rate_to_threshold(rate: f64) -> u64 {
 /// Probabilities are stored as fixed-point `u64` thresholds
 /// ([`rate_to_threshold`]) so the model — and the VRF carrying it — keeps
 /// a derived [`Eq`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultModel {
     prng: FaultPrng,
     /// Per-[`MicroOpKind`] transient flip threshold, indexed by

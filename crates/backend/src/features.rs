@@ -5,11 +5,10 @@
 //! `table1` experiment binary can regenerate the table and tests can check
 //! the MPU's full-feature claim.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A platform column of Table I.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Platform {
     /// Liquid Silicon (RRAM reconfigurable fabric).
     LiquidSilicon,
@@ -60,7 +59,7 @@ impl fmt::Display for Platform {
 }
 
 /// A feature row of Table I.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Feature {
     /// `if`-`else` statements.
     IfElse,

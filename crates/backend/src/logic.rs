@@ -18,10 +18,9 @@
 
 use crate::bitplane::{Plane, SCRATCH_PLANES};
 use crate::microop::{MicroOp, MicroOpKind};
-use serde::{Deserialize, Serialize};
 
 /// The combinational primitive set a backend exposes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LogicFamily {
     /// NOR-complete (ReRAM crossbars).
     Nor,

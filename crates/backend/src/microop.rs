@@ -22,11 +22,10 @@
 
 use crate::bitplane::{BitPlaneVrf, Plane};
 use mpu_isa::{BinaryOp, InitValue, Instruction};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A single column-parallel micro-operation applied to whole bit-planes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MicroOp {
     /// ReRAM crossbar NOR: `out = !(a | b)` (OSCAR primitive).
     Nor {
@@ -134,7 +133,7 @@ pub enum MicroOp {
 }
 
 /// The kind of a micro-op, used for capability checks and cost lookup.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MicroOpKind {
     /// ReRAM NOR.
     Nor,

@@ -70,11 +70,10 @@ mod pass;
 use crate::logic::LogicFamily;
 use crate::microop::MicroOpKind;
 use crate::recipe::Recipe;
-use serde::{Deserialize, Serialize};
 
 /// One rewrite-rule family of the recipe optimizer (module docs give the
 /// catalog; DESIGN.md §10 gives the soundness argument per family).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OptRule {
     /// Dead-plane elimination.
     DeadPlane,
@@ -164,23 +163,20 @@ impl OptRule {
 /// Carried inside [`crate::RecipeCtx`] and therefore part of every recipe
 /// memo key: flipping any field invalidates cached recipes, compiled
 /// recipes, and ensemble traces built under the old configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OptConfig {
     /// Master switch. When `false` the optimizer is the identity transform
     /// and synthesized recipes execute verbatim.
-    #[serde(default)]
     pub enabled: bool,
     /// Bitmask of enabled rule families (bit positions from
     /// [`OptRule::bit`]). Rules outside the mask never fire, including
     /// the removals they would otherwise attribute.
-    #[serde(default)]
     pub rules: u32,
     /// Test-only injected **unsound** rewrite: flips the polarity of the
     /// first `Set` micro-op in the recipe before optimization, producing a
     /// lane-visible wrong result that the conformance canary must catch
     /// and shrink (mirrors the MAJ-carry corruption canary). Never enable
     /// outside tests.
-    #[serde(default)]
     pub canary: bool,
 }
 
@@ -214,7 +210,7 @@ impl OptConfig {
 }
 
 /// Fire/removal counters for one rule family.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RuleStats {
     /// Times the rule rewrote or removed a micro-op.
     pub fires: u64,
@@ -232,7 +228,7 @@ impl RuleStats {
 /// Per-rule attribution counters accumulated over one or more optimizer
 /// runs. Surfaced through the simulator's `PoolStats` and the attribution
 /// profiler so every rule's payoff is measured, not asserted.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OptStats {
     /// Counters for [`OptRule::DeadPlane`].
     pub dead_plane: RuleStats,

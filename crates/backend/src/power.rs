@@ -9,14 +9,13 @@
 //! air-cooling limit.
 
 use crate::datapath::DatapathModel;
-use serde::{Deserialize, Serialize};
 
 /// Safe air-cooling limit used by the scheduler, W/cm² (Huang et al.,
 /// SEMI-THERM 2010, the paper's reference [44]).
 pub const AIR_COOLING_LIMIT_W_PER_CM2: f64 = 100.0;
 
 /// One point of the Fig. 5 sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerDensityPoint {
     /// Number of simultaneously active arrays (VRFs) in one RFH footprint.
     pub active_arrays: usize,

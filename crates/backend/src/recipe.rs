@@ -24,7 +24,6 @@ use crate::bitplane::Plane;
 use crate::logic::{GateBuilder, LogicFamily};
 use crate::microop::{MicroOp, MicroOpKind};
 use mpu_isa::{BinaryOp, CompareOp, InitValue, Instruction, UnaryOp, DATA_BITS};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 const W: usize = DATA_BITS as usize;
@@ -43,7 +42,7 @@ pub const DIV_INPUT_BITS: usize = 32;
 /// `build_recipe` is a pure function of `(RecipeCtx, Instruction)`, so the
 /// context doubles as a cache key for cross-simulation recipe sharing
 /// (`Hash`/`Eq`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RecipeCtx {
     /// The backend's native logic family.
     pub family: LogicFamily,
@@ -56,16 +55,14 @@ pub struct RecipeCtx {
     /// distinct template entries. [`build_recipe`] itself ignores this —
     /// synthesis always emits the unoptimized template; the optimizer runs
     /// as a separate pass in [`crate::DatapathModel::recipe`].
-    #[serde(default)]
     pub opt: crate::opt::OptConfig,
 }
 
 /// A synthesized micro-op sequence implementing one ISA instruction.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Recipe {
     ops: Vec<MicroOp>,
     scratch_high_water: usize,
-    #[serde(default)]
     saved_uops: u32,
 }
 

@@ -42,4 +42,4 @@ mod builder;
 mod parser;
 
 pub use builder::{Body, Cond, EzError, EzProgram, SendBlock, Transfer};
-pub use parser::{parse, ParseError};
+pub use parser::{parse, ParseError, MAX_DEPTH};

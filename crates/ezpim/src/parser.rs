@@ -38,11 +38,20 @@
 //!
 //! Conditions are `rA == rB`, `rA > rB`, `rA < rB`, and
 //! `rA ~= rB skip rC` (fuzzy). `for rC < rL` is the counted loop with
-//! counter `rC` and limit `rL`.
+//! counter `rC` and limit `rL`. Control constructs nest at most
+//! [`MAX_DEPTH`] deep, so hostile text cannot exhaust the parsing
+//! thread's stack.
 
 use crate::builder::{Body, Cond, EzProgram};
 use mpu_isa::{Instruction, RegId};
 use std::fmt;
+
+/// Deepest nesting of `while`/`for`/`if` bodies the parser accepts. The
+/// parser, the lowering and the tree walks all recurse once per level, so
+/// this bound is what keeps 1.6 MB of nested `for` lines from overflowing
+/// the stack. Real programs nest a few levels. Matches
+/// `microjson::MAX_DEPTH`.
+pub const MAX_DEPTH: usize = 128;
 
 /// Error parsing ezpim source text.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -205,8 +214,22 @@ fn check_aliasing(line: usize, instr: &Instruction) -> Result<(), ParseError> {
     Ok(())
 }
 
-/// Parses statements until the matching `}`; returns `(stmts, saw_else)`.
-fn parse_body(lines: &mut Lines<'_>) -> Result<(Vec<Stmt>, bool), ParseError> {
+/// Parses the body of the construct opened on line `ln`, one level below
+/// `depth`; fails on that line when the body would exceed [`MAX_DEPTH`].
+fn parse_nested(
+    lines: &mut Lines<'_>,
+    ln: usize,
+    depth: usize,
+) -> Result<(Vec<Stmt>, bool), ParseError> {
+    if depth >= MAX_DEPTH {
+        return Err(err(ln, format!("control flow nests deeper than {MAX_DEPTH} levels")));
+    }
+    parse_body(lines, depth + 1)
+}
+
+/// Parses statements at nesting `depth` until the matching `}`; returns
+/// `(stmts, saw_else)`.
+fn parse_body(lines: &mut Lines<'_>, depth: usize) -> Result<(Vec<Stmt>, bool), ParseError> {
     let mut stmts = Vec::new();
     loop {
         let (ln, text) = lines
@@ -222,7 +245,7 @@ fn parse_body(lines: &mut Lines<'_>) -> Result<(Vec<Stmt>, bool), ParseError> {
         match toks.as_slice() {
             ["while", rest @ .., "{"] => {
                 let cond = parse_cond(ln, rest)?;
-                let (body, saw_else) = parse_body(lines)?;
+                let (body, saw_else) = parse_nested(lines, ln, depth)?;
                 if saw_else {
                     return Err(err(ln, "`else` is not valid after `while`"));
                 }
@@ -231,7 +254,7 @@ fn parse_body(lines: &mut Lines<'_>) -> Result<(Vec<Stmt>, bool), ParseError> {
             ["for", counter, "<", limit, "{"] => {
                 let c = parse_reg(ln, counter)?;
                 let l = parse_reg(ln, limit)?;
-                let (body, saw_else) = parse_body(lines)?;
+                let (body, saw_else) = parse_nested(lines, ln, depth)?;
                 if saw_else {
                     return Err(err(ln, "`else` is not valid after `for`"));
                 }
@@ -239,9 +262,9 @@ fn parse_body(lines: &mut Lines<'_>) -> Result<(Vec<Stmt>, bool), ParseError> {
             }
             ["if", rest @ .., "{"] => {
                 let cond = parse_cond(ln, rest)?;
-                let (then, saw_else) = parse_body(lines)?;
+                let (then, saw_else) = parse_nested(lines, ln, depth)?;
                 let otherwise = if saw_else {
-                    let (els, nested_else) = parse_body(lines)?;
+                    let (els, nested_else) = parse_body(lines, depth + 1)?;
                     if nested_else {
                         return Err(err(ln, "dangling `else`"));
                     }
@@ -314,7 +337,7 @@ fn parse_top(lines: &mut Lines<'_>) -> Result<Vec<(usize, Top)>, ParseError> {
                 if members.is_empty() {
                     return Err(err(ln, "ensemble needs at least one hN.vM member"));
                 }
-                let (body, saw_else) = parse_body(lines)?;
+                let (body, saw_else) = parse_body(lines, 0)?;
                 if saw_else {
                     return Err(err(ln, "dangling `else`"));
                 }
@@ -350,7 +373,7 @@ fn parse_top(lines: &mut Lines<'_>) -> Result<Vec<(usize, Top)>, ParseError> {
             ["recv", mpu] => tops.push((ln, Top::Recv(parse_u16(ln, mpu, "mpu")?))),
             ["sync"] => tops.push((ln, Top::Sync)),
             ["sub", name, "{"] => {
-                let (body, saw_else) = parse_body(lines)?;
+                let (body, saw_else) = parse_body(lines, 0)?;
                 if saw_else {
                     return Err(err(ln, "dangling `else`"));
                 }
@@ -503,6 +526,27 @@ sub sqrt {
         assert_eq!(e.line, 2);
         let e = parse("frobnicate").unwrap_err();
         assert_eq!(e.line, 1);
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        // 100 000 unclosed `for` levels (1.6 MB): rejected at the first
+        // `for` that opens level MAX_DEPTH + 1, not by a stack overflow.
+        let text = format!("ensemble h0.v0 {{\n{}", "  for r1 < r2 {\n".repeat(100_000));
+        assert_eq!(text.len(), 1_600_017);
+        let e = parse(&text).unwrap_err();
+        assert_eq!(e.line, 2 + MAX_DEPTH);
+        assert!(e.message.contains("nests deeper than 128"), "{}", e.message);
+        // Exactly MAX_DEPTH levels parse (lowering has tighter limits of
+        // its own, so probe the parser alone); an `else` body shares its
+        // `if`'s level.
+        let nest = |n: usize| {
+            let open = "if r0 == r1 {\n".repeat(n);
+            format!("ensemble h0.v0 {{\n{open}NOP\n}} else {{\nNOP\n{}}}\n", "}\n".repeat(n))
+        };
+        assert!(parse_top(&mut Lines::new(&nest(MAX_DEPTH))).is_ok());
+        let e = parse_top(&mut Lines::new(&nest(MAX_DEPTH + 1))).unwrap_err();
+        assert_eq!(e.line, 2 + MAX_DEPTH);
     }
 
     #[test]

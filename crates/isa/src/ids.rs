@@ -7,7 +7,6 @@
 //! binary). Each is a distinct type so that e.g. a register index can never
 //! be passed where a VRF index is expected.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Maximum encodable vector-register index (6-bit field).
@@ -24,10 +23,7 @@ pub(crate) const LINE_MAX: u32 = (1 << 20) - 1;
 macro_rules! id_type {
     ($(#[$meta:meta])* $name:ident, $inner:ty, $max:expr, $prefix:expr) => {
         $(#[$meta])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
-            Serialize, Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
         pub struct $name(pub $inner);
 
         impl $name {
@@ -100,9 +96,7 @@ id_type!(
 );
 
 /// A jump target: the index of an instruction within a program binary.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct LineNum(pub u32);
 
 impl LineNum {

@@ -1,7 +1,6 @@
 //! The MPU instruction set (paper Table II).
 
 use crate::ids::{LineNum, MpuId, RegId, RfhId, VrfId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Three-operand vector operations (`rd = rs OP rt`, except where noted).
@@ -10,7 +9,7 @@ use std::fmt;
 /// VRFs; the backend datapath expands each into a technology-specific
 /// micro-op *recipe* (NOR sequences for ReRAM, triple-row activations for
 /// DRAM, bitline ops for SRAM).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinaryOp {
     /// Two's complement add (`rd = rs + rt`).
     Add,
@@ -112,7 +111,7 @@ impl fmt::Display for BinaryOp {
 }
 
 /// Two-operand vector operations (`rd = OP rs`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnaryOp {
     /// Increment by one (`rd = rs + 1`).
     Inc,
@@ -164,7 +163,7 @@ impl fmt::Display for UnaryOp {
 
 /// Comparison operations; the per-lane result lands in the *conditional
 /// register* (one bit per lane), from which `SETMASK` can load the lane mask.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CompareOp {
     /// Check equality.
     Eq,
@@ -195,7 +194,7 @@ impl fmt::Display for CompareOp {
 }
 
 /// The constant written by an `INIT0`/`INIT1` instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InitValue {
     /// All lanes set to 0.
     Zero,
@@ -218,7 +217,7 @@ impl InitValue {
 /// Each variant corresponds to one Table II row (with the register-to-
 /// register families grouped by operand format). See the crate-level docs
 /// for the family overview and [`crate::Program`] for container semantics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Instruction {
     // --- Ensemble deployment ---
     /// Demarcate the start of a compute ensemble (or extend its header):

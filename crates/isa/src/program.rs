@@ -3,7 +3,6 @@
 use crate::encode::DecodeError;
 use crate::instr::Instruction;
 use crate::validate::ValidateError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Index;
 
@@ -30,7 +29,7 @@ use std::ops::Index;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Program {
     instructions: Vec<Instruction>,
 }

@@ -28,11 +28,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use serde::{Deserialize, Serialize};
 use workloads::WorkProfile;
 
 /// An analytical conventional-platform model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlatformModel {
     /// Platform name.
     pub name: &'static str,
@@ -57,7 +56,7 @@ pub struct PlatformModel {
 }
 
 /// Modeled execution of one workload on a conventional platform.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlatformRun {
     /// Total time, nanoseconds.
     pub time_ns: f64,

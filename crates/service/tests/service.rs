@@ -93,6 +93,25 @@ fn parse_errors_are_rejected_at_admission() {
 }
 
 #[test]
+fn deeply_nested_text_is_rejected_without_killing_the_service() {
+    // 1.6 MB of nested `for` lines: well under the wire's frame limit, and
+    // deep enough to overflow an unbounded recursive parser's stack.
+    let service = Service::start(ServiceConfig { workers: 1, ..Default::default() });
+    let text = format!("ensemble h0.v0 {{\n{}", "  for r1 < r2 {\n".repeat(100_000));
+    let err = service.submit(JobSpec::ez("mallory", DatapathKind::Racer, &text)).unwrap_err();
+    match err {
+        AdmitError::ParseError { message } => {
+            assert!(message.contains("nests deeper"), "{message}")
+        }
+        other => panic!("expected a typed parse error, got {other:?}"),
+    }
+    let id = service.submit(add_spec("alice")).unwrap();
+    let result = service.wait(id).unwrap().result.expect("later job succeeds");
+    assert_eq!(result.outputs[0].values[0], 42);
+    service.shutdown();
+}
+
+#[test]
 fn quota_queue_and_shed_ladder() {
     // No workers: nothing drains, so admission pressure is deterministic.
     let config =

@@ -13,11 +13,10 @@ use crate::config::SimConfig;
 use crate::machine::{run_single, SimError};
 use crate::stats::Stats;
 use mpu_isa::Program;
-use serde::{Deserialize, Serialize};
 
 /// One candidate ensemble shape: how many VRFs per RFH a block activates,
 /// across how many RFHs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EnsembleShape {
     /// RF holders the ensemble spans.
     pub rfhs: usize,
@@ -45,7 +44,7 @@ impl EnsembleShape {
 }
 
 /// Result of evaluating one candidate shape.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TuneResult {
     /// The candidate shape.
     pub shape: EnsembleShape,

@@ -2,11 +2,10 @@
 
 use crate::fault::{FaultConfig, RecoveryPolicy};
 use pum_backend::{DatapathKind, DatapathModel};
-use serde::{Deserialize, Serialize};
 
 /// Whether the control path is the MPU front end or the original
 /// ("Baseline") datapath that offloads control flow to a host CPU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExecutionMode {
     /// Full MPU front end: in-PUM control flow, recipe caching, playback.
     Mpu,
@@ -21,7 +20,7 @@ pub enum ExecutionMode {
 /// The dominant term is the round trip through the host's driver stack:
 /// interrupt delivery, kernel driver, user-space handler and the DMA of the
 /// condition vector, at fine (per-control-instruction) granularity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OffloadParams {
     /// Round-trip latency of one control offload, in MPU cycles (ns).
     pub round_trip_cycles: u64,
@@ -49,7 +48,7 @@ impl Default for OffloadParams {
 
 /// Mesh NoC parameters for inter-MPU messages (replacing the paper's SST
 /// modules).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NocParams {
     /// Per-hop router+link latency, cycles.
     pub hop_cycles: u64,
@@ -66,7 +65,7 @@ impl Default for NocParams {
 }
 
 /// Fixed control-path costs, in cycles (derived from the 1 GHz synthesis).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ControlCosts {
     /// Ensemble header/footer handling per instruction.
     pub ensemble_marker: u64,
@@ -102,14 +101,8 @@ impl Default for ControlCosts {
     }
 }
 
-/// Serde default for [`SimConfig::trace_ensembles`]: the trace tier is on
-/// unless a config explicitly opts out.
-fn default_trace_ensembles() -> bool {
-    true
-}
-
 /// Complete configuration of one simulated chip.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// The PUM datapath under the front end.
     pub datapath: DatapathModel,
@@ -133,7 +126,6 @@ pub struct SimConfig {
     /// sequence one op at a time instead of running the geometry-compiled
     /// form. Timing, energy, and statistics are identical either way; the
     /// conformance suite runs both paths differentially to prove it.
-    #[serde(default)]
     pub interpret_recipes: bool,
     /// Fuse straight-line compute-ensemble bodies into cached
     /// [`pum_backend::EnsembleTrace`]s and replay those instead of
@@ -142,13 +134,10 @@ pub struct SimConfig {
     /// bit-identical to the per-instruction tiers, and bodies with
     /// data-dependent control flow automatically fall back. The
     /// conformance suite runs all three tiers differentially to prove it.
-    #[serde(default = "default_trace_ensembles")]
     pub trace_ensembles: bool,
     /// Seeded hardware fault injection. Default: disabled (no seed).
-    #[serde(default)]
     pub fault: FaultConfig,
     /// Detection and recovery policy. Default: everything off.
-    #[serde(default)]
     pub recovery: RecoveryPolicy,
 }
 
@@ -177,7 +166,7 @@ impl SimConfig {
             frontend_dynamic_mw: fe.total_dynamic_mw(),
             frontend_static_mw: fe.total_static_mw(),
             interpret_recipes: false,
-            trace_ensembles: default_trace_ensembles(),
+            trace_ensembles: true,
             fault: FaultConfig::default(),
             recovery: RecoveryPolicy::default(),
         }

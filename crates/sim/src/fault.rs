@@ -20,10 +20,9 @@
 //! simulator is byte-identical to one without the fault layer.
 
 use pum_backend::{FaultModel, FaultPrng, LogicFamily, MicroOpKind};
-use serde::{Deserialize, Serialize};
 
 /// Location of one permanently stuck bit-line lane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StuckLane {
     /// MPU the faulty VRF belongs to.
     pub mpu: u16,
@@ -38,7 +37,7 @@ pub struct StuckLane {
 }
 
 /// What goes wrong: the seeded hardware fault configuration of a chip.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultConfig {
     /// Master seed. `None` disables the fault layer entirely (no models
     /// are built; hot paths stay single-branch). `Some(seed)` arms it —
@@ -163,7 +162,7 @@ pub fn kind_weight(family: LogicFamily, kind: MicroOpKind) -> f64 {
 }
 
 /// Redundant-execution mode for compute ensembles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Redundancy {
     /// Single execution, no checking.
     None,
@@ -180,7 +179,7 @@ pub enum Redundancy {
 /// What the machine does about faults: detection, recovery, and
 /// containment knobs. All overhead is charged to the normal cycle/energy
 /// accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryPolicy {
     /// Redundant execution of compute instructions.
     pub redundancy: Redundancy,

@@ -16,7 +16,6 @@ use crate::stats::{EnergyStats, Stats};
 use crate::trace::{FaultAction, InstrClass, TraceEvent, TraceKind, Tracer, UopMix};
 use mpu_isa::{Instruction, MpuId, Program, COND_REG};
 use pum_backend::{BitPlaneVrf, EnsembleStep, EnsembleTrace, Plane, Recipe};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -270,7 +269,7 @@ impl std::error::Error for SimError {
 }
 
 /// One register's worth of data shipped to another MPU.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RemoteWrite {
     /// Destination RF holder.
     pub rfh: u16,
@@ -283,7 +282,7 @@ pub struct RemoteWrite {
 }
 
 /// An inter-MPU message produced by a `SEND` block.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Message {
     /// Sender.
     pub src: MpuId,

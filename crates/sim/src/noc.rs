@@ -6,10 +6,9 @@
 //! serialization over the link width. Energy is per byte per hop.
 
 use crate::config::NocParams;
-use serde::{Deserialize, Serialize};
 
 /// A 2-D mesh connecting `mpus` MPUs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MeshNoc {
     side: usize,
     params_hop_cycles: u64,

@@ -20,11 +20,10 @@
 //! runs produce bit-identical statistics.
 
 use mpu_isa::Instruction;
-use parking_lot::RwLock;
 use pum_backend::{CompiledRecipe, DatapathModel, EnsembleTrace, OptStats, Recipe, RecipeCtx};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// A recipe cache entry: the synthesized micro-op sequence plus its
 /// pre-compiled form (plane addresses resolved for the owning datapath's
@@ -124,7 +123,7 @@ impl RecipePool {
         count: bool,
     ) -> Option<(Arc<Recipe>, bool)> {
         let key = (datapath.recipe_ctx(), instr.encode());
-        if let Some(recipe) = self.templates.read().get(&key) {
+        if let Some(recipe) = read(&self.templates).get(&key) {
             if count {
                 self.lookups.fetch_add(1, Ordering::Relaxed);
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -135,12 +134,12 @@ impl RecipePool {
         // same work, but the first insert wins and both get the same entry.
         let (recipe, opt) = datapath.recipe_with_stats(instr)?;
         let recipe = Arc::new(recipe);
-        self.opt.write().merge(&opt);
+        write(&self.opt).merge(&opt);
         if count {
             self.lookups.fetch_add(1, Ordering::Relaxed);
             self.misses.fetch_add(1, Ordering::Relaxed);
         }
-        let mut templates = self.templates.write();
+        let mut templates = write(&self.templates);
         Some((Arc::clone(templates.entry(key).or_insert(recipe)), false))
     }
 
@@ -175,12 +174,12 @@ impl RecipePool {
         let (recipe, template_hit) = self.get_or_build_inner(datapath, instr, count)?;
         let g = datapath.geometry();
         let key = (datapath.recipe_ctx(), instr.encode(), g.lanes_per_vrf, g.regs_per_vrf);
-        if let Some(compiled) = self.compiled.read().get(&key) {
+        if let Some(compiled) = read(&self.compiled).get(&key) {
             let entry = CachedRecipe { recipe, compiled: Arc::clone(compiled) };
             return Some((entry, template_hit));
         }
         let compiled = Arc::new(recipe.compile(g.lanes_per_vrf, g.regs_per_vrf));
-        let mut map = self.compiled.write();
+        let mut map = write(&self.compiled);
         let compiled = Arc::clone(map.entry(key).or_insert(compiled));
         Some((CachedRecipe { recipe, compiled }, template_hit))
     }
@@ -204,7 +203,7 @@ impl RecipePool {
         let g = datapath.geometry();
         let words: Vec<u32> = body.iter().map(Instruction::encode).collect();
         let key = (datapath.recipe_ctx(), words, g.lanes_per_vrf, g.regs_per_vrf);
-        if let Some(trace) = self.traces.read().get(&key) {
+        if let Some(trace) = read(&self.traces).get(&key) {
             return Some(Arc::clone(trace));
         }
         // Fuse outside the write lock; a racing thread may duplicate the
@@ -213,7 +212,7 @@ impl RecipePool {
             let (entry, _) = self.build_compiled(dp, instr, false)?;
             Some((entry.recipe, entry.compiled))
         })?);
-        let mut traces = self.traces.write();
+        let mut traces = write(&self.traces);
         Some(Arc::clone(traces.entry(key).or_insert(trace)))
     }
 
@@ -223,7 +222,7 @@ impl RecipePool {
             lookups: self.lookups.load(Ordering::Relaxed),
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            opt: *self.opt.read(),
+            opt: *read(&self.opt),
         }
     }
 
@@ -238,22 +237,36 @@ impl RecipePool {
     /// simulation uses the pool.
     pub fn preload(&self, ctx: RecipeCtx, instr: &Instruction, recipe: Recipe) {
         let word = instr.encode();
-        self.templates.write().insert((ctx, word), Arc::new(recipe));
-        self.compiled.write().retain(|&(c, w, _, _), _| !(c == ctx && w == word));
+        write(&self.templates).insert((ctx, word), Arc::new(recipe));
+        write(&self.compiled).retain(|&(c, w, _, _), _| !(c == ctx && w == word));
         // Fused traces bake the instruction's compiled ops in; drop any
         // derived from the replaced template.
-        self.traces.write().retain(|(c, words, _, _), _| !(*c == ctx && words.contains(&word)));
+        write(&self.traces).retain(|(c, words, _, _), _| !(*c == ctx && words.contains(&word)));
     }
 
     /// Number of memoized templates.
     pub fn len(&self) -> usize {
-        self.templates.read().len()
+        read(&self.templates).len()
     }
 
     /// True if nothing has been memoized yet.
     pub fn is_empty(&self) -> bool {
-        self.templates.read().is_empty()
+        read(&self.templates).is_empty()
     }
+}
+
+/// Shared access to a pool lock. Every critical section is one insert,
+/// retain, merge or read, so a thread that panicked while holding the lock
+/// (a poisoned job under the service's `catch_unwind`) leaves no half-done
+/// update behind. The guard is recovered rather than turning one bad job
+/// into a panic on every later one.
+fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Exclusive access to a pool lock, recovering from poisoning as [`read`].
+fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    lock.write().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Outcome of a [`RecipeCache::lookup`]: the architectural (per-MPU table)
@@ -807,5 +820,39 @@ mod tests {
         assert_eq!(s.lookups, 16, "4 threads x 4 instructions");
         assert_eq!(s.hits + s.misses, s.lookups, "counters are conserved under races");
         assert!(s.misses >= 4, "each distinct template was synthesized at least once");
+    }
+
+    #[test]
+    fn pool_survives_a_panic_under_its_locks() {
+        // A service job that panics mid-lookup poisons the shared pool's
+        // locks; every later job on the same pool must still be served.
+        let dp = DatapathModel::racer();
+        let pool = RecipePool::new();
+        let before = pool.get_or_build(&dp, &add(2)).unwrap();
+        let stats = pool.stats();
+        std::thread::scope(|s| {
+            let crashed = s
+                .spawn(|| {
+                    let _guards = (
+                        write(&pool.templates),
+                        write(&pool.compiled),
+                        write(&pool.traces),
+                        write(&pool.opt),
+                    );
+                    panic!("job panicked while holding the pool's write locks");
+                })
+                .join();
+            assert!(crashed.is_err());
+        });
+        assert!(pool.templates.is_poisoned() && pool.opt.is_poisoned());
+
+        let after = pool.get_or_build(&dp, &add(2)).unwrap();
+        assert!(Arc::ptr_eq(&before, &after), "the memoized recipe is still served");
+        assert_eq!(pool.stats().hits, stats.hits + 1);
+        assert_eq!(pool.stats().opt, stats.opt);
+        assert_eq!(pool.len(), 1);
+        assert!(pool.get_or_build_compiled(&dp, &add(3)).is_some());
+        assert!(pool.get_or_fuse_trace(&dp, &[add(2), add(3)]).is_some());
+        assert_eq!(pool.len(), 2);
     }
 }

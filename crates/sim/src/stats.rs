@@ -1,11 +1,10 @@
 //! Execution statistics: cycle and energy accounting with the breakdowns
 //! the paper's figures report (Fig. 12/13 totals, Fig. 15 time breakdown).
 
-use serde::{Deserialize, Serialize};
 use std::ops::AddAssign;
 
 /// Energy accounting, picojoules.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EnergyStats {
     /// Micro-op energy in the memory arrays.
     pub datapath_pj: f64,
@@ -43,7 +42,7 @@ impl AddAssign for EnergyStats {
 }
 
 /// Fault-injection and recovery accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultStats {
     /// Transient bit-plane flips and register-write corruptions that
     /// actually landed (flips absorbed by forced lanes don't count).
@@ -92,7 +91,7 @@ impl AddAssign for FaultStats {
 }
 
 /// Full statistics for one simulated execution.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Stats {
     /// Total elapsed cycles (1 GHz → cycles == nanoseconds).
     pub cycles: u64,
@@ -114,7 +113,6 @@ pub struct Stats {
     /// Micro-ops the recipe optimizer removed from issued recipes (the
     /// work that *would* have been issued had synthesis templates run
     /// unoptimized; see `pum_backend::opt`).
-    #[serde(default)]
     pub uops_saved: u64,
     /// Host offload events (Baseline only).
     pub offload_events: u64,
@@ -129,7 +127,6 @@ pub struct Stats {
     /// Bytes moved between MPUs.
     pub noc_bytes: u64,
     /// Fault-injection and recovery accounting.
-    #[serde(default)]
     pub faults: FaultStats,
     /// Energy breakdown.
     pub energy: EnergyStats,

@@ -29,10 +29,9 @@
 
 use crate::machine::EnsembleKind;
 use crate::stats::Stats;
-use parking_lot::Mutex;
 use pum_backend::MicroOpKind;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Per-micro-op-kind counts for one recipe execution, indexed by
 /// [`MicroOpKind::index`]. The attribution profile expands these into the
@@ -228,28 +227,35 @@ impl EventLog {
 
     /// A snapshot of all events recorded so far, in emission order.
     pub fn snapshot(&self) -> Vec<TraceEvent> {
-        self.events.lock().clone()
+        self.events().clone()
     }
 
     /// Drains the log, returning all recorded events.
     pub fn take(&self) -> Vec<TraceEvent> {
-        std::mem::take(&mut *self.events.lock())
+        std::mem::take(&mut *self.events())
     }
 
     /// Number of events recorded so far.
     pub fn len(&self) -> usize {
-        self.events.lock().len()
+        self.events().len()
     }
 
     /// True when nothing has been recorded yet.
     pub fn is_empty(&self) -> bool {
-        self.events.lock().is_empty()
+        self.events().is_empty()
+    }
+
+    /// Locks the event vector. A handle that panicked while holding the
+    /// lock leaves at most its one push undone, so the guard is recovered
+    /// instead of failing every later reader and writer.
+    fn events(&self) -> MutexGuard<'_, Vec<TraceEvent>> {
+        self.events.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
 impl Tracer for EventLog {
     fn event(&mut self, ev: &TraceEvent) {
-        self.events.lock().push(ev.clone());
+        self.events().push(ev.clone());
     }
 }
 
@@ -284,6 +290,37 @@ mod tests {
         assert_eq!(log.len(), 1);
         assert_eq!(log.snapshot(), vec![ev.clone()]);
         assert_eq!(log.take(), vec![ev]);
+        assert!(log.is_empty());
+    }
+
+    #[test]
+    fn event_log_survives_a_panic_under_its_lock() {
+        let log = EventLog::new();
+        let mut handle = log.clone();
+        let ev = TraceEvent {
+            mpu: 0,
+            line: 3,
+            cycle: 9,
+            kind: TraceKind::PlaybackRefill,
+            delta: Stats::default(),
+        };
+        handle.event(&ev);
+        std::thread::scope(|s| {
+            let crashed = s
+                .spawn(|| {
+                    let _guard = log.events();
+                    panic!("tracer panicked while holding the event log");
+                })
+                .join();
+            assert!(crashed.is_err());
+        });
+        assert!(log.events.is_poisoned());
+
+        handle.event(&ev);
+        assert_eq!(log.len(), 2);
+        assert!(!log.is_empty());
+        assert_eq!(log.snapshot(), vec![ev.clone(), ev.clone()]);
+        assert_eq!(log.take(), vec![ev.clone(), ev]);
         assert!(log.is_empty());
     }
 }

@@ -28,11 +28,10 @@ pub use llm_encode::LlmEncode;
 use crate::kernel::WorkProfile;
 use mastodon::{SimConfig, Stats, System};
 use mpu_isa::Program;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Table IV row metadata.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Table4Row {
     /// Application name.
     pub name: &'static str,
@@ -87,7 +86,7 @@ pub trait App: Send + Sync {
 }
 
 /// Result of an application run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AppRun {
     /// Configuration label.
     pub label: String,

@@ -18,11 +18,9 @@ use crate::kernel::Kernel;
 use mastodon::{
     run_single_traced, EventLog, ExecutionMode, RecipePool, SimConfig, SimError, Stats,
 };
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// VRFs functionally simulated per wave (energy is scaled up to the full
 /// wave; see module docs).
@@ -32,7 +30,7 @@ const SIM_VRFS: usize = 8;
 ///
 /// `PartialEq` lets tests assert the parallel sweep path reproduces the
 /// serial path exactly, field for field.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChipRun {
     /// Configuration label (`MPU:RACER`, ...).
     pub label: String,
@@ -325,23 +323,22 @@ where
     let next = AtomicUsize::new(0);
     type Caught<R> = Result<R, Box<dyn std::any::Any + Send>>;
     let results: Mutex<Vec<(usize, Caught<R>)>> = Mutex::new(Vec::with_capacity(len));
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..jobs {
-            scope.spawn(|_| loop {
+            scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= len {
                     break;
                 }
                 // The atomic index hands each slot to exactly one worker.
-                if let Some(item) = slots[i].lock().take() {
+                if let Some(item) = slots[i].lock().unwrap_or_else(PoisonError::into_inner).take() {
                     let r = run_one(item);
-                    results.lock().push((i, r));
+                    results.lock().unwrap_or_else(PoisonError::into_inner).push((i, r));
                 }
             });
         }
-    })
-    .expect("sweep scope failed despite per-item isolation");
-    let mut pairs = results.into_inner();
+    });
+    let mut pairs = results.into_inner().unwrap_or_else(PoisonError::into_inner);
     pairs.sort_by_key(|&(i, _)| i);
     pairs.into_iter().map(|(_, r)| r).collect()
 }

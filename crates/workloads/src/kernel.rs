@@ -5,10 +5,9 @@
 
 use mpu_isa::Program;
 use pum_backend::Geometry;
-use serde::{Deserialize, Serialize};
 
 /// The paper's four kernel groups (§VII).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelGroup {
     /// Kernels the RACER datapath can execute without CPU/MPU support.
     Basic,
@@ -49,7 +48,7 @@ impl KernelGroup {
 
 /// Workload characterization consumed by the analytical GPU/CPU models
 /// (our substitute for running on a real RTX 4090; see DESIGN.md).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkProfile {
     /// Arithmetic operations per element (on a conventional core).
     pub ops_per_elem: f64,
