@@ -449,7 +449,7 @@ impl BitPlaneVrf {
     }
 
     /// Transient-fault hook, called once per executed micro-op by the
-    /// interpreted path ([`crate::MicroOp::apply`]) with the op's output
+    /// op-by-op path ([`crate::MicroOp::apply`]) with the op's output
     /// plane. With no fault model attached this is a single branch.
     #[inline]
     pub(crate) fn post_op(&mut self, kind: MicroOpKind, out: Plane) {
@@ -462,7 +462,7 @@ impl BitPlaneVrf {
     /// Transient-fault hook over a pre-resolved output plane offset (the
     /// compiled path's form of [`BitPlaneVrf::post_op`]). Both paths call
     /// it exactly once per micro-op with the same `(kind, plane)`
-    /// sequence, so interpreted and compiled execution draw identical
+    /// sequence, so op-by-op and compiled execution draw identical
     /// fault sites and stay byte-identical under injection.
     #[inline]
     pub(crate) fn post_op_at(&mut self, kind: MicroOpKind, out_base: usize) {

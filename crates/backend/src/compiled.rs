@@ -268,13 +268,13 @@ pub(crate) fn run(vrf: &mut BitPlaneVrf, recipe: &CompiledRecipe) {
 /// identical order.
 pub(crate) fn run_ops(vrf: &mut BitPlaneVrf, ops: &[CompiledOp]) {
     // GETMASK-style mask suspension is a control-path affair, but honour it
-    // here too so compiled and interpreted execution can never diverge.
+    // here too so compiled execution and `MicroOp::apply` never diverge.
     let me = vrf.mask_enabled();
     let inject = vrf.fault_model().is_some();
     for op in ops {
         // With a fault model attached, draw exactly one transient-fault
         // site per micro-op on its output plane — the same `(kind, plane)`
-        // sequence the interpreter draws, so both paths stay
+        // sequence `MicroOp::apply` draws, so both paths stay
         // byte-identical under injection.
         match *op {
             CompiledOp::Op2 { func, a, b, out, masked } => {

@@ -27,8 +27,9 @@
 //! ([`BitPlaneVrf::write_lane_values`] / `read_lane_values`) go through a
 //! word-level 64×64 bit-matrix transpose rather than per-bit shifts.
 //!
-//! All three paths — interpreted, compiled, and the pre-optimization
-//! reference semantics — are **byte-identical**: same plane contents after
+//! All three paths — op-by-op [`MicroOp::apply`] (the test oracle),
+//! compiled, and the pre-optimization reference semantics — are
+//! **byte-identical**: same plane contents after
 //! every micro-op, same simulator `Stats`. Differential property tests
 //! (`tests/inplace_differential.rs`) pit the in-place engine against a
 //! naive allocating reference across logic families, mask patterns, and

@@ -471,8 +471,9 @@ fn word_out_plane(instr: &Instruction) -> Plane {
 /// ([`crate::recipe::semantics`] — the same functions the reference model
 /// uses), and write the results back under the lane mask.
 ///
-/// Both the interpreted and compiled tiers call this same function, so the
-/// DPU path is byte-identical across tiers by construction. The single
+/// Both the op-by-op oracle ([`MicroOp::apply`]) and the compiled path call
+/// this same function, so the DPU path is byte-identical between them by
+/// construction. The single
 /// per-op fault draw is made by the caller ([`MicroOp::apply`] /
 /// `compiled::run_ops`) against [`MicroOp::writes`]'s primary target.
 pub(crate) fn apply_word(vrf: &mut BitPlaneVrf, instr: &Instruction) {

@@ -81,8 +81,8 @@ pub enum EnsembleStep {
 
 /// A compute-ensemble body fused into a flat, branch-free word-loop
 /// program over the VRF storage buffer, with all cost-model work
-/// precomputed. Built by [`fuse_ensemble`]; executed step-by-step via
-/// [`EnsembleTrace::run_step`] / [`EnsembleTrace::step_energy_pj`].
+/// precomputed. Built by [`fuse_ensemble`]; executed via
+/// [`EnsembleTrace::run_steps`] / [`EnsembleTrace::step_energy_pj`].
 #[derive(Debug, Clone)]
 pub struct EnsembleTrace {
     steps: Vec<EnsembleStep>,
@@ -114,11 +114,6 @@ impl EnsembleTrace {
         self.regs
     }
 
-    /// Total fused micro-ops across all compute steps.
-    pub fn fused_ops(&self) -> usize {
-        self.ops.len()
-    }
-
     /// True when fusion proved the op stream never writes the mask plane
     /// and the geometry has no padding bits. Replay may then batch a
     /// contiguous run of compute steps into one word-loop pass per VRF
@@ -129,9 +124,19 @@ impl EnsembleTrace {
     }
 
     /// Executes the fused ops of a contiguous range of *compute* steps
-    /// over one VRF in a single word-loop pass — the batched form of
-    /// calling [`Self::run_step`] once per step, byte-identical to it
-    /// (the per-step op slices are adjacent in the flat op vector).
+    /// over one VRF in a single word-loop pass (the per-step op slices are
+    /// adjacent in the flat op vector, so a one-step range runs one step).
+    ///
+    /// Replay assumes the ensemble-start invariant the simulator
+    /// establishes before the first step: the lane mask is full. Fusion
+    /// statically tracks the mask from that state (`SETMASK` makes it
+    /// unknown, `UNMASK` restores it), which is what lets known-full mask
+    /// merges be dropped at fuse time.
+    ///
+    /// When fusion proved the bookkeeping-free fast loop sound and the VRF
+    /// is fault-free with mask-honouring enabled, the ops run through
+    /// [`compiled::run_ops_fast`]; otherwise through the general word-loop
+    /// core. Both perform the identical plane writes.
     ///
     /// # Panics
     ///
@@ -151,41 +156,6 @@ impl EnsembleTrace {
         let end = compute_ops(range.end - 1).end as usize;
         debug_assert!(range.clone().all(|i| matches!(self.steps[i], EnsembleStep::Compute { .. })));
         let ops = &self.ops[start..end];
-        if self.fast && vrf.fault_model().is_none() && vrf.mask_enabled() {
-            compiled::run_ops_fast(vrf, ops);
-        } else {
-            compiled::run_ops(vrf, ops);
-        }
-    }
-
-    /// Executes one step's fused ops over a VRF (no-op for non-compute
-    /// steps — their plane effects are the control path's business).
-    ///
-    /// Replay assumes the ensemble-start invariant the simulator
-    /// establishes before the first step: the lane mask is full. Fusion
-    /// statically tracks the mask from that state (`SETMASK` makes it
-    /// unknown, `UNMASK` restores it), which is what lets known-full mask
-    /// merges be dropped at fuse time.
-    ///
-    /// When fusion proved the bookkeeping-free fast loop sound and the VRF
-    /// is fault-free with mask-honouring enabled, the step runs through
-    /// [`compiled::run_ops_fast`]; otherwise through the general word-loop
-    /// core. Both perform the identical plane writes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vrf` has a different geometry than the trace was fused
-    /// for, mirroring [`BitPlaneVrf::run_compiled`].
-    pub fn run_step(&self, step: &EnsembleStep, vrf: &mut BitPlaneVrf) {
-        let EnsembleStep::Compute { ops, .. } = step else {
-            return;
-        };
-        assert_eq!(
-            (self.lanes, self.regs),
-            (vrf.lanes(), vrf.regs()),
-            "ensemble trace targets a different VRF geometry"
-        );
-        let ops = &self.ops[ops.start as usize..ops.end as usize];
         if self.fast && vrf.fault_model().is_none() && vrf.mask_enabled() {
             compiled::run_ops_fast(vrf, ops);
         } else {
@@ -235,7 +205,7 @@ pub fn fuse_ensemble_with(
     let mut steps = Vec::with_capacity(body.len());
     let mut ops: Vec<CompiledOp> = Vec::new();
     let mut coeffs: Vec<f64> = Vec::new();
-    // Mirrors the interpreter's per-wave `pipeline_warm` flag: for a
+    // Mirrors the compiled tier's per-wave `pipeline_warm` flag: for a
     // straight-line body the warm/cold schedule is statically known.
     let mut pipeline_warm = false;
     // Static mask tracking from the ensemble-start invariant (mask full):
@@ -403,9 +373,10 @@ mod tests {
             a.write_lane_values(1, &ys);
             let mut b = a.clone();
 
-            // a: interpret every recipe; b: replay the fused trace. The
-            // control-path steps apply the same plane effects on both.
-            for (step, instr) in trace.steps().iter().zip(body()) {
+            // a: apply every recipe op by op (the oracle); b: replay the
+            // fused trace. The control-path steps apply the same plane
+            // effects on both.
+            for (i, instr) in body().into_iter().enumerate() {
                 match instr {
                     Instruction::SetMask { .. } => {
                         for v in [&mut a, &mut b] {
@@ -423,11 +394,11 @@ mod tests {
                         for op in recipe.ops() {
                             op.apply(&mut a);
                         }
-                        trace.run_step(step, &mut b);
+                        trace.run_steps(i..i + 1, &mut b);
                     }
                 }
             }
-            assert_eq!(a, b, "{kind:?}: fused trace diverged from interpreter");
+            assert_eq!(a, b, "{kind:?}: fused trace diverged from the op-by-op oracle");
         }
     }
 

@@ -5,8 +5,10 @@
 //! families: the same instruction on the same register file contents
 //! leaves the same register/condition state, lane-exact, across random
 //! masks, aliased destinations, and lane counts that are not multiples of
-//! 64. The optimizer must also be invisible on both new backends
-//! (optimizer-on ≡ optimizer-off on all architectural state).
+//! 64. Every family's geometry-compiled form must leave the same full VRF
+//! as applying its micro-ops one by one. The optimizer must also be
+//! invisible on both new backends (optimizer-on ≡ optimizer-off on all
+//! architectural state).
 
 use proptest::prelude::*;
 use pum_backend::{
@@ -74,11 +76,17 @@ fn arch_state(vrf: &BitPlaneVrf) -> (Vec<Vec<u64>>, Vec<u64>) {
     (regs, vrf.plane_words(Plane::Cond).to_vec())
 }
 
-fn run_family(family: LogicFamily, instr: &Instruction, vrf: &mut BitPlaneVrf) {
+/// Applies `instr`'s `family` recipe to `vrf` one micro-op at a time (the
+/// oracle) and returns a copy of the starting VRF that ran the recipe's
+/// geometry-compiled form instead.
+fn run_family(family: LogicFamily, instr: &Instruction, vrf: &mut BitPlaneVrf) -> BitPlaneVrf {
     let recipe = build_recipe(ctx(family), instr).expect("compute instruction");
+    let mut compiled = vrf.clone();
+    compiled.run_compiled(&recipe.compile(vrf.lanes(), vrf.regs()));
     for op in recipe.ops() {
         op.apply(vrf);
     }
+    compiled
 }
 
 proptest! {
@@ -86,7 +94,9 @@ proptest! {
 
     /// LUT-query recipes and word-serial recipes leave the same
     /// architectural state as NOR and MAJ recipes, lane-exact, across
-    /// random masks, aliasing, and non-×64 lane counts.
+    /// random masks, aliasing, and non-×64 lane counts; and in every
+    /// family the compiled form matches op-by-op application on the full
+    /// VRF, scratch planes included.
     #[test]
     fn new_families_match_proven_families(
         lanes in prop::sample::select(vec![64usize, 65, 100, 127, 128, 130, 512]),
@@ -95,15 +105,25 @@ proptest! {
         alias in prop::bool::ANY,
     ) {
         for instr in instrs(alias) {
-            let mut reference = seeded_vrf(lanes, seed, &mask);
-            run_family(LogicFamily::Nor, &instr, &mut reference);
-            let expect = arch_state(&reference);
-            for family in [LogicFamily::Maj, LogicFamily::Lut, LogicFamily::WordSerial] {
+            let mut expect = None;
+            for family in
+                [LogicFamily::Nor, LogicFamily::Maj, LogicFamily::Lut, LogicFamily::WordSerial]
+            {
                 let mut vrf = seeded_vrf(lanes, seed, &mask);
-                run_family(family, &instr, &mut vrf);
+                let compiled = run_family(family, &instr, &mut vrf);
+                prop_assert!(
+                    compiled == vrf,
+                    "{:?}: compiled form diverged from op-by-op apply on {} (lanes={}, alias={})",
+                    family,
+                    instr.mnemonic(),
+                    lanes,
+                    alias
+                );
+                let state = arch_state(&vrf);
+                let expect = expect.get_or_insert_with(|| state.clone());
                 prop_assert_eq!(
-                    &arch_state(&vrf),
-                    &expect,
+                    &state,
+                    &*expect,
                     "{:?} diverged from NOR on {} (lanes={}, alias={})",
                     family,
                     instr.mnemonic(),

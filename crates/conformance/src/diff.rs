@@ -1,9 +1,9 @@
 //! The differential runner: one case, executed by the word-level reference
 //! model and by the cycle-accurate simulator on every shipped backend
 //! (bit-serial NOR/MAJ/bitline, pLUTo LUT queries, word-serial DPU) over
-//! all three execution tiers (compiled, interpreted, fused ensemble
-//! trace), compared lane-exactly plus over the architectural counters the
-//! reference model defines — and cross-tier over the full statistics.
+//! both execution tiers (compiled, fused ensemble trace), compared
+//! lane-exactly plus over the architectural counters the reference model
+//! defines — and cross-tier over the full statistics.
 
 use crate::case::Case;
 use crate::generate::{BOX_RFHS, BOX_VRFS};
@@ -75,22 +75,19 @@ fn run_reference(
 pub enum Tier {
     /// Geometry-compiled recipes, dispatched per instruction.
     Compiled,
-    /// Micro-op interpretation, dispatched per instruction.
-    Interpreted,
     /// Fused ensemble traces where eligible (straight-line bodies), with
     /// per-instruction fallback elsewhere.
     Trace,
 }
 
 /// Every tier the differential matrix covers.
-pub const TIERS: [Tier; 3] = [Tier::Compiled, Tier::Interpreted, Tier::Trace];
+pub const TIERS: [Tier; 2] = [Tier::Compiled, Tier::Trace];
 
 impl Tier {
     /// Short label used in mismatch reports.
     pub fn label(self) -> &'static str {
         match self {
             Tier::Compiled => "compiled",
-            Tier::Interpreted => "interpreted",
             Tier::Trace => "trace",
         }
     }
@@ -104,9 +101,8 @@ fn run_simulator(
     pool: Option<&Arc<RecipePool>>,
 ) -> Result<(Vec<LaneBox>, Stats), String> {
     let mut config = SimConfig::mpu(kind);
-    // Pin both tier knobs explicitly: the per-instruction tiers must not
-    // silently ride the trace tier (whose default is on).
-    config.interpret_recipes = tier == Tier::Interpreted;
+    // Pin the tier knob explicitly: the compiled tier must not silently
+    // ride the trace tier (whose default is on).
     config.trace_ensembles = tier == Tier::Trace;
     let mut sys = match pool {
         Some(pool) => System::new_pooled(config, case.mpus.len(), pool),
@@ -149,8 +145,8 @@ pub fn reference_lanes(kind: DatapathKind, case: &Case) -> Option<Vec<LaneBox>> 
 /// shared (possibly deliberately corrupted) recipe pool.
 ///
 /// Returns `Some(description)` on the first divergence between the
-/// reference model and the simulator (either recipe path), or between the
-/// interpreted and compiled paths' statistics. Returns `None` when all
+/// reference model and the simulator (on either tier), or between the
+/// trace and compiled tiers' statistics. Returns `None` when all
 /// agree — or when the reference model itself rejects the case (which
 /// makes the case incomparable, not a simulator defect; the shrinker
 /// relies on this to discard reductions that break program validity).

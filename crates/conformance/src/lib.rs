@@ -4,8 +4,8 @@
 //! ([`generate`]) produces random-but-valid multi-MPU programs over the
 //! full Table II instruction set; [`check_case`] runs each one through the
 //! word-level [`refmodel`] interpreter and through the cycle-accurate
-//! simulator on all three Table III backends (RACER, MIMDRAM, Duality
-//! Cache) over both the interpreted and compiled recipe paths, asserting
+//! simulator on every shipped backend (the Table III substrates plus
+//! pLUTo and DPU) over both the compiled and fused execution tiers, asserting
 //! lane-exact register equality plus agreement on the architectural
 //! counters; and [`shrink`] reduces any divergence to a short reproducer
 //! rendered as ezpim text by [`reproducer_text`].

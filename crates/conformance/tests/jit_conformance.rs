@@ -1,9 +1,9 @@
 //! The trace-tier ("JIT") conformance suite:
 //!
 //! * a dedicated differential sweep over a disjoint seed range, proving
-//!   the fused ensemble-trace tier byte-identical to the compiled and
-//!   interpreted tiers and to the word-level reference model on every
-//!   backend (`JIT_CONFORMANCE_CASES` overrides the case count);
+//!   the fused ensemble-trace tier byte-identical to the compiled tier and
+//!   to the word-level reference model on every backend
+//!   (`JIT_CONFORMANCE_CASES` overrides the case count);
 //! * fallback canaries: bodies the trace tier must refuse to fuse (EFI
 //!   loops, mid-body `GETMASK`, subroutine calls) and configurations that
 //!   need per-instruction fidelity run on the per-instruction tier — and
@@ -18,12 +18,12 @@ use mpu_isa::{Instruction, LineNum, Program, RegId, VrfId};
 use pum_backend::DatapathKind;
 
 #[test]
-fn three_tier_differential_suite() {
+fn compiled_vs_fused_differential_suite() {
     let cases: u64 =
         std::env::var("JIT_CONFORMANCE_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(40);
     // A seed range disjoint from tests/conformance.rs so the two sweeps
-    // compound rather than repeat (check_case covers compiled,
-    // interpreted, and trace tiers on every shipped backend).
+    // compound rather than repeat (check_case covers the compiled and
+    // trace tiers on every shipped backend).
     for seed in 50_000..50_000 + cases {
         let case = generate(seed);
         if let Some(mismatch) = check_case(&case) {

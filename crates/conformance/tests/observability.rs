@@ -1,8 +1,10 @@
-//! Observability conformance: across random generated programs, all three
-//! backends, and both recipe-execution modes, (1) arming a tracer never
+//! Observability conformance: across random generated programs, every
+//! backend, and both `trace_ensembles` settings, (1) arming a tracer never
 //! changes execution — lane values and per-MPU statistics are
 //! byte-identical to a disarmed run — and (2) the attribution profile
 //! built from the trace conserves every counter and energy field exactly.
+//! An armed tracer forces the compiled tier, so with `trace_ensembles` on
+//! the disarmed fused run is compared against the armed compiled run.
 
 use conformance::{generate, BACKENDS, BOX_RFHS, BOX_VRFS};
 use mastodon::{EventLog, Profile, SimConfig, Stats, System, TraceEvent};
@@ -24,11 +26,11 @@ struct Observed {
 /// Runs a generated case on the simulator, optionally traced. Cases whose
 /// programs fail to lower or run (shrinker-style artifacts) return `None`
 /// and are skipped — the point here is trace transparency, not validity.
-fn run_case(kind: DatapathKind, interpret: bool, seed: u64, armed: bool) -> Option<Observed> {
+fn run_case(kind: DatapathKind, trace_ensembles: bool, seed: u64, armed: bool) -> Option<Observed> {
     let case = generate(seed);
     let programs = case.programs().ok()?;
     let mut config = SimConfig::mpu(kind);
-    config.interpret_recipes = interpret;
+    config.trace_ensembles = trace_ensembles;
     let mut sys = System::new(config, case.mpus.len());
     let log = EventLog::new();
     if armed {
@@ -72,43 +74,35 @@ proptest! {
     #[test]
     fn tracing_is_transparent_and_profiles_conserve(seed in 0u64..4096) {
         for kind in BACKENDS {
-            for interpret in [false, true] {
-                let armed = run_case(kind, interpret, seed, true);
-                let disarmed = run_case(kind, interpret, seed, false);
+            for trace_ensembles in [false, true] {
+                let ctx = format!("{kind:?}, trace_ensembles={trace_ensembles}, seed={seed}");
+                let armed = run_case(kind, trace_ensembles, seed, true);
+                let disarmed = run_case(kind, trace_ensembles, seed, false);
                 let (armed, disarmed) = match (armed, disarmed) {
                     (Some(a), Some(d)) => (a, d),
                     (None, None) => continue,
                     _ => {
-                        prop_assert!(false, "armed/disarmed runnability diverged \
-                                             ({kind:?}, interpret={interpret}, seed={seed})");
+                        prop_assert!(false, "armed/disarmed runnability diverged ({ctx})");
                         unreachable!()
                     }
                 };
-                prop_assert_eq!(
-                    &armed.lanes, &disarmed.lanes,
-                    "lane values diverged ({:?}, interpret={}, seed={})", kind, interpret, seed
-                );
+                prop_assert_eq!(&armed.lanes, &disarmed.lanes, "lane values diverged ({})", ctx);
                 prop_assert_eq!(
                     &armed.per_mpu, &disarmed.per_mpu,
-                    "per-MPU stats diverged ({:?}, interpret={}, seed={})", kind, interpret, seed
+                    "per-MPU stats diverged ({})", ctx
                 );
-                prop_assert_eq!(
-                    armed.system, disarmed.system,
-                    "system stats diverged ({:?}, interpret={}, seed={})", kind, interpret, seed
-                );
+                prop_assert_eq!(armed.system, disarmed.system, "system stats diverged ({})", ctx);
 
                 let profile = Profile::build(&armed.events);
                 for m in &profile.mpus {
                     prop_assert_eq!(
                         &m.totals, &armed.per_mpu[m.mpu as usize],
-                        "profile totals failed conservation for mpu{} \
-                         ({:?}, interpret={}, seed={})", m.mpu, kind, interpret, seed
+                        "profile totals failed conservation for mpu{} ({})", m.mpu, ctx
                     );
                 }
                 prop_assert_eq!(
                     profile.merged(), armed.system,
-                    "merged profile failed conservation ({:?}, interpret={}, seed={})",
-                    kind, interpret, seed
+                    "merged profile failed conservation ({})", ctx
                 );
             }
         }

@@ -122,18 +122,13 @@ pub struct SimConfig {
     pub frontend_dynamic_mw: f64,
     /// Front-end static power, mW.
     pub frontend_static_mw: f64,
-    /// Execute compute instructions by interpreting their micro-op
-    /// sequence one op at a time instead of running the geometry-compiled
-    /// form. Timing, energy, and statistics are identical either way; the
-    /// conformance suite runs both paths differentially to prove it.
-    pub interpret_recipes: bool,
     /// Fuse straight-line compute-ensemble bodies into cached
     /// [`pum_backend::EnsembleTrace`]s and replay those instead of
     /// dispatching per instruction (the trace execution tier). A host-side
     /// optimization only: lane values, statistics, and trace events are
-    /// bit-identical to the per-instruction tiers, and bodies with
+    /// bit-identical to the compiled per-instruction tier, and bodies with
     /// data-dependent control flow automatically fall back. The
-    /// conformance suite runs all three tiers differentially to prove it.
+    /// conformance suite runs both tiers differentially to prove it.
     pub trace_ensembles: bool,
     /// Seeded hardware fault injection. Default: disabled (no seed).
     pub fault: FaultConfig,
@@ -165,7 +160,6 @@ impl SimConfig {
             template_entries: 1024,
             frontend_dynamic_mw: fe.total_dynamic_mw(),
             frontend_static_mw: fe.total_static_mw(),
-            interpret_recipes: false,
             trace_ensembles: true,
             fault: FaultConfig::default(),
             recovery: RecoveryPolicy::default(),

@@ -15,7 +15,7 @@ use crate::recipe_cache::{RecipeCache, RecipePool};
 use crate::stats::{EnergyStats, Stats};
 use crate::trace::{FaultAction, InstrClass, TraceEvent, TraceKind, Tracer, UopMix};
 use mpu_isa::{Instruction, MpuId, Program, COND_REG};
-use pum_backend::{BitPlaneVrf, EnsembleStep, EnsembleTrace, Plane, Recipe};
+use pum_backend::{BitPlaneVrf, EnsembleStep, EnsembleTrace, Plane};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -519,6 +519,18 @@ impl Mpu {
     /// Creates an MPU with empty (zeroed) VRFs.
     pub fn new(config: SimConfig, id: MpuId) -> Self {
         let cache = RecipeCache::new(config.template_entries);
+        Self::with_cache(config, id, cache)
+    }
+
+    /// Creates an MPU whose recipe-cache misses resolve through the shared
+    /// `pool`. Host-side only: simulated timing, energy, and hit/miss
+    /// statistics match [`Mpu::new`] exactly.
+    pub fn with_pool(config: SimConfig, id: MpuId, pool: Arc<RecipePool>) -> Self {
+        let cache = RecipeCache::with_pool(config.template_entries, pool);
+        Self::with_cache(config, id, cache)
+    }
+
+    fn with_cache(config: SimConfig, id: MpuId, cache: RecipeCache) -> Self {
         Self {
             config,
             id,
@@ -552,8 +564,8 @@ impl Mpu {
 
     /// Execution-tier telemetry: `(trace, fallback)` counts of compute
     /// ensembles run on the fused trace tier vs. the per-instruction
-    /// (compiled/interpreted) tier. Host-side observability only — lane
-    /// values and [`Stats`] are bit-identical whichever tier executed.
+    /// compiled tier. Host-side observability only — lane values and
+    /// [`Stats`] are bit-identical whichever tier executed.
     pub fn tier_counts(&self) -> (u64, u64) {
         (self.traced_ensembles, self.fallback_ensembles)
     }
@@ -608,21 +620,6 @@ impl Mpu {
             }
             (TraceKind::Fault(action), delta)
         });
-    }
-
-    /// Creates an MPU whose recipe-cache misses consult `pool` before
-    /// synthesizing from scratch. Host-side only: simulated timing, energy,
-    /// and hit/miss statistics match [`Mpu::new`] exactly.
-    pub fn with_pool(config: SimConfig, id: MpuId, pool: Arc<RecipePool>) -> Self {
-        let mut mpu = Self::new(config, id);
-        mpu.cache.set_pool(pool);
-        mpu
-    }
-
-    /// Attaches a shared recipe-synthesis pool to an existing MPU (see
-    /// [`Mpu::with_pool`]).
-    pub fn set_recipe_pool(&mut self, pool: Arc<RecipePool>) {
-        self.cache.set_pool(pool);
     }
 
     /// Fetches the instruction at `pc`, rejecting truncated programs
@@ -1187,7 +1184,6 @@ impl Mpu {
         // Thermal-aware wave formation (Fig. 10): per-RFH queues, at most
         // `active_vrfs_per_rfh` of each RFH's VRFs per wave.
         let waves = form_waves(&members, self.config.datapath.geometry().active_vrfs_per_rfh);
-        self.stats.scheduler_waves += waves.len() as u64;
 
         // Tier selection: a straight-line body fuses into a cached
         // EnsembleTrace replayed flat per wave; anything else (or any
@@ -1201,6 +1197,9 @@ impl Mpu {
         }
         let mut end_pc = body_start;
         for (index, wave) in waves.iter().enumerate() {
+            // Charged as each wave starts, so an attempt a restart cuts
+            // short counts only the waves it actually replayed.
+            self.stats.scheduler_waves += 1;
             self.trace(body_start, || {
                 let delta = Stats { scheduler_waves: 1, ..Stats::default() };
                 (TraceKind::Wave { index, vrfs: wave.len() }, delta)
@@ -1416,11 +1415,11 @@ impl Mpu {
     /// `SETMASK`/`UNMASK`, and `NOP`, terminated by `COMPUTE_DONE` — no
     /// data-dependent control flow (`JUMP_COND`/EFI, `JUMP`/`RETURN`) and
     /// no mid-body mask readout (`GETMASK`). Configurations that need
-    /// per-instruction fidelity also fall back: interpreted-recipe mode,
-    /// Baseline offload mode, an armed tracer (events are per
-    /// instruction), fault injection (draws must happen in program
-    /// order), redundancy (snapshot/compare per instruction), and a
-    /// watchdog tighter than the body (it must still be able to fire).
+    /// per-instruction fidelity also fall back: Baseline offload mode, an
+    /// armed tracer (events are per instruction), fault injection (draws
+    /// must happen in program order), redundancy (snapshot/compare per
+    /// instruction), and a watchdog tighter than the body (it must still
+    /// be able to fire).
     fn ensemble_trace(
         &mut self,
         program: &Program,
@@ -1428,7 +1427,6 @@ impl Mpu {
     ) -> Option<Arc<EnsembleTrace>> {
         if !self.config.trace_ensembles
             || self.config.mode != ExecutionMode::Mpu
-            || self.config.interpret_recipes
             || self.tracer.is_some()
             || self.config.recovery.redundancy != Redundancy::None
             || self.config.fault.enabled()
@@ -1607,7 +1605,7 @@ impl Mpu {
             // keeps tier fallback paths honest).
             None => return Err(SimError::RecipeUnavailable { line, mnemonic: instr.mnemonic() }),
         };
-        let recipe: Arc<Recipe> = Arc::clone(&cached.recipe);
+        let recipe = &cached.recipe;
         let penalty = self.config.control.recipe_miss_penalty;
         // Decode cost: MPU caches templates; Baseline decodes every time.
         let hit = match self.config.mode {
@@ -1637,9 +1635,9 @@ impl Mpu {
         // Timing: micro-ops are broadcast to all wave VRFs, so issue time
         // does not scale with wave size. RACER overlaps consecutive
         // instructions across bit-stages once the pipeline is warm.
-        let serial = self.config.datapath.recipe_cycles(&recipe);
+        let serial = self.config.datapath.recipe_cycles(recipe);
         let cycles = if self.config.datapath.bit_pipelined() && *pipeline_warm {
-            self.config.datapath.recipe_stage_cycles(&recipe)
+            self.config.datapath.recipe_stage_cycles(recipe)
         } else {
             serial
         };
@@ -1653,12 +1651,12 @@ impl Mpu {
 
         match self.config.recovery.redundancy {
             Redundancy::None => {
-                self.run_wave_once(&cached, &recipe, wave, cycles, line);
+                self.run_wave_once(&cached, wave, cycles, line);
                 Ok(())
             }
-            Redundancy::Dmr => self.run_wave_dmr(&cached, &recipe, wave, cycles, line),
+            Redundancy::Dmr => self.run_wave_dmr(&cached, wave, cycles, line),
             Redundancy::Tmr => {
-                self.run_wave_tmr(&cached, &recipe, wave, cycles, line);
+                self.run_wave_tmr(&cached, wave, cycles, line);
                 Ok(())
             }
         }
@@ -1666,34 +1664,27 @@ impl Mpu {
 
     /// One functional execution of a recipe over the wave, charging its
     /// issue cycles, micro-ops, and datapath energy (only enabled lanes
-    /// burn switching energy — the mask power-gates the drivers). The
-    /// compiled form executes the same plane writes as interpreting
-    /// `recipe.ops()`, with plane addresses pre-resolved; the enabled
-    /// lane count comes from the VRF's cached mask popcount.
+    /// burn switching energy — the mask power-gates the drivers). Each VRF
+    /// runs the geometry-compiled form, whose plane addresses were resolved
+    /// once per template; the enabled lane count comes from the VRF's
+    /// cached mask popcount.
     fn run_wave_once(
         &mut self,
         cached: &crate::recipe_cache::CachedRecipe,
-        recipe: &Recipe,
         wave: &[(u16, u16)],
         cycles: u64,
         line: usize,
     ) {
+        let recipe = &cached.recipe;
         self.stats.cycles += cycles;
         self.stats.compute_cycles += cycles;
         self.stats.uops += recipe.len() as u64;
         self.stats.uops_saved += u64::from(recipe.saved_uops());
         let mut energy = 0.0;
-        let interpret = self.config.interpret_recipes;
         for &(rfh, vrf) in wave {
             let v = self.vrf_mut(rfh, vrf);
             let enabled = v.mask_lanes();
-            if interpret {
-                for op in recipe.ops() {
-                    op.apply(v);
-                }
-            } else {
-                v.run_compiled(&cached.compiled);
-            }
+            v.run_compiled(&cached.compiled);
             energy += self.config.datapath.recipe_energy_pj(recipe, enabled);
         }
         self.stats.energy.datapath_pj += energy;
@@ -1737,7 +1728,6 @@ impl Mpu {
     fn run_wave_dmr(
         &mut self,
         cached: &crate::recipe_cache::CachedRecipe,
-        recipe: &Recipe,
         wave: &[(u16, u16)],
         cycles: u64,
         line: usize,
@@ -1746,12 +1736,12 @@ impl Mpu {
         let input = self.snapshot_wave(wave);
         let mut attempt = 0u32;
         loop {
-            self.run_wave_once(cached, recipe, wave, cycles, line);
+            self.run_wave_once(cached, wave, cycles, line);
             let first = self.snapshot_wave(wave);
             self.restore_wave(wave, &input);
             self.stats.faults.redundant_runs += 1;
             self.trace_fault(line, FaultAction::RedundantRun);
-            self.run_wave_once(cached, recipe, wave, cycles, line);
+            self.run_wave_once(cached, wave, cycles, line);
             let second = self.snapshot_wave(wave);
             if arch_images_agree(&first, &second, &scratch) {
                 if attempt > 0 {
@@ -1781,24 +1771,23 @@ impl Mpu {
     fn run_wave_tmr(
         &mut self,
         cached: &crate::recipe_cache::CachedRecipe,
-        recipe: &Recipe,
         wave: &[(u16, u16)],
         cycles: u64,
         line: usize,
     ) {
         let scratch = self.wave_scratch_ranges(wave);
         let input = self.snapshot_wave(wave);
-        self.run_wave_once(cached, recipe, wave, cycles, line);
+        self.run_wave_once(cached, wave, cycles, line);
         let a = self.snapshot_wave(wave);
         self.restore_wave(wave, &input);
         self.stats.faults.redundant_runs += 1;
         self.trace_fault(line, FaultAction::RedundantRun);
-        self.run_wave_once(cached, recipe, wave, cycles, line);
+        self.run_wave_once(cached, wave, cycles, line);
         let b = self.snapshot_wave(wave);
         self.restore_wave(wave, &input);
         self.stats.faults.redundant_runs += 1;
         self.trace_fault(line, FaultAction::RedundantRun);
-        self.run_wave_once(cached, recipe, wave, cycles, line);
+        self.run_wave_once(cached, wave, cycles, line);
         let c = self.snapshot_wave(wave);
         if arch_images_agree(&a, &b, &scratch) && arch_images_agree(&a, &c, &scratch) {
             return; // unanimous; current state (== c) stands
@@ -2879,11 +2868,6 @@ mod tests {
     #[test]
     fn per_instruction_fidelity_configs_fall_back() {
         let p = straight_line_program();
-        // Interpreted-recipe mode.
-        let mut cfg = racer();
-        cfg.interpret_recipes = true;
-        let (_, mpu) = run_single(cfg, &p, &[]).unwrap();
-        assert_eq!(mpu.tier_counts(), (0, 1), "interpreted mode must fall back");
         // Baseline offload mode.
         let (_, mpu) = run_single(SimConfig::baseline(DatapathKind::Racer), &p, &[]).unwrap();
         assert_eq!(mpu.tier_counts(), (0, 1), "Baseline mode must fall back");

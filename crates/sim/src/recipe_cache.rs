@@ -11,13 +11,15 @@
 //! template rather than once per executed micro-op.
 //!
 //! Recipes are held behind [`Arc`] so an [`Mpu`](crate::Mpu) is `Send` and
-//! chip sweeps can fan out across threads. Concurrent runs may also share a
-//! [`RecipePool`]: a host-side synthesis memo that skips re-deriving the
-//! micro-op sequence for an instruction another thread already lowered.
-//! The pool is invisible to the simulated machine — per-MPU hit/miss
-//! counters and the miss penalty model the *hardware* template fetch and
-//! are charged identically with or without a pool, so pooled and unpooled
-//! runs produce bit-identical statistics.
+//! chip sweeps can fan out across threads. Every miss resolves through a
+//! [`RecipePool`]: a host-side memo of templates, compiled forms and fused
+//! traces. Concurrent runs may share one, skipping re-deriving the micro-op
+//! sequence for an instruction another thread already lowered; a cache
+//! given no pool uses a private one. The pool is invisible to the
+//! simulated machine — per-MPU hit/miss counters and the miss penalty
+//! model the *hardware* template fetch and are charged identically
+//! whichever pool serves them, so shared-pool and private-pool runs
+//! produce bit-identical statistics.
 
 use mpu_isa::Instruction;
 use pum_backend::{CompiledRecipe, DatapathModel, EnsembleTrace, OptStats, Recipe, RecipeCtx};
@@ -150,21 +152,13 @@ impl RecipePool {
         datapath: &DatapathModel,
         instr: &Instruction,
     ) -> Option<CachedRecipe> {
-        Some(self.get_or_build_compiled_inner(datapath, instr)?.0)
+        Some(self.build_compiled(datapath, instr, true)?.0)
     }
 
     /// [`Self::get_or_build_compiled`] plus whether the *template* was a
-    /// pool hit (compiled-form memoization is not separately counted).
-    fn get_or_build_compiled_inner(
-        &self,
-        datapath: &DatapathModel,
-        instr: &Instruction,
-    ) -> Option<(CachedRecipe, bool)> {
-        self.build_compiled(datapath, instr, true)
-    }
-
-    /// Shared body of the compiled-form getters; `count` selects whether
-    /// the template probe enters the pool's traffic counters.
+    /// pool hit (compiled-form memoization is not separately counted);
+    /// `count` selects whether the template probe enters the pool's
+    /// traffic counters.
     fn build_compiled(
         &self,
         datapath: &DatapathModel,
@@ -232,8 +226,8 @@ impl RecipePool {
     /// This is the conformance harness's fault-injection hook: preloading a
     /// deliberately corrupted recipe (built with
     /// [`pum_backend::Recipe::from_ops`]) makes every pooled MPU execute
-    /// the corrupted sequence on both the interpreted and compiled paths,
-    /// which the differential suite must then catch. Preload before any
+    /// the corrupted sequence on both the compiled and fused tiers, which
+    /// the differential suite must then catch. Preload before any
     /// simulation uses the pool.
     pub fn preload(&self, ctx: RecipeCtx, instr: &Instruction, recipe: Recipe) {
         let word = instr.encode();
@@ -270,13 +264,13 @@ fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 }
 
 /// Outcome of a [`RecipeCache::lookup`]: the architectural (per-MPU table)
-/// hit flag plus, when a miss consulted a shared [`RecipePool`], whether
-/// the pool already held the template.
+/// hit flag plus, when a miss consulted a caller-shared [`RecipePool`],
+/// whether the pool already held the template.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct LookupOutcome {
     /// Per-MPU table hit (the flag [`RecipeCache::lookup`] reports).
     pub hit: bool,
-    /// Pool-template outcome; `None` on a hit or without a pool.
+    /// Pool-template outcome; `None` on a hit or without a shared pool.
     pub pool: Option<bool>,
 }
 
@@ -289,7 +283,6 @@ pub(crate) struct LookupOutcome {
 pub(crate) struct CacheCheckpoint {
     entries: Vec<(u32, CachedRecipe, u64)>,
     ctx: Option<RecipeCtx>,
-    opt: OptStats,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -300,56 +293,56 @@ pub(crate) struct CacheCheckpoint {
 pub struct RecipeCache {
     capacity: usize,
     entries: HashMap<u32, (CachedRecipe, u64)>,
-    pool: Option<Arc<RecipePool>>,
+    /// The host-side memo every miss and every fusion resolves through:
+    /// the caller's shared pool, or a private one. Its memos are keyed by
+    /// synthesis context, so they never need flushing.
+    pool: Arc<RecipePool>,
+    /// True when `pool` was shared by the caller. Only then does a miss
+    /// report its pool outcome ([`LookupOutcome::pool`]).
+    shared: bool,
     /// Fused ensemble traces keyed by the encoded body. Host-side only —
     /// distinct from the architectural template table above: trace lookups
-    /// never advance the LRU clock or the hit/miss counters, exactly as a
-    /// shared [`RecipePool`] never does. Bodies per program are few, so
-    /// the memo is unbounded. `None` memoizes a body that failed to fuse.
+    /// never advance the LRU clock or the hit/miss counters, exactly as
+    /// the [`RecipePool`] never does. Bodies per program are few, so the
+    /// memo is unbounded. `None` memoizes a body that failed to fuse.
     traces: HashMap<Vec<u32>, Option<Arc<EnsembleTrace>>>,
-    /// Recipes synthesized as a by-product of pool-less fusion, kept so the
-    /// trace tier's replay probes (and later architectural misses) reuse
-    /// them instead of lowering the instruction a second time. Like a
-    /// shared [`RecipePool`], this is purely a host-side memo: miss
-    /// accounting and the LRU clock are unchanged.
-    synth_memo: HashMap<u32, CachedRecipe>,
     /// The synthesis context (logic family, temp registers, optimizer
     /// config) every cached entry was lowered under. The per-MPU table is
     /// keyed by instruction word alone, so if the owning datapath's
     /// context ever changes — e.g. the recipe optimizer is toggled against
-    /// a warm cache — the whole table (and both host-side memos) is
-    /// flushed rather than serving templates from the stale context.
+    /// a warm cache — the table and the trace memo are flushed rather than
+    /// serving templates from the stale context.
     ctx: Option<RecipeCtx>,
-    /// Optimizer attribution for pool-less synthesis performed by this
-    /// cache (pooled synthesis accumulates in [`PoolStats::opt`] instead).
-    opt: OptStats,
     tick: u64,
     hits: u64,
     misses: u64,
 }
 
 impl RecipeCache {
-    /// Creates a cache with room for `capacity` recipes (Table III: 1024).
+    /// Creates a cache with room for `capacity` recipes (Table III: 1024)
+    /// whose misses resolve through a private [`RecipePool`].
     pub fn new(capacity: usize) -> Self {
+        Self::build(capacity, Arc::new(RecipePool::new()), false)
+    }
+
+    /// Like [`Self::new`], but misses resolve through the shared `pool`.
+    /// Purely a host-side optimization — hit/miss accounting is unchanged.
+    pub fn with_pool(capacity: usize, pool: Arc<RecipePool>) -> Self {
+        Self::build(capacity, pool, true)
+    }
+
+    fn build(capacity: usize, pool: Arc<RecipePool>, shared: bool) -> Self {
         Self {
             capacity: capacity.max(1),
             entries: HashMap::new(),
-            pool: None,
+            pool,
+            shared,
             traces: HashMap::new(),
-            synth_memo: HashMap::new(),
             ctx: None,
-            opt: OptStats::default(),
             tick: 0,
             hits: 0,
             misses: 0,
         }
-    }
-
-    /// Attaches a shared synthesis pool; misses consult it before lowering
-    /// the instruction from scratch. Purely a host-side optimization —
-    /// hit/miss accounting is unchanged.
-    pub fn set_pool(&mut self, pool: Arc<RecipePool>) {
-        self.pool = Some(pool);
     }
 
     /// Looks up (or synthesizes, compiles, and caches) the recipe for
@@ -364,10 +357,7 @@ impl RecipeCache {
         Some((entry, outcome.hit))
     }
 
-    /// [`Self::lookup`] plus, on a per-MPU miss that consulted a shared
-    /// [`RecipePool`], whether the pool already had the template. Used by
-    /// the tracing layer; architectural accounting is identical.
-    /// Flushes every cached entry and host-side memo if `datapath`'s
+    /// Flushes every cached entry and the trace memo if `datapath`'s
     /// synthesis context differs from the one the cache was warmed under.
     /// Hit/miss counters and the LRU clock keep running — the flush models
     /// a table invalidation, not a fresh table.
@@ -377,12 +367,14 @@ impl RecipeCache {
             if self.ctx.is_some() {
                 self.entries.clear();
                 self.traces.clear();
-                self.synth_memo.clear();
             }
             self.ctx = Some(ctx);
         }
     }
 
+    /// [`Self::lookup`] plus, on a per-MPU miss that consulted a shared
+    /// [`RecipePool`], whether the pool already had the template. Used by
+    /// the tracing layer; architectural accounting is identical.
     pub(crate) fn lookup_traced(
         &mut self,
         datapath: &DatapathModel,
@@ -398,23 +390,8 @@ impl RecipeCache {
             self.hits += 1;
             return Some((entry.clone(), LookupOutcome { hit: true, pool: None }));
         }
-        let (entry, pool) = match &self.pool {
-            Some(pool) => {
-                let (entry, template_hit) = pool.get_or_build_compiled_inner(datapath, instr)?;
-                (entry, Some(template_hit))
-            }
-            None => match self.synth_memo.get(&key) {
-                Some(entry) => (entry.clone(), None),
-                None => {
-                    let (recipe, opt) = datapath.recipe_with_stats(instr)?;
-                    self.opt.merge(&opt);
-                    let recipe = Arc::new(recipe);
-                    let g = datapath.geometry();
-                    let compiled = Arc::new(recipe.compile(g.lanes_per_vrf, g.regs_per_vrf));
-                    (CachedRecipe { recipe, compiled }, None)
-                }
-            },
-        };
+        let (entry, template_hit) = self.pool.build_compiled(datapath, instr, true)?;
+        let pool = self.shared.then_some(template_hit);
         self.tick += 1;
         self.misses += 1;
         if self.entries.len() >= self.capacity {
@@ -428,12 +405,12 @@ impl RecipeCache {
     }
 
     /// Returns the fused [`EnsembleTrace`] for a straight-line ensemble
-    /// body, fusing (through the shared pool when attached) and memoizing
-    /// it on first use; `None` when the body cannot fuse. Host-side only:
-    /// never touches the architectural hit/miss/LRU state — the trace
-    /// tier still performs the real per-instruction [`Self::lookup_traced`]
-    /// probes while replaying, so template-table statistics are
-    /// bit-identical across execution tiers.
+    /// body, fusing (through the pool) and memoizing it on first use;
+    /// `None` when the body cannot fuse. Host-side only: never touches the
+    /// architectural hit/miss/LRU state — the trace tier still performs
+    /// the real per-instruction [`Self::lookup_traced`] probes while
+    /// replaying, so template-table statistics are bit-identical across
+    /// execution tiers.
     pub(crate) fn lookup_trace(
         &mut self,
         datapath: &DatapathModel,
@@ -444,52 +421,22 @@ impl RecipeCache {
         if let Some(memo) = self.traces.get(&words) {
             return memo.clone();
         }
-        let trace = match &self.pool {
-            Some(pool) => pool.get_or_fuse_trace(datapath, body),
-            None => {
-                let synth_memo = &mut self.synth_memo;
-                let opt_stats = &mut self.opt;
-                pum_backend::fuse_ensemble_with(datapath, body, |dp, instr| {
-                    let entry = match synth_memo.entry(instr.encode()) {
-                        std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                        std::collections::hash_map::Entry::Vacant(v) => {
-                            let (recipe, opt) = dp.recipe_with_stats(instr)?;
-                            opt_stats.merge(&opt);
-                            let recipe = Arc::new(recipe);
-                            let g = dp.geometry();
-                            let compiled =
-                                Arc::new(recipe.compile(g.lanes_per_vrf, g.regs_per_vrf));
-                            v.insert(CachedRecipe { recipe, compiled })
-                        }
-                    };
-                    Some((Arc::clone(&entry.recipe), Arc::clone(&entry.compiled)))
-                })
-                .map(Arc::new)
-            }
-        };
+        let trace = self.pool.get_or_fuse_trace(datapath, body);
         self.traces.insert(words, trace.clone());
         trace
     }
 
-    /// Optimizer attribution for pool-less synthesis this cache performed.
-    /// Zero whenever a shared pool is attached — pooled synthesis reports
-    /// through [`RecipePool::stats`] instead.
-    pub fn opt_stats(&self) -> OptStats {
-        self.opt
-    }
-
     /// Snapshots the *architectural* cache state: the template table with
     /// its LRU stamps, the synthesis context, and the hit/miss/clock
-    /// counters. The host-side memos (`traces`, `synth_memo`) are
+    /// counters. The host-side memos (`traces` and the pool) are
     /// deliberately excluded — they are invisible to the modeled hardware
-    /// and rebuild on demand — and so is the pool attachment, which stays
-    /// with the machine, not the checkpoint. Entries are `Arc`-shared, so
+    /// and rebuild on demand; the pool stays with the machine, not the
+    /// checkpoint. Entries are `Arc`-shared, so
     /// a snapshot is cheap.
     pub(crate) fn checkpoint(&self) -> CacheCheckpoint {
         CacheCheckpoint {
             entries: self.entries.iter().map(|(&k, (e, s))| (k, e.clone(), *s)).collect(),
             ctx: self.ctx,
-            opt: self.opt,
             tick: self.tick,
             hits: self.hits,
             misses: self.misses,
@@ -500,17 +447,15 @@ impl RecipeCache {
     /// A machine resumed from a checkpoint must replay the same hit/miss
     /// stream (and thus the same miss-penalty cycles) an uninterrupted run
     /// would have seen, so the table contents, LRU stamps, and counters
-    /// all come back; capacity and any attached pool are left as-is.
+    /// all come back; capacity and the pool are left as-is.
     pub(crate) fn restore_checkpoint(&mut self, cp: &CacheCheckpoint) {
         self.entries = cp.entries.iter().map(|(k, e, s)| (*k, (e.clone(), *s))).collect();
         if self.ctx != cp.ctx {
-            // Host-side memos warmed under a different synthesis context
+            // A trace memo warmed under a different synthesis context
             // must not survive the restore.
             self.traces.clear();
-            self.synth_memo.clear();
         }
         self.ctx = cp.ctx;
-        self.opt = cp.opt;
         self.tick = cp.tick;
         self.hits = cp.hits;
         self.misses = cp.misses;
@@ -658,8 +603,7 @@ mod tests {
         let dp = DatapathModel::racer();
         let pool = Arc::new(RecipePool::new());
 
-        let mut pooled = RecipeCache::new(4);
-        pooled.set_pool(Arc::clone(&pool));
+        let mut pooled = RecipeCache::with_pool(4, Arc::clone(&pool));
         let mut plain = RecipeCache::new(4);
 
         let (pr, ph) = pooled.lookup(&dp, &add(2)).unwrap();
@@ -670,8 +614,7 @@ mod tests {
 
         // A second cache on the same pool reuses the memo but still counts
         // its own (hardware) miss.
-        let mut second = RecipeCache::new(4);
-        second.set_pool(Arc::clone(&pool));
+        let mut second = RecipeCache::with_pool(4, Arc::clone(&pool));
         let (_, hit) = second.lookup(&dp, &add(2)).unwrap();
         assert!(!hit, "per-MPU miss is charged even on a pool hit");
         assert_eq!(pool.len(), 1, "no duplicate pool entries");
@@ -757,29 +700,10 @@ mod tests {
     }
 
     #[test]
-    fn pool_less_cache_accumulates_opt_stats() {
-        let dp = DatapathModel::racer();
-        let mut cache = RecipeCache::new(4);
-        cache.lookup(&dp, &add(2)).unwrap();
-        cache.lookup(&dp, &add(2)).unwrap();
-        let s = cache.opt_stats();
-        assert!(s.saved_uops() > 0, "pool-less synthesis reports optimizer savings");
-
-        // With a pool attached, attribution flows to the pool instead.
-        let pool = Arc::new(RecipePool::new());
-        let mut pooled = RecipeCache::new(4);
-        pooled.set_pool(Arc::clone(&pool));
-        pooled.lookup(&dp, &add(3)).unwrap();
-        assert_eq!(pooled.opt_stats(), OptStats::default());
-        assert!(pool.stats().opt.saved_uops() > 0);
-    }
-
-    #[test]
     fn traced_lookup_reports_pool_outcome() {
         let dp = DatapathModel::racer();
         let pool = Arc::new(RecipePool::new());
-        let mut first = RecipeCache::new(4);
-        first.set_pool(Arc::clone(&pool));
+        let mut first = RecipeCache::with_pool(4, Arc::clone(&pool));
 
         let (_, o) = first.lookup_traced(&dp, &add(2)).unwrap();
         assert_eq!(o, LookupOutcome { hit: false, pool: Some(false) });
@@ -787,12 +711,11 @@ mod tests {
         assert_eq!(o, LookupOutcome { hit: true, pool: None });
 
         // A second MPU on the same pool misses locally but hits the memo.
-        let mut second = RecipeCache::new(4);
-        second.set_pool(Arc::clone(&pool));
+        let mut second = RecipeCache::with_pool(4, Arc::clone(&pool));
         let (_, o) = second.lookup_traced(&dp, &add(2)).unwrap();
         assert_eq!(o, LookupOutcome { hit: false, pool: Some(true) });
 
-        // Without a pool there is no pool outcome to report.
+        // A private pool's outcome is not reported.
         let mut plain = RecipeCache::new(4);
         let (_, o) = plain.lookup_traced(&dp, &add(2)).unwrap();
         assert_eq!(o, LookupOutcome { hit: false, pool: None });
@@ -807,8 +730,7 @@ mod tests {
                 let pool = Arc::clone(&pool);
                 let dp = dp.clone();
                 s.spawn(move || {
-                    let mut cache = RecipeCache::new(8);
-                    cache.set_pool(pool);
+                    let mut cache = RecipeCache::with_pool(8, pool);
                     for rd in 2..6 {
                         cache.lookup(&dp, &add(rd)).unwrap();
                     }

@@ -9,10 +9,12 @@
 use crate::config::SimConfig;
 use crate::machine::{Message, Mpu, SimError, StepEvent};
 use crate::noc::MeshNoc;
+use crate::recipe_cache::RecipePool;
 use crate::stats::Stats;
 use crate::trace::{EventLog, TraceKind};
 use mpu_isa::{MpuId, Program};
 use pum_backend::fault::{rate_to_threshold, FaultPrng};
+use std::sync::Arc;
 
 /// Seeded drop/corruption state for the NoC (its own PRNG stream, derived
 /// from the chip's fault seed so it is independent of every VRF's).
@@ -91,6 +93,21 @@ impl System {
     ///
     /// Panics if `count` is zero or exceeds the chip's MPU budget.
     pub fn new(config: SimConfig, count: usize) -> Self {
+        Self::build(config, count, None)
+    }
+
+    /// Like [`System::new`], but every MPU shares `pool` for host-side
+    /// recipe synthesis (statistics are unaffected; see
+    /// [`crate::RecipePool`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count` is zero or exceeds the chip's MPU budget.
+    pub fn new_pooled(config: SimConfig, count: usize, pool: &Arc<RecipePool>) -> Self {
+        Self::build(config, count, Some(pool))
+    }
+
+    fn build(config: SimConfig, count: usize, pool: Option<&Arc<RecipePool>>) -> Self {
         assert!(count > 0, "a system needs at least one MPU");
         let budget = config.datapath.geometry().mpus_per_chip;
         assert!(count <= budget, "{count} MPUs exceed the iso-area chip budget of {budget}");
@@ -102,27 +119,16 @@ impl System {
             retry: config.recovery.noc_retry,
             max_retries: config.recovery.max_retries,
         });
-        let mpus = (0..count).map(|i| Mpu::new(config.clone(), MpuId(i as u16))).collect();
+        let mpus = (0..count)
+            .map(|i| {
+                let (config, id) = (config.clone(), MpuId(i as u16));
+                match pool {
+                    Some(pool) => Mpu::with_pool(config, id, Arc::clone(pool)),
+                    None => Mpu::new(config, id),
+                }
+            })
+            .collect();
         Self { mpus, programs: vec![Program::new(); count], noc, noc_faults }
-    }
-
-    /// Like [`System::new`], but every MPU shares `pool` for host-side
-    /// recipe synthesis (statistics are unaffected; see
-    /// [`crate::RecipePool`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count` is zero or exceeds the chip's MPU budget.
-    pub fn new_pooled(
-        config: SimConfig,
-        count: usize,
-        pool: &std::sync::Arc<crate::RecipePool>,
-    ) -> Self {
-        let mut system = Self::new(config, count);
-        for mpu in &mut system.mpus {
-            mpu.set_recipe_pool(std::sync::Arc::clone(pool));
-        }
-        system
     }
 
     /// Number of MPUs.

@@ -134,7 +134,8 @@ pub enum TraceKind {
         /// Architectural (per-MPU table) hit.
         hit: bool,
         /// Host-side [`crate::RecipePool`] template outcome, when a miss
-        /// consulted a shared pool (`None` without a pool or on a hit).
+        /// consulted a shared pool (`None` without a shared pool or on a
+        /// hit).
         pool: Option<bool>,
     },
     /// The playback buffer refilled (body longer than the buffer).

@@ -2,8 +2,8 @@
 //! on multi-MPU (NoC) runs, and Chrome trace-event export validity.
 
 use mastodon::{
-    chrome_trace_json, EventLog, FaultConfig, Profile, Redundancy, SimConfig, Stats, System,
-    TraceEvent, TraceKind, NOC_TID,
+    chrome_trace_json, run_single_traced, EventLog, FaultConfig, Profile, Redundancy, SimConfig,
+    Stats, System, TraceEvent, TraceKind, NOC_TID,
 };
 use microjson::Value;
 use mpu_isa::Program;
@@ -73,6 +73,31 @@ fn profile_conserves_noc_and_fault_charges() {
         );
     }
     assert_eq!(profile.merged(), stats, "merged profile must equal System::run stats");
+}
+
+#[test]
+fn profile_conserves_scheduler_waves_across_checkpoint_restarts() {
+    // Two VRFs on one RFH form two waves; DMR with no retries escalates
+    // every detected fault, and each escalation restarts the ensemble
+    // from its checkpoint, often before the second wave starts. The fold
+    // must charge only the waves each attempt actually replayed.
+    let body = "ADD r0 r1 r2\nADD r2 r1 r2\n".repeat(8);
+    let program = Program::parse_asm(&format!("COMPUTE h0 v0\nCOMPUTE h0 v1\n{body}COMPUTE_DONE"))
+        .expect("asm");
+    let mut config = SimConfig::mpu(DatapathKind::Racer);
+    config.fault = FaultConfig { seed: Some(27), transient_rate: 3e-4, ..Default::default() };
+    config.recovery.redundancy = Redundancy::Dmr;
+    config.recovery.max_retries = 0;
+    config.recovery.checkpoint_restart = true;
+    config.recovery.max_restarts = 64;
+    let inputs = [((0, 0, 0), vec![5; 64]), ((0, 0, 1), vec![9; 64])];
+    let log = EventLog::new();
+    let (stats, _) =
+        run_single_traced(config, &program, &inputs, None, Some(Box::new(log.clone())))
+            .expect("restarts recover the run");
+    assert!(stats.faults.ensemble_restarts > 0, "the run must exercise restarts");
+    let profile = Profile::build(&log.take());
+    assert_eq!(profile.mpus[0].totals, stats, "profile totals must reproduce Stats exactly");
 }
 
 #[test]
