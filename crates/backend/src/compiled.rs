@@ -1,4 +1,5 @@
-//! Pre-compiled recipes: micro-op sequences with plane addresses resolved.
+//! Pre-compiled recipes: micro-op sequences with plane addresses resolved
+//! and gate functions decoded.
 //!
 //! [`MicroOp::apply`] re-resolves every `Plane` operand — a match plus
 //! bounds asserts — on every application, and a 32-bit MUL replays ~19k
@@ -9,38 +10,187 @@
 //! and cached alongside the recipe in the simulator's recipe cache/pool,
 //! so the steady-state execution loop is pure word arithmetic.
 //!
-//! Compilation is purely an address-resolution step: a compiled recipe
-//! executes the *same* plane writes in the same order as interpreting the
-//! micro-ops, so results are byte-identical (differential tests in
-//! `tests/inplace_differential.rs` enforce this).
+//! Compilation also gives every single-output micro-op one form: a gate
+//! computing a named word function ([`LutFn`]) of at most three operands.
+//! Fixed-function ops (NOR, TRA, COPY, ...) name their function directly;
+//! a pLUTo LUT query is decoded from its truth table once, here, the way
+//! the paper's I2M decoder resolves an instruction to its template once.
+//! Constant and repeated operands are folded into the table, inputs the
+//! table ignores are dropped, and what remains is matched against a closed
+//! set of named functions (`nor`, `maj`, `mux`, ...). A LUT-family 2-input
+//! gate, whose third input is tied to `Const(false)`, thus runs as one
+//! two-operand word loop; only tables outside the set keep the
+//! branch-free [`lut3_word`] evaluation. Execution dispatches on the
+//! function once per op, outside the word loop.
+//!
+//! Compilation changes no plane write: a compiled recipe executes the
+//! *same* plane writes, with the same fault-site draws, in the same order
+//! as interpreting the micro-ops, so results are byte-identical
+//! (differential tests in `tests/inplace_differential.rs` and the
+//! exhaustive decode test below enforce this).
 
 use crate::bitplane::{BitPlaneVrf, Plane, SCRATCH_PLANES};
 use crate::microop::{lut3_word, MicroOp, MicroOpKind};
 use crate::DATA_BITS;
 use mpu_isa::Instruction;
 
-/// Two-input boolean function of a compiled micro-op.
+/// The word function of a compiled gate, decoded from its truth table
+/// (see [`decode`]). Functions of one input read `a`, of two `a` and `b`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Func2 {
-    /// `!(a | b)` (ReRAM NOR).
-    Nor,
-    /// `!a` (input duplicated on both ports).
-    NotA,
+pub(crate) enum LutFn {
+    /// The constant `0` or `1` (reads nothing).
+    Const(bool),
+    /// `a`.
+    Copy,
+    /// `!a`.
+    Not,
     /// `a & b`.
     And,
     /// `a | b`.
     Or,
     /// `a ^ b`.
     Xor,
+    /// `!(a | b)`.
+    Nor,
+    /// `!(a & b)`.
+    Nand,
+    /// `!(a ^ b)`.
+    Xnor,
+    /// `a & !b`.
+    AndNot,
+    /// `a | !b`.
+    OrNot,
+    /// `maj(a, b, c)` (table `0xe8`).
+    Maj,
+    /// `a ^ b ^ c` (table `0x96`).
+    Xor3,
+    /// `a ? b : c` (table `0xd8`).
+    Mux,
+    /// Any other function of three distinct inputs, evaluated by the
+    /// branch-free [`lut3_word`].
+    Table(u8),
+}
+
+/// The named word functions as truth tables over the operand slots
+/// `(a, b, c)` (bit `i` is the output for `a | b<<1 | c<<2`); a function
+/// of fewer inputs ignores the trailing slots. Every function of at most
+/// two inputs is named.
+const NAMED: [(u8, LutFn); 15] = [
+    (0x00, LutFn::Const(false)),
+    (0xff, LutFn::Const(true)),
+    (0xaa, LutFn::Copy),
+    (0x55, LutFn::Not),
+    (0x88, LutFn::And),
+    (0xee, LutFn::Or),
+    (0x66, LutFn::Xor),
+    (0x11, LutFn::Nor),
+    (0x77, LutFn::Nand),
+    (0x99, LutFn::Xnor),
+    (0x22, LutFn::AndNot),
+    (0xbb, LutFn::OrNot),
+    (0xe8, LutFn::Maj),
+    (0x96, LutFn::Xor3),
+    (0xd8, LutFn::Mux),
+];
+
+/// Per operand slot, the truth-table entries whose index has its bit set.
+const SLOT: [u8; 3] = [0xaa, 0xcc, 0xf0];
+
+/// Operand slot orders tried when naming a table: slot `i` of the
+/// permuted table is slot `perm[i]` of the original.
+const PERMS: [[usize; 3]; 6] = [[0, 1, 2], [1, 0, 2], [0, 2, 1], [2, 0, 1], [1, 2, 0], [2, 1, 0]];
+
+/// `table` with slot `i`'s input fixed to `value`; slot `i` is dead after.
+const fn fix(table: u8, i: usize, value: bool) -> u8 {
+    let s = 1 << i;
+    if value {
+        let one = table & SLOT[i];
+        one | one >> s
+    } else {
+        let zero = table & !SLOT[i];
+        zero | zero << s
+    }
+}
+
+/// `table` with slot `j`'s input tied to slot `i`'s; slot `j` is dead after.
+const fn tie(table: u8, i: usize, j: usize) -> u8 {
+    // Keep the entries where both inputs agree, copied across slot `j`.
+    let agree = table & !(SLOT[i] ^ SLOT[j]);
+    let s = 1 << j;
+    agree | (agree & !SLOT[i]) << s | (agree & SLOT[i]) >> s
+}
+
+/// `table` with its slots permuted by `perm` (see [`PERMS`]).
+const fn permute(table: u8, perm: [usize; 3]) -> u8 {
+    let mut out = 0;
+    let mut j = 0;
+    while j < 8 {
+        let idx = (j & 1) << perm[0] | (j >> 1 & 1) << perm[1] | (j >> 2 & 1) << perm[2];
+        out |= (table >> idx & 1) << j;
+        j += 1;
+    }
+    out
+}
+
+/// Every truth table's name, with the index into [`PERMS`] of the first
+/// slot order under which it has that name — or [`LutFn::Table`] in the
+/// identity order when it has none. Evaluated when the crate is built.
+static CLASSES: [(LutFn, u8); 256] = {
+    let mut classes = [(LutFn::Const(false), 0); 256];
+    let mut t = 0;
+    while t < 256 {
+        classes[t] = (LutFn::Table(t as u8), 0);
+        // Search backwards so that the first matching order wins.
+        let mut p = PERMS.len();
+        while p > 0 {
+            p -= 1;
+            let permuted = permute(t as u8, PERMS[p]);
+            let mut n = 0;
+            while n < NAMED.len() {
+                if NAMED[n].0 == permuted {
+                    classes[t] = (NAMED[n].1, p as u8);
+                }
+                n += 1;
+            }
+        }
+        t += 1;
+    }
+    classes
+};
+
+/// Decodes the 3-input truth table `table` over the planes `ins` into the
+/// word function it computes and, per operand slot of that function, the
+/// index into `ins` it reads (slots past the function's inputs are never
+/// read).
+///
+/// Constant operands and repeats of an earlier operand are first folded
+/// into the table, leaving their slots dead. Naming the folded table
+/// ([`CLASSES`]) then reduces it to its support: a table with dead slots
+/// equals a named function of fewer inputs once its live slots are
+/// permuted to the front. A table over three distinct live inputs with no
+/// name stays a [`LutFn::Table`] in operand order.
+#[inline]
+pub(crate) fn decode(table: u8, ins: [Plane; 3]) -> (LutFn, [usize; 3]) {
+    let mut t = table;
+    for (i, p) in ins.into_iter().enumerate() {
+        if let Plane::Const(value) = p {
+            t = fix(t, i, value);
+        } else if let Some(k) = ins[..i].iter().position(|&q| q == p) {
+            t = tie(t, k, i);
+        }
+    }
+    let (func, perm) = CLASSES[usize::from(t)];
+    (func, PERMS[usize::from(perm)])
 }
 
 /// One micro-op with operands resolved to word offsets into VRF storage.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum CompiledOp {
-    /// Two-input plane op: `out = func(a, b)`.
-    Op2 { func: Func2, a: u32, b: u32, out: u32, masked: bool },
-    /// Majority vote: `out = maj(a, b, c)` (DRAM TRA).
-    Maj { a: u32, b: u32, c: u32, out: u32, masked: bool },
+    /// Any single-output plane op — NOR, TRA, NOT, AND, OR, XOR, COPY,
+    /// SET or a LUT query — as `out = func(a, b, c)`; operands the function
+    /// does not read hold any valid offset. `kind` is the source micro-op's
+    /// kind, which alone selects the fault-site draw.
+    Gate { kind: MicroOpKind, func: LutFn, a: u32, b: u32, c: u32, out: u32, masked: bool },
     /// CMOS full adder; `latch` is the reserved scratch plane staging the
     /// sum so the carry-in can be read before the carry plane is
     /// overwritten — the exact plane-write sequence of the interpreter.
@@ -53,12 +203,6 @@ pub(crate) enum CompiledOp {
         carry_masked: bool,
         sum_masked: bool,
     },
-    /// Row copy: `out = a`.
-    Copy { a: u32, out: u32, masked: bool },
-    /// Constant preset: `out = value`.
-    Fill { out: u32, masked: bool, value: bool },
-    /// pLUTo LUT query: `out = table[a | b<<1 | c<<2]` per lane.
-    Lut { a: u32, b: u32, c: u32, out: u32, table: u8, masked: bool },
     /// Word-serial instruction (UPMEM-style DPU). Operands stay symbolic:
     /// execution reads whole registers through the VRF's transpose path,
     /// so there is nothing to pre-resolve — and the fast word loop cannot
@@ -157,103 +301,147 @@ pub(crate) fn compile(ops: &[MicroOp], lanes: usize, regs: usize) -> CompiledRec
     let layout = Layout { regs, words: lanes.div_ceil(64) };
     let latch = layout.base(Plane::Scratch(SCRATCH_PLANES as u16 - 1));
     let mut mix = [0u32; MicroOpKind::ALL.len()];
-    for op in ops {
-        mix[op.kind().index()] += 1;
-    }
+    // Fills operand slots a function does not read.
+    const F: Plane = Plane::Const(false);
     let compiled = ops
         .iter()
-        .map(|op| match *op {
-            MicroOp::Nor { a, b, out } => {
-                let (out, masked) = layout.out(out);
-                CompiledOp::Op2 {
-                    func: Func2::Nor,
-                    a: layout.base(a),
-                    b: layout.base(b),
-                    out,
-                    masked,
+        .map(|op| {
+            let kind = op.kind();
+            mix[kind.index()] += 1;
+            let (func, ins, out) = match *op {
+                MicroOp::Nor { a, b, out } => (LutFn::Nor, [a, b, F], out),
+                MicroOp::Not { a, out } => (LutFn::Not, [a, F, F], out),
+                MicroOp::And { a, b, out } => (LutFn::And, [a, b, F], out),
+                MicroOp::Or { a, b, out } => (LutFn::Or, [a, b, F], out),
+                MicroOp::Xor { a, b, out } => (LutFn::Xor, [a, b, F], out),
+                MicroOp::Tra { a, b, c, out } => (LutFn::Maj, [a, b, c], out),
+                MicroOp::Copy { a, out } => (LutFn::Copy, [a, F, F], out),
+                MicroOp::Set { out, value } => (LutFn::Const(value), [F; 3], out),
+                MicroOp::Lut { a, b, c, out, table } => {
+                    // The slots permute the operands, so each is still
+                    // resolved below and an out-of-range plane panics as it
+                    // does in `apply`.
+                    let ins = [a, b, c];
+                    let (func, slots) = decode(table, ins);
+                    (func, slots.map(|k| ins[k]), out)
                 }
-            }
-            MicroOp::Not { a, out } => {
-                let (out, masked) = layout.out(out);
-                let a = layout.base(a);
-                CompiledOp::Op2 { func: Func2::NotA, a, b: a, out, masked }
-            }
-            MicroOp::And { a, b, out } => {
-                let (out, masked) = layout.out(out);
-                CompiledOp::Op2 {
-                    func: Func2::And,
-                    a: layout.base(a),
-                    b: layout.base(b),
-                    out,
-                    masked,
+                MicroOp::FullAdd { a, b, carry, sum } => {
+                    let (carry, carry_masked) = layout.out(carry);
+                    let (sum, sum_masked) = layout.out(sum);
+                    return CompiledOp::FullAdd {
+                        a: layout.base(a),
+                        b: layout.base(b),
+                        carry,
+                        sum,
+                        latch,
+                        carry_masked,
+                        sum_masked,
+                    };
                 }
-            }
-            MicroOp::Or { a, b, out } => {
-                let (out, masked) = layout.out(out);
-                CompiledOp::Op2 {
-                    func: Func2::Or,
-                    a: layout.base(a),
-                    b: layout.base(b),
-                    out,
-                    masked,
-                }
-            }
-            MicroOp::Xor { a, b, out } => {
-                let (out, masked) = layout.out(out);
-                CompiledOp::Op2 {
-                    func: Func2::Xor,
-                    a: layout.base(a),
-                    b: layout.base(b),
-                    out,
-                    masked,
-                }
-            }
-            MicroOp::Tra { a, b, c, out } => {
-                let (out, masked) = layout.out(out);
-                CompiledOp::Maj {
-                    a: layout.base(a),
-                    b: layout.base(b),
-                    c: layout.base(c),
-                    out,
-                    masked,
-                }
-            }
-            MicroOp::FullAdd { a, b, carry, sum } => {
-                let (carry, carry_masked) = layout.out(carry);
-                let (sum, sum_masked) = layout.out(sum);
-                CompiledOp::FullAdd {
-                    a: layout.base(a),
-                    b: layout.base(b),
-                    carry,
-                    sum,
-                    latch,
-                    carry_masked,
-                    sum_masked,
-                }
-            }
-            MicroOp::Copy { a, out } => {
-                let (out, masked) = layout.out(out);
-                CompiledOp::Copy { a: layout.base(a), out, masked }
-            }
-            MicroOp::Set { out, value } => {
-                let (out, masked) = layout.out(out);
-                CompiledOp::Fill { out, masked, value }
-            }
-            MicroOp::Lut { a, b, c, out, table } => {
-                let (out, masked) = layout.out(out);
-                CompiledOp::Lut {
-                    a: layout.base(a),
-                    b: layout.base(b),
-                    c: layout.base(c),
-                    out,
-                    table,
-                    masked,
-                }
-            }
-            MicroOp::Word { instr } => CompiledOp::Word { instr },
+                MicroOp::Word { instr } => return CompiledOp::Word { instr },
+            };
+            let [a, b, c] = ins.map(|p| layout.base(p));
+            let (out, masked) = layout.out(out);
+            CompiledOp::Gate { kind, func, a, b, c, out, masked }
         })
         .collect();
     CompiledRecipe { ops: compiled, lanes, regs, mix }
+}
+
+/// The pointwise word loops decoded ops run on: the VRF itself, with its
+/// post-write bookkeeping, for [`run_ops`]; bare storage for
+/// [`run_ops_fast`]. Operands are word offsets into VRF storage, and
+/// aliasing between `out` and any input is safe (every loop is pointwise
+/// per word).
+trait WordLoops {
+    fn op2(&mut self, a: usize, b: usize, out: usize, masked: bool, f: impl Fn(u64, u64) -> u64);
+    fn op3(
+        &mut self,
+        a: usize,
+        b: usize,
+        c: usize,
+        out: usize,
+        masked: bool,
+        f: impl Fn(u64, u64, u64) -> u64,
+    );
+    fn copy(&mut self, a: usize, out: usize, masked: bool);
+    fn fill(&mut self, out: usize, masked: bool, value: bool);
+}
+
+impl WordLoops for BitPlaneVrf {
+    #[inline(always)]
+    fn op2(&mut self, a: usize, b: usize, out: usize, masked: bool, f: impl Fn(u64, u64) -> u64) {
+        BitPlaneVrf::op2(self, a, b, out, masked, f)
+    }
+
+    #[inline(always)]
+    fn op3(
+        &mut self,
+        a: usize,
+        b: usize,
+        c: usize,
+        out: usize,
+        masked: bool,
+        f: impl Fn(u64, u64, u64) -> u64,
+    ) {
+        BitPlaneVrf::op3(self, a, b, c, out, masked, f)
+    }
+
+    #[inline(always)]
+    fn copy(&mut self, a: usize, out: usize, masked: bool) {
+        self.copy_op(a, out, masked)
+    }
+
+    #[inline(always)]
+    fn fill(&mut self, out: usize, masked: bool, value: bool) {
+        self.fill_op(out, masked, value)
+    }
+}
+
+/// Runs one decoded gate: the match on `func` happens once per op, and
+/// each arm's word loop is monomorphized over its constant function.
+#[inline(always)]
+fn run_gate(l: &mut impl WordLoops, func: LutFn, [a, b, c]: [u32; 3], out: u32, masked: bool) {
+    let (a, b, c, out) = (a as usize, b as usize, c as usize, out as usize);
+    match func {
+        LutFn::Const(value) => l.fill(out, masked, value),
+        LutFn::Copy => l.copy(a, out, masked),
+        LutFn::Not => l.op2(a, a, out, masked, |x, _| !x),
+        LutFn::And => l.op2(a, b, out, masked, |x, y| x & y),
+        LutFn::Or => l.op2(a, b, out, masked, |x, y| x | y),
+        LutFn::Xor => l.op2(a, b, out, masked, |x, y| x ^ y),
+        LutFn::Nor => l.op2(a, b, out, masked, |x, y| !(x | y)),
+        LutFn::Nand => l.op2(a, b, out, masked, |x, y| !(x & y)),
+        LutFn::Xnor => l.op2(a, b, out, masked, |x, y| !(x ^ y)),
+        LutFn::AndNot => l.op2(a, b, out, masked, |x, y| x & !y),
+        LutFn::OrNot => l.op2(a, b, out, masked, |x, y| x | !y),
+        LutFn::Maj => l.op3(a, b, c, out, masked, |x, y, z| (x & y) | (y & z) | (x & z)),
+        LutFn::Xor3 => l.op3(a, b, c, out, masked, |x, y, z| x ^ y ^ z),
+        LutFn::Mux => l.op3(a, b, c, out, masked, |x, y, z| (x & y) | (!x & z)),
+        LutFn::Table(t) => l.op3(a, b, c, out, masked, |x, y, z| lut3_word(t, x, y, z)),
+    }
+}
+
+/// Runs a full adder: the same three plane writes, in the same order, as
+/// the interpreted FULLADD — stage the sum, update the carry, then land
+/// the sum.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn run_full_add(
+    l: &mut impl WordLoops,
+    a: u32,
+    b: u32,
+    carry: u32,
+    sum: u32,
+    latch: u32,
+    carry_masked: bool,
+    sum_masked: bool,
+) {
+    let (a, b, carry, sum, latch) =
+        (a as usize, b as usize, carry as usize, sum as usize, latch as usize);
+    l.op3(a, b, carry, latch, false, |x, y, z| x ^ y ^ z);
+    l.op3(a, b, carry, carry, carry_masked, |x, y, z| (x & y) | (y & z) | (x & z));
+    l.copy(latch, sum, sum_masked);
 }
 
 /// Executes a compiled recipe over a VRF's flat storage. Called through
@@ -277,76 +465,16 @@ pub(crate) fn run_ops(vrf: &mut BitPlaneVrf, ops: &[CompiledOp]) {
         // sequence `MicroOp::apply` draws, so both paths stay
         // byte-identical under injection.
         match *op {
-            CompiledOp::Op2 { func, a, b, out, masked } => {
-                let (a, b, out, masked) = (a as usize, b as usize, out as usize, masked && me);
-                match func {
-                    Func2::Nor => vrf.op2(a, b, out, masked, |x, y| !(x | y)),
-                    Func2::NotA => vrf.op2(a, b, out, masked, |x, _| !x),
-                    Func2::And => vrf.op2(a, b, out, masked, |x, y| x & y),
-                    Func2::Or => vrf.op2(a, b, out, masked, |x, y| x | y),
-                    Func2::Xor => vrf.op2(a, b, out, masked, |x, y| x ^ y),
-                }
+            CompiledOp::Gate { kind, func, a, b, c, out, masked } => {
+                run_gate(vrf, func, [a, b, c], out, masked && me);
                 if inject {
-                    let kind = match func {
-                        Func2::Nor => MicroOpKind::Nor,
-                        Func2::NotA => MicroOpKind::Not,
-                        Func2::And => MicroOpKind::And,
-                        Func2::Or => MicroOpKind::Or,
-                        Func2::Xor => MicroOpKind::Xor,
-                    };
-                    vrf.post_op_at(kind, out);
-                }
-            }
-            CompiledOp::Maj { a, b, c, out, masked } => {
-                vrf.op3(
-                    a as usize,
-                    b as usize,
-                    c as usize,
-                    out as usize,
-                    masked && me,
-                    |x, y, z| (x & y) | (y & z) | (x & z),
-                );
-                if inject {
-                    vrf.post_op_at(MicroOpKind::Tra, out as usize);
+                    vrf.post_op_at(kind, out as usize);
                 }
             }
             CompiledOp::FullAdd { a, b, carry, sum, latch, carry_masked, sum_masked } => {
-                let (a, b, carry) = (a as usize, b as usize, carry as usize);
-                // Same three plane writes, in the same order, as the
-                // interpreted FullAdd: stage the sum, update the carry,
-                // then land the sum.
-                vrf.op3(a, b, carry, latch as usize, false, |x, y, z| x ^ y ^ z);
-                vrf.op3(a, b, carry, carry, carry_masked && me, |x, y, z| {
-                    (x & y) | (y & z) | (x & z)
-                });
-                vrf.copy_op(latch as usize, sum as usize, sum_masked && me);
+                run_full_add(vrf, a, b, carry, sum, latch, carry_masked && me, sum_masked && me);
                 if inject {
                     vrf.post_op_at(MicroOpKind::FullAdd, sum as usize);
-                }
-            }
-            CompiledOp::Copy { a, out, masked } => {
-                vrf.copy_op(a as usize, out as usize, masked && me);
-                if inject {
-                    vrf.post_op_at(MicroOpKind::Copy, out as usize);
-                }
-            }
-            CompiledOp::Fill { out, masked, value } => {
-                vrf.fill_op(out as usize, masked && me, value);
-                if inject {
-                    vrf.post_op_at(MicroOpKind::Set, out as usize);
-                }
-            }
-            CompiledOp::Lut { a, b, c, out, table, masked } => {
-                vrf.op3(
-                    a as usize,
-                    b as usize,
-                    c as usize,
-                    out as usize,
-                    masked && me,
-                    |x, y, z| lut3_word(table, x, y, z),
-                );
-                if inject {
-                    vrf.post_op_at(MicroOpKind::Lut, out as usize);
                 }
             }
             CompiledOp::Word { instr } => {
@@ -360,55 +488,60 @@ pub(crate) fn run_ops(vrf: &mut BitPlaneVrf, ops: &[CompiledOp]) {
     }
 }
 
-/// Pointwise two-input word loop without post-write bookkeeping.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn op2_fast(
-    st: &mut [u64],
+/// Bare VRF storage: the word loops of [`run_ops_fast`], with every
+/// post-write bookkeeping step statically discharged.
+struct FastLoops<'a> {
+    st: &'a mut [u64],
     words: usize,
     mask: usize,
-    a: usize,
-    b: usize,
-    out: usize,
-    masked: bool,
-    f: impl Fn(u64, u64) -> u64,
-) {
-    if masked {
-        for w in 0..words {
-            let new = f(st[a + w], st[b + w]);
-            let m = st[mask + w];
-            st[out + w] = (new & m) | (st[out + w] & !m);
-        }
-    } else {
-        for w in 0..words {
-            st[out + w] = f(st[a + w], st[b + w]);
-        }
-    }
 }
 
-/// Pointwise three-input word loop without post-write bookkeeping.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn op3_fast(
-    st: &mut [u64],
-    words: usize,
-    mask: usize,
-    a: usize,
-    b: usize,
-    c: usize,
-    out: usize,
-    masked: bool,
-    f: impl Fn(u64, u64, u64) -> u64,
-) {
-    if masked {
-        for w in 0..words {
-            let new = f(st[a + w], st[b + w], st[c + w]);
-            let m = st[mask + w];
-            st[out + w] = (new & m) | (st[out + w] & !m);
+impl WordLoops for FastLoops<'_> {
+    #[inline(always)]
+    fn op2(&mut self, a: usize, b: usize, out: usize, masked: bool, f: impl Fn(u64, u64) -> u64) {
+        self.op3(a, b, b, out, masked, |x, y, _| f(x, y));
+    }
+
+    #[inline(always)]
+    fn op3(
+        &mut self,
+        a: usize,
+        b: usize,
+        c: usize,
+        out: usize,
+        masked: bool,
+        f: impl Fn(u64, u64, u64) -> u64,
+    ) {
+        let (st, mask) = (&mut *self.st, self.mask);
+        if masked {
+            for w in 0..self.words {
+                let new = f(st[a + w], st[b + w], st[c + w]);
+                let m = st[mask + w];
+                st[out + w] = (new & m) | (st[out + w] & !m);
+            }
+        } else {
+            for w in 0..self.words {
+                st[out + w] = f(st[a + w], st[b + w], st[c + w]);
+            }
         }
-    } else {
-        for w in 0..words {
-            st[out + w] = f(st[a + w], st[b + w], st[c + w]);
+    }
+
+    #[inline(always)]
+    fn copy(&mut self, a: usize, out: usize, masked: bool) {
+        if masked {
+            self.op2(a, a, out, true, |x, _| x);
+        } else if a != out {
+            self.st.copy_within(a..a + self.words, out);
+        }
+    }
+
+    #[inline(always)]
+    fn fill(&mut self, out: usize, masked: bool, value: bool) {
+        let word = if value { !0u64 } else { 0u64 };
+        if masked {
+            self.op2(out, out, out, true, |_, _| word);
+        } else {
+            self.st[out..out + self.words].fill(word);
         }
     }
 }
@@ -439,69 +572,21 @@ pub(crate) fn run_ops_fast(vrf: &mut BitPlaneVrf, ops: &[CompiledOp]) {
     // Single-word planes (64-lane VRFs, e.g. RACER) are the hottest
     // geometry; the literal-1 call lets the word loops constant-fold away.
     if words == 1 {
-        run_ops_fast_inner(st, 1, mask, ops);
+        run_ops_fast_inner(&mut FastLoops { st, words: 1, mask }, ops);
     } else {
-        run_ops_fast_inner(st, words, mask, ops);
+        run_ops_fast_inner(&mut FastLoops { st, words, mask }, ops);
     }
 }
 
 #[inline(always)]
-fn run_ops_fast_inner(st: &mut [u64], words: usize, mask: usize, ops: &[CompiledOp]) {
+fn run_ops_fast_inner(l: &mut FastLoops, ops: &[CompiledOp]) {
     for op in ops {
         match *op {
-            CompiledOp::Op2 { func, a, b, out, masked } => {
-                let (a, b, out) = (a as usize, b as usize, out as usize);
-                match func {
-                    Func2::Nor => op2_fast(st, words, mask, a, b, out, masked, |x, y| !(x | y)),
-                    Func2::NotA => op2_fast(st, words, mask, a, b, out, masked, |x, _| !x),
-                    Func2::And => op2_fast(st, words, mask, a, b, out, masked, |x, y| x & y),
-                    Func2::Or => op2_fast(st, words, mask, a, b, out, masked, |x, y| x | y),
-                    Func2::Xor => op2_fast(st, words, mask, a, b, out, masked, |x, y| x ^ y),
-                }
-            }
-            CompiledOp::Maj { a, b, c, out, masked } => {
-                let (a, b, c, out) = (a as usize, b as usize, c as usize, out as usize);
-                op3_fast(st, words, mask, a, b, c, out, masked, |x, y, z| {
-                    (x & y) | (y & z) | (x & z)
-                });
+            CompiledOp::Gate { func, a, b, c, out, masked, .. } => {
+                run_gate(l, func, [a, b, c], out, masked)
             }
             CompiledOp::FullAdd { a, b, carry, sum, latch, carry_masked, sum_masked } => {
-                let (a, b, carry, sum, latch) =
-                    (a as usize, b as usize, carry as usize, sum as usize, latch as usize);
-                // Same three plane writes, in the same order, as run_ops.
-                op3_fast(st, words, mask, a, b, carry, latch, false, |x, y, z| x ^ y ^ z);
-                op3_fast(st, words, mask, a, b, carry, carry, carry_masked, |x, y, z| {
-                    (x & y) | (y & z) | (x & z)
-                });
-                op2_fast(st, words, mask, latch, latch, sum, sum_masked, |x, _| x);
-            }
-            CompiledOp::Copy { a, out, masked } => {
-                let (a, out) = (a as usize, out as usize);
-                if masked {
-                    op2_fast(st, words, mask, a, a, out, true, |x, _| x);
-                } else if a != out {
-                    for w in 0..words {
-                        st[out + w] = st[a + w];
-                    }
-                }
-            }
-            CompiledOp::Fill { out, masked, value } => {
-                let out = out as usize;
-                let word = if value { !0u64 } else { 0u64 };
-                if masked {
-                    for w in 0..words {
-                        let m = st[mask + w];
-                        st[out + w] = (word & m) | (st[out + w] & !m);
-                    }
-                } else {
-                    st[out..out + words].fill(word);
-                }
-            }
-            CompiledOp::Lut { a, b, c, out, table, masked } => {
-                let (a, b, c, out) = (a as usize, b as usize, c as usize, out as usize);
-                op3_fast(st, words, mask, a, b, c, out, masked, |x, y, z| {
-                    lut3_word(table, x, y, z)
-                });
+                run_full_add(l, a, b, carry, sum, latch, carry_masked, sum_masked)
             }
             CompiledOp::Word { .. } => {
                 // Word ops need the whole VRF (transpose reads/writes), so
@@ -628,5 +713,165 @@ mod tests {
     #[should_panic(expected = "read-only")]
     fn compiling_const_writes_panics_like_the_interpreter() {
         compile(&[MicroOp::Set { out: Plane::Const(true), value: false }], 64, 4);
+    }
+
+    #[test]
+    fn decode_names_the_synthesized_gates() {
+        let (a, b, c) = (Plane::Scratch(0), Plane::Reg { reg: 1, bit: 3 }, Plane::Scratch(5));
+        let (f, t) = (Plane::Const(false), Plane::Const(true));
+        for (table, ins, want, reads) in [
+            // LUT-family gates (`lut2` ties `c` to `Const(false)`).
+            (0x01, [a, f, f], LutFn::Not, &[a][..]),
+            (0x01, [a, b, f], LutFn::Nor, &[a, b][..]),
+            (0x06, [a, b, f], LutFn::Xor, &[a, b][..]),
+            (0x07, [a, b, f], LutFn::Nand, &[a, b][..]),
+            (0x08, [a, b, f], LutFn::And, &[a, b][..]),
+            (0x09, [a, b, f], LutFn::Xnor, &[a, b][..]),
+            (0x0e, [a, b, f], LutFn::Or, &[a, b][..]),
+            (0xe8, [a, b, c], LutFn::Maj, &[a, b, c][..]),
+            (0x96, [a, b, c], LutFn::Xor3, &[a, b, c][..]),
+            (0xd8, [a, b, c], LutFn::Mux, &[a, b, c][..]),
+            // `!a & b` permutes into `b & !a`; `b ? a : c` into a mux.
+            (0x04, [a, b, f], LutFn::AndNot, &[b, a][..]),
+            (0xb8, [a, b, c], LutFn::Mux, &[b, a, c][..]),
+            // Constant and repeated operands fold into the table.
+            (0xe8, [a, b, f], LutFn::And, &[a, b][..]),
+            (0xe8, [a, t, c], LutFn::Or, &[a, c][..]),
+            (0x96, [a, a, c], LutFn::Copy, &[c][..]),
+            (0x06, [b, b, f], LutFn::Const(false), &[][..]),
+            (0xd8, [t, b, c], LutFn::Copy, &[b][..]),
+            (0x2b, [a, b, c], LutFn::Table(0x2b), &[a, b, c][..]),
+        ] {
+            let (func, slots) = decode(table, ins);
+            let arity = match func {
+                LutFn::Const(_) => 0,
+                LutFn::Copy | LutFn::Not => 1,
+                LutFn::Maj | LutFn::Xor3 | LutFn::Mux | LutFn::Table(_) => 3,
+                _ => 2,
+            };
+            let read: Vec<Plane> = slots[..arity].iter().map(|&k| ins[k]).collect();
+            assert_eq!((func, &read[..]), (want, reads), "table {table:#04x} over {ins:?}");
+        }
+    }
+
+    /// Seeded pseudo-random words (xorshift64).
+    fn random_words(state: &mut u64, n: usize) -> Vec<u64> {
+        (0..n)
+            .map(|_| {
+                *state ^= *state << 13;
+                *state ^= *state >> 7;
+                *state ^= *state << 17;
+                *state
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lut_decode_matches_minterm_oracle_exhaustively() {
+        use crate::microop::lut3_minterms;
+        let (s0, s1, r) = (Plane::Scratch(0), Plane::Scratch(1), Plane::Reg { reg: 2, bit: 5 });
+        let sources = [s0, s1, r, Plane::Const(false), Plane::Const(true)];
+        // Unmasked (scratch) and masked (register) outputs, both fresh and
+        // aliasing an input.
+        let (fresh_scratch, fresh_reg) = (Plane::Scratch(2), Plane::Reg { reg: 3, bit: 1 });
+        let outs = [fresh_scratch, fresh_reg, s0, r];
+        let mut state = 0x9e37_79b9_7f4a_7c15;
+        let mut seeded = |lanes: usize| {
+            let mut vrf = BitPlaneVrf::new(lanes, 4);
+            for p in [s0, s1, r, fresh_scratch, fresh_reg, Plane::Mask] {
+                vrf.set_plane_words(p, &random_words(&mut state, lanes.div_ceil(64)));
+            }
+            vrf
+        };
+        let (base100, base128) = (seeded(100), seeded(128));
+        let (mut want, mut applied, mut compiled) =
+            (base100.clone(), base100.clone(), base100.clone());
+        // The expected VRF: `base` with only `out` rewritten, computed by the
+        // minterm oracle and merged under the mask for register outputs.
+        let oracle = |base: &BitPlaneVrf, want: &mut BitPlaneVrf, op: MicroOp| {
+            let MicroOp::Lut { a, b, c, out, table } = op else { unreachable!() };
+            let [x, y, z, old, m] = [a, b, c, out, Plane::Mask].map(|p| base.plane_words(p));
+            let new: Vec<u64> = (0..x.len())
+                .map(|w| {
+                    let v = lut3_minterms(table, x[w], y[w], z[w]);
+                    if matches!(out, Plane::Reg { .. }) {
+                        (v & m[w]) | (old[w] & !m[w])
+                    } else {
+                        v
+                    }
+                })
+                .collect();
+            want.clone_from(base);
+            want.set_plane_words(out, &new);
+        };
+        for table in 0..=255u8 {
+            for a in sources {
+                for b in sources {
+                    for c in sources {
+                        for out in outs {
+                            let op = MicroOp::Lut { a, b, c, out, table };
+                            let func = decode(table, [a, b, c]).0;
+                            // 100 lanes: `apply` against the oracle, then the
+                            // general compiled loop against `apply`, padding
+                            // words included.
+                            oracle(&base100, &mut want, op);
+                            applied.clone_from(&base100);
+                            op.apply(&mut applied);
+                            assert!(applied == want, "apply: {op:?}");
+                            compiled.clone_from(&base100);
+                            run_ops(&mut compiled, compile(&[op], 100, 4).ops());
+                            assert!(compiled == applied, "run_ops as {func:?}: {op:?}");
+                            // 128 lanes: the fast loop against the oracle.
+                            oracle(&base128, &mut want, op);
+                            let mut fast = base128.clone();
+                            run_ops_fast(&mut fast, compile(&[op], 128, 4).ops());
+                            assert!(fast == want, "run_ops_fast as {func:?}: {op:?}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn decoding_never_changes_the_fault_kind() {
+        // A LUT-family NOR (`c` tied to `Const(false)`) decodes to a plain
+        // two-operand NOR word loop, yet must still draw its fault site as
+        // a LUT query: only `Lut` has a non-zero rate here.
+        let ops: Vec<MicroOp> = (0..8u8)
+            .map(|i| MicroOp::Lut {
+                a: Plane::Reg { reg: 0, bit: i },
+                b: Plane::Reg { reg: 1, bit: i },
+                c: Plane::Const(false),
+                out: Plane::Reg { reg: 2, bit: i },
+                table: 0x01,
+            })
+            .collect();
+        let compiled = compile(&ops, 100, 4);
+        for op in compiled.ops() {
+            assert!(
+                matches!(op, CompiledOp::Gate { kind: MicroOpKind::Lut, func: LutFn::Nor, .. }),
+                "{op:?}"
+            );
+        }
+        let mut a = BitPlaneVrf::new(100, 4);
+        a.write_lane_values(0, &(0..100).map(|i| i * 0x9e37_79b9).collect::<Vec<_>>());
+        a.write_lane_values(1, &(0..100).map(|i| i * 0x7f4a_7c15 + 3).collect::<Vec<_>>());
+        let mut fm = crate::FaultModel::new(0xBEEF, 100);
+        fm.set_transient_rate(MicroOpKind::Lut, 1.0);
+        a.set_fault_model(Some(fm));
+        let mut b = a.clone();
+        for op in &ops {
+            op.apply(&mut a);
+        }
+        b.run_compiled(&compiled);
+        assert!(a == b, "compiled and op-by-op storage diverged under injection");
+        for vrf in [&a, &b] {
+            let model = vrf.fault_model().unwrap();
+            // One `Lut` site per op: at rate 1.0, a decision draw that
+            // always hits plus the lane draw.
+            assert_eq!(model.site(), 2 * ops.len() as u64);
+            assert!(model.injected() > 0);
+        }
     }
 }

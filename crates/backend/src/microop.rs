@@ -237,9 +237,29 @@ pub fn word_kind(instr: &Instruction) -> MicroOpKind {
 }
 
 /// Word-parallel evaluation of a 3-input LUT over packed lane bits: lane
-/// `i` of the result is `table[x_i | y_i<<1 | z_i<<2]`. This is the exact
-/// per-lane semantics of a pLUTo LUT-row query, vectorized over 64 lanes.
+/// `i` of the result is `table[x_i | y_i<<1 | z_i<<2]`, the exact per-lane
+/// semantics of a pLUTo LUT-row query, vectorized over 64 lanes.
+///
+/// The semantics are defined as the OR of the AND minterms of every set
+/// table bit; this evaluates the same function branch-free, as a Shannon
+/// expansion: seven word multiplexers over the table bits broadcast to
+/// whole-word masks, selected by `x`, then `y`, then `z`.
+#[inline]
 pub fn lut3_word(table: u8, x: u64, y: u64, z: u64) -> u64 {
+    let bit = |i: u32| 0u64.wrapping_sub(u64::from(table >> i & 1));
+    let mux = |sel: u64, one: u64, zero: u64| (sel & one) | (!sel & zero);
+    let y0z0 = mux(x, bit(1), bit(0));
+    let y1z0 = mux(x, bit(3), bit(2));
+    let y0z1 = mux(x, bit(5), bit(4));
+    let y1z1 = mux(x, bit(7), bit(6));
+    mux(z, mux(y, y1z1, y0z1), mux(y, y1z0, y0z0))
+}
+
+/// The defining minterm form of [`lut3_word`]: the OR, over every set
+/// table bit, of the AND of each input or its complement. Kept as the
+/// independent oracle for the branch-free and decoded evaluators.
+#[cfg(test)]
+pub(crate) fn lut3_minterms(table: u8, x: u64, y: u64, z: u64) -> u64 {
     let mut out = 0u64;
     for idx in 0..8 {
         if table >> idx & 1 == 0 {
@@ -660,14 +680,18 @@ mod tests {
 
     #[test]
     fn lut3_word_matches_truth_table() {
-        for table in [0x00u8, 0x01, 0x06, 0x08, 0x96, 0xe8, 0xd8, 0xff] {
+        for table in 0..=255u8 {
             for idx in 0..8u64 {
                 let x = if idx & 1 != 0 { !0 } else { 0 };
                 let y = if idx & 2 != 0 { !0 } else { 0 };
                 let z = if idx & 4 != 0 { !0 } else { 0 };
                 let want = if table >> idx & 1 != 0 { !0u64 } else { 0 };
                 assert_eq!(lut3_word(table, x, y, z), want, "table {table:#x} idx {idx}");
+                assert_eq!(lut3_minterms(table, x, y, z), want, "oracle {table:#x} idx {idx}");
             }
+            // Mixed words: every lane picks its own minterm.
+            let (x, y, z) = (0xf0f0_f0f0_f0f0_f0f0, 0xcccc_cccc_cccc_cccc, 0xaaaa_aaaa_aaaa_aaaa);
+            assert_eq!(lut3_word(table, x, y, z), lut3_minterms(table, x, y, z), "{table:#x}");
         }
     }
 

@@ -373,7 +373,8 @@ impl Values {
     }
 
     /// Exact value of a 3-input LUT query: the OR of the AND minterms for
-    /// every set table bit, mirroring [`crate::microop::lut3_word`]. The
+    /// every set table bit — the definition of [`crate::MicroOp::Lut`]'s
+    /// lane semantics, which [`crate::microop::lut3_word`] evaluates. The
     /// constructor normalizations then fold degenerate tables (constants,
     /// pass-throughs, single-input negations) for free.
     fn mk_lut(&mut self, table: u8, a: ValRef, b: ValRef, c: ValRef) -> ValRef {

@@ -289,14 +289,10 @@ pub fn fuse_ensemble_with(
 /// True if `op` writes the plane at word offset `base`.
 fn op_writes(op: CompiledOp, base: u32) -> bool {
     match op {
-        CompiledOp::Op2 { out, .. }
-        | CompiledOp::Maj { out, .. }
-        | CompiledOp::Copy { out, .. }
-        | CompiledOp::Fill { out, .. } => out == base,
+        CompiledOp::Gate { out, .. } => out == base,
         CompiledOp::FullAdd { carry, sum, latch, .. } => {
             carry == base || sum == base || latch == base
         }
-        CompiledOp::Lut { out, .. } => out == base,
         // Word ops write register (and condition) planes only, never the
         // mask plane.
         CompiledOp::Word { .. } => false,
@@ -307,17 +303,11 @@ fn op_writes(op: CompiledOp, base: u32) -> bool {
 /// mask is statically known to be full at this point of the op stream.
 fn drop_mask_merge(op: CompiledOp) -> CompiledOp {
     match op {
-        CompiledOp::Op2 { func, a, b, out, .. } => {
-            CompiledOp::Op2 { func, a, b, out, masked: false }
+        CompiledOp::Gate { kind, func, a, b, c, out, .. } => {
+            CompiledOp::Gate { kind, func, a, b, c, out, masked: false }
         }
-        CompiledOp::Maj { a, b, c, out, .. } => CompiledOp::Maj { a, b, c, out, masked: false },
         CompiledOp::FullAdd { a, b, carry, sum, latch, .. } => {
             CompiledOp::FullAdd { a, b, carry, sum, latch, carry_masked: false, sum_masked: false }
-        }
-        CompiledOp::Copy { a, out, .. } => CompiledOp::Copy { a, out, masked: false },
-        CompiledOp::Fill { out, value, .. } => CompiledOp::Fill { out, masked: false, value },
-        CompiledOp::Lut { a, b, c, out, table, .. } => {
-            CompiledOp::Lut { a, b, c, out, table, masked: false }
         }
         // Word ops consult the mask plane dynamically; with a full mask the
         // merge is already the identity, so there is nothing to drop.

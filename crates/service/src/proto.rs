@@ -5,8 +5,8 @@
 //!
 //! Every message is one JSON document prefixed by its byte length as a
 //! little-endian `u32`. Frames above [`MAX_FRAME`] are rejected before
-//! allocation — a malformed or hostile peer cannot make the daemon
-//! balloon.
+//! allocation, and a body buffer grows only with the bytes that arrive —
+//! a malformed or hostile peer cannot make the daemon balloon.
 //!
 //! ## Numbers
 //!
@@ -69,8 +69,16 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Value>> {
             format!("frame of {len} bytes exceeds the {MAX_FRAME}-byte ceiling"),
         ));
     }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
+    // The body buffer grows with the bytes that actually arrive: a header
+    // that claims `MAX_FRAME` and is followed by nothing costs nothing.
+    let mut body = Vec::new();
+    r.take(len as u64).read_to_end(&mut body)?;
+    if body.len() < len {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            format!("frame body ended after {} of {len} bytes", body.len()),
+        ));
+    }
     let text = String::from_utf8(body)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
     Value::parse(&text)
@@ -581,6 +589,27 @@ mod tests {
 
         let mut bogus: &[u8] = &[0xff, 0xff, 0xff, 0xff];
         assert_eq!(read_frame(&mut bogus).unwrap_err().kind(), std::io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn lying_length_prefix_is_not_preallocated() {
+        /// Serves `data`, then EOF, recording the largest buffer offered.
+        struct Recorder<'a> {
+            data: &'a [u8],
+            largest: usize,
+        }
+        impl Read for Recorder<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                self.largest = self.largest.max(buf.len());
+                self.data.read(buf)
+            }
+        }
+        let mut frame = (MAX_FRAME as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(b"{\"op\":\"hea");
+        let mut r = Recorder { data: &frame, largest: 0 };
+        let err = read_frame(&mut r).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+        assert!(r.largest < 64 << 10, "body read into a {}-byte buffer", r.largest);
     }
 
     #[test]
