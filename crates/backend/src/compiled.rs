@@ -605,7 +605,7 @@ mod tests {
     use mpu_isa::{BinaryOp, Instruction, RegId};
 
     fn ctx(family: LogicFamily) -> RecipeCtx {
-        RecipeCtx { family, temp_regs: (14, 15), opt: Default::default() }
+        RecipeCtx { family, ..crate::DatapathModel::racer().recipe_ctx() }
     }
 
     #[test]

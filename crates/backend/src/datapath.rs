@@ -18,13 +18,91 @@
 //! Cycle counts are at the 1 GHz MPU clock. Energy constants are per lane
 //! per micro-op and were chosen from the cited technology papers' orders
 //! of magnitude, then calibrated so the cross-datapath trends of the MPU
-//! paper's evaluation hold (see DESIGN.md §2).
+//! paper's evaluation hold (see DESIGN.md §2). They are written in pJ and
+//! held as whole femtojoules ([`pj_to_fj`]): the simulator's energy ledger
+//! is integer, so every charge commutes.
 
 use crate::logic::LogicFamily;
 use crate::microop::MicroOpKind;
 use crate::recipe::{build_recipe, Recipe, RecipeCtx};
 use mpu_isa::Instruction;
-use std::collections::BTreeMap;
+
+/// Converts a configured energy in pJ to the simulator's ledger unit,
+/// whole femtojoules, rounding to the nearest fJ. Every configured pJ or
+/// `mW × cycles` value (1 mW for one 1 GHz cycle is 1 pJ) converts here.
+///
+/// # Panics
+///
+/// Panics if `pj` is negative or not finite.
+pub fn pj_to_fj(pj: f64) -> u64 {
+    assert!(pj.is_finite() && pj >= 0.0, "energy must be finite and non-negative, got {pj} pJ");
+    (pj * 1000.0).round() as u64
+}
+
+/// What one micro-op of a kind costs on a datapath.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UopCost {
+    /// Issue/occupancy cycles at the 1 GHz MPU clock.
+    pub cycles: u32,
+    /// Switching energy per active lane, femtojoules.
+    pub fj_per_lane: u32,
+}
+
+/// A datapath's dense per-[`MicroOpKind`] cost table, indexed by
+/// [`MicroOpKind::index`], with a bit per kind the datapath can issue.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CostTable {
+    costs: [(u32, u32); MicroOpKind::ALL.len()],
+    supported: u16,
+}
+
+impl CostTable {
+    /// Builds a table from `(kind, cycles, pJ per lane)` entries.
+    fn from_pj(entries: &[(MicroOpKind, u64, f64)]) -> Self {
+        let mut table = Self::default();
+        for &(kind, cycles, pj) in entries {
+            table.set(kind, cycles, pj);
+        }
+        table
+    }
+
+    fn set(&mut self, kind: MicroOpKind, cycles: u64, pj_per_lane: f64) {
+        let cycles = u32::try_from(cycles).expect("micro-op cycles fit in u32");
+        let fj = u32::try_from(pj_to_fj(pj_per_lane)).expect("micro-op fJ per lane fit in u32");
+        self.costs[kind.index()] = (cycles, fj);
+        self.supported |= 1 << kind.index();
+    }
+
+    /// The cost of `kind`, or `None` if the datapath cannot issue it.
+    pub fn get(&self, kind: MicroOpKind) -> Option<UopCost> {
+        let (cycles, fj_per_lane) = self.costs[kind.index()];
+        (self.supported >> kind.index() & 1 == 1).then_some(UopCost { cycles, fj_per_lane })
+    }
+}
+
+/// Every recipe-pool probe hashes a [`RecipeCtx`], of which this table is
+/// most, so it is folded into one word first (FNV-1a style).
+impl std::hash::Hash for CostTable {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        let fold = self.costs.iter().fold(u64::from(self.supported), |h, &(cycles, fj)| {
+            (h ^ (u64::from(cycles) << 32 | u64::from(fj))).wrapping_mul(0x100_0000_01b3)
+        });
+        state.write_u64(fold);
+    }
+}
+
+/// What one compiled recipe costs on a datapath, computed once per
+/// compiled template ([`RecipeCtx::recipe_cost`]) and charged as stored.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecipeCost {
+    /// Cycles to issue the recipe serially (a cold bit-pipeline).
+    pub cycles: u64,
+    /// Cycles on one stage of a warm bit-pipeline (`cycles / depth`, at
+    /// least 1); `cycles` when the datapath is not bit-pipelined.
+    pub stage_cycles: u64,
+    /// Energy per enabled lane, fJ (a VRF costs `fj_per_lane × enabled`).
+    pub fj_per_lane: u64,
+}
 
 /// Which shipped datapath a model describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -144,15 +222,14 @@ pub struct DatapathModel {
     name: String,
     family: LogicFamily,
     geometry: Geometry,
-    uop_cycles: BTreeMap<MicroOpKind, u64>,
-    uop_energy_pj_per_lane: BTreeMap<MicroOpKind, f64>,
-    bit_pipelined: bool,
-    /// Pipeline depth in bit-stages (RACER: tiles per pipeline).
-    pipeline_depth: u32,
+    costs: CostTable,
+    /// Bit-pipeline depth in bit-stages (RACER: tiles per pipeline);
+    /// `None` when instructions do not overlap across bit-stages.
+    pipeline_depth: Option<u32>,
     /// Cycles to move one 64-bit word between VRFs of adjacent RFHs.
     transfer_cycles_per_word: u64,
-    /// Energy (pJ) to move one 64-bit word between VRFs.
-    transfer_energy_pj_per_word: f64,
+    /// Energy (fJ) to move one 64-bit word between VRFs.
+    transfer_fj_per_word: u64,
     /// Static (leakage) power per VRF, in milliwatts.
     static_power_mw_per_vrf: f64,
     /// Dynamic power of one VRF actively executing micro-ops, mW.
@@ -185,22 +262,16 @@ impl DatapathModel {
             },
             // OSCAR-class ReRAM NOR ≈ 2 ns switching (RACER's pipelines are
             // engineered for GHz-rate micro-op issue); buffered copies
-            // similar.
-            uop_cycles: BTreeMap::from([
-                (MicroOpKind::Nor, 2),
-                (MicroOpKind::Copy, 2),
-                (MicroOpKind::Set, 2),
+            // similar. Low-current OSCAR switching: tens of femtojoules per
+            // cell.
+            costs: CostTable::from_pj(&[
+                (MicroOpKind::Nor, 2, 0.020),
+                (MicroOpKind::Copy, 2, 0.025),
+                (MicroOpKind::Set, 2, 0.012),
             ]),
-            // Low-current OSCAR switching: tens of femtojoules per cell.
-            uop_energy_pj_per_lane: BTreeMap::from([
-                (MicroOpKind::Nor, 0.020),
-                (MicroOpKind::Copy, 0.025),
-                (MicroOpKind::Set, 0.012),
-            ]),
-            bit_pipelined: true,
-            pipeline_depth: 64,
+            pipeline_depth: Some(64),
             transfer_cycles_per_word: 16,
-            transfer_energy_pj_per_word: 12.0,
+            transfer_fj_per_word: pj_to_fj(12.0),
             static_power_mw_per_vrf: 0.0013, // ReRAM is non-volatile; PCC leakage only
             // Peak switching power while driving NOR write currents: the
             // thermal criterion Fig. 5 plots (averages are far lower).
@@ -229,22 +300,15 @@ impl DatapathModel {
             // In-mat activations are faster than full-array tRAS (short
             // local bitlines — the MIMDRAM design point); AAP row copies
             // cost an extra precharge.
-            uop_cycles: BTreeMap::from([
-                (MicroOpKind::Tra, 20),
-                (MicroOpKind::Not, 20),
-                (MicroOpKind::Copy, 28),
-                (MicroOpKind::Set, 20),
+            costs: CostTable::from_pj(&[
+                (MicroOpKind::Tra, 20, 0.09),
+                (MicroOpKind::Not, 20, 0.06),
+                (MicroOpKind::Copy, 28, 0.12),
+                (MicroOpKind::Set, 20, 0.05),
             ]),
-            uop_energy_pj_per_lane: BTreeMap::from([
-                (MicroOpKind::Tra, 0.09),
-                (MicroOpKind::Not, 0.06),
-                (MicroOpKind::Copy, 0.12),
-                (MicroOpKind::Set, 0.05),
-            ]),
-            bit_pipelined: false,
-            pipeline_depth: 1,
+            pipeline_depth: None,
             transfer_cycles_per_word: 24,
-            transfer_energy_pj_per_word: 20.0,
+            transfer_fj_per_word: pj_to_fj(20.0),
             static_power_mw_per_vrf: 0.011, // refresh + peripheral leakage
             active_power_mw_per_vrf: 1.4,
             vrf_area_mm2: 0.0016,
@@ -270,28 +334,18 @@ impl DatapathModel {
             },
             // 14-cycle in-SRAM operation latency (paper §VIII-C); the CMOS
             // full adder computes sum+carry in a single such operation.
-            uop_cycles: BTreeMap::from([
-                (MicroOpKind::And, 14),
-                (MicroOpKind::Or, 14),
-                (MicroOpKind::Xor, 14),
-                (MicroOpKind::Not, 14),
-                (MicroOpKind::FullAdd, 14),
-                (MicroOpKind::Copy, 14),
-                (MicroOpKind::Set, 14),
+            costs: CostTable::from_pj(&[
+                (MicroOpKind::And, 14, 0.020),
+                (MicroOpKind::Or, 14, 0.020),
+                (MicroOpKind::Xor, 14, 0.025),
+                (MicroOpKind::Not, 14, 0.015),
+                (MicroOpKind::FullAdd, 14, 0.035),
+                (MicroOpKind::Copy, 14, 0.020),
+                (MicroOpKind::Set, 14, 0.012),
             ]),
-            uop_energy_pj_per_lane: BTreeMap::from([
-                (MicroOpKind::And, 0.020),
-                (MicroOpKind::Or, 0.020),
-                (MicroOpKind::Xor, 0.025),
-                (MicroOpKind::Not, 0.015),
-                (MicroOpKind::FullAdd, 0.035),
-                (MicroOpKind::Copy, 0.020),
-                (MicroOpKind::Set, 0.012),
-            ]),
-            bit_pipelined: false,
-            pipeline_depth: 1,
+            pipeline_depth: None,
             transfer_cycles_per_word: 8,
-            transfer_energy_pj_per_word: 6.0,
+            transfer_fj_per_word: pj_to_fj(6.0),
             static_power_mw_per_vrf: 0.045, // SRAM leakage dominates
             active_power_mw_per_vrf: 1.9,
             vrf_area_mm2: 0.055, // SRAM density is poor (0.2 GB chip)
@@ -324,20 +378,14 @@ impl DatapathModel {
             // A LUT query is a full activate–query–precharge row cycle
             // (pLUTo §4: tRC-bound); copies and presets are standard
             // AAP/preset row operations as in MIMDRAM.
-            uop_cycles: BTreeMap::from([
-                (MicroOpKind::Lut, 46),
-                (MicroOpKind::Copy, 28),
-                (MicroOpKind::Set, 20),
+            costs: CostTable::from_pj(&[
+                (MicroOpKind::Lut, 46, 0.10),
+                (MicroOpKind::Copy, 28, 0.12),
+                (MicroOpKind::Set, 20, 0.05),
             ]),
-            uop_energy_pj_per_lane: BTreeMap::from([
-                (MicroOpKind::Lut, 0.10),
-                (MicroOpKind::Copy, 0.12),
-                (MicroOpKind::Set, 0.05),
-            ]),
-            bit_pipelined: false,
-            pipeline_depth: 1,
+            pipeline_depth: None,
             transfer_cycles_per_word: 24,
-            transfer_energy_pj_per_word: 20.0,
+            transfer_fj_per_word: pj_to_fj(20.0),
             static_power_mw_per_vrf: 0.011, // refresh + peripheral leakage
             active_power_mw_per_vrf: 1.5,
             vrf_area_mm2: 0.0019, // mat area + LUT source/destination rows
@@ -352,7 +400,7 @@ impl DatapathModel {
     /// A DPU is a word-serial near-bank core: no inter-lane bit-plane
     /// primitives exist, so recipes fall back to one [`MicroOp::Word`] per
     /// instruction and cycle counts scale with the lanes processed
-    /// sequentially ([`DatapathModel::recipe_cycles`]). PrIM's throughput
+    /// sequentially ([`RecipeCost::cycles`]). PrIM's throughput
     /// numbers give the per-element cost ratios: add/sub/logic ≈ 1×,
     /// 32-bit multiply ≈ 8× (software-pipelined shifts on a core without
     /// a hardware multiplier), division ≈ 13×.
@@ -373,20 +421,14 @@ impl DatapathModel {
             // Cycles are per lane (word-serial): ~12 pipeline cycles per
             // 64-bit ALU op at the ~350 MHz DPU clock rescaled to the
             // 1 GHz MPU clock; MUL/DIV are software loops.
-            uop_cycles: BTreeMap::from([
-                (MicroOpKind::WordAlu, 12),
-                (MicroOpKind::WordMul, 96),
-                (MicroOpKind::WordDiv, 160),
+            costs: CostTable::from_pj(&[
+                (MicroOpKind::WordAlu, 12, 4.5),
+                (MicroOpKind::WordMul, 96, 30.0),
+                (MicroOpKind::WordDiv, 160, 55.0),
             ]),
-            uop_energy_pj_per_lane: BTreeMap::from([
-                (MicroOpKind::WordAlu, 4.5),
-                (MicroOpKind::WordMul, 30.0),
-                (MicroOpKind::WordDiv, 55.0),
-            ]),
-            bit_pipelined: false,
-            pipeline_depth: 1,
+            pipeline_depth: None,
             transfer_cycles_per_word: 64, // through the DMA engine + WRAM
-            transfer_energy_pj_per_word: 45.0,
+            transfer_fj_per_word: pj_to_fj(45.0),
             static_power_mw_per_vrf: 0.02,
             active_power_mw_per_vrf: 2.8, // a running RISC core, not an array
             vrf_area_mm2: 0.02,
@@ -428,10 +470,18 @@ impl DatapathModel {
         self.geometry
     }
 
-    /// Recipe-synthesis context (family + reserved temp registers +
-    /// optimizer configuration).
+    /// Recipe-synthesis context: family, reserved temp registers, optimizer
+    /// configuration, and every cost a [`RecipeCost`] reads. It keys every
+    /// recipe memo, so models that disagree on any of these share nothing.
     pub fn recipe_ctx(&self) -> RecipeCtx {
-        RecipeCtx { family: self.family, temp_regs: self.geometry.temp_regs(), opt: self.opt }
+        RecipeCtx {
+            family: self.family,
+            temp_regs: self.geometry.temp_regs(),
+            opt: self.opt,
+            costs: self.costs,
+            pipeline_depth: self.pipeline_depth,
+            word_serial: self.word_serial,
+        }
     }
 
     /// The recipe-optimizer configuration this model applies at synthesis.
@@ -462,44 +512,34 @@ impl DatapathModel {
     pub fn recipe_with_stats(&self, instr: &Instruction) -> Option<(Recipe, crate::opt::OptStats)> {
         let template = build_recipe(self.recipe_ctx(), instr)?;
         let cost = |kind: MicroOpKind| {
-            let cycles = self.uop_cycles.get(&kind).copied()?;
-            let energy = self.uop_energy_pj_per_lane.get(&kind).copied()?;
-            Some((cycles, energy))
+            self.costs.get(kind).map(|c| (c.cycles.into(), self.uop_energy_pj(kind, 1)))
         };
         Some(crate::opt::optimize(&template, self.family, self.opt, &cost))
     }
 
-    /// Issue/occupancy cycles of one micro-op at the 1 GHz MPU clock.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kind` is not native to this backend (recipes only emit
-    /// supported kinds).
+    /// What `recipe` costs on this datapath ([`RecipeCtx::recipe_cost`]
+    /// at this geometry's lane count).
+    pub fn recipe_cost(&self, recipe: &Recipe) -> RecipeCost {
+        self.recipe_ctx().recipe_cost(recipe, self.geometry.lanes_per_vrf)
+    }
+
+    /// The cost of one `kind` micro-op; panics if `kind` is not native to
+    /// this backend (recipes only emit supported kinds).
+    fn uop_cost(&self, kind: MicroOpKind) -> UopCost {
+        self.costs.get(kind).unwrap_or_else(|| panic!("{} does not support {kind}", self.name))
+    }
+
+    /// Issue/occupancy cycles of one micro-op at the 1 GHz MPU clock
+    /// (panics like [`Self::uop_cost`]).
     pub fn uop_cycles(&self, kind: MicroOpKind) -> u64 {
-        *self
-            .uop_cycles
-            .get(&kind)
-            .unwrap_or_else(|| panic!("{} does not support {kind}", self.name))
+        self.uop_cost(kind).cycles.into()
     }
 
-    /// Energy of one micro-op, in picojoules, across `lanes` active lanes.
+    /// Energy of one micro-op in pJ across `lanes` active lanes (panics
+    /// like [`Self::uop_cost`]): a view of the integer cost for the recipe
+    /// optimizer, exact for every pJ literal with at most three decimals.
     pub fn uop_energy_pj(&self, kind: MicroOpKind, lanes: usize) -> f64 {
-        self.uop_energy_pj_per_lane
-            .get(&kind)
-            .unwrap_or_else(|| panic!("{} does not support {kind}", self.name))
-            * lanes as f64
-    }
-
-    /// Total cycles to issue a recipe serially (no bit-pipelining). On
-    /// word-serial backends the per-op cost is charged once per lane: the
-    /// near-bank core walks the VRF sequentially.
-    pub fn recipe_cycles(&self, recipe: &Recipe) -> u64 {
-        let per_op: u64 = recipe.ops().iter().map(|op| self.uop_cycles(op.kind())).sum();
-        if self.word_serial {
-            per_op * self.geometry.lanes_per_vrf as u64
-        } else {
-            per_op
-        }
+        f64::from(self.uop_cost(kind).fj_per_lane) / 1000.0 * lanes as f64
     }
 
     /// True for word-serial near-bank cores (UPMEM-style DPUs).
@@ -507,32 +547,15 @@ impl DatapathModel {
         self.word_serial
     }
 
-    /// Total energy (pJ) of a recipe across `lanes` lanes.
-    pub fn recipe_energy_pj(&self, recipe: &Recipe, lanes: usize) -> f64 {
-        recipe.ops().iter().map(|op| self.uop_energy_pj(op.kind(), lanes)).sum()
-    }
-
     /// Whether consecutive instructions overlap across bit-stages (RACER's
     /// bit-pipelining, paper §II-C).
     pub fn bit_pipelined(&self) -> bool {
-        self.bit_pipelined
+        self.pipeline_depth.is_some()
     }
 
     /// Pipeline depth in bit-stages.
     pub fn pipeline_depth(&self) -> u32 {
-        self.pipeline_depth
-    }
-
-    /// Steady-state cycles a recipe occupies one bit-stage of the pipeline
-    /// (`recipe_cycles / depth`, at least 1); equals `recipe_cycles` for
-    /// non-pipelined backends.
-    pub fn recipe_stage_cycles(&self, recipe: &Recipe) -> u64 {
-        let total = self.recipe_cycles(recipe);
-        if self.bit_pipelined {
-            (total / self.pipeline_depth as u64).max(1)
-        } else {
-            total
-        }
+        self.pipeline_depth.unwrap_or(1)
     }
 
     /// Cycles to move one 64-bit word between VRFs (intra-MPU).
@@ -540,9 +563,9 @@ impl DatapathModel {
         self.transfer_cycles_per_word
     }
 
-    /// Energy (pJ) to move one 64-bit word between VRFs (intra-MPU).
-    pub fn transfer_energy_pj_per_word(&self) -> f64 {
-        self.transfer_energy_pj_per_word
+    /// Energy (fJ) to move one 64-bit word between VRFs (intra-MPU).
+    pub fn transfer_fj_per_word(&self) -> u64 {
+        self.transfer_fj_per_word
     }
 
     /// Leakage power of one VRF, mW.
@@ -562,7 +585,7 @@ impl DatapathModel {
 
     /// Micro-op kinds this backend natively supports.
     pub fn supports(&self) -> Vec<MicroOpKind> {
-        self.uop_cycles.keys().copied().collect()
+        MicroOpKind::ALL.into_iter().filter(|&k| self.costs.get(k).is_some()).collect()
     }
 
     pub(crate) fn replace_thermal(&mut self, active_mw: f64, static_mw: f64, vrf_area_mm2: f64) {
@@ -600,10 +623,8 @@ impl DatapathBuilder {
         model.kind = DatapathKind::Custom;
         model.name = name.to_string();
         model.family = family;
-        model.uop_cycles.clear();
-        model.uop_energy_pj_per_lane.clear();
-        model.bit_pipelined = false;
-        model.pipeline_depth = 1;
+        model.costs = CostTable::default();
+        model.pipeline_depth = None;
         Self { model }
     }
 
@@ -625,10 +646,11 @@ impl DatapathBuilder {
         self
     }
 
-    /// Registers a supported micro-op with its latency and per-lane energy.
+    /// Registers a supported micro-op with its latency and per-lane energy
+    /// in pJ, held as whole femtojoules ([`pj_to_fj`] panics on a negative
+    /// or non-finite energy).
     pub fn uop(mut self, kind: MicroOpKind, cycles: u64, energy_pj_per_lane: f64) -> Self {
-        self.model.uop_cycles.insert(kind, cycles);
-        self.model.uop_energy_pj_per_lane.insert(kind, energy_pj_per_lane);
+        self.model.costs.set(kind, cycles, energy_pj_per_lane);
         self
     }
 
@@ -641,8 +663,7 @@ impl DatapathBuilder {
 
     /// Enables bit-pipelining with the given depth.
     pub fn bit_pipelined(mut self, depth: u32) -> Self {
-        self.model.bit_pipelined = true;
-        self.model.pipeline_depth = depth;
+        self.model.pipeline_depth = Some(depth);
         self
     }
 
@@ -655,7 +676,7 @@ impl DatapathBuilder {
     pub fn build(self) -> DatapathModel {
         for kind in self.model.family.supported_kinds() {
             assert!(
-                self.model.uop_cycles.contains_key(kind),
+                self.model.costs.get(*kind).is_some(),
                 "family {:?} requires a cost for {kind}",
                 self.model.family
             );
@@ -724,7 +745,7 @@ mod tests {
         let recipe = d.recipe(&add_instr()).unwrap();
         assert_eq!(recipe.len(), 1, "word-serial ADD is a single micro-op");
         assert_eq!(
-            d.recipe_cycles(&recipe),
+            d.recipe_cost(&recipe).cycles,
             d.uop_cycles(MicroOpKind::WordAlu) * d.geometry().lanes_per_vrf as u64
         );
     }
@@ -734,12 +755,14 @@ mod tests {
         for kind in DatapathKind::ALL {
             let dp = DatapathModel::for_kind(kind);
             let recipe = dp.recipe(&add_instr()).unwrap();
-            let cycles = dp.recipe_cycles(&recipe);
-            assert!(cycles > 0);
-            let energy = dp.recipe_energy_pj(&recipe, dp.geometry().lanes_per_vrf);
-            assert!(energy > 0.0);
+            let cost = dp.recipe_cost(&recipe);
+            assert!(cost.cycles > 0);
+            let fj: u64 =
+                recipe.ops().iter().map(|op| u64::from(dp.uop_cost(op.kind()).fj_per_lane)).sum();
+            assert!(fj > 0);
+            assert_eq!(cost.fj_per_lane, fj, "energy is the per-op sum");
             // Stage cycles never exceed serial cycles.
-            assert!(dp.recipe_stage_cycles(&recipe) <= cycles);
+            assert!(cost.stage_cycles <= cost.cycles);
         }
     }
 
@@ -747,14 +770,13 @@ mod tests {
     fn racer_pipelining_divides_stage_cost() {
         let dp = DatapathModel::racer();
         let recipe = dp.recipe(&add_instr()).unwrap();
-        let serial = dp.recipe_cycles(&recipe);
-        let stage = dp.recipe_stage_cycles(&recipe);
+        let cost = dp.recipe_cost(&recipe);
         assert!(dp.bit_pipelined());
-        assert_eq!(stage, (serial / 64).max(1));
+        assert_eq!(cost.stage_cycles, (cost.cycles / 64).max(1));
         // Duality Cache is not pipelined: stage == serial.
         let dc = DatapathModel::duality_cache();
-        let r = dc.recipe(&add_instr()).unwrap();
-        assert_eq!(dc.recipe_stage_cycles(&r), dc.recipe_cycles(&r));
+        let cost = dc.recipe_cost(&dc.recipe(&add_instr()).unwrap());
+        assert_eq!(cost.stage_cycles, cost.cycles);
     }
 
     #[test]
@@ -764,8 +786,8 @@ mod tests {
         // must reflect that.
         let dc = DatapathModel::duality_cache();
         let racer = DatapathModel::racer();
-        let dc_cycles = dc.recipe_cycles(&dc.recipe(&add_instr()).unwrap());
-        let racer_cycles = racer.recipe_cycles(&racer.recipe(&add_instr()).unwrap());
+        let dc_cycles = dc.recipe_cost(&dc.recipe(&add_instr()).unwrap()).cycles;
+        let racer_cycles = racer.recipe_cost(&racer.recipe(&add_instr()).unwrap()).cycles;
         assert!(
             dc_cycles < racer_cycles,
             "DC ADD {dc_cycles} should beat serial RACER ADD {racer_cycles}"
@@ -814,6 +836,41 @@ mod tests {
     #[should_panic(expected = "requires a cost")]
     fn builder_rejects_incomplete_uop_set() {
         DatapathBuilder::new("Broken", LogicFamily::Nor).uop(MicroOpKind::Nor, 1, 0.1).build();
+    }
+
+    #[test]
+    fn pj_to_fj_rounds_to_the_nearest_femtojoule() {
+        // 1.005 × 1000.0 is 1004.9999999999999 in f64: truncation would
+        // charge 1004 fJ.
+        assert_eq!(pj_to_fj(1.005), 1005);
+        assert_eq!(pj_to_fj(0.020), 20);
+        assert_eq!(pj_to_fj(72.94293656), 72943);
+        assert_eq!(pj_to_fj(0.0), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and non-negative")]
+    fn pj_to_fj_rejects_negative_energy() {
+        pj_to_fj(-0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and non-negative")]
+    fn pj_to_fj_rejects_nan() {
+        pj_to_fj(f64::NAN);
+    }
+
+    #[test]
+    fn pj_view_reproduces_three_decimal_literals() {
+        // The optimizer prices micro-ops through `uop_energy_pj`; the fJ
+        // table must hand it back the exact literal it was built from.
+        for milli in 1..=100_000u32 {
+            let literal: f64 = format!("{}.{:03}", milli / 1000, milli % 1000).parse().unwrap();
+            assert_eq!((pj_to_fj(literal) as f64 / 1000.0).to_bits(), literal.to_bits());
+        }
+        let dp = DatapathModel::racer();
+        assert_eq!(dp.uop_energy_pj(MicroOpKind::Nor, 1).to_bits(), 0.020f64.to_bits());
+        assert_eq!(dp.uop_energy_pj(MicroOpKind::Copy, 64).to_bits(), (0.025f64 * 64.0).to_bits());
     }
 
     #[test]

@@ -58,10 +58,11 @@
 //! }
 //! assert_eq!(vrf.read_lane_values(2)[0], 42);
 //!
-//! // And the model prices it: issue cycles + energy across the lanes.
-//! let cycles = racer.recipe_cycles(&recipe);
-//! let picojoules = racer.recipe_energy_pj(&recipe, 64);
-//! assert!(cycles > 0 && picojoules > 0.0);
+//! // And the model prices it once: issue cycles, and whole femtojoules
+//! // per enabled lane (64 lanes on here).
+//! let cost = racer.recipe_cost(&recipe);
+//! let femtojoules = cost.fj_per_lane * 64;
+//! assert!(cost.cycles > 0 && femtojoules > 0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -84,14 +85,17 @@ mod trace_tier;
 
 pub use bitplane::{BitPlaneVrf, Plane, SCRATCH_PLANES};
 pub use compiled::CompiledRecipe;
-pub use datapath::{DatapathBuilder, DatapathKind, DatapathModel, Geometry};
+pub use datapath::{
+    pj_to_fj, CostTable, DatapathBuilder, DatapathKind, DatapathModel, Geometry, RecipeCost,
+    UopCost,
+};
 pub use fault::{FaultModel, FaultPrng};
 pub use features::{supports, Feature, Platform};
 pub use logic::{GateBuilder, LogicFamily};
 pub use microop::{lut3_word, word_kind, MicroOp, MicroOpKind, Planes};
 pub use opt::{optimize, OptConfig, OptRule, OptStats, RuleStats};
 pub use recipe::{build_recipe, semantics, Recipe, RecipeCtx};
-pub use trace_tier::{fuse_ensemble, fuse_ensemble_with, EnsembleStep, EnsembleTrace};
+pub use trace_tier::{fuse_ensemble_with, EnsembleStep, EnsembleTrace};
 
 /// Bits per vector data element (mirrors [`mpu_isa::DATA_BITS`]).
 pub const DATA_BITS: u32 = mpu_isa::DATA_BITS;

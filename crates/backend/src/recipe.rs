@@ -21,10 +21,10 @@
 //! hardware-reserved temporary registers ([`RecipeCtx::temp_regs`]).
 
 use crate::bitplane::Plane;
+use crate::datapath::{CostTable, RecipeCost};
 use crate::logic::{GateBuilder, LogicFamily};
-use crate::microop::{MicroOp, MicroOpKind};
+use crate::microop::MicroOp;
 use mpu_isa::{BinaryOp, CompareOp, InitValue, Instruction, UnaryOp, DATA_BITS};
-use std::collections::BTreeMap;
 
 const W: usize = DATA_BITS as usize;
 /// Input width (bits) for `MUL`/`MAC`, per Table II ("only 8-/16-/32-bit
@@ -56,6 +56,36 @@ pub struct RecipeCtx {
     /// synthesis always emits the unoptimized template; the optimizer runs
     /// as a separate pass in [`crate::DatapathModel::recipe`].
     pub opt: crate::opt::OptConfig,
+    /// Per-micro-op costs: the optimizer's objective and the input of
+    /// [`RecipeCtx::recipe_cost`].
+    pub costs: CostTable,
+    /// Bit-stages a warm pipeline overlaps; `None` when the datapath is
+    /// not bit-pipelined.
+    pub pipeline_depth: Option<u32>,
+    /// True for word-serial cores, whose recipes take one pass per lane.
+    pub word_serial: bool,
+}
+
+impl RecipeCtx {
+    /// What `recipe` costs under this context on a VRF of `lanes` lanes:
+    /// a pure function of the recipe memo key, so every memoized compiled
+    /// form and fused trace carries exactly the costs its key names.
+    /// Panics if the recipe issues a kind the context has no cost for.
+    pub fn recipe_cost(&self, recipe: &Recipe, lanes: usize) -> RecipeCost {
+        let (mut cycles, mut fj_per_lane) = (0, 0);
+        for op in recipe.ops() {
+            let kind = op.kind();
+            let cost = self.costs.get(kind).unwrap_or_else(|| panic!("no cost for {kind}"));
+            cycles += u64::from(cost.cycles);
+            fj_per_lane += u64::from(cost.fj_per_lane);
+        }
+        if self.word_serial {
+            cycles *= lanes as u64;
+        }
+        let stage_cycles =
+            self.pipeline_depth.map_or(cycles, |depth| (cycles / u64::from(depth)).max(1));
+        RecipeCost { cycles, stage_cycles, fj_per_lane }
+    }
 }
 
 /// A synthesized micro-op sequence implementing one ISA instruction.
@@ -100,26 +130,6 @@ impl Recipe {
     /// (conservative) scratch high-water mark and recording the saving.
     pub(crate) fn with_optimized_ops(&self, ops: Vec<MicroOp>, saved_uops: u32) -> Recipe {
         Recipe { ops, scratch_high_water: self.scratch_high_water, saved_uops }
-    }
-
-    /// Micro-op counts per kind, for cost accounting.
-    pub fn histogram(&self) -> BTreeMap<MicroOpKind, usize> {
-        let mut h = BTreeMap::new();
-        for op in &self.ops {
-            *h.entry(op.kind()).or_insert(0) += 1;
-        }
-        h
-    }
-
-    /// Micro-op counts per kind as a dense array indexed by
-    /// [`MicroOpKind::index`] — the allocation-free form of
-    /// [`Recipe::histogram`], used by tracing on the execution hot path.
-    pub fn kind_counts(&self) -> [u32; MicroOpKind::ALL.len()] {
-        let mut counts = [0u32; MicroOpKind::ALL.len()];
-        for op in &self.ops {
-            counts[op.kind().index()] += 1;
-        }
-        counts
     }
 
     /// Compiles this recipe for a `(lanes, regs)` VRF geometry: plane
@@ -656,6 +666,7 @@ pub mod semantics {
 mod tests {
     use super::*;
     use crate::bitplane::BitPlaneVrf;
+    use crate::microop::MicroOpKind;
     use mpu_isa::RegId;
 
     const FAMILIES: [LogicFamily; 5] = [
@@ -667,7 +678,7 @@ mod tests {
     ];
 
     fn ctx(family: LogicFamily) -> RecipeCtx {
-        RecipeCtx { family, temp_regs: (14, 15), opt: Default::default() }
+        RecipeCtx { family, ..crate::DatapathModel::racer().recipe_ctx() }
     }
 
     fn run(family: LogicFamily, instr: Instruction, setup: &[(u8, Vec<u64>)]) -> BitPlaneVrf {
@@ -1062,8 +1073,8 @@ mod tests {
             &Instruction::Binary { op: BinaryOp::And, rs: RegId(0), rt: RegId(1), rd: RegId(2) },
         )
         .unwrap();
-        let h = recipe.histogram();
-        assert_eq!(h[&MicroOpKind::Tra], 64);
-        assert_eq!(h.values().sum::<usize>(), recipe.len());
+        let mix = recipe.compile(64, 16).mix();
+        assert_eq!(mix[MicroOpKind::Tra.index()], 64);
+        assert_eq!(mix.iter().sum::<u32>() as usize, recipe.len());
     }
 }

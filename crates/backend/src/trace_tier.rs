@@ -1,16 +1,13 @@
 //! The ensemble trace tier: a straight-line compute-ensemble body fused
 //! into one flat, branch-free sequence of resolved word-loop ops plus
-//! precomputed cost annotations.
+//! precomputed costs.
 //!
-//! [`crate::CompiledRecipe`] removed per-micro-op plane resolution, but
-//! the simulator still pays per-instruction overhead on every thermal-wave
-//! replay: a recipe-cache probe, three cost-model walks over the micro-op
-//! list (`recipe_cycles`, `recipe_stage_cycles`, `recipe_energy_pj` — each
-//! a `BTreeMap` lookup per op), and the fetch/dispatch loop itself. For a
-//! RACER `ADD` that is ~3×641 map walks per wave to move 64 lanes — the
-//! cost model dominates the word arithmetic.
+//! [`crate::CompiledRecipe`] removed per-micro-op plane resolution, and
+//! each compiled template carries its [`RecipeCost`], computed once. The
+//! simulator still pays per-instruction overhead on every thermal-wave
+//! replay: a recipe-cache probe and the fetch/dispatch loop itself.
 //!
-//! [`fuse_ensemble`] hoists all of it to synthesis time. A straight-line
+//! [`fuse_ensemble_with`] hoists the rest to synthesis time. A straight-line
 //! body (compute instructions, mask writes, and NOPs, with no
 //! data-dependent control flow) becomes an [`EnsembleTrace`]:
 //!
@@ -21,21 +18,20 @@
 //!   schedule — within a wave the first compute instruction pays serial
 //!   latency and later ones their stage time, which is statically known
 //!   for a straight-line body;
-//! * per-op energy coefficients (pJ per lane) stored flat, so runtime
-//!   energy is `Σ coeff × enabled_lanes` in the original op order —
-//!   bit-identical f64 accumulation to the cost model's per-recipe sum —
-//!   with the full-mask total precomputed for the common case.
+//! * per-step energy as whole femtojoules per enabled lane. The ledger is
+//!   integer, so a run of steps under one lane mask costs
+//!   `Σ fJ/lane × enabled` in one product, equal to the per-step charges.
 //!
 //! The trace is a pure function of `(recipe context, encoded body,
 //! geometry)` and is cached by the simulator's recipe pool/cache under
-//! exactly that key. It carries *costs*, not charges: the simulator
-//! replays the steps and applies the identical `Stats` mutations the
-//! per-instruction tiers would, so architectural counters never depend on
-//! which tier executed a body.
+//! exactly that key; the context names every cost the trace stores. It
+//! carries *costs*, not charges: the simulator replays the steps and
+//! applies the same `Stats` the per-instruction tier would, so
+//! architectural counters never depend on which tier executed a body.
 
 use crate::bitplane::{BitPlaneVrf, SCRATCH_PLANES};
 use crate::compiled::{self, CompiledOp, CompiledRecipe};
-use crate::datapath::DatapathModel;
+use crate::datapath::{DatapathModel, RecipeCost};
 use crate::recipe::Recipe;
 use crate::DATA_BITS;
 use mpu_isa::{Instruction, RegId};
@@ -61,12 +57,9 @@ pub enum EnsembleStep {
         saved: u32,
         /// This step's slice of [`EnsembleTrace`]'s flat op vector.
         ops: Range<u32>,
-        /// This step's slice of the flat per-op energy coefficients.
-        coeffs: Range<u32>,
-        /// Recipe energy with every lane enabled (the common case),
-        /// precomputed by the same per-op summation the partial-mask
-        /// path performs at runtime.
-        energy_full_pj: f64,
+        /// Recipe energy per enabled lane, femtojoules
+        /// ([`RecipeCost::fj_per_lane`]).
+        fj_per_lane: u64,
     },
     /// `SETMASK rs`: load the lane mask from a register (or `COND`).
     SetMask {
@@ -81,13 +74,12 @@ pub enum EnsembleStep {
 
 /// A compute-ensemble body fused into a flat, branch-free word-loop
 /// program over the VRF storage buffer, with all cost-model work
-/// precomputed. Built by [`fuse_ensemble`]; executed via
-/// [`EnsembleTrace::run_steps`] / [`EnsembleTrace::step_energy_pj`].
+/// precomputed. Built by [`fuse_ensemble_with`]; executed via
+/// [`EnsembleTrace::run_steps`].
 #[derive(Debug, Clone)]
 pub struct EnsembleTrace {
     steps: Vec<EnsembleStep>,
     ops: Vec<CompiledOp>,
-    coeffs: Vec<f64>,
     lanes: usize,
     regs: usize,
     /// Fusion proved every post-write bookkeeping step is a no-op for this
@@ -162,31 +154,11 @@ impl EnsembleTrace {
             compiled::run_ops(vrf, ops);
         }
     }
-
-    /// Energy (pJ) of one step across `enabled` active lanes: the
-    /// precomputed total when every lane is enabled, otherwise the per-op
-    /// coefficient sum in original op order — the same f64 additions, in
-    /// the same order, as [`DatapathModel::recipe_energy_pj`], so the
-    /// result is bit-identical. Zero for non-compute steps.
-    pub fn step_energy_pj(&self, step: &EnsembleStep, enabled: usize) -> f64 {
-        let EnsembleStep::Compute { coeffs, energy_full_pj, .. } = step else {
-            return 0.0;
-        };
-        if enabled == self.lanes {
-            return *energy_full_pj;
-        }
-        let lanes = enabled as f64;
-        let mut pj = 0.0;
-        for &coeff in &self.coeffs[coeffs.start as usize..coeffs.end as usize] {
-            pj += coeff * lanes;
-        }
-        pj
-    }
 }
 
 /// Fuses a straight-line ensemble body into an [`EnsembleTrace`],
-/// resolving each compute instruction to its `(recipe, compiled)` pair
-/// via `synth` (the simulator passes its recipe pool here so fusion
+/// resolving each compute instruction to its `(recipe, compiled, cost)`
+/// triple via `synth` (the simulator passes its recipe pool here so fusion
 /// concatenates exactly the already-compiled templates the
 /// per-instruction tiers would execute — including deliberately corrupted
 /// preloads — without re-synthesizing or re-compiling anything). Returns
@@ -197,14 +169,15 @@ impl EnsembleTrace {
 pub fn fuse_ensemble_with(
     datapath: &DatapathModel,
     body: &[Instruction],
-    mut synth: impl FnMut(&DatapathModel, &Instruction) -> Option<(Arc<Recipe>, Arc<CompiledRecipe>)>,
+    mut synth: impl FnMut(
+        &DatapathModel,
+        &Instruction,
+    ) -> Option<(Arc<Recipe>, Arc<CompiledRecipe>, RecipeCost)>,
 ) -> Option<EnsembleTrace> {
     let g = datapath.geometry();
     let (lanes, regs) = (g.lanes_per_vrf, g.regs_per_vrf);
-    let pipelined = datapath.bit_pipelined();
     let mut steps = Vec::with_capacity(body.len());
     let mut ops: Vec<CompiledOp> = Vec::new();
-    let mut coeffs: Vec<f64> = Vec::new();
     // Mirrors the compiled tier's per-wave `pipeline_warm` flag: for a
     // straight-line body the warm/cold schedule is statically known.
     let mut pipeline_warm = false;
@@ -231,12 +204,9 @@ pub fn fuse_ensemble_with(
             | Instruction::Fuzzy { .. }
             | Instruction::Cas { .. }
             | Instruction::Init { .. } => {
-                let (recipe, compiled) = synth(datapath, instr)?;
-                let cycles = if pipelined && pipeline_warm {
-                    datapath.recipe_stage_cycles(&recipe)
-                } else {
-                    datapath.recipe_cycles(&recipe)
-                };
+                let (recipe, compiled, cost) = synth(datapath, instr)?;
+                // Stage time equals serial time off a bit-pipeline.
+                let cycles = if pipeline_warm { cost.stage_cycles } else { cost.cycles };
                 pipeline_warm = true;
                 let op_start = ops.len() as u32;
                 for &op in compiled.ops() {
@@ -249,25 +219,13 @@ pub fn fuse_ensemble_with(
                     }
                     ops.push(if mask_full { drop_mask_merge(op) } else { op });
                 }
-                let coeff_start = coeffs.len() as u32;
-                let mut energy_full_pj = 0.0;
-                for op in recipe.ops() {
-                    // `uop_energy_pj(kind, 1)` is the per-lane coefficient
-                    // exactly (×1.0 is exact in IEEE 754), so the runtime
-                    // `coeff × lanes` product is bit-identical to the cost
-                    // model's.
-                    let coeff = datapath.uop_energy_pj(op.kind(), 1);
-                    coeffs.push(coeff);
-                    energy_full_pj += coeff * lanes as f64;
-                }
                 steps.push(EnsembleStep::Compute {
                     instr: *instr,
                     cycles,
                     uops: recipe.len() as u32,
                     saved: recipe.saved_uops(),
                     ops: op_start..ops.len() as u32,
-                    coeffs: coeff_start..coeffs.len() as u32,
-                    energy_full_pj,
+                    fj_per_lane: cost.fj_per_lane,
                 });
             }
             Instruction::SetMask { rs } => {
@@ -283,7 +241,7 @@ pub fn fuse_ensemble_with(
         }
     }
     let fast = lanes % 64 == 0 && !writes_mask && !has_word;
-    Some(EnsembleTrace { steps, ops, coeffs, lanes, regs, fast })
+    Some(EnsembleTrace { steps, ops, lanes, regs, fast })
 }
 
 /// True if `op` writes the plane at word offset `base`.
@@ -315,22 +273,23 @@ fn drop_mask_merge(op: CompiledOp) -> CompiledOp {
     }
 }
 
-/// [`fuse_ensemble_with`] synthesizing and compiling recipes directly
-/// from `datapath` (no shared pool).
-pub fn fuse_ensemble(datapath: &DatapathModel, body: &[Instruction]) -> Option<EnsembleTrace> {
-    let g = datapath.geometry();
-    fuse_ensemble_with(datapath, body, |dp, instr| {
-        let recipe = Arc::new(dp.recipe(instr)?);
-        let compiled = Arc::new(recipe.compile(g.lanes_per_vrf, g.regs_per_vrf));
-        Some((recipe, compiled))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::DatapathKind;
     use mpu_isa::{BinaryOp, CompareOp, UnaryOp, COND_REG};
+
+    /// Fuses `body` with recipes synthesized and compiled directly from
+    /// `datapath` (no pool).
+    fn fuse_ensemble(datapath: &DatapathModel, body: &[Instruction]) -> Option<EnsembleTrace> {
+        let g = datapath.geometry();
+        fuse_ensemble_with(datapath, body, |dp, instr| {
+            let recipe = dp.recipe(instr)?;
+            let compiled = Arc::new(recipe.compile(g.lanes_per_vrf, g.regs_per_vrf));
+            let cost = dp.recipe_cost(&recipe);
+            Some((Arc::new(recipe), compiled, cost))
+        })
+    }
 
     fn add(rd: u16) -> Instruction {
         Instruction::Binary { op: BinaryOp::Add, rs: RegId(0), rt: RegId(1), rd: RegId(rd) }
@@ -395,33 +354,19 @@ mod tests {
     #[test]
     fn step_costs_match_the_cost_model() {
         let dp = DatapathModel::racer();
-        let g = dp.geometry();
         let trace = fuse_ensemble(&dp, &[add(2), add(3), add(4)]).unwrap();
-        let recipe = dp.recipe(&add(2)).unwrap();
-        let serial = dp.recipe_cycles(&recipe);
-        let stage = dp.recipe_stage_cycles(&recipe);
-        assert!(stage < serial, "RACER is bit-pipelined");
-        let cycles: Vec<u64> = trace
+        let cost = dp.recipe_cost(&dp.recipe(&add(2)).unwrap());
+        assert!(cost.stage_cycles < cost.cycles, "RACER is bit-pipelined");
+        let steps: Vec<(u64, u64)> = trace
             .steps()
             .iter()
             .map(|s| match s {
-                EnsembleStep::Compute { cycles, .. } => *cycles,
-                _ => 0,
+                EnsembleStep::Compute { cycles, fj_per_lane, .. } => (*cycles, *fj_per_lane),
+                _ => (0, 0),
             })
             .collect();
-        assert_eq!(cycles, vec![serial, stage, stage], "first step cold, rest warm");
-        for step in trace.steps() {
-            assert_eq!(
-                trace.step_energy_pj(step, g.lanes_per_vrf).to_bits(),
-                dp.recipe_energy_pj(&recipe, g.lanes_per_vrf).to_bits(),
-                "full-mask energy is bit-identical to the cost model"
-            );
-            assert_eq!(
-                trace.step_energy_pj(step, 17).to_bits(),
-                dp.recipe_energy_pj(&recipe, 17).to_bits(),
-                "partial-mask energy is bit-identical to the cost model"
-            );
-        }
+        let (cold, warm, fj) = (cost.cycles, cost.stage_cycles, cost.fj_per_lane);
+        assert_eq!(steps, vec![(cold, fj), (warm, fj), (warm, fj)], "first step cold, rest warm");
     }
 
     #[test]

@@ -264,7 +264,8 @@ fn seeded_pair(lanes: usize, regs: usize, seed: u64, mask: &[u64]) -> (BitPlaneV
 }
 
 fn ctx(family: LogicFamily) -> RecipeCtx {
-    RecipeCtx { family, temp_regs: (14, 15), opt: Default::default() }
+    // Synthesis reads only the family, temp registers and optimizer config.
+    RecipeCtx { family, ..pum_backend::DatapathModel::racer().recipe_ctx() }
 }
 
 fn family_recipes(family: LogicFamily) -> Vec<(String, Recipe)> {

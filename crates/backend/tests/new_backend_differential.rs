@@ -18,7 +18,8 @@ use pum_backend::{
 use mpu_isa::{BinaryOp, CompareOp, Instruction, RegId, UnaryOp};
 
 fn ctx(family: LogicFamily) -> RecipeCtx {
-    RecipeCtx { family, temp_regs: (14, 15), opt: Default::default() }
+    // Synthesis reads only the family, temp registers and optimizer config.
+    RecipeCtx { family, ..DatapathModel::racer().recipe_ctx() }
 }
 
 /// Compute instructions exercising every word class, including aliased

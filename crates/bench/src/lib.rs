@@ -1,27 +1,12 @@
-//! # bench — Criterion benchmarks for the MPU reproduction
+//! # bench — deterministic performance-regression gate
 //!
-//! Wall-clock benchmarks of the simulator itself (how fast MASTODON
-//! executes micro-ops and kernels on the host) plus ablation measurements
-//! of the design choices DESIGN.md §6 calls out (recipe caching,
-//! bit-pipelining, thermal limits), reported via Criterion.
-//!
-//! The [`perf`] module is different in kind: a *deterministic* regression
-//! gate over simulated architectural counters (never wall clock), run as a
-//! normal test via `cargo test -p bench`.
+//! The [`perf`] module pins what the simulator computes — the
+//! architectural counters of the 28-kernel sweep, never wall clock — and
+//! runs as a normal test via `cargo test -p bench`. Host speed is
+//! measured by the standalone `perfbench` package; the DESIGN.md §12
+//! ablations are the `experiments` binary `ablations`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod perf;
-
-use mastodon::SimConfig;
-use pum_backend::DatapathKind;
-
-/// A small problem size that keeps individual bench iterations fast.
-pub const BENCH_N: u64 = 1 << 12;
-
-/// Every shipped MPU configuration (the three paper substrates plus the
-/// pLUTo and DPU models).
-pub fn mpu_configs() -> Vec<SimConfig> {
-    DatapathKind::ALL.iter().map(|&k| SimConfig::mpu(k)).collect()
-}

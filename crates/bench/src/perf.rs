@@ -1,9 +1,9 @@
 //! Deterministic performance-regression gate.
 //!
-//! Wall-clock benchmarks (the Criterion suites in `benches/`) measure how
-//! fast the simulator runs on the host; this module instead pins down what
-//! the simulator *computes*: the architectural counters (simulated cycles,
-//! waves, micro-ops, NoC bytes, cache traffic) of the full 28-kernel sweep.
+//! Host benchmarks (`perfbench`) measure how fast the simulator runs;
+//! this module instead pins down what the simulator *computes*: the
+//! architectural counters (simulated cycles, waves, micro-ops, NoC bytes,
+//! cache traffic) of the full 28-kernel sweep.
 //! Those are bit-exact functions of the code, so the gate needs no noise
 //! margins, no repeated runs, and no quiet machine — any drift is a real
 //! behavior change, caught on the first CI run.

@@ -123,12 +123,6 @@ pub struct SweepReport {
 }
 
 impl SweepReport {
-    /// Trials where a fault observably affected the run: silently
-    /// corrupted, detected in flight, or aborted.
-    pub fn affected_trials(&self) -> u64 {
-        self.sdc_trials + self.due_trials + self.detected_trials
-    }
-
     /// Fraction of affected trials the policy detected, in `[0, 1]`
     /// (1.0 when no trial was affected).
     pub fn detection_rate(&self) -> f64 {

@@ -360,11 +360,7 @@ fn golden_lines() -> String {
         for kind in BACKENDS {
             let stats =
                 simulate(kind, case).unwrap_or_else(|e| panic!("{label}={seed} on {kind:?}: {e}"));
-            let energy = stats.energy.datapath_pj
-                + stats.energy.frontend_pj
-                + stats.energy.transfer_pj
-                + stats.energy.offload_bus_pj
-                + stats.energy.cpu_pj;
+            let energy = stats.energy.total_pj();
             out.push_str(&format!(
                 "{label}={seed} backend={kind:?} cycles={} instructions={} uops={} waves={} \
                  messages={} noc_bytes={} energy_pj={energy:.3}\n",

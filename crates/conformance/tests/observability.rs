@@ -67,10 +67,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Tracing transparency and conservation over random programs: the
-    /// armed run is byte-identical to the disarmed run, and folding the
-    /// armed run's event deltas reproduces every [`Stats`] field exactly
-    /// (including f64 energies, bit for bit — `Stats` derives
-    /// `PartialEq`).
+    /// armed run is byte-identical to the disarmed run, folding the armed
+    /// run's event deltas reproduces every [`Stats`] field exactly, and
+    /// the attribution tree partitions every field but elapsed cycles.
     #[test]
     fn tracing_is_transparent_and_profiles_conserve(seed in 0u64..4096) {
         for kind in BACKENDS {
@@ -98,6 +97,11 @@ proptest! {
                     prop_assert_eq!(
                         &m.totals, &armed.per_mpu[m.mpu as usize],
                         "profile totals failed conservation for mpu{} ({})", m.mpu, ctx
+                    );
+                    let inclusive = Stats { cycles: m.totals.cycles, ..m.root.inclusive() };
+                    prop_assert_eq!(
+                        inclusive, m.totals,
+                        "profile tree failed to partition mpu{} ({})", m.mpu, ctx
                     );
                 }
                 prop_assert_eq!(

@@ -54,26 +54,26 @@ fn digest(run: &PipelineRun) -> u64 {
 type Pin = (&'static str, DatapathKind, usize, u64, u64, u64);
 
 const PINNED: [Pin; 20] = [
-    ("filter_count", DatapathKind::Racer, 1, 10, 5920, 0x15fcd0ad864ec243),
-    ("filter_count", DatapathKind::Racer, 4, 3, 36309, 0x60f1ac42cafda58a),
-    ("filter_count", DatapathKind::Dpu, 1, 10, 50420, 0x61f79b490b85418c),
-    ("filter_count", DatapathKind::Dpu, 4, 3, 120741, 0x52a7dfe33f73c226),
-    ("zip_mul_sum", DatapathKind::Racer, 1, 5, 154965, 0x06af3249b1a66d8e),
-    ("zip_mul_sum", DatapathKind::Racer, 4, 2, 74210, 0x569c1f56e76c70d8),
-    ("zip_mul_sum", DatapathKind::Dpu, 1, 5, 91450, 0xf7012c5023913918),
-    ("zip_mul_sum", DatapathKind::Dpu, 4, 2, 72246, 0x13c48e48fcac8bf1),
-    ("map", DatapathKind::Racer, 1, 3, 96348, 0x50a1dde79acbcfb2),
-    ("map", DatapathKind::Racer, 4, 3, 32116, 0xbd32ef4dc1e80bcd),
-    ("map", DatapathKind::Dpu, 1, 3, 94518, 0x2c191db9270e5777),
-    ("map", DatapathKind::Dpu, 4, 3, 31506, 0x710db192981fb80f),
-    ("scan", DatapathKind::Racer, 1, 4, 8638, 0x559d0aaa2b29aed2),
-    ("scan", DatapathKind::Racer, 4, 4, 4319, 0x6e7f2eb814eaa330),
-    ("scan", DatapathKind::Dpu, 1, 4, 41672, 0x7fc1fe60c16d0c90),
-    ("scan", DatapathKind::Dpu, 4, 4, 20836, 0xaab5114e64e38bcf),
-    ("filter_select", DatapathKind::Racer, 1, 10, 4550, 0xc3d9b5c741e71a4a),
-    ("filter_select", DatapathKind::Racer, 4, 10, 1365, 0x707900f66dac9209),
-    ("filter_select", DatapathKind::Dpu, 1, 10, 33780, 0x7ce8165302125610),
-    ("filter_select", DatapathKind::Dpu, 4, 10, 10134, 0xba791eca54be1fa1),
+    ("filter_count", DatapathKind::Racer, 1, 10, 5920, 0xc7d23a91f2a7a4d4),
+    ("filter_count", DatapathKind::Racer, 4, 3, 36309, 0x136e494c63af1883),
+    ("filter_count", DatapathKind::Dpu, 1, 10, 50420, 0xd84a2a2a6cc2f0e0),
+    ("filter_count", DatapathKind::Dpu, 4, 3, 120741, 0x141c94e0736d61ca),
+    ("zip_mul_sum", DatapathKind::Racer, 1, 5, 154965, 0x3ade723bf0b25f41),
+    ("zip_mul_sum", DatapathKind::Racer, 4, 2, 74210, 0x529a87a4a8c2edac),
+    ("zip_mul_sum", DatapathKind::Dpu, 1, 5, 91450, 0x805833b996e03f31),
+    ("zip_mul_sum", DatapathKind::Dpu, 4, 2, 72246, 0xea21ab0518b2661e),
+    ("map", DatapathKind::Racer, 1, 3, 96348, 0x0902d657a3c14d66),
+    ("map", DatapathKind::Racer, 4, 3, 32116, 0x86ba97af6de87707),
+    ("map", DatapathKind::Dpu, 1, 3, 94518, 0xe6a7fe67b2f5feb8),
+    ("map", DatapathKind::Dpu, 4, 3, 31506, 0xf1f663e0b98ddc40),
+    ("scan", DatapathKind::Racer, 1, 4, 8638, 0x9ae878444513c996),
+    ("scan", DatapathKind::Racer, 4, 4, 4319, 0x68319f16b67b6194),
+    ("scan", DatapathKind::Dpu, 1, 4, 41672, 0xe7f24dd5ae72d7ba),
+    ("scan", DatapathKind::Dpu, 4, 4, 20836, 0xdc12402faa38a10f),
+    ("filter_select", DatapathKind::Racer, 1, 10, 4550, 0xcb757810e611599f),
+    ("filter_select", DatapathKind::Racer, 4, 10, 1365, 0xd726ae88f6bd1f4a),
+    ("filter_select", DatapathKind::Dpu, 1, 10, 33780, 0xa4cbee6fbbee444b),
+    ("filter_select", DatapathKind::Dpu, 4, 10, 10134, 0x8393faef46c58b27),
 ];
 
 #[test]

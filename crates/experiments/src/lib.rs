@@ -14,9 +14,12 @@
 
 pub mod chaos;
 
-use mastodon::{RecipePool, SimConfig};
+use mastodon::{ExecutionMode, RecipePool, SimConfig};
 use platforms::{PlatformModel, PlatformRun};
-use pum_backend::{DatapathKind, OptConfig, OptRule, OptStats};
+use pum_backend::{
+    DatapathBuilder, DatapathKind, DatapathModel, LogicFamily, MicroOpKind, OptConfig, OptRule,
+    OptStats,
+};
 use std::sync::Arc;
 use workloads::apps::{run_app_pooled, AppRun};
 use workloads::{
@@ -227,15 +230,15 @@ pub fn app_matrix_jobs(seed: u64, jobs: Option<usize>) -> Vec<AppComparison> {
             let mut gpu_runs = Vec::new();
             for (i, &k) in kinds.iter().enumerate() {
                 let cfg = SimConfig::mpu(k);
-                let replicas = (cfg.datapath.geometry().mpus_per_chip / mpus).max(1) as f64;
-                let elements = app.elements(&cfg, mpus) as f64 * replicas;
-                gpu_runs.push(gpu.run(&app.profile(), elements as u64));
+                let replicas = (cfg.datapath.geometry().mpus_per_chip / mpus).max(1) as u64;
+                let elements = app.elements(&cfg, mpus) * replicas;
+                gpu_runs.push(gpu.run(&app.profile(), elements));
                 for run in [&mut mpu[i], &mut baseline[i]] {
                     let e = &mut run.stats.energy;
-                    e.datapath_pj *= replicas;
-                    e.frontend_pj *= replicas;
-                    e.transfer_pj *= replicas;
-                    e.offload_bus_pj *= replicas;
+                    e.datapath_fj *= replicas;
+                    e.frontend_fj *= replicas;
+                    e.transfer_fj *= replicas;
+                    e.offload_bus_fj *= replicas;
                     // The host CPU is shared: its energy does not replicate.
                 }
             }
@@ -470,33 +473,11 @@ pub fn render_opt_attribution(rows: &[OptAttributionRow], n: u64, seed: u64) -> 
         body.push(fmt_row(&total, "TOTAL"));
     }
 
-    let mut widths: Vec<usize> = headers.iter().map(String::len).collect();
-    for row in &body {
-        for (i, cell) in row.iter().enumerate() {
-            widths[i] = widths[i].max(cell.len());
-        }
-    }
-    let render_line = |cells: &[String]| -> String {
-        cells
-            .iter()
-            .enumerate()
-            .map(|(i, c)| format!("{c:>w$}", w = widths[i]))
-            .collect::<Vec<_>>()
-            .join("  ")
-    };
-    let mut out = format!(
+    let title = format!(
         "# recipe optimizer attribution (n={n}, seed={seed}); per-rule cells are \
-         fires/removed-uops per synthesized recipe\n"
+         fires/removed-uops per synthesized recipe"
     );
-    out.push_str(&render_line(&headers));
-    out.push('\n');
-    out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)));
-    out.push('\n');
-    for row in &body {
-        out.push_str(&render_line(row));
-        out.push('\n');
-    }
-    out
+    render_rows(&title, &headers, &body)
 }
 
 /// One `prim_suite` row: one PrIM kernel on one substrate (default
@@ -574,8 +555,18 @@ pub fn render_prim_suite(rows: &[PrimSuiteRow], n: u64, seed: u64) -> String {
         }
     }
 
+    let title = format!(
+        "# PrIM workload suite (n={n}, seed={seed}); wave counters plus chip-scaled \
+         time/energy, lane-verified per run"
+    );
+    render_rows(&title, &headers, &body)
+}
+
+/// Renders a titled, right-aligned text table: the golden-pinned form of
+/// [`print_table`].
+fn render_rows(title: &str, headers: &[String], body: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(String::len).collect();
-    for row in &body {
+    for row in body {
         for (i, cell) in row.iter().enumerate() {
             widths[i] = widths[i].max(cell.len());
         }
@@ -588,19 +579,77 @@ pub fn render_prim_suite(rows: &[PrimSuiteRow], n: u64, seed: u64) -> String {
             .collect::<Vec<_>>()
             .join("  ")
     };
-    let mut out = format!(
-        "# PrIM workload suite (n={n}, seed={seed}); wave counters plus chip-scaled \
-         time/energy, lane-verified per run\n"
-    );
-    out.push_str(&render_line(&headers));
+    let mut out = format!("{title}\n");
+    out.push_str(&render_line(headers));
     out.push('\n');
     out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)));
     out.push('\n');
-    for row in &body {
+    for row in body {
         out.push_str(&render_line(row));
         out.push('\n');
     }
     out
+}
+
+/// A RACER variant built from its shipped micro-op costs: `active` VRFs
+/// per RFH, bit-pipelined or strictly serial.
+fn racer_variant(name: &str, active: usize, pipelined: bool) -> SimConfig {
+    let dp = DatapathBuilder::new(name, LogicFamily::Nor)
+        .active_vrfs_per_rfh(active)
+        .uop(MicroOpKind::Nor, 2, 0.020)
+        .uop(MicroOpKind::Copy, 2, 0.025)
+        .uop(MicroOpKind::Set, 2, 0.012);
+    let dp = if pipelined { dp.bit_pipelined(DatapathModel::racer().pipeline_depth()) } else { dp };
+    SimConfig::new(dp.build(), ExecutionMode::Mpu)
+}
+
+/// Runs the DESIGN §12 ablations that have a simulated result, each as
+/// RACER against one variant (seed 1): bit-pipelining off on `sobel`, the
+/// thermal limit raised from one to two active VRFs per RFH on `vecadd`
+/// (paper footnote 2), and the template table cut from 1024 entries to
+/// one on `crc32`. Every run lane-verifies inside the harness. Returns
+/// the rendered table.
+///
+/// # Errors
+///
+/// Returns a message naming the kernel and variant on a harness or
+/// verification failure.
+pub fn ablations() -> Result<String, String> {
+    const SEED: u64 = 1;
+    let racer = SimConfig::mpu(DatapathKind::Racer);
+    let mut one_template = racer.clone();
+    one_template.template_entries = 1;
+    let variants = [
+        ("sobel", 1 << 12, ["bit-pipelined", "serial"], racer_variant("RACER-nopipe", 1, false)),
+        (
+            "vecadd",
+            1 << 20,
+            ["1 active VRF/RFH", "2 active VRFs/RFH"],
+            racer_variant("RACER-2active", 2, true),
+        ),
+        ("crc32", 1 << 12, ["1024 templates", "1 template"], one_template),
+    ];
+    let kernels = all_kernels();
+    let mut body = Vec::new();
+    for (kernel, n, labels, variant) in &variants {
+        let k = kernels.iter().find(|k| k.name() == *kernel).expect("kernel in the suite");
+        for (label, config) in labels.iter().zip([&racer, variant]) {
+            let run = run_kernel(k.as_ref(), config, *n, SEED)
+                .map_err(|e| format!("{kernel} on {label}: {e}"))?;
+            body.push(vec![
+                kernel.to_string(),
+                n.to_string(),
+                label.to_string(),
+                run.wave.cycles.to_string(),
+                fmt_time_ns(run.time_ns),
+                format!("{:.2}", run.wave.recipe_hit_rate()),
+            ]);
+        }
+    }
+    let headers = ["kernel", "n", "RACER variant", "wave cycles", "chip time", "template hit rate"]
+        .map(String::from);
+    let title = format!("# DESIGN §12 ablations on RACER (seed={SEED}); lane-verified per run");
+    Ok(render_rows(&title, &headers, &body))
 }
 
 /// Substrate order for attribution tables and sweeps: the three paper

@@ -4,9 +4,11 @@
 //! intentional re-bless with `MPU_BLESS=1 cargo test -p experiments`.
 
 use experiments::profile_kernel;
+use mastodon::{EventLog, Profile, SimConfig, Stats};
 use microjson::Value;
 use pum_backend::DatapathKind;
 use std::path::PathBuf;
+use workloads::{all_kernels, run_kernel_traced};
 
 const PINNED: [(&str, DatapathKind, &str); 5] = [
     ("vecadd", DatapathKind::Racer, "profile_vecadd_racer.txt"),
@@ -58,5 +60,23 @@ fn pinned_chrome_exports_are_loadable() {
             .unwrap_or_else(|e| panic!("{kernel} export is not valid JSON: {e}"));
         let events = doc.get("traceEvents").and_then(Value::as_arr).expect("traceEvents array");
         assert!(!events.is_empty(), "{kernel} trace must not be empty");
+    }
+}
+
+#[test]
+fn pinned_profile_trees_partition_their_totals() {
+    // Every charge is an integer attached to exactly one node, so each
+    // MPU's root sums to its totals on every field but elapsed cycles
+    // (which message delivery advances with a max).
+    let kernels = all_kernels();
+    for (kernel, backend, _) in PINNED {
+        let k = kernels.iter().find(|k| k.name() == kernel).expect("pinned kernel");
+        let log = EventLog::new();
+        run_kernel_traced(k.as_ref(), &SimConfig::mpu(backend), 1 << 12, 42, &log)
+            .unwrap_or_else(|e| panic!("{kernel} on {backend:?}: {e}"));
+        for m in &Profile::build(&log.take()).mpus {
+            let inclusive = Stats { cycles: m.totals.cycles, ..m.root.inclusive() };
+            assert_eq!(inclusive, m.totals, "{kernel} on {backend:?}: mpu{} tree", m.mpu);
+        }
     }
 }

@@ -88,20 +88,6 @@ impl BinaryOp {
             BinaryOp::Min => "MIN",
         }
     }
-
-    /// True for the pure Boolean ops whose recipes touch each bit once.
-    pub fn is_bitwise(self) -> bool {
-        matches!(
-            self,
-            BinaryOp::And
-                | BinaryOp::Nand
-                | BinaryOp::Nor
-                | BinaryOp::Or
-                | BinaryOp::Xor
-                | BinaryOp::Xnor
-                | BinaryOp::Mux
-        )
-    }
 }
 
 impl fmt::Display for BinaryOp {

@@ -120,10 +120,4 @@ impl RefGeometry {
             mpus_per_chip: 12,
         }
     }
-
-    /// The reserved scratch registers (clobbered by division recipes in
-    /// the bit-serial backends): the two highest register indices.
-    pub fn scratch_regs(&self) -> (u8, u8) {
-        ((self.regs_per_vrf - 2) as u8, (self.regs_per_vrf - 1) as u8)
-    }
 }

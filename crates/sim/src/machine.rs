@@ -15,7 +15,7 @@ use crate::recipe_cache::{RecipeCache, RecipePool};
 use crate::stats::{EnergyStats, Stats};
 use crate::trace::{FaultAction, InstrClass, TraceEvent, TraceKind, Tracer, UopMix};
 use mpu_isa::{Instruction, MpuId, Program, COND_REG};
-use pum_backend::{BitPlaneVrf, EnsembleStep, EnsembleTrace, Plane};
+use pum_backend::{pj_to_fj, BitPlaneVrf, EnsembleStep, EnsembleTrace, Plane};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -735,10 +735,10 @@ impl Mpu {
         // Overhead: two write/read march passes over one register.
         let words = 4 * lanes as u64;
         let cycles = words * self.config.datapath.transfer_cycles_per_word();
-        let pj = words as f64 * self.config.datapath.transfer_energy_pj_per_word();
+        let fj = words * self.config.datapath.transfer_fj_per_word();
         self.stats.cycles += cycles;
         self.stats.transfer_cycles += cycles;
-        self.stats.energy.transfer_pj += pj;
+        self.stats.energy.transfer_fj += fj;
         self.trace(0, || {
             let mut delta = Stats::default();
             delta.faults.dead_lanes = dead_n;
@@ -746,7 +746,7 @@ impl Mpu {
             delta.faults.lanes_lost = lost_n;
             delta.cycles = cycles;
             delta.transfer_cycles = cycles;
-            delta.energy.transfer_pj = pj;
+            delta.energy.transfer_fj = fj;
             (TraceKind::SelfTest { dead: dead_n, remapped: remapped_n, lost: lost_n }, delta)
         });
         map
@@ -859,17 +859,20 @@ impl Mpu {
         let mut delta = Stats::default();
         delta.faults.injected = injected;
         match self.config.mode {
+            // Power × cycles is not a whole number of fJ per cycle
+            // (72942.93656 fJ for the default front end), so the product is
+            // rounded once here rather than per cycle.
             ExecutionMode::Mpu => {
-                let pj = (self.config.frontend_dynamic_mw + self.config.frontend_static_mw)
-                    * self.stats.cycles as f64;
-                self.stats.energy.frontend_pj += pj;
-                delta.energy.frontend_pj = pj;
+                let mw = self.config.frontend_dynamic_mw + self.config.frontend_static_mw;
+                let fj = pj_to_fj(mw * self.stats.cycles as f64);
+                self.stats.energy.frontend_fj += fj;
+                delta.energy.frontend_fj = fj;
             }
             ExecutionMode::Baseline => {
                 let non_offload = self.stats.cycles.saturating_sub(self.stats.offload_cycles);
-                let pj = self.config.offload.cpu_idle_mw * non_offload as f64;
-                self.stats.energy.cpu_pj += pj;
-                delta.energy.cpu_pj = pj;
+                let fj = pj_to_fj(self.config.offload.cpu_idle_mw * non_offload as f64);
+                self.stats.energy.cpu_fj += fj;
+                delta.energy.cpu_fj = fj;
             }
         }
         let line = self.pc;
@@ -1077,15 +1080,15 @@ impl Mpu {
         // storage: charge it as transfer work.
         let words: u64 = checkpoint.iter().map(|(_, s)| s.len() as u64).sum();
         let cp_cycles = words * self.config.datapath.transfer_cycles_per_word();
-        let cp_pj = words as f64 * self.config.datapath.transfer_energy_pj_per_word();
+        let cp_fj = words * self.config.datapath.transfer_fj_per_word();
         self.stats.cycles += cp_cycles;
         self.stats.transfer_cycles += cp_cycles;
-        self.stats.energy.transfer_pj += cp_pj;
+        self.stats.energy.transfer_fj += cp_fj;
         self.trace(start_pc, || {
             let delta = Stats {
                 cycles: cp_cycles,
                 transfer_cycles: cp_cycles,
-                energy: EnergyStats { transfer_pj: cp_pj, ..EnergyStats::default() },
+                energy: EnergyStats { transfer_fj: cp_fj, ..EnergyStats::default() },
                 ..Stats::default()
             };
             (TraceKind::Checkpoint, delta)
@@ -1123,13 +1126,13 @@ impl Mpu {
                     // Restore streams the checkpoint back in.
                     self.stats.cycles += cp_cycles;
                     self.stats.transfer_cycles += cp_cycles;
-                    self.stats.energy.transfer_pj += cp_pj;
+                    self.stats.energy.transfer_fj += cp_fj;
                     self.trace(start_pc, || {
                         let mut delta = Stats::default();
                         delta.faults.ensemble_restarts = 1;
                         delta.cycles = cp_cycles;
                         delta.transfer_cycles = cp_cycles;
-                        delta.energy.transfer_pj = cp_pj;
+                        delta.energy.transfer_fj = cp_fj;
                         (TraceKind::Restart, delta)
                     });
                 }
@@ -1483,10 +1486,9 @@ impl Mpu {
         // When fusion proved the op stream never writes the mask plane,
         // each VRF's lane mask — and with it every step's enabled count —
         // is invariant across a contiguous run of compute steps, so the
-        // run can be accounted step-by-step (program order, identical
-        // charges) and then executed as one flat op pass per VRF, keeping
-        // each VRF's storage L1-resident instead of interleaving VRFs at
-        // every step.
+        // run is accounted once and then executed as one flat op pass per
+        // VRF, keeping each VRF's storage L1-resident instead of
+        // interleaving VRFs at every step.
         let batch = trace.fast();
         let mut i = 0;
         while i < steps.len() {
@@ -1501,8 +1503,17 @@ impl Mpu {
                         j += 1;
                     }
                     // Architectural accounting, per step in program order.
+                    let mut fj_per_lane = 0;
                     for (k, step) in steps[i..j].iter().enumerate() {
-                        let EnsembleStep::Compute { instr, cycles, uops, saved, .. } = step else {
+                        let EnsembleStep::Compute {
+                            instr,
+                            cycles,
+                            uops,
+                            saved,
+                            fj_per_lane: fj,
+                            ..
+                        } = step
+                        else {
                             unreachable!("run boundaries split at non-compute steps");
                         };
                         // The architectural template table sees the same
@@ -1527,23 +1538,21 @@ impl Mpu {
                         self.stats.compute_cycles += cycles;
                         self.stats.uops += u64::from(*uops);
                         self.stats.uops_saved += u64::from(*saved);
-                        // Energy reads each VRF's enabled count exactly as
-                        // run_body does *before* the step executes — the
-                        // masks are invariant across the run (batched
-                        // case) or the run is this single step.
-                        let mut energy = 0.0;
-                        for &(rfh, vrf) in wave {
-                            let enabled = self.vrf_mut(rfh, vrf).mask_lanes();
-                            energy += trace.step_energy_pj(step, enabled);
-                        }
-                        self.stats.energy.datapath_pj += energy;
+                        fj_per_lane += fj;
                     }
                     // Execution: the run's fused ops, one VRF at a time.
                     // VRFs are independent, so per-VRF state is identical
-                    // to the step-interleaved order.
+                    // to the step-interleaved order. Each VRF's mask is
+                    // invariant across its run (batched case) or the run is
+                    // one step, so the run costs one `Σ fJ/lane × Σ enabled`
+                    // product, counted before the ops execute.
+                    let mut enabled = 0;
                     for &(rfh, vrf) in wave {
-                        trace.run_steps(i..j, self.vrf_mut(rfh, vrf));
+                        let v = self.vrf_mut(rfh, vrf);
+                        enabled += v.mask_lanes() as u64;
+                        trace.run_steps(i..j, v);
                     }
+                    self.stats.energy.datapath_fj += fj_per_lane * enabled;
                     i = j;
                     continue;
                 }
@@ -1605,7 +1614,6 @@ impl Mpu {
             // keeps tier fallback paths honest).
             None => return Err(SimError::RecipeUnavailable { line, mnemonic: instr.mnemonic() }),
         };
-        let recipe = &cached.recipe;
         let penalty = self.config.control.recipe_miss_penalty;
         // Decode cost: MPU caches templates; Baseline decodes every time.
         let hit = match self.config.mode {
@@ -1635,12 +1643,8 @@ impl Mpu {
         // Timing: micro-ops are broadcast to all wave VRFs, so issue time
         // does not scale with wave size. RACER overlaps consecutive
         // instructions across bit-stages once the pipeline is warm.
-        let serial = self.config.datapath.recipe_cycles(recipe);
-        let cycles = if self.config.datapath.bit_pipelined() && *pipeline_warm {
-            self.config.datapath.recipe_stage_cycles(recipe)
-        } else {
-            serial
-        };
+        let cost = &cached.cost;
+        let cycles = if *pipeline_warm { cost.stage_cycles } else { cost.cycles };
         *pipeline_warm = true;
         self.stats.instructions += 1;
         let mnemonic = instr.mnemonic();
@@ -1680,21 +1684,21 @@ impl Mpu {
         self.stats.compute_cycles += cycles;
         self.stats.uops += recipe.len() as u64;
         self.stats.uops_saved += u64::from(recipe.saved_uops());
-        let mut energy = 0.0;
+        let mut enabled = 0;
         for &(rfh, vrf) in wave {
             let v = self.vrf_mut(rfh, vrf);
-            let enabled = v.mask_lanes();
+            enabled += v.mask_lanes() as u64;
             v.run_compiled(&cached.compiled);
-            energy += self.config.datapath.recipe_energy_pj(recipe, enabled);
         }
-        self.stats.energy.datapath_pj += energy;
+        let fj = cached.cost.fj_per_lane * enabled;
+        self.stats.energy.datapath_fj += fj;
         self.trace(line, || {
             let delta = Stats {
                 cycles,
                 compute_cycles: cycles,
                 uops: recipe.len() as u64,
                 uops_saved: u64::from(recipe.saved_uops()),
-                energy: EnergyStats { datapath_pj: energy, ..EnergyStats::default() },
+                energy: EnergyStats { datapath_fj: fj, ..EnergyStats::default() },
                 ..Stats::default()
             };
             (TraceKind::Exec { vrfs: wave.len(), mix: UopMix(cached.compiled.mix()) }, delta)
@@ -1837,18 +1841,18 @@ impl Mpu {
             off.round_trip_cycles + bus_cycles
         };
         *offload_batch = true;
-        let bus_pj = bytes * off.bus_pj_per_byte;
-        let cpu_pj = off.cpu_active_mw * cycles as f64;
+        let bus_fj = pj_to_fj(bytes * off.bus_pj_per_byte);
+        let cpu_fj = pj_to_fj(off.cpu_active_mw * cycles as f64);
         self.stats.cycles += cycles;
         self.stats.offload_cycles += cycles;
-        self.stats.energy.offload_bus_pj += bus_pj;
-        self.stats.energy.cpu_pj += cpu_pj;
+        self.stats.energy.offload_bus_fj += bus_fj;
+        self.stats.energy.cpu_fj += cpu_fj;
         self.trace(line, || {
             let delta = Stats {
                 cycles,
                 offload_cycles: cycles,
                 offload_events: if batched { 0 } else { 1 },
-                energy: EnergyStats { offload_bus_pj: bus_pj, cpu_pj, ..EnergyStats::default() },
+                energy: EnergyStats { offload_bus_fj: bus_fj, cpu_fj, ..EnergyStats::default() },
                 ..Stats::default()
             };
             (TraceKind::Offload { batched }, delta)
@@ -1870,19 +1874,19 @@ impl Mpu {
         let off = &self.config.offload;
         let bus = ((2 * bytes) as f64 / off.bus_bytes_per_cycle).ceil() as u64;
         let cycles = off.round_trip_cycles + bus;
-        let bus_pj = 2.0 * bytes as f64 * off.bus_pj_per_byte;
-        let cpu_pj = off.cpu_active_mw * cycles as f64;
+        let bus_fj = pj_to_fj(2.0 * bytes as f64 * off.bus_pj_per_byte);
+        let cpu_fj = pj_to_fj(off.cpu_active_mw * cycles as f64);
         self.stats.cycles += cycles;
         self.stats.offload_cycles += cycles;
         self.stats.offload_events += 1;
-        self.stats.energy.offload_bus_pj += bus_pj;
-        self.stats.energy.cpu_pj += cpu_pj;
+        self.stats.energy.offload_bus_fj += bus_fj;
+        self.stats.energy.cpu_fj += cpu_fj;
         self.trace(line, || {
             let delta = Stats {
                 cycles,
                 offload_cycles: cycles,
                 offload_events: 1,
-                energy: EnergyStats { offload_bus_pj: bus_pj, cpu_pj, ..EnergyStats::default() },
+                energy: EnergyStats { offload_bus_fj: bus_fj, cpu_fj, ..EnergyStats::default() },
                 ..Stats::default()
             };
             (TraceKind::Offload { batched: false }, delta)
@@ -1968,15 +1972,15 @@ impl Mpu {
                         // Sequential-consistency: transfers execute one at
                         // a time, in order.
                         let cycles = words * self.config.datapath.transfer_cycles_per_word();
-                        let pj = words as f64 * self.config.datapath.transfer_energy_pj_per_word();
+                        let fj = words * self.config.datapath.transfer_fj_per_word();
                         self.stats.cycles += cycles;
                         self.stats.transfer_cycles += cycles;
-                        self.stats.energy.transfer_pj += pj;
+                        self.stats.energy.transfer_fj += fj;
                         self.trace(line, || {
                             let delta = Stats {
                                 cycles,
                                 transfer_cycles: cycles,
-                                energy: EnergyStats { transfer_pj: pj, ..EnergyStats::default() },
+                                energy: EnergyStats { transfer_fj: fj, ..EnergyStats::default() },
                                 ..Stats::default()
                             };
                             (TraceKind::Memcpy { src_rfh, dst_rfh }, delta)
@@ -2316,9 +2320,9 @@ mod tests {
         // ...but Baseline pays CPU round trips.
         assert!(base_stats.offload_events > 0);
         assert!(base_stats.cycles > 3 * mpu_stats.cycles, "offloads dominate");
-        assert!(base_stats.energy.cpu_pj > 0.0);
+        assert!(base_stats.energy.cpu_fj > 0);
         assert_eq!(mpu_stats.offload_events, 0);
-        assert!(mpu_stats.energy.cpu_pj == 0.0);
+        assert!(mpu_stats.energy.cpu_fj == 0);
     }
 
     #[test]
@@ -2371,7 +2375,7 @@ mod tests {
         let (stats, mut mpu) = run_single(racer(), &p, &[((0, 0, 0), vec![77; 64])]).unwrap();
         assert_eq!(mpu.read_register(1, 0, 1).unwrap()[0], 77);
         assert!(stats.transfer_cycles > 0);
-        assert!(stats.energy.transfer_pj > 0.0);
+        assert!(stats.energy.transfer_fj > 0);
     }
 
     #[test]
@@ -2747,9 +2751,8 @@ mod tests {
         let dp = pum_backend::DatapathModel::racer();
         let add =
             Instruction::Binary { op: BinaryOp::Add, rs: RegId(0), rt: RegId(1), rd: RegId(2) };
-        let recipe = dp.recipe(&add).unwrap();
-        let serial = dp.recipe_cycles(&recipe);
-        let stage = dp.recipe_stage_cycles(&recipe);
+        let cost = dp.recipe_cost(&dp.recipe(&add).unwrap());
+        let (serial, stage) = (cost.cycles, cost.stage_cycles);
 
         let (base, _) =
             run_single(SimConfig::baseline(DatapathKind::Racer), &with_nop, &[]).unwrap();

@@ -6,6 +6,7 @@
 //! serialization over the link width. Energy is per byte per hop.
 
 use crate::config::NocParams;
+use pum_backend::pj_to_fj;
 
 /// A 2-D mesh connecting `mpus` MPUs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -13,7 +14,7 @@ pub struct MeshNoc {
     side: usize,
     params_hop_cycles: u64,
     params_link_bytes_per_cycle_milli: u64,
-    params_pj_per_byte_hop_milli: u64,
+    fj_per_byte_hop: u64,
 }
 
 impl MeshNoc {
@@ -24,7 +25,7 @@ impl MeshNoc {
             side: side.max(1),
             params_hop_cycles: params.hop_cycles,
             params_link_bytes_per_cycle_milli: (params.link_bytes_per_cycle * 1000.0) as u64,
-            params_pj_per_byte_hop_milli: (params.pj_per_byte_hop * 1000.0) as u64,
+            fj_per_byte_hop: pj_to_fj(params.pj_per_byte_hop),
         }
     }
 
@@ -54,10 +55,9 @@ impl MeshNoc {
         hops * self.params_hop_cycles + (bytes * 1000).div_ceil(link)
     }
 
-    /// Transport energy in picojoules.
-    pub fn energy_pj(&self, src: usize, dst: usize, bytes: u64) -> f64 {
-        let hops = self.hops(src, dst) as f64;
-        hops * bytes as f64 * self.params_pj_per_byte_hop_milli as f64 / 1000.0
+    /// Transport energy in femtojoules.
+    pub fn energy_fj(&self, src: usize, dst: usize, bytes: u64) -> u64 {
+        self.hops(src, dst) * bytes * self.fj_per_byte_hop
     }
 }
 
@@ -97,9 +97,20 @@ mod tests {
     #[test]
     fn energy_scales_with_bytes_and_hops() {
         let n = noc(16);
-        let near = n.energy_pj(0, 1, 100);
-        let far = n.energy_pj(0, 15, 100);
-        assert!((far / near - 6.0).abs() < 1e-9);
-        assert_eq!(n.energy_pj(2, 2, 100), 0.0);
+        let near = n.energy_fj(0, 1, 100);
+        let far = n.energy_fj(0, 15, 100);
+        assert_eq!(near, 100 * 800, "0.8 pJ per byte-hop");
+        assert_eq!(far, 6 * near);
+        assert_eq!(n.energy_fj(2, 2, 100), 0);
+    }
+
+    #[test]
+    fn byte_hop_energy_rounds_to_the_nearest_femtojoule() {
+        // 1.005 × 1000.0 is 1004.9999999999999 in f64; truncating it would
+        // charge 1004 fJ per byte-hop.
+        let params = NocParams { pj_per_byte_hop: 1.005, ..NocParams::default() };
+        let n = MeshNoc::new(16, params);
+        assert_eq!(n.energy_fj(0, 1, 1), 1005);
+        assert_eq!(n.energy_fj(0, 15, 10), 6 * 10 * 1005);
     }
 }

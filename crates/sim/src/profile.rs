@@ -4,24 +4,19 @@
 //!
 //! # Conservation
 //!
-//! [`MpuProfile::totals`] is computed by folding every event's delta with
-//! [`Stats::merge_sequential`] *in emission order* — the identical
-//! per-field sequence of additions the simulator performed on its live
-//! ledger — so every counter **and every floating-point energy field** is
-//! bit-for-bit equal to the machine's final [`Stats`]. The one exception
-//! is elapsed `cycles`, which message delivery advances with a `max`; it
-//! is recovered from the last event's cycle stamp instead (for a
-//! completed run that event is [`TraceKind::Finish`], stamped after all
-//! charges). [`Profile::merged`] then folds per-MPU totals with
-//! [`Stats::merge_parallel`] in MPU-id order — the same reduction
-//! [`crate::System::run`] performs — so the chip-level total matches too.
+//! [`MpuProfile::totals`] folds every event's delta with
+//! [`Stats::merge_sequential`]. Every counter, energy included, is an
+//! integer, so the fold equals the machine's final [`Stats`] in any order.
+//! The one exception is elapsed `cycles`, which message delivery advances
+//! with a `max`; it is recovered from the last event's cycle stamp instead
+//! (for a completed run that event is [`TraceKind::Finish`], stamped after
+//! all charges). [`Profile::merged`] then folds per-MPU totals with
+//! [`Stats::merge_parallel`], the reduction [`crate::System::run`]
+//! performs, so the chip-level total matches too.
 //!
 //! Within the tree, each event's delta is attached to exactly one node, so
-//! integer counters partition exactly across the hierarchy (a node's
-//! inclusive sum equals its subtree's charges). Energy fields in inclusive
-//! sums are tree-order folds and may differ from the emission-order total
-//! in the last few ulps; conservation is defined — and tested — against
-//! [`MpuProfile::totals`].
+//! every field but elapsed `cycles` partitions exactly across the
+//! hierarchy: the root's [`ProfileNode::inclusive`] equals the totals.
 
 use crate::machine::EnsembleKind;
 use crate::stats::Stats;
@@ -75,8 +70,7 @@ impl ProfileNode {
         }
     }
 
-    /// Inclusive charges: this node plus its whole subtree. Integer
-    /// counters partition exactly; energy fields are tree-order folds.
+    /// Inclusive charges: this node plus its whole subtree.
     pub fn inclusive(&self) -> Stats {
         let mut total = self.stats;
         for child in &self.children {

@@ -22,21 +22,26 @@
 //! produce bit-identical statistics.
 
 use mpu_isa::Instruction;
-use pum_backend::{CompiledRecipe, DatapathModel, EnsembleTrace, OptStats, Recipe, RecipeCtx};
+use pum_backend::{
+    CompiledRecipe, DatapathModel, EnsembleTrace, OptStats, Recipe, RecipeCost, RecipeCtx,
+};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-/// A recipe cache entry: the synthesized micro-op sequence plus its
+/// A recipe cache entry: the synthesized micro-op sequence, its
 /// pre-compiled form (plane addresses resolved for the owning datapath's
-/// VRF geometry). Both are `Arc`-shared with the pool, so cloning an entry
-/// is two reference bumps.
+/// VRF geometry), and what it costs there. The first two are `Arc`-shared
+/// with the pool, so cloning an entry is two reference bumps.
 #[derive(Debug, Clone)]
 pub struct CachedRecipe {
-    /// The synthesized micro-op sequence (costing, histograms, display).
+    /// The synthesized micro-op sequence (micro-op counts, display).
     pub recipe: Arc<Recipe>,
     /// The geometry-specialized compiled form executed on the hot path.
     pub compiled: Arc<CompiledRecipe>,
+    /// Cycles and energy per enabled lane, computed once with the
+    /// compiled form.
+    pub cost: RecipeCost,
 }
 
 /// A process-wide memo of synthesized recipes, shared across concurrent
@@ -44,17 +49,18 @@ pub struct CachedRecipe {
 ///
 /// Recipe templates are keyed by `(RecipeCtx, encoded instruction)`:
 /// synthesis is a pure function of that pair, so datapaths that agree on
-/// logic family, temporary registers, *and optimizer configuration*
+/// logic family, temporary registers, optimizer configuration *and costs*
 /// (including ablated variants of the same
 /// [`pum_backend::DatapathKind`]) reuse each other's work safely — and
-/// datapaths that disagree on any of them, notably an optimizer flag
-/// flipped against a warm pool, can never be served each other's
-/// templates. Compiled forms additionally key on the VRF geometry
-/// `(lanes, regs)` they were resolved for.
+/// datapaths that disagree on any of them, say an optimizer flag or
+/// bit-pipelining flipped against a warm pool, can never be served each
+/// other's templates. Compiled forms and fused traces additionally key on
+/// the VRF geometry `(lanes, regs)` they were resolved for, so every key
+/// covers everything its value reads.
 #[derive(Debug, Default)]
 pub struct RecipePool {
     templates: RwLock<HashMap<(RecipeCtx, u32), Arc<Recipe>>>,
-    compiled: RwLock<HashMap<CompiledKey, Arc<CompiledRecipe>>>,
+    compiled: RwLock<HashMap<CompiledKey, (Arc<CompiledRecipe>, RecipeCost)>>,
     traces: RwLock<HashMap<TraceKey, Arc<EnsembleTrace>>>,
     lookups: AtomicU64,
     hits: AtomicU64,
@@ -86,8 +92,8 @@ pub struct PoolStats {
     pub opt: OptStats,
 }
 
-/// Memo key for a compiled form: synthesis context, encoded instruction,
-/// and the VRF geometry `(lanes, regs)` it was resolved for.
+/// Memo key for a compiled form and its cost: synthesis context, encoded
+/// instruction, and the VRF geometry `(lanes, regs)` it was resolved for.
 type CompiledKey = (RecipeCtx, u32, usize, usize);
 
 /// Memo key for a fused ensemble trace: synthesis context, the encoded
@@ -101,23 +107,14 @@ impl RecipePool {
         Self::default()
     }
 
-    /// Returns the recipe for `instr` on `datapath`, synthesizing and
-    /// memoizing it on first use. `None` for control-path instructions
-    /// that have no recipe.
-    pub fn get_or_build(
-        &self,
-        datapath: &DatapathModel,
-        instr: &Instruction,
-    ) -> Option<Arc<Recipe>> {
-        Some(self.get_or_build_inner(datapath, instr, true)?.0)
-    }
-
-    /// [`Self::get_or_build`] plus whether the template was already
-    /// memoized (`true` = pool hit). When `count` is false the probe is
-    /// left out of the traffic counters (used by trace fusion, whose
-    /// probes are one-time and amortized behind the trace memo — counting
-    /// them would make pool statistics depend on memo warmth rather than
-    /// on the executed instruction stream).
+    /// Returns the template for `instr` on `datapath`, synthesizing and
+    /// memoizing it on first use (`None` for control-path instructions),
+    /// plus whether it was already memoized (`true` = pool hit). When
+    /// `count` is false the probe is left out of the traffic counters
+    /// (used by trace fusion, whose probes are one-time and amortized
+    /// behind the trace memo — counting them would make pool statistics
+    /// depend on memo warmth rather than on the executed instruction
+    /// stream).
     fn get_or_build_inner(
         &self,
         datapath: &DatapathModel,
@@ -168,14 +165,15 @@ impl RecipePool {
         let (recipe, template_hit) = self.get_or_build_inner(datapath, instr, count)?;
         let g = datapath.geometry();
         let key = (datapath.recipe_ctx(), instr.encode(), g.lanes_per_vrf, g.regs_per_vrf);
-        if let Some(compiled) = read(&self.compiled).get(&key) {
-            let entry = CachedRecipe { recipe, compiled: Arc::clone(compiled) };
+        if let Some((compiled, cost)) = read(&self.compiled).get(&key) {
+            let entry = CachedRecipe { recipe, compiled: Arc::clone(compiled), cost: *cost };
             return Some((entry, template_hit));
         }
         let compiled = Arc::new(recipe.compile(g.lanes_per_vrf, g.regs_per_vrf));
+        let cost = key.0.recipe_cost(&recipe, g.lanes_per_vrf);
         let mut map = write(&self.compiled);
-        let compiled = Arc::clone(map.entry(key).or_insert(compiled));
-        Some((CachedRecipe { recipe, compiled }, template_hit))
+        let (compiled, cost) = map.entry(key).or_insert((compiled, cost));
+        Some((CachedRecipe { recipe, compiled: Arc::clone(compiled), cost: *cost }, template_hit))
     }
 
     /// Returns the fused [`EnsembleTrace`] for a straight-line ensemble
@@ -204,7 +202,7 @@ impl RecipePool {
         // work, but the first insert wins and both get the same entry.
         let trace = Arc::new(pum_backend::fuse_ensemble_with(datapath, body, |dp, instr| {
             let (entry, _) = self.build_compiled(dp, instr, false)?;
-            Some((entry.recipe, entry.compiled))
+            Some((entry.recipe, entry.compiled, entry.cost))
         })?);
         let mut traces = write(&self.traces);
         Some(Arc::clone(traces.entry(key).or_insert(trace)))
@@ -306,12 +304,12 @@ pub struct RecipeCache {
     /// the [`RecipePool`] never does. Bodies per program are few, so the
     /// memo is unbounded. `None` memoizes a body that failed to fuse.
     traces: HashMap<Vec<u32>, Option<Arc<EnsembleTrace>>>,
-    /// The synthesis context (logic family, temp registers, optimizer
-    /// config) every cached entry was lowered under. The per-MPU table is
-    /// keyed by instruction word alone, so if the owning datapath's
-    /// context ever changes — e.g. the recipe optimizer is toggled against
-    /// a warm cache — the table and the trace memo are flushed rather than
-    /// serving templates from the stale context.
+    /// The synthesis context ([`RecipeCtx`]: family, temp registers,
+    /// optimizer config, costs) every cached entry was lowered under. The
+    /// per-MPU table is keyed by instruction word alone, so if the owning
+    /// datapath's context ever changes — e.g. the recipe optimizer is
+    /// toggled against a warm cache — the table and the trace memo are
+    /// flushed rather than serving entries from the stale context.
     ctx: Option<RecipeCtx>,
     tick: u64,
     hits: u64,
@@ -639,11 +637,11 @@ mod tests {
         let pool = Arc::new(RecipePool::new());
         assert_eq!(pool.stats(), PoolStats::default());
 
-        pool.get_or_build(&dp, &add(2)).unwrap();
-        pool.get_or_build(&dp, &add(2)).unwrap();
+        pool.get_or_build_compiled(&dp, &add(2)).unwrap();
+        pool.get_or_build_compiled(&dp, &add(2)).unwrap();
         pool.get_or_build_compiled(&dp, &add(3)).unwrap();
         // Control instructions never reach the memo and are not counted.
-        assert!(pool.get_or_build(&dp, &Instruction::Nop).is_none());
+        assert!(pool.get_or_build_compiled(&dp, &Instruction::Nop).is_none());
 
         let s = pool.stats();
         assert_eq!(s, PoolStats { lookups: 3, hits: 1, misses: 2, opt: s.opt });
@@ -661,8 +659,8 @@ mod tests {
         let off = DatapathModel::racer().with_opt_config(pum_backend::OptConfig::disabled());
         let pool = Arc::new(RecipePool::new());
 
-        let optimized = pool.get_or_build(&on, &add(2)).unwrap();
-        let plain = pool.get_or_build(&off, &add(2)).unwrap();
+        let optimized = pool.get_or_build_compiled(&on, &add(2)).unwrap().recipe;
+        let plain = pool.get_or_build_compiled(&off, &add(2)).unwrap().recipe;
         assert_eq!(pool.len(), 2, "distinct opt configs occupy distinct pool slots");
         assert_eq!(pool.stats().misses, 2, "the flipped config cannot hit the warm memo");
         assert!(
@@ -672,6 +670,35 @@ mod tests {
             plain.len()
         );
         assert_eq!(plain.saved_uops(), 0, "disabled optimizer records no savings");
+    }
+
+    #[test]
+    fn bit_pipelining_is_part_of_the_trace_key() {
+        // Two datapaths that differ only in bit-pipelining synthesize the
+        // same recipes; a pool keyed without it served the first one's
+        // stage times to the second.
+        let build = |pipelined: bool| {
+            let dp = pum_backend::DatapathBuilder::new("NOR", pum_backend::LogicFamily::Nor)
+                .uop(pum_backend::MicroOpKind::Nor, 2, 0.020)
+                .uop(pum_backend::MicroOpKind::Copy, 2, 0.025)
+                .uop(pum_backend::MicroOpKind::Set, 2, 0.012);
+            if pipelined { dp.bit_pipelined(64) } else { dp }.build()
+        };
+        let pool = RecipePool::new();
+        let cycles = |dp: &DatapathModel| -> Vec<u64> {
+            let trace = pool.get_or_fuse_trace(dp, &[add(2), add(3)]).unwrap();
+            let steps = trace.steps().iter();
+            steps
+                .map(|s| match s {
+                    pum_backend::EnsembleStep::Compute { cycles, .. } => *cycles,
+                    _ => 0,
+                })
+                .collect()
+        };
+        let (piped, serial) = (cycles(&build(true)), cycles(&build(false)));
+        assert_eq!(piped[0], serial[0], "a cold pipeline pays serial latency");
+        assert!(piped[1] < serial[1], "only the bit-pipelined datapath overlaps the second ADD");
+        assert_eq!(pool.len(), 4, "each datapath keeps its own templates");
     }
 
     #[test]
@@ -750,7 +777,7 @@ mod tests {
         // locks; every later job on the same pool must still be served.
         let dp = DatapathModel::racer();
         let pool = RecipePool::new();
-        let before = pool.get_or_build(&dp, &add(2)).unwrap();
+        let before = pool.get_or_build_compiled(&dp, &add(2)).unwrap().recipe;
         let stats = pool.stats();
         std::thread::scope(|s| {
             let crashed = s
@@ -768,7 +795,7 @@ mod tests {
         });
         assert!(pool.templates.is_poisoned() && pool.opt.is_poisoned());
 
-        let after = pool.get_or_build(&dp, &add(2)).unwrap();
+        let after = pool.get_or_build_compiled(&dp, &add(2)).unwrap().recipe;
         assert!(Arc::ptr_eq(&before, &after), "the memoized recipe is still served");
         assert_eq!(pool.stats().hits, stats.hits + 1);
         assert_eq!(pool.stats().opt, stats.opt);

@@ -3,41 +3,43 @@
 
 use std::ops::AddAssign;
 
-/// Energy accounting, picojoules.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+/// Energy accounting, whole femtojoules. The ledger is integer so every
+/// charge commutes: any order of the same charges gives the same totals.
+/// Picojoules appear only at the reporting edge ([`Self::total_pj`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EnergyStats {
     /// Micro-op energy in the memory arrays.
-    pub datapath_pj: f64,
+    pub datapath_fj: u64,
     /// MPU front-end (control path) energy.
-    pub frontend_pj: f64,
+    pub frontend_fj: u64,
     /// Intra-MPU and inter-MPU data movement energy.
-    pub transfer_pj: f64,
+    pub transfer_fj: u64,
     /// Off-chip bus energy for Baseline offloads.
-    pub offload_bus_pj: f64,
+    pub offload_bus_fj: u64,
     /// Host CPU energy (active during offloads + idle during PUM compute;
     /// Baseline mode only).
-    pub cpu_pj: f64,
+    pub cpu_fj: u64,
 }
 
 impl EnergyStats {
-    /// Total energy, pJ.
-    pub fn total_pj(&self) -> f64 {
-        self.datapath_pj + self.frontend_pj + self.transfer_pj + self.offload_bus_pj + self.cpu_pj
+    /// Total energy, fJ.
+    pub fn total_fj(&self) -> u64 {
+        self.datapath_fj + self.frontend_fj + self.transfer_fj + self.offload_bus_fj + self.cpu_fj
     }
 
-    /// Total energy, millijoules.
-    pub fn total_mj(&self) -> f64 {
-        self.total_pj() / 1.0e9
+    /// Total energy, pJ.
+    pub fn total_pj(&self) -> f64 {
+        self.total_fj() as f64 / 1.0e3
     }
 }
 
 impl AddAssign for EnergyStats {
     fn add_assign(&mut self, rhs: Self) {
-        self.datapath_pj += rhs.datapath_pj;
-        self.frontend_pj += rhs.frontend_pj;
-        self.transfer_pj += rhs.transfer_pj;
-        self.offload_bus_pj += rhs.offload_bus_pj;
-        self.cpu_pj += rhs.cpu_pj;
+        self.datapath_fj += rhs.datapath_fj;
+        self.frontend_fj += rhs.frontend_fj;
+        self.transfer_fj += rhs.transfer_fj;
+        self.offload_bus_fj += rhs.offload_bus_fj;
+        self.cpu_fj += rhs.cpu_fj;
     }
 }
 
@@ -91,7 +93,7 @@ impl AddAssign for FaultStats {
 }
 
 /// Full statistics for one simulated execution.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Stats {
     /// Total elapsed cycles (1 GHz → cycles == nanoseconds).
     pub cycles: u64,
@@ -219,12 +221,12 @@ mod tests {
     #[test]
     fn merge_parallel_takes_max_time_and_sums_energy() {
         let mut a = Stats { cycles: 100, ..Stats::default() };
-        a.energy.datapath_pj = 5.0;
+        a.energy.datapath_fj = 5;
         let mut b = Stats { cycles: 70, ..Stats::default() };
-        b.energy.datapath_pj = 7.0;
+        b.energy.datapath_fj = 7;
         a.merge_parallel(&b);
         assert_eq!(a.cycles, 100);
-        assert!((a.energy.datapath_pj - 12.0).abs() < 1e-9);
+        assert_eq!(a.energy.datapath_fj, 12);
     }
 
     #[test]
@@ -245,13 +247,13 @@ mod tests {
     #[test]
     fn energy_totals() {
         let e = EnergyStats {
-            datapath_pj: 1.0,
-            frontend_pj: 2.0,
-            transfer_pj: 3.0,
-            offload_bus_pj: 4.0,
-            cpu_pj: 5.0,
+            datapath_fj: 1000,
+            frontend_fj: 2000,
+            transfer_fj: 3000,
+            offload_bus_fj: 4000,
+            cpu_fj: 5001,
         };
-        assert!((e.total_pj() - 15.0).abs() < 1e-12);
-        assert!((e.total_mj() - 15.0e-9).abs() < 1e-18);
+        assert_eq!(e.total_fj(), 15_001);
+        assert_eq!(e.total_pj(), 15.001);
     }
 }

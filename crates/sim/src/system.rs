@@ -275,7 +275,7 @@ impl System {
         let dst = msg.dst.index();
         let bytes = msg.bytes;
         let latency = self.noc.latency_cycles(src, dst, bytes);
-        let energy = self.noc.energy_pj(src, dst, bytes);
+        let energy = self.noc.energy_fj(src, dst, bytes);
         let mut msg = msg;
         let mut traversals = 1u64;
         // Fault-counter mirror for the (single, aggregated) Noc event.
@@ -290,11 +290,11 @@ impl System {
                 if !f.retry || retransmits >= f.max_retries {
                     // Lost for good: the wire time was still spent.
                     let wire_cycles = traversals * latency;
-                    let wire_pj = traversals as f64 * energy;
+                    let wire_fj = traversals * energy;
                     stats.transfer_cycles += wire_cycles;
-                    stats.energy.transfer_pj += wire_pj;
+                    stats.energy.transfer_fj += wire_fj;
                     delta.transfer_cycles = wire_cycles;
-                    delta.energy.transfer_pj = wire_pj;
+                    delta.energy.transfer_fj = wire_fj;
                     let kind = TraceKind::Noc {
                         src: src as u16,
                         dst: dst as u16,
@@ -335,12 +335,12 @@ impl System {
         dst_mpu.deliver(msg, arrival);
         // Receiver pays the wire time & energy (avoids double counting).
         let wire_cycles = traversals * latency;
-        let wire_pj = traversals as f64 * energy;
+        let wire_fj = traversals * energy;
         let s = dst_mpu.stats_mut();
         s.transfer_cycles += wire_cycles;
-        s.energy.transfer_pj += wire_pj;
+        s.energy.transfer_fj += wire_fj;
         delta.transfer_cycles = wire_cycles;
-        delta.energy.transfer_pj = wire_pj;
+        delta.energy.transfer_fj = wire_fj;
         let kind = TraceKind::Noc { src: src as u16, dst: dst as u16, bytes, delivered: true };
         dst_mpu.trace_system(kind, delta);
     }

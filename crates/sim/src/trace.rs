@@ -15,14 +15,12 @@
 //! * **Transparency armed.** Attaching a tracer never changes execution:
 //!   lane values and [`Stats`] are byte-identical armed vs disarmed
 //!   (enforced by the conformance observability suite).
-//! * **Conservation.** Folding every event's `delta` in emission order
-//!   per MPU reproduces that MPU's final [`Stats`] exactly — including
-//!   the floating-point energy fields bit for bit, because deltas are
-//!   emitted at the same granularity (one event per `+=`) and folded in
-//!   the same order as the live accumulation. Elapsed `cycles` is the
-//!   one non-summable field (message delivery advances it with a `max`),
-//!   so it is recovered from the last event's [`TraceEvent::cycle`]
-//!   stamp instead. See [`crate::Profile`].
+//! * **Conservation.** Folding every event's `delta` per MPU reproduces
+//!   that MPU's final [`Stats`] exactly. Every field is an integer (energy
+//!   in femtojoules), so the fold is an equality in any order. Elapsed
+//!   `cycles` is the one non-summable field (message delivery advances it
+//!   with a `max`), so it is recovered from the last event's
+//!   [`TraceEvent::cycle`] stamp instead. See [`crate::Profile`].
 //!
 //! Events are deterministic: the same program, inputs, configuration, and
 //! fault seed produce the identical event stream on every run.

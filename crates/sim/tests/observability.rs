@@ -30,6 +30,15 @@ fn traced_system(config: SimConfig) -> (Stats, Vec<TraceEvent>, Vec<Stats>) {
     (stats, log.take(), per_mpu)
 }
 
+/// Asserts that each MPU's attribution tree partitions its totals: the
+/// root's inclusive charges equal them on every field but elapsed cycles.
+fn assert_tree_partitions(profile: &Profile) {
+    for m in &profile.mpus {
+        let inclusive = Stats { cycles: m.totals.cycles, ..m.root.inclusive() };
+        assert_eq!(inclusive, m.totals, "mpu{} tree must partition its totals", m.mpu);
+    }
+}
+
 fn faulty_config() -> SimConfig {
     let mut config = SimConfig::mpu(DatapathKind::Racer);
     // Rate sized so a ~15k-uop MUL recipe draws well under one transient
@@ -73,6 +82,7 @@ fn profile_conserves_noc_and_fault_charges() {
         );
     }
     assert_eq!(profile.merged(), stats, "merged profile must equal System::run stats");
+    assert_tree_partitions(&profile);
 }
 
 #[test]
@@ -98,6 +108,7 @@ fn profile_conserves_scheduler_waves_across_checkpoint_restarts() {
     assert!(stats.faults.ensemble_restarts > 0, "the run must exercise restarts");
     let profile = Profile::build(&log.take());
     assert_eq!(profile.mpus[0].totals, stats, "profile totals must reproduce Stats exactly");
+    assert_tree_partitions(&profile);
 }
 
 #[test]

@@ -67,11 +67,6 @@ impl ChipRun {
     pub fn time_us(&self) -> f64 {
         self.time_ns / 1000.0
     }
-
-    /// Energy in millijoules.
-    pub fn energy_mj(&self) -> f64 {
-        self.energy_pj / 1.0e9
-    }
 }
 
 /// Harness failure.
@@ -237,12 +232,15 @@ fn run_kernel_inner(
     // Energy: the simulated wave covers `member_count` VRFs; a real wave
     // activates `max_active_vrfs_per_mpu`. The host CPU (Baseline) is one
     // shared device: its energy follows chip time, not wave count.
+    // The simulated ledger is whole femtojoules; chip scaling is in pJ.
     let width_scale = g.max_active_vrfs_per_mpu() as f64 / member_count as f64;
-    let per_wave_energy = wave.energy.datapath_pj * width_scale
-        + wave.energy.frontend_pj
-        + wave.energy.transfer_pj * width_scale
-        + wave.energy.offload_bus_pj;
-    let mut energy_pj = per_wave_energy * instances as f64 + wave.energy.cpu_pj * occupancy;
+    let pj = |fj: u64| fj as f64 / 1000.0;
+    let e = &wave.energy;
+    let per_wave_energy = pj(e.datapath_fj) * width_scale
+        + pj(e.frontend_fj)
+        + pj(e.transfer_fj) * width_scale
+        + pj(e.offload_bus_fj);
+    let mut energy_pj = per_wave_energy * instances as f64 + pj(e.cpu_fj) * occupancy;
 
     // External streaming for data beyond on-chip capacity (Duality Cache).
     let data_bytes = n as f64 * kernel.regs_per_elem() as f64 * 8.0 * footprint;

@@ -65,8 +65,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "energy: datapath {:.1} nJ, front end {:.1} nJ (recipe-cache hit rate {:.0}%)",
-        stats.energy.datapath_pj / 1000.0,
-        stats.energy.frontend_pj / 1000.0,
+        stats.energy.datapath_fj as f64 / 1e6,
+        stats.energy.frontend_fj as f64 / 1e6,
         100.0 * stats.recipe_hit_rate()
     );
     println!("no host CPU was involved: {} offload events", stats.offload_events);
