@@ -195,8 +195,8 @@ impl BitPlaneVrf {
         self.words
     }
 
-    /// Direct access to the flat plane storage, for the fused
-    /// ensemble-trace executor (`compiled::run_ops_fast`), which has
+    /// Direct access to the flat plane storage, for the block tier's
+    /// fast loop (`compiled::run_ops_fast`), which has
     /// statically discharged all [`Self::finish_write`] bookkeeping.
     #[inline]
     pub(crate) fn storage_mut(&mut self) -> &mut [u64] {

@@ -206,7 +206,7 @@ pub(crate) enum CompiledOp {
     /// Word-serial instruction (UPMEM-style DPU). Operands stay symbolic:
     /// execution reads whole registers through the VRF's transpose path,
     /// so there is nothing to pre-resolve — and the fast word loop cannot
-    /// run it (the fuser marks traces containing word ops as non-fast).
+    /// run it (a recipe containing one is not [`CompiledRecipe::fast`]).
     Word { instr: Instruction },
 }
 
@@ -222,6 +222,7 @@ pub struct CompiledRecipe {
     lanes: usize,
     regs: usize,
     mix: [u32; MicroOpKind::ALL.len()],
+    fast: bool,
 }
 
 impl CompiledRecipe {
@@ -252,9 +253,16 @@ impl CompiledRecipe {
         self.mix
     }
 
-    /// The resolved op sequence (ensemble-trace fusion concatenates these).
+    /// The resolved op sequence.
     pub(crate) fn ops(&self) -> &[CompiledOp] {
         &self.ops
+    }
+
+    /// True when [`run_ops_fast`] may run this recipe: the geometry has no
+    /// padding bits (`lanes % 64 == 0`), no op writes the mask plane, and
+    /// no op is word-serial.
+    pub(crate) fn fast(&self) -> bool {
+        self.fast
     }
 }
 
@@ -300,7 +308,9 @@ pub(crate) fn compile(ops: &[MicroOp], lanes: usize, regs: usize) -> CompiledRec
     assert!(regs > 0 && regs <= 64, "register count must be in 1..=64");
     let layout = Layout { regs, words: lanes.div_ceil(64) };
     let latch = layout.base(Plane::Scratch(SCRATCH_PLANES as u16 - 1));
+    let mask = layout.base(Plane::Mask);
     let mut mix = [0u32; MicroOpKind::ALL.len()];
+    let mut fast = lanes.is_multiple_of(64);
     // Fills operand slots a function does not read.
     const F: Plane = Plane::Const(false);
     let compiled = ops
@@ -328,6 +338,7 @@ pub(crate) fn compile(ops: &[MicroOp], lanes: usize, regs: usize) -> CompiledRec
                 MicroOp::FullAdd { a, b, carry, sum } => {
                     let (carry, carry_masked) = layout.out(carry);
                     let (sum, sum_masked) = layout.out(sum);
+                    fast &= carry != mask && sum != mask;
                     return CompiledOp::FullAdd {
                         a: layout.base(a),
                         b: layout.base(b),
@@ -338,14 +349,18 @@ pub(crate) fn compile(ops: &[MicroOp], lanes: usize, regs: usize) -> CompiledRec
                         sum_masked,
                     };
                 }
-                MicroOp::Word { instr } => return CompiledOp::Word { instr },
+                MicroOp::Word { instr } => {
+                    fast = false;
+                    return CompiledOp::Word { instr };
+                }
             };
             let [a, b, c] = ins.map(|p| layout.base(p));
             let (out, masked) = layout.out(out);
+            fast &= out != mask;
             CompiledOp::Gate { kind, func, a, b, c, out, masked }
         })
         .collect();
-    CompiledRecipe { ops: compiled, lanes, regs, mix }
+    CompiledRecipe { ops: compiled, lanes, regs, mix, fast }
 }
 
 /// The pointwise word loops decoded ops run on: the VRF itself, with its
@@ -451,7 +466,7 @@ pub(crate) fn run(vrf: &mut BitPlaneVrf, recipe: &CompiledRecipe) {
 }
 
 /// Executes a slice of resolved ops — the shared word-loop core of both
-/// [`run`] and the fused ensemble-trace tier, so every execution path
+/// [`run`] and the block tier's compute runs, so every execution path
 /// performs the identical plane writes (and fault-site draws) in the
 /// identical order.
 pub(crate) fn run_ops(vrf: &mut BitPlaneVrf, ops: &[CompiledOp]) {
@@ -547,22 +562,25 @@ impl WordLoops for FastLoops<'_> {
 }
 
 /// Executes a slice of resolved ops with every [`BitPlaneVrf`] post-write
-/// bookkeeping step statically discharged — the ensemble-trace fast path.
+/// bookkeeping step statically discharged — the block tier's fast path.
 ///
-/// The caller must have proven (the fuser records this as
-/// [`crate::EnsembleTrace`]'s fast flag, re-checked per VRF at replay):
+/// The caller must have proven:
 ///
 /// * `lanes % 64 == 0` — no padding bits to re-zero after a write;
 /// * no op in the stream writes the mask plane — the cached mask popcount
 ///   cannot go stale;
+/// * no op is word-serial
+///   (the first three are [`CompiledRecipe::fast`]);
 /// * no fault model is attached — no fault-site draws, no forced lanes;
 /// * mask-honouring is enabled (no suspended `GETMASK` readout in flight).
 ///
 /// Under those conditions `finish_write` is a no-op for every single op,
 /// so this loop performs the *identical* plane writes as [`run_ops`] —
 /// byte-identical storage afterwards — while touching only the operand
-/// words.
-pub(crate) fn run_ops_fast(vrf: &mut BitPlaneVrf, ops: &[CompiledOp]) {
+/// words. With `mask_full` (the caller knows every lane is enabled) the
+/// masked merge `(new & m) | (old & !m)` equals the plain write, so the
+/// ops' mask flags are ignored.
+pub(crate) fn run_ops_fast(vrf: &mut BitPlaneVrf, ops: &[CompiledOp], mask_full: bool) {
     debug_assert!(vrf.fault_model().is_none(), "fast path excludes fault models");
     debug_assert!(vrf.mask_enabled(), "fast path requires mask-honouring enabled");
     debug_assert_eq!(vrf.lanes() % 64, 0, "fast path requires no padding bits");
@@ -572,25 +590,26 @@ pub(crate) fn run_ops_fast(vrf: &mut BitPlaneVrf, ops: &[CompiledOp]) {
     // Single-word planes (64-lane VRFs, e.g. RACER) are the hottest
     // geometry; the literal-1 call lets the word loops constant-fold away.
     if words == 1 {
-        run_ops_fast_inner(&mut FastLoops { st, words: 1, mask }, ops);
+        run_ops_fast_inner(&mut FastLoops { st, words: 1, mask }, ops, !mask_full);
     } else {
-        run_ops_fast_inner(&mut FastLoops { st, words, mask }, ops);
+        run_ops_fast_inner(&mut FastLoops { st, words, mask }, ops, !mask_full);
     }
 }
 
 #[inline(always)]
-fn run_ops_fast_inner(l: &mut FastLoops, ops: &[CompiledOp]) {
+fn run_ops_fast_inner(l: &mut FastLoops, ops: &[CompiledOp], merge: bool) {
     for op in ops {
         match *op {
             CompiledOp::Gate { func, a, b, c, out, masked, .. } => {
-                run_gate(l, func, [a, b, c], out, masked)
+                run_gate(l, func, [a, b, c], out, masked && merge)
             }
             CompiledOp::FullAdd { a, b, carry, sum, latch, carry_masked, sum_masked } => {
+                let (carry_masked, sum_masked) = (carry_masked && merge, sum_masked && merge);
                 run_full_add(l, a, b, carry, sum, latch, carry_masked, sum_masked)
             }
             CompiledOp::Word { .. } => {
                 // Word ops need the whole VRF (transpose reads/writes), so
-                // the fuser never marks traces containing them as fast.
+                // a recipe containing one is never fast.
                 unreachable!("word-serial ops are excluded from the fast path")
             }
         }
@@ -824,7 +843,7 @@ mod tests {
                             // 128 lanes: the fast loop against the oracle.
                             oracle(&base128, &mut want, op);
                             let mut fast = base128.clone();
-                            run_ops_fast(&mut fast, compile(&[op], 128, 4).ops());
+                            run_ops_fast(&mut fast, compile(&[op], 128, 4).ops(), false);
                             assert!(fast == want, "run_ops_fast as {func:?}: {op:?}");
                         }
                     }

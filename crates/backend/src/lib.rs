@@ -72,6 +72,7 @@
 
 pub mod area;
 mod bitplane;
+mod block;
 mod compiled;
 mod datapath;
 pub mod fault;
@@ -81,9 +82,9 @@ mod microop;
 pub mod opt;
 pub mod power;
 pub mod recipe;
-mod trace_tier;
 
 pub use bitplane::{BitPlaneVrf, Plane, SCRATCH_PLANES};
+pub use block::{decode_body_with, BlockGraph, BlockStep, BodyLayout, Trap};
 pub use compiled::CompiledRecipe;
 pub use datapath::{
     pj_to_fj, CostTable, DatapathBuilder, DatapathKind, DatapathModel, Geometry, RecipeCost,
@@ -95,7 +96,6 @@ pub use logic::{GateBuilder, LogicFamily};
 pub use microop::{lut3_word, word_kind, MicroOp, MicroOpKind, Planes};
 pub use opt::{optimize, OptConfig, OptRule, OptStats, RuleStats};
 pub use recipe::{build_recipe, semantics, Recipe, RecipeCtx};
-pub use trace_tier::{fuse_ensemble_with, EnsembleStep, EnsembleTrace};
 
 /// Bits per vector data element (mirrors [`mpu_isa::DATA_BITS`]).
 pub const DATA_BITS: u32 = mpu_isa::DATA_BITS;

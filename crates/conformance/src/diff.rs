@@ -1,7 +1,8 @@
 //! The differential runner: one case, executed by the word-level reference
 //! model and by the cycle-accurate simulator on every shipped backend
 //! (bit-serial NOR/MAJ/bitline, pLUTo LUT queries, word-serial DPU) over
-//! both execution tiers (compiled, fused ensemble trace), compared
+//! both execution tiers (compiled one-instruction blocks, multi-instruction
+//! blocks), compared
 //! lane-exactly plus over the architectural counters the reference model
 //! defines — and cross-tier over the full statistics.
 
@@ -73,22 +74,23 @@ fn run_reference(
 /// One execution tier of the simulator's compute path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tier {
-    /// Geometry-compiled recipes, dispatched per instruction.
+    /// One instruction per block: geometry-compiled recipes, dispatched
+    /// per instruction (`trace_ensembles = false`).
     Compiled,
-    /// Fused ensemble traces where eligible (straight-line bodies), with
-    /// per-instruction fallback elsewhere.
-    Trace,
+    /// Multi-instruction blocks: runs of compute steps execute in one
+    /// pass per VRF.
+    Block,
 }
 
 /// Every tier the differential matrix covers.
-pub const TIERS: [Tier; 2] = [Tier::Compiled, Tier::Trace];
+pub const TIERS: [Tier; 2] = [Tier::Compiled, Tier::Block];
 
 impl Tier {
     /// Short label used in mismatch reports.
     pub fn label(self) -> &'static str {
         match self {
             Tier::Compiled => "compiled",
-            Tier::Trace => "trace",
+            Tier::Block => "block",
         }
     }
 }
@@ -102,8 +104,8 @@ fn run_simulator(
 ) -> Result<(Vec<LaneBox>, Stats), String> {
     let mut config = SimConfig::mpu(kind);
     // Pin the tier knob explicitly: the compiled tier must not silently
-    // ride the trace tier (whose default is on).
-    config.trace_ensembles = tier == Tier::Trace;
+    // ride the block tier (whose default is on).
+    config.trace_ensembles = tier == Tier::Block;
     let mut sys = match pool {
         Some(pool) => System::new_pooled(config, case.mpus.len(), pool),
         None => System::new(config, case.mpus.len()),
@@ -146,7 +148,7 @@ pub fn reference_lanes(kind: DatapathKind, case: &Case) -> Option<Vec<LaneBox>> 
 ///
 /// Returns `Some(description)` on the first divergence between the
 /// reference model and the simulator (on either tier), or between the
-/// trace and compiled tiers' statistics. Returns `None` when all
+/// block and compiled tiers' statistics. Returns `None` when all
 /// agree — or when the reference model itself rejects the case (which
 /// makes the case incomparable, not a simulator defect; the shrinker
 /// relies on this to discard reductions that break program validity).

@@ -5,7 +5,7 @@
 //! full Table II instruction set; [`check_case`] runs each one through the
 //! word-level [`refmodel`] interpreter and through the cycle-accurate
 //! simulator on every shipped backend (the Table III substrates plus
-//! pLUTo and DPU) over both the compiled and fused execution tiers, asserting
+//! pLUTo and DPU) over both the compiled and block execution tiers, asserting
 //! lane-exact register equality plus agreement on the architectural
 //! counters; and [`shrink`] reduces any divergence to a short reproducer
 //! rendered as ezpim text by [`reproducer_text`].

@@ -1,20 +1,20 @@
-//! The trace-tier ("JIT") conformance suite:
+//! The block-tier conformance suite:
 //!
 //! * a dedicated differential sweep over a disjoint seed range, proving
-//!   the fused ensemble-trace tier byte-identical to the compiled tier and
-//!   to the word-level reference model on every backend
+//!   multi-instruction blocks byte-identical to one instruction per block
+//!   and to the word-level reference model on every backend
 //!   (`JIT_CONFORMANCE_CASES` overrides the case count);
-//! * fallback canaries: bodies the trace tier must refuse to fuse (EFI
-//!   loops, mid-body `GETMASK`, subroutine calls) and configurations that
-//!   need per-instruction fidelity run on the per-instruction tier — and
-//!   still produce the same results;
+//! * canaries: EFI loops, mid-body `GETMASK` and subroutine calls run on
+//!   multi-instruction blocks with the results of one-instruction blocks;
+//! * the block-boundary property (proptest): random bodies of the shapes
+//!   ezpim emits agree between the two block sizes on every substrate;
 //! * the playback-refill accounting property (proptest): a straight-line
 //!   body of `n` instructions charges exactly `ceil((n + 1) / entries) - 1`
-//!   refills, and the trace tier reproduces the same charges.
+//!   refills, whichever way it runs.
 
 use conformance::{check_case, generate, reproducer_text, shrink};
-use mastodon::{run_single, EventLog, SimConfig, TraceKind};
-use mpu_isa::{Instruction, LineNum, Program, RegId, VrfId};
+use mastodon::{run_single, EventLog, Mpu, RegisterInit, SimConfig, SimError, Stats, TraceKind};
+use mpu_isa::{Instruction, LineNum, MpuId, Program, RegId, VrfId};
 use pum_backend::DatapathKind;
 
 #[test]
@@ -23,7 +23,7 @@ fn compiled_vs_fused_differential_suite() {
         std::env::var("JIT_CONFORMANCE_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(40);
     // A seed range disjoint from tests/conformance.rs so the two sweeps
     // compound rather than repeat (check_case covers the compiled and
-    // trace tiers on every shipped backend).
+    // block tiers on every shipped backend).
     for seed in 50_000..50_000 + cases {
         let case = generate(seed);
         if let Some(mismatch) = check_case(&case) {
@@ -41,15 +41,54 @@ fn asm(text: &str) -> Program {
     Program::parse_asm(text).expect("valid asm")
 }
 
-#[test]
-fn straight_line_bodies_run_on_the_trace_tier() {
-    let p = asm("COMPUTE h0 v0\nADD r0 r1 r2\nSETMASK r63\nINC r2 r3\nUNMASK\nCOMPUTE_DONE");
-    let (_, mpu) = run_single(racer(), &p, &[((0, 0, 0), vec![5; 64])]).unwrap();
-    assert_eq!(mpu.tier_counts(), (1, 0), "straight-line body must fuse");
+/// What a run leaves behind: the outcome, the ledger, register lanes and
+/// the tier split.
+type Observed = (Result<Stats, SimError>, Stats, Vec<Vec<u64>>, (u64, u64));
+
+/// Runs `p` on a fresh MPU, to completion or error; observes every
+/// member's r0..r15.
+fn observe(
+    config: SimConfig,
+    p: &Program,
+    members: &[(u16, u16)],
+    inputs: &[RegisterInit],
+) -> Observed {
+    let mut mpu = Mpu::new(config, MpuId(0));
+    for ((rfh, vrf, reg), values) in inputs {
+        mpu.write_register(*rfh, *vrf, *reg, values).unwrap();
+    }
+    let outcome = mpu.run(p);
+    let lanes = members
+        .iter()
+        .flat_map(|&(rfh, vrf)| (0..16).map(move |reg| (rfh, vrf, reg)))
+        .map(|(rfh, vrf, reg)| mpu.read_register(rfh, vrf, reg).unwrap())
+        .collect();
+    (outcome, *mpu.stats(), lanes, mpu.tier_counts())
+}
+
+/// Asserts `p` runs on multi-instruction blocks, with the outcome, lanes
+/// and `Stats` of one instruction per block; returns h0.v0's registers.
+fn assert_runs_on_blocks(p: &Program, inputs: &[RegisterInit]) -> Vec<Vec<u64>> {
+    let mut single = racer();
+    single.trace_ensembles = false;
+    let (want, want_stats, want_lanes, tiers) = observe(single, p, &[(0, 0)], inputs);
+    assert_eq!(tiers, (0, 1));
+    let (got, got_stats, got_lanes, tiers) = observe(racer(), p, &[(0, 0)], inputs);
+    assert_eq!(tiers, (1, 0), "the body must run on multi-instruction blocks");
+    assert_eq!(got, want);
+    assert_eq!(got_stats, want_stats);
+    assert_eq!(got_lanes, want_lanes);
+    got_lanes
 }
 
 #[test]
-fn efi_loops_fall_back_to_the_compiled_tier() {
+fn straight_line_bodies_run_on_blocks() {
+    let p = asm("COMPUTE h0 v0\nADD r0 r1 r2\nSETMASK r63\nINC r2 r3\nUNMASK\nCOMPUTE_DONE");
+    assert_runs_on_blocks(&p, &[((0, 0, 0), vec![5; 64])]);
+}
+
+#[test]
+fn efi_loops_run_on_blocks() {
     // while (r0 > r1): r0 -= r2 — data-dependent trip count.
     let p = asm("COMPUTE h0 v0\n\
          CMPGT r0 r1\n\
@@ -60,20 +99,17 @@ fn efi_loops_fall_back_to_the_compiled_tier() {
          COMPUTE_DONE");
     let inputs: [((u16, u16, u8), Vec<u64>); 3] =
         [((0, 0, 0), vec![3; 64]), ((0, 0, 1), vec![0; 64]), ((0, 0, 2), vec![1; 64])];
-    let (_, mut mpu) = run_single(racer(), &p, &inputs).unwrap();
-    assert_eq!(mpu.tier_counts(), (0, 1), "EFI loop must not fuse");
-    assert_eq!(mpu.read_register(0, 0, 0).unwrap(), vec![0; 64]);
+    assert_eq!(assert_runs_on_blocks(&p, &inputs)[0], vec![0; 64]);
 }
 
 #[test]
-fn mid_body_getmask_falls_back() {
+fn mid_body_getmask_runs_on_blocks() {
     let p = asm("COMPUTE h0 v0\nADD r0 r1 r2\nGETMASK r3\nCOMPUTE_DONE");
-    let (_, mpu) = run_single(racer(), &p, &[]).unwrap();
-    assert_eq!(mpu.tier_counts(), (0, 1), "mask readout must not fuse");
+    assert_eq!(assert_runs_on_blocks(&p, &[])[3], vec![1; 64]);
 }
 
 #[test]
-fn subroutine_calls_fall_back() {
+fn subroutine_calls_run_on_blocks() {
     let p = Program::from_instructions(vec![
         Instruction::Compute { rfh: 0.into(), vrf: VrfId(0) },
         Instruction::Jump { target: LineNum(4) },
@@ -82,9 +118,7 @@ fn subroutine_calls_fall_back() {
         Instruction::Unary { op: mpu_isa::UnaryOp::Inc, rs: RegId(0), rd: RegId(1) },
         Instruction::Return,
     ]);
-    let (_, mut mpu) = run_single(racer(), &p, &[((0, 0, 0), vec![41; 64])]).unwrap();
-    assert_eq!(mpu.tier_counts(), (0, 1), "JUMP/RETURN must not fuse");
-    assert_eq!(mpu.read_register(0, 0, 1).unwrap(), vec![42; 64]);
+    assert_eq!(assert_runs_on_blocks(&p, &[((0, 0, 0), vec![41; 64])])[1], vec![42; 64]);
 }
 
 #[test]
@@ -105,7 +139,7 @@ fn every_backend_agrees_across_tiers_on_a_predicated_body() {
         off.trace_ensembles = false;
         let (want, mut m1) = run_single(off, &p, &inputs).unwrap();
         let (got, mut m2) = run_single(SimConfig::mpu(kind), &p, &inputs).unwrap();
-        assert_eq!(m2.tier_counts(), (1, 0), "{kind:?}: body must fuse");
+        assert_eq!(m2.tier_counts(), (1, 0), "{kind:?}: body must run on blocks");
         assert_eq!(want, got, "{kind:?}: statistics must be bit-identical");
         for reg in 0..5 {
             assert_eq!(
@@ -132,18 +166,17 @@ mod playback_refill {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The per-instruction tier charges exactly
-        /// `ceil(body_len / entries) - 1` playback refills for a
-        /// straight-line body (`body_len` counts the `COMPUTE_DONE`
-        /// fetch), and the trace tier settles identical charges.
+        /// Execution charges exactly `ceil(body_len / entries) - 1`
+        /// playback refills for a straight-line body (`body_len` counts
+        /// the `COMPUTE_DONE` fetch), traced or not, whichever block size
+        /// runs it.
         #[test]
         fn refill_count_matches_the_closed_form(n in 1usize..200, entries in 1usize..=64) {
             let p = nop_body(n);
             let mut cfg = racer();
             cfg.playback_entries = entries;
 
-            // Count actual refill events on the per-instruction tier (an
-            // armed tracer forces the fallback path).
+            // Count actual refill events.
             let log = EventLog::new();
             let (tracer_stats, _) = mastodon::run_single_traced(
                 cfg.clone(), &p, &[], None, Some(Box::new(log.clone())),
@@ -156,16 +189,273 @@ mod playback_refill {
             let body_len = n + 1; // n body instructions + COMPUTE_DONE
             prop_assert_eq!(refills, body_len.div_ceil(entries) - 1);
 
-            // The trace tier reproduces the same charges.
+            // Untraced blocks charge the same.
             let (trace_stats, mpu) = run_single(cfg.clone(), &p, &[]).unwrap();
             prop_assert_eq!(mpu.tier_counts(), (1, 0));
             prop_assert_eq!(trace_stats, tracer_stats);
 
-            // And so does the untraced per-instruction tier.
+            // And so do one-instruction blocks.
             let mut off = cfg;
             off.trace_ensembles = false;
             let (compiled_stats, _) = run_single(off, &p, &[]).unwrap();
             prop_assert_eq!(trace_stats, compiled_stats);
+        }
+    }
+}
+
+/// The block-boundary property: random bodies of the shapes ezpim emits —
+/// EFI loops, nested `GETMASK` predication, `SETMASK`/`UNMASK` runs and
+/// subroutine calls laid out after the halt `RETURN` — plus raw EFI loops
+/// whose first line a back edge re-enters under a partial mask, give the
+/// same outcome, lanes and `Stats` on multi-instruction blocks as on one
+/// instruction per block, on every substrate. Every case also runs with a
+/// 4-entry playback buffer (refills inside loops) and under a watchdog
+/// that trips partway through, and once under DMR.
+mod block_boundaries {
+    use super::*;
+    use mastodon::Redundancy;
+    use mpu_isa::{BinaryOp, CompareOp, UnaryOp, COND_REG};
+    use proptest::prelude::*;
+
+    /// The case's stream of choices (splitmix64).
+    struct Choices(u64);
+
+    impl Choices {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        }
+
+        fn reg(&mut self, from: &[u16]) -> RegId {
+            RegId(from[self.below(from.len() as u64) as usize])
+        }
+    }
+
+    /// Registers random ops read and write. The rest keep the loops
+    /// finite: r0 seeds trip counts, r1 is zero, r2 is one, r7/r8 count
+    /// the (at most two nested) loops, r10..r13 save masks.
+    const READ: [u16; 8] = [0, 1, 2, 3, 4, 5, 6, 9];
+    const WRITTEN: [u16; 5] = [3, 4, 5, 6, 9];
+
+    fn bin(op: BinaryOp, rs: u16, rt: u16, rd: u16) -> Instruction {
+        Instruction::Binary { op, rs: RegId(rs), rt: RegId(rt), rd: RegId(rd) }
+    }
+
+    /// The ensemble under construction: `code` from line 0 (the header
+    /// first), the subroutine count, and the calls to patch once the
+    /// subroutines are laid out after the halt `RETURN`.
+    struct Asm {
+        c: Choices,
+        code: Vec<Instruction>,
+        subs: u64,
+        calls: Vec<(usize, u64)>,
+    }
+
+    impl Asm {
+        fn emit(&mut self, instr: Instruction) {
+            self.code.push(instr);
+        }
+
+        fn op(&mut self) {
+            let c = &mut self.c;
+            let (rs, rt, rd) = (c.reg(&READ), c.reg(&READ), c.reg(&WRITTEN));
+            let instr = match c.below(6) {
+                0 => Instruction::Binary { op: BinaryOp::Add, rs, rt, rd },
+                1 => Instruction::Binary { op: BinaryOp::Sub, rs, rt, rd },
+                2 => Instruction::Binary { op: BinaryOp::Xor, rs, rt, rd },
+                3 => Instruction::Binary { op: BinaryOp::And, rs, rt, rd },
+                4 => Instruction::Unary { op: UnaryOp::Inc, rs, rd },
+                _ => Instruction::Nop,
+            };
+            self.emit(instr);
+        }
+
+        fn ops(&mut self) {
+            for _ in 0..1 + self.c.below(3) {
+                self.op();
+            }
+        }
+
+        fn compare(&mut self) {
+            let (rs, rt) = (self.c.reg(&READ), self.c.reg(&READ));
+            let op = [CompareOp::Eq, CompareOp::Gt, CompareOp::Lt][self.c.below(3) as usize];
+            self.emit(Instruction::Compare { op, rs, rt });
+        }
+
+        /// The rest of ezpim's nesting-safe predication prologue, after the
+        /// enclosing mask was saved in `ro` and the condition computed:
+        /// enable `enclosing AND cond` (via `rm`).
+        fn intersect(&mut self, ro: u16, rm: u16) {
+            self.emit(Instruction::SetMask { rs: COND_REG });
+            self.emit(Instruction::GetMask { rd: RegId(rm) });
+            self.emit(Instruction::Unmask);
+            self.emit(bin(BinaryOp::And, rm, ro, rm));
+            self.emit(Instruction::SetMask { rs: RegId(rm) });
+        }
+
+        /// ezpim's epilogue: restore the mask saved in `ro`.
+        fn restore(&mut self, ro: u16) {
+            self.emit(Instruction::Unmask);
+            self.emit(Instruction::SetMask { rs: RegId(ro) });
+        }
+
+        /// Appends one to three random statements. `nest` counts the open
+        /// predicated constructs (two mask-save pairs); `loops` counts the
+        /// enclosing EFI loops, inside which a raw `UNMASK` would keep the
+        /// loop spinning, so raw mask runs and raw loops stay outside them.
+        fn block(&mut self, nest: u16, loops: u16) {
+            for _ in 0..1 + self.c.below(3) {
+                let (ro, rm) = (10 + 2 * nest, 11 + 2 * nest);
+                let rc = 7 + loops;
+                match self.c.below(9) {
+                    0 | 1 => self.ops(),
+                    2 if nest < 2 => {
+                        // if (cond) { ... }
+                        self.emit(Instruction::GetMask { rd: RegId(ro) });
+                        self.compare();
+                        self.intersect(ro, rm);
+                        self.block(nest + 1, loops);
+                        self.restore(ro);
+                    }
+                    3 if nest < 2 => {
+                        // while (rc > 0) { rc -= 1; ... }, rc seeded from r0:
+                        // the back edge re-enters at the compare.
+                        self.emit(bin(BinaryOp::Add, 0, 1, rc));
+                        self.emit(Instruction::GetMask { rd: RegId(ro) });
+                        let head = self.code.len();
+                        self.emit(Instruction::Compare {
+                            op: CompareOp::Gt,
+                            rs: RegId(rc),
+                            rt: RegId(1),
+                        });
+                        self.intersect(ro, rm);
+                        self.emit(bin(BinaryOp::Sub, rc, 2, rc));
+                        self.block(nest + 1, loops + 1);
+                        self.emit(Instruction::JumpCond { target: LineNum(head as u32) });
+                        self.restore(ro);
+                    }
+                    4 if loops == 0 => {
+                        // A raw EFI loop: random ops at its head run under
+                        // the mask the previous iteration left.
+                        self.emit(bin(BinaryOp::Add, 0, 1, rc));
+                        let head = self.code.len();
+                        self.ops();
+                        self.emit(Instruction::Compare {
+                            op: CompareOp::Gt,
+                            rs: RegId(rc),
+                            rt: RegId(1),
+                        });
+                        self.emit(Instruction::SetMask { rs: COND_REG });
+                        self.emit(bin(BinaryOp::Sub, rc, 2, rc));
+                        self.ops();
+                        self.emit(Instruction::JumpCond { target: LineNum(head as u32) });
+                        self.emit(Instruction::Unmask);
+                    }
+                    5 if loops == 0 => {
+                        // A raw SETMASK/UNMASK run with a mask readout.
+                        self.compare();
+                        self.emit(Instruction::SetMask { rs: COND_REG });
+                        self.ops();
+                        self.emit(Instruction::GetMask { rd: RegId(14) });
+                        self.emit(Instruction::Unmask);
+                    }
+                    6 | 7 if self.subs > 0 => {
+                        let sub = self.c.below(self.subs);
+                        self.calls.push((self.code.len(), sub));
+                        self.emit(Instruction::Jump { target: LineNum(0) });
+                    }
+                    _ => self.op(),
+                }
+            }
+        }
+    }
+
+    /// One random ensemble, then the halt `RETURN`, then its subroutines.
+    fn program(c: Choices, members: &[(u16, u16)]) -> Program {
+        let header = members
+            .iter()
+            .map(|&(rfh, vrf)| Instruction::Compute { rfh: rfh.into(), vrf: VrfId(vrf) });
+        let mut asm = Asm { c, code: header.collect(), subs: 0, calls: Vec::new() };
+        asm.subs = asm.c.below(3);
+        asm.block(0, 0);
+        asm.emit(Instruction::ComputeDone);
+        asm.emit(Instruction::Return);
+        let mut bases = Vec::new();
+        for _ in 0..asm.subs {
+            bases.push(asm.code.len() as u32);
+            asm.ops();
+            asm.emit(Instruction::Return);
+        }
+        for &(at, sub) in &asm.calls {
+            asm.code[at] = Instruction::Jump { target: LineNum(bases[sub as usize]) };
+        }
+        Program::from_instructions(asm.code)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn random_bodies_match_one_instruction_blocks(seed in any::<u64>()) {
+            let mut c = Choices(seed);
+            let members: &[(u16, u16)] =
+                if c.below(2) == 0 { &[(0, 0)] } else { &[(0, 0), (0, 1)] };
+            let watchdog = 1 + c.below(60);
+            let p = program(c, members);
+            for kind in DatapathKind::ALL {
+                let base = SimConfig::mpu(kind);
+                let lanes = base.datapath.geometry().lanes_per_vrf as u64;
+                let mut inputs: Vec<RegisterInit> = Vec::new();
+                for &(rfh, vrf) in members {
+                    let column = |f: &dyn Fn(u64) -> u64| (0..lanes).map(f).collect::<Vec<_>>();
+                    let salt = seed ^ u64::from(vrf);
+                    inputs.extend([
+                        ((rfh, vrf, 0), column(&|i| (i ^ salt) % 5)),
+                        ((rfh, vrf, 1), vec![0; lanes as usize]),
+                        ((rfh, vrf, 2), vec![1; lanes as usize]),
+                    ]);
+                    for reg in [3, 4, 5, 6, 9] {
+                        let salt = salt.rotate_left(u32::from(reg) * 7);
+                        inputs.push(((rfh, vrf, reg), column(&|i| ((i * 0x9E37) ^ salt) % 97)));
+                    }
+                }
+                let mut refills = base.clone();
+                refills.playback_entries = 4;
+                let mut tripped = base.clone();
+                tripped.recovery.watchdog_instructions = Some(watchdog);
+                for (what, config) in [("base", base), ("4-entry playback", refills), ("watchdog", tripped)] {
+                    let mut single = config.clone();
+                    single.trace_ensembles = false;
+                    let ctx = format!("seed {seed:#x}, {kind:?}, {what}");
+                    let want = observe(single, &p, members, &inputs);
+                    let got = observe(config, &p, members, &inputs);
+                    prop_assert_eq!(want.3, (0, 1), "{}", ctx);
+                    prop_assert_eq!(got.3, (1, 0), "{}", ctx);
+                    prop_assert_eq!(&got.0, &want.0, "outcome ({})", ctx);
+                    prop_assert_eq!(got.1, want.1, "Stats ({})", ctx);
+                    prop_assert_eq!(&got.2, &want.2, "lanes ({})", ctx);
+                }
+            }
+            // DMR runs one instruction per block whatever the setting.
+            let mut dmr = racer();
+            dmr.recovery.redundancy = Redundancy::Dmr;
+            let racer_inputs: Vec<RegisterInit> = members
+                .iter()
+                .flat_map(|&(rfh, vrf)| {
+                    [((rfh, vrf, 0), (0..64).map(|i| i % 5).collect()), ((rfh, vrf, 2), vec![1; 64])]
+                })
+                .collect();
+            let mut single = dmr.clone();
+            single.trace_ensembles = false;
+            let want = observe(single, &p, members, &racer_inputs);
+            let got = observe(dmr, &p, members, &racer_inputs);
+            prop_assert_eq!(got.3, (0, 1), "seed {:#x}: DMR", seed);
+            prop_assert_eq!(&got.0, &want.0, "seed {:#x}: DMR outcome", seed);
+            prop_assert_eq!(got.1, want.1, "seed {:#x}: DMR Stats", seed);
+            prop_assert_eq!(&got.2, &want.2, "seed {:#x}: DMR lanes", seed);
         }
     }
 }

@@ -1,10 +1,8 @@
 //! Observability conformance: across random generated programs, every
 //! backend, and both `trace_ensembles` settings, (1) arming a tracer never
-//! changes execution — lane values and per-MPU statistics are
-//! byte-identical to a disarmed run — and (2) the attribution profile
+//! changes execution — lane values, per-MPU statistics and the tier split
+//! are byte-identical to a disarmed run — and (2) the attribution profile
 //! built from the trace conserves every counter and energy field exactly.
-//! An armed tracer forces the compiled tier, so with `trace_ensembles` on
-//! the disarmed fused run is compared against the armed compiled run.
 
 use conformance::{generate, BACKENDS, BOX_RFHS, BOX_VRFS};
 use mastodon::{EventLog, Profile, SimConfig, Stats, System, TraceEvent};
@@ -19,6 +17,7 @@ type LaneBox = Vec<((u16, u16, u8), Vec<u64>)>;
 struct Observed {
     lanes: Vec<LaneBox>,
     per_mpu: Vec<Stats>,
+    tiers: Vec<(u64, u64)>,
     system: Stats,
     events: Vec<TraceEvent>,
 }
@@ -45,6 +44,7 @@ fn run_case(kind: DatapathKind, trace_ensembles: bool, seed: u64, armed: bool) -
     let system = sys.run().ok()?;
     let mut lanes = Vec::with_capacity(case.mpus.len());
     let mut per_mpu = Vec::with_capacity(case.mpus.len());
+    let mut tiers = Vec::with_capacity(case.mpus.len());
     for id in 0..case.mpus.len() {
         let mut lane_box = Vec::new();
         for rfh in 0..BOX_RFHS {
@@ -59,15 +59,17 @@ fn run_case(kind: DatapathKind, trace_ensembles: bool, seed: u64, armed: bool) -
         }
         lanes.push(lane_box);
         per_mpu.push(*sys.mpu_mut(id).stats());
+        tiers.push(sys.mpu_mut(id).tier_counts());
     }
-    Some(Observed { lanes, per_mpu, system, events: log.take() })
+    Some(Observed { lanes, per_mpu, tiers, system, events: log.take() })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Tracing transparency and conservation over random programs: the
-    /// armed run is byte-identical to the disarmed run, folding the armed
+    /// armed run is byte-identical to the disarmed run (tier split
+    /// included), folding the armed
     /// run's event deltas reproduces every [`Stats`] field exactly, and
     /// the attribution tree partitions every field but elapsed cycles.
     #[test]
@@ -91,6 +93,7 @@ proptest! {
                     "per-MPU stats diverged ({})", ctx
                 );
                 prop_assert_eq!(armed.system, disarmed.system, "system stats diverged ({})", ctx);
+                prop_assert_eq!(&armed.tiers, &disarmed.tiers, "tier split diverged ({})", ctx);
 
                 let profile = Profile::build(&armed.events);
                 for m in &profile.mpus {

@@ -1,13 +1,14 @@
-//! Execution-tier comparison: per-kernel host wall-clock of the compiled
-//! (per-instruction) tier vs. the fused ensemble-trace tier on MPU:RACER,
-//! with a bit-exactness check of the simulated statistics on every row.
+//! Execution-tier comparison: per-kernel host wall-clock of one
+//! instruction per block (the compiled tier) vs. multi-instruction blocks
+//! (the block tier) on MPU:RACER, with a bit-exactness check of the
+//! simulated statistics on every row.
 //!
 //! Each tier is timed steady-state: a shared [`RecipePool`] per tier is
 //! warmed once, so rows measure per-run execution cost — the regime every
 //! sweep and figure harness runs in — rather than one-time template
 //! synthesis. `ensembles` reports the wave simulation's tier split as
-//! `traced/total`: straight-line bodies fuse, data-dependent ones fall
-//! back.
+//! `blocks/total`: every body, loops and predication included, runs on
+//! multi-instruction blocks.
 
 use experiments::{fmt_ratio, geomean, print_table, SEED};
 use mastodon::{RecipePool, SimConfig};
@@ -35,9 +36,9 @@ fn main() {
         c.trace_ensembles = false;
         c
     };
-    let trace_cfg = SimConfig::mpu(DatapathKind::Racer);
+    let block_cfg = SimConfig::mpu(DatapathKind::Racer);
     let compiled_pool = Arc::new(RecipePool::new());
-    let trace_pool = Arc::new(RecipePool::new());
+    let block_pool = Arc::new(RecipePool::new());
 
     let mut rows = Vec::new();
     let mut speedups = Vec::new();
@@ -45,10 +46,10 @@ fn main() {
         // Warm both pools and pin bit-exactness before timing anything.
         let compiled =
             run_kernel_pooled(k.as_ref(), &compiled_cfg, N, SEED, Some(&compiled_pool)).unwrap();
-        let traced = run_kernel_pooled(k.as_ref(), &trace_cfg, N, SEED, Some(&trace_pool)).unwrap();
+        let blocks = run_kernel_pooled(k.as_ref(), &block_cfg, N, SEED, Some(&block_pool)).unwrap();
         assert_eq!(
             compiled.wave,
-            traced.wave,
+            blocks.wave,
             "{}: tiers disagree on simulated statistics",
             k.name()
         );
@@ -67,14 +68,14 @@ fn main() {
             )
         };
         let t_compiled = time(&compiled_cfg, &compiled_pool);
-        let t_trace = time(&trace_cfg, &trace_pool);
-        let speedup = t_compiled / t_trace;
+        let t_block = time(&block_cfg, &block_pool);
+        let speedup = t_compiled / t_block;
         speedups.push(speedup);
         rows.push(vec![
             k.name().to_string(),
-            format!("{}/{}", traced.tiers.0, traced.tiers.0 + traced.tiers.1),
+            format!("{}/{}", blocks.tiers.0, blocks.tiers.0 + blocks.tiers.1),
             format!("{t_compiled:.2}"),
-            format!("{t_trace:.2}"),
+            format!("{t_block:.2}"),
             fmt_ratio(speedup),
         ]);
     }
@@ -87,8 +88,8 @@ fn main() {
     ]);
 
     print_table(
-        &format!("Execution tiers — compiled vs. trace wall-clock, MPU:RACER (n = {N}, warm pool)"),
-        &["kernel", "ensembles", "compiled ms", "trace ms", "speedup"],
+        &format!("Execution tiers — compiled vs. block wall-clock, MPU:RACER (n = {N}, warm pool)"),
+        &["kernel", "ensembles", "compiled ms", "block ms", "speedup"],
         &rows,
     );
 }

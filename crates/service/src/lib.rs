@@ -25,8 +25,8 @@
 //!   worker. Chaos-killed workers are detected, their jobs recovered,
 //!   and replacements spawned.
 //! * **Graceful degradation** ([`health`]): under queue pressure or
-//!   fault storms the service sheds low-priority work and falls back
-//!   from the trace tier to the compiled tier, then recovers on its own.
+//!   fault storms the service sheds low-priority work and runs new jobs
+//!   one instruction per block, then recovers on its own.
 //! * **Wire protocol** ([`proto`], [`server`]): length-prefixed
 //!   `microjson` frames over a Unix socket, with a blocking client.
 //!

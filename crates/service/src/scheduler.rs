@@ -432,9 +432,8 @@ fn job_config(spec: &JobSpec, limits: &SubmissionLimits, degraded: bool) -> SimC
     let mut cfg = SimConfig::mpu(spec.backend);
     cfg.recovery.watchdog_instructions = Some(limits.watchdog_instructions);
     if degraded {
-        // Graceful degradation: fall back from the trace tier to the
-        // compiled tier (lane-identical by the conformance guarantee,
-        // conservative on host-side trace state).
+        // Graceful degradation: run one instruction per block
+        // (lane-identical by the conformance guarantee).
         cfg.trace_ensembles = false;
     }
     if spec.fault.is_some() {

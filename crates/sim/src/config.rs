@@ -122,13 +122,13 @@ pub struct SimConfig {
     pub frontend_dynamic_mw: f64,
     /// Front-end static power, mW.
     pub frontend_static_mw: f64,
-    /// Fuse straight-line compute-ensemble bodies into cached
-    /// [`pum_backend::EnsembleTrace`]s and replay those instead of
-    /// dispatching per instruction (the trace execution tier). A host-side
-    /// optimization only: lane values, statistics, and trace events are
-    /// bit-identical to the compiled per-instruction tier, and bodies with
-    /// data-dependent control flow automatically fall back. The
-    /// conformance suite runs both tiers differentially to prove it.
+    /// Decode multi-instruction blocks: every compute-ensemble body is
+    /// decoded into a [`pum_backend::BlockGraph`], and with this on (and no
+    /// fault model or redundancy armed) a run of consecutive compute steps
+    /// executes in one pass per VRF. Off, every instruction runs as its
+    /// own block. A host-side optimization only: lane values, statistics,
+    /// and trace events are bit-identical either way, which the
+    /// conformance suite checks differentially.
     pub trace_ensembles: bool,
     /// Seeded hardware fault injection. Default: disabled (no seed).
     pub fault: FaultConfig,

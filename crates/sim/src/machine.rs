@@ -15,7 +15,7 @@ use crate::recipe_cache::{RecipeCache, RecipePool};
 use crate::stats::{EnergyStats, Stats};
 use crate::trace::{FaultAction, InstrClass, TraceEvent, TraceKind, Tracer, UopMix};
 use mpu_isa::{Instruction, MpuId, Program, COND_REG};
-use pum_backend::{pj_to_fj, BitPlaneVrf, EnsembleStep, EnsembleTrace, Plane};
+use pum_backend::{pj_to_fj, BitPlaneVrf, BlockGraph, BlockStep, BodyLayout, Plane, Trap};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -434,8 +434,8 @@ pub struct MpuCheckpoint {
     pc: usize,
     halted: bool,
     inbox: Vec<Message>,
-    traced_ensembles: u64,
-    fallback_ensembles: u64,
+    block_ensembles: u64,
+    single_step_ensembles: u64,
 }
 
 impl MpuCheckpoint {
@@ -502,12 +502,12 @@ pub struct Mpu {
     /// site is a single branch and no event is ever constructed, so
     /// execution and statistics are byte-identical either way.
     tracer: Option<Box<dyn Tracer>>,
-    /// Compute ensembles executed on the fused trace tier (host-side
-    /// telemetry; not part of [`Stats`] — tier choice never changes the
-    /// architectural ledger).
-    traced_ensembles: u64,
-    /// Compute ensembles that fell back to per-instruction execution.
-    fallback_ensembles: u64,
+    /// Compute ensembles executed on multi-instruction blocks (host-side
+    /// telemetry; not part of [`Stats`] — how a body executes never
+    /// changes the architectural ledger).
+    block_ensembles: u64,
+    /// Compute ensembles executed one instruction per block.
+    single_step_ensembles: u64,
     /// Cooperative cancellation/preemption token (`None` by default):
     /// polled once per top-level instruction. Host-side only — polling
     /// never charges cycles, so controlled and uncontrolled runs produce
@@ -542,8 +542,8 @@ impl Mpu {
             halted: false,
             inbox: Vec::new(),
             tracer: None,
-            traced_ensembles: 0,
-            fallback_ensembles: 0,
+            block_ensembles: 0,
+            single_step_ensembles: 0,
             ctrl: None,
         }
     }
@@ -562,12 +562,13 @@ impl Mpu {
         self.ctrl = None;
     }
 
-    /// Execution-tier telemetry: `(trace, fallback)` counts of compute
-    /// ensembles run on the fused trace tier vs. the per-instruction
-    /// compiled tier. Host-side observability only — lane values and
-    /// [`Stats`] are bit-identical whichever tier executed.
+    /// Execution-tier telemetry: counts of compute ensembles run on
+    /// multi-instruction blocks and run one instruction per block (fault
+    /// injection, redundancy, or `trace_ensembles = false`). Host-side
+    /// observability only — lane values and [`Stats`] are bit-identical
+    /// either way.
     pub fn tier_counts(&self) -> (u64, u64) {
-        (self.traced_ensembles, self.fallback_ensembles)
+        (self.block_ensembles, self.single_step_ensembles)
     }
 
     /// Arms structured tracing: `tracer` receives one [`TraceEvent`] per
@@ -896,8 +897,8 @@ impl Mpu {
             pc: self.pc,
             halted: self.halted,
             inbox: self.inbox.clone(),
-            traced_ensembles: self.traced_ensembles,
-            fallback_ensembles: self.fallback_ensembles,
+            block_ensembles: self.block_ensembles,
+            single_step_ensembles: self.single_step_ensembles,
         }
     }
 
@@ -932,8 +933,8 @@ impl Mpu {
         self.pc = cp.pc;
         self.halted = cp.halted;
         self.inbox = cp.inbox.clone();
-        self.traced_ensembles = cp.traced_ensembles;
-        self.fallback_ensembles = cp.fallback_ensembles;
+        self.block_ensembles = cp.block_ensembles;
+        self.single_step_ensembles = cp.single_step_ensembles;
         Ok(())
     }
 
@@ -1188,16 +1189,21 @@ impl Mpu {
         // `active_vrfs_per_rfh` of each RFH's VRFs per wave.
         let waves = form_waves(&members, self.config.datapath.geometry().active_vrfs_per_rfh);
 
-        // Tier selection: a straight-line body fuses into a cached
-        // EnsembleTrace replayed flat per wave; anything else (or any
-        // configuration needing per-instruction fidelity) falls back to
-        // the per-instruction tier. Either way the lane values and every
-        // Stats counter are bit-identical.
-        let fused = self.ensemble_trace(program, body_start);
-        match &fused {
-            Some(_) => self.traced_ensembles += 1,
-            None => self.fallback_ensembles += 1,
+        // Decode the body once into its block graph (memoized per MPU and
+        // in the pool). Fault injection (draws in program order),
+        // redundancy (snapshot and compare per instruction) and
+        // `trace_ensembles = false` run it one instruction per block.
+        let layout = BodyLayout::walk(program.instructions(), body_start);
+        let graph = self.cache.lookup_blocks(&self.config.datapath, &layout.body);
+        let blocks = self.config.trace_ensembles
+            && !self.config.fault.enabled()
+            && self.config.recovery.redundancy == Redundancy::None;
+        if blocks {
+            self.block_ensembles += 1;
+        } else {
+            self.single_step_ensembles += 1;
         }
+        let batch = blocks && graph.fast();
         let mut end_pc = body_start;
         for (index, wave) in waves.iter().enumerate() {
             // Charged as each wave starts, so an attempt a restart cuts
@@ -1207,17 +1213,11 @@ impl Mpu {
                 let delta = Stats { scheduler_waves: 1, ..Stats::default() };
                 (TraceKind::Wave { index, vrfs: wave.len() }, delta)
             });
-            end_pc = match &fused {
-                Some(t) => self.run_body_traced(t, body_start, wave)?,
-                None => self.run_body(program, body_start, wave)?,
-            };
+            end_pc = self.run_body(&graph, &layout.lines, wave, batch)?;
         }
         if waves.is_empty() {
             // Headerless (empty) ensemble: skip to the footer.
-            end_pc = match &fused {
-                Some(t) => self.run_body_traced(t, body_start, &[])?,
-                None => self.run_body(program, body_start, &[])?,
-            };
+            end_pc = self.run_body(&graph, &layout.lines, &[], batch)?;
         }
         // Footer.
         self.stats.cycles += marker;
@@ -1234,15 +1234,27 @@ impl Mpu {
         Ok(())
     }
 
-    /// Interprets an ensemble body once for one wave of VRFs; returns the
-    /// index of the terminating `COMPUTE_DONE`.
+    /// Executes a decoded ensemble body once for one wave of VRFs; returns
+    /// the line of the `COMPUTE_DONE` that ended it. `lines` maps each step
+    /// to its program line ([`BodyLayout::lines`]).
+    ///
+    /// Accounting is per step, in program order: the fetch, the watchdog,
+    /// playback refills, the template-table probe, every charge and every
+    /// [`TraceEvent`]. Only op execution is batched: with `batch` (a fast
+    /// graph, no fault model, no redundancy) a run of consecutive compute
+    /// steps executes as one pass per VRF once the run ends. Each VRF's
+    /// mask is invariant across the run, so every step's energy uses the
+    /// enabled count taken at the run's start. Without `batch` each compute
+    /// step executes on its own under the redundancy policy.
     fn run_body(
         &mut self,
-        program: &Program,
-        body_start: usize,
+        graph: &BlockGraph,
+        lines: &[usize],
         wave: &[(u16, u16)],
+        batch: bool,
     ) -> Result<usize, SimError> {
-        let mut pc = body_start;
+        let steps = graph.steps();
+        let mut i = 0;
         let mut return_stack: Vec<usize> = Vec::new();
         // RACER bit-pipelining: consecutive compute instructions overlap
         // across bit-stages; the first instruction after a (re)fill pays
@@ -1258,6 +1270,9 @@ impl Mpu {
         // Watchdog: bound on body instructions per wave pass, so a
         // fault-corrupted loop counter cannot spin the EFI forever.
         let mut body_instructions = 0u64;
+        // The batched compute run accounted but not yet executed: its first
+        // step and the wave's enabled-lane count.
+        let mut run: Option<(usize, u64)> = None;
 
         // Reset masks: an ensemble starts with all lanes enabled.
         for &(rfh, vrf) in wave {
@@ -1265,11 +1280,18 @@ impl Mpu {
         }
 
         loop {
-            let line = pc;
-            let instr = Self::fetch(program, line)?;
+            let line = lines[i];
+            let step = &steps[i];
+            if !matches!(step, BlockStep::Compute { .. }) {
+                self.execute_run(graph, wave, &mut run, i);
+            }
+            if let BlockStep::Trap(Trap::End) = step {
+                return Err(SimError::UnexpectedEnd { line });
+            }
             body_instructions += 1;
             if let Some(limit) = self.config.recovery.watchdog_instructions {
                 if body_instructions > limit {
+                    self.execute_run(graph, wave, &mut run, i);
                     return Err(SimError::WatchdogTriggered { line, instructions: limit });
                 }
             }
@@ -1284,27 +1306,31 @@ impl Mpu {
                     (TraceKind::PlaybackRefill, delta)
                 });
             }
-            match instr {
-                Instruction::ComputeDone => {
-                    // Leave predication clean for the next ensemble.
-                    for &(rfh, vrf) in wave {
-                        self.vrf_mut(rfh, vrf).fill_plane(Plane::Mask, true);
-                    }
-                    return Ok(line);
-                }
-                Instruction::Binary { .. }
-                | Instruction::Unary { .. }
-                | Instruction::Compare { .. }
-                | Instruction::Fuzzy { .. }
-                | Instruction::Cas { .. }
-                | Instruction::Init { .. } => {
+            match *step {
+                BlockStep::Compute { ref instr, .. } => {
                     // In Baseline mode the CPU stays engaged across the
                     // whole control region (it issues these datapath ops
                     // remotely), so an open offload batch persists.
-                    self.exec_compute_instr(&instr, wave, &mut pipeline_warm, line)?;
-                    pc += 1;
+                    if batch {
+                        let (cached, cycles) =
+                            match self.issue_compute(instr, &mut pipeline_warm, line) {
+                                Ok(issued) => issued,
+                                Err(e) => {
+                                    self.execute_run(graph, wave, &mut run, i);
+                                    return Err(e);
+                                }
+                            };
+                        let (_, enabled) = *run.get_or_insert_with(|| {
+                            let vrfs = wave.iter().map(|&(rfh, vrf)| &self.vrfs[&(rfh, vrf)]);
+                            (i, vrfs.map(|v| v.mask_lanes() as u64).sum())
+                        });
+                        self.charge_exec(&cached, wave.len(), enabled, cycles, line);
+                    } else {
+                        self.exec_compute_instr(instr, wave, &mut pipeline_warm, line)?;
+                    }
+                    i += 1;
                 }
-                Instruction::SetMask { rs } => {
+                BlockStep::SetMask(rs) => {
                     self.control_or_offload(wave, &mut pipeline_warm, &mut offload_batch, line);
                     let c = self.config.control.mask_update;
                     self.charge_control(c);
@@ -1318,9 +1344,9 @@ impl Mpu {
                     }
                     self.stats.instructions += 1;
                     self.trace_control_instr(line, "SETMASK", c);
-                    pc += 1;
+                    i += 1;
                 }
-                Instruction::GetMask { rd } => {
+                BlockStep::GetMask(rd) => {
                     self.control_or_offload(wave, &mut pipeline_warm, &mut offload_batch, line);
                     let c = self.config.control.mask_readout;
                     self.charge_control(c);
@@ -1335,9 +1361,9 @@ impl Mpu {
                     }
                     self.stats.instructions += 1;
                     self.trace_control_instr(line, "GETMASK", c);
-                    pc += 1;
+                    i += 1;
                 }
-                Instruction::Unmask => {
+                BlockStep::Unmask => {
                     self.control_or_offload(wave, &mut pipeline_warm, &mut offload_batch, line);
                     let c = self.config.control.mask_update;
                     self.charge_control(c);
@@ -1346,9 +1372,9 @@ impl Mpu {
                     }
                     self.stats.instructions += 1;
                     self.trace_control_instr(line, "UNMASK", c);
-                    pc += 1;
+                    i += 1;
                 }
-                Instruction::JumpCond { target } => {
+                BlockStep::JumpCond(target) => {
                     self.control_or_offload(wave, &mut pipeline_warm, &mut offload_batch, line);
                     // The branch decision hands control back to the PUM
                     // fetcher: the CPU visit ends here.
@@ -1362,9 +1388,9 @@ impl Mpu {
                         .any(|&(rfh, vrf)| self.vrf_mut(rfh, vrf).any_lane_set(Plane::Mask));
                     self.stats.instructions += 1;
                     self.trace_control_instr(line, "JUMP_COND", c);
-                    pc = if any_enabled { target.index() } else { pc + 1 };
+                    i = if any_enabled { target as usize } else { i + 1 };
                 }
-                Instruction::Jump { target } => {
+                BlockStep::Call(target) => {
                     self.control_or_offload(wave, &mut pipeline_warm, &mut offload_batch, line);
                     let c = self.config.control.jump;
                     self.charge_control(c);
@@ -1380,18 +1406,18 @@ impl Mpu {
                             depth: RETURN_STACK_DEPTH,
                         });
                     }
-                    return_stack.push(pc + 1);
-                    pc = target.index();
+                    return_stack.push(i + 1);
+                    i = target as usize;
                 }
-                Instruction::Return => {
+                BlockStep::Return => {
                     self.control_or_offload(wave, &mut pipeline_warm, &mut offload_batch, line);
                     let c = self.config.control.jump;
                     self.charge_control(c);
                     self.stats.instructions += 1;
                     self.trace_control_instr(line, "RETURN", c);
-                    pc = return_stack.pop().ok_or(SimError::ReturnUnderflow { line })?;
+                    i = return_stack.pop().ok_or(SimError::ReturnUnderflow { line })?;
                 }
-                Instruction::Nop => {
+                BlockStep::Nop => {
                     // A NOP is a control instruction like every other body
                     // control op: in Baseline mode it rides a CPU offload
                     // visit (draining the bit pipeline and opening/joining
@@ -1401,201 +1427,42 @@ impl Mpu {
                     self.charge_control(c);
                     self.stats.instructions += 1;
                     self.trace_control_instr(line, "NOP", c);
-                    pc += 1;
+                    i += 1;
                 }
-                ref other => {
-                    return Err(SimError::StrayInstruction { line, mnemonic: other.mnemonic() });
-                }
-            }
-        }
-    }
-
-    /// Tier-selection policy: returns the fused [`EnsembleTrace`] for the
-    /// body starting at `body_start` when it is eligible for the trace
-    /// tier, or `None` to fall back to per-instruction execution.
-    ///
-    /// Eligible bodies are straight-line: only compute instructions,
-    /// `SETMASK`/`UNMASK`, and `NOP`, terminated by `COMPUTE_DONE` — no
-    /// data-dependent control flow (`JUMP_COND`/EFI, `JUMP`/`RETURN`) and
-    /// no mid-body mask readout (`GETMASK`). Configurations that need
-    /// per-instruction fidelity also fall back: Baseline offload mode, an
-    /// armed tracer (events are per instruction), fault injection (draws
-    /// must happen in program order), redundancy (snapshot/compare per
-    /// instruction), and a watchdog tighter than the body (it must still
-    /// be able to fire).
-    fn ensemble_trace(
-        &mut self,
-        program: &Program,
-        body_start: usize,
-    ) -> Option<Arc<EnsembleTrace>> {
-        if !self.config.trace_ensembles
-            || self.config.mode != ExecutionMode::Mpu
-            || self.tracer.is_some()
-            || self.config.recovery.redundancy != Redundancy::None
-            || self.config.fault.enabled()
-        {
-            return None;
-        }
-        let mut end = body_start;
-        loop {
-            match program.get(end)? {
-                Instruction::ComputeDone => break,
-                Instruction::Binary { .. }
-                | Instruction::Unary { .. }
-                | Instruction::Compare { .. }
-                | Instruction::Fuzzy { .. }
-                | Instruction::Cas { .. }
-                | Instruction::Init { .. }
-                | Instruction::SetMask { .. }
-                | Instruction::Unmask
-                | Instruction::Nop => end += 1,
-                _ => return None,
-            }
-        }
-        if let Some(limit) = self.config.recovery.watchdog_instructions {
-            // The per-instruction tier fetches every body step plus the
-            // terminating COMPUTE_DONE; if that would trip the watchdog,
-            // it must actually trip.
-            if (end - body_start) as u64 + 1 > limit {
-                return None;
-            }
-        }
-        self.cache.lookup_trace(&self.config.datapath, &program.instructions()[body_start..end])
-    }
-
-    /// Replays a fused ensemble trace once for one wave of VRFs: the flat
-    /// word-loop op stream runs directly over each VRF's storage buffer
-    /// while precomputed per-step costs are charged. Returns the index of
-    /// the terminating `COMPUTE_DONE`, exactly like [`Self::run_body`],
-    /// and leaves every statistic bit-identical to it — including the
-    /// per-instruction template-table probes (the architectural recipe
-    /// cache still sees every compute step) and the playback-refill
-    /// charges, which commute and are settled in one batch at the end.
-    fn run_body_traced(
-        &mut self,
-        trace: &Arc<EnsembleTrace>,
-        body_start: usize,
-        wave: &[(u16, u16)],
-    ) -> Result<usize, SimError> {
-        // Reset masks: an ensemble starts with all lanes enabled.
-        for &(rfh, vrf) in wave {
-            self.vrf_mut(rfh, vrf).fill_plane(Plane::Mask, true);
-        }
-        let penalty = self.config.control.recipe_miss_penalty;
-        let steps = trace.steps();
-        // When fusion proved the op stream never writes the mask plane,
-        // each VRF's lane mask — and with it every step's enabled count —
-        // is invariant across a contiguous run of compute steps, so the
-        // run is accounted once and then executed as one flat op pass per
-        // VRF, keeping each VRF's storage L1-resident instead of
-        // interleaving VRFs at every step.
-        let batch = trace.fast();
-        let mut i = 0;
-        while i < steps.len() {
-            let line = body_start + i;
-            match &steps[i] {
-                EnsembleStep::Compute { .. } => {
-                    let mut j = i + 1;
-                    while batch
-                        && j < steps.len()
-                        && matches!(steps[j], EnsembleStep::Compute { .. })
-                    {
-                        j += 1;
-                    }
-                    // Architectural accounting, per step in program order.
-                    let mut fj_per_lane = 0;
-                    for (k, step) in steps[i..j].iter().enumerate() {
-                        let EnsembleStep::Compute {
-                            instr,
-                            cycles,
-                            uops,
-                            saved,
-                            fj_per_lane: fj,
-                            ..
-                        } = step
-                        else {
-                            unreachable!("run boundaries split at non-compute steps");
-                        };
-                        // The architectural template table sees the same
-                        // per-instruction probe stream as run_body, so LRU
-                        // order and hit/miss counters match bit-for-bit.
-                        let Some((_, outcome)) =
-                            self.cache.lookup_traced(&self.config.datapath, instr)
-                        else {
-                            return Err(SimError::RecipeUnavailable {
-                                line: line + k,
-                                mnemonic: instr.mnemonic(),
-                            });
-                        };
-                        if outcome.hit {
-                            self.stats.recipe_hits += 1;
-                        } else {
-                            self.stats.recipe_misses += 1;
-                            self.charge_control(penalty);
-                        }
-                        self.stats.instructions += 1;
-                        self.stats.cycles += cycles;
-                        self.stats.compute_cycles += cycles;
-                        self.stats.uops += u64::from(*uops);
-                        self.stats.uops_saved += u64::from(*saved);
-                        fj_per_lane += fj;
-                    }
-                    // Execution: the run's fused ops, one VRF at a time.
-                    // VRFs are independent, so per-VRF state is identical
-                    // to the step-interleaved order. Each VRF's mask is
-                    // invariant across its run (batched case) or the run is
-                    // one step, so the run costs one `Σ fJ/lane × Σ enabled`
-                    // product, counted before the ops execute.
-                    let mut enabled = 0;
-                    for &(rfh, vrf) in wave {
-                        let v = self.vrf_mut(rfh, vrf);
-                        enabled += v.mask_lanes() as u64;
-                        trace.run_steps(i..j, v);
-                    }
-                    self.stats.energy.datapath_fj += fj_per_lane * enabled;
-                    i = j;
-                    continue;
-                }
-                EnsembleStep::SetMask { rs } => {
-                    self.charge_control(self.config.control.mask_update);
-                    for &(rfh, vrf) in wave {
-                        let v = self.vrf_mut(rfh, vrf);
-                        if *rs == COND_REG {
-                            v.copy_plane(Plane::Cond, Plane::Mask);
-                        } else {
-                            v.copy_plane(Plane::Reg { reg: rs.0 as u8, bit: 0 }, Plane::Mask);
-                        }
-                    }
-                    self.stats.instructions += 1;
-                }
-                EnsembleStep::Unmask => {
-                    self.charge_control(self.config.control.mask_update);
+                BlockStep::Exit => {
+                    // Leave predication clean for the next ensemble.
                     for &(rfh, vrf) in wave {
                         self.vrf_mut(rfh, vrf).fill_plane(Plane::Mask, true);
                     }
-                    self.stats.instructions += 1;
+                    return Ok(line);
                 }
-                EnsembleStep::Nop => {
-                    self.charge_control(self.config.control.nop);
-                    self.stats.instructions += 1;
+                BlockStep::Trap(Trap::Stray(mnemonic)) => {
+                    return Err(SimError::StrayInstruction { line, mnemonic });
                 }
+                BlockStep::Trap(Trap::NoRecipe(mnemonic)) => {
+                    return Err(SimError::RecipeUnavailable { line, mnemonic });
+                }
+                BlockStep::Trap(Trap::End) => unreachable!("handled before the fetch is counted"),
             }
-            i += 1;
         }
-        // Playback refills: run_body counts every fetch (N body steps plus
-        // the COMPUTE_DONE) and refills at each `playback_entries`-th
-        // fetch after the initial fill — floor(N / entries) refills. The
-        // charges are u64 adds, so settling them in one batch here is
-        // Stats-identical to charging them in-line.
-        let refills = trace.steps().len() as u64 / self.config.playback_entries as u64;
-        if refills > 0 {
-            self.charge_control(refills * self.config.control.playback_refill);
+    }
+
+    /// Executes the pending batched compute run (steps from its first up
+    /// to `end`) over every VRF of the wave, one VRF at a time. VRFs are
+    /// independent, so per-VRF state is identical to the step-interleaved
+    /// order, and each VRF's storage stays L1-resident for the whole run.
+    fn execute_run(
+        &mut self,
+        graph: &BlockGraph,
+        wave: &[(u16, u16)],
+        run: &mut Option<(usize, u64)>,
+        end: usize,
+    ) {
+        if let Some((start, _)) = run.take() {
+            for &(rfh, vrf) in wave {
+                graph.run_steps(start..end, self.vrf_mut(rfh, vrf));
+            }
         }
-        // Leave predication clean for the next ensemble.
-        for &(rfh, vrf) in wave {
-            self.vrf_mut(rfh, vrf).fill_plane(Plane::Mask, true);
-        }
-        Ok(body_start + trace.steps().len())
     }
 
     /// Issues one compute instruction to every VRF of the wave, under the
@@ -1607,11 +1474,33 @@ impl Mpu {
         pipeline_warm: &mut bool,
         line: usize,
     ) -> Result<(), SimError> {
+        let (cached, cycles) = self.issue_compute(instr, pipeline_warm, line)?;
+        match self.config.recovery.redundancy {
+            Redundancy::None => {
+                self.run_wave_once(&cached, wave, cycles, line);
+                Ok(())
+            }
+            Redundancy::Dmr => self.run_wave_dmr(&cached, wave, cycles, line),
+            Redundancy::Tmr => {
+                self.run_wave_tmr(&cached, wave, cycles, line);
+                Ok(())
+            }
+        }
+    }
+
+    /// Probes the template table for a compute instruction and charges its
+    /// decode (hit, or miss penalty) and the instruction count. Returns the
+    /// template and its issue cycles.
+    fn issue_compute(
+        &mut self,
+        instr: &Instruction,
+        pipeline_warm: &mut bool,
+        line: usize,
+    ) -> Result<(crate::recipe_cache::CachedRecipe, u64), SimError> {
         let (cached, outcome) = match self.cache.lookup_traced(&self.config.datapath, instr) {
             Some(r) => r,
             // Never silently drop work: a compute instruction without a
-            // synthesizable recipe is a hard error (and the canary that
-            // keeps tier fallback paths honest).
+            // synthesizable recipe is a hard error.
             None => return Err(SimError::RecipeUnavailable { line, mnemonic: instr.mnemonic() }),
         };
         let penalty = self.config.control.recipe_miss_penalty;
@@ -1652,24 +1541,11 @@ impl Mpu {
             let delta = Stats { instructions: 1, ..Stats::default() };
             (TraceKind::Instr { mnemonic, class: InstrClass::Compute }, delta)
         });
-
-        match self.config.recovery.redundancy {
-            Redundancy::None => {
-                self.run_wave_once(&cached, wave, cycles, line);
-                Ok(())
-            }
-            Redundancy::Dmr => self.run_wave_dmr(&cached, wave, cycles, line),
-            Redundancy::Tmr => {
-                self.run_wave_tmr(&cached, wave, cycles, line);
-                Ok(())
-            }
-        }
+        Ok((cached, cycles))
     }
 
-    /// One functional execution of a recipe over the wave, charging its
-    /// issue cycles, micro-ops, and datapath energy (only enabled lanes
-    /// burn switching energy — the mask power-gates the drivers). Each VRF
-    /// runs the geometry-compiled form, whose plane addresses were resolved
+    /// One functional execution of a recipe over the wave. Each VRF runs
+    /// the geometry-compiled form, whose plane addresses were resolved
     /// once per template; the enabled lane count comes from the VRF's
     /// cached mask popcount.
     fn run_wave_once(
@@ -1679,17 +1555,31 @@ impl Mpu {
         cycles: u64,
         line: usize,
     ) {
-        let recipe = &cached.recipe;
-        self.stats.cycles += cycles;
-        self.stats.compute_cycles += cycles;
-        self.stats.uops += recipe.len() as u64;
-        self.stats.uops_saved += u64::from(recipe.saved_uops());
         let mut enabled = 0;
         for &(rfh, vrf) in wave {
             let v = self.vrf_mut(rfh, vrf);
             enabled += v.mask_lanes() as u64;
             v.run_compiled(&cached.compiled);
         }
+        self.charge_exec(cached, wave.len(), enabled, cycles, line);
+    }
+
+    /// Charges one execution of a recipe over `vrfs` VRFs: its issue
+    /// cycles, micro-ops, and datapath energy (only the `enabled` lanes
+    /// burn switching energy — the mask power-gates the drivers).
+    fn charge_exec(
+        &mut self,
+        cached: &crate::recipe_cache::CachedRecipe,
+        vrfs: usize,
+        enabled: u64,
+        cycles: u64,
+        line: usize,
+    ) {
+        let recipe = &cached.recipe;
+        self.stats.cycles += cycles;
+        self.stats.compute_cycles += cycles;
+        self.stats.uops += recipe.len() as u64;
+        self.stats.uops_saved += u64::from(recipe.saved_uops());
         let fj = cached.cost.fj_per_lane * enabled;
         self.stats.energy.datapath_fj += fj;
         self.trace(line, || {
@@ -1701,7 +1591,7 @@ impl Mpu {
                 energy: EnergyStats { datapath_fj: fj, ..EnergyStats::default() },
                 ..Stats::default()
             };
-            (TraceKind::Exec { vrfs: wave.len(), mix: UopMix(cached.compiled.mix()) }, delta)
+            (TraceKind::Exec { vrfs, mix: UopMix(cached.compiled.mix()) }, delta)
         });
     }
 
@@ -2788,8 +2678,8 @@ mod tests {
         );
     }
 
-    /// A straight-line body exercising every trace-eligible instruction
-    /// class, with predication flips in the middle.
+    /// A straight-line body exercising every plain step class, with
+    /// predication flips in the middle.
     fn straight_line_program() -> Program {
         asm("COMPUTE h0 v0\n\
              ADD r0 r1 r2\n\
@@ -2802,31 +2692,65 @@ mod tests {
              COMPUTE_DONE")
     }
 
-    #[test]
-    fn trace_tier_is_bit_identical_to_per_instruction_execution() {
-        let p = straight_line_program();
-        let inputs: [((u16, u16, u8), Vec<u64>); 2] =
-            [((0, 0, 0), (0..64).collect()), ((0, 0, 1), vec![13; 64])];
-        let mut compiled_cfg = racer();
-        compiled_cfg.trace_ensembles = false;
-        let (want, mut want_mpu) = run_single(compiled_cfg, &p, &inputs).unwrap();
-        let (got, mut got_mpu) = run_single(racer(), &p, &inputs).unwrap();
-        assert_eq!(want, got, "Stats must match bit-for-bit across tiers");
-        for reg in 0..5 {
-            assert_eq!(
-                want_mpu.read_register(0, 0, reg).unwrap(),
-                got_mpu.read_register(0, 0, reg).unwrap(),
-                "r{reg}"
-            );
+    /// An EFI loop: `while (r0 > r1) r0 -= r2`, a data-dependent trip count.
+    fn efi_program() -> Program {
+        Program::from_instructions(vec![
+            Instruction::Compute { rfh: 0.into(), vrf: VrfId(0) },
+            Instruction::Compare { op: CompareOp::Gt, rs: RegId(0), rt: RegId(1) },
+            Instruction::SetMask { rs: COND_REG },
+            Instruction::Binary { op: BinaryOp::Sub, rs: RegId(0), rt: RegId(2), rd: RegId(0) },
+            Instruction::JumpCond { target: LineNum(1) },
+            Instruction::Unmask,
+            Instruction::ComputeDone,
+        ])
+    }
+
+    fn efi_inputs() -> [RegisterInit; 3] {
+        [
+            ((0, 0, 0), (0..64).map(|i| i % 7).collect()),
+            ((0, 0, 1), vec![0; 64]),
+            ((0, 0, 2), vec![1; 64]),
+        ]
+    }
+
+    /// What one run leaves behind: the outcome, the ledger, h0.v0's r0..r8
+    /// and the tier split.
+    type Observed = (Result<Stats, SimError>, Stats, Vec<Vec<u64>>, (u64, u64));
+
+    fn observe(config: SimConfig, p: &Program, inputs: &[RegisterInit]) -> Observed {
+        let mut mpu = Mpu::new(config, MpuId(0));
+        for ((rfh, vrf, reg), values) in inputs {
+            mpu.write_register(*rfh, *vrf, *reg, values).unwrap();
         }
-        assert_eq!(got_mpu.tier_counts(), (1, 0), "the body must run on the trace tier");
-        assert_eq!(want_mpu.tier_counts(), (0, 1), "trace_ensembles=false must fall back");
+        let outcome = mpu.run(p);
+        let lanes = (0..8).map(|reg| mpu.read_register(0, 0, reg).unwrap()).collect();
+        (outcome, *mpu.stats(), lanes, mpu.tier_counts())
+    }
+
+    /// Asserts `config` runs `p` on multi-instruction blocks, with the
+    /// outcome, ledger and lanes of one instruction per block.
+    fn assert_blocks_match_single_steps(config: SimConfig, p: &Program, inputs: &[RegisterInit]) {
+        let mut single = config.clone();
+        single.trace_ensembles = false;
+        let (want, want_stats, want_lanes, tiers) = observe(single, p, inputs);
+        assert_eq!(tiers, (0, 1), "trace_ensembles = false runs one instruction per block");
+        let (got, got_stats, got_lanes, tiers) = observe(config, p, inputs);
+        assert_eq!(tiers, (1, 0), "the body must run on multi-instruction blocks");
+        assert_eq!(got, want, "outcome");
+        assert_eq!(got_stats, want_stats, "Stats must match bit-for-bit");
+        assert_eq!(got_lanes, want_lanes, "lanes");
     }
 
     #[test]
-    fn trace_tier_replays_thermal_waves() {
-        // Two VRFs of one RACER RFH: the trace replays once per wave and
-        // the results and statistics still match the fallback tier.
+    fn blocks_are_bit_identical_to_one_instruction_blocks() {
+        let inputs = [((0, 0, 0), (0..64).collect()), ((0, 0, 1), vec![13; 64])];
+        assert_blocks_match_single_steps(racer(), &straight_line_program(), &inputs);
+    }
+
+    #[test]
+    fn blocks_replay_thermal_waves() {
+        // Two VRFs of one RACER RFH: the graph runs once per wave and
+        // the results and statistics still match one-instruction blocks.
         let p = asm("COMPUTE h0 v0\nCOMPUTE h0 v1\nADD r0 r0 r1\nINC r1 r2\nCOMPUTE_DONE");
         let inputs: [((u16, u16, u8), Vec<u64>); 2] =
             [((0, 0, 0), vec![4; 64]), ((0, 1, 0), vec![9; 64])];
@@ -2846,67 +2770,143 @@ mod tests {
     }
 
     #[test]
-    fn data_dependent_bodies_fall_back_to_the_compiled_tier() {
-        // EFI loop: not straight-line → per-instruction execution.
-        let efi = Program::from_instructions(vec![
-            Instruction::Compute { rfh: 0.into(), vrf: VrfId(0) },
-            Instruction::Compare { op: CompareOp::Gt, rs: RegId(0), rt: RegId(1) },
-            Instruction::SetMask { rs: COND_REG },
-            Instruction::Binary { op: BinaryOp::Sub, rs: RegId(0), rt: RegId(2), rd: RegId(0) },
-            Instruction::JumpCond { target: LineNum(1) },
-            Instruction::Unmask,
-            Instruction::ComputeDone,
-        ]);
-        let inputs: [((u16, u16, u8), Vec<u64>); 3] =
-            [((0, 0, 0), vec![3; 64]), ((0, 0, 1), vec![0; 64]), ((0, 0, 2), vec![1; 64])];
-        let (_, mpu) = run_single(racer(), &efi, &inputs).unwrap();
-        assert_eq!(mpu.tier_counts(), (0, 1), "EFI loops must not fuse");
-
-        // Mid-body GETMASK reads predication out: also ineligible.
-        let getmask = asm("COMPUTE h0 v0\nADD r0 r1 r2\nGETMASK r3\nCOMPUTE_DONE");
-        let (_, mpu) = run_single(racer(), &getmask, &[]).unwrap();
-        assert_eq!(mpu.tier_counts(), (0, 1), "GETMASK bodies must not fuse");
+    fn data_dependent_bodies_run_on_blocks() {
+        // EFI loop, then a mid-body GETMASK (a mask-to-register copy).
+        assert_blocks_match_single_steps(racer(), &efi_program(), &efi_inputs());
+        let getmask = asm("COMPUTE h0 v0\nCMPGT r0 r1\nSETMASK r63\nADD r0 r1 r2\nGETMASK r3\n\
+                           UNMASK\nINC r3 r4\nCOMPUTE_DONE");
+        assert_blocks_match_single_steps(racer(), &getmask, &efi_inputs());
     }
 
     #[test]
-    fn per_instruction_fidelity_configs_fall_back() {
-        let p = straight_line_program();
-        // Baseline offload mode.
-        let (_, mpu) = run_single(SimConfig::baseline(DatapathKind::Racer), &p, &[]).unwrap();
-        assert_eq!(mpu.tier_counts(), (0, 1), "Baseline mode must fall back");
-        // Seeded fault injection (draws must happen in program order).
+    fn only_faults_and_redundancy_force_one_instruction_blocks() {
+        let p = efi_program();
+        let inputs = efi_inputs();
+        // Baseline offload, an armed tracer and a watchdog that trips
+        // mid-body all run on multi-instruction blocks.
+        assert_blocks_match_single_steps(SimConfig::baseline(DatapathKind::Racer), &p, &inputs);
+        let mut cfg = racer();
+        cfg.recovery.watchdog_instructions = Some(7);
+        assert_blocks_match_single_steps(cfg, &p, &inputs);
+        // Inside a run of compute steps, the steps before the trip execute.
+        let mut cfg = racer();
+        cfg.recovery.watchdog_instructions = Some(5);
+        let chain = add_chain(4);
+        let inputs_chain: [RegisterInit; 2] = [((0, 0, 0), vec![5; 64]), ((0, 0, 1), vec![9; 64])];
+        assert_blocks_match_single_steps(cfg.clone(), &chain, &inputs_chain);
+        let (outcome, _, lanes, _) = observe(cfg, &chain, &inputs_chain);
+        assert!(matches!(
+            outcome.unwrap_err().root_cause(),
+            SimError::WatchdogTriggered { line: 6, instructions: 5 }
+        ));
+        assert_eq!(lanes[2], vec![5 + 9; 64], "the fifth ADD ran before the trip");
+        let log = EventLog::new();
+        let (stats, mpu) =
+            run_single_traced(racer(), &p, &inputs, None, Some(Box::new(log.clone()))).unwrap();
+        assert_eq!(mpu.tier_counts(), (1, 0), "an armed tracer must not change the tier");
+        assert_eq!(stats, run_single(racer(), &p, &inputs).unwrap().0);
+        assert!(!log.is_empty());
+        // Seeded fault injection (draws must happen in program order) and
+        // redundancy (snapshot/compare per instruction) do not.
         let mut cfg = racer();
         cfg.fault = FaultConfig { seed: Some(3), ..Default::default() };
-        let (_, mpu) = run_single(cfg, &p, &[]).unwrap();
-        assert_eq!(mpu.tier_counts(), (0, 1), "fault injection must fall back");
-        // A watchdog tighter than the body must still be able to fire.
-        let mut cfg = racer();
-        cfg.recovery.watchdog_instructions = Some(3);
-        let err = run_single(cfg, &p, &[]).unwrap_err();
-        assert!(matches!(err.root_cause(), SimError::WatchdogTriggered { .. }));
-        // An armed tracer needs per-instruction events.
-        let log = EventLog::new();
-        let (_, mpu) =
-            run_single_traced(racer(), &p, &[], None, Some(Box::new(log.clone()))).unwrap();
-        assert_eq!(mpu.tier_counts(), (0, 1), "tracing must fall back");
-        assert!(!log.is_empty());
+        assert_eq!(observe(cfg, &p, &inputs).3, (0, 1), "fault injection");
+        for redundancy in [Redundancy::Dmr, Redundancy::Tmr] {
+            let mut cfg = racer();
+            cfg.recovery.redundancy = redundancy;
+            assert_eq!(observe(cfg, &p, &inputs).3, (0, 1), "{redundancy:?}");
+        }
     }
 
     #[test]
-    fn trace_tier_charges_identical_playback_refills() {
-        // Body of 10 instructions with a 4-entry playback buffer: the
-        // per-instruction tier refills in-line, the trace tier settles the
-        // same floor(10/4) = 2 refills in one batch. Stats must agree.
+    fn blocks_charge_identical_playback_refills() {
+        // Body of 10 instructions with a 4-entry playback buffer: both
+        // block sizes refill in-line at the same fetches.
         let body = "ADD r0 r1 r2\n".repeat(9);
         let p = asm(&format!("COMPUTE h0 v0\n{body}NOP\nCOMPUTE_DONE"));
         let mut on = racer();
         on.playback_entries = 4;
-        let mut off = on.clone();
-        off.trace_ensembles = false;
-        let (want, _) = run_single(off, &p, &[]).unwrap();
-        let (got, mpu) = run_single(on, &p, &[]).unwrap();
+        assert_blocks_match_single_steps(on, &p, &[]);
+    }
+
+    #[test]
+    fn block_steps_charge_cold_then_warm_issue_cycles() {
+        // The executor tracks the bit pipeline: the first ADD pays serial
+        // latency, later ones their stage time.
+        let p = asm("COMPUTE h0 v0\nADD r0 r1 r2\nADD r0 r1 r3\nADD r0 r1 r4\nCOMPUTE_DONE");
+        let dp = pum_backend::DatapathModel::racer();
+        let add =
+            Instruction::Binary { op: BinaryOp::Add, rs: RegId(0), rt: RegId(1), rd: RegId(2) };
+        let cost = dp.recipe_cost(&dp.recipe(&add).unwrap());
+        assert!(cost.stage_cycles < cost.cycles, "RACER is bit-pipelined");
+        let (stats, mpu) = run_single(racer(), &p, &[]).unwrap();
         assert_eq!(mpu.tier_counts(), (1, 0));
-        assert_eq!(want, got);
+        assert_eq!(stats.compute_cycles, cost.cycles + 2 * cost.stage_cycles);
+    }
+
+    #[test]
+    fn identical_loop_bodies_share_one_block_graph() {
+        // The same EFI loop twice, at different lines, over different data:
+        // one memo entry, and each ensemble runs its own trip count.
+        let mut instrs = efi_program().instructions().to_vec();
+        let second: Vec<Instruction> = instrs
+            .iter()
+            .map(|&instr| match instr {
+                Instruction::Compute { rfh, .. } => Instruction::Compute { rfh, vrf: VrfId(1) },
+                Instruction::JumpCond { target } => {
+                    Instruction::JumpCond { target: LineNum(target.0 + 7) }
+                }
+                instr => instr,
+            })
+            .collect();
+        instrs.extend(second);
+        let p = Program::from_instructions(instrs);
+        let mut inputs = efi_inputs().to_vec();
+        inputs.extend([
+            ((0, 1, 0), vec![3; 64]),
+            ((0, 1, 1), vec![0; 64]),
+            ((0, 1, 2), vec![1; 64]),
+        ]);
+        let pool = Arc::new(RecipePool::new());
+        let (_, mut mpu) = run_single_pooled(racer(), &p, &inputs, Some(&pool)).unwrap();
+        assert_eq!(mpu.tier_counts(), (2, 0));
+        assert_eq!(mpu.read_register(0, 0, 0).unwrap(), vec![0; 64]);
+        assert_eq!(mpu.read_register(0, 1, 0).unwrap(), vec![0; 64]);
+        let dp = &racer().datapath;
+        let graph = |start| pool.get_or_decode(dp, &BodyLayout::walk(p.instructions(), start).body);
+        assert!(Arc::ptr_eq(&graph(1), &graph(8)), "both bodies hit one pool entry");
+        let mut single = racer();
+        single.trace_ensembles = false;
+        assert_eq!(
+            run_single(single, &p, &inputs).unwrap().0,
+            run_single(racer(), &p, &inputs).unwrap().0
+        );
+    }
+
+    #[test]
+    fn self_calls_and_long_call_chains_overflow_like_one_instruction_blocks() {
+        // A self-call, and a 200k-line body in which every line calls the
+        // next: both decode without recursion, then trap at the same line
+        // with the same Stats as one instruction per block.
+        let compute = Instruction::Compute { rfh: 0.into(), vrf: VrfId(0) };
+        let self_call = Program::from_instructions(vec![
+            compute,
+            Instruction::Jump { target: LineNum(1) },
+            Instruction::ComputeDone,
+        ]);
+        let n = 200_000u32;
+        let mut chain = vec![compute];
+        chain.extend((2..=n + 1).map(|t| Instruction::Jump { target: LineNum(t) }));
+        chain.push(Instruction::ComputeDone);
+        let chain = Program::from_instructions(chain);
+        for (p, line) in [(self_call, 1), (chain, RETURN_STACK_DEPTH + 1)] {
+            assert_blocks_match_single_steps(racer(), &p, &[]);
+            let err = observe(racer(), &p, &[]).0.unwrap_err();
+            assert_eq!(
+                err.root_cause(),
+                &SimError::ReturnStackOverflow { line, depth: RETURN_STACK_DEPTH }
+            );
+        }
     }
 
     /// A program with several top-level instructions (= several ensemble

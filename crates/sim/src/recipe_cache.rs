@@ -12,8 +12,8 @@
 //!
 //! Recipes are held behind [`Arc`] so an [`Mpu`](crate::Mpu) is `Send` and
 //! chip sweeps can fan out across threads. Every miss resolves through a
-//! [`RecipePool`]: a host-side memo of templates, compiled forms and fused
-//! traces. Concurrent runs may share one, skipping re-deriving the micro-op
+//! [`RecipePool`]: a host-side memo of templates, compiled forms and block
+//! graphs. Concurrent runs may share one, skipping re-deriving the micro-op
 //! sequence for an instruction another thread already lowered; a cache
 //! given no pool uses a private one. The pool is invisible to the
 //! simulated machine — per-MPU hit/miss counters and the miss penalty
@@ -23,10 +23,10 @@
 
 use mpu_isa::Instruction;
 use pum_backend::{
-    CompiledRecipe, DatapathModel, EnsembleTrace, OptStats, Recipe, RecipeCost, RecipeCtx,
+    BlockGraph, CompiledRecipe, DatapathModel, OptStats, Recipe, RecipeCost, RecipeCtx,
 };
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// A recipe cache entry: the synthesized micro-op sequence, its
@@ -54,14 +54,14 @@ pub struct CachedRecipe {
 /// [`pum_backend::DatapathKind`]) reuse each other's work safely — and
 /// datapaths that disagree on any of them, say an optimizer flag or
 /// bit-pipelining flipped against a warm pool, can never be served each
-/// other's templates. Compiled forms and fused traces additionally key on
+/// other's templates. Compiled forms and block graphs additionally key on
 /// the VRF geometry `(lanes, regs)` they were resolved for, so every key
 /// covers everything its value reads.
 #[derive(Debug, Default)]
 pub struct RecipePool {
-    templates: RwLock<HashMap<(RecipeCtx, u32), Arc<Recipe>>>,
+    templates: RwLock<HashMap<(RecipeCtx, u32), Template>>,
     compiled: RwLock<HashMap<CompiledKey, (Arc<CompiledRecipe>, RecipeCost)>>,
-    traces: RwLock<HashMap<TraceKey, Arc<EnsembleTrace>>>,
+    blocks: RwLock<HashMap<BlockKey, Arc<BlockGraph>>>,
     lookups: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -82,9 +82,10 @@ pub struct PoolStats {
     pub lookups: u64,
     /// Probes answered from the memo without synthesizing.
     pub hits: u64,
-    /// Probes that synthesized a new template. Under a synthesis race both
-    /// threads count a miss even though one insert wins — the counter
-    /// reports work performed, not table growth.
+    /// Probes that synthesized a new template, or found one a body decode
+    /// synthesized on their behalf (each such template counts one miss).
+    /// Under a synthesis race both threads count a miss even though one
+    /// insert wins — the counter reports work performed, not table growth.
     pub misses: u64,
     /// Per-rule recipe-optimizer attribution accumulated over every
     /// synthesis this pool performed (counted or not): each template miss
@@ -96,10 +97,22 @@ pub struct PoolStats {
 /// instruction, and the VRF geometry `(lanes, regs)` it was resolved for.
 type CompiledKey = (RecipeCtx, u32, usize, usize);
 
-/// Memo key for a fused ensemble trace: synthesis context, the encoded
-/// ensemble body (collision-proof — the words *are* the body), and the
-/// VRF geometry `(lanes, regs)` it was fused for.
-type TraceKey = (RecipeCtx, Vec<u32>, usize, usize);
+/// Memo key for a block graph: synthesis context, the encoded laid-out
+/// body (collision-proof — the words *are* the body, targets rebased so
+/// the key is position-independent), and the VRF geometry `(lanes, regs)`
+/// it was decoded for.
+type BlockKey = (RecipeCtx, Vec<u32>, usize, usize);
+
+/// A memoized template. `owed` marks one a body decode synthesized: decode
+/// probes stay out of the traffic counters, so the first counted probe
+/// that finds it counts the miss the synthesis stood in for. That keeps
+/// [`PoolStats`] a function of the executed instruction stream alone, not
+/// of when bodies were decoded.
+#[derive(Debug)]
+struct Template {
+    recipe: Arc<Recipe>,
+    owed: AtomicBool,
+}
 
 impl RecipePool {
     /// Creates an empty pool.
@@ -109,12 +122,10 @@ impl RecipePool {
 
     /// Returns the template for `instr` on `datapath`, synthesizing and
     /// memoizing it on first use (`None` for control-path instructions),
-    /// plus whether it was already memoized (`true` = pool hit). When
-    /// `count` is false the probe is left out of the traffic counters
-    /// (used by trace fusion, whose probes are one-time and amortized
-    /// behind the trace memo — counting them would make pool statistics
-    /// depend on memo warmth rather than on the executed instruction
-    /// stream).
+    /// plus whether the probe counts as a pool hit. When `count` is false
+    /// the probe is left out of the traffic counters (used by body
+    /// decoding, whose probes are one-time and amortized behind the block
+    /// memo) and a template it synthesizes is owed a miss ([`Template`]).
     fn get_or_build_inner(
         &self,
         datapath: &DatapathModel,
@@ -122,24 +133,32 @@ impl RecipePool {
         count: bool,
     ) -> Option<(Arc<Recipe>, bool)> {
         let key = (datapath.recipe_ctx(), instr.encode());
-        if let Some(recipe) = read(&self.templates).get(&key) {
+        if let Some(template) = read(&self.templates).get(&key) {
+            let hit = !(count && template.owed.swap(false, Ordering::Relaxed));
             if count {
-                self.lookups.fetch_add(1, Ordering::Relaxed);
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                self.tally(hit);
             }
-            return Some((Arc::clone(recipe), true));
+            return Some((Arc::clone(&template.recipe), hit));
         }
         // Synthesize outside the write lock; a racing thread may do the
         // same work, but the first insert wins and both get the same entry.
         let (recipe, opt) = datapath.recipe_with_stats(instr)?;
-        let recipe = Arc::new(recipe);
         write(&self.opt).merge(&opt);
         if count {
-            self.lookups.fetch_add(1, Ordering::Relaxed);
-            self.misses.fetch_add(1, Ordering::Relaxed);
+            self.tally(false);
         }
         let mut templates = write(&self.templates);
-        Some((Arc::clone(templates.entry(key).or_insert(recipe)), false))
+        let template = templates
+            .entry(key)
+            .or_insert(Template { recipe: Arc::new(recipe), owed: AtomicBool::new(!count) });
+        Some((Arc::clone(&template.recipe), false))
+    }
+
+    /// Counts one probe in the traffic counters.
+    fn tally(&self, hit: bool) {
+        self.lookups.fetch_add(1, Ordering::Relaxed);
+        let counter = if hit { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Returns the recipe for `instr` together with its compiled form for
@@ -176,36 +195,48 @@ impl RecipePool {
         Some((CachedRecipe { recipe, compiled: Arc::clone(compiled), cost: *cost }, template_hit))
     }
 
-    /// Returns the fused [`EnsembleTrace`] for a straight-line ensemble
-    /// body on `datapath`, fusing and memoizing it on first use. Recipes
-    /// are resolved through the pool's template *and* compiled memos, so
-    /// fusion never re-synthesizes or re-compiles work the pool already
-    /// holds — and a preloaded, possibly deliberately corrupted, template
-    /// reaches the trace tier exactly as it reaches the per-instruction
-    /// tiers. Fusion probes stay out of the pool's traffic counters: they
-    /// are one-time (amortized behind this trace memo), so counting them
-    /// would make [`Self::stats`] depend on memo warmth instead of the
-    /// executed instruction stream. `None` when the body contains an
-    /// instruction the trace tier cannot fuse.
+    /// Returns the [`BlockGraph`] of the ensemble body `body` — the lines
+    /// between a `COMPUTE` header and its `COMPUTE_DONE`, with control
+    /// targets indexing into `body` — decoding and memoizing it on first
+    /// use. It is memoized under the same key as the simulator's own
+    /// lookup of that body, so prewarming a pool with it spares the
+    /// simulator the decode.
     pub fn get_or_fuse_trace(
         &self,
         datapath: &DatapathModel,
         body: &[Instruction],
-    ) -> Option<Arc<EnsembleTrace>> {
+    ) -> Arc<BlockGraph> {
+        let laid_out: Vec<Instruction> =
+            body.iter().copied().chain([Instruction::ComputeDone]).collect();
+        self.get_or_decode(datapath, &laid_out)
+    }
+
+    /// Returns the [`BlockGraph`] of a laid-out body
+    /// ([`pum_backend::BodyLayout::body`]), decoding and memoizing it on
+    /// first use. Recipes are resolved through the pool's template *and*
+    /// compiled memos, so decoding never re-synthesizes or re-compiles
+    /// work the pool already holds — and a preloaded, possibly deliberately
+    /// corrupted, template reaches the decoded body exactly as it reaches
+    /// one-instruction execution. Decode probes stay out of the pool's
+    /// traffic counters ([`Template`]).
+    pub(crate) fn get_or_decode(
+        &self,
+        datapath: &DatapathModel,
+        body: &[Instruction],
+    ) -> Arc<BlockGraph> {
         let g = datapath.geometry();
         let words: Vec<u32> = body.iter().map(Instruction::encode).collect();
         let key = (datapath.recipe_ctx(), words, g.lanes_per_vrf, g.regs_per_vrf);
-        if let Some(trace) = read(&self.traces).get(&key) {
-            return Some(Arc::clone(trace));
+        if let Some(graph) = read(&self.blocks).get(&key) {
+            return Arc::clone(graph);
         }
-        // Fuse outside the write lock; a racing thread may duplicate the
+        // Decode outside the write lock; a racing thread may duplicate the
         // work, but the first insert wins and both get the same entry.
-        let trace = Arc::new(pum_backend::fuse_ensemble_with(datapath, body, |dp, instr| {
-            let (entry, _) = self.build_compiled(dp, instr, false)?;
-            Some((entry.recipe, entry.compiled, entry.cost))
-        })?);
-        let mut traces = write(&self.traces);
-        Some(Arc::clone(traces.entry(key).or_insert(trace)))
+        let graph = Arc::new(pum_backend::decode_body_with(datapath, body, |instr| {
+            Some(self.build_compiled(datapath, instr, false)?.0.compiled)
+        }));
+        let mut blocks = write(&self.blocks);
+        Arc::clone(blocks.entry(key).or_insert(graph))
     }
 
     /// Snapshot of the pool's lookup counters.
@@ -224,16 +255,17 @@ impl RecipePool {
     /// This is the conformance harness's fault-injection hook: preloading a
     /// deliberately corrupted recipe (built with
     /// [`pum_backend::Recipe::from_ops`]) makes every pooled MPU execute
-    /// the corrupted sequence on both the compiled and fused tiers, which
-    /// the differential suite must then catch. Preload before any
-    /// simulation uses the pool.
+    /// the corrupted sequence whether it runs one instruction per block or
+    /// in multi-instruction blocks, which the differential suite must then
+    /// catch. Preload before any simulation uses the pool.
     pub fn preload(&self, ctx: RecipeCtx, instr: &Instruction, recipe: Recipe) {
         let word = instr.encode();
-        write(&self.templates).insert((ctx, word), Arc::new(recipe));
+        let template = Template { recipe: Arc::new(recipe), owed: AtomicBool::new(false) };
+        write(&self.templates).insert((ctx, word), template);
         write(&self.compiled).retain(|&(c, w, _, _), _| !(c == ctx && w == word));
-        // Fused traces bake the instruction's compiled ops in; drop any
+        // Block graphs hold the instruction's compiled recipe; drop any
         // derived from the replaced template.
-        write(&self.traces).retain(|(c, words, _, _), _| !(*c == ctx && words.contains(&word)));
+        write(&self.blocks).retain(|(c, words, _, _), _| !(*c == ctx && words.contains(&word)));
     }
 
     /// Number of memoized templates.
@@ -291,24 +323,24 @@ pub(crate) struct CacheCheckpoint {
 pub struct RecipeCache {
     capacity: usize,
     entries: HashMap<u32, (CachedRecipe, u64)>,
-    /// The host-side memo every miss and every fusion resolves through:
+    /// The host-side memo every miss and every decode resolves through:
     /// the caller's shared pool, or a private one. Its memos are keyed by
     /// synthesis context, so they never need flushing.
     pool: Arc<RecipePool>,
     /// True when `pool` was shared by the caller. Only then does a miss
     /// report its pool outcome ([`LookupOutcome::pool`]).
     shared: bool,
-    /// Fused ensemble traces keyed by the encoded body. Host-side only —
-    /// distinct from the architectural template table above: trace lookups
+    /// Block graphs keyed by the encoded laid-out body. Host-side only —
+    /// distinct from the architectural template table above: graph lookups
     /// never advance the LRU clock or the hit/miss counters, exactly as
     /// the [`RecipePool`] never does. Bodies per program are few, so the
-    /// memo is unbounded. `None` memoizes a body that failed to fuse.
-    traces: HashMap<Vec<u32>, Option<Arc<EnsembleTrace>>>,
+    /// memo is unbounded.
+    blocks: HashMap<Vec<u32>, Arc<BlockGraph>>,
     /// The synthesis context ([`RecipeCtx`]: family, temp registers,
     /// optimizer config, costs) every cached entry was lowered under. The
     /// per-MPU table is keyed by instruction word alone, so if the owning
     /// datapath's context ever changes — e.g. the recipe optimizer is
-    /// toggled against a warm cache — the table and the trace memo are
+    /// toggled against a warm cache — the table and the block memo are
     /// flushed rather than serving entries from the stale context.
     ctx: Option<RecipeCtx>,
     tick: u64,
@@ -335,7 +367,7 @@ impl RecipeCache {
             entries: HashMap::new(),
             pool,
             shared,
-            traces: HashMap::new(),
+            blocks: HashMap::new(),
             ctx: None,
             tick: 0,
             hits: 0,
@@ -355,7 +387,7 @@ impl RecipeCache {
         Some((entry, outcome.hit))
     }
 
-    /// Flushes every cached entry and the trace memo if `datapath`'s
+    /// Flushes every cached entry and the block memo if `datapath`'s
     /// synthesis context differs from the one the cache was warmed under.
     /// Hit/miss counters and the LRU clock keep running — the flush models
     /// a table invalidation, not a fresh table.
@@ -364,7 +396,7 @@ impl RecipeCache {
         if self.ctx != Some(ctx) {
             if self.ctx.is_some() {
                 self.entries.clear();
-                self.traces.clear();
+                self.blocks.clear();
             }
             self.ctx = Some(ctx);
         }
@@ -402,31 +434,29 @@ impl RecipeCache {
         Some((entry, LookupOutcome { hit: false, pool }))
     }
 
-    /// Returns the fused [`EnsembleTrace`] for a straight-line ensemble
-    /// body, fusing (through the pool) and memoizing it on first use;
-    /// `None` when the body cannot fuse. Host-side only: never touches the
-    /// architectural hit/miss/LRU state — the trace tier still performs
-    /// the real per-instruction [`Self::lookup_traced`] probes while
-    /// replaying, so template-table statistics are bit-identical across
-    /// execution tiers.
-    pub(crate) fn lookup_trace(
+    /// Returns the [`BlockGraph`] of a laid-out ensemble body, decoding it
+    /// (through the pool) and memoizing it on first use. Host-side only:
+    /// never touches the architectural hit/miss/LRU state — the executor
+    /// still performs the real per-step [`Self::lookup_traced`] probes, so
+    /// template-table statistics do not depend on how the body executes.
+    pub(crate) fn lookup_blocks(
         &mut self,
         datapath: &DatapathModel,
         body: &[Instruction],
-    ) -> Option<Arc<EnsembleTrace>> {
+    ) -> Arc<BlockGraph> {
         self.refresh_ctx(datapath);
         let words: Vec<u32> = body.iter().map(Instruction::encode).collect();
-        if let Some(memo) = self.traces.get(&words) {
-            return memo.clone();
+        if let Some(graph) = self.blocks.get(&words) {
+            return Arc::clone(graph);
         }
-        let trace = self.pool.get_or_fuse_trace(datapath, body);
-        self.traces.insert(words, trace.clone());
-        trace
+        let graph = self.pool.get_or_decode(datapath, body);
+        self.blocks.insert(words, Arc::clone(&graph));
+        graph
     }
 
     /// Snapshots the *architectural* cache state: the template table with
     /// its LRU stamps, the synthesis context, and the hit/miss/clock
-    /// counters. The host-side memos (`traces` and the pool) are
+    /// counters. The host-side memos (`blocks` and the pool) are
     /// deliberately excluded — they are invisible to the modeled hardware
     /// and rebuild on demand; the pool stays with the machine, not the
     /// checkpoint. Entries are `Arc`-shared, so
@@ -449,9 +479,9 @@ impl RecipeCache {
     pub(crate) fn restore_checkpoint(&mut self, cp: &CacheCheckpoint) {
         self.entries = cp.entries.iter().map(|(k, e, s)| (*k, (e.clone(), *s))).collect();
         if self.ctx != cp.ctx {
-            // A trace memo warmed under a different synthesis context
+            // A block memo warmed under a different synthesis context
             // must not survive the restore.
-            self.traces.clear();
+            self.blocks.clear();
         }
         self.ctx = cp.ctx;
         self.tick = cp.tick;
@@ -673,10 +703,10 @@ mod tests {
     }
 
     #[test]
-    fn bit_pipelining_is_part_of_the_trace_key() {
+    fn bit_pipelining_is_part_of_the_block_key() {
         // Two datapaths that differ only in bit-pipelining synthesize the
         // same recipes; a pool keyed without it served the first one's
-        // stage times to the second.
+        // stage times and decoded graphs to the second.
         let build = |pipelined: bool| {
             let dp = pum_backend::DatapathBuilder::new("NOR", pum_backend::LogicFamily::Nor)
                 .uop(pum_backend::MicroOpKind::Nor, 2, 0.020)
@@ -685,19 +715,13 @@ mod tests {
             if pipelined { dp.bit_pipelined(64) } else { dp }.build()
         };
         let pool = RecipePool::new();
-        let cycles = |dp: &DatapathModel| -> Vec<u64> {
-            let trace = pool.get_or_fuse_trace(dp, &[add(2), add(3)]).unwrap();
-            let steps = trace.steps().iter();
-            steps
-                .map(|s| match s {
-                    pum_backend::EnsembleStep::Compute { cycles, .. } => *cycles,
-                    _ => 0,
-                })
-                .collect()
-        };
-        let (piped, serial) = (cycles(&build(true)), cycles(&build(false)));
-        assert_eq!(piped[0], serial[0], "a cold pipeline pays serial latency");
-        assert!(piped[1] < serial[1], "only the bit-pipelined datapath overlaps the second ADD");
+        let (piped, serial) = (build(true), build(false));
+        let graph = |dp: &DatapathModel| pool.get_or_fuse_trace(dp, &[add(2), add(3)]);
+        assert!(!Arc::ptr_eq(&graph(&piped), &graph(&serial)), "each datapath decodes its own");
+        let cost = |dp: &DatapathModel| pool.get_or_build_compiled(dp, &add(3)).unwrap().cost;
+        let (piped, serial) = (cost(&piped), cost(&serial));
+        assert_eq!(piped.cycles, serial.cycles, "a cold pipeline pays serial latency");
+        assert!(piped.stage_cycles < serial.stage_cycles, "only the bit-pipelined one overlaps");
         assert_eq!(pool.len(), 4, "each datapath keeps its own templates");
     }
 
@@ -724,6 +748,24 @@ mod tests {
         let (back, hit) = cache.lookup(&on, &add(2)).unwrap();
         assert!(!hit, "flipping back flushes again");
         assert_eq!(back.recipe.len(), warm.recipe.len());
+    }
+
+    #[test]
+    fn a_decoded_template_owes_its_first_counted_probe_a_miss() {
+        // Decoding synthesizes every template of a body before execution
+        // probes it; the probe still counts (and reports) the miss.
+        let dp = DatapathModel::racer();
+        let pool = Arc::new(RecipePool::new());
+        pool.get_or_fuse_trace(&dp, &[add(2), add(2)]);
+        assert_eq!(pool.stats().lookups, 0, "decode probes are not counted");
+        let mut first = RecipeCache::with_pool(4, Arc::clone(&pool));
+        let (_, o) = first.lookup_traced(&dp, &add(2)).unwrap();
+        assert_eq!(o, LookupOutcome { hit: false, pool: Some(false) });
+        let mut second = RecipeCache::with_pool(4, Arc::clone(&pool));
+        let (_, o) = second.lookup_traced(&dp, &add(2)).unwrap();
+        assert_eq!(o, LookupOutcome { hit: false, pool: Some(true) });
+        let s = pool.stats();
+        assert_eq!((s.lookups, s.hits, s.misses), (2, 1, 1));
     }
 
     #[test]
@@ -785,7 +827,7 @@ mod tests {
                     let _guards = (
                         write(&pool.templates),
                         write(&pool.compiled),
-                        write(&pool.traces),
+                        write(&pool.blocks),
                         write(&pool.opt),
                     );
                     panic!("job panicked while holding the pool's write locks");
@@ -801,7 +843,7 @@ mod tests {
         assert_eq!(pool.stats().opt, stats.opt);
         assert_eq!(pool.len(), 1);
         assert!(pool.get_or_build_compiled(&dp, &add(3)).is_some());
-        assert!(pool.get_or_fuse_trace(&dp, &[add(2), add(3)]).is_some());
+        assert_eq!(pool.get_or_fuse_trace(&dp, &[add(2), add(3)]).steps().len(), 4);
         assert_eq!(pool.len(), 2);
     }
 }

@@ -4,7 +4,7 @@
 //! columnar data, and an inclusive prefix-scan.
 //!
 //! Each kernel is registered in [`crate::all_kernels`], runs on all five
-//! substrates through all three execution tiers, and is verified
+//! substrates through both execution tiers, and is verified
 //! lane-exact against a plain-Rust oracle by the harness (and again by
 //! `tests/prim_differential.rs` across the full backend × tier ×
 //! optimizer matrix). Every kernel is also expressible through the

@@ -19,14 +19,14 @@ use workloads::{prim, run_kernel, Kernel};
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Tier {
     Compiled,
-    Trace,
+    Block,
 }
 
-const TIERS: [Tier; 2] = [Tier::Compiled, Tier::Trace];
+const TIERS: [Tier; 2] = [Tier::Compiled, Tier::Block];
 
 fn config(kind: DatapathKind, tier: Tier, optimize: bool) -> SimConfig {
     let mut config = SimConfig::mpu(kind);
-    config.trace_ensembles = tier == Tier::Trace;
+    config.trace_ensembles = tier == Tier::Block;
     if !optimize {
         config.datapath = config.datapath.clone().with_opt_config(OptConfig::disabled());
     }
