@@ -1,52 +1,38 @@
 //! The block tier: an ensemble body decoded once into a block graph of
-//! compiled recipes and explicit control edges.
+//! steps and explicit control edges.
 //!
-//! [`crate::CompiledRecipe`] removed per-micro-op plane resolution, and
-//! each compiled template carries its [`crate::RecipeCost`], computed once.
-//! [`decode_body_with`] hoists the rest of the per-instruction work out of
-//! the simulator's body loop. Every body decodes; nothing falls back:
+//! [`decode_body`] hoists the per-instruction classification out of the
+//! simulator's body loop. Every body decodes; nothing falls back:
 //!
-//! * compute instructions become steps holding their compiled recipe,
-//!   executed by the same word-loop core as one-instruction execution (so
-//!   plane writes are byte-identical), and a run of consecutive compute
-//!   steps executes in one pass per VRF ([`BlockGraph::run_steps`]);
+//! * compute instructions become compute steps; the simulator resolves
+//!   each one's compiled recipe through its per-step template-table probe,
+//!   and executes a run of consecutive compute steps in one pass per VRF
+//!   ([`run_batch`]);
 //! * `SETMASK`, `UNMASK`, `NOP` and `GETMASK` (a mask-to-register copy)
 //!   are plain steps;
 //! * `JUMP_COND` (EFI), `JUMP` (a call) and `RETURN` are explicit edges
 //!   whose targets are step indices;
 //! * a line the simulator must reject when it reaches it (an instruction
-//!   that cannot appear in a body, a compute instruction without a recipe,
-//!   a fetch past the end of the program) is a [`Trap`] step.
+//!   that cannot appear in a body, a fetch past the end of the program) is
+//!   a [`Trap`] step.
 //!
 //! The decoder takes the body as a [`BodyLayout`]: the lines reachable
 //! from the body's first line, in line order, with control targets rebased
-//! to indices. The layout is position-independent, so byte-identical
-//! bodies at different program lines decode once. The graph is a pure
-//! function of `(recipe context, laid-out body, geometry)` and is cached by
-//! the simulator's recipe pool/cache under exactly that key. It carries
-//! recipes, not charges: the simulator walks the steps in program order
-//! and applies the same `Stats` whichever way the ops execute.
+//! to indices, and the index of that first line. The layout is
+//! position-independent, so byte-identical bodies at different program
+//! lines decode once. The graph is a pure function of the laid-out body
+//! and its entry, and holds no recipes, so it serves every datapath.
 
 use crate::bitplane::BitPlaneVrf;
 use crate::compiled::{self, CompiledRecipe};
-use crate::datapath::DatapathModel;
 use mpu_isa::{Instruction, LineNum, RegId};
-use std::ops::Range;
 use std::sync::Arc;
 
 /// One step of a decoded ensemble body.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BlockStep {
-    /// A compute instruction and its compiled recipe.
-    Compute {
-        /// The source instruction (template-table probe, mnemonic).
-        instr: Instruction,
-        /// The recipe, shared with the pool's compiled memo.
-        compiled: Arc<CompiledRecipe>,
-        /// Decoding proved every lane enabled here, so the fast loop may
-        /// skip the recipe's mask merges.
-        mask_full: bool,
-    },
+    /// A compute instruction.
+    Compute(Instruction),
     /// `SETMASK rs`: load the lane mask from `rs` (`COND_REG` selects the
     /// condition plane).
     SetMask(RegId),
@@ -74,20 +60,20 @@ pub enum BlockStep {
 pub enum Trap {
     /// An instruction (mnemonic) that cannot appear in a compute body.
     Stray(&'static str),
-    /// A compute instruction (mnemonic) the datapath has no recipe for.
-    NoRecipe(&'static str),
     /// A fetch past the end of the program.
     End,
 }
 
-/// An ensemble body laid out for [`decode_body_with`]: the lines reachable
+/// An ensemble body laid out for [`decode_body`]: the lines reachable
 /// from its first line, in ascending line order, with `JUMP_COND`/`JUMP`
 /// targets rebased to indices into `body`.
 ///
 /// Every line that falls through has its successor in the layout, except
 /// the last program line, whose successor is past the end. So the
 /// successor of `body[i]` is `body[i + 1]`, and falling off the end of
-/// `body` is a fetch past the end of the program.
+/// `body` is a fetch past the end of the program. A backward target can
+/// place lines before the body's first line, so execution starts at
+/// `entry`, not at index 0.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BodyLayout {
     /// The reachable instructions, targets rebased.
@@ -96,6 +82,8 @@ pub struct BodyLayout {
     /// `body` instruction, plus the line one past the last, where a fetch
     /// past the end of the program traps.
     pub lines: Vec<usize>,
+    /// The index of the body's first line (where execution starts).
+    pub entry: usize,
 }
 
 impl BodyLayout {
@@ -124,35 +112,33 @@ impl BodyLayout {
             }
         }
         lines.sort_unstable();
-        // A target outside the program rebases to the trailing end trap.
-        let index = |target: LineNum| {
-            LineNum(lines.binary_search(&target.index()).unwrap_or(lines.len()) as u32)
-        };
+        // A line outside the program indexes the trailing end trap.
+        let index = |line: usize| lines.binary_search(&line).unwrap_or(lines.len());
         let body = lines
             .iter()
             .map(|&line| match program[line] {
-                Instruction::JumpCond { target } => Instruction::JumpCond { target: index(target) },
-                Instruction::Jump { target } => Instruction::Jump { target: index(target) },
+                Instruction::JumpCond { target } => {
+                    Instruction::JumpCond { target: LineNum(index(target.index()) as u32) }
+                }
+                Instruction::Jump { target } => {
+                    Instruction::Jump { target: LineNum(index(target.index()) as u32) }
+                }
                 instr => instr,
             })
             .collect();
+        let entry = index(start);
         let end = lines.last().map_or(start, |&line| line + 1);
         lines.push(end);
-        Self { body, lines }
+        Self { body, lines, entry }
     }
 }
 
-/// An ensemble body decoded into steps. Built by [`decode_body_with`];
-/// walked by the simulator, which executes compute runs via
-/// [`BlockGraph::run_steps`].
-#[derive(Debug, Clone)]
+/// An ensemble body decoded into steps. Built by [`decode_body`]; walked
+/// by the simulator from [`BlockGraph::entry`].
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockGraph {
     steps: Vec<BlockStep>,
-    lanes: usize,
-    regs: usize,
-    /// Every compute step's recipe may run on the bookkeeping-free word
-    /// loop ([`CompiledRecipe`]'s fast flag).
-    fast: bool,
+    entry: usize,
 }
 
 impl BlockGraph {
@@ -162,105 +148,28 @@ impl BlockGraph {
         &self.steps
     }
 
-    /// True when no compute step writes the mask plane or is word-serial
-    /// and the geometry has no padding bits. A run of consecutive compute
-    /// steps may then execute as one word-loop pass per VRF (the lane mask
-    /// — and with it every step's enabled count — is invariant across the
-    /// run) on the bookkeeping-free fast loop.
-    pub fn fast(&self) -> bool {
-        self.fast
-    }
-
-    /// Executes a run of consecutive *compute* steps over one VRF.
-    ///
-    /// When the graph is fast and the VRF is fault-free with
-    /// mask-honouring enabled, the steps run on the bookkeeping-free fast
-    /// loop, skipping mask merges where decoding proved every lane enabled;
-    /// otherwise each runs its compiled recipe. Both perform the identical
-    /// plane writes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range contains a non-compute step or the VRF geometry
-    /// differs from the graph's.
-    pub fn run_steps(&self, range: Range<usize>, vrf: &mut BitPlaneVrf) {
-        assert_eq!(
-            (self.lanes, self.regs),
-            (vrf.lanes(), vrf.regs()),
-            "block graph targets a different VRF geometry"
-        );
-        let fast = self.fast && vrf.fault_model().is_none() && vrf.mask_enabled();
-        for step in &self.steps[range] {
-            let BlockStep::Compute { compiled, mask_full, .. } = step else {
-                panic!("run_steps spans a non-compute step: {step:?}");
-            };
-            if fast {
-                compiled::run_ops_fast(vrf, compiled.ops(), *mask_full);
-            } else {
-                vrf.run_compiled(compiled);
-            }
-        }
+    /// The step execution starts at ([`BodyLayout::entry`]).
+    pub fn entry(&self) -> usize {
+        self.entry
     }
 }
 
-/// Decodes a laid-out ensemble body ([`BodyLayout::body`]) into a
-/// [`BlockGraph`], resolving each compute instruction to its compiled form
-/// via `synth` (the simulator passes its recipe pool here, so decoding
-/// shares exactly the already-compiled templates — including deliberately
-/// corrupted preloads — without re-synthesizing or re-compiling anything).
-/// A compute instruction `synth` has no recipe for decodes to a
-/// [`Trap::NoRecipe`] step.
-pub fn decode_body_with(
-    datapath: &DatapathModel,
-    body: &[Instruction],
-    mut synth: impl FnMut(&Instruction) -> Option<Arc<CompiledRecipe>>,
-) -> BlockGraph {
-    let g = datapath.geometry();
+/// Decodes a laid-out ensemble body ([`BodyLayout::body`]) entered at
+/// step `entry` into a [`BlockGraph`].
+pub fn decode_body(body: &[Instruction], entry: usize) -> BlockGraph {
     let end = body.len() as u32;
     let step_of = |target: LineNum| target.0.min(end);
-    // Block entries other than fall-through: branch and call targets, and
-    // return sites.
-    let mut entered = vec![false; body.len() + 1];
-    for (i, instr) in body.iter().enumerate() {
-        if let Instruction::JumpCond { target } | Instruction::Jump { target } = *instr {
-            entered[step_of(target) as usize] = true;
-        }
-        if let Instruction::Jump { .. } = instr {
-            entered[i + 1] = true;
-        }
-    }
-    let mut steps = Vec::with_capacity(body.len() + 1);
-    let mut fast = true;
-    // Static mask tracking from the ensemble-start invariant (mask full).
-    // `SETMASK` makes the mask data-dependent; `UNMASK` restores the
-    // known-full state (in a fast graph no recipe writes the mask plane).
-    // A step entered by a jump or a return may see any mask, so tracking
-    // restarts as unknown there — the body's first line included, when a
-    // loop branches back to it.
-    let mut mask_full = true;
-    for (i, instr) in body.iter().enumerate() {
-        mask_full &= !entered[i];
-        let step = match *instr {
+    let mut steps: Vec<BlockStep> = body
+        .iter()
+        .map(|instr| match *instr {
             Instruction::Binary { .. }
             | Instruction::Unary { .. }
             | Instruction::Compare { .. }
             | Instruction::Fuzzy { .. }
             | Instruction::Cas { .. }
-            | Instruction::Init { .. } => match synth(instr) {
-                Some(compiled) => {
-                    fast &= compiled.fast();
-                    BlockStep::Compute { instr: *instr, compiled, mask_full }
-                }
-                None => BlockStep::Trap(Trap::NoRecipe(instr.mnemonic())),
-            },
-            Instruction::SetMask { rs } => {
-                mask_full = false;
-                BlockStep::SetMask(rs)
-            }
-            Instruction::Unmask => {
-                mask_full = true;
-                BlockStep::Unmask
-            }
+            | Instruction::Init { .. } => BlockStep::Compute(*instr),
+            Instruction::SetMask { rs } => BlockStep::SetMask(rs),
+            Instruction::Unmask => BlockStep::Unmask,
             Instruction::GetMask { rd } => BlockStep::GetMask(rd),
             Instruction::Nop => BlockStep::Nop,
             Instruction::JumpCond { target } => BlockStep::JumpCond(step_of(target)),
@@ -268,26 +177,52 @@ pub fn decode_body_with(
             Instruction::Return => BlockStep::Return,
             Instruction::ComputeDone => BlockStep::Exit,
             ref stray => BlockStep::Trap(Trap::Stray(stray.mnemonic())),
-        };
-        steps.push(step);
-    }
+        })
+        .collect();
     steps.push(BlockStep::Trap(Trap::End));
-    BlockGraph { steps, lanes: g.lanes_per_vrf, regs: g.regs_per_vrf, fast }
+    BlockGraph { steps, entry: entry.min(body.len()) }
+}
+
+/// Executes a run of consecutive compute steps' compiled recipes over one
+/// VRF, in order, with plane writes byte-identical to running each with
+/// [`BitPlaneVrf::run_compiled`].
+///
+/// A [`CompiledRecipe::fast`] recipe on a fault-free VRF with
+/// mask-honouring enabled runs on the bookkeeping-free word loop, which
+/// skips the recipe's mask merges while every lane is enabled (a merge
+/// under a full mask is the plain write). Any other recipe runs with
+/// [`BitPlaneVrf::run_compiled`].
+///
+/// # Panics
+///
+/// Panics if a recipe was compiled for a different VRF geometry.
+pub fn run_batch(vrf: &mut BitPlaneVrf, recipes: &[Arc<CompiledRecipe>]) {
+    let plain = vrf.fault_model().is_none() && vrf.mask_enabled();
+    for recipe in recipes {
+        if plain && recipe.fast() {
+            assert_eq!(
+                (recipe.lanes(), recipe.regs()),
+                (vrf.lanes(), vrf.regs()),
+                "compiled recipe targets a different VRF geometry"
+            );
+            let mask_full = vrf.mask_lanes() == vrf.lanes();
+            compiled::run_ops_fast(vrf, recipe.ops(), mask_full);
+        } else {
+            vrf.run_compiled(recipe);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DatapathKind;
+    use crate::{DatapathKind, DatapathModel};
     use mpu_isa::{BinaryOp, CompareOp, UnaryOp, VrfId, COND_REG};
 
-    /// Decodes `body` with recipes synthesized and compiled directly from
-    /// `datapath` (no pool).
-    fn decode(datapath: &DatapathModel, body: &[Instruction]) -> BlockGraph {
+    fn compiled(datapath: &DatapathModel, instr: &Instruction) -> Arc<CompiledRecipe> {
         let g = datapath.geometry();
-        decode_body_with(datapath, body, |instr| {
-            Some(Arc::new(datapath.recipe(instr)?.compile(g.lanes_per_vrf, g.regs_per_vrf)))
-        })
+        let recipe = datapath.recipe(instr).expect("compute instruction");
+        Arc::new(recipe.compile(g.lanes_per_vrf, g.regs_per_vrf))
     }
 
     fn add(rd: u16) -> Instruction {
@@ -300,6 +235,7 @@ mod tests {
             Instruction::Compare { op: CompareOp::Lt, rs: RegId(2), rt: RegId(1) },
             Instruction::SetMask { rs: COND_REG },
             Instruction::Unary { op: UnaryOp::Inv, rs: RegId(0), rd: RegId(3) },
+            Instruction::Binary { op: BinaryOp::Xor, rs: RegId(3), rt: RegId(2), rd: RegId(5) },
             Instruction::Nop,
             Instruction::Unmask,
             Instruction::Binary { op: BinaryOp::Sub, rs: RegId(3), rt: RegId(1), rd: RegId(4) },
@@ -307,13 +243,10 @@ mod tests {
     }
 
     #[test]
-    fn decoded_compute_steps_match_interpreted_recipes() {
+    fn batches_match_interpreted_recipes() {
         for kind in DatapathKind::ALL {
             let dp = DatapathModel::for_kind(kind);
             let g = dp.geometry();
-            let graph = decode(&dp, &body());
-            assert_eq!(graph.steps().len(), body().len() + 1, "one step per line plus the end");
-
             let mut a = BitPlaneVrf::new(g.lanes_per_vrf, g.regs_per_vrf);
             let xs: Vec<u64> = (0..g.lanes_per_vrf as u64).map(|i| i * 3 + 1).collect();
             let ys: Vec<u64> = (0..g.lanes_per_vrf as u64).map(|i| i * 7 + 2).collect();
@@ -321,15 +254,25 @@ mod tests {
             a.write_lane_values(1, &ys);
             let mut b = a.clone();
 
-            // a: apply every recipe op by op (the oracle); b: run the
-            // decoded steps. The control-path steps apply the same plane
-            // effects on both.
-            for (i, instr) in body().into_iter().enumerate() {
+            // a: apply every recipe op by op (the oracle); b: run each
+            // run of consecutive compute steps as one batch, under a full
+            // mask and under the partial mask SETMASK loads. The
+            // control-path steps apply the same plane effects on both.
+            let mut run = Vec::new();
+            for instr in body().into_iter().chain([Instruction::Nop]) {
+                if matches!(
+                    instr,
+                    Instruction::SetMask { .. } | Instruction::Unmask | Instruction::Nop
+                ) {
+                    run_batch(&mut b, &run);
+                    run.clear();
+                }
                 match instr {
                     Instruction::SetMask { .. } => {
                         for v in [&mut a, &mut b] {
                             v.copy_plane(crate::Plane::Cond, crate::Plane::Mask);
                         }
+                        assert!(b.mask_lanes() < g.lanes_per_vrf, "{kind:?}: a partial mask");
                     }
                     Instruction::Unmask => {
                         for v in [&mut a, &mut b] {
@@ -338,29 +281,25 @@ mod tests {
                     }
                     Instruction::Nop => {}
                     ref compute => {
-                        let recipe = dp.recipe(compute).expect("compute instruction");
-                        for op in recipe.ops() {
+                        for op in dp.recipe(compute).expect("compute instruction").ops() {
                             op.apply(&mut a);
                         }
-                        graph.run_steps(i..i + 1, &mut b);
+                        run.push(compiled(&dp, compute));
                     }
                 }
             }
-            assert_eq!(a, b, "{kind:?}: decoded steps diverged from the op-by-op oracle");
+            assert_eq!(a, b, "{kind:?}: batched steps diverged from the op-by-op oracle");
         }
     }
 
     #[test]
-    fn word_graphs_forfeit_the_fast_loop() {
-        let graph = decode(&DatapathModel::dpu(), &[add(2)]);
-        assert!(!graph.fast(), "word-serial ops must take the general word loop");
-        let graph = decode(&DatapathModel::pluto(), &[add(2)]);
-        assert!(graph.fast(), "pLUTo bit-plane graphs keep the fast loop");
+    fn word_recipes_forfeit_the_fast_loop() {
+        assert!(!compiled(&DatapathModel::dpu(), &add(2)).fast(), "word-serial ops");
+        assert!(compiled(&DatapathModel::pluto(), &add(2)).fast(), "pLUTo bit-plane ops");
     }
 
     #[test]
     fn control_flow_decodes_to_edges_and_traps() {
-        let dp = DatapathModel::racer();
         let body = [
             add(2),
             Instruction::GetMask { rd: RegId(5) },
@@ -371,9 +310,10 @@ mod tests {
             Instruction::Return,
             Instruction::JumpCond { target: LineNum(99) },
         ];
-        let steps = decode(&dp, &body).steps().to_vec();
-        assert!(matches!(steps[0], BlockStep::Compute { .. }));
-        let rest: Vec<String> = steps[1..].iter().map(|s| format!("{s:?}")).collect();
+        let graph = decode_body(&body, 0);
+        assert_eq!(graph.entry(), 0);
+        assert_eq!(graph.steps()[0], BlockStep::Compute(add(2)));
+        let rest: Vec<String> = graph.steps()[1..].iter().map(|s| format!("{s:?}")).collect();
         assert_eq!(
             rest,
             [
@@ -387,26 +327,6 @@ mod tests {
                 "Trap(End)",
             ]
         );
-        let none = decode_body_with(&dp, &[add(2)], |_| None);
-        assert!(matches!(none.steps()[0], BlockStep::Trap(Trap::NoRecipe("ADD"))));
-    }
-
-    #[test]
-    fn a_loop_back_to_the_first_line_keeps_its_mask_merges() {
-        // The first line is entered with a full mask once, then from the
-        // back edge under whatever mask the loop left: its ops must honour
-        // the mask. Without the back edge, they may skip the merges.
-        let dp = DatapathModel::racer();
-        let mask_full = |body: &[Instruction], i: usize| match decode(&dp, body).steps()[i] {
-            BlockStep::Compute { mask_full, .. } => mask_full,
-            ref step => panic!("not a compute step: {step:?}"),
-        };
-        assert!(!mask_full(&[add(2), Instruction::JumpCond { target: LineNum(0) }], 0));
-        assert!(mask_full(&[add(2)], 0));
-        let predicated =
-            [Instruction::SetMask { rs: COND_REG }, add(2), Instruction::Unmask, add(3)];
-        assert!(!mask_full(&predicated, 1), "SETMASK makes the mask unknown");
-        assert!(mask_full(&predicated, 3), "UNMASK makes it full again");
     }
 
     #[test]
@@ -424,6 +344,7 @@ mod tests {
         ];
         let layout = BodyLayout::walk(&program, 1);
         assert_eq!(layout.lines, vec![1, 2, 3, 4, 6, 7, 8]);
+        assert_eq!(layout.entry, 0);
         assert_eq!(
             layout.body,
             vec![
@@ -444,7 +365,35 @@ mod tests {
             Instruction::Jump { target } => Instruction::Jump { target: LineNum(target.0 + 1) },
             instr => instr,
         }));
-        assert_eq!(BodyLayout::walk(&shifted, 2).body, layout.body);
+        assert_eq!(
+            BodyLayout::walk(&shifted, 2),
+            BodyLayout { lines: vec![2, 3, 4, 5, 7, 8, 9], ..layout }
+        );
+    }
+
+    #[test]
+    fn a_backward_target_lays_out_lines_before_the_entry() {
+        // The second ensemble's JUMP_COND re-enters the first one's body.
+        let compute = Instruction::Compute { rfh: 0.into(), vrf: VrfId(0) };
+        let program = [
+            compute,
+            Instruction::Nop,         // 1: first body
+            Instruction::ComputeDone, // 2
+            compute,
+            Instruction::SetMask { rs: RegId(0) }, // 4: second body
+            Instruction::JumpCond { target: LineNum(1) }, // 5
+            Instruction::Unmask,
+            add(2),
+            Instruction::ComputeDone, // 8
+            Instruction::Return,
+        ];
+        let layout = BodyLayout::walk(&program, 4);
+        assert_eq!(layout.lines, vec![1, 2, 4, 5, 6, 7, 8, 9]);
+        assert_eq!(layout.entry, 2, "execution starts at line 4, not line 1");
+        let graph = decode_body(&layout.body, layout.entry);
+        assert_eq!(graph.entry(), 2);
+        assert_eq!(graph.steps()[3], BlockStep::JumpCond(0));
+        assert_ne!(graph, decode_body(&layout.body, 0), "the entry is part of the graph");
     }
 
     #[test]
@@ -455,6 +404,7 @@ mod tests {
             (1..=n).map(|t| Instruction::Jump { target: LineNum(t as u32) }).collect();
         let layout = BodyLayout::walk(&program, 0);
         assert_eq!(layout.body.len(), n);
+        assert_eq!(layout.entry, 0);
         assert_eq!(layout.lines[n], n, "the last call's return site is past the end");
     }
 }

@@ -258,10 +258,11 @@ impl CompiledRecipe {
         &self.ops
     }
 
-    /// True when [`run_ops_fast`] may run this recipe: the geometry has no
-    /// padding bits (`lanes % 64 == 0`), no op writes the mask plane, and
-    /// no op is word-serial.
-    pub(crate) fn fast(&self) -> bool {
+    /// True when [`crate::run_batch`] may run this recipe on its
+    /// bookkeeping-free word loop: the geometry has no padding bits
+    /// (`lanes % 64 == 0`), no op writes the mask plane, and no op is
+    /// word-serial.
+    pub fn fast(&self) -> bool {
         self.fast
     }
 }

@@ -84,7 +84,7 @@ pub mod power;
 pub mod recipe;
 
 pub use bitplane::{BitPlaneVrf, Plane, SCRATCH_PLANES};
-pub use block::{decode_body_with, BlockGraph, BlockStep, BodyLayout, Trap};
+pub use block::{decode_body, run_batch, BlockGraph, BlockStep, BodyLayout, Trap};
 pub use compiled::CompiledRecipe;
 pub use datapath::{
     pj_to_fj, CostTable, DatapathBuilder, DatapathKind, DatapathModel, Geometry, RecipeCost,

@@ -7,8 +7,8 @@
 //! does, so kernels pay for dead planes, redundant copies, and uncollapsed
 //! NOR/MAJ chains on every thermal wave. This module rewrites a synthesized
 //! [`Recipe`] once, at synthesis time — before compilation
-//! ([`crate::CompiledRecipe`]) and body decoding ([`crate::BlockGraph`]), and
-//! cached through the simulator's recipe cache/pool — so the cost is paid
+//! ([`crate::CompiledRecipe`]), and cached through the simulator's recipe
+//! cache/pool — so the cost is paid
 //! per template miss, not per wave, and every execution path runs the
 //! optimized form.
 //!
@@ -61,7 +61,7 @@
 //! # Memo-key semantics
 //!
 //! [`OptConfig`] is embedded in [`crate::RecipeCtx`], which keys every
-//! recipe memo (per-MPU cache, shared pool, compiled forms, block graphs), so
+//! recipe memo (per-MPU cache, shared pool, compiled forms), so
 //! toggling optimization or individual rules can never serve a stale
 //! recipe optimized under a different configuration.
 
@@ -161,8 +161,8 @@ impl OptRule {
 /// Recipe-optimizer configuration.
 ///
 /// Carried inside [`crate::RecipeCtx`] and therefore part of every recipe
-/// memo key: flipping any field invalidates cached recipes, compiled
-/// recipes, and block graphs built under the old configuration.
+/// memo key: flipping any field invalidates cached and compiled recipes
+/// built under the old configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OptConfig {
     /// Master switch. When `false` the optimizer is the identity transform

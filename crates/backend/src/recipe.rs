@@ -69,7 +69,7 @@ pub struct RecipeCtx {
 impl RecipeCtx {
     /// What `recipe` costs under this context on a VRF of `lanes` lanes:
     /// a pure function of the recipe memo key, so every memoized compiled
-    /// form and fused trace carries exactly the costs its key names.
+    /// form carries exactly the costs its key names.
     /// Panics if the recipe issues a kind the context has no cost for.
     pub fn recipe_cost(&self, recipe: &Recipe, lanes: usize) -> RecipeCost {
         let (mut cycles, mut fj_per_lane) = (0, 0);

@@ -6,14 +6,18 @@
 //!   (`JIT_CONFORMANCE_CASES` overrides the case count);
 //! * canaries: EFI loops, mid-body `GETMASK` and subroutine calls run on
 //!   multi-instruction blocks with the results of one-instruction blocks;
-//! * the block-boundary property (proptest): random bodies of the shapes
-//!   ezpim emits agree between the two block sizes on every substrate;
+//! * the block-boundary properties (proptest): random bodies of the shapes
+//!   ezpim emits agree between the two block sizes on every substrate, and
+//!   so do raw branches from one body back into an earlier body, which
+//!   also agree with the reference model;
 //! * the playback-refill accounting property (proptest): a straight-line
 //!   body of `n` instructions charges exactly `ceil((n + 1) / entries) - 1`
 //!   refills, whichever way it runs.
 
-use conformance::{check_case, generate, reproducer_text, shrink};
-use mastodon::{run_single, EventLog, Mpu, RegisterInit, SimConfig, SimError, Stats, TraceKind};
+use conformance::{check_case, generate, ref_geometry, reproducer_text, shrink};
+use mastodon::{
+    run_single, EventLog, Mpu, RegisterInit, RunControl, SimConfig, SimError, Stats, TraceKind,
+};
 use mpu_isa::{Instruction, LineNum, MpuId, Program, RegId, VrfId};
 use pum_backend::DatapathKind;
 
@@ -46,7 +50,10 @@ fn asm(text: &str) -> Program {
 type Observed = (Result<Stats, SimError>, Stats, Vec<Vec<u64>>, (u64, u64));
 
 /// Runs `p` on a fresh MPU, to completion or error; observes every
-/// member's r0..r15.
+/// member's r0..r15. A run that crosses 10 000 top-level instructions
+/// (none of these programs has that many) is cut with
+/// `SimError::Cancelled`, so a machine that re-enters an ensemble header
+/// forever fails its test instead of hanging it.
 fn observe(
     config: SimConfig,
     p: &Program,
@@ -57,6 +64,9 @@ fn observe(
     for ((rfh, vrf, reg), values) in inputs {
         mpu.write_register(*rfh, *vrf, *reg, values).unwrap();
     }
+    let ctrl = std::sync::Arc::new(RunControl::new());
+    ctrl.preempt_at_boundary(10_000);
+    mpu.set_run_control(ctrl);
     let outcome = mpu.run(p);
     let lanes = members
         .iter()
@@ -64,6 +74,24 @@ fn observe(
         .map(|(rfh, vrf, reg)| mpu.read_register(rfh, vrf, reg).unwrap())
         .collect();
     (outcome, *mpu.stats(), lanes, mpu.tier_counts())
+}
+
+/// Runs `p` on the reference model for `kind`'s geometry; returns every
+/// member's r0..r15 (as [`observe`] lays them out) and the instructions
+/// retired.
+fn reference(
+    kind: DatapathKind,
+    p: &Program,
+    members: &[(u16, u16)],
+    inputs: &[RegisterInit],
+) -> (Vec<Vec<u64>>, u64) {
+    let mut mpu = refmodel::run_ref(ref_geometry(kind), p, inputs).expect("reference run");
+    let lanes = members
+        .iter()
+        .flat_map(|&(rfh, vrf)| (0..16).map(move |reg| (rfh, vrf, reg)))
+        .map(|(rfh, vrf, reg)| mpu.read_register(rfh, vrf, reg))
+        .collect();
+    (lanes, mpu.trace().instructions)
 }
 
 /// Asserts `p` runs on multi-instruction blocks, with the outcome, lanes
@@ -119,6 +147,29 @@ fn subroutine_calls_run_on_blocks() {
         Instruction::Return,
     ]);
     assert_eq!(assert_runs_on_blocks(&p, &[((0, 0, 0), vec![41; 64])])[1], vec![42; 64]);
+}
+
+#[test]
+fn a_branch_back_into_an_earlier_body_matches_the_reference_model() {
+    // The second body's JUMP_COND targets line 1, inside the first body:
+    // the second body's layout starts two lines before its entry. r0 is
+    // all zero, so the branch falls through and the program halts.
+    let p = asm("COMPUTE h0 v0\nNOP\nCOMPUTE_DONE\n\
+         COMPUTE h0 v0\nSETMASK r0\nJUMP_COND 1\nUNMASK\nADD r1 r2 r3\nCOMPUTE_DONE\n\
+         RETURN");
+    for kind in DatapathKind::ALL {
+        let lanes = SimConfig::mpu(kind).datapath.geometry().lanes_per_vrf;
+        let inputs = [((0, 0, 1), vec![5; lanes]), ((0, 0, 2), vec![7; lanes])];
+        let (want, instructions) = reference(kind, &p, &[(0, 0)], &inputs);
+        for trace_ensembles in [true, false] {
+            let config = SimConfig { trace_ensembles, ..SimConfig::mpu(kind) };
+            let (outcome, stats, got, _) = observe(config, &p, &[(0, 0)], &inputs);
+            let ctx = format!("{kind:?}, trace_ensembles = {trace_ensembles}");
+            assert!(outcome.is_ok(), "{ctx}: {outcome:?}");
+            assert_eq!(stats.instructions, instructions, "{ctx}");
+            assert_eq!(got, want, "{ctx}");
+        }
+    }
 }
 
 #[test]
@@ -236,7 +287,8 @@ mod block_boundaries {
 
     /// Registers random ops read and write. The rest keep the loops
     /// finite: r0 seeds trip counts, r1 is zero, r2 is one, r7/r8 count
-    /// the (at most two nested) loops, r10..r13 save masks.
+    /// the (at most two nested) loops, r10..r13 save masks, r14 takes mask
+    /// readouts and r15 bounds branches back into an earlier body.
     const READ: [u16; 8] = [0, 1, 2, 3, 4, 5, 6, 9];
     const WRITTEN: [u16; 5] = [3, 4, 5, 6, 9];
 
@@ -252,6 +304,8 @@ mod block_boundaries {
         code: Vec<Instruction>,
         subs: u64,
         calls: Vec<(usize, u64)>,
+        /// Whether `block` may emit EFI loops.
+        loops: bool,
     }
 
     impl Asm {
@@ -306,6 +360,9 @@ mod block_boundaries {
         /// predicated constructs (two mask-save pairs); `loops` counts the
         /// enclosing EFI loops, inside which a raw `UNMASK` would keep the
         /// loop spinning, so raw mask runs and raw loops stay outside them.
+        /// Raw loops also stay outside predicated constructs: their compare
+        /// runs under the enclosing mask, so a lane outside it would enter
+        /// the loop on a stale condition with a stale counter.
         fn block(&mut self, nest: u16, loops: u16) {
             for _ in 0..1 + self.c.below(3) {
                 let (ro, rm) = (10 + 2 * nest, 11 + 2 * nest);
@@ -320,7 +377,7 @@ mod block_boundaries {
                         self.block(nest + 1, loops);
                         self.restore(ro);
                     }
-                    3 if nest < 2 => {
+                    3 if nest < 2 && self.loops => {
                         // while (rc > 0) { rc -= 1; ... }, rc seeded from r0:
                         // the back edge re-enters at the compare.
                         self.emit(bin(BinaryOp::Add, 0, 1, rc));
@@ -337,7 +394,7 @@ mod block_boundaries {
                         self.emit(Instruction::JumpCond { target: LineNum(head as u32) });
                         self.restore(ro);
                     }
-                    4 if loops == 0 => {
+                    4 if loops == 0 && nest == 0 && self.loops => {
                         // A raw EFI loop: random ops at its head run under
                         // the mask the previous iteration left.
                         self.emit(bin(BinaryOp::Add, 0, 1, rc));
@@ -371,28 +428,89 @@ mod block_boundaries {
                 }
             }
         }
+
+        /// Emits the halt `RETURN`, lays out the subroutines after it and
+        /// patches the calls.
+        fn halt(mut self) -> Program {
+            self.emit(Instruction::Return);
+            let mut bases = Vec::new();
+            for _ in 0..self.subs {
+                bases.push(self.code.len() as u32);
+                self.ops();
+                self.emit(Instruction::Return);
+            }
+            for &(at, sub) in &self.calls {
+                self.code[at] = Instruction::Jump { target: LineNum(bases[sub as usize]) };
+            }
+            Program::from_instructions(self.code)
+        }
     }
 
-    /// One random ensemble, then the halt `RETURN`, then its subroutines.
-    fn program(c: Choices, members: &[(u16, u16)]) -> Program {
+    fn header(members: &[(u16, u16)]) -> Vec<Instruction> {
         let header = members
             .iter()
             .map(|&(rfh, vrf)| Instruction::Compute { rfh: rfh.into(), vrf: VrfId(vrf) });
-        let mut asm = Asm { c, code: header.collect(), subs: 0, calls: Vec::new() };
-        asm.subs = asm.c.below(3);
+        header.collect()
+    }
+
+    /// One random ensemble, then the halt `RETURN`, then its subroutines.
+    fn program(mut c: Choices, members: &[(u16, u16)]) -> Program {
+        let subs = c.below(3);
+        let mut asm = Asm { c, code: header(members), subs, calls: Vec::new(), loops: true };
         asm.block(0, 0);
         asm.emit(Instruction::ComputeDone);
-        asm.emit(Instruction::Return);
-        let mut bases = Vec::new();
-        for _ in 0..asm.subs {
-            bases.push(asm.code.len() as u32);
-            asm.ops();
-            asm.emit(Instruction::Return);
+        asm.halt()
+    }
+
+    /// Two ensembles over the same members, then the halt `RETURN` and the
+    /// subroutines. The second body's counted `JUMP_COND` targets a random
+    /// line of the first body, below its own first line: a taken branch
+    /// runs the rest of the first body under the second body's mask, ends
+    /// the ensemble at the first `COMPUTE_DONE`, and so re-enters the
+    /// second ensemble from its header. r15 (a host input no statement
+    /// writes) bounds the re-entries. The first body holds no EFI loops,
+    /// whose counters a mid-loop entry would leave unbounded.
+    fn raw_program(mut c: Choices, members: &[(u16, u16)]) -> Program {
+        let subs = c.below(3);
+        let mut asm = Asm { c, code: header(members), subs, calls: Vec::new(), loops: false };
+        let first = asm.code.len();
+        asm.block(0, 0);
+        asm.emit(Instruction::ComputeDone);
+        let target = first + asm.c.below((asm.code.len() - first) as u64) as usize;
+        asm.loops = true;
+        asm.code.extend(header(members));
+        asm.block(0, 0);
+        asm.emit(Instruction::Compare { op: CompareOp::Gt, rs: RegId(15), rt: RegId(1) });
+        asm.emit(Instruction::SetMask { rs: COND_REG });
+        asm.emit(bin(BinaryOp::Sub, 15, 2, 15));
+        asm.emit(Instruction::JumpCond { target: LineNum(target as u32) });
+        asm.emit(Instruction::Unmask);
+        asm.block(0, 0);
+        asm.emit(Instruction::ComputeDone);
+        asm.halt()
+    }
+
+    /// Lane inputs for `members` on `kind`: r0 seeds trip counts, r1 is
+    /// zero, r2 is one, r15 bounds re-entries, and the written registers
+    /// start from salted data.
+    fn inputs(kind: DatapathKind, seed: u64, members: &[(u16, u16)]) -> Vec<RegisterInit> {
+        let lanes = SimConfig::mpu(kind).datapath.geometry().lanes_per_vrf as u64;
+        let mut inputs: Vec<RegisterInit> = Vec::new();
+        for &(rfh, vrf) in members {
+            let column = |f: &dyn Fn(u64) -> u64| (0..lanes).map(f).collect::<Vec<_>>();
+            let salt = seed ^ u64::from(vrf);
+            inputs.extend([
+                ((rfh, vrf, 0), column(&|i| (i ^ salt) % 5)),
+                ((rfh, vrf, 1), vec![0; lanes as usize]),
+                ((rfh, vrf, 2), vec![1; lanes as usize]),
+                ((rfh, vrf, 15), column(&|i| (i ^ salt.rotate_left(17)) % 4)),
+            ]);
+            for reg in [3, 4, 5, 6, 9] {
+                let salt = salt.rotate_left(u32::from(reg) * 7);
+                inputs.push(((rfh, vrf, reg), column(&|i| ((i * 0x9E37) ^ salt) % 97)));
+            }
         }
-        for &(at, sub) in &asm.calls {
-            asm.code[at] = Instruction::Jump { target: LineNum(bases[sub as usize]) };
-        }
-        Program::from_instructions(asm.code)
+        inputs
     }
 
     proptest! {
@@ -407,21 +525,7 @@ mod block_boundaries {
             let p = program(c, members);
             for kind in DatapathKind::ALL {
                 let base = SimConfig::mpu(kind);
-                let lanes = base.datapath.geometry().lanes_per_vrf as u64;
-                let mut inputs: Vec<RegisterInit> = Vec::new();
-                for &(rfh, vrf) in members {
-                    let column = |f: &dyn Fn(u64) -> u64| (0..lanes).map(f).collect::<Vec<_>>();
-                    let salt = seed ^ u64::from(vrf);
-                    inputs.extend([
-                        ((rfh, vrf, 0), column(&|i| (i ^ salt) % 5)),
-                        ((rfh, vrf, 1), vec![0; lanes as usize]),
-                        ((rfh, vrf, 2), vec![1; lanes as usize]),
-                    ]);
-                    for reg in [3, 4, 5, 6, 9] {
-                        let salt = salt.rotate_left(u32::from(reg) * 7);
-                        inputs.push(((rfh, vrf, reg), column(&|i| ((i * 0x9E37) ^ salt) % 97)));
-                    }
-                }
+                let inputs = inputs(kind, seed, members);
                 let mut refills = base.clone();
                 refills.playback_entries = 4;
                 let mut tripped = base.clone();
@@ -456,6 +560,36 @@ mod block_boundaries {
             prop_assert_eq!(&got.0, &want.0, "seed {:#x}: DMR outcome", seed);
             prop_assert_eq!(got.1, want.1, "seed {:#x}: DMR Stats", seed);
             prop_assert_eq!(&got.2, &want.2, "seed {:#x}: DMR lanes", seed);
+        }
+
+        #[test]
+        fn raw_branches_into_an_earlier_body_match_the_reference_model(seed in any::<u64>()) {
+            let mut c = Choices(seed);
+            let members: &[(u16, u16)] =
+                if c.below(2) == 0 { &[(0, 0)] } else { &[(0, 0), (0, 1)] };
+            let p = raw_program(c, members);
+            for kind in DatapathKind::ALL {
+                let inputs = inputs(kind, seed, members);
+                let (lanes, instructions) = reference(kind, &p, members, &inputs);
+                let base = SimConfig::mpu(kind);
+                let mut refills = base.clone();
+                refills.playback_entries = 4;
+                for (what, config) in [("base", base), ("4-entry playback", refills)] {
+                    let mut single = config.clone();
+                    single.trace_ensembles = false;
+                    let ctx = format!("seed {seed:#x}, {kind:?}, {what}");
+                    let want = observe(single, &p, members, &inputs);
+                    let got = observe(config, &p, members, &inputs);
+                    prop_assert_eq!(want.3.0, 0, "{}", ctx);
+                    prop_assert_eq!(got.3.1, 0, "{}", ctx);
+                    prop_assert!(got.0.is_ok(), "{}: {:?}", ctx, got.0);
+                    prop_assert_eq!(&got.0, &want.0, "outcome ({})", ctx);
+                    prop_assert_eq!(got.1, want.1, "Stats ({})", ctx);
+                    prop_assert_eq!(&got.2, &want.2, "lanes ({})", ctx);
+                    prop_assert_eq!(got.1.instructions, instructions, "reference ({})", ctx);
+                    prop_assert_eq!(&got.2, &lanes, "reference lanes ({})", ctx);
+                }
+            }
         }
     }
 }

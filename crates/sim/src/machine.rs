@@ -15,7 +15,10 @@ use crate::recipe_cache::{RecipeCache, RecipePool};
 use crate::stats::{EnergyStats, Stats};
 use crate::trace::{FaultAction, InstrClass, TraceEvent, TraceKind, Tracer, UopMix};
 use mpu_isa::{Instruction, MpuId, Program, COND_REG};
-use pum_backend::{pj_to_fj, BitPlaneVrf, BlockGraph, BlockStep, BodyLayout, Plane, Trap};
+use pum_backend::{
+    pj_to_fj, run_batch, BitPlaneVrf, BlockGraph, BlockStep, BodyLayout, CompiledRecipe, Plane,
+    Trap,
+};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -1194,16 +1197,15 @@ impl Mpu {
         // redundancy (snapshot and compare per instruction) and
         // `trace_ensembles = false` run it one instruction per block.
         let layout = BodyLayout::walk(program.instructions(), body_start);
-        let graph = self.cache.lookup_blocks(&self.config.datapath, &layout.body);
-        let blocks = self.config.trace_ensembles
+        let graph = self.cache.lookup_blocks(&layout.body, layout.entry);
+        let batch = self.config.trace_ensembles
             && !self.config.fault.enabled()
             && self.config.recovery.redundancy == Redundancy::None;
-        if blocks {
+        if batch {
             self.block_ensembles += 1;
         } else {
             self.single_step_ensembles += 1;
         }
-        let batch = blocks && graph.fast();
         let mut end_pc = body_start;
         for (index, wave) in waves.iter().enumerate() {
             // Charged as each wave starts, so an attempt a restart cuts
@@ -1240,12 +1242,13 @@ impl Mpu {
     ///
     /// Accounting is per step, in program order: the fetch, the watchdog,
     /// playback refills, the template-table probe, every charge and every
-    /// [`TraceEvent`]. Only op execution is batched: with `batch` (a fast
-    /// graph, no fault model, no redundancy) a run of consecutive compute
-    /// steps executes as one pass per VRF once the run ends. Each VRF's
-    /// mask is invariant across the run, so every step's energy uses the
-    /// enabled count taken at the run's start. Without `batch` each compute
-    /// step executes on its own under the redundancy policy.
+    /// [`TraceEvent`]. Only op execution is batched: with `batch` (no
+    /// fault model, no redundancy) a run of consecutive compute steps whose
+    /// recipes are [`CompiledRecipe::fast`] executes as one pass per VRF
+    /// once the run ends. No such recipe writes the mask, so each VRF's
+    /// mask is invariant across the run and every step's energy uses the
+    /// enabled count taken at the run's start. Any other compute step
+    /// executes on its own, under the redundancy policy without `batch`.
     fn run_body(
         &mut self,
         graph: &BlockGraph,
@@ -1254,7 +1257,7 @@ impl Mpu {
         batch: bool,
     ) -> Result<usize, SimError> {
         let steps = graph.steps();
-        let mut i = 0;
+        let mut i = graph.entry();
         let mut return_stack: Vec<usize> = Vec::new();
         // RACER bit-pipelining: consecutive compute instructions overlap
         // across bit-stages; the first instruction after a (re)fill pays
@@ -1270,9 +1273,10 @@ impl Mpu {
         // Watchdog: bound on body instructions per wave pass, so a
         // fault-corrupted loop counter cannot spin the EFI forever.
         let mut body_instructions = 0u64;
-        // The batched compute run accounted but not yet executed: its first
-        // step and the wave's enabled-lane count.
-        let mut run: Option<(usize, u64)> = None;
+        // The batched compute run accounted but not yet executed: its
+        // recipes, and the wave's enabled-lane count at its start.
+        let mut run: Vec<Arc<CompiledRecipe>> = Vec::new();
+        let mut run_enabled = 0;
 
         // Reset masks: an ensemble starts with all lanes enabled.
         for &(rfh, vrf) in wave {
@@ -1282,8 +1286,8 @@ impl Mpu {
         loop {
             let line = lines[i];
             let step = &steps[i];
-            if !matches!(step, BlockStep::Compute { .. }) {
-                self.execute_run(graph, wave, &mut run, i);
+            if !matches!(step, BlockStep::Compute(_)) {
+                self.execute_run(wave, &mut run);
             }
             if let BlockStep::Trap(Trap::End) = step {
                 return Err(SimError::UnexpectedEnd { line });
@@ -1291,7 +1295,7 @@ impl Mpu {
             body_instructions += 1;
             if let Some(limit) = self.config.recovery.watchdog_instructions {
                 if body_instructions > limit {
-                    self.execute_run(graph, wave, &mut run, i);
+                    self.execute_run(wave, &mut run);
                     return Err(SimError::WatchdogTriggered { line, instructions: limit });
                 }
             }
@@ -1307,7 +1311,7 @@ impl Mpu {
                 });
             }
             match *step {
-                BlockStep::Compute { ref instr, .. } => {
+                BlockStep::Compute(ref instr) => {
                     // In Baseline mode the CPU stays engaged across the
                     // whole control region (it issues these datapath ops
                     // remotely), so an open offload batch persists.
@@ -1316,15 +1320,21 @@ impl Mpu {
                             match self.issue_compute(instr, &mut pipeline_warm, line) {
                                 Ok(issued) => issued,
                                 Err(e) => {
-                                    self.execute_run(graph, wave, &mut run, i);
+                                    self.execute_run(wave, &mut run);
                                     return Err(e);
                                 }
                             };
-                        let (_, enabled) = *run.get_or_insert_with(|| {
-                            let vrfs = wave.iter().map(|&(rfh, vrf)| &self.vrfs[&(rfh, vrf)]);
-                            (i, vrfs.map(|v| v.mask_lanes() as u64).sum())
-                        });
-                        self.charge_exec(&cached, wave.len(), enabled, cycles, line);
+                        if cached.compiled.fast() {
+                            if run.is_empty() {
+                                let vrfs = wave.iter().map(|key| &self.vrfs[key]);
+                                run_enabled = vrfs.map(|v| v.mask_lanes() as u64).sum();
+                            }
+                            self.charge_exec(&cached, wave.len(), run_enabled, cycles, line);
+                            run.push(cached.compiled);
+                        } else {
+                            self.execute_run(wave, &mut run);
+                            self.run_wave_once(&cached, wave, cycles, line);
+                        }
                     } else {
                         self.exec_compute_instr(instr, wave, &mut pipeline_warm, line)?;
                     }
@@ -1439,29 +1449,21 @@ impl Mpu {
                 BlockStep::Trap(Trap::Stray(mnemonic)) => {
                     return Err(SimError::StrayInstruction { line, mnemonic });
                 }
-                BlockStep::Trap(Trap::NoRecipe(mnemonic)) => {
-                    return Err(SimError::RecipeUnavailable { line, mnemonic });
-                }
                 BlockStep::Trap(Trap::End) => unreachable!("handled before the fetch is counted"),
             }
         }
     }
 
-    /// Executes the pending batched compute run (steps from its first up
-    /// to `end`) over every VRF of the wave, one VRF at a time. VRFs are
-    /// independent, so per-VRF state is identical to the step-interleaved
-    /// order, and each VRF's storage stays L1-resident for the whole run.
-    fn execute_run(
-        &mut self,
-        graph: &BlockGraph,
-        wave: &[(u16, u16)],
-        run: &mut Option<(usize, u64)>,
-        end: usize,
-    ) {
-        if let Some((start, _)) = run.take() {
+    /// Executes the pending batched compute run over every VRF of the
+    /// wave, one VRF at a time, and empties it. VRFs are independent, so
+    /// per-VRF state is identical to the step-interleaved order, and each
+    /// VRF's storage stays L1-resident for the whole run.
+    fn execute_run(&mut self, wave: &[(u16, u16)], run: &mut Vec<Arc<CompiledRecipe>>) {
+        if !run.is_empty() {
             for &(rfh, vrf) in wave {
-                graph.run_steps(start..end, self.vrf_mut(rfh, vrf));
+                run_batch(self.vrf_mut(rfh, vrf), run);
             }
+            run.clear();
         }
     }
 
@@ -2872,8 +2874,10 @@ mod tests {
         assert_eq!(mpu.tier_counts(), (2, 0));
         assert_eq!(mpu.read_register(0, 0, 0).unwrap(), vec![0; 64]);
         assert_eq!(mpu.read_register(0, 1, 0).unwrap(), vec![0; 64]);
-        let dp = &racer().datapath;
-        let graph = |start| pool.get_or_decode(dp, &BodyLayout::walk(p.instructions(), start).body);
+        let graph = |start| {
+            let layout = BodyLayout::walk(p.instructions(), start);
+            pool.get_or_decode(&layout.body, layout.entry)
+        };
         assert!(Arc::ptr_eq(&graph(1), &graph(8)), "both bodies hit one pool entry");
         let mut single = racer();
         single.trace_ensembles = false;
@@ -2881,6 +2885,29 @@ mod tests {
             run_single(single, &p, &inputs).unwrap().0,
             run_single(racer(), &p, &inputs).unwrap().0
         );
+    }
+
+    #[test]
+    fn a_body_that_branches_back_into_an_earlier_body_starts_at_its_own_line() {
+        // The second body's JUMP_COND targets line 1, so its layout holds
+        // lines 1-2 before its own first line 4. r0 is all zero: the
+        // branch falls through, the ADD runs once, and the program halts.
+        let p = asm("COMPUTE h0 v0\nNOP\nCOMPUTE_DONE\n\
+                     COMPUTE h0 v0\nSETMASK r0\nJUMP_COND 1\nUNMASK\nADD r1 r2 r3\nCOMPUTE_DONE\n\
+                     RETURN");
+        for trace_ensembles in [true, false] {
+            let mut mpu = Mpu::new(SimConfig { trace_ensembles, ..racer() }, MpuId(0));
+            mpu.write_register(0, 0, 1, &[5; 64]).unwrap();
+            mpu.write_register(0, 0, 2, &[7; 64]).unwrap();
+            // Cut a run that keeps re-entering an ensemble header.
+            let ctrl = Arc::new(RunControl::new());
+            ctrl.preempt_at_boundary(100);
+            mpu.set_run_control(ctrl);
+            let stats = mpu.run(&p).unwrap();
+            assert_eq!(mpu.read_register(0, 0, 3).unwrap(), vec![12; 64]);
+            // 3 + 6 ensemble instructions and the halt.
+            assert_eq!(stats.instructions, 10, "trace_ensembles = {trace_ensembles}");
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ use pum_backend::{
     BlockGraph, CompiledRecipe, DatapathModel, OptStats, Recipe, RecipeCost, RecipeCtx,
 };
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// A recipe cache entry: the synthesized micro-op sequence, its
@@ -54,12 +54,13 @@ pub struct CachedRecipe {
 /// [`pum_backend::DatapathKind`]) reuse each other's work safely — and
 /// datapaths that disagree on any of them, say an optimizer flag or
 /// bit-pipelining flipped against a warm pool, can never be served each
-/// other's templates. Compiled forms and block graphs additionally key on
-/// the VRF geometry `(lanes, regs)` they were resolved for, so every key
-/// covers everything its value reads.
+/// other's templates. Compiled forms additionally key on the VRF geometry
+/// `(lanes, regs)` they were resolved for, so every key covers everything
+/// its value reads. Block graphs hold no recipes and key on the laid-out
+/// body alone.
 #[derive(Debug, Default)]
 pub struct RecipePool {
-    templates: RwLock<HashMap<(RecipeCtx, u32), Template>>,
+    templates: RwLock<HashMap<(RecipeCtx, u32), Arc<Recipe>>>,
     compiled: RwLock<HashMap<CompiledKey, (Arc<CompiledRecipe>, RecipeCost)>>,
     blocks: RwLock<HashMap<BlockKey, Arc<BlockGraph>>>,
     lookups: AtomicU64,
@@ -82,10 +83,9 @@ pub struct PoolStats {
     pub lookups: u64,
     /// Probes answered from the memo without synthesizing.
     pub hits: u64,
-    /// Probes that synthesized a new template, or found one a body decode
-    /// synthesized on their behalf (each such template counts one miss).
-    /// Under a synthesis race both threads count a miss even though one
-    /// insert wins — the counter reports work performed, not table growth.
+    /// Probes that synthesized a new template. Under a synthesis race both
+    /// threads count a miss even though one insert wins — the counter
+    /// reports work performed, not table growth.
     pub misses: u64,
     /// Per-rule recipe-optimizer attribution accumulated over every
     /// synthesis this pool performed (counted or not): each template miss
@@ -97,22 +97,11 @@ pub struct PoolStats {
 /// instruction, and the VRF geometry `(lanes, regs)` it was resolved for.
 type CompiledKey = (RecipeCtx, u32, usize, usize);
 
-/// Memo key for a block graph: synthesis context, the encoded laid-out
-/// body (collision-proof — the words *are* the body, targets rebased so
-/// the key is position-independent), and the VRF geometry `(lanes, regs)`
-/// it was decoded for.
-type BlockKey = (RecipeCtx, Vec<u32>, usize, usize);
-
-/// A memoized template. `owed` marks one a body decode synthesized: decode
-/// probes stay out of the traffic counters, so the first counted probe
-/// that finds it counts the miss the synthesis stood in for. That keeps
-/// [`PoolStats`] a function of the executed instruction stream alone, not
-/// of when bodies were decoded.
-#[derive(Debug)]
-struct Template {
-    recipe: Arc<Recipe>,
-    owed: AtomicBool,
-}
+/// Memo key for a block graph: the encoded laid-out body
+/// ([`pum_backend::BodyLayout`]; collision-proof — the words *are* the
+/// body, targets rebased so the key is position-independent) and its
+/// entry index.
+type BlockKey = (Vec<u32>, usize);
 
 impl RecipePool {
     /// Creates an empty pool.
@@ -122,43 +111,27 @@ impl RecipePool {
 
     /// Returns the template for `instr` on `datapath`, synthesizing and
     /// memoizing it on first use (`None` for control-path instructions),
-    /// plus whether the probe counts as a pool hit. When `count` is false
-    /// the probe is left out of the traffic counters (used by body
-    /// decoding, whose probes are one-time and amortized behind the block
-    /// memo) and a template it synthesizes is owed a miss ([`Template`]).
+    /// plus whether it was already memoized (`true` = pool hit).
     fn get_or_build_inner(
         &self,
         datapath: &DatapathModel,
         instr: &Instruction,
-        count: bool,
     ) -> Option<(Arc<Recipe>, bool)> {
         let key = (datapath.recipe_ctx(), instr.encode());
-        if let Some(template) = read(&self.templates).get(&key) {
-            let hit = !(count && template.owed.swap(false, Ordering::Relaxed));
-            if count {
-                self.tally(hit);
-            }
-            return Some((Arc::clone(&template.recipe), hit));
+        if let Some(recipe) = read(&self.templates).get(&key) {
+            self.lookups.fetch_add(1, Ordering::Relaxed);
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Some((Arc::clone(recipe), true));
         }
         // Synthesize outside the write lock; a racing thread may do the
         // same work, but the first insert wins and both get the same entry.
         let (recipe, opt) = datapath.recipe_with_stats(instr)?;
+        let recipe = Arc::new(recipe);
         write(&self.opt).merge(&opt);
-        if count {
-            self.tally(false);
-        }
-        let mut templates = write(&self.templates);
-        let template = templates
-            .entry(key)
-            .or_insert(Template { recipe: Arc::new(recipe), owed: AtomicBool::new(!count) });
-        Some((Arc::clone(&template.recipe), false))
-    }
-
-    /// Counts one probe in the traffic counters.
-    fn tally(&self, hit: bool) {
         self.lookups.fetch_add(1, Ordering::Relaxed);
-        let counter = if hit { &self.hits } else { &self.misses };
-        counter.fetch_add(1, Ordering::Relaxed);
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let mut templates = write(&self.templates);
+        Some((Arc::clone(templates.entry(key).or_insert(recipe)), false))
     }
 
     /// Returns the recipe for `instr` together with its compiled form for
@@ -168,20 +141,17 @@ impl RecipePool {
         datapath: &DatapathModel,
         instr: &Instruction,
     ) -> Option<CachedRecipe> {
-        Some(self.build_compiled(datapath, instr, true)?.0)
+        Some(self.build_compiled(datapath, instr)?.0)
     }
 
     /// [`Self::get_or_build_compiled`] plus whether the *template* was a
-    /// pool hit (compiled-form memoization is not separately counted);
-    /// `count` selects whether the template probe enters the pool's
-    /// traffic counters.
+    /// pool hit (compiled-form memoization is not separately counted).
     fn build_compiled(
         &self,
         datapath: &DatapathModel,
         instr: &Instruction,
-        count: bool,
     ) -> Option<(CachedRecipe, bool)> {
-        let (recipe, template_hit) = self.get_or_build_inner(datapath, instr, count)?;
+        let (recipe, template_hit) = self.get_or_build_inner(datapath, instr)?;
         let g = datapath.geometry();
         let key = (datapath.recipe_ctx(), instr.encode(), g.lanes_per_vrf, g.regs_per_vrf);
         if let Some((compiled, cost)) = read(&self.compiled).get(&key) {
@@ -200,41 +170,32 @@ impl RecipePool {
     /// targets indexing into `body` — decoding and memoizing it on first
     /// use. It is memoized under the same key as the simulator's own
     /// lookup of that body, so prewarming a pool with it spares the
-    /// simulator the decode.
+    /// simulator the decode. A graph holds no recipes, so it serves every
+    /// datapath; `_datapath` only keeps this call shaped like the pool's
+    /// other memos.
     pub fn get_or_fuse_trace(
         &self,
-        datapath: &DatapathModel,
+        _datapath: &DatapathModel,
         body: &[Instruction],
     ) -> Arc<BlockGraph> {
         let laid_out: Vec<Instruction> =
             body.iter().copied().chain([Instruction::ComputeDone]).collect();
-        self.get_or_decode(datapath, &laid_out)
+        self.get_or_decode(&laid_out, 0)
     }
 
     /// Returns the [`BlockGraph`] of a laid-out body
-    /// ([`pum_backend::BodyLayout::body`]), decoding and memoizing it on
-    /// first use. Recipes are resolved through the pool's template *and*
-    /// compiled memos, so decoding never re-synthesizes or re-compiles
-    /// work the pool already holds — and a preloaded, possibly deliberately
-    /// corrupted, template reaches the decoded body exactly as it reaches
-    /// one-instruction execution. Decode probes stay out of the pool's
-    /// traffic counters ([`Template`]).
-    pub(crate) fn get_or_decode(
-        &self,
-        datapath: &DatapathModel,
-        body: &[Instruction],
-    ) -> Arc<BlockGraph> {
-        let g = datapath.geometry();
-        let words: Vec<u32> = body.iter().map(Instruction::encode).collect();
-        let key = (datapath.recipe_ctx(), words, g.lanes_per_vrf, g.regs_per_vrf);
+    /// ([`pum_backend::BodyLayout`]) entered at step `entry`, decoding and
+    /// memoizing it on first use. Decoding synthesizes nothing: the
+    /// executor resolves each compute step's recipe through its own
+    /// template-table probe.
+    pub(crate) fn get_or_decode(&self, body: &[Instruction], entry: usize) -> Arc<BlockGraph> {
+        let key = (body.iter().map(Instruction::encode).collect(), entry);
         if let Some(graph) = read(&self.blocks).get(&key) {
             return Arc::clone(graph);
         }
         // Decode outside the write lock; a racing thread may duplicate the
         // work, but the first insert wins and both get the same entry.
-        let graph = Arc::new(pum_backend::decode_body_with(datapath, body, |instr| {
-            Some(self.build_compiled(datapath, instr, false)?.0.compiled)
-        }));
+        let graph = Arc::new(pum_backend::decode_body(body, entry));
         let mut blocks = write(&self.blocks);
         Arc::clone(blocks.entry(key).or_insert(graph))
     }
@@ -260,12 +221,8 @@ impl RecipePool {
     /// catch. Preload before any simulation uses the pool.
     pub fn preload(&self, ctx: RecipeCtx, instr: &Instruction, recipe: Recipe) {
         let word = instr.encode();
-        let template = Template { recipe: Arc::new(recipe), owed: AtomicBool::new(false) };
-        write(&self.templates).insert((ctx, word), template);
+        write(&self.templates).insert((ctx, word), Arc::new(recipe));
         write(&self.compiled).retain(|&(c, w, _, _), _| !(c == ctx && w == word));
-        // Block graphs hold the instruction's compiled recipe; drop any
-        // derived from the replaced template.
-        write(&self.blocks).retain(|(c, words, _, _), _| !(*c == ctx && words.contains(&word)));
     }
 
     /// Number of memoized templates.
@@ -330,17 +287,18 @@ pub struct RecipeCache {
     /// True when `pool` was shared by the caller. Only then does a miss
     /// report its pool outcome ([`LookupOutcome::pool`]).
     shared: bool,
-    /// Block graphs keyed by the encoded laid-out body. Host-side only —
+    /// Block graphs keyed as in the pool ([`BlockKey`]). Host-side only —
     /// distinct from the architectural template table above: graph lookups
     /// never advance the LRU clock or the hit/miss counters, exactly as
-    /// the [`RecipePool`] never does. Bodies per program are few, so the
-    /// memo is unbounded.
-    blocks: HashMap<Vec<u32>, Arc<BlockGraph>>,
+    /// the [`RecipePool`] never does. Graphs hold no recipes, so the memo
+    /// survives a synthesis-context change. Bodies per program are few, so
+    /// the memo is unbounded.
+    blocks: HashMap<BlockKey, Arc<BlockGraph>>,
     /// The synthesis context ([`RecipeCtx`]: family, temp registers,
     /// optimizer config, costs) every cached entry was lowered under. The
     /// per-MPU table is keyed by instruction word alone, so if the owning
     /// datapath's context ever changes — e.g. the recipe optimizer is
-    /// toggled against a warm cache — the table and the block memo are
+    /// toggled against a warm cache — the table is
     /// flushed rather than serving entries from the stale context.
     ctx: Option<RecipeCtx>,
     tick: u64,
@@ -387,7 +345,7 @@ impl RecipeCache {
         Some((entry, outcome.hit))
     }
 
-    /// Flushes every cached entry and the block memo if `datapath`'s
+    /// Flushes every cached entry if `datapath`'s
     /// synthesis context differs from the one the cache was warmed under.
     /// Hit/miss counters and the LRU clock keep running — the flush models
     /// a table invalidation, not a fresh table.
@@ -396,7 +354,6 @@ impl RecipeCache {
         if self.ctx != Some(ctx) {
             if self.ctx.is_some() {
                 self.entries.clear();
-                self.blocks.clear();
             }
             self.ctx = Some(ctx);
         }
@@ -420,7 +377,7 @@ impl RecipeCache {
             self.hits += 1;
             return Some((entry.clone(), LookupOutcome { hit: true, pool: None }));
         }
-        let (entry, template_hit) = self.pool.build_compiled(datapath, instr, true)?;
+        let (entry, template_hit) = self.pool.build_compiled(datapath, instr)?;
         let pool = self.shared.then_some(template_hit);
         self.tick += 1;
         self.misses += 1;
@@ -434,23 +391,18 @@ impl RecipeCache {
         Some((entry, LookupOutcome { hit: false, pool }))
     }
 
-    /// Returns the [`BlockGraph`] of a laid-out ensemble body, decoding it
-    /// (through the pool) and memoizing it on first use. Host-side only:
-    /// never touches the architectural hit/miss/LRU state — the executor
-    /// still performs the real per-step [`Self::lookup_traced`] probes, so
-    /// template-table statistics do not depend on how the body executes.
-    pub(crate) fn lookup_blocks(
-        &mut self,
-        datapath: &DatapathModel,
-        body: &[Instruction],
-    ) -> Arc<BlockGraph> {
-        self.refresh_ctx(datapath);
-        let words: Vec<u32> = body.iter().map(Instruction::encode).collect();
-        if let Some(graph) = self.blocks.get(&words) {
+    /// Returns the [`BlockGraph`] of a laid-out ensemble body entered at
+    /// step `entry`, decoding it (through the pool) and memoizing it on
+    /// first use. Host-side only: never touches the architectural
+    /// hit/miss/LRU state — the executor performs the real per-step
+    /// [`Self::lookup_traced`] probes.
+    pub(crate) fn lookup_blocks(&mut self, body: &[Instruction], entry: usize) -> Arc<BlockGraph> {
+        let key = (body.iter().map(Instruction::encode).collect(), entry);
+        if let Some(graph) = self.blocks.get(&key) {
             return Arc::clone(graph);
         }
-        let graph = self.pool.get_or_decode(datapath, body);
-        self.blocks.insert(words, Arc::clone(&graph));
+        let graph = self.pool.get_or_decode(body, entry);
+        self.blocks.insert(key, Arc::clone(&graph));
         graph
     }
 
@@ -478,11 +430,6 @@ impl RecipeCache {
     /// all come back; capacity and the pool are left as-is.
     pub(crate) fn restore_checkpoint(&mut self, cp: &CacheCheckpoint) {
         self.entries = cp.entries.iter().map(|(k, e, s)| (*k, (e.clone(), *s))).collect();
-        if self.ctx != cp.ctx {
-            // A block memo warmed under a different synthesis context
-            // must not survive the restore.
-            self.blocks.clear();
-        }
         self.ctx = cp.ctx;
         self.tick = cp.tick;
         self.hits = cp.hits;
@@ -703,10 +650,10 @@ mod tests {
     }
 
     #[test]
-    fn bit_pipelining_is_part_of_the_block_key() {
+    fn bit_pipelining_is_part_of_the_compiled_key() {
         // Two datapaths that differ only in bit-pipelining synthesize the
         // same recipes; a pool keyed without it served the first one's
-        // stage times and decoded graphs to the second.
+        // stage times to the second.
         let build = |pipelined: bool| {
             let dp = pum_backend::DatapathBuilder::new("NOR", pum_backend::LogicFamily::Nor)
                 .uop(pum_backend::MicroOpKind::Nor, 2, 0.020)
@@ -716,13 +663,11 @@ mod tests {
         };
         let pool = RecipePool::new();
         let (piped, serial) = (build(true), build(false));
-        let graph = |dp: &DatapathModel| pool.get_or_fuse_trace(dp, &[add(2), add(3)]);
-        assert!(!Arc::ptr_eq(&graph(&piped), &graph(&serial)), "each datapath decodes its own");
         let cost = |dp: &DatapathModel| pool.get_or_build_compiled(dp, &add(3)).unwrap().cost;
         let (piped, serial) = (cost(&piped), cost(&serial));
         assert_eq!(piped.cycles, serial.cycles, "a cold pipeline pays serial latency");
         assert!(piped.stage_cycles < serial.stage_cycles, "only the bit-pipelined one overlaps");
-        assert_eq!(pool.len(), 4, "each datapath keeps its own templates");
+        assert_eq!(pool.len(), 2, "each datapath keeps its own template");
     }
 
     #[test]
@@ -751,21 +696,22 @@ mod tests {
     }
 
     #[test]
-    fn a_decoded_template_owes_its_first_counted_probe_a_miss() {
-        // Decoding synthesizes every template of a body before execution
-        // probes it; the probe still counts (and reports) the miss.
-        let dp = DatapathModel::racer();
+    fn decoding_a_body_synthesizes_nothing() {
+        // A graph holds no recipes: decoding leaves the template memo and
+        // its counters to the executed probes, and one graph serves every
+        // datapath.
         let pool = Arc::new(RecipePool::new());
-        pool.get_or_fuse_trace(&dp, &[add(2), add(2)]);
-        assert_eq!(pool.stats().lookups, 0, "decode probes are not counted");
-        let mut first = RecipeCache::with_pool(4, Arc::clone(&pool));
-        let (_, o) = first.lookup_traced(&dp, &add(2)).unwrap();
+        let graph = pool.get_or_fuse_trace(&DatapathModel::racer(), &[add(2), add(2)]);
+        assert_eq!((pool.len(), pool.stats().lookups), (0, 0));
+        assert!(Arc::ptr_eq(
+            &graph,
+            &pool.get_or_fuse_trace(&DatapathModel::dpu(), &[add(2), add(2)])
+        ));
+        let mut cache = RecipeCache::with_pool(4, Arc::clone(&pool));
+        let (_, o) = cache.lookup_traced(&DatapathModel::racer(), &add(2)).unwrap();
         assert_eq!(o, LookupOutcome { hit: false, pool: Some(false) });
-        let mut second = RecipeCache::with_pool(4, Arc::clone(&pool));
-        let (_, o) = second.lookup_traced(&dp, &add(2)).unwrap();
-        assert_eq!(o, LookupOutcome { hit: false, pool: Some(true) });
         let s = pool.stats();
-        assert_eq!((s.lookups, s.hits, s.misses), (2, 1, 1));
+        assert_eq!((s.lookups, s.hits, s.misses), (1, 0, 1));
     }
 
     #[test]
