@@ -1192,8 +1192,8 @@ impl Mpu {
         // `active_vrfs_per_rfh` of each RFH's VRFs per wave.
         let waves = form_waves(&members, self.config.datapath.geometry().active_vrfs_per_rfh);
 
-        // Decode the body once into its block graph (memoized per MPU and
-        // in the pool). Fault injection (draws in program order),
+        // Decode the body once into its block graph (memoized in the
+        // pool). Fault injection (draws in program order),
         // redundancy (snapshot and compare per instruction) and
         // `trace_ensembles = false` run it one instruction per block.
         let layout = BodyLayout::walk(program.instructions(), body_start);

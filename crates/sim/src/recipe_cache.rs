@@ -171,8 +171,7 @@ impl RecipePool {
     /// use. It is memoized under the same key as the simulator's own
     /// lookup of that body, so prewarming a pool with it spares the
     /// simulator the decode. A graph holds no recipes, so it serves every
-    /// datapath; `_datapath` only keeps this call shaped like the pool's
-    /// other memos.
+    /// datapath: `_datapath` is unused, kept for existing callers.
     pub fn get_or_fuse_trace(
         &self,
         _datapath: &DatapathModel,
@@ -282,18 +281,11 @@ pub struct RecipeCache {
     entries: HashMap<u32, (CachedRecipe, u64)>,
     /// The host-side memo every miss and every decode resolves through:
     /// the caller's shared pool, or a private one. Its memos are keyed by
-    /// synthesis context, so they never need flushing.
+    /// everything their values read, so they never need flushing.
     pool: Arc<RecipePool>,
     /// True when `pool` was shared by the caller. Only then does a miss
     /// report its pool outcome ([`LookupOutcome::pool`]).
     shared: bool,
-    /// Block graphs keyed as in the pool ([`BlockKey`]). Host-side only —
-    /// distinct from the architectural template table above: graph lookups
-    /// never advance the LRU clock or the hit/miss counters, exactly as
-    /// the [`RecipePool`] never does. Graphs hold no recipes, so the memo
-    /// survives a synthesis-context change. Bodies per program are few, so
-    /// the memo is unbounded.
-    blocks: HashMap<BlockKey, Arc<BlockGraph>>,
     /// The synthesis context ([`RecipeCtx`]: family, temp registers,
     /// optimizer config, costs) every cached entry was lowered under. The
     /// per-MPU table is keyed by instruction word alone, so if the owning
@@ -325,7 +317,6 @@ impl RecipeCache {
             entries: HashMap::new(),
             pool,
             shared,
-            blocks: HashMap::new(),
             ctx: None,
             tick: 0,
             hits: 0,
@@ -392,27 +383,18 @@ impl RecipeCache {
     }
 
     /// Returns the [`BlockGraph`] of a laid-out ensemble body entered at
-    /// step `entry`, decoding it (through the pool) and memoizing it on
-    /// first use. Host-side only: never touches the architectural
-    /// hit/miss/LRU state — the executor performs the real per-step
-    /// [`Self::lookup_traced`] probes.
-    pub(crate) fn lookup_blocks(&mut self, body: &[Instruction], entry: usize) -> Arc<BlockGraph> {
-        let key = (body.iter().map(Instruction::encode).collect(), entry);
-        if let Some(graph) = self.blocks.get(&key) {
-            return Arc::clone(graph);
-        }
-        let graph = self.pool.get_or_decode(body, entry);
-        self.blocks.insert(key, Arc::clone(&graph));
-        graph
+    /// step `entry` from the pool's memo. Host-side only: never touches
+    /// the architectural hit/miss/LRU state — the executor performs the
+    /// real per-step [`Self::lookup_traced`] probes.
+    pub(crate) fn lookup_blocks(&self, body: &[Instruction], entry: usize) -> Arc<BlockGraph> {
+        self.pool.get_or_decode(body, entry)
     }
 
     /// Snapshots the *architectural* cache state: the template table with
     /// its LRU stamps, the synthesis context, and the hit/miss/clock
-    /// counters. The host-side memos (`blocks` and the pool) are
-    /// deliberately excluded — they are invisible to the modeled hardware
-    /// and rebuild on demand; the pool stays with the machine, not the
-    /// checkpoint. Entries are `Arc`-shared, so
-    /// a snapshot is cheap.
+    /// counters. The host-side pool is deliberately excluded — it is
+    /// invisible to the modeled hardware; it stays with the machine, not
+    /// the checkpoint. Entries are `Arc`-shared, so a snapshot is cheap.
     pub(crate) fn checkpoint(&self) -> CacheCheckpoint {
         CacheCheckpoint {
             entries: self.entries.iter().map(|(&k, (e, s))| (k, e.clone(), *s)).collect(),
