@@ -324,6 +324,31 @@ impl MicroOp {
         }
     }
 
+    /// This micro-op with every plane operand replaced by `f` of it, in
+    /// place. [`MicroOp::Word`] names registers, not planes, and is
+    /// returned unchanged.
+    pub(crate) fn map_planes(self, f: impl Fn(Plane) -> Plane) -> MicroOp {
+        match self {
+            MicroOp::Nor { a, b, out } => MicroOp::Nor { a: f(a), b: f(b), out: f(out) },
+            MicroOp::Tra { a, b, c, out } => {
+                MicroOp::Tra { a: f(a), b: f(b), c: f(c), out: f(out) }
+            }
+            MicroOp::Not { a, out } => MicroOp::Not { a: f(a), out: f(out) },
+            MicroOp::And { a, b, out } => MicroOp::And { a: f(a), b: f(b), out: f(out) },
+            MicroOp::Or { a, b, out } => MicroOp::Or { a: f(a), b: f(b), out: f(out) },
+            MicroOp::Xor { a, b, out } => MicroOp::Xor { a: f(a), b: f(b), out: f(out) },
+            MicroOp::FullAdd { a, b, carry, sum } => {
+                MicroOp::FullAdd { a: f(a), b: f(b), carry: f(carry), sum: f(sum) }
+            }
+            MicroOp::Copy { a, out } => MicroOp::Copy { a: f(a), out: f(out) },
+            MicroOp::Set { out, value } => MicroOp::Set { out: f(out), value },
+            MicroOp::Lut { a, b, c, out, table } => {
+                MicroOp::Lut { a: f(a), b: f(b), c: f(c), out: f(out), table }
+            }
+            MicroOp::Word { .. } => self,
+        }
+    }
+
     /// The plane this micro-op writes (for [`MicroOp::FullAdd`], the sum
     /// plane — the single fault-injection target of the fused operation).
     fn out_plane(&self) -> Plane {

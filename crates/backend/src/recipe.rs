@@ -24,7 +24,7 @@ use crate::bitplane::Plane;
 use crate::datapath::{CostTable, RecipeCost};
 use crate::logic::{GateBuilder, LogicFamily};
 use crate::microop::MicroOp;
-use mpu_isa::{BinaryOp, CompareOp, InitValue, Instruction, UnaryOp, DATA_BITS};
+use mpu_isa::{BinaryOp, CompareOp, InitValue, Instruction, RegId, UnaryOp, DATA_BITS};
 
 const W: usize = DATA_BITS as usize;
 /// Input width (bits) for `MUL`/`MAC`, per Table II ("only 8-/16-/32-bit
@@ -205,6 +205,96 @@ pub fn build_recipe(ctx: RecipeCtx, instr: &Instruction) -> Option<Recipe> {
     }
     let scratch_high_water = g.scratch_high_water();
     Some(Recipe { ops: g.finish(), scratch_high_water, saved_uops: 0 })
+}
+
+/// The register-renamed *shape* of a compute instruction, the key of the
+/// decoder's per-operation template (paper §VI-B, Fig. 9), or `None` for
+/// instructions [`build_recipe`] has no recipe for.
+///
+/// Register operands are renamed, in operand order (`rs`, `rt`, `rd`), to
+/// the lowest ids that are not [`RecipeCtx::temp_regs`]; an operand that
+/// *is* a temp register keeps its id. Repeated operands rename alike, so
+/// the aliasing pattern — and with it every [`build_recipe`] panic — is
+/// unchanged. Synthesis and the optimizer only ever test planes for
+/// equality, so they commute with this renaming:
+/// [`instantiate_recipe`] of the shape's recipe equals the instruction's
+/// own recipe, `OptStats` included (DESIGN.md §10).
+pub fn recipe_shape(ctx: &RecipeCtx, instr: &Instruction) -> Option<Instruction> {
+    let (ta, tb) = ctx.temp_regs;
+    let is_temp = |r: u16| r == u16::from(ta) || r == u16::from(tb);
+    let mut renamed: Vec<(RegId, RegId)> = Vec::with_capacity(3);
+    let mut next = 0;
+    map_operands(instr, |r| {
+        if is_temp(r.0) {
+            return r;
+        }
+        if let Some(&(_, to)) = renamed.iter().find(|&&(from, _)| from == r) {
+            return to;
+        }
+        while is_temp(next) {
+            next += 1;
+        }
+        let to = RegId(next);
+        next += 1;
+        renamed.push((r, to));
+        to
+    })
+}
+
+/// The recipe of `instr` from the recipe of its [`recipe_shape`]: the
+/// template filler. Every [`Plane::Reg`] and every register of a
+/// [`MicroOp::Word`] instruction is renamed from the shape's operand back
+/// to `instr`'s; temp registers and all other planes map to themselves.
+/// The saved micro-op count and scratch high-water mark carry over.
+///
+/// # Panics
+///
+/// Panics if `instr` has no recipe.
+pub fn instantiate_recipe(ctx: &RecipeCtx, shape_recipe: &Recipe, instr: &Instruction) -> Recipe {
+    let shape = recipe_shape(ctx, instr).expect("only compute instructions have a shape");
+    let pairs: Vec<(u16, u16)> = operands(&shape).into_iter().zip(operands(instr)).collect();
+    let rename = |r: u16| pairs.iter().find(|&&(from, _)| from == r).map_or(r, |&(_, to)| to);
+    let ops = shape_recipe
+        .ops
+        .iter()
+        .map(|op| match *op {
+            MicroOp::Word { instr: w } => MicroOp::Word {
+                instr: map_operands(&w, |r| RegId(rename(r.0))).expect("a compute instruction"),
+            },
+            op => op.map_planes(|p| match p {
+                Plane::Reg { reg, bit } => Plane::Reg { reg: rename(u16::from(reg)) as u8, bit },
+                p => p,
+            }),
+        })
+        .collect();
+    Recipe { ops, ..*shape_recipe }
+}
+
+/// `instr` with each register operand replaced by `f` of it, called in
+/// operand order (`rs`, `rt`, `rd`); `None` for instructions without a
+/// recipe.
+fn map_operands(instr: &Instruction, mut f: impl FnMut(RegId) -> RegId) -> Option<Instruction> {
+    Some(match *instr {
+        Instruction::Binary { op, rs, rt, rd } => {
+            Instruction::Binary { op, rs: f(rs), rt: f(rt), rd: f(rd) }
+        }
+        Instruction::Unary { op, rs, rd } => Instruction::Unary { op, rs: f(rs), rd: f(rd) },
+        Instruction::Compare { op, rs, rt } => Instruction::Compare { op, rs: f(rs), rt: f(rt) },
+        Instruction::Fuzzy { rs, rt, rd } => Instruction::Fuzzy { rs: f(rs), rt: f(rt), rd: f(rd) },
+        Instruction::Cas { rs, rt } => Instruction::Cas { rs: f(rs), rt: f(rt) },
+        Instruction::Init { value, rd } => Instruction::Init { value, rd: f(rd) },
+        _ => return None,
+    })
+}
+
+/// The register operands of `instr`, in operand order.
+fn operands(instr: &Instruction) -> Vec<u16> {
+    let mut regs = Vec::with_capacity(3);
+    map_operands(instr, |r| {
+        regs.push(r.0);
+        r
+    });
+    regs
 }
 
 /// Word-serial synthesis fallback (UPMEM-style DPUs): the substrate has no

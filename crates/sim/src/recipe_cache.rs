@@ -3,10 +3,10 @@
 //! The recipe table can only hold a few thousand micro-op templates, so the
 //! control path dynamically caches recipes as instructions are issued. We
 //! model a capacity-bounded cache keyed by the encoded instruction word
-//! (operands included — the template filler's work is folded into the
-//! cached entry), with LRU replacement and hit/miss counters. Baseline
-//! datapaths decode every instruction from scratch. Each entry carries
-//! both the synthesized micro-op sequence and its geometry-specialized
+//! (operands included — each entry is a template with its registers filled
+//! in), with LRU replacement and hit/miss counters. Baseline datapaths
+//! decode every instruction from scratch. Each entry carries both the
+//! synthesized micro-op sequence and its geometry-specialized
 //! [`CompiledRecipe`], so plane-address resolution happens once per
 //! template rather than once per executed micro-op.
 //!
@@ -20,6 +20,15 @@
 //! model the *hardware* template fetch and are charged identically
 //! whichever pool serves them, so shared-pool and private-pool runs
 //! produce bit-identical statistics.
+//!
+//! The pool also models the decoder's template filler: it synthesizes and
+//! optimizes each register-renamed instruction *shape*
+//! ([`pum_backend::recipe_shape`]) once, and builds each instruction's
+//! template by writing its registers into the shape's recipe
+//! ([`pum_backend::instantiate_recipe`]). `QDIV r7,r8,r3` and
+//! `QDIV r5,r9,r8` share one optimizer pass. Renaming commutes with
+//! synthesis and optimization, so every template equals
+//! [`DatapathModel::recipe_with_stats`] of its instruction.
 
 use mpu_isa::Instruction;
 use pum_backend::{
@@ -58,14 +67,23 @@ pub struct CachedRecipe {
 /// `(lanes, regs)` they were resolved for, so every key covers everything
 /// its value reads. Block graphs hold no recipes and key on the laid-out
 /// body alone.
+///
+/// Under the per-instruction templates sits a memo of shape recipes keyed
+/// by `(RecipeCtx, shape word)`: a template miss fills in the shape's
+/// recipe, and only a shape miss runs synthesis and the optimizer. Each
+/// memo is its own map, so [`RecipePool::preload`] replaces one
+/// instruction's template and never the shape other instructions are
+/// filled from.
 #[derive(Debug, Default)]
 pub struct RecipePool {
     templates: RwLock<HashMap<(RecipeCtx, u32), Arc<Recipe>>>,
+    shapes: RwLock<HashMap<(RecipeCtx, u32), ShapeRecipe>>,
     compiled: RwLock<HashMap<CompiledKey, (Arc<CompiledRecipe>, RecipeCost)>>,
     blocks: RwLock<HashMap<BlockKey, Arc<BlockGraph>>>,
     lookups: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
+    shape_misses: AtomicU64,
     opt: RwLock<OptStats>,
 }
 
@@ -83,15 +101,22 @@ pub struct PoolStats {
     pub lookups: u64,
     /// Probes answered from the memo without synthesizing.
     pub hits: u64,
-    /// Probes that synthesized a new template. Under a synthesis race both
-    /// threads count a miss even though one insert wins — the counter
-    /// reports work performed, not table growth.
+    /// Probes that built a new template, by filling in a shape's recipe.
+    /// Under a race both threads count a miss even though one insert
+    /// wins — the counter reports work performed, not table growth.
     pub misses: u64,
-    /// Per-rule recipe-optimizer attribution accumulated over every
-    /// synthesis this pool performed (counted or not): each template miss
-    /// pays one optimizer pass, and this records what that pass bought.
+    /// Template misses whose register-renamed shape was not memoized yet:
+    /// the synthesis and optimizer passes actually run (racing threads
+    /// each count one, as for `misses`).
+    pub shape_misses: u64,
+    /// Per-rule recipe-optimizer attribution, merged once per template
+    /// miss: what the optimizer bought for each template built, whether
+    /// its shape's pass ran now or was memoized.
     pub opt: OptStats,
 }
+
+/// A shape's optimized recipe and what its optimizer pass did.
+type ShapeRecipe = (Arc<Recipe>, OptStats);
 
 /// Memo key for a compiled form and its cost: synthesis context, encoded
 /// instruction, and the VRF geometry `(lanes, regs)` it was resolved for.
@@ -117,21 +142,44 @@ impl RecipePool {
         datapath: &DatapathModel,
         instr: &Instruction,
     ) -> Option<(Arc<Recipe>, bool)> {
-        let key = (datapath.recipe_ctx(), instr.encode());
+        let ctx = datapath.recipe_ctx();
+        let key = (ctx, instr.encode());
         if let Some(recipe) = read(&self.templates).get(&key) {
             self.lookups.fetch_add(1, Ordering::Relaxed);
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Some((Arc::clone(recipe), true));
         }
-        // Synthesize outside the write lock; a racing thread may do the
-        // same work, but the first insert wins and both get the same entry.
-        let (recipe, opt) = datapath.recipe_with_stats(instr)?;
-        let recipe = Arc::new(recipe);
+        let (shape_recipe, opt) = self.get_or_build_shape(datapath, ctx, instr)?;
+        let recipe = Arc::new(pum_backend::instantiate_recipe(&ctx, &shape_recipe, instr));
         write(&self.opt).merge(&opt);
         self.lookups.fetch_add(1, Ordering::Relaxed);
         self.misses.fetch_add(1, Ordering::Relaxed);
         let mut templates = write(&self.templates);
         Some((Arc::clone(templates.entry(key).or_insert(recipe)), false))
+    }
+
+    /// Returns the optimized recipe of `instr`'s register-renamed shape
+    /// ([`pum_backend::recipe_shape`]) and what its optimizer pass did,
+    /// synthesizing and memoizing both on first use (`None` for
+    /// control-path instructions).
+    fn get_or_build_shape(
+        &self,
+        datapath: &DatapathModel,
+        ctx: RecipeCtx,
+        instr: &Instruction,
+    ) -> Option<ShapeRecipe> {
+        let shape = pum_backend::recipe_shape(&ctx, instr)?;
+        let key = (ctx, shape.encode());
+        if let Some((recipe, opt)) = read(&self.shapes).get(&key) {
+            return Some((Arc::clone(recipe), *opt));
+        }
+        // Synthesize outside the write lock; a racing thread may do the
+        // same work, but the first insert wins and both get the same entry.
+        let (recipe, opt) = datapath.recipe_with_stats(&shape)?;
+        self.shape_misses.fetch_add(1, Ordering::Relaxed);
+        let mut shapes = write(&self.shapes);
+        let (recipe, opt) = shapes.entry(key).or_insert((Arc::new(recipe), opt));
+        Some((Arc::clone(recipe), *opt))
     }
 
     /// Returns the recipe for `instr` together with its compiled form for
@@ -205,6 +253,7 @@ impl RecipePool {
             lookups: self.lookups.load(Ordering::Relaxed),
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
+            shape_misses: self.shape_misses.load(Ordering::Relaxed),
             opt: *read(&self.opt),
         }
     }
@@ -603,11 +652,61 @@ mod tests {
         assert!(pool.get_or_build_compiled(&dp, &Instruction::Nop).is_none());
 
         let s = pool.stats();
-        assert_eq!(s, PoolStats { lookups: 3, hits: 1, misses: 2, opt: s.opt });
+        assert_eq!(s, PoolStats { lookups: 3, hits: 1, misses: 2, shape_misses: 1, opt: s.opt });
         assert_eq!(s.hits + s.misses, s.lookups);
         // Each miss paid one optimizer pass; RACER ADD is known to shrink.
         assert!(s.opt.saved_uops() > 0, "pool misses accumulate optimizer savings");
         assert!(s.opt.total_fires() > 0, "per-rule fire counts accumulate");
+    }
+
+    fn reg3(op: BinaryOp, rs: u16, rt: u16, rd: u16) -> Instruction {
+        Instruction::Binary { op, rs: RegId(rs), rt: RegId(rt), rd: RegId(rd) }
+    }
+
+    #[test]
+    fn renamed_registers_share_one_optimizer_pass() {
+        let dp = DatapathModel::racer();
+        let pool = RecipePool::new();
+        let (a, b) = (reg3(BinaryOp::QDiv, 7, 8, 3), reg3(BinaryOp::QDiv, 5, 9, 8));
+        let ra = pool.get_or_build_compiled(&dp, &a).unwrap().recipe;
+        let rb = pool.get_or_build_compiled(&dp, &b).unwrap().recipe;
+        let s = pool.stats();
+        assert_eq!((s.lookups, s.hits, s.misses, s.shape_misses), (2, 0, 2, 1));
+        assert_eq!(s.hits + s.misses, s.lookups);
+        assert_eq!(pool.len(), 2, "each instruction keeps its own template");
+        let (da, opt_a) = dp.recipe_with_stats(&a).unwrap();
+        let (db, opt_b) = dp.recipe_with_stats(&b).unwrap();
+        assert_eq!((*ra == da, *rb == db), (true, true), "filled templates equal direct synthesis");
+        let mut both = opt_a;
+        both.merge(&opt_b);
+        assert_eq!(s.opt, both, "optimizer attribution is merged once per template");
+    }
+
+    #[test]
+    fn preload_replaces_one_template_and_never_its_shape() {
+        let dp = DatapathModel::racer();
+        let (target, sibling) = (reg3(BinaryOp::Add, 1, 2, 3), reg3(BinaryOp::Add, 4, 5, 6));
+        let corrupt = || {
+            Recipe::from_ops(vec![pum_backend::MicroOp::Set {
+                out: pum_backend::Plane::Reg { reg: 3, bit: 0 },
+                value: true,
+            }])
+        };
+        let direct = dp.recipe(&sibling).unwrap();
+        // Shape memoized before the preload, then after it.
+        for shape_first in [true, false] {
+            let pool = RecipePool::new();
+            if shape_first {
+                pool.get_or_build_compiled(&dp, &reg3(BinaryOp::Add, 9, 10, 11)).unwrap();
+            }
+            pool.preload(dp.recipe_ctx(), &target, corrupt());
+            let got = pool.get_or_build_compiled(&dp, &sibling).unwrap();
+            assert_eq!(*got.recipe, direct, "shape memoized first: {shape_first}");
+            assert_eq!(got.compiled.len(), direct.len());
+            let preloaded = pool.get_or_build_compiled(&dp, &target).unwrap();
+            assert_eq!(*preloaded.recipe, corrupt(), "the preloaded template is served");
+            assert_eq!(pool.stats().shape_misses, 1);
+        }
     }
 
     #[test]
@@ -754,6 +853,7 @@ mod tests {
                 .spawn(|| {
                     let _guards = (
                         write(&pool.templates),
+                        write(&pool.shapes),
                         write(&pool.compiled),
                         write(&pool.blocks),
                         write(&pool.opt),
@@ -763,7 +863,9 @@ mod tests {
                 .join();
             assert!(crashed.is_err());
         });
-        assert!(pool.templates.is_poisoned() && pool.opt.is_poisoned());
+        assert!(
+            pool.templates.is_poisoned() && pool.shapes.is_poisoned() && pool.opt.is_poisoned()
+        );
 
         let after = pool.get_or_build_compiled(&dp, &add(2)).unwrap().recipe;
         assert!(Arc::ptr_eq(&before, &after), "the memoized recipe is still served");
