@@ -18,6 +18,22 @@
 //! input is safe without staging: each output word is produced from the
 //! already-read input words of the same index. Host data loads go through
 //! a word-level 64×64 bit-matrix transpose instead of per-bit shifting.
+//!
+//! # One word-loop kernel
+//!
+//! Every plane operation — the op-by-op path here and the compiled fast
+//! loop in `compiled.rs` — runs [`plane_kernel`], which is generic over a
+//! compile-time chunk width `W`: it loads each operand's `W` words as a
+//! `[u64; W]`, computes, and stores, merging with the mask plane when the
+//! write is masked. [`with_width`] picks `W` from the VRF's words per
+//! plane: the shipped widths (1, 4 and 8 words) get a single chunk each,
+//! so the loop is fully unrolled with one bounds check per operand; any
+//! other width runs in one-word chunks. Every plane starts at a multiple
+//! of `words` in storage and `W` divides `words`, so chunk `k` of
+//! every operand sits at `base + k·W` and two operands' chunks either
+//! coincide or do not overlap — reading a chunk's inputs before writing
+//! it therefore equals the word-by-word read-then-write, even when the
+//! output aliases an input.
 
 use crate::fault::FaultModel;
 use crate::microop::MicroOpKind;
@@ -85,6 +101,81 @@ fn transpose_64x64(a: &mut [u64; 64]) {
     }
 }
 
+/// A computation over plane storage run at one compile-time chunk width
+/// (see [`with_width`]).
+pub(crate) trait WidthJob {
+    /// Runs the job over planes of `chunks` chunks of `W` words each.
+    fn run<const W: usize>(self, chunks: usize);
+}
+
+/// Runs `job` at the chunk width for planes of `words` words: one chunk
+/// at the shipped widths (1, 4 and 8 words), else `words` one-word chunks.
+#[inline(always)]
+pub(crate) fn with_width(words: usize, job: impl WidthJob) {
+    match words {
+        1 => job.run::<1>(1),
+        4 => job.run::<4>(1),
+        8 => job.run::<8>(1),
+        _ => one_word_chunks(words, job),
+    }
+}
+
+/// The fallback of [`with_width`], kept out of line. Inline, its call to
+/// the same `run::<1>` can be merged with the 1-word arm's (there
+/// `1 == words`), and that arm loses its constant chunk count: 1-word
+/// pipelines measured ~7% slower that way.
+#[inline(never)]
+fn one_word_chunks(words: usize, job: impl WidthJob) {
+    job.run::<1>(words)
+}
+
+/// The word function of a constant fill: every word all `value`.
+#[inline(always)]
+pub(crate) fn fill(value: bool) -> impl Fn(u64, u64, u64) -> u64 {
+    let word = 0u64.wrapping_sub(u64::from(value));
+    move |_, _, _| word
+}
+
+/// The `W` words of storage at `at`.
+#[inline(always)]
+fn load<const W: usize>(st: &[u64], at: usize) -> [u64; W] {
+    let mut words = [0u64; W];
+    words.copy_from_slice(&st[at..at + W]);
+    words
+}
+
+/// The crate's one word loop: `out = f(a, b, c)` over planes of `chunks`
+/// chunks of `W` words at the word offsets `ins` and `out`, merged as
+/// `(new & m) | (old & !m)` with the mask plane at offset `mask` when
+/// given. Each chunk's inputs are read before its output is written, so
+/// `out` may alias any input (see the module docs). Functions of fewer
+/// inputs ignore the trailing ones; pass a read operand in their place.
+#[inline(always)]
+pub(crate) fn plane_kernel<const W: usize>(
+    st: &mut [u64],
+    chunks: usize,
+    [a, b, c]: [usize; 3],
+    out: usize,
+    mask: Option<usize>,
+    f: impl Fn(u64, u64, u64) -> u64,
+) {
+    for k in 0..chunks {
+        let at = k * W;
+        let (x, y, z) = (load::<W>(st, a + at), load::<W>(st, b + at), load::<W>(st, c + at));
+        let mut new = [0u64; W];
+        for w in 0..W {
+            new[w] = f(x[w], y[w], z[w]);
+        }
+        if let Some(mask) = mask {
+            let (m, old) = (load::<W>(st, mask + at), load::<W>(st, out + at));
+            for w in 0..W {
+                new[w] = (new[w] & m[w]) | (old[w] & !m[w]);
+            }
+        }
+        st[out + at..out + at + W].copy_from_slice(&new);
+    }
+}
+
 /// A bit-plane vector register file: `regs × 64` architectural planes plus
 /// scratch, conditional, mask and constant planes, each a packed bitvector
 /// over `lanes`.
@@ -144,7 +235,7 @@ impl BitPlaneVrf {
         // Mask starts all-enabled; const1 plane all ones.
         vrf.fill_plane(Plane::Mask, true);
         let c1 = vrf.plane_index(Plane::Const(true)) * words;
-        vrf.fill_op(c1, false, true);
+        vrf.plane_op([c1; 3], c1, false, fill(true));
         vrf
     }
 
@@ -255,90 +346,34 @@ impl BitPlaneVrf {
         }
     }
 
-    /// In-place two-input word loop: `storage[out..] = f(a, b)`, with the
-    /// mask merge fused when `masked`. Aliasing between `out` and any
-    /// input is safe (the operation is pointwise per word).
+    /// In-place plane operation `storage[out..] = f(a, b, c)` over the
+    /// operand word offsets `ins`, merged under the lane mask when
+    /// `masked`: [`plane_kernel`] at this VRF's width, then
+    /// [`Self::finish_write`]. Aliasing between `out` and any input is
+    /// safe.
     #[inline]
-    pub(crate) fn op2(
+    pub(crate) fn plane_op(
         &mut self,
-        a: usize,
-        b: usize,
-        out: usize,
-        masked: bool,
-        f: impl Fn(u64, u64) -> u64,
-    ) {
-        if masked {
-            let mask = self.mask_base();
-            for w in 0..self.words {
-                let new = f(self.storage[a + w], self.storage[b + w]);
-                let m = self.storage[mask + w];
-                self.storage[out + w] = (new & m) | (self.storage[out + w] & !m);
-            }
-        } else {
-            for w in 0..self.words {
-                self.storage[out + w] = f(self.storage[a + w], self.storage[b + w]);
-            }
-        }
-        self.finish_write(out);
-    }
-
-    /// In-place three-input word loop (see [`BitPlaneVrf::op2`]).
-    #[inline]
-    pub(crate) fn op3(
-        &mut self,
-        a: usize,
-        b: usize,
-        c: usize,
+        ins: [usize; 3],
         out: usize,
         masked: bool,
         f: impl Fn(u64, u64, u64) -> u64,
     ) {
-        if masked {
-            let mask = self.mask_base();
-            for w in 0..self.words {
-                let new = f(self.storage[a + w], self.storage[b + w], self.storage[c + w]);
-                let m = self.storage[mask + w];
-                self.storage[out + w] = (new & m) | (self.storage[out + w] & !m);
-            }
-        } else {
-            for w in 0..self.words {
-                self.storage[out + w] =
-                    f(self.storage[a + w], self.storage[b + w], self.storage[c + w]);
+        struct Op<'a, F> {
+            st: &'a mut [u64],
+            ins: [usize; 3],
+            out: usize,
+            mask: Option<usize>,
+            f: F,
+        }
+        impl<F: Fn(u64, u64, u64) -> u64> WidthJob for Op<'_, F> {
+            #[inline(always)]
+            fn run<const W: usize>(self, chunks: usize) {
+                plane_kernel::<W>(self.st, chunks, self.ins, self.out, self.mask, self.f)
             }
         }
-        self.finish_write(out);
-    }
-
-    /// In-place plane copy (see [`BitPlaneVrf::op2`]).
-    #[inline]
-    pub(crate) fn copy_op(&mut self, a: usize, out: usize, masked: bool) {
-        if masked {
-            let mask = self.mask_base();
-            for w in 0..self.words {
-                let m = self.storage[mask + w];
-                self.storage[out + w] = (self.storage[a + w] & m) | (self.storage[out + w] & !m);
-            }
-        } else if a != out {
-            for w in 0..self.words {
-                self.storage[out + w] = self.storage[a + w];
-            }
-        }
-        self.finish_write(out);
-    }
-
-    /// In-place constant fill (see [`BitPlaneVrf::op2`]).
-    #[inline]
-    pub(crate) fn fill_op(&mut self, out: usize, masked: bool, value: bool) {
-        let word = if value { !0u64 } else { 0u64 };
-        if masked {
-            let mask = self.mask_base();
-            for w in 0..self.words {
-                let m = self.storage[mask + w];
-                self.storage[out + w] = (word & m) | (self.storage[out + w] & !m);
-            }
-        } else {
-            self.storage[out..out + self.words].fill(word);
-        }
+        let mask = masked.then(|| self.mask_base());
+        with_width(self.words, Op { st: &mut self.storage, ins, out, mask, f });
         self.finish_write(out);
     }
 
@@ -347,7 +382,7 @@ impl BitPlaneVrf {
         let a = self.plane_index(a) * self.words;
         let b = self.plane_index(b) * self.words;
         let (out, masked) = self.out_base(out);
-        self.op2(a, b, out, masked, f);
+        self.plane_op([a, b, b], out, masked, |x, y, _| f(x, y));
     }
 
     /// Applies a three-input boolean plane operation: `out = f(a, b, c)`.
@@ -363,20 +398,20 @@ impl BitPlaneVrf {
         let b = self.plane_index(b) * self.words;
         let c = self.plane_index(c) * self.words;
         let (out, masked) = self.out_base(out);
-        self.op3(a, b, c, out, masked, f);
+        self.plane_op([a, b, c], out, masked, f);
     }
 
     /// Copies plane `a` into `out` (a row-copy / buffered copy micro-op).
     pub fn copy_plane(&mut self, a: Plane, out: Plane) {
         let a = self.plane_index(a) * self.words;
         let (out, masked) = self.out_base(out);
-        self.copy_op(a, out, masked);
+        self.plane_op([a; 3], out, masked, |x, _, _| x);
     }
 
     /// Fills `out` with a constant bit (a preset / initialize micro-op).
     pub fn fill_plane(&mut self, out: Plane, value: bool) {
         let (out, masked) = self.out_base(out);
-        self.fill_op(out, masked, value);
+        self.plane_op([out; 3], out, masked, fill(value));
     }
 
     /// Reads one lane's bit from a plane.
@@ -634,7 +669,7 @@ impl BitPlaneVrf {
     /// their contents. This is the word-serial (DPU) datapath's write-back
     /// path — unlike [`BitPlaneVrf::write_lane_values`] (a host-side data
     /// load that bypasses the mask), registers are architectural targets
-    /// here and the merge matches the bit-plane `op2`/`op3` semantics
+    /// here and the merge matches the bit-plane [`Self::plane_op`] semantics
     /// exactly.
     ///
     /// # Panics

@@ -23,13 +23,23 @@
 //! branch-free [`lut3_word`] evaluation. Execution dispatches on the
 //! function once per op, outside the word loop.
 //!
+//! The word loop itself is the crate's one kernel,
+//! [`crate::bitplane::plane_kernel`], generic over the plane width. The
+//! bookkeeping path ([`run_ops`]) reaches it through
+//! [`BitPlaneVrf::plane_op`], which picks the width per op and finishes
+//! each write; the fast loop ([`run_ops_fast`]) picks the width once per
+//! recipe, so at the shipped widths (1, 4 and 8 words per plane) every op
+//! is one fully unrolled `[u64; W]` load-compute-store.
+//!
 //! Compilation changes no plane write: a compiled recipe executes the
 //! *same* plane writes, with the same fault-site draws, in the same order
 //! as interpreting the micro-ops, so results are byte-identical
 //! (differential tests in `tests/inplace_differential.rs` and the
 //! exhaustive decode test below enforce this).
 
-use crate::bitplane::{BitPlaneVrf, Plane, SCRATCH_PLANES};
+use crate::bitplane::{
+    fill, plane_kernel, with_width, BitPlaneVrf, Plane, WidthJob, SCRATCH_PLANES,
+};
 use crate::microop::{lut3_word, MicroOp, MicroOpKind};
 use crate::DATA_BITS;
 use mpu_isa::Instruction;
@@ -364,77 +374,46 @@ pub(crate) fn compile(ops: &[MicroOp], lanes: usize, regs: usize) -> CompiledRec
     CompiledRecipe { ops: compiled, lanes, regs, mix, fast }
 }
 
-/// The pointwise word loops decoded ops run on: the VRF itself, with its
-/// post-write bookkeeping, for [`run_ops`]; bare storage for
-/// [`run_ops_fast`]. Operands are word offsets into VRF storage, and
-/// aliasing between `out` and any input is safe (every loop is pointwise
-/// per word).
+/// Where decoded ops run their word loop: the VRF itself, with its
+/// post-write bookkeeping, for [`run_ops`]; bare storage at one chunk
+/// width for [`run_ops_fast`]. Both run [`plane_kernel`]: `out =
+/// f(ins)` over word offsets into VRF storage, with `out` free to alias
+/// any input.
 trait WordLoops {
-    fn op2(&mut self, a: usize, b: usize, out: usize, masked: bool, f: impl Fn(u64, u64) -> u64);
-    fn op3(
-        &mut self,
-        a: usize,
-        b: usize,
-        c: usize,
-        out: usize,
-        masked: bool,
-        f: impl Fn(u64, u64, u64) -> u64,
-    );
-    fn copy(&mut self, a: usize, out: usize, masked: bool);
-    fn fill(&mut self, out: usize, masked: bool, value: bool);
+    fn op(&mut self, ins: [usize; 3], out: usize, masked: bool, f: impl Fn(u64, u64, u64) -> u64);
 }
 
 impl WordLoops for BitPlaneVrf {
     #[inline(always)]
-    fn op2(&mut self, a: usize, b: usize, out: usize, masked: bool, f: impl Fn(u64, u64) -> u64) {
-        BitPlaneVrf::op2(self, a, b, out, masked, f)
-    }
-
-    #[inline(always)]
-    fn op3(
-        &mut self,
-        a: usize,
-        b: usize,
-        c: usize,
-        out: usize,
-        masked: bool,
-        f: impl Fn(u64, u64, u64) -> u64,
-    ) {
-        BitPlaneVrf::op3(self, a, b, c, out, masked, f)
-    }
-
-    #[inline(always)]
-    fn copy(&mut self, a: usize, out: usize, masked: bool) {
-        self.copy_op(a, out, masked)
-    }
-
-    #[inline(always)]
-    fn fill(&mut self, out: usize, masked: bool, value: bool) {
-        self.fill_op(out, masked, value)
+    fn op(&mut self, ins: [usize; 3], out: usize, masked: bool, f: impl Fn(u64, u64, u64) -> u64) {
+        self.plane_op(ins, out, masked, f)
     }
 }
 
 /// Runs one decoded gate: the match on `func` happens once per op, and
 /// each arm's word loop is monomorphized over its constant function.
+/// Functions of fewer than three inputs repeat a read operand in the
+/// unused slots.
 #[inline(always)]
 fn run_gate(l: &mut impl WordLoops, func: LutFn, [a, b, c]: [u32; 3], out: u32, masked: bool) {
     let (a, b, c, out) = (a as usize, b as usize, c as usize, out as usize);
+    let (one, two, three) = ([a; 3], [a, b, b], [a, b, c]);
     match func {
-        LutFn::Const(value) => l.fill(out, masked, value),
-        LutFn::Copy => l.copy(a, out, masked),
-        LutFn::Not => l.op2(a, a, out, masked, |x, _| !x),
-        LutFn::And => l.op2(a, b, out, masked, |x, y| x & y),
-        LutFn::Or => l.op2(a, b, out, masked, |x, y| x | y),
-        LutFn::Xor => l.op2(a, b, out, masked, |x, y| x ^ y),
-        LutFn::Nor => l.op2(a, b, out, masked, |x, y| !(x | y)),
-        LutFn::Nand => l.op2(a, b, out, masked, |x, y| !(x & y)),
-        LutFn::Xnor => l.op2(a, b, out, masked, |x, y| !(x ^ y)),
-        LutFn::AndNot => l.op2(a, b, out, masked, |x, y| x & !y),
-        LutFn::OrNot => l.op2(a, b, out, masked, |x, y| x | !y),
-        LutFn::Maj => l.op3(a, b, c, out, masked, |x, y, z| (x & y) | (y & z) | (x & z)),
-        LutFn::Xor3 => l.op3(a, b, c, out, masked, |x, y, z| x ^ y ^ z),
-        LutFn::Mux => l.op3(a, b, c, out, masked, |x, y, z| (x & y) | (!x & z)),
-        LutFn::Table(t) => l.op3(a, b, c, out, masked, |x, y, z| lut3_word(t, x, y, z)),
+        LutFn::Const(value) => l.op([out; 3], out, masked, fill(value)),
+        LutFn::Copy => l.op(one, out, masked, |x, _, _| x),
+        LutFn::Not => l.op(one, out, masked, |x, _, _| !x),
+        LutFn::And => l.op(two, out, masked, |x, y, _| x & y),
+        LutFn::Or => l.op(two, out, masked, |x, y, _| x | y),
+        LutFn::Xor => l.op(two, out, masked, |x, y, _| x ^ y),
+        LutFn::Nor => l.op(two, out, masked, |x, y, _| !(x | y)),
+        LutFn::Nand => l.op(two, out, masked, |x, y, _| !(x & y)),
+        LutFn::Xnor => l.op(two, out, masked, |x, y, _| !(x ^ y)),
+        LutFn::AndNot => l.op(two, out, masked, |x, y, _| x & !y),
+        LutFn::OrNot => l.op(two, out, masked, |x, y, _| x | !y),
+        LutFn::Maj => l.op(three, out, masked, |x, y, z| (x & y) | (y & z) | (x & z)),
+        LutFn::Xor3 => l.op(three, out, masked, |x, y, z| x ^ y ^ z),
+        LutFn::Mux => l.op(three, out, masked, |x, y, z| (x & y) | (!x & z)),
+        LutFn::Table(t) => l.op(three, out, masked, |x, y, z| lut3_word(t, x, y, z)),
     }
 }
 
@@ -455,9 +434,9 @@ fn run_full_add(
 ) {
     let (a, b, carry, sum, latch) =
         (a as usize, b as usize, carry as usize, sum as usize, latch as usize);
-    l.op3(a, b, carry, latch, false, |x, y, z| x ^ y ^ z);
-    l.op3(a, b, carry, carry, carry_masked, |x, y, z| (x & y) | (y & z) | (x & z));
-    l.copy(latch, sum, sum_masked);
+    l.op([a, b, carry], latch, false, |x, y, z| x ^ y ^ z);
+    l.op([a, b, carry], carry, carry_masked, |x, y, z| (x & y) | (y & z) | (x & z));
+    l.op([latch; 3], sum, sum_masked, |x, _, _| x);
 }
 
 /// Executes a compiled recipe over a VRF's flat storage. Called through
@@ -504,61 +483,18 @@ pub(crate) fn run_ops(vrf: &mut BitPlaneVrf, ops: &[CompiledOp]) {
     }
 }
 
-/// Bare VRF storage: the word loops of [`run_ops_fast`], with every
-/// post-write bookkeeping step statically discharged.
-struct FastLoops<'a> {
+/// Bare VRF storage at chunk width `W`: the word loop of [`run_ops_fast`],
+/// with every post-write bookkeeping step statically discharged.
+struct FastLoops<'a, const W: usize> {
     st: &'a mut [u64],
-    words: usize,
+    chunks: usize,
     mask: usize,
 }
 
-impl WordLoops for FastLoops<'_> {
+impl<const W: usize> WordLoops for FastLoops<'_, W> {
     #[inline(always)]
-    fn op2(&mut self, a: usize, b: usize, out: usize, masked: bool, f: impl Fn(u64, u64) -> u64) {
-        self.op3(a, b, b, out, masked, |x, y, _| f(x, y));
-    }
-
-    #[inline(always)]
-    fn op3(
-        &mut self,
-        a: usize,
-        b: usize,
-        c: usize,
-        out: usize,
-        masked: bool,
-        f: impl Fn(u64, u64, u64) -> u64,
-    ) {
-        let (st, mask) = (&mut *self.st, self.mask);
-        if masked {
-            for w in 0..self.words {
-                let new = f(st[a + w], st[b + w], st[c + w]);
-                let m = st[mask + w];
-                st[out + w] = (new & m) | (st[out + w] & !m);
-            }
-        } else {
-            for w in 0..self.words {
-                st[out + w] = f(st[a + w], st[b + w], st[c + w]);
-            }
-        }
-    }
-
-    #[inline(always)]
-    fn copy(&mut self, a: usize, out: usize, masked: bool) {
-        if masked {
-            self.op2(a, a, out, true, |x, _| x);
-        } else if a != out {
-            self.st.copy_within(a..a + self.words, out);
-        }
-    }
-
-    #[inline(always)]
-    fn fill(&mut self, out: usize, masked: bool, value: bool) {
-        let word = if value { !0u64 } else { 0u64 };
-        if masked {
-            self.op2(out, out, out, true, |_, _| word);
-        } else {
-            self.st[out..out + self.words].fill(word);
-        }
+    fn op(&mut self, ins: [usize; 3], out: usize, masked: bool, f: impl Fn(u64, u64, u64) -> u64) {
+        plane_kernel::<W>(self.st, self.chunks, ins, out, masked.then_some(self.mask), f)
     }
 }
 
@@ -585,36 +521,42 @@ pub(crate) fn run_ops_fast(vrf: &mut BitPlaneVrf, ops: &[CompiledOp], mask_full:
     debug_assert!(vrf.fault_model().is_none(), "fast path excludes fault models");
     debug_assert!(vrf.mask_enabled(), "fast path requires mask-honouring enabled");
     debug_assert_eq!(vrf.lanes() % 64, 0, "fast path requires no padding bits");
-    let words = vrf.words();
-    let mask = vrf.mask_base();
-    let st = vrf.storage_mut();
-    // Single-word planes (64-lane VRFs, e.g. RACER) are the hottest
-    // geometry; the literal-1 call lets the word loops constant-fold away.
-    if words == 1 {
-        run_ops_fast_inner(&mut FastLoops { st, words: 1, mask }, ops, !mask_full);
-    } else {
-        run_ops_fast_inner(&mut FastLoops { st, words, mask }, ops, !mask_full);
+    struct Fast<'a> {
+        st: &'a mut [u64],
+        mask: usize,
+        ops: &'a [CompiledOp],
+        merge: bool,
     }
-}
-
-#[inline(always)]
-fn run_ops_fast_inner(l: &mut FastLoops, ops: &[CompiledOp], merge: bool) {
-    for op in ops {
-        match *op {
-            CompiledOp::Gate { func, a, b, c, out, masked, .. } => {
-                run_gate(l, func, [a, b, c], out, masked && merge)
-            }
-            CompiledOp::FullAdd { a, b, carry, sum, latch, carry_masked, sum_masked } => {
-                let (carry_masked, sum_masked) = (carry_masked && merge, sum_masked && merge);
-                run_full_add(l, a, b, carry, sum, latch, carry_masked, sum_masked)
-            }
-            CompiledOp::Word { .. } => {
-                // Word ops need the whole VRF (transpose reads/writes), so
-                // a recipe containing one is never fast.
-                unreachable!("word-serial ops are excluded from the fast path")
+    impl WidthJob for Fast<'_> {
+        // Inlined into each arm of `with_width`, so at the shipped widths
+        // the chunk count is the literal 1 and each op is one fully
+        // unrolled `[u64; W]` load-compute-store.
+        #[inline(always)]
+        fn run<const W: usize>(self, chunks: usize) {
+            let l = &mut FastLoops::<W> { st: self.st, chunks, mask: self.mask };
+            let merge = self.merge;
+            for op in self.ops {
+                match *op {
+                    CompiledOp::Gate { func, a, b, c, out, masked, .. } => {
+                        run_gate(l, func, [a, b, c], out, masked && merge)
+                    }
+                    CompiledOp::FullAdd { a, b, carry, sum, latch, carry_masked, sum_masked } => {
+                        let (carry_masked, sum_masked) =
+                            (carry_masked && merge, sum_masked && merge);
+                        run_full_add(l, a, b, carry, sum, latch, carry_masked, sum_masked)
+                    }
+                    CompiledOp::Word { .. } => {
+                        // Word ops need the whole VRF (transpose reads/writes),
+                        // so a recipe containing one is never fast.
+                        unreachable!("word-serial ops are excluded from the fast path")
+                    }
+                }
             }
         }
     }
+    let (words, mask) = (vrf.words(), vrf.mask_base());
+    // The width is fixed per VRF, so it is matched once per recipe.
+    with_width(words, Fast { st: vrf.storage_mut(), mask, ops, merge: !mask_full });
 }
 
 #[cfg(test)]
@@ -803,7 +745,11 @@ mod tests {
             }
             vrf
         };
-        let (base100, base128) = (seeded(100), seeded(128));
+        let base100 = seeded(100);
+        // The fast loop's leg cycles through the shipped plane widths (1, 4
+        // and 8 words) and a chunked one (2) by table index, so every width
+        // sees all 256 tables at the cost of one.
+        let fast_bases = [64, 128, 256, 512].map(|lanes| (lanes, seeded(lanes)));
         let (mut want, mut applied, mut compiled) =
             (base100.clone(), base100.clone(), base100.clone());
         // The expected VRF: `base` with only `out` rewritten, computed by the
@@ -825,6 +771,7 @@ mod tests {
             want.set_plane_words(out, &new);
         };
         for table in 0..=255u8 {
+            let (fast_lanes, base_fast) = &fast_bases[usize::from(table) % fast_bases.len()];
             for a in sources {
                 for b in sources {
                     for c in sources {
@@ -841,10 +788,10 @@ mod tests {
                             compiled.clone_from(&base100);
                             run_ops(&mut compiled, compile(&[op], 100, 4).ops());
                             assert!(compiled == applied, "run_ops as {func:?}: {op:?}");
-                            // 128 lanes: the fast loop against the oracle.
-                            oracle(&base128, &mut want, op);
-                            let mut fast = base128.clone();
-                            run_ops_fast(&mut fast, compile(&[op], 128, 4).ops(), false);
+                            // The fast loop against the oracle.
+                            oracle(base_fast, &mut want, op);
+                            let mut fast = base_fast.clone();
+                            run_ops_fast(&mut fast, compile(&[op], *fast_lanes, 4).ops(), false);
                             assert!(fast == want, "run_ops_fast as {func:?}: {op:?}");
                         }
                     }

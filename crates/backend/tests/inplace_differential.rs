@@ -7,12 +7,15 @@
 //! pre-optimization implementation — and these properties pit the two
 //! against each other across all logic families, random mask patterns,
 //! random micro-op soups, and aliased `out == a` / `out == b` operands.
+//! A last property pins the block tier's width-specialized word loops
+//! (`run_batch`) to op-by-op execution at every plane width.
 
 use proptest::prelude::*;
 use pum_backend::{
-    build_recipe, BitPlaneVrf, LogicFamily, MicroOp, Plane, Recipe, RecipeCtx, DATA_BITS,
-    SCRATCH_PLANES,
+    build_recipe, run_batch, BitPlaneVrf, LogicFamily, MicroOp, Plane, Recipe, RecipeCtx,
+    DATA_BITS, SCRATCH_PLANES,
 };
+use std::sync::Arc;
 
 use mpu_isa::{BinaryOp, CompareOp, InitValue, Instruction, RegId, UnaryOp};
 
@@ -22,6 +25,7 @@ const W: usize = DATA_BITS as usize;
 // Naive reference engine: allocate, compute, mask-merge, commit, trim.
 // ----------------------------------------------------------------------
 
+#[derive(Clone)]
 struct RefVrf {
     lanes: usize,
     regs: usize,
@@ -170,8 +174,9 @@ impl RefVrf {
         values
     }
 
-    fn set_mask(&mut self, words: Vec<u64>) {
-        let i = self.plane_index(Plane::Mask);
+    /// Overwrites a plane, bypassing the mask.
+    fn set_plane(&mut self, plane: Plane, words: Vec<u64>) {
+        let i = self.plane_index(plane);
         self.storage[i * self.words..(i + 1) * self.words].copy_from_slice(&words);
         self.trim(i);
     }
@@ -259,7 +264,7 @@ fn seeded_pair(lanes: usize, regs: usize, seed: u64, mask: &[u64]) -> (BitPlaneV
     let words = lanes.div_ceil(64);
     let mask_words: Vec<u64> = (0..words).map(|w| mask[w % mask.len()]).collect();
     fast.set_plane_words(Plane::Mask, &mask_words);
-    reference.set_mask(mask_words);
+    reference.set_plane(Plane::Mask, mask_words);
     (fast, reference)
 }
 
@@ -370,8 +375,9 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// Whole recipes of every logic family — interpreted *and* compiled —
-    /// match the reference engine plane-for-plane.
+    /// Whole recipes of every logic family — interpreted, compiled *and*
+    /// batched through the block tier — match the reference engine
+    /// plane-for-plane, with and without padding lanes.
     #[test]
     fn all_logic_families_match_reference(
         family in prop::sample::select(vec![
@@ -380,21 +386,25 @@ proptest! {
             LogicFamily::Bitline,
             LogicFamily::Lut,
         ]),
+        lanes in prop::sample::select(vec![100usize, 256, 512]),
         seed in any::<u64>(),
         mask in prop::collection::vec(any::<u64>(), 8),
     ) {
-        let (lanes, regs) = (100, 16);
+        let regs = 16;
         for (name, recipe) in family_recipes(family) {
             let (mut fast, mut reference) = seeded_pair(lanes, regs, seed, &mask);
-            let mut compiled_vrf = fast.clone();
-            let compiled = recipe.compile(lanes, regs);
+            let (mut compiled_vrf, mut batch_vrf) = (fast.clone(), fast.clone());
+            let compiled = Arc::new(recipe.compile(lanes, regs));
             for op in recipe.ops() {
                 op.apply(&mut fast);
                 reference.apply(op);
             }
             compiled_vrf.run_compiled(&compiled);
-            assert_engines_agree(&fast, &reference, &format!("{family:?}/{name} interpreted"));
-            assert_eq!(fast, compiled_vrf, "{family:?}/{name}: compiled form diverged");
+            run_batch(&mut batch_vrf, &[compiled]);
+            let ctx = format!("{family:?}/{name} at {lanes} lanes");
+            assert_engines_agree(&fast, &reference, &format!("{ctx} interpreted"));
+            assert_eq!(fast, compiled_vrf, "{ctx}: compiled form diverged");
+            assert_eq!(fast, batch_vrf, "{ctx}: batched form diverged");
         }
     }
 }
@@ -440,5 +450,125 @@ proptest! {
             prop_assert_eq!(fast.plane_words(plane), expect.as_slice(), "bit {}", bit);
         }
         prop_assert_eq!(fast.read_lane_values(0), reference.read_lane_values(0));
+    }
+}
+
+// ----------------------------------------------------------------------
+// Width-specialized word loops
+// ----------------------------------------------------------------------
+
+/// Truth tables that decode to every compiled gate function over three
+/// distinct inputs: the constants, every function of one or two inputs,
+/// `maj`, `xor3`, `mux` — and `0x2b`, which has no name and runs as a
+/// table.
+const ARM_TABLES: [u8; 16] = [
+    0x00, 0xff, 0xaa, 0x55, 0x88, 0xee, 0x66, 0x11, 0x77, 0x99, 0x22, 0xbb, 0xe8, 0x96, 0xd8, 0x2b,
+];
+
+/// Operand pool: unmasked scratch planes (the full adder's latch among
+/// them), masked register and cond planes, then the read-only planes.
+const POOL: [Plane; 10] = [
+    Plane::Scratch(0),
+    Plane::Scratch(1),
+    Plane::Scratch(SCRATCH_PLANES as u16 - 1),
+    Plane::Reg { reg: 0, bit: 0 },
+    Plane::Reg { reg: 0, bit: 63 },
+    Plane::Reg { reg: 1, bit: 5 },
+    Plane::Cond,
+    Plane::Mask,
+    Plane::Const(false),
+    Plane::Const(true),
+];
+
+/// Writable pool planes. The mask plane is excluded: a recipe writing it
+/// is not eligible for the fast loop.
+const OUTS: usize = 7;
+
+/// `(kind, a, b, c, out, alias)` descriptor for [`width_op`].
+type WidthSpec = (u8, usize, usize, usize, usize, u8);
+
+/// Decodes a [`WidthSpec`]: kinds below 16 are LUT queries over
+/// [`ARM_TABLES`], then the full adder (`c` picks its carry plane) and the
+/// fixed-function ops. `alias` 1 makes `a` the output, 2 sets
+/// `a == b == c`, 3 sets `a == b == c == out`.
+fn width_op((kind, a, b, c, out, alias): WidthSpec) -> MicroOp {
+    let out = POOL[out % OUTS];
+    let (mut a, mut b, mut c) = (POOL[a % POOL.len()], POOL[b % POOL.len()], POOL[c % POOL.len()]);
+    match alias % 4 {
+        1 => a = out,
+        2 => (b, c) = (a, a),
+        3 => (a, b, c) = (out, out, out),
+        _ => {}
+    }
+    match kind % 22 {
+        k @ 0..16 => MicroOp::Lut { a, b, c, out, table: ARM_TABLES[k as usize] },
+        16 => MicroOp::FullAdd { a, b, carry: POOL[kind as usize / 22 % OUTS], sum: out },
+        17 => MicroOp::Set { out, value: kind >= 128 },
+        18 => MicroOp::Tra { a, b, c, out },
+        19 => MicroOp::Nor { a, b, out },
+        20 => MicroOp::Copy { a, out },
+        _ => MicroOp::Not { a, out },
+    }
+}
+
+/// Seeded pseudo-random words (xorshift64).
+fn random_words(state: &mut u64, n: usize) -> Vec<u64> {
+    (0..n)
+        .map(|_| {
+            *state ^= *state << 13;
+            *state ^= *state >> 7;
+            *state ^= *state << 17;
+            *state
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The block tier's word loops, compiled for each plane width — the
+    /// shipped 1, 4 and 8 words, and 2, 3, 10 and 16 words run in chunks —
+    /// equal op-by-op `MicroOp::apply` under a full, a partial and an
+    /// empty mask, with outputs aliasing inputs and `a == b == c`. Both
+    /// run the same word kernel, so the naive reference checks `apply`.
+    #[test]
+    fn width_specialized_word_loops_match_op_by_op(
+        seed in any::<u64>(),
+        specs in prop::collection::vec(
+            (any::<u8>(), 0usize..64, 0usize..64, 0usize..64, 0usize..64, any::<u8>()),
+            48,
+        ),
+    ) {
+        let ops: Vec<MicroOp> = specs.into_iter().map(width_op).collect();
+        let recipe = Recipe::from_ops(ops);
+        let mut state = seed | 1;
+        for lanes in [64usize, 128, 192, 256, 512, 640, 1024] {
+            let words = lanes / 64;
+            let compiled = Arc::new(recipe.compile(lanes, 2));
+            prop_assert!(compiled.fast(), "the stream must run on the fast loop");
+            let (mut base, mut ref_base) = (BitPlaneVrf::new(lanes, 2), RefVrf::new(lanes, 2));
+            for &plane in &POOL[..OUTS] {
+                let words = random_words(&mut state, words);
+                base.set_plane_words(plane, &words);
+                ref_base.set_plane(plane, words);
+            }
+            let partial = random_words(&mut state, words);
+            for (name, mask) in [("full", vec![!0; words]), ("partial", partial), ("empty", vec![0; words])] {
+                let mut applied = base.clone();
+                applied.set_plane_words(Plane::Mask, &mask);
+                let (mut batched, mut stepped) = (applied.clone(), applied.clone());
+                let mut reference = ref_base.clone();
+                reference.set_plane(Plane::Mask, mask);
+                for op in recipe.ops() {
+                    op.apply(&mut applied);
+                    reference.apply(op);
+                }
+                assert_engines_agree(&applied, &reference, &format!("{lanes} lanes, {name} mask"));
+                run_batch(&mut batched, std::slice::from_ref(&compiled));
+                stepped.run_compiled(&compiled);
+                prop_assert!(batched == applied, "run_batch at {} lanes, {} mask", lanes, name);
+                prop_assert!(stepped == applied, "run_compiled at {} lanes, {} mask", lanes, name);
+            }
+        }
     }
 }
