@@ -574,13 +574,7 @@ mod tests {
     fn compiled_matches_interpreted_for_add() {
         let instr =
             Instruction::Binary { op: BinaryOp::Add, rs: RegId(0), rt: RegId(1), rd: RegId(2) };
-        for family in [
-            LogicFamily::Nor,
-            LogicFamily::Maj,
-            LogicFamily::Bitline,
-            LogicFamily::Lut,
-            LogicFamily::WordSerial,
-        ] {
+        for family in LogicFamily::ALL {
             let recipe = build_recipe(ctx(family), &instr).unwrap();
             let compiled = recipe.compile(100, 16);
             assert_eq!(compiled.len(), recipe.len());

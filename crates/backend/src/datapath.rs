@@ -4,7 +4,8 @@
 //! about a back end: its logic family (which fixes instruction recipes),
 //! geometry (VRF/RFH mapping, Table III), per-micro-op timing and energy,
 //! whether execution is bit-pipelined (RACER), and inter-VRF transfer
-//! costs. Three calibrated models ship with the crate:
+//! costs. Five calibrated models ship with the crate, one per
+//! [`DatapathKind`]:
 //!
 //! * [`DatapathModel::racer`] — ReRAM, bit-pipelined NOR (RACER + OSCAR).
 //!   VRF = pipeline (64 tiles), RFH = cluster, 1 active VRF per cluster
@@ -14,6 +15,11 @@
 //! * [`DatapathModel::duality_cache`] — SRAM bitline + CMOS adders. VRF =
 //!   subarray group, RFH = issue window, all local VRFs may activate,
 //!   12 MPUs (cache capacity).
+//! * [`DatapathModel::pluto`] — DRAM LUT queries (pLUTo).
+//! * [`DatapathModel::dpu`] — UPMEM-style word-serial near-bank cores.
+//!
+//! Any other substrate is a [`DatapathBuilder`] model: a geometry, a cost
+//! per micro-op kind of its logic family, and optionally a pipeline depth.
 //!
 //! Cycle counts are at the 1 GHz MPU clock. Energy constants are per lane
 //! per micro-op and were chosen from the cited technology papers' orders
@@ -104,7 +110,8 @@ pub struct RecipeCost {
     pub fj_per_lane: u64,
 }
 
-/// Which shipped datapath a model describes.
+/// Which shipped datapath a model describes: the one place substrate
+/// names are spelled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DatapathKind {
     /// ReRAM-based RACER with OSCAR NOR primitives.
@@ -117,8 +124,6 @@ pub enum DatapathKind {
     Pluto,
     /// UPMEM-style commercial DPU, PrIM-calibrated (arXiv:2105.03814).
     Dpu,
-    /// A user-defined backend built with [`DatapathBuilder`].
-    Custom,
 }
 
 impl DatapathKind {
@@ -127,10 +132,7 @@ impl DatapathKind {
         [DatapathKind::Racer, DatapathKind::Mimdram, DatapathKind::DualityCache];
 
     /// Every shipped backend — the sweep constant for conformance, fault,
-    /// and perf-gate matrices. Guarded by [`DatapathKind::is_shipped`]'s
-    /// wildcard-free match plus the const assertion below: a new variant
-    /// fails to compile until both are updated, so a 6th backend cannot
-    /// silently under-sweep.
+    /// and perf-gate matrices.
     pub const ALL: [DatapathKind; 5] = [
         DatapathKind::Racer,
         DatapathKind::Mimdram,
@@ -139,32 +141,38 @@ impl DatapathKind {
         DatapathKind::Dpu,
     ];
 
-    /// True for backends constructible via [`DatapathModel::for_kind`]
-    /// (everything but `Custom`). The match is deliberately wildcard-free:
-    /// adding a variant breaks compilation here until [`DatapathKind::ALL`]
-    /// is reconsidered.
-    pub const fn is_shipped(self) -> bool {
+    /// Extra spellings [`DatapathKind::parse`] accepts besides the tags.
+    const ALIASES: [(&'static str, DatapathKind); 3] = [
+        ("dualitycache", DatapathKind::DualityCache),
+        ("dc", DatapathKind::DualityCache),
+        ("upmem", DatapathKind::Dpu),
+    ];
+
+    /// The wire and command-line spelling of this backend.
+    pub fn tag(self) -> &'static str {
         match self {
-            DatapathKind::Racer
-            | DatapathKind::Mimdram
-            | DatapathKind::DualityCache
-            | DatapathKind::Pluto
-            | DatapathKind::Dpu => true,
-            DatapathKind::Custom => false,
+            DatapathKind::Racer => "racer",
+            DatapathKind::Mimdram => "mimdram",
+            DatapathKind::DualityCache => "duality-cache",
+            DatapathKind::Pluto => "pluto",
+            DatapathKind::Dpu => "dpu",
         }
     }
-}
 
-// Compile-time exhaustiveness: every entry of `ALL` is shipped, and the
-// shipped count matches `ALL`'s length (`is_shipped` is wildcard-free, so
-// a new enum variant cannot compile without revisiting both).
-const _: () = {
-    let mut i = 0;
-    while i < DatapathKind::ALL.len() {
-        assert!(DatapathKind::ALL[i].is_shipped());
-        i += 1;
+    /// Every tag in [`DatapathKind::ALL`] order, joined by `sep`, for
+    /// usage and error messages.
+    pub fn tags(sep: &str) -> String {
+        Self::ALL.map(Self::tag).join(sep)
     }
-};
+
+    /// Parses a [`DatapathKind::tag`] or one of its aliases
+    /// (`dualitycache`, `dc`, `upmem`), ignoring ASCII case.
+    pub fn parse(name: &str) -> Option<DatapathKind> {
+        let name = name.to_ascii_lowercase();
+        let tags = Self::ALL.map(|kind| (kind.tag(), kind));
+        tags.into_iter().chain(Self::ALIASES).find(|&(tag, _)| tag == name).map(|(_, kind)| kind)
+    }
+}
 
 /// Physical organization of a datapath, mapping the MPU abstraction onto
 /// hardware (paper §IV and Table III).
@@ -218,7 +226,6 @@ impl Geometry {
 /// A calibrated PUM datapath model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DatapathModel {
-    kind: DatapathKind,
     name: String,
     family: LogicFamily,
     geometry: Geometry,
@@ -238,17 +245,12 @@ pub struct DatapathModel {
     vrf_area_mm2: f64,
     /// Recipe-optimizer configuration applied by [`DatapathModel::recipe`].
     opt: crate::opt::OptConfig,
-    /// True for word-serial near-bank cores (UPMEM-style DPUs): one
-    /// micro-op processes the VRF's lanes sequentially, so recipe cycle
-    /// counts scale with `lanes_per_vrf` (energy is already per-lane).
-    word_serial: bool,
 }
 
 impl DatapathModel {
     /// The ReRAM-based RACER backend (paper §II-C, §IV, Table III).
     pub fn racer() -> Self {
         Self {
-            kind: DatapathKind::Racer,
             name: "RACER".to_string(),
             family: LogicFamily::Nor,
             geometry: Geometry {
@@ -278,14 +280,12 @@ impl DatapathModel {
             active_power_mw_per_vrf: 45.0,
             vrf_area_mm2: 0.0015,
             opt: crate::opt::OptConfig::default(),
-            word_serial: false,
         }
     }
 
     /// The DRAM-based MIMDRAM backend.
     pub fn mimdram() -> Self {
         Self {
-            kind: DatapathKind::Mimdram,
             name: "MIMDRAM".to_string(),
             family: LogicFamily::Maj,
             geometry: Geometry {
@@ -313,14 +313,12 @@ impl DatapathModel {
             active_power_mw_per_vrf: 1.4,
             vrf_area_mm2: 0.0016,
             opt: crate::opt::OptConfig::default(),
-            word_serial: false,
         }
     }
 
     /// The SRAM-based Duality Cache backend.
     pub fn duality_cache() -> Self {
         Self {
-            kind: DatapathKind::DualityCache,
             name: "DualityCache".to_string(),
             family: LogicFamily::Bitline,
             geometry: Geometry {
@@ -350,7 +348,6 @@ impl DatapathModel {
             active_power_mw_per_vrf: 1.9,
             vrf_area_mm2: 0.055, // SRAM density is poor (0.2 GB chip)
             opt: crate::opt::OptConfig::default(),
-            word_serial: false,
         }
     }
 
@@ -363,7 +360,6 @@ impl DatapathModel {
     /// overhead costs some array density, hence fewer MPUs per chip.
     pub fn pluto() -> Self {
         Self {
-            kind: DatapathKind::Pluto,
             name: "pLUTo".to_string(),
             family: LogicFamily::Lut,
             geometry: Geometry {
@@ -390,7 +386,6 @@ impl DatapathModel {
             active_power_mw_per_vrf: 1.5,
             vrf_area_mm2: 0.0019, // mat area + LUT source/destination rows
             opt: crate::opt::OptConfig::default(),
-            word_serial: false,
         }
     }
 
@@ -406,7 +401,6 @@ impl DatapathModel {
     /// a hardware multiplier), division ≈ 13×.
     pub fn dpu() -> Self {
         Self {
-            kind: DatapathKind::Dpu,
             name: "DPU".to_string(),
             family: LogicFamily::WordSerial,
             geometry: Geometry {
@@ -433,12 +427,10 @@ impl DatapathModel {
             active_power_mw_per_vrf: 2.8, // a running RISC core, not an array
             vrf_area_mm2: 0.02,
             opt: crate::opt::OptConfig::default(),
-            word_serial: true,
         }
     }
 
-    /// The model for a [`DatapathKind`] (panics on `Custom`; build those
-    /// with [`DatapathBuilder`]).
+    /// The calibrated model of a shipped backend.
     pub fn for_kind(kind: DatapathKind) -> Self {
         match kind {
             DatapathKind::Racer => Self::racer(),
@@ -446,13 +438,7 @@ impl DatapathModel {
             DatapathKind::DualityCache => Self::duality_cache(),
             DatapathKind::Pluto => Self::pluto(),
             DatapathKind::Dpu => Self::dpu(),
-            DatapathKind::Custom => panic!("custom datapaths are built with DatapathBuilder"),
         }
-    }
-
-    /// Which shipped backend this is.
-    pub fn kind(&self) -> DatapathKind {
-        self.kind
     }
 
     /// Human-readable backend name.
@@ -480,7 +466,6 @@ impl DatapathModel {
             opt: self.opt,
             costs: self.costs,
             pipeline_depth: self.pipeline_depth,
-            word_serial: self.word_serial,
         }
     }
 
@@ -542,11 +527,6 @@ impl DatapathModel {
         f64::from(self.uop_cost(kind).fj_per_lane) / 1000.0 * lanes as f64
     }
 
-    /// True for word-serial near-bank cores (UPMEM-style DPUs).
-    pub fn word_serial(&self) -> bool {
-        self.word_serial
-    }
-
     /// Whether consecutive instructions overlap across bit-stages (RACER's
     /// bit-pipelining, paper §II-C).
     pub fn bit_pipelined(&self) -> bool {
@@ -596,7 +576,7 @@ impl DatapathModel {
 }
 
 /// Builder for custom datapath models, demonstrating that the MPU front
-/// end is not tied to the three shipped backends.
+/// end is not tied to the shipped backends.
 ///
 /// # Example
 ///
@@ -620,7 +600,6 @@ impl DatapathBuilder {
     /// Starts from sane defaults (RACER-like geometry) for `family`.
     pub fn new(name: &str, family: LogicFamily) -> Self {
         let mut model = DatapathModel::racer();
-        model.kind = DatapathKind::Custom;
         model.name = name.to_string();
         model.family = family;
         model.costs = CostTable::default();
@@ -676,7 +655,7 @@ impl DatapathBuilder {
     pub fn build(self) -> DatapathModel {
         for kind in self.model.family.supported_kinds() {
             assert!(
-                self.model.costs.get(*kind).is_some(),
+                self.model.costs.get(kind).is_some(),
                 "family {:?} requires a cost for {kind}",
                 self.model.family
             );
@@ -716,10 +695,8 @@ mod tests {
         let p = DatapathModel::pluto();
         assert_eq!(p.family(), LogicFamily::Lut);
         assert_eq!(p.uop_cycles(MicroOpKind::Lut), 46, "LUT query is tRC-bound");
-        assert!(!p.word_serial());
         let d = DatapathModel::dpu();
         assert_eq!(d.family(), LogicFamily::WordSerial);
-        assert!(d.word_serial());
         // PrIM cost ratios: MUL ≈ 8× ALU, DIV slower still.
         assert_eq!(d.uop_cycles(MicroOpKind::WordMul), 8 * d.uop_cycles(MicroOpKind::WordAlu));
         assert!(d.uop_cycles(MicroOpKind::WordDiv) > d.uop_cycles(MicroOpKind::WordMul));
@@ -728,14 +705,31 @@ mod tests {
     #[test]
     fn all_covers_every_shipped_backend() {
         assert_eq!(DatapathKind::ALL.len(), 5);
-        for kind in DatapathKind::ALL {
-            assert!(kind.is_shipped());
-            // Constructible, and self-describing.
-            assert_eq!(DatapathModel::for_kind(kind).kind(), kind);
-        }
-        assert!(!DatapathKind::Custom.is_shipped());
+        let names = DatapathKind::ALL.map(|kind| DatapathModel::for_kind(kind).name().to_string());
+        assert_eq!(names, ["RACER", "MIMDRAM", "DualityCache", "pLUTo", "DPU"]);
         for kind in DatapathKind::EVALUATED {
             assert!(DatapathKind::ALL.contains(&kind), "EVALUATED ⊆ ALL");
+        }
+    }
+
+    #[test]
+    fn tags_round_trip_and_aliases_parse() {
+        assert_eq!(DatapathKind::tags("|"), "racer|mimdram|duality-cache|pluto|dpu");
+        for kind in DatapathKind::ALL {
+            assert_eq!(DatapathKind::parse(kind.tag()), Some(kind));
+            assert_eq!(DatapathKind::parse(&kind.tag().to_ascii_uppercase()), Some(kind));
+        }
+        for (alias, kind) in [
+            ("dualitycache", DatapathKind::DualityCache),
+            ("DualityCache", DatapathKind::DualityCache),
+            ("dc", DatapathKind::DualityCache),
+            ("upmem", DatapathKind::Dpu),
+            ("UPMEM", DatapathKind::Dpu),
+        ] {
+            assert_eq!(DatapathKind::parse(alias), Some(kind), "{alias}");
+        }
+        for bad in ["custom", "", "rac er", "racer ", "räcer", "dpü", "all"] {
+            assert_eq!(DatapathKind::parse(bad), None, "{bad:?}");
         }
     }
 
@@ -826,10 +820,23 @@ mod tests {
             .uop(MicroOpKind::Set, 3, 0.1)
             .bit_pipelined(8)
             .build();
-        assert_eq!(dp.kind(), DatapathKind::Custom);
         assert_eq!(dp.name(), "TestPUM");
         assert!(dp.recipe(&add_instr()).is_some());
         assert_eq!(dp.geometry().max_active_vrfs_per_mpu(), 32);
+    }
+
+    #[test]
+    fn builder_word_serial_model_charges_every_lane() {
+        let dp = DatapathBuilder::new("TestDPU", LogicFamily::WordSerial)
+            .lanes_per_vrf(64)
+            .uop(MicroOpKind::WordAlu, 12, 4.5)
+            .uop(MicroOpKind::WordMul, 96, 30.0)
+            .uop(MicroOpKind::WordDiv, 160, 55.0)
+            .build();
+        let cost = dp.recipe_cost(&dp.recipe(&add_instr()).unwrap());
+        assert_eq!(cost.cycles, 12 * 64, "one word ALU pass per lane");
+        let dpu = DatapathModel::dpu();
+        assert_eq!(cost, dpu.recipe_cost(&dpu.recipe(&add_instr()).unwrap()));
     }
 
     #[test]

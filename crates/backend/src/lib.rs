@@ -92,7 +92,7 @@ pub use datapath::{
 };
 pub use fault::{FaultModel, FaultPrng};
 pub use features::{supports, Feature, Platform};
-pub use logic::{GateBuilder, LogicFamily};
+pub use logic::{FamilyTable, GateBuilder, LogicFamily};
 pub use microop::{lut3_word, word_kind, MicroOp, MicroOpKind, Planes};
 pub use opt::{optimize, OptConfig, OptRule, OptStats, RuleStats};
 pub use recipe::{build_recipe, instantiate_recipe, recipe_shape, semantics, Recipe, RecipeCtx};

@@ -10,6 +10,13 @@
 //!   rows, plus dual-contact-cell NOT and row copies.
 //! * [`LogicFamily::Bitline`] — SRAM bitline computing (Duality Cache):
 //!   native AND/OR/XOR/NOT plus a single-operation CMOS full adder.
+//! * [`LogicFamily::Lut`] — DRAM LUT queries (pLUTo).
+//! * [`LogicFamily::WordSerial`] — near-bank cores (UPMEM-style DPUs).
+//!
+//! Everything the rest of the stack knows about a family — its legal
+//! micro-op kinds and their fault weights, the optimizer rules it
+//! withholds, whether it is word-serial — is one [`FamilyTable`]
+//! ([`LogicFamily::table`]).
 //!
 //! [`GateBuilder`] emits micro-op sequences for common gates using only the
 //! family's primitives; `crate::recipe` composes these into full
@@ -18,6 +25,7 @@
 
 use crate::bitplane::{Plane, SCRATCH_PLANES};
 use crate::microop::{MicroOp, MicroOpKind};
+use crate::opt::OptRule;
 
 /// The combinational primitive set a backend exposes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -37,35 +45,123 @@ pub enum LogicFamily {
     WordSerial,
 }
 
+/// One logic family's facts, spelled once.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FamilyTable {
+    /// The micro-op kinds the family's recipes may contain, each with its
+    /// relative transient-fault weight per lane: the family's dominant
+    /// analog mechanism carries 1.0, so the configured transient rate
+    /// applies to it directly, and cheaper or digitally latched
+    /// operations fail proportionally less often.
+    pub kinds: &'static [(MicroOpKind, f64)],
+    /// Optimizer rules withheld for this family, as an [`OptRule::bit`]
+    /// mask.
+    pub withheld_rules: u32,
+    /// One micro-op walks the VRF's lanes one word at a time, so a
+    /// recipe's cycles and a micro-op's fault exposure scale with the
+    /// lane count.
+    pub word_serial: bool,
+}
+
+/// ReRAM: state-dependent voltage division on the NOR pull-down is the
+/// analog step; buffer moves and presets are near-digital.
+const NOR: FamilyTable = FamilyTable {
+    kinds: &[(MicroOpKind::Nor, 1.0), (MicroOpKind::Copy, 0.1), (MicroOpKind::Set, 0.05)],
+    withheld_rules: 0,
+    word_serial: false,
+};
+
+/// DRAM: triple-row-activation charge sharing dominates; the dual-contact
+/// NOT and AAP row copies also disturb charge.
+const MAJ: FamilyTable = FamilyTable {
+    kinds: &[
+        (MicroOpKind::Tra, 1.0),
+        (MicroOpKind::Not, 0.3),
+        (MicroOpKind::Copy, 0.2),
+        (MicroOpKind::Set, 0.1),
+    ],
+    withheld_rules: 0,
+    word_serial: false,
+};
+
+/// SRAM: bitline logic suffers read upsets; the CMOS full adder is latched
+/// and sturdier; copies and presets are ordinary array writes. NOT carries
+/// no weight.
+const BITLINE: FamilyTable = FamilyTable {
+    kinds: &[
+        (MicroOpKind::And, 1.0),
+        (MicroOpKind::Or, 1.0),
+        (MicroOpKind::Xor, 1.0),
+        (MicroOpKind::Not, 0.0),
+        (MicroOpKind::FullAdd, 0.5),
+        (MicroOpKind::Copy, 0.1),
+        (MicroOpKind::Set, 0.05),
+    ],
+    withheld_rules: 0,
+    word_serial: false,
+};
+
+/// pLUTo: the LUT row activation and column read-out is the analog step;
+/// buffer moves and presets are near-digital. The value model expands LUT
+/// tables into minterm DAGs, and the chain-collapse equivalences have not
+/// been proven against that expansion, so that rule is withheld.
+const LUT: FamilyTable = FamilyTable {
+    kinds: &[(MicroOpKind::Lut, 1.0), (MicroOpKind::Copy, 0.1), (MicroOpKind::Set, 0.05)],
+    withheld_rules: OptRule::ChainCollapse.bit(),
+    word_serial: false,
+};
+
+/// DPU: one word micro-op stands in for a whole vector instruction, walked
+/// lane by lane, so its exposure integrates over the loop. Per lane, the
+/// multi-cycle multiply and divide sequencers weigh their occupancy (8x
+/// and ~13x an ALU op) discounted by the 0.7 latch-density factor of the
+/// shared sequencer. Word recipes execute whole instructions outside the
+/// bit-plane value lattice, so every optimizer rule is withheld.
+const WORD_SERIAL: FamilyTable = FamilyTable {
+    kinds: &[
+        (MicroOpKind::WordAlu, 1.0),
+        (MicroOpKind::WordMul, 5.59375),
+        (MicroOpKind::WordDiv, 9.328125),
+    ],
+    withheld_rules: OptRule::ALL_MASK,
+    word_serial: true,
+};
+
 impl LogicFamily {
-    /// The micro-op kinds this family's synthesized recipes may contain.
-    pub fn supported_kinds(self) -> &'static [MicroOpKind] {
+    /// Every logic family.
+    pub const ALL: [LogicFamily; 5] = [
+        LogicFamily::Nor,
+        LogicFamily::Maj,
+        LogicFamily::Bitline,
+        LogicFamily::Lut,
+        LogicFamily::WordSerial,
+    ];
+
+    /// This family's facts.
+    pub fn table(self) -> &'static FamilyTable {
         match self {
-            LogicFamily::Nor => &[MicroOpKind::Nor, MicroOpKind::Copy, MicroOpKind::Set],
-            LogicFamily::Maj => {
-                &[MicroOpKind::Tra, MicroOpKind::Not, MicroOpKind::Copy, MicroOpKind::Set]
-            }
-            LogicFamily::Bitline => &[
-                MicroOpKind::And,
-                MicroOpKind::Or,
-                MicroOpKind::Xor,
-                MicroOpKind::Not,
-                MicroOpKind::FullAdd,
-                MicroOpKind::Copy,
-                MicroOpKind::Set,
-            ],
-            LogicFamily::Lut => &[MicroOpKind::Lut, MicroOpKind::Copy, MicroOpKind::Set],
-            LogicFamily::WordSerial => {
-                &[MicroOpKind::WordAlu, MicroOpKind::WordMul, MicroOpKind::WordDiv]
-            }
+            LogicFamily::Nor => &NOR,
+            LogicFamily::Maj => &MAJ,
+            LogicFamily::Bitline => &BITLINE,
+            LogicFamily::Lut => &LUT,
+            LogicFamily::WordSerial => &WORD_SERIAL,
         }
     }
 
-    /// Whether `kind` is legal for this family (membership test over
-    /// [`LogicFamily::supported_kinds`]). Used by the recipe optimizer to
-    /// legalize kind-changing rewrites.
+    /// The micro-op kinds this family's synthesized recipes may contain.
+    pub fn supported_kinds(self) -> impl Iterator<Item = MicroOpKind> {
+        self.table().kinds.iter().map(|&(kind, _)| kind)
+    }
+
+    /// Whether `kind` is legal for this family. Used by the recipe
+    /// optimizer to legalize kind-changing rewrites.
     pub fn supports(self, kind: MicroOpKind) -> bool {
-        self.supported_kinds().contains(&kind)
+        self.table().kinds.iter().any(|&(k, _)| k == kind)
+    }
+
+    /// True for word-serial near-bank cores ([`FamilyTable::word_serial`]).
+    pub fn word_serial(self) -> bool {
+        self.table().word_serial
     }
 }
 
@@ -140,7 +236,7 @@ impl GateBuilder {
     /// Emits a raw micro-op (must belong to the family's supported kinds).
     pub fn emit(&mut self, op: MicroOp) {
         debug_assert!(
-            self.family.supported_kinds().contains(&op.kind()),
+            self.family.supports(op.kind()),
             "{:?} not supported by {:?} family",
             op.kind(),
             self.family
@@ -427,6 +523,32 @@ mod tests {
     const FAMILIES: [LogicFamily; 4] =
         [LogicFamily::Nor, LogicFamily::Maj, LogicFamily::Bitline, LogicFamily::Lut];
 
+    #[test]
+    fn dominant_mechanism_carries_full_weight() {
+        let weight = |family: LogicFamily, kind| {
+            family.table().kinds.iter().find(|&&(k, _)| k == kind).map(|&(_, w)| w)
+        };
+        assert_eq!(weight(LogicFamily::Nor, MicroOpKind::Nor), Some(1.0));
+        assert_eq!(weight(LogicFamily::Maj, MicroOpKind::Tra), Some(1.0));
+        assert_eq!(weight(LogicFamily::Bitline, MicroOpKind::Xor), Some(1.0));
+        assert_eq!(weight(LogicFamily::Bitline, MicroOpKind::Not), Some(0.0));
+        // Kinds a family never issues are not in its table.
+        assert_eq!(weight(LogicFamily::Nor, MicroOpKind::Tra), None);
+        assert_eq!(weight(LogicFamily::Maj, MicroOpKind::Nor), None);
+        // At 64 lanes the word-serial weights are the DPU's whole-op
+        // weights exactly.
+        for (kind, whole_op) in [
+            (MicroOpKind::WordAlu, 64.0),
+            (MicroOpKind::WordMul, 358.0),
+            (MicroOpKind::WordDiv, 597.0),
+        ] {
+            assert_eq!(weight(LogicFamily::WordSerial, kind).unwrap() * 64.0, whole_op);
+        }
+        for family in LogicFamily::ALL {
+            assert_eq!(family.word_serial(), family == LogicFamily::WordSerial);
+        }
+    }
+
     /// Executes the builder's ops on a fresh VRF whose scratch planes 20/21/22
     /// hold all four (or eight) input combinations, then checks `out`.
     fn check_gate2(
@@ -556,7 +678,7 @@ mod tests {
             gb.maj(a, b, Plane::Scratch(19), o);
             for op in gb.finish() {
                 assert!(
-                    family.supported_kinds().contains(&op.kind()),
+                    family.supports(op.kind()),
                     "{family:?} emitted unsupported {:?}",
                     op.kind()
                 );

@@ -53,7 +53,7 @@
 //! copies, while Duality Cache prices `Copy` below `Xor` and accepts the
 //! same rewrite.
 //!
-//! Every rule also declares which [`LogicFamily`]s it is sound for
+//! Every [`LogicFamily`]'s table declares the rules it withholds
 //! ([`OptRule::sound_for`]); the pass consults the declaration before
 //! firing, so a family-restricted rule cannot leak onto a substrate whose
 //! micro-op semantics it was not proven against.
@@ -130,31 +130,21 @@ impl OptRule {
         }
     }
 
-    /// Logic families this rule is sound for.
+    /// Whether this rule is sound for `family`: not in its table's
+    /// [`crate::FamilyTable::withheld_rules`].
     ///
-    /// All five shipped rules are proven against the shared micro-op
-    /// semantics the bit-plane families lower onto (`MicroOp::apply` is
-    /// the single source of truth for NOR, MAJ, and bitline execution
-    /// alike), so each is sound for those families — DESIGN.md §10 records
-    /// the per-family argument. Two restrictions apply:
-    ///
-    /// * [`LogicFamily::Lut`] withholds [`OptRule::ChainCollapse`]: the
-    ///   value model expands LUT tables into minterm DAGs, and the
-    ///   chain-collapse equivalences have not been proven against that
-    ///   expansion, so the rule is conservatively gated off.
-    /// * [`LogicFamily::WordSerial`] supports no rules: word recipes
-    ///   execute whole instructions outside the bit-plane value lattice
-    ///   and pass through the optimizer unmodified.
+    /// All five rules are proven against the shared micro-op semantics
+    /// the bit-plane families lower onto (`MicroOp::apply` is the single
+    /// source of truth for NOR, MAJ, and bitline execution alike) —
+    /// DESIGN.md §10 records the per-family argument. The LUT family
+    /// withholds [`OptRule::ChainCollapse`] and the word-serial family
+    /// withholds every rule; the tables say why.
     ///
     /// The pass consults this declaration before firing a rule, so a
     /// family-restricted rewrite cannot leak onto a substrate it was not
     /// proven against.
     pub fn sound_for(self, family: LogicFamily) -> bool {
-        match family {
-            LogicFamily::Nor | LogicFamily::Maj | LogicFamily::Bitline => true,
-            LogicFamily::Lut => !matches!(self, OptRule::ChainCollapse),
-            LogicFamily::WordSerial => false,
-        }
+        family.table().withheld_rules & self.bit() == 0
     }
 }
 

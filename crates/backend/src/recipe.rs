@@ -62,8 +62,6 @@ pub struct RecipeCtx {
     /// Bit-stages a warm pipeline overlaps; `None` when the datapath is
     /// not bit-pipelined.
     pub pipeline_depth: Option<u32>,
-    /// True for word-serial cores, whose recipes take one pass per lane.
-    pub word_serial: bool,
 }
 
 impl RecipeCtx {
@@ -79,7 +77,7 @@ impl RecipeCtx {
             cycles += u64::from(cost.cycles);
             fj_per_lane += u64::from(cost.fj_per_lane);
         }
-        if self.word_serial {
+        if self.family.word_serial() {
             cycles *= lanes as u64;
         }
         let stage_cycles =
@@ -190,7 +188,7 @@ fn rp(reg: u16, bit: usize) -> Plane {
 /// Panics if a multi-step instruction aliases `rd` with a source register
 /// (see module docs), or if a register index exceeds 63.
 pub fn build_recipe(ctx: RecipeCtx, instr: &Instruction) -> Option<Recipe> {
-    if ctx.family == LogicFamily::WordSerial {
+    if ctx.family.word_serial() {
         return build_word_recipe(instr);
     }
     let mut g = GateBuilder::new(ctx.family);
@@ -759,13 +757,7 @@ mod tests {
     use crate::microop::MicroOpKind;
     use mpu_isa::RegId;
 
-    const FAMILIES: [LogicFamily; 5] = [
-        LogicFamily::Nor,
-        LogicFamily::Maj,
-        LogicFamily::Bitline,
-        LogicFamily::Lut,
-        LogicFamily::WordSerial,
-    ];
+    const FAMILIES: [LogicFamily; 5] = LogicFamily::ALL;
 
     fn ctx(family: LogicFamily) -> RecipeCtx {
         RecipeCtx { family, ..crate::DatapathModel::racer().recipe_ctx() }
@@ -1069,7 +1061,7 @@ mod tests {
                 let recipe = build_recipe(ctx(family), &instr).unwrap();
                 for uop in recipe.ops() {
                     assert!(
-                        family.supported_kinds().contains(&uop.kind()),
+                        family.supports(uop.kind()),
                         "{family:?} {op:?} emitted {:?}",
                         uop.kind()
                     );

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! fault_sweep [--seed N] [--rate R] [--policy inject|dmr|tmr|all]
-//!             [--trials N] [--backend racer|mimdram|dc|pluto|dpu|all]
+//!             [--trials N] [--backend racer|mimdram|duality-cache|pluto|dpu|all]
 //!             [--out FILE] [--assert]
 //! ```
 //!
@@ -76,16 +76,14 @@ fn main() {
             }
             "--backend" => {
                 backends = match value("--backend").as_str() {
-                    "racer" => vec![DatapathKind::Racer],
-                    "mimdram" => vec![DatapathKind::Mimdram],
-                    "dc" | "dualitycache" => vec![DatapathKind::DualityCache],
-                    "pluto" => vec![DatapathKind::Pluto],
-                    "dpu" => vec![DatapathKind::Dpu],
                     "all" => DatapathKind::ALL.to_vec(),
-                    other => {
-                        eprintln!("unknown backend `{other}` (racer|mimdram|dc|pluto|dpu|all)");
-                        std::process::exit(2);
-                    }
+                    name => match DatapathKind::parse(name) {
+                        Some(kind) => vec![kind],
+                        None => {
+                            eprintln!("unknown backend `{name}` ({}|all)", DatapathKind::tags("|"));
+                            std::process::exit(2);
+                        }
+                    },
                 }
             }
             "--out" => out = Some(value("--out")),
@@ -94,7 +92,8 @@ fn main() {
                 eprintln!("unknown argument `{other}`");
                 eprintln!(
                     "usage: fault_sweep [--seed N] [--rate R] [--policy inject|dmr|tmr|all] \
-                     [--trials N] [--backend racer|mimdram|dc|pluto|dpu|all] [--out FILE] [--assert]"
+                     [--trials N] [--backend {}|all] [--out FILE] [--assert]",
+                    DatapathKind::tags("|")
                 );
                 std::process::exit(2);
             }

@@ -8,16 +8,11 @@
 
 use crate::case::Case;
 use crate::generate::{BOX_RFHS, BOX_VRFS};
-use mastodon::{RecipePool, SimConfig, Stats, System};
+use mastodon::{ExecutionMode, RecipePool, SimConfig, Stats, System};
 use mpu_isa::Program;
 use pum_backend::{DatapathKind, DatapathModel};
 use refmodel::{RefGeometry, RefSystem, RefTrace};
 use std::sync::Arc;
-
-/// Every shipped backend the differential matrix covers: the three
-/// Table III substrates plus the pLUTo LUT-in-DRAM and UPMEM-style DPU
-/// models.
-pub const BACKENDS: [DatapathKind; 5] = DatapathKind::ALL;
 
 /// Registers compared (the division scratch registers `r14`/`r15` hold
 /// implementation-defined values and are excluded; the mask-save registers
@@ -28,10 +23,9 @@ const CMP_REGS: u8 = 14;
 /// generator can touch.
 pub type LaneBox = Vec<((u16, u16, u8), Vec<u64>)>;
 
-/// Derives the reference geometry for a backend from its Table III
-/// datapath model.
-pub fn ref_geometry(kind: DatapathKind) -> RefGeometry {
-    let g = DatapathModel::for_kind(kind).geometry();
+/// Derives the reference geometry for a backend from its datapath model.
+pub fn ref_geometry(model: &DatapathModel) -> RefGeometry {
+    let g = model.geometry();
     RefGeometry {
         lanes_per_vrf: g.lanes_per_vrf,
         regs_per_vrf: g.regs_per_vrf,
@@ -49,11 +43,11 @@ fn box_keys() -> impl Iterator<Item = (u16, u16, u8)> {
 }
 
 fn run_reference(
-    kind: DatapathKind,
+    model: &DatapathModel,
     case: &Case,
     programs: &[Program],
 ) -> Result<(Vec<LaneBox>, RefTrace), String> {
-    let mut sys = RefSystem::new(ref_geometry(kind), case.mpus.len());
+    let mut sys = RefSystem::new(ref_geometry(model), case.mpus.len());
     for (id, (mpu, program)) in case.mpus.iter().zip(programs).enumerate() {
         sys.set_program(id, program.clone());
         for input in &mpu.inputs {
@@ -96,13 +90,13 @@ impl Tier {
 }
 
 fn run_simulator(
-    kind: DatapathKind,
+    model: &DatapathModel,
     tier: Tier,
     case: &Case,
     programs: &[Program],
     pool: Option<&Arc<RecipePool>>,
 ) -> Result<(Vec<LaneBox>, Stats), String> {
-    let mut config = SimConfig::mpu(kind);
+    let mut config = SimConfig::new(model.clone(), ExecutionMode::Mpu);
     // Pin the tier knob explicitly: the compiled tier must not silently
     // ride the block tier (whose default is on).
     config.trace_ensembles = tier == Tier::Block;
@@ -138,9 +132,9 @@ fn run_simulator(
 /// The reference model's comparison box for a case, or `None` if the case
 /// doesn't lower or the reference run fails (shrinker artifacts). Used for
 /// the cross-geometry agreement check.
-pub fn reference_lanes(kind: DatapathKind, case: &Case) -> Option<Vec<LaneBox>> {
+pub fn reference_lanes(model: &DatapathModel, case: &Case) -> Option<Vec<LaneBox>> {
     let programs = case.programs().ok()?;
-    run_reference(kind, case, &programs).ok().map(|(boxes, _)| boxes)
+    run_reference(model, case, &programs).ok().map(|(boxes, _)| boxes)
 }
 
 /// Differentially checks one case on one backend, optionally against a
@@ -153,7 +147,7 @@ pub fn reference_lanes(kind: DatapathKind, case: &Case) -> Option<Vec<LaneBox>> 
 /// makes the case incomparable, not a simulator defect; the shrinker
 /// relies on this to discard reductions that break program validity).
 pub fn check_case_on(
-    kind: DatapathKind,
+    model: &DatapathModel,
     case: &Case,
     pool: Option<&Arc<RecipePool>>,
 ) -> Option<String> {
@@ -161,18 +155,19 @@ pub fn check_case_on(
         Ok(p) => p,
         Err(_) => return None,
     };
-    let (ref_boxes, ref_trace) = match run_reference(kind, case, &programs) {
+    let backend = model.name();
+    let (ref_boxes, ref_trace) = match run_reference(model, case, &programs) {
         Ok(v) => v,
         Err(_) => return None,
     };
     let mut compiled_stats: Option<Stats> = None;
     for tier in TIERS {
         let path = tier.label();
-        let (boxes, stats) = match run_simulator(kind, tier, case, &programs, pool) {
+        let (boxes, stats) = match run_simulator(model, tier, case, &programs, pool) {
             Ok(v) => v,
             Err(e) => {
                 return Some(format!(
-                    "{kind:?}/{path}: simulator error `{e}` where the reference model succeeded"
+                    "{backend}/{path}: simulator error `{e}` where the reference model succeeded"
                 ))
             }
         };
@@ -181,7 +176,7 @@ pub fn check_case_on(
                 if want != got {
                     let lane = want.iter().zip(got).position(|(a, b)| a != b).unwrap_or(0);
                     return Some(format!(
-                        "{kind:?}/{path}: mpu{id} h{rfh}.v{vrf}.r{reg} lane {lane}: \
+                        "{backend}/{path}: mpu{id} h{rfh}.v{vrf}.r{reg} lane {lane}: \
                          reference {:#x}, simulator {:#x}",
                         want.get(lane).copied().unwrap_or(0),
                         got.get(lane).copied().unwrap_or(0),
@@ -198,7 +193,7 @@ pub fn check_case_on(
         for (name, want, got) in counters {
             if want != got {
                 return Some(format!(
-                    "{kind:?}/{path}: architectural counter {name}: reference {want}, \
+                    "{backend}/{path}: architectural counter {name}: reference {want}, \
                      simulator {got}"
                 ));
             }
@@ -207,7 +202,7 @@ pub fn check_case_on(
             None => compiled_stats = Some(stats),
             Some(prev) if prev != stats => {
                 return Some(format!(
-                    "{kind:?}: the {path} tier disagrees with the compiled tier on \
+                    "{backend}: the {path} tier disagrees with the compiled tier on \
                      statistics:\n  compiled: {prev:?}\n  {path}: {stats:?}"
                 ));
             }
@@ -222,17 +217,18 @@ pub fn check_case_on(
 /// prefix (inputs only populate 64 lanes; the extra lanes of the wider
 /// geometries compute on zeros and never feed back into the prefix).
 pub fn check_case(case: &Case) -> Option<String> {
-    for kind in BACKENDS {
-        if let Some(mismatch) = check_case_on(kind, case, None) {
+    let models = DatapathKind::ALL.map(DatapathModel::for_kind);
+    for model in &models {
+        if let Some(mismatch) = check_case_on(model, case, None) {
             return Some(mismatch);
         }
     }
-    let mut baseline: Option<(DatapathKind, Vec<LaneBox>)> = None;
-    for kind in BACKENDS {
-        let boxes = reference_lanes(kind, case)?;
+    let mut baseline: Option<(&str, Vec<LaneBox>)> = None;
+    for model in &models {
+        let boxes = reference_lanes(model, case)?;
         match &baseline {
-            None => baseline = Some((kind, boxes)),
-            Some((kind0, base)) => {
+            None => baseline = Some((model.name(), boxes)),
+            Some((name0, base)) => {
                 for (id, (a, b)) in base.iter().zip(&boxes).enumerate() {
                     for (((rfh, vrf, reg), va), (_, vb)) in a.iter().zip(b) {
                         let pa = &va[..64.min(va.len())];
@@ -241,9 +237,11 @@ pub fn check_case(case: &Case) -> Option<String> {
                             let lane = pa.iter().zip(pb).position(|(x, y)| x != y).unwrap_or(0);
                             return Some(format!(
                                 "reference model disagrees across geometries \
-                                 ({kind0:?} vs {kind:?}): mpu{id} h{rfh}.v{vrf}.r{reg} \
+                                 ({name0} vs {}): mpu{id} h{rfh}.v{vrf}.r{reg} \
                                  lane {lane}: {:#x} vs {:#x}",
-                                pa[lane], pb[lane]
+                                model.name(),
+                                pa[lane],
+                                pb[lane]
                             ));
                         }
                     }
@@ -260,9 +258,9 @@ pub fn check_case(case: &Case) -> Option<String> {
 /// # Errors
 ///
 /// Returns a description if the case fails to lower or the run fails.
-pub fn simulate(kind: DatapathKind, case: &Case) -> Result<Stats, String> {
+pub fn simulate(model: &DatapathModel, case: &Case) -> Result<Stats, String> {
     let programs = case.programs().map_err(|e| e.to_string())?;
-    run_simulator(kind, Tier::Compiled, case, &programs, None).map(|(_, stats)| stats)
+    run_simulator(model, Tier::Compiled, case, &programs, None).map(|(_, stats)| stats)
 }
 
 #[cfg(test)]
@@ -314,6 +312,6 @@ mod tests {
                 MpuCase { tops: vec![Top::Sync], inputs: vec![] },
             ],
         };
-        assert_eq!(check_case_on(DatapathKind::Racer, &case, None), None);
+        assert_eq!(check_case_on(&DatapathModel::racer(), &case, None), None);
     }
 }

@@ -26,19 +26,12 @@
 //! plus spare-lane remapping reproduces the reference result at reduced
 //! logical capacity.
 
-use crate::case::Case;
-use crate::diff::{ref_geometry, LaneBox};
-use crate::generate::{generate, BOX_RFHS, BOX_VRFS};
+use crate::diff::{ref_geometry, reference_lanes};
+use crate::generate::generate;
 use mastodon::{Redundancy, SimConfig, StuckLane, System};
 use mpu_isa::Program;
-use pum_backend::DatapathKind;
-use refmodel::RefSystem;
+use pum_backend::{DatapathKind, DatapathModel};
 use std::fmt::Write as _;
-
-/// Registers compared against the oracle (the division scratch registers
-/// `r14`/`r15` are implementation-defined and excluded, matching the
-/// differential harness).
-const CMP_REGS: u8 = 14;
 
 /// The recovery policy a sweep runs under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,35 +137,10 @@ impl SweepReport {
     }
 }
 
-fn oracle_boxes(backend: DatapathKind, case: &Case, programs: &[Program]) -> Option<Vec<LaneBox>> {
-    let mut sys = RefSystem::new(ref_geometry(backend), case.mpus.len());
-    for (id, (mpu, program)) in case.mpus.iter().zip(programs).enumerate() {
-        sys.set_program(id, program.clone());
-        for input in &mpu.inputs {
-            sys.mpu_mut(id).write_register(input.rfh, input.vrf, input.reg, &input.values);
-        }
-    }
-    sys.run().ok()?;
-    Some(
-        (0..case.mpus.len())
-            .map(|id| {
-                box_keys()
-                    .map(|key| (key, sys.mpu_mut(id).read_register(key.0, key.1, key.2)))
-                    .collect()
-            })
-            .collect(),
-    )
-}
-
-fn box_keys() -> impl Iterator<Item = (u16, u16, u8)> {
-    (0..BOX_RFHS).flat_map(|rfh| {
-        (0..BOX_VRFS).flat_map(move |vrf| (0..CMP_REGS).map(move |reg| (rfh, vrf, reg)))
-    })
-}
-
 /// Runs one fault-coverage sweep and aggregates the per-trial outcomes.
 pub fn run_sweep(cfg: &SweepConfig) -> SweepReport {
     let mut report = SweepReport::default();
+    let model = DatapathModel::for_kind(cfg.backend);
     for t in 0..cfg.trials {
         let trial_seed = cfg.seed.wrapping_add(t);
         let case = generate(trial_seed);
@@ -183,7 +151,7 @@ pub fn run_sweep(cfg: &SweepConfig) -> SweepReport {
                 continue;
             }
         };
-        let Some(oracle) = oracle_boxes(cfg.backend, &case, &programs) else {
+        let Some(oracle) = reference_lanes(&model, &case) else {
             report.skipped += 1;
             continue;
         };
@@ -294,7 +262,7 @@ pub fn render_report(cfg: &SweepConfig, report: &SweepReport) -> String {
 ///
 /// Returns a description of the first divergence (or simulator error).
 pub fn remap_recovers(backend: DatapathKind, seed: u64) -> Result<(), String> {
-    let geometry = ref_geometry(backend);
+    let geometry = ref_geometry(&DatapathModel::for_kind(backend));
     let lanes = geometry.lanes_per_vrf;
     let spare_lanes = 4usize;
     let logical = lanes - spare_lanes;

@@ -11,7 +11,6 @@
 
 use conformance::{
     check_case, check_case_on, generate, generate_pipeline_case, reproducer_text, shrink, simulate,
-    BACKENDS,
 };
 use conformance::{Case, Stmt, Top};
 use mastodon::RecipePool;
@@ -135,7 +134,7 @@ fn injected_carry_bug_is_caught_and_shrunk() {
         }
     }
 
-    let predicate = |case: &Case| check_case_on(DatapathKind::Mimdram, case, Some(&pool));
+    let predicate = |case: &Case| check_case_on(&model, case, Some(&pool));
 
     // Find a generated case that actually exercises an ADD and diverges.
     let mut caught = None;
@@ -161,7 +160,7 @@ fn injected_carry_bug_is_caught_and_shrunk() {
     assert!(case_has_add(&small), "shrunk reproducer lost the ADD:\n{}", small.to_text());
     // The clean pool-less run must still pass: the defect is in the
     // injected recipe, not the stack.
-    assert_eq!(check_case_on(DatapathKind::Mimdram, &small, None), None);
+    assert_eq!(check_case_on(&model, &small, None), None);
 }
 
 /// Corrupts one LUT table entry of a pLUTo recipe — the in-memory analog
@@ -229,7 +228,7 @@ fn assert_canary_caught_and_shrunk(kind: DatapathKind, corrupt: impl Fn(&Recipe)
         }
     }
 
-    let predicate = |case: &Case| check_case_on(kind, case, Some(&pool));
+    let predicate = |case: &Case| check_case_on(&model, case, Some(&pool));
 
     // Scan seeds until one both trips the canary and shrinks to a minimal
     // reproducer. Some catches sit inside loop bodies the shrinker cannot
@@ -262,7 +261,7 @@ fn assert_canary_caught_and_shrunk(kind: DatapathKind, corrupt: impl Fn(&Recipe)
     assert!(case_has_add(&small), "shrunk reproducer lost the ADD:\n{}", small.to_text());
     // The clean pool-less run must still pass: the defect is in the
     // injected recipe, not the stack.
-    assert_eq!(check_case_on(kind, &small, None), None);
+    assert_eq!(check_case_on(&model, &small, None), None);
 }
 
 #[test]
@@ -286,13 +285,13 @@ fn optimizer_on_suite_stays_conformant() {
         std::env::var("CONFORMANCE_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(10);
     for seed in 3000..3000 + cases {
         let case = generate(seed);
-        for kind in BACKENDS {
+        for kind in DatapathKind::ALL {
             let dp = DatapathModel::for_kind(kind);
             assert!(
                 dp.opt_config().enabled,
                 "{kind:?}: the shipped datapath must optimize by default"
             );
-            if let Some(m) = check_case_on(kind, &case, None) {
+            if let Some(m) = check_case_on(&dp, &case, None) {
                 panic!("seed {seed} on {kind:?} with optimizer on: {m}");
             }
         }
@@ -324,7 +323,7 @@ fn optimizer_canary_is_caught_and_shrunk() {
         }
     }
 
-    let predicate = |case: &Case| check_case_on(DatapathKind::Racer, case, Some(&pool));
+    let predicate = |case: &Case| check_case_on(&model, case, Some(&pool));
 
     let mut caught = None;
     for seed in 0..200u64 {
@@ -349,7 +348,7 @@ fn optimizer_canary_is_caught_and_shrunk() {
     assert!(case_has_add(&small), "shrunk reproducer lost the ADD:\n{}", small.to_text());
     // The clean pool-less run must still pass: the defect is the canary
     // recipe, not the optimizer or the stack.
-    assert_eq!(check_case_on(DatapathKind::Racer, &small, None), None);
+    assert_eq!(check_case_on(&model, &small, None), None);
 }
 
 const GOLDEN_SEEDS: [u64; 5] = [1, 2, 3, 4, 5];
@@ -357,9 +356,9 @@ const GOLDEN_SEEDS: [u64; 5] = [1, 2, 3, 4, 5];
 fn golden_lines() -> String {
     let mut out = String::new();
     let mut emit = |label: &str, seed: u64, case: &conformance::Case| {
-        for kind in BACKENDS {
-            let stats =
-                simulate(kind, case).unwrap_or_else(|e| panic!("{label}={seed} on {kind:?}: {e}"));
+        for kind in DatapathKind::ALL {
+            let stats = simulate(&DatapathModel::for_kind(kind), case)
+                .unwrap_or_else(|e| panic!("{label}={seed} on {kind:?}: {e}"));
             let energy = stats.energy.total_pj();
             out.push_str(&format!(
                 "{label}={seed} backend={kind:?} cycles={} instructions={} uops={} waves={} \

@@ -42,7 +42,7 @@ fn inputs(seed: u64, lanes: usize) -> (Vec<u64>, Vec<u64>) {
 /// first `lanes` lanes populated (the rest compute on zeros).
 fn reference_regs(kind: DatapathKind, seed: u64, lanes: usize) -> Vec<Vec<u64>> {
     let (a, b) = inputs(seed, lanes);
-    let mut reference = refmodel::RefMpu::new(ref_geometry(kind), 0);
+    let mut reference = refmodel::RefMpu::new(ref_geometry(&DatapathModel::for_kind(kind)), 0);
     reference.write_register(0, 0, 0, &a);
     reference.write_register(0, 0, 1, &b);
     reference.run(&kernel()).expect("reference run");

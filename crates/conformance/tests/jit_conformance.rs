@@ -19,7 +19,7 @@ use mastodon::{
     run_single, EventLog, Mpu, RegisterInit, RunControl, SimConfig, SimError, Stats, TraceKind,
 };
 use mpu_isa::{Instruction, LineNum, MpuId, Program, RegId, VrfId};
-use pum_backend::DatapathKind;
+use pum_backend::{DatapathKind, DatapathModel};
 
 #[test]
 fn compiled_vs_fused_differential_suite() {
@@ -85,7 +85,8 @@ fn reference(
     members: &[(u16, u16)],
     inputs: &[RegisterInit],
 ) -> (Vec<Vec<u64>>, u64) {
-    let mut mpu = refmodel::run_ref(ref_geometry(kind), p, inputs).expect("reference run");
+    let mut mpu = refmodel::run_ref(ref_geometry(&DatapathModel::for_kind(kind)), p, inputs)
+        .expect("reference run");
     let lanes = members
         .iter()
         .flat_map(|&(rfh, vrf)| (0..16).map(move |reg| (rfh, vrf, reg)))

@@ -4,7 +4,7 @@
 //! are byte-identical to a disarmed run — and (2) the attribution profile
 //! built from the trace conserves every counter and energy field exactly.
 
-use conformance::{generate, BACKENDS, BOX_RFHS, BOX_VRFS};
+use conformance::{generate, BOX_RFHS, BOX_VRFS};
 use mastodon::{EventLog, Profile, SimConfig, Stats, System, TraceEvent};
 use proptest::prelude::*;
 use pum_backend::DatapathKind;
@@ -74,7 +74,7 @@ proptest! {
     /// the attribution tree partitions every field but elapsed cycles.
     #[test]
     fn tracing_is_transparent_and_profiles_conserve(seed in 0u64..4096) {
-        for kind in BACKENDS {
+        for kind in DatapathKind::ALL {
             for trace_ensembles in [false, true] {
                 let ctx = format!("{kind:?}, trace_ensembles={trace_ensembles}, seed={seed}");
                 let armed = run_case(kind, trace_ensembles, seed, true);

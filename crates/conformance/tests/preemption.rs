@@ -12,10 +12,11 @@
 //! "never stopped".
 
 use conformance::case::{lower, MpuCase};
-use conformance::{generate, Top, BACKENDS};
+use conformance::{generate, Top};
 use mastodon::{Mpu, RunControl, SimConfig, Stats, StepEvent};
 use mpu_isa::{MpuId, Program};
 use proptest::prelude::*;
+use pum_backend::DatapathKind;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -156,7 +157,7 @@ proptest! {
         let case = solo_case(seed);
         let program = lower(&case).expect("generated case lowers");
         let vrfs = touched_vrfs(&case);
-        for kind in BACKENDS {
+        for kind in DatapathKind::ALL {
             let config = SimConfig::mpu(kind);
             let (reference, boundaries) = reference_run(&config, &case, &program, &vrfs);
             if boundaries == 0 {

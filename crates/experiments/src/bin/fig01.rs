@@ -81,7 +81,10 @@ fn main() {
         ]);
     }
     print_table(
-        "Fig. 1 — RACER dynamic loop: Baseline (CPU offload) vs CPU-free PUM",
+        &format!(
+            "Fig. 1 — {} dynamic loop: Baseline (CPU offload) vs CPU-free PUM",
+            mpu_cfg.datapath.name()
+        ),
         &["body CMPEQs", "PUM-only time", "Baseline time", "offload share", "slowdown"],
         &rows,
     );

@@ -6,13 +6,13 @@ use experiments::{parse_jobs, print_table};
 use pum_backend::power::{
     fig5_sweep, floatpim_like, thermal_active_limit, AIR_COOLING_LIMIT_W_PER_CM2,
 };
-use pum_backend::{DatapathKind, DatapathModel};
+use pum_backend::DatapathModel;
 use workloads::{effective_jobs, parallel_map};
 
 fn main() {
     // The paper's three substrates and its FloatPIM comparison curve,
     // plus the pLUTo and DPU models the repo ships beyond the paper.
-    let mut models = vec![
+    let models = vec![
         DatapathModel::racer(),
         DatapathModel::mimdram(),
         DatapathModel::duality_cache(),
@@ -20,7 +20,6 @@ fn main() {
         DatapathModel::pluto(),
         DatapathModel::dpu(),
     ];
-    let _ = DatapathKind::ALL;
 
     // One sweep per datapath model, fanned across worker threads.
     let sweeps = parallel_map(models.clone(), effective_jobs(parse_jobs()), |m| fig5_sweep(&m));
@@ -38,17 +37,20 @@ fn main() {
         }
         rows.push(row);
     }
+    let headers: Vec<&str> =
+        ["active"].into_iter().chain(models.iter().map(|m| m.name())).collect();
     print_table(
         "Fig. 5 — power density (W/cm2) vs active arrays per RFH footprint",
-        &["active", "RACER", "MIMDRAM", "DualityCache", "FloatPIM", "pLUTo", "DPU"],
+        &headers,
         &rows,
     );
     println!("\nair-cooling limit: {AIR_COOLING_LIMIT_W_PER_CM2} W/cm2");
-    for m in models.drain(..) {
-        println!("{:>13}: thermally safe active VRFs/RFH = {}", m.name(), thermal_active_limit(&m));
+    for m in &models {
+        println!("{:>13}: thermally safe active VRFs/RFH = {}", m.name(), thermal_active_limit(m));
     }
     println!(
-        "\nPaper reference: RACER limited to ~1 active pipeline per cluster; \
-         Duality Cache never thermally throttles."
+        "\nPaper reference: {} limited to ~1 active pipeline per cluster; \
+         Duality Cache never thermally throttles.",
+        models[0].name()
     );
 }

@@ -7,7 +7,7 @@
 use experiments::{
     fmt_ratio, geomean, kernel_matrix_jobs, parse_jobs, print_table, KERNEL_N, SEED,
 };
-use pum_backend::DatapathKind;
+use pum_backend::{DatapathKind, DatapathModel};
 use workloads::KernelGroup;
 
 fn main() {
@@ -15,6 +15,9 @@ fn main() {
     let kinds = DatapathKind::ALL;
     let matrices: Vec<_> =
         kinds.iter().map(|&k| kernel_matrix_jobs(k, KERNEL_N, SEED, jobs)).collect();
+    let names = kinds.map(|k| DatapathModel::for_kind(k).name().to_string());
+    let headers: Vec<&str> =
+        ["kernel"].into_iter().chain(names.iter().map(String::as_str)).collect();
 
     for metric in ["speedup", "energy savings"] {
         let mut rows = Vec::new();
@@ -59,13 +62,14 @@ fn main() {
 
         print_table(
             &format!("Fig. 12 — MPU:X {metric} over Baseline:X (n = {KERNEL_N})"),
-            &["kernel", "RACER", "MIMDRAM", "DualityCache", "pLUTo", "DPU"],
+            &headers,
             &rows,
         );
     }
+    let [racer, mimdram, dc, ..] = &names;
     println!(
         "\nPaper reference: average speedups 1.79x / 1.70x / 1.12x and energy savings \
-         3.23x / 2.34x / 4.07x for RACER / MIMDRAM / DualityCache; basic kernels show \
-         slight slowdowns (iso-area capacity loss), stencil+complex gain ~4.4x on RACER."
+         3.23x / 2.34x / 4.07x for {racer} / {mimdram} / {dc}; basic kernels show \
+         slight slowdowns (iso-area capacity loss), stencil+complex gain ~4.4x on {racer}."
     );
 }

@@ -3,7 +3,8 @@
 //! paper's footnote on MPU:DualityCache.
 
 use experiments::{
-    fmt_ratio, geomean, kernel_matrix_jobs, parse_jobs, print_table, KERNEL_N, SEED,
+    base_and_mpu_headers, fmt_ratio, geomean, kernel_matrix_jobs, parse_jobs, print_table,
+    KERNEL_N, SEED,
 };
 use pum_backend::DatapathKind;
 
@@ -47,7 +48,7 @@ fn main() {
         ]);
         print_table(
             &format!("Fig. 13 — {metric} vs GPU (RTX 4090 model), log-scale data"),
-            &["kernel", "Base:RACER", "MPU:RACER", "Base:MIMDRAM", "MPU:MIMDRAM"],
+            &base_and_mpu_headers("kernel", &[DatapathKind::Racer, DatapathKind::Mimdram]),
             &rows,
         );
     }
@@ -55,13 +56,15 @@ fn main() {
     let dc_speed = geomean(dc.iter().map(|r| r.mpu_speedup_vs_gpu()));
     let dc_energy = geomean(dc.iter().map(|r| r.mpu_energy_savings_vs_gpu()));
     println!(
-        "\nMPU:DualityCache vs GPU (not plotted in the paper): {} speedup, {} energy \
+        "\n{} vs GPU (not plotted in the paper): {} speedup, {} energy \
          savings (paper: 1.6x / 3.6x, capacity-limited).",
+        dc[0].mpu.label,
         fmt_ratio(dc_speed),
         fmt_ratio(dc_energy)
     );
     println!(
-        "Paper reference: MPU:RACER 67x / 47x and MPU:MIMDRAM 156x / 35x mean \
-         speedup / energy savings over the GPU."
+        "Paper reference: {} 67x / 47x and {} 156x / 35x mean \
+         speedup / energy savings over the GPU.",
+        racer[0].mpu.label, mimdram[0].mpu.label
     );
 }

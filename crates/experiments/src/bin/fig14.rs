@@ -1,7 +1,9 @@
 //! Figure 14: end-to-end application speedup and energy savings vs. the
 //! GPU, for Baseline and MPU on RACER and MIMDRAM.
 
-use experiments::{app_matrix_jobs, fmt_ratio, parse_jobs, print_table, SEED};
+use experiments::{
+    app_matrix_jobs, base_and_mpu_headers, fmt_ratio, parse_jobs, print_table, APP_KINDS, SEED,
+};
 
 fn main() {
     let apps = app_matrix_jobs(SEED, parse_jobs());
@@ -32,14 +34,15 @@ fn main() {
             .collect();
         print_table(
             &format!("Fig. 14 — end-to-end {metric} vs GPU"),
-            &["application", "Base:RACER", "MPU:RACER", "Base:MIMDRAM", "MPU:MIMDRAM"],
+            &base_and_mpu_headers("application", &APP_KINDS),
             &rows,
         );
     }
     println!(
-        "\nPaper reference: MPU:RACER/MPU:MIMDRAM reach 198x/229x (LLMEncode) and \
+        "\nPaper reference: {}/{} reach 198x/229x (LLMEncode) and \
          400x/545x (EditDistance) over GPU; BlackScholes remains a GPU win (CORDIC \
          subroutines vs dedicated hardware) but MPU beats Baseline by 2.50x; MPU \
-         energy savings 5.4x/14.2x."
+         energy savings 5.4x/14.2x.",
+        apps[0].mpu[0].label, apps[0].mpu[1].label
     );
 }

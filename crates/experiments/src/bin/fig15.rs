@@ -8,12 +8,12 @@ fn main() {
     let apps = app_matrix_jobs(SEED, parse_jobs());
     let mut rows = Vec::new();
     for a in &apps {
-        for (cfg_idx, name) in [(0usize, "RACER"), (1, "MIMDRAM")] {
-            for (mode, run) in [("MPU", &a.mpu[cfg_idx]), ("Baseline", &a.baseline[cfg_idx])] {
+        for (mpu, baseline) in a.mpu.iter().zip(&a.baseline) {
+            for run in [mpu, baseline] {
                 let (compute, inter, offchip) = run.stats.time_breakdown();
                 rows.push(vec![
                     a.app.to_string(),
-                    format!("{mode}:{name}"),
+                    run.label.clone(),
                     format!("{:.1}%", 100.0 * compute),
                     format!("{:.1}%", 100.0 * inter),
                     format!("{:.1}%", 100.0 * offchip),

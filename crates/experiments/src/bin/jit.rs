@@ -88,7 +88,10 @@ fn main() {
     ]);
 
     print_table(
-        &format!("Execution tiers — compiled vs. block wall-clock, MPU:RACER (n = {N}, warm pool)"),
+        &format!(
+            "Execution tiers — compiled vs. block wall-clock, {} (n = {N}, warm pool)",
+            block_cfg.label()
+        ),
         &["kernel", "ensembles", "compiled ms", "block ms", "speedup"],
         &rows,
     );

@@ -2,7 +2,7 @@
 //! profile plus a Perfetto-loadable Chrome trace.
 //!
 //! ```text
-//! mpu_profile --kernel vecadd [--backend racer|mimdram|dualitycache]
+//! mpu_profile --kernel vecadd [--backend racer|mimdram|duality-cache|pluto|dpu]
 //!             [--mode mpu|baseline] [--n 4096] [--seed 42]
 //!             [--out trace.json]
 //! ```
@@ -12,7 +12,7 @@
 //! written to `--out` (default `mpu_profile.json`) and loads directly in
 //! `chrome://tracing` or <https://ui.perfetto.dev>.
 
-use experiments::{parse_backend, profile_kernel};
+use experiments::profile_kernel;
 use pum_backend::DatapathKind;
 use std::process::ExitCode;
 
@@ -37,7 +37,12 @@ fn parse_args() -> Result<Args, String> {
         let mut value = |flag: &str| args.next().ok_or_else(|| format!("{flag} expects a value"));
         match arg.as_str() {
             "--kernel" => kernel = Some(value("--kernel")?),
-            "--backend" => backend = parse_backend(&value("--backend")?)?,
+            "--backend" => {
+                let name = value("--backend")?;
+                backend = DatapathKind::parse(&name).ok_or_else(|| {
+                    format!("unknown backend {name:?}; expected {}", DatapathKind::tags("|"))
+                })?;
+            }
             "--mode" => {
                 baseline = match value("--mode")?.as_str() {
                     "mpu" => false,
@@ -55,11 +60,11 @@ fn parse_args() -> Result<Args, String> {
             }
             "--out" => out = value("--out")?,
             "--help" | "-h" => {
-                return Err(
-                    "usage: mpu_profile --kernel <name> [--backend racer|mimdram|dualitycache] \
-                            [--mode mpu|baseline] [--n N] [--seed S] [--out trace.json]"
-                        .to_string(),
-                )
+                return Err(format!(
+                    "usage: mpu_profile --kernel <name> [--backend {}] [--mode mpu|baseline] \
+                     [--n N] [--seed S] [--out trace.json]",
+                    DatapathKind::tags("|")
+                ))
             }
             other => return Err(format!("unknown argument {other:?} (try --help)")),
         }

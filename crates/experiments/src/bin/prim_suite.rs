@@ -3,7 +3,7 @@
 //! prefix-scan).
 //!
 //! ```text
-//! prim_suite [--backend racer|mimdram|dualitycache|pluto|dpu|all]
+//! prim_suite [--backend racer|mimdram|duality-cache|pluto|dpu|all]
 //!            [--n 4096] [--seed 42] [--assert] [--out PATH]
 //! ```
 //!
@@ -13,7 +13,7 @@
 //! on drift — the CI table check. `--out` additionally writes the table
 //! to a file (the report artifact CI uploads on failure).
 
-use experiments::{parse_backend, prim_suite, render_prim_suite, BACKEND_ORDER};
+use experiments::{parse_backends, prim_suite, render_prim_suite};
 use pum_backend::DatapathKind;
 use std::process::ExitCode;
 
@@ -32,7 +32,7 @@ struct Args {
 
 fn parse_args() -> Result<Args, String> {
     let mut parsed = Args {
-        backends: BACKEND_ORDER.to_vec(),
+        backends: DatapathKind::ALL.to_vec(),
         n: DEFAULT_N,
         seed: DEFAULT_SEED,
         assert: false,
@@ -42,14 +42,7 @@ fn parse_args() -> Result<Args, String> {
     while let Some(arg) = args.next() {
         let mut value = |flag: &str| args.next().ok_or_else(|| format!("{flag} expects a value"));
         match arg.as_str() {
-            "--backend" => {
-                let name = value("--backend")?;
-                parsed.backends = if name == "all" {
-                    BACKEND_ORDER.to_vec()
-                } else {
-                    vec![parse_backend(&name)?]
-                };
-            }
+            "--backend" => parsed.backends = parse_backends(&value("--backend")?)?,
             "--n" => parsed.n = value("--n")?.parse().map_err(|e| format!("--n: {e}"))?,
             "--seed" => {
                 parsed.seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?;
@@ -57,9 +50,11 @@ fn parse_args() -> Result<Args, String> {
             "--assert" => parsed.assert = true,
             "--out" => parsed.out = Some(value("--out")?),
             "--help" | "-h" => {
-                return Err("usage: prim_suite [--backend racer|mimdram|dualitycache|pluto|dpu\
-                            |all] [--n N] [--seed S] [--assert] [--out PATH]"
-                    .to_string())
+                return Err(format!(
+                    "usage: prim_suite [--backend {}|all] [--n N] [--seed S] [--assert] \
+                     [--out PATH]",
+                    DatapathKind::tags("|")
+                ))
             }
             other => return Err(format!("unknown argument {other:?} (try --help)")),
         }

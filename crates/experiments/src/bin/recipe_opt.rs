@@ -1,7 +1,8 @@
 //! `recipe_opt` — per-rule attribution table for the recipe optimizer.
 //!
 //! ```text
-//! recipe_opt [--backend racer|mimdram|dualitycache|all] [--n 4096] [--seed 42]
+//! recipe_opt [--backend racer|mimdram|duality-cache|pluto|dpu|all] [--n 4096]
+//!            [--seed 42]
 //! ```
 //!
 //! Runs every kernel twice per substrate — optimizer off, then the default
@@ -12,7 +13,7 @@
 //! substrate gives the aggregate payoff. The same table is pinned by the
 //! `recipe_opt_golden` snapshot test.
 
-use experiments::{opt_attribution, parse_backend, render_opt_attribution, BACKEND_ORDER};
+use experiments::{opt_attribution, parse_backends, render_opt_attribution};
 use pum_backend::DatapathKind;
 use std::process::ExitCode;
 
@@ -23,21 +24,14 @@ struct Args {
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut backends: Vec<DatapathKind> = BACKEND_ORDER.to_vec();
+    let mut backends = DatapathKind::ALL.to_vec();
     let mut n = 1 << 12;
     let mut seed = 42;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = |flag: &str| args.next().ok_or_else(|| format!("{flag} expects a value"));
         match arg.as_str() {
-            "--backend" => {
-                let name = value("--backend")?;
-                backends = if name == "all" {
-                    BACKEND_ORDER.to_vec()
-                } else {
-                    vec![parse_backend(&name)?]
-                };
-            }
+            "--backend" => backends = parse_backends(&value("--backend")?)?,
             "--n" => {
                 n = value("--n")?.parse().map_err(|e| format!("--n: {e}"))?;
             }
@@ -45,9 +39,10 @@ fn parse_args() -> Result<Args, String> {
                 seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?;
             }
             "--help" | "-h" => {
-                return Err("usage: recipe_opt [--backend racer|mimdram|dualitycache|all] \
-                            [--n N] [--seed S]"
-                    .to_string())
+                return Err(format!(
+                    "usage: recipe_opt [--backend {}|all] [--n N] [--seed S]",
+                    DatapathKind::tags("|")
+                ))
             }
             other => return Err(format!("unknown argument {other:?} (try --help)")),
         }

@@ -5,11 +5,7 @@ use mastodon::SimConfig;
 use pum_backend::DatapathKind;
 
 fn main() {
-    let configs = [
-        SimConfig::mpu(DatapathKind::Racer),
-        SimConfig::mpu(DatapathKind::Mimdram),
-        SimConfig::mpu(DatapathKind::DualityCache),
-    ];
+    let configs = DatapathKind::EVALUATED.map(SimConfig::mpu);
     let keys: Vec<String> = configs[0].table3_rows().iter().map(|(k, _)| k.clone()).collect();
     let rows: Vec<Vec<String>> = keys
         .iter()
@@ -27,11 +23,10 @@ fn main() {
             row
         })
         .collect();
-    print_table(
-        "Table III — system parameters",
-        &["parameter", "MPU:RACER", "MPU:MIMDRAM", "MPU:DualityCache"],
-        &rows,
-    );
+    let labels = configs.each_ref().map(SimConfig::label);
+    let headers: Vec<&str> =
+        ["parameter"].into_iter().chain(labels.iter().map(String::as_str)).collect();
+    print_table("Table III — system parameters", &headers, &rows);
     println!(
         "\nHost CPU (Baseline offload target): 16-core x86 OoO (Xeon Gold 6544Y-class), \
          8 GB DDR3L."

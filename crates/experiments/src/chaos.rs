@@ -132,7 +132,6 @@ pub fn oracle(spec: &JobSpec) -> Vec<Vec<u64>> {
     spec.outputs.iter().map(|o| mpu.read_register(o.rfh, o.vrf, o.reg)).collect()
 }
 
-const BACKENDS: [DatapathKind; 5] = DatapathKind::ALL;
 const OPS: [&str; 4] = ["add", "and", "or", "xor"];
 
 /// A straight-line compute program: 1–2 ensembles of 2–6 random
@@ -169,7 +168,7 @@ pub fn slow_text(ensembles: usize) -> String {
 }
 
 fn base_spec(rng: &mut StdRng, tenant: String, text: &str) -> JobSpec {
-    let backend = BACKENDS[rng.random_range(0..BACKENDS.len())];
+    let backend = DatapathKind::ALL[rng.random_range(0..DatapathKind::ALL.len())];
     let mut spec = JobSpec::ez(&tenant, backend, text);
     spec.priority = match rng.random_range(0..100u32) {
         0..=14 => Priority::Low,

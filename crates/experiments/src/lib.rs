@@ -172,6 +172,9 @@ pub struct AppComparison {
     pub gpu: Vec<PlatformRun>,
 }
 
+/// The datapaths of the application matrix, in [`AppComparison`] order.
+pub const APP_KINDS: [DatapathKind; 2] = [DatapathKind::Racer, DatapathKind::Mimdram];
+
 /// Runs the end-to-end applications on RACER and MIMDRAM, both modes,
 /// plus the GPU model (the paper's Fig. 14 configuration set).
 ///
@@ -193,7 +196,7 @@ pub fn app_matrix(seed: u64) -> Vec<AppComparison> {
 ///
 /// Panics if an application fails to verify.
 pub fn app_matrix_jobs(seed: u64, jobs: Option<usize>) -> Vec<AppComparison> {
-    let kinds = [DatapathKind::Racer, DatapathKind::Mimdram];
+    let kinds = APP_KINDS;
     let gpu = PlatformModel::rtx4090();
     let apps = workloads::apps::all_apps();
     // Four runs per app: MPU then Baseline, each over `kinds` in order.
@@ -442,7 +445,7 @@ pub fn render_opt_attribution(rows: &[OptAttributionRow], n: u64, seed: u64) -> 
     };
 
     let mut body: Vec<Vec<String>> = Vec::new();
-    for &backend in BACKEND_ORDER {
+    for backend in DatapathKind::ALL {
         let group: Vec<&OptAttributionRow> = rows.iter().filter(|r| r.backend == backend).collect();
         if group.is_empty() {
             continue;
@@ -535,13 +538,14 @@ pub fn prim_suite(
 }
 
 /// Renders the PrIM suite rows as the `prim_suite` table: one line per
-/// kernel/substrate pair, grouped by substrate in [`BACKEND_ORDER`].
+/// kernel/substrate pair, grouped by substrate in [`DatapathKind::ALL`]
+/// order.
 /// Deterministic — the golden snapshot and `--assert` pin it.
 pub fn render_prim_suite(rows: &[PrimSuiteRow], n: u64, seed: u64) -> String {
     let headers =
         ["kernel", "backend", "cycles", "instructions", "uops", "time", "energy"].map(String::from);
     let mut body: Vec<Vec<String>> = Vec::new();
-    for &backend in BACKEND_ORDER {
+    for backend in DatapathKind::ALL {
         for row in rows.iter().filter(|r| r.backend == backend) {
             body.push(vec![
                 row.kernel.to_string(),
@@ -591,10 +595,12 @@ fn render_rows(title: &str, headers: &[String], body: &[Vec<String>]) -> String 
     out
 }
 
-/// A RACER variant built from its shipped micro-op costs: `active` VRFs
-/// per RFH, bit-pipelined or strictly serial.
-fn racer_variant(name: &str, active: usize, pipelined: bool) -> SimConfig {
-    let dp = DatapathBuilder::new(name, LogicFamily::Nor)
+/// A RACER variant named `RACER-{suffix}`, built from its shipped
+/// micro-op costs: `active` VRFs per RFH, bit-pipelined or strictly
+/// serial.
+fn racer_variant(suffix: &str, active: usize, pipelined: bool) -> SimConfig {
+    let name = format!("{}-{suffix}", DatapathModel::racer().name());
+    let dp = DatapathBuilder::new(&name, LogicFamily::Nor)
         .active_vrfs_per_rfh(active)
         .uop(MicroOpKind::Nor, 2, 0.020)
         .uop(MicroOpKind::Copy, 2, 0.025)
@@ -620,12 +626,12 @@ pub fn ablations() -> Result<String, String> {
     let mut one_template = racer.clone();
     one_template.template_entries = 1;
     let variants = [
-        ("sobel", 1 << 12, ["bit-pipelined", "serial"], racer_variant("RACER-nopipe", 1, false)),
+        ("sobel", 1 << 12, ["bit-pipelined", "serial"], racer_variant("nopipe", 1, false)),
         (
             "vecadd",
             1 << 20,
             ["1 active VRF/RFH", "2 active VRFs/RFH"],
-            racer_variant("RACER-2active", 2, true),
+            racer_variant("2active", 2, true),
         ),
         ("crc32", 1 << 12, ["1024 templates", "1 template"], one_template),
     ];
@@ -646,38 +652,28 @@ pub fn ablations() -> Result<String, String> {
             ]);
         }
     }
-    let headers = ["kernel", "n", "RACER variant", "wave cycles", "chip time", "template hit rate"]
+    let name = racer.datapath.name();
+    let variant = format!("{name} variant");
+    let headers = ["kernel", "n", &variant, "wave cycles", "chip time", "template hit rate"]
         .map(String::from);
-    let title = format!("# DESIGN §12 ablations on RACER (seed={SEED}); lane-verified per run");
+    let title = format!("# DESIGN §12 ablations on {name} (seed={SEED}); lane-verified per run");
     Ok(render_rows(&title, &headers, &body))
 }
 
-/// Substrate order for attribution tables and sweeps: the three paper
-/// substrates first, then the pLUTo and DPU models.
-pub const BACKEND_ORDER: &[DatapathKind] = &[
-    DatapathKind::Racer,
-    DatapathKind::Mimdram,
-    DatapathKind::DualityCache,
-    DatapathKind::Pluto,
-    DatapathKind::Dpu,
-];
-
-/// Parses a backend name for the profiling CLI.
+/// Parses a `--backend` value: any [`DatapathKind::parse`] spelling, or
+/// `all` for every shipped backend in [`DatapathKind::ALL`] order.
 ///
 /// # Errors
 ///
-/// Returns a message listing the accepted spellings.
-pub fn parse_backend(name: &str) -> Result<DatapathKind, String> {
-    match name.to_ascii_lowercase().as_str() {
-        "racer" => Ok(DatapathKind::Racer),
-        "mimdram" => Ok(DatapathKind::Mimdram),
-        "dualitycache" | "duality-cache" | "dc" => Ok(DatapathKind::DualityCache),
-        "pluto" => Ok(DatapathKind::Pluto),
-        "dpu" | "upmem" => Ok(DatapathKind::Dpu),
-        other => Err(format!(
-            "unknown backend {other:?}; expected racer, mimdram, dualitycache, pluto, or dpu"
-        )),
+/// Returns a message listing the accepted tags.
+pub fn parse_backends(name: &str) -> Result<Vec<DatapathKind>, String> {
+    if name == "all" {
+        return Ok(DatapathKind::ALL.to_vec());
     }
+    let kind = DatapathKind::parse(name).ok_or_else(|| {
+        format!("unknown backend {name:?}; expected {}|all", DatapathKind::tags("|"))
+    })?;
+    Ok(vec![kind])
 }
 
 /// Parses a `--jobs N` / `--jobs=N` override from the process arguments
@@ -711,9 +707,9 @@ pub fn geomean(values: impl IntoIterator<Item = f64>) -> f64 {
 }
 
 /// Prints an aligned text table.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
+pub fn print_table(title: &str, headers: &[impl AsRef<str>], rows: &[Vec<String>]) {
     println!("\n=== {title} ===");
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
+    let mut widths: Vec<usize> = headers.iter().map(|h| h.as_ref().len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
             if i < widths.len() {
@@ -729,11 +725,18 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
             .collect::<Vec<_>>()
             .join("  ")
     };
-    println!("{}", fmt_row(headers.iter().map(|s| s.to_string()).collect()));
+    println!("{}", fmt_row(headers.iter().map(|s| s.as_ref().to_string()).collect()));
     println!("{}", "-".repeat(widths.iter().sum::<usize>() + 2 * widths.len()));
     for row in rows {
         println!("{}", fmt_row(row.clone()));
     }
+}
+
+/// Table headers `first, Base:X, MPU:X, ...`, one pair per kind's model.
+pub fn base_and_mpu_headers(first: &str, kinds: &[DatapathKind]) -> Vec<String> {
+    let names = kinds.iter().map(|&kind| DatapathModel::for_kind(kind).name().to_string());
+    let pairs = names.flat_map(|name| [format!("Base:{name}"), format!("MPU:{name}")]);
+    std::iter::once(first.to_string()).chain(pairs).collect()
 }
 
 /// Formats a ratio like the paper ("1.79x", "67x").

@@ -3,7 +3,8 @@
 //! harness); re-bless a deliberate change with
 //! `MPU_BLESS=1 cargo test -p experiments prim_suite`.
 
-use experiments::{prim_suite, render_prim_suite, BACKEND_ORDER};
+use experiments::{prim_suite, render_prim_suite};
+use pum_backend::DatapathKind;
 use std::path::PathBuf;
 
 const N: u64 = 1 << 12;
@@ -15,8 +16,8 @@ fn golden_path() -> PathBuf {
 
 #[test]
 fn prim_suite_table_matches_golden() {
-    let rows = prim_suite(BACKEND_ORDER, N, SEED).expect("prim suite sweep");
-    assert_eq!(rows.len(), 7 * BACKEND_ORDER.len(), "one row per PrIM kernel per substrate");
+    let rows = prim_suite(&DatapathKind::ALL, N, SEED).expect("prim suite sweep");
+    assert_eq!(rows.len(), 7 * DatapathKind::ALL.len(), "one row per PrIM kernel per substrate");
 
     let actual = render_prim_suite(&rows, N, SEED);
     let path = golden_path();

@@ -4,7 +4,8 @@
 //! The table is a pure function of the simulator; re-bless a deliberate
 //! change with `MPU_BLESS=1 cargo test -p experiments`.
 
-use experiments::{opt_attribution, render_opt_attribution, BACKEND_ORDER};
+use experiments::{opt_attribution, render_opt_attribution};
+use pum_backend::DatapathKind;
 use std::path::PathBuf;
 
 const N: u64 = 1 << 12;
@@ -18,11 +19,11 @@ fn golden_path() -> PathBuf {
 fn attribution_table_matches_golden_and_meets_floor() {
     // opt_attribution itself enforces lane verification and the uop
     // conservation law (off == on + saved) for every row.
-    let rows = opt_attribution(BACKEND_ORDER, N, SEED).expect("attribution sweep");
-    assert_eq!(rows.len(), 28 * BACKEND_ORDER.len(), "one row per kernel per substrate");
+    let rows = opt_attribution(&DatapathKind::ALL, N, SEED).expect("attribution sweep");
+    assert_eq!(rows.len(), 28 * DatapathKind::ALL.len(), "one row per kernel per substrate");
 
     // Headline floor: >= 10% aggregate dynamic uop reduction somewhere.
-    let best = BACKEND_ORDER
+    let best = DatapathKind::ALL
         .iter()
         .map(|&b| {
             let (off, on): (u64, u64) = rows

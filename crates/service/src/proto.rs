@@ -121,30 +121,6 @@ fn u64_field(v: &Value, key: &str) -> Result<u64, String> {
     v.get(key).and_then(parse_u64).ok_or_else(|| format!("missing u64 field `{key}`"))
 }
 
-/// Wire tag for a backend.
-pub fn backend_to_str(kind: DatapathKind) -> &'static str {
-    match kind {
-        DatapathKind::Racer => "racer",
-        DatapathKind::Mimdram => "mimdram",
-        DatapathKind::DualityCache => "duality-cache",
-        DatapathKind::Pluto => "pluto",
-        DatapathKind::Dpu => "dpu",
-        DatapathKind::Custom => "custom",
-    }
-}
-
-/// Parses a backend wire tag (`Custom` is not wire-constructible).
-pub fn backend_from_str(s: &str) -> Option<DatapathKind> {
-    match s {
-        "racer" => Some(DatapathKind::Racer),
-        "mimdram" => Some(DatapathKind::Mimdram),
-        "duality-cache" => Some(DatapathKind::DualityCache),
-        "pluto" => Some(DatapathKind::Pluto),
-        "dpu" => Some(DatapathKind::Dpu),
-        _ => None,
-    }
-}
-
 fn reg_init_to_json(r: &RegInit) -> Value {
     obj(vec![
         ("rfh", Value::Num(f64::from(r.rfh))),
@@ -184,7 +160,7 @@ pub fn spec_to_json(spec: &JobSpec) -> Value {
     let mut fields = vec![
         ("tenant", Value::Str(spec.tenant.clone())),
         ("priority", Value::Str(spec.priority.as_str().into())),
-        ("backend", Value::Str(backend_to_str(spec.backend).into())),
+        ("backend", Value::Str(spec.backend.tag().into())),
         ("program", program),
         ("inputs", Value::Arr(spec.inputs.iter().map(reg_init_to_json).collect())),
         (
@@ -224,8 +200,8 @@ pub fn spec_from_json(v: &Value) -> Result<JobSpec, String> {
     let tenant = str_field(v, "tenant")?;
     let priority = Priority::from_str_tag(&str_field(v, "priority")?)
         .ok_or("bad `priority` (low/normal/high)")?;
-    let backend = backend_from_str(&str_field(v, "backend")?)
-        .ok_or("bad `backend` (racer/mimdram/duality-cache/pluto/dpu)")?;
+    let backend = DatapathKind::parse(&str_field(v, "backend")?)
+        .ok_or_else(|| format!("bad `backend` ({})", DatapathKind::tags("/")))?;
     let pv = v.get("program").ok_or("missing `program`")?;
     let program = match str_field(pv, "kind")?.as_str() {
         "ezpim" => ProgramSource::EzText(str_field(pv, "text")?),
@@ -529,6 +505,21 @@ mod tests {
         assert_eq!(back.outputs, spec.outputs);
         assert_eq!(back.deadline_ms, spec.deadline_ms);
         assert_eq!(back.fault.unwrap().seed, spec.fault.unwrap().seed);
+    }
+
+    #[test]
+    fn every_backend_tag_round_trips_and_unknown_tags_are_rejected() {
+        for kind in DatapathKind::ALL {
+            let mut spec = sample_spec();
+            spec.backend = kind;
+            let json = spec_to_json(&spec);
+            assert_eq!(json.get("backend").and_then(Value::as_str), Some(kind.tag()));
+            let text = json.to_string();
+            assert_eq!(spec_from_json(&Value::parse(&text).unwrap()).unwrap().backend, kind);
+        }
+        let text = spec_to_json(&sample_spec()).to_string().replace("\"pluto\"", "\"custom\"");
+        let err = spec_from_json(&Value::parse(&text).unwrap()).unwrap_err();
+        assert_eq!(err, "bad `backend` (racer/mimdram/duality-cache/pluto/dpu)");
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //! [`FaultConfig`] describes *what goes wrong*: it is expanded into one
 //! seeded [`FaultModel`] per VRF (each with its own derived, uncorrelated
 //! PRNG stream) plus a NoC-level drop/corruption stream. The per-micro-op
-//! transient rate is weighted by [`kind_weight`] so each technology's
-//! dominant analog failure mechanism — TRA charge-sharing in DRAM, NOR
-//! pull-down in ReRAM, bitline upsets in SRAM — carries the bulk of the
-//! configured rate.
+//! transient rate is weighted by the logic family's table
+//! ([`pum_backend::FamilyTable::kinds`]) so each technology's dominant
+//! analog failure mechanism — TRA charge-sharing in DRAM, NOR pull-down in
+//! ReRAM, bitline upsets in SRAM — carries the bulk of the configured
+//! rate.
 //!
 //! [`RecoveryPolicy`] describes *what the machine does about it*: modular
 //! redundancy over compute ensembles with bounded retry, permanent-fault
@@ -19,7 +20,7 @@
 //! With `seed: None` (the default) no fault model is ever built and the
 //! simulator is byte-identical to one without the fault layer.
 
-use pum_backend::{FaultModel, FaultPrng, LogicFamily, MicroOpKind};
+use pum_backend::{FaultModel, FaultPrng, LogicFamily};
 
 /// Location of one permanently stuck bit-line lane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,7 +47,7 @@ pub struct FaultConfig {
     pub seed: Option<u64>,
     /// Per-micro-op transient bit-plane flip probability for a
     /// technology's dominant mechanism; other micro-op kinds scale by
-    /// [`kind_weight`].
+    /// their family-table weight.
     pub transient_rate: f64,
     /// Probability that a *runtime* register write (message delivery,
     /// transfer landing) flips one bit.
@@ -68,6 +69,9 @@ impl FaultConfig {
     /// Expands the configuration into the fault model for one VRF, with a
     /// stream seed derived from `(seed, mpu, rfh, vrf)` so every VRF's
     /// fault sequence is independent and replayable. `None` when disabled.
+    ///
+    /// Each kind's rate is the family-table weight per lane; a word-serial
+    /// micro-op walks all `lanes`, so its weight scales by the lane count.
     pub fn vrf_model(
         &self,
         family: LogicFamily,
@@ -80,10 +84,10 @@ impl FaultConfig {
         let salt = ((mpu as u64) << 32) | ((rfh as u64) << 16) | vrf as u64;
         let mut model = FaultModel::new(FaultPrng::derive(seed, salt), lanes);
         if self.transient_rate > 0.0 {
-            for kind in MicroOpKind::ALL {
-                let weight = kind_weight(family, kind);
+            let lanes_per_op = if family.word_serial() { lanes as f64 } else { 1.0 };
+            for &(kind, weight) in family.table().kinds {
                 if weight > 0.0 {
-                    model.set_transient_rate(kind, self.transient_rate * weight);
+                    model.set_transient_rate(kind, self.transient_rate * (weight * lanes_per_op));
                 }
             }
         }
@@ -100,64 +104,6 @@ impl FaultConfig {
     /// disabled.
     pub fn noc_seed(&self) -> Option<u64> {
         self.seed.map(|s| FaultPrng::derive(s, u64::MAX))
-    }
-}
-
-/// Relative transient-fault weight of a micro-op kind within a logic
-/// family: the family's dominant analog mechanism carries weight 1.0 and
-/// the configured `transient_rate` applies to it directly; cheaper or
-/// digitally-latched operations fail proportionally less often.
-pub fn kind_weight(family: LogicFamily, kind: MicroOpKind) -> f64 {
-    use MicroOpKind::*;
-    match family {
-        // ReRAM: state-dependent voltage division on the NOR pull-down is
-        // the analog step; buffer moves and presets are near-digital.
-        LogicFamily::Nor => match kind {
-            Nor => 1.0,
-            Copy => 0.1,
-            Set => 0.05,
-            _ => 0.0,
-        },
-        // DRAM: triple-row-activation charge sharing dominates; the
-        // dual-contact NOT and AAP row copies also disturb charge.
-        LogicFamily::Maj => match kind {
-            Tra => 1.0,
-            Not => 0.3,
-            Copy => 0.2,
-            Set => 0.1,
-            _ => 0.0,
-        },
-        // SRAM: bitline logic suffers read upsets; the CMOS full adder is
-        // latched and sturdier; copies/presets are ordinary array writes.
-        LogicFamily::Bitline => match kind {
-            And | Or | Xor => 1.0,
-            FullAdd => 0.5,
-            Copy => 0.1,
-            Set => 0.05,
-            _ => 0.0,
-        },
-        // pLUTo: the LUT row activation and column read-out is the analog
-        // step; buffer moves and presets are near-digital.
-        LogicFamily::Lut => match kind {
-            Lut => 1.0,
-            Copy => 0.1,
-            Set => 0.05,
-            _ => 0.0,
-        },
-        // DPU: one word micro-op stands in for an entire vector
-        // instruction — the pipeline walks all 64 lanes serially, so the
-        // per-op exposure integrates over the whole loop rather than a
-        // single row activation. The base rate is calibrated per row-op,
-        // hence the weight scales with lane count (64 for the DPU
-        // geometry) and, for the multi-cycle multiply/divide sequencers,
-        // with their relative occupancy (8x / ~13x an ALU op) discounted
-        // by the 0.7 latch-density factor of the shared sequencer.
-        LogicFamily::WordSerial => match kind {
-            WordAlu => 64.0,
-            WordMul => 358.0,
-            WordDiv => 597.0,
-            _ => 0.0,
-        },
     }
 }
 
@@ -276,13 +222,17 @@ mod tests {
     }
 
     #[test]
-    fn dominant_mechanism_carries_full_weight() {
-        assert_eq!(kind_weight(LogicFamily::Nor, MicroOpKind::Nor), 1.0);
-        assert_eq!(kind_weight(LogicFamily::Maj, MicroOpKind::Tra), 1.0);
-        assert_eq!(kind_weight(LogicFamily::Bitline, MicroOpKind::Xor), 1.0);
-        // Kinds a family never issues carry no weight.
-        assert_eq!(kind_weight(LogicFamily::Nor, MicroOpKind::Tra), 0.0);
-        assert_eq!(kind_weight(LogicFamily::Maj, MicroOpKind::Nor), 0.0);
+    fn word_serial_weights_scale_with_lanes() {
+        use pum_backend::MicroOpKind::{WordAlu, WordDiv, WordMul};
+        let cfg = FaultConfig { seed: Some(3), transient_rate: 1e-4, ..Default::default() };
+        // At 64 lanes: the whole-op weights the DPU has always drawn with.
+        for (lanes, weights) in [(64, [64.0, 358.0, 597.0]), (32, [32.0, 179.0, 298.5])] {
+            let mut want = FaultModel::new(FaultPrng::derive(3, 0), lanes);
+            for (kind, weight) in [WordAlu, WordMul, WordDiv].into_iter().zip(weights) {
+                want.set_transient_rate(kind, 1e-4 * weight);
+            }
+            assert_eq!(cfg.vrf_model(LogicFamily::WordSerial, 0, 0, 0, lanes), Some(want));
+        }
     }
 
     #[test]

@@ -87,7 +87,7 @@ mod trace;
 pub use autotune::{autotune, EnsembleShape, TuneResult};
 pub use chrome::{chrome_trace_json, NOC_TID};
 pub use config::{ControlCosts, ExecutionMode, NocParams, OffloadParams, SimConfig};
-pub use fault::{kind_weight, FaultConfig, RecoveryPolicy, Redundancy, StuckLane};
+pub use fault::{FaultConfig, RecoveryPolicy, Redundancy, StuckLane};
 pub use machine::{
     run_single, run_single_pooled, run_single_traced, EnsembleKind, Message, Mpu, MpuCheckpoint,
     RegisterInit, RemoteWrite, RunControl, SimError, StepEvent, RETURN_STACK_DEPTH,

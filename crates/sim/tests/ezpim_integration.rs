@@ -11,8 +11,6 @@ fn r(i: u16) -> RegId {
     RegId(i)
 }
 
-const BACKENDS: [DatapathKind; 5] = DatapathKind::ALL;
-
 fn lanes_for(kind: DatapathKind) -> usize {
     SimConfig::mpu(kind).datapath.geometry().lanes_per_vrf
 }
@@ -20,7 +18,7 @@ fn lanes_for(kind: DatapathKind) -> usize {
 #[test]
 fn while_loop_collatz_style_countdown() {
     // r0 -= r2 while r0 > r1; with per-lane iteration counts.
-    for kind in BACKENDS {
+    for kind in DatapathKind::ALL {
         let lanes = lanes_for(kind);
         let mut ez = EzProgram::new();
         ez.ensemble(&[(0, 0)], |b| {
@@ -88,7 +86,7 @@ fn nested_if_inside_while_diverges_per_lane() {
 #[test]
 fn for_loop_accumulates_fixed_count() {
     // for (r5 = 0; r5 < r6; r5++) r0 += r1, with r6 = 10, r1 = 3.
-    for kind in BACKENDS {
+    for kind in DatapathKind::ALL {
         let lanes = lanes_for(kind);
         let mut ez = EzProgram::new();
         ez.ensemble(&[(0, 0)], |b| {

@@ -9,17 +9,15 @@
 //! than a particular precomputed answer.
 
 use conformance::ref_geometry;
-use mpu::backend::{DatapathKind, Plane};
+use mpu::backend::{DatapathKind, DatapathModel, Plane};
 use mpu::ezpim;
 use mpu::isa::Program;
 use mpu::mastodon::{run_single, Mpu, SimConfig, System};
 use refmodel::{run_ref, LaneInit, RefMpu, RefSystem};
 
-const BACKENDS: [DatapathKind; 5] = DatapathKind::ALL;
-
 /// Runs `program` on the reference model with `kind`'s geometry.
 fn reference(kind: DatapathKind, program: &Program, inputs: &[LaneInit]) -> RefMpu {
-    run_ref(ref_geometry(kind), program, inputs).expect("reference run")
+    run_ref(ref_geometry(&DatapathModel::for_kind(kind)), program, inputs).expect("reference run")
 }
 
 #[test]
@@ -40,7 +38,7 @@ ensemble h0.v0 {
     let decoded = Program::decode(&words).unwrap();
     assert_eq!(program, decoded);
 
-    for kind in BACKENDS {
+    for kind in DatapathKind::ALL {
         let cfg = SimConfig::mpu(kind);
         let lanes = cfg.datapath.geometry().lanes_per_vrf;
         let init: Vec<u64> = (0..lanes as u64).map(|i| i % 11).collect();
@@ -76,7 +74,7 @@ fn same_binary_same_results_across_backends() {
     )
     .unwrap();
     let mut outcomes = Vec::new();
-    for kind in BACKENDS {
+    for kind in DatapathKind::ALL {
         let cfg = SimConfig::mpu(kind);
         let lanes = cfg.datapath.geometry().lanes_per_vrf;
         let inputs: Vec<((u16, u16, u8), Vec<u64>)> = vec![
@@ -116,7 +114,7 @@ fn multi_mpu_pipeline_with_compute_and_comm() {
         .unwrap()
         .assemble()
         .unwrap();
-    for kind in BACKENDS {
+    for kind in DatapathKind::ALL {
         let cfg = SimConfig::mpu(kind);
         let lanes = cfg.datapath.geometry().lanes_per_vrf;
         let mut sys = System::new(cfg, 2);
@@ -126,7 +124,7 @@ fn multi_mpu_pipeline_with_compute_and_comm() {
         sys.mpu_mut(1).write_register(0, 0, 1, &vec![19; lanes]).unwrap();
         let stats = sys.run().unwrap();
 
-        let mut rsys = RefSystem::new(ref_geometry(kind), 2);
+        let mut rsys = RefSystem::new(ref_geometry(&DatapathModel::for_kind(kind)), 2);
         rsys.set_program(0, p0.clone());
         rsys.set_program(1, p1.clone());
         rsys.mpu_mut(0).write_register(0, 0, 0, &vec![9; lanes]);
@@ -198,7 +196,7 @@ fn mask_state_is_architecturally_visible() {
     .unwrap();
     let a: Vec<u64> = (0..64).collect();
     let b: Vec<u64> = (0..64).map(|i| if i % 3 == 0 { i } else { 99 }).collect();
-    for kind in BACKENDS {
+    for kind in DatapathKind::ALL {
         let inputs: Vec<((u16, u16, u8), Vec<u64>)> =
             vec![((0, 0, 0), a.clone()), ((0, 0, 1), b.clone())];
         let mut mpu = Mpu::new(SimConfig::mpu(kind), 0.into());
