@@ -6,8 +6,9 @@
 //!
 //! * compute instructions become compute steps; the simulator resolves
 //!   each one's compiled recipe through its per-step template-table probe,
-//!   and executes a run of consecutive compute steps in one pass per VRF
-//!   ([`run_batch`]);
+//!   and executes a run of consecutive compute steps in one pass over the
+//!   whole thermal wave ([`run_batch`]), decoding each micro-op once per
+//!   wave;
 //! * `SETMASK`, `UNMASK`, `NOP` and `GETMASK` (a mask-to-register copy)
 //!   are plain steps;
 //! * `JUMP_COND` (EFI), `JUMP` (a call) and `RETURN` are explicit edges
@@ -183,34 +184,67 @@ pub fn decode_body(body: &[Instruction], entry: usize) -> BlockGraph {
     BlockGraph { steps, entry: entry.min(body.len()) }
 }
 
-/// Executes a run of consecutive compute steps' compiled recipes over one
-/// VRF, in order, with plane writes byte-identical to running each with
-/// [`BitPlaneVrf::run_compiled`].
+/// Executes a run of consecutive compute steps' compiled recipes over the
+/// thermal wave whose member VRFs are `vrfs[m]` for each `m` of `members`,
+/// with plane writes byte-identical to running the recipes one at a time,
+/// each on every member in turn, with [`BitPlaneVrf::run_compiled`]. A
+/// single VRF is the wave `&[0]` of a one-VRF slice.
 ///
-/// A [`CompiledRecipe::fast`] recipe on a fault-free VRF with
-/// mask-honouring enabled runs on the bookkeeping-free word loop, which
-/// skips the recipe's mask merges while every lane is enabled (a merge
-/// under a full mask is the plain write). Any other recipe runs with
-/// [`BitPlaneVrf::run_compiled`].
+/// When no member repeats and every member is fault-free with
+/// mask-honouring enabled, each maximal stretch of
+/// [`CompiledRecipe::fast`] recipes runs op-major on the bookkeeping-free
+/// word loop: every micro-op is decoded once and applied to each member
+/// before the next. Members are independent, so that leaves each one as
+/// running its recipes alone. The recipes' mask merges are skipped when
+/// every member's mask is full (a merge under a full mask is the plain
+/// write), and kept on every member otherwise. Any other recipe — and
+/// every recipe of a wave that names a VRF twice, whose two copies are
+/// not independent — runs recipe by recipe and, within each, member by
+/// member with [`BitPlaneVrf::run_compiled`].
 ///
 /// # Panics
 ///
-/// Panics if a recipe was compiled for a different VRF geometry.
-pub fn run_batch(vrf: &mut BitPlaneVrf, recipes: &[Arc<CompiledRecipe>]) {
-    let plain = vrf.fault_model().is_none() && vrf.mask_enabled();
-    for recipe in recipes {
-        if plain && recipe.fast() {
-            assert_eq!(
-                (recipe.lanes(), recipe.regs()),
-                (vrf.lanes(), vrf.regs()),
-                "compiled recipe targets a different VRF geometry"
-            );
-            let mask_full = vrf.mask_lanes() == vrf.lanes();
-            compiled::run_ops_fast(vrf, recipe.ops(), mask_full);
+/// Panics if a member is out of range for `vrfs`, or if a recipe was
+/// compiled for a different VRF geometry.
+pub fn run_batch(vrfs: &mut [BitPlaneVrf], members: &[usize], recipes: &[Arc<CompiledRecipe>]) {
+    // A wave is usually listed in ascending slot order already; any other
+    // order is sorted into a copy.
+    let mut ascending = std::borrow::Cow::Borrowed(members);
+    if !members.is_sorted() {
+        ascending.to_mut().sort_unstable();
+    }
+    let plain = |&m: &usize| vrfs[m].fault_model().is_none() && vrfs[m].mask_enabled();
+    let op_major = ascending.is_sorted_by(|a, b| a < b) && ascending.iter().all(plain);
+    let mut rest = recipes;
+    while let Some(recipe) = rest.first() {
+        if op_major && recipe.fast() {
+            let fast = rest.iter().take_while(|r| r.fast()).count();
+            compiled::run_ops_fast(borrow_members(vrfs, &ascending), &rest[..fast]);
+            rest = &rest[fast..];
         } else {
-            vrf.run_compiled(recipe);
+            for &m in members {
+                vrfs[m].run_compiled(recipe);
+            }
+            rest = &rest[1..];
         }
     }
+}
+
+/// Mutable borrows of `vrfs[m]` for every `m` of the strictly ascending
+/// `members`, in order.
+fn borrow_members<'a>(
+    mut vrfs: &'a mut [BitPlaneVrf],
+    members: &'a [usize],
+) -> impl Iterator<Item = &'a mut BitPlaneVrf> {
+    let mut next = 0;
+    members.iter().map(move |&m| {
+        let (member, rest) = std::mem::take(&mut vrfs)[m - next..]
+            .split_first_mut()
+            .expect("wave member out of range for the VRF store");
+        vrfs = rest;
+        next = m + 1;
+        member
+    })
 }
 
 #[cfg(test)]
@@ -264,7 +298,7 @@ mod tests {
                     instr,
                     Instruction::SetMask { .. } | Instruction::Unmask | Instruction::Nop
                 ) {
-                    run_batch(&mut b, &run);
+                    run_batch(std::slice::from_mut(&mut b), &[0], &run);
                     run.clear();
                 }
                 match instr {

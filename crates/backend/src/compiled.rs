@@ -28,8 +28,10 @@
 //! bookkeeping path ([`run_ops`]) reaches it through
 //! [`BitPlaneVrf::plane_op`], which picks the width per op and finishes
 //! each write; the fast loop ([`run_ops_fast`]) picks the width once per
-//! recipe, so at the shipped widths (1, 4 and 8 words per plane) every op
-//! is one fully unrolled `[u64; W]` load-compute-store.
+//! run of recipes and applies each op to every VRF of a wave before the
+//! next op, so at the shipped widths (1, 4 and 8 words per plane) every op
+//! is decoded once per wave and runs as one fully unrolled `[u64; W]`
+//! load-compute-store per VRF.
 //!
 //! Compilation changes no plane write: a compiled recipe executes the
 //! *same* plane writes, with the same fault-site draws, in the same order
@@ -43,6 +45,7 @@ use crate::bitplane::{
 use crate::microop::{lut3_word, MicroOp, MicroOpKind};
 use crate::DATA_BITS;
 use mpu_isa::Instruction;
+use std::sync::Arc;
 
 /// The word function of a compiled gate, decoded from its truth table
 /// (see [`decode`]). Functions of one input read `a`, of two `a` and `b`.
@@ -375,8 +378,8 @@ pub(crate) fn compile(ops: &[MicroOp], lanes: usize, regs: usize) -> CompiledRec
 }
 
 /// Where decoded ops run their word loop: the VRF itself, with its
-/// post-write bookkeeping, for [`run_ops`]; bare storage at one chunk
-/// width for [`run_ops_fast`]. Both run [`plane_kernel`]: `out =
+/// post-write bookkeeping, for [`run_ops`]; a wave's bare storages at one
+/// chunk width for [`run_ops_fast`]. Both run [`plane_kernel`]: `out =
 /// f(ins)` over word offsets into VRF storage, with `out` free to alias
 /// any input.
 trait WordLoops {
@@ -483,80 +486,134 @@ pub(crate) fn run_ops(vrf: &mut BitPlaneVrf, ops: &[CompiledOp]) {
     }
 }
 
-/// Bare VRF storage at chunk width `W`: the word loop of [`run_ops_fast`],
-/// with every post-write bookkeeping step statically discharged.
-struct FastLoops<'a, const W: usize> {
-    st: &'a mut [u64],
+/// A wave's bare VRF storages at chunk width `W`: the word loop of
+/// [`run_ops_fast`], with every post-write bookkeeping step statically
+/// discharged. Each op runs over every member before the next op, so it is
+/// decoded once per wave. The first member's storage is held apart from
+/// the rest's: a wave of one allocates nothing and runs each op as a
+/// single kernel call, as a lone VRF would.
+struct FastLoops<'a, 'b, const W: usize> {
+    first: &'a mut [u64],
+    rest: &'a mut [&'b mut [u64]],
     chunks: usize,
     mask: usize,
 }
 
-impl<const W: usize> WordLoops for FastLoops<'_, W> {
+impl<const W: usize> WordLoops for FastLoops<'_, '_, W> {
     #[inline(always)]
     fn op(&mut self, ins: [usize; 3], out: usize, masked: bool, f: impl Fn(u64, u64, u64) -> u64) {
-        plane_kernel::<W>(self.st, self.chunks, ins, out, masked.then_some(self.mask), f)
+        let mask = masked.then_some(self.mask);
+        plane_kernel::<W>(self.first, self.chunks, ins, out, mask, &f);
+        for st in self.rest.iter_mut() {
+            plane_kernel::<W>(st, self.chunks, ins, out, mask, &f)
+        }
     }
 }
 
-/// Executes a slice of resolved ops with every [`BitPlaneVrf`] post-write
-/// bookkeeping step statically discharged — the block tier's fast path.
+/// Executes fast recipes, in order, over a wave of distinct VRFs with
+/// every [`BitPlaneVrf`] post-write bookkeeping step statically
+/// discharged — the block tier's fast path. Each micro-op is decoded once
+/// and applied to every member before the next one.
 ///
 /// The caller must have proven:
 ///
-/// * `lanes % 64 == 0` — no padding bits to re-zero after a write;
-/// * no op in the stream writes the mask plane — the cached mask popcount
-///   cannot go stale;
-/// * no op is word-serial
-///   (the first three are [`CompiledRecipe::fast`]);
-/// * no fault model is attached — no fault-site draws, no forced lanes;
-/// * mask-honouring is enabled (no suspended `GETMASK` readout in flight).
+/// * every recipe is [`CompiledRecipe::fast`]: `lanes % 64 == 0` (no
+///   padding bits to re-zero after a write), no op writes the mask plane
+///   (the cached mask popcount cannot go stale), no op is word-serial;
+/// * no member has a fault model — no fault-site draws, no forced lanes;
+/// * every member has mask-honouring enabled (no suspended `GETMASK`
+///   readout in flight);
+/// * no VRF is a member twice. Members are independent, so running op by
+///   op across the wave leaves each one as running its recipes alone.
 ///
 /// Under those conditions `finish_write` is a no-op for every single op,
 /// so this loop performs the *identical* plane writes as [`run_ops`] —
 /// byte-identical storage afterwards — while touching only the operand
-/// words. With `mask_full` (the caller knows every lane is enabled) the
-/// masked merge `(new & m) | (old & !m)` equals the plain write, so the
-/// ops' mask flags are ignored.
-pub(crate) fn run_ops_fast(vrf: &mut BitPlaneVrf, ops: &[CompiledOp], mask_full: bool) {
-    debug_assert!(vrf.fault_model().is_none(), "fast path excludes fault models");
-    debug_assert!(vrf.mask_enabled(), "fast path requires mask-honouring enabled");
-    debug_assert_eq!(vrf.lanes() % 64, 0, "fast path requires no padding bits");
-    struct Fast<'a> {
-        st: &'a mut [u64],
+/// words. When every member's mask is full, the masked merge
+/// `(new & m) | (old & !m)` equals the plain write, so the ops' mask flags
+/// are ignored; otherwise every member merges.
+///
+/// # Panics
+///
+/// Panics if a recipe or a member has a different geometry than the first
+/// member.
+pub(crate) fn run_ops_fast<'v>(
+    wave: impl IntoIterator<Item = &'v mut BitPlaneVrf>,
+    recipes: &[Arc<CompiledRecipe>],
+) {
+    struct Fast<'a, 'b> {
+        first: &'a mut [u64],
+        rest: &'a mut [&'b mut [u64]],
         mask: usize,
-        ops: &'a [CompiledOp],
+        recipes: &'a [Arc<CompiledRecipe>],
         merge: bool,
     }
-    impl WidthJob for Fast<'_> {
+    impl WidthJob for Fast<'_, '_> {
         // Inlined into each arm of `with_width`, so at the shipped widths
         // the chunk count is the literal 1 and each op is one fully
-        // unrolled `[u64; W]` load-compute-store.
+        // unrolled `[u64; W]` load-compute-store per member.
         #[inline(always)]
         fn run<const W: usize>(self, chunks: usize) {
-            let l = &mut FastLoops::<W> { st: self.st, chunks, mask: self.mask };
+            let (first, rest, mask) = (self.first, self.rest, self.mask);
+            let l = &mut FastLoops::<W> { first, rest, chunks, mask };
             let merge = self.merge;
-            for op in self.ops {
-                match *op {
-                    CompiledOp::Gate { func, a, b, c, out, masked, .. } => {
-                        run_gate(l, func, [a, b, c], out, masked && merge)
-                    }
-                    CompiledOp::FullAdd { a, b, carry, sum, latch, carry_masked, sum_masked } => {
-                        let (carry_masked, sum_masked) =
-                            (carry_masked && merge, sum_masked && merge);
-                        run_full_add(l, a, b, carry, sum, latch, carry_masked, sum_masked)
-                    }
-                    CompiledOp::Word { .. } => {
-                        // Word ops need the whole VRF (transpose reads/writes),
-                        // so a recipe containing one is never fast.
-                        unreachable!("word-serial ops are excluded from the fast path")
+            for recipe in self.recipes {
+                for op in recipe.ops() {
+                    match *op {
+                        CompiledOp::Gate { func, a, b, c, out, masked, .. } => {
+                            run_gate(l, func, [a, b, c], out, masked && merge)
+                        }
+                        CompiledOp::FullAdd {
+                            a,
+                            b,
+                            carry,
+                            sum,
+                            latch,
+                            carry_masked,
+                            sum_masked,
+                        } => {
+                            let (carry_masked, sum_masked) =
+                                (carry_masked && merge, sum_masked && merge);
+                            run_full_add(l, a, b, carry, sum, latch, carry_masked, sum_masked)
+                        }
+                        CompiledOp::Word { .. } => {
+                            // Word ops need the whole VRF (transpose reads/writes),
+                            // so a recipe containing one is never fast.
+                            unreachable!("word-serial ops are excluded from the fast path")
+                        }
                     }
                 }
             }
         }
     }
-    let (words, mask) = (vrf.words(), vrf.mask_base());
-    // The width is fixed per VRF, so it is matched once per recipe.
-    with_width(words, Fast { st: vrf.storage_mut(), mask, ops, merge: !mask_full });
+    let mut wave = wave.into_iter();
+    let Some(first) = wave.next() else { return };
+    let (lanes, regs, words, mask) =
+        (first.lanes(), first.regs(), first.words(), first.mask_base());
+    let mut merge = false;
+    let mut check = |v: &BitPlaneVrf| {
+        assert_eq!((v.lanes(), v.regs()), (lanes, regs), "wave members differ in geometry");
+        debug_assert!(v.fault_model().is_none(), "fast path excludes fault models");
+        debug_assert!(v.mask_enabled(), "fast path requires mask-honouring enabled");
+        merge |= v.mask_lanes() != lanes;
+    };
+    check(first);
+    let mut rest: Vec<&mut [u64]> = wave
+        .map(|v| {
+            check(v);
+            v.storage_mut()
+        })
+        .collect();
+    for recipe in recipes {
+        debug_assert!(recipe.fast(), "the fast path runs fast recipes only");
+        assert_eq!(
+            (recipe.lanes(), recipe.regs()),
+            (lanes, regs),
+            "compiled recipe targets a different VRF geometry"
+        );
+    }
+    // The width is fixed per geometry, so it is matched once per run.
+    with_width(words, Fast { first: first.storage_mut(), rest: &mut rest, mask, recipes, merge });
 }
 
 #[cfg(test)]
@@ -785,7 +842,8 @@ mod tests {
                             // The fast loop against the oracle.
                             oracle(base_fast, &mut want, op);
                             let mut fast = base_fast.clone();
-                            run_ops_fast(&mut fast, compile(&[op], *fast_lanes, 4).ops(), false);
+                            let recipe = Arc::new(compile(&[op], *fast_lanes, 4));
+                            run_ops_fast([&mut fast], &[recipe]);
                             assert!(fast == want, "run_ops_fast as {func:?}: {op:?}");
                         }
                     }

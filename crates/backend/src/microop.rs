@@ -529,7 +529,11 @@ pub(crate) fn apply_word(vrf: &mut BitPlaneVrf, instr: &Instruction) {
         Instruction::Binary { op, rs, rt, rd } => {
             let xs = vrf.read_lane_values(r(rs));
             let ys = vrf.read_lane_values(r(rt));
-            let acc = vrf.read_lane_values(r(rd)); // MUX and MAC read rd
+            // Only MUX and MAC read rd: skip its transpose for the rest.
+            let acc = match op {
+                BinaryOp::Mac | BinaryOp::Mux => vrf.read_lane_values(r(rd)),
+                _ => vec![0; lanes],
+            };
             if op == BinaryOp::QRDiv {
                 let rem: Vec<u64> = (0..lanes).map(|i| sem::qrdiv(xs[i], ys[i]).1).collect();
                 vrf.store_lane_values(r(rt), &rem);
@@ -749,5 +753,17 @@ mod tests {
         };
         MicroOp::Word { instr: add }.apply(&mut v);
         assert_eq!(v.read_lane_values(2), vec![11, 22, 33, 44, 55, 66, 77, 88]);
+    }
+
+    #[test]
+    fn word_binaries_read_rd_only_for_mac_and_mux() {
+        // `apply_word` hands every other op a zero `rd`, so none may read it.
+        use crate::recipe::semantics::binary;
+        for op in BinaryOp::ALL {
+            let reads_rd = [0, 1, u64::MAX, 0x1234_5678_9abc_def0].iter().any(|&rd| {
+                binary(op, 0xdead_beef, 0x1357_9bdf, rd) != binary(op, 0xdead_beef, 0x1357_9bdf, 0)
+            });
+            assert_eq!(reads_rd, matches!(op, BinaryOp::Mac | BinaryOp::Mux), "{op:?}");
+        }
     }
 }

@@ -7,8 +7,9 @@
 //! pre-optimization implementation — and these properties pit the two
 //! against each other across all logic families, random mask patterns,
 //! random micro-op soups, and aliased `out == a` / `out == b` operands.
-//! A last property pins the block tier's width-specialized word loops
-//! (`run_batch`) to op-by-op execution at every plane width.
+//! The last two properties pin the block tier's width-specialized word
+//! loops (`run_batch`) to op-by-op execution at every plane width, and its
+//! wave-wide runs to each member running its recipes alone.
 
 use proptest::prelude::*;
 use pum_backend::{
@@ -400,7 +401,7 @@ proptest! {
                 reference.apply(op);
             }
             compiled_vrf.run_compiled(&compiled);
-            run_batch(&mut batch_vrf, &[compiled]);
+            run_batch(std::slice::from_mut(&mut batch_vrf), &[0], &[compiled]);
             let ctx = format!("{family:?}/{name} at {lanes} lanes");
             assert_engines_agree(&fast, &reference, &format!("{ctx} interpreted"));
             assert_eq!(fast, compiled_vrf, "{ctx}: compiled form diverged");
@@ -564,10 +565,99 @@ proptest! {
                     reference.apply(op);
                 }
                 assert_engines_agree(&applied, &reference, &format!("{lanes} lanes, {name} mask"));
-                run_batch(&mut batched, std::slice::from_ref(&compiled));
+                let run = std::slice::from_ref(&compiled);
+                run_batch(std::slice::from_mut(&mut batched), &[0], run);
                 stepped.run_compiled(&compiled);
                 prop_assert!(batched == applied, "run_batch at {} lanes, {} mask", lanes, name);
                 prop_assert!(stepped == applied, "run_compiled at {} lanes, {} mask", lanes, name);
+            }
+        }
+    }
+}
+
+// ----------------------------------------------------------------------
+// Wave-wide runs
+// ----------------------------------------------------------------------
+
+/// VRFs in the store a wave's members index.
+const STORE: usize = 8;
+
+/// A seeded draw from `0..n`.
+fn below(state: &mut u64, n: u64) -> u64 {
+    random_words(state, 1)[0] % n
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `run_batch` over a wave — 1 to 8 members of an 8-VRF store, distinct
+    /// or repeating one — leaves the store as running the recipes through
+    /// `run_compiled` recipe by recipe and, within each, member by member
+    /// (for distinct members: each member running its recipes alone). At
+    /// 1, 4 and 8 words per plane, with every member's mask full, partial
+    /// or empty, random fast recipes with aliased operands, and now and
+    /// then a recipe that writes the mask and so is not fast.
+    #[test]
+    fn wave_runs_match_members_running_alone(
+        seed in any::<u64>(),
+        specs in prop::collection::vec(
+            (any::<u8>(), 0usize..64, 0usize..64, 0usize..64, 0usize..64, any::<u8>()),
+            48,
+        ),
+    ) {
+        let mut state = seed | 1;
+        let mut ops: Vec<MicroOp> = specs.into_iter().map(width_op).collect();
+        // Cut the stream into recipes of 1 to 16 ops; a quarter of them
+        // end by loading the mask, which takes them off the fast loop.
+        let mut recipes = Vec::new();
+        while !ops.is_empty() {
+            let len = ops.len().min(1 + below(&mut state, 16) as usize);
+            let mut recipe: Vec<MicroOp> = ops.drain(..len).collect();
+            if below(&mut state, 4) == 0 {
+                let a = POOL[below(&mut state, POOL.len() as u64) as usize];
+                recipe.push(MicroOp::Copy { a, out: Plane::Mask });
+            }
+            recipes.push(Recipe::from_ops(recipe));
+        }
+        for lanes in [64usize, 256, 512] {
+            let words = lanes / 64;
+            let compiled: Vec<_> = recipes.iter().map(|r| Arc::new(r.compile(lanes, 2))).collect();
+            let all_full = below(&mut state, 3) == 0;
+            let mut store: Vec<BitPlaneVrf> = Vec::new();
+            for _ in 0..STORE {
+                let mut vrf = BitPlaneVrf::new(lanes, 2);
+                for &plane in &POOL[..OUTS] {
+                    vrf.set_plane_words(plane, &random_words(&mut state, words));
+                }
+                let mask = match if all_full { 0 } else { below(&mut state, 3) } {
+                    0 => vec![!0; words],
+                    1 => random_words(&mut state, words),
+                    _ => vec![0; words],
+                };
+                vrf.set_plane_words(Plane::Mask, &mask);
+                store.push(vrf);
+            }
+            let size = 1 + below(&mut state, 8) as usize;
+            let members: Vec<usize> = if below(&mut state, 2) == 0 {
+                // Distinct: a prefix of a shuffled store.
+                let mut slots: Vec<usize> = (0..STORE).collect();
+                for i in (1..STORE).rev() {
+                    slots.swap(i, below(&mut state, i as u64 + 1) as usize);
+                }
+                slots.truncate(size);
+                slots
+            } else {
+                (0..size).map(|_| below(&mut state, STORE as u64) as usize).collect()
+            };
+            let mut want = store.clone();
+            for recipe in &compiled {
+                for &m in &members {
+                    want[m].run_compiled(recipe);
+                }
+            }
+            run_batch(&mut store, &members, &compiled);
+            for (slot, (got, want)) in store.iter().zip(&want).enumerate() {
+                prop_assert!(got == want, "VRF {} at {} lanes, wave {:?}", slot, lanes, members);
             }
         }
     }

@@ -15,7 +15,9 @@
 //! SDC, TMR must have zero SDC, and remapping must reproduce the
 //! reference result — anything else exits 1.
 
-use conformance::{remap_recovers, render_report, run_sweep, PolicyKind, SweepConfig};
+use conformance::{
+    print_stdout, remap_recovers, render_report, run_sweep, PolicyKind, SweepConfig,
+};
 use pum_backend::DatapathKind;
 
 fn parse_u64(text: &str) -> Option<u64> {
@@ -108,7 +110,7 @@ fn main() {
             let cfg = SweepConfig { backend, seed, rate, trials, policy };
             let report = run_sweep(&cfg);
             let block = render_report(&cfg, &report);
-            print!("{block}");
+            print_stdout(&block);
             report_text.push_str(&block);
 
             match policy {
@@ -155,7 +157,7 @@ fn main() {
                 format!("remap backend={backend:?}: FAILED: {e}\n")
             }
         };
-        print!("{remap_line}");
+        print_stdout(&remap_line);
         report_text.push_str(&remap_line);
     }
 

@@ -9,7 +9,7 @@
 //! divergence the case is shrunk and the reproducer is printed to stderr
 //! and written to `conformance-reproducer.txt`; the process exits 1.
 
-use conformance::{check_case, generate, reproducer_text, shrink};
+use conformance::{check_case, generate, print_stdout, reproducer_text, shrink};
 use std::time::{Duration, Instant};
 
 fn parse_u64(text: &str) -> Option<u64> {
@@ -81,5 +81,8 @@ fn main() {
             eprintln!("{ran} cases OK (last seed {:#x})", case_seed);
         }
     }
-    println!("conformance fuzzing passed: {ran} cases, seeds {seed:#x}..{:#x}", seed + ran);
+    print_stdout(&format!(
+        "conformance fuzzing passed: {ran} cases, seeds {seed:#x}..{:#x}\n",
+        seed + ran
+    ));
 }

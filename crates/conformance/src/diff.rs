@@ -72,7 +72,7 @@ pub enum Tier {
     /// per instruction (`trace_ensembles = false`).
     Compiled,
     /// Multi-instruction blocks: runs of compute steps execute in one
-    /// pass per VRF.
+    /// pass over the whole wave.
     Block,
 }
 

@@ -33,3 +33,19 @@ pub use fault::{remap_recovers, render_report, run_sweep, PolicyKind, SweepConfi
 pub use generate::{generate, BOX_RFHS, BOX_VRFS};
 pub use pipeline_case::{generate_pipeline_case, kops_to_stmts};
 pub use shrink::shrink;
+
+/// Writes `text` to stdout for the harness binaries. A reader that has
+/// gone away (a closed pipe, as in `fault_sweep | head -3`) ends the
+/// process quietly with status 0: nobody is left to read the rest. Any
+/// other write error ends it with status 1.
+pub fn print_stdout(text: &str) {
+    use std::io::Write;
+    let mut out = std::io::stdout().lock();
+    if let Err(e) = out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("could not write to stdout: {e}");
+        std::process::exit(1);
+    }
+}

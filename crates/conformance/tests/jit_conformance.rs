@@ -14,7 +14,7 @@
 //!   body of `n` instructions charges exactly `ceil((n + 1) / entries) - 1`
 //!   refills, whichever way it runs.
 
-use conformance::{check_case, generate, ref_geometry, reproducer_text, shrink};
+use conformance::{check_case, check_case_on, generate, ref_geometry, reproducer_text, shrink};
 use mastodon::{
     run_single, EventLog, Mpu, RegisterInit, RunControl, SimConfig, SimError, Stats, TraceKind,
 };
@@ -199,6 +199,40 @@ fn every_backend_agrees_across_tiers_on_a_predicated_body() {
                 m2.read_register(0, 0, reg).unwrap(),
                 "{kind:?} r{reg}"
             );
+        }
+    }
+}
+
+/// An ensemble that names a VRF twice runs its body twice on it, one
+/// instruction at a time: each instruction of `r2 = r0 + r1; r1 = r2 + r2`
+/// runs on both copies before the next, so r1 ends at 16, as in the
+/// reference model. Running the whole body on each copy in turn ends it
+/// at 0x26.
+#[test]
+fn repeated_ensemble_members_run_in_reference_order() {
+    let add = |rs, rt, rd| Instruction::Binary {
+        op: mpu_isa::BinaryOp::Add,
+        rs: RegId(rs),
+        rt: RegId(rt),
+        rd: RegId(rd),
+    };
+    let input = |rfh, reg, value| conformance::Input { rfh, vrf: 0, reg, values: vec![value; 64] };
+    for members in [vec![(0, 0), (0, 0)], vec![(0, 0), (1, 0), (0, 0)]] {
+        let case = conformance::Case {
+            mpus: vec![conformance::MpuCase {
+                tops: vec![conformance::Top::Ensemble {
+                    members: members.clone(),
+                    body: vec![
+                        conformance::Stmt::Op(add(0, 1, 2)),
+                        conformance::Stmt::Op(add(2, 2, 1)),
+                    ],
+                }],
+                inputs: vec![input(0, 0, 3), input(0, 1, 5), input(1, 0, 3), input(1, 1, 5)],
+            }],
+        };
+        for kind in DatapathKind::ALL {
+            let model = DatapathModel::for_kind(kind);
+            assert_eq!(check_case_on(&model, &case, None), None, "members {members:?}");
         }
     }
 }

@@ -125,7 +125,8 @@ pub struct SimConfig {
     /// Decode multi-instruction blocks: every compute-ensemble body is
     /// decoded into a [`pum_backend::BlockGraph`], and with this on (and no
     /// fault model or redundancy armed) a run of consecutive compute steps
-    /// executes in one pass per VRF. Off, every instruction runs as its
+    /// executes in one pass over the whole wave, each micro-op decoded
+    /// once and applied to every member VRF. Off, every instruction runs as its
     /// own block. A host-side optimization only: lane values, statistics,
     /// and trace events are bit-identical either way, which the
     /// conformance suite checks differentially.

@@ -414,6 +414,36 @@ impl RunControl {
     }
 }
 
+/// An MPU's VRFs, each powered on at first touch: dense storage that a
+/// thermal wave borrows whole ([`run_batch`]), and a sorted
+/// `(rfh, vrf) → slot` index. A wave pass resolves its members to slots
+/// once, so a batched run looks nothing up.
+#[derive(Debug, Clone, Default)]
+struct VrfStore {
+    /// Powered-on VRFs, in power-on order.
+    vrfs: Vec<BitPlaneVrf>,
+    /// `((rfh, vrf), slot)` of every powered-on VRF, sorted by key.
+    index: Vec<((u16, u16), usize)>,
+}
+
+impl VrfStore {
+    fn slot(&self, key: (u16, u16)) -> Option<usize> {
+        let at = self.index.binary_search_by_key(&key, |&(k, _)| k).ok()?;
+        Some(self.index[at].1)
+    }
+
+    /// Stores a newly powered-on VRF; returns its slot.
+    fn insert(&mut self, key: (u16, u16), vrf: BitPlaneVrf) -> usize {
+        let slot = self.vrfs.len();
+        match self.index.binary_search_by_key(&key, |&(k, _)| k) {
+            Ok(_) => unreachable!("a VRF powers on once"),
+            Err(at) => self.index.insert(at, (key, slot)),
+        }
+        self.vrfs.push(vrf);
+        slot
+    }
+}
+
 /// A full machine snapshot taken at a compute-ensemble boundary (after
 /// [`StepEvent::Preempted`], or any time [`Mpu::step`] is not mid-flight).
 ///
@@ -430,7 +460,7 @@ impl RunControl {
 pub struct MpuCheckpoint {
     config: SimConfig,
     id: MpuId,
-    vrfs: HashMap<(u16, u16), BitPlaneVrf>,
+    vrfs: VrfStore,
     lane_maps: HashMap<(u16, u16), Vec<usize>>,
     cache: crate::recipe_cache::CacheCheckpoint,
     stats: Stats,
@@ -455,7 +485,7 @@ impl MpuCheckpoint {
     /// Approximate host-memory footprint in 64-bit words (VRF planes
     /// dominate) — lets a scheduler budget checkpoint retention.
     pub fn words(&self) -> usize {
-        self.vrfs.values().map(|v| v.snapshot().len()).sum()
+        self.vrfs.vrfs.iter().map(|v| v.snapshot().len()).sum()
     }
 }
 
@@ -488,7 +518,7 @@ impl MpuCheckpoint {
 pub struct Mpu {
     config: SimConfig,
     id: MpuId,
-    vrfs: HashMap<(u16, u16), BitPlaneVrf>,
+    vrfs: VrfStore,
     /// Logical-lane → physical-lane map per VRF, present only when
     /// permanent-fault remapping is active: the host-visible vector lives
     /// on the healthy lanes, dead lanes are skipped, and the logical
@@ -537,7 +567,7 @@ impl Mpu {
         Self {
             config,
             id,
-            vrfs: HashMap::new(),
+            vrfs: VrfStore::default(),
             lane_maps: HashMap::new(),
             cache,
             stats: Stats::default(),
@@ -672,20 +702,23 @@ impl Mpu {
     }
 
     fn vrf_mut(&mut self, rfh: u16, vrf: u16) -> &mut BitPlaneVrf {
-        if !self.vrfs.contains_key(&(rfh, vrf)) {
-            self.init_vrf(rfh, vrf);
-        }
-        match self.vrfs.get_mut(&(rfh, vrf)) {
-            Some(v) => v,
-            None => unreachable!("init_vrf inserts the VRF"),
+        let slot = self.vrf_slot(rfh, vrf);
+        &mut self.vrfs.vrfs[slot]
+    }
+
+    /// The store slot of a VRF, powering it on at first touch.
+    fn vrf_slot(&mut self, rfh: u16, vrf: u16) -> usize {
+        match self.vrfs.slot((rfh, vrf)) {
+            Some(slot) => slot,
+            None => self.init_vrf(rfh, vrf),
         }
     }
 
     /// Powers on one VRF: attaches its derived fault model (stuck lanes
     /// assert from power-on) and, under the remap policy, runs the boot
     /// self-test that power-gates dead lanes and maps the logical vector
-    /// onto the healthy ones.
-    fn init_vrf(&mut self, rfh: u16, vrf: u16) {
+    /// onto the healthy ones. Returns its store slot.
+    fn init_vrf(&mut self, rfh: u16, vrf: u16) -> usize {
         let g = self.config.datapath.geometry();
         let mut v = BitPlaneVrf::new(g.lanes_per_vrf, g.regs_per_vrf);
         if self.config.fault.enabled() {
@@ -701,7 +734,7 @@ impl Mpu {
                 self.lane_maps.insert((rfh, vrf), map);
             }
         }
-        self.vrfs.insert((rfh, vrf), v);
+        self.vrfs.insert((rfh, vrf), v)
     }
 
     /// Boot self-test: march an all-ones then an all-zeros pattern through
@@ -760,10 +793,9 @@ impl Mpu {
     /// lane map (identity when remapping is off).
     fn write_lanes_logical(&mut self, rfh: u16, vrf: u16, reg: u8, values: &[u64]) {
         let lanes = self.config.datapath.geometry().lanes_per_vrf;
-        self.vrf_mut(rfh, vrf); // materialize (runs the boot self-test)
-        let map = self.lane_maps.get(&(rfh, vrf));
-        let Some(v) = self.vrfs.get_mut(&(rfh, vrf)) else { return };
-        match map {
+        let slot = self.vrf_slot(rfh, vrf); // materialize (runs the boot self-test)
+        let v = &mut self.vrfs.vrfs[slot];
+        match self.lane_maps.get(&(rfh, vrf)) {
             Some(map) => {
                 let mut physical = vec![0u64; lanes];
                 for (i, &p) in map.iter().enumerate() {
@@ -783,9 +815,7 @@ impl Mpu {
     /// Reads host-visible element values through the logical→physical
     /// lane map (identity when remapping is off).
     fn read_lanes_logical(&mut self, rfh: u16, vrf: u16, reg: u8) -> Vec<u64> {
-        self.vrf_mut(rfh, vrf);
-        let Some(v) = self.vrfs.get(&(rfh, vrf)) else { return Vec::new() };
-        let physical = v.read_lane_values(reg);
+        let physical = self.vrf_mut(rfh, vrf).read_lane_values(reg);
         match self.lane_maps.get(&(rfh, vrf)) {
             Some(map) => map.iter().map(|&p| physical[p]).collect(),
             None => physical,
@@ -858,7 +888,7 @@ impl Mpu {
     /// Finalizes end-of-run energy (front-end power in MPU mode, CPU idle
     /// power in Baseline mode) and returns a snapshot of the statistics.
     pub fn finish(&mut self) -> Stats {
-        let injected = self.vrfs.values_mut().map(BitPlaneVrf::take_injected).sum::<u64>();
+        let injected = self.vrfs.vrfs.iter_mut().map(BitPlaneVrf::take_injected).sum::<u64>();
         self.stats.faults.injected += injected;
         let mut delta = Stats::default();
         delta.faults.injected = injected;
@@ -1078,11 +1108,12 @@ impl Mpu {
             return self.exec_compute_ensemble_inner(program);
         }
         let start_pc = self.pc;
-        let checkpoint: Vec<((u16, u16), Vec<u64>)> =
-            self.vrfs.iter().map(|(&k, v)| (k, v.snapshot())).collect();
+        // One snapshot per store slot; slots past its end power on during
+        // an attempt.
+        let checkpoint: Vec<Vec<u64>> = self.vrfs.vrfs.iter().map(BitPlaneVrf::snapshot).collect();
         // Checkpointing streams every live register row out to stable
         // storage: charge it as transfer work.
-        let words: u64 = checkpoint.iter().map(|(_, s)| s.len() as u64).sum();
+        let words: u64 = checkpoint.iter().map(|s| s.len() as u64).sum();
         let cp_cycles = words * self.config.datapath.transfer_cycles_per_word();
         let cp_fj = words * self.config.datapath.transfer_fj_per_word();
         self.stats.cycles += cp_cycles;
@@ -1111,11 +1142,8 @@ impl Mpu {
                     restarts += 1;
                     self.stats.faults.ensemble_restarts += 1;
                     self.pc = start_pc;
-                    let keys: Vec<(u16, u16)> = self.vrfs.keys().copied().collect();
-                    for k in keys {
-                        let snap = checkpoint.iter().find(|(ck, _)| *ck == k).map(|(_, s)| s);
-                        let Some(v) = self.vrfs.get_mut(&k) else { continue };
-                        match snap {
+                    for (slot, v) in self.vrfs.vrfs.iter_mut().enumerate() {
+                        match checkpoint.get(slot) {
                             Some(snap) => v.restore(snap),
                             None => {
                                 // Materialized during the failed attempt:
@@ -1244,10 +1272,11 @@ impl Mpu {
     /// playback refills, the template-table probe, every charge and every
     /// [`TraceEvent`]. Only op execution is batched: with `batch` (no
     /// fault model, no redundancy) a run of consecutive compute steps whose
-    /// recipes are [`CompiledRecipe::fast`] executes as one pass per VRF
-    /// once the run ends. No such recipe writes the mask, so each VRF's
-    /// mask is invariant across the run and every step's energy uses the
-    /// enabled count taken at the run's start. Any other compute step
+    /// recipes are [`CompiledRecipe::fast`] executes once the run ends, in
+    /// one pass over the whole wave that decodes each micro-op once
+    /// ([`Self::execute_run`]). No such recipe writes the mask, so each
+    /// VRF's mask is invariant across the run and every step's energy uses
+    /// the enabled count taken at the run's start. Any other compute step
     /// executes on its own, under the redundancy policy without `batch`.
     fn run_body(
         &mut self,
@@ -1278,16 +1307,19 @@ impl Mpu {
         let mut run: Vec<Arc<CompiledRecipe>> = Vec::new();
         let mut run_enabled = 0;
 
-        // Reset masks: an ensemble starts with all lanes enabled.
-        for &(rfh, vrf) in wave {
-            self.vrf_mut(rfh, vrf).fill_plane(Plane::Mask, true);
+        // The members power on here, so the pass resolves them to store
+        // slots once. Reset masks: an ensemble starts with all lanes
+        // enabled.
+        let members: Vec<usize> = wave.iter().map(|&(rfh, vrf)| self.vrf_slot(rfh, vrf)).collect();
+        for &slot in &members {
+            self.vrfs.vrfs[slot].fill_plane(Plane::Mask, true);
         }
 
         loop {
             let line = lines[i];
             let step = &steps[i];
             if !matches!(step, BlockStep::Compute(_)) {
-                self.execute_run(wave, &mut run);
+                self.execute_run(&members, &mut run);
             }
             if let BlockStep::Trap(Trap::End) = step {
                 return Err(SimError::UnexpectedEnd { line });
@@ -1295,7 +1327,7 @@ impl Mpu {
             body_instructions += 1;
             if let Some(limit) = self.config.recovery.watchdog_instructions {
                 if body_instructions > limit {
-                    self.execute_run(wave, &mut run);
+                    self.execute_run(&members, &mut run);
                     return Err(SimError::WatchdogTriggered { line, instructions: limit });
                 }
             }
@@ -1320,19 +1352,19 @@ impl Mpu {
                             match self.issue_compute(instr, &mut pipeline_warm, line) {
                                 Ok(issued) => issued,
                                 Err(e) => {
-                                    self.execute_run(wave, &mut run);
+                                    self.execute_run(&members, &mut run);
                                     return Err(e);
                                 }
                             };
                         if cached.compiled.fast() {
                             if run.is_empty() {
-                                let vrfs = wave.iter().map(|key| &self.vrfs[key]);
+                                let vrfs = members.iter().map(|&slot| &self.vrfs.vrfs[slot]);
                                 run_enabled = vrfs.map(|v| v.mask_lanes() as u64).sum();
                             }
                             self.charge_exec(&cached, wave.len(), run_enabled, cycles, line);
                             run.push(cached.compiled);
                         } else {
-                            self.execute_run(wave, &mut run);
+                            self.execute_run(&members, &mut run);
                             self.run_wave_once(&cached, wave, cycles, line);
                         }
                     } else {
@@ -1344,8 +1376,8 @@ impl Mpu {
                     self.control_or_offload(wave, &mut pipeline_warm, &mut offload_batch, line);
                     let c = self.config.control.mask_update;
                     self.charge_control(c);
-                    for &(rfh, vrf) in wave {
-                        let v = self.vrf_mut(rfh, vrf);
+                    for &slot in &members {
+                        let v = &mut self.vrfs.vrfs[slot];
                         if rs == COND_REG {
                             v.copy_plane(Plane::Cond, Plane::Mask);
                         } else {
@@ -1360,8 +1392,8 @@ impl Mpu {
                     self.control_or_offload(wave, &mut pipeline_warm, &mut offload_batch, line);
                     let c = self.config.control.mask_readout;
                     self.charge_control(c);
-                    for &(rfh, vrf) in wave {
-                        let v = self.vrf_mut(rfh, vrf);
+                    for &slot in &members {
+                        let v = &mut self.vrfs.vrfs[slot];
                         v.set_mask_enabled(false);
                         v.copy_plane(Plane::Mask, Plane::Reg { reg: rd.0 as u8, bit: 0 });
                         for bit in 1..64 {
@@ -1377,8 +1409,8 @@ impl Mpu {
                     self.control_or_offload(wave, &mut pipeline_warm, &mut offload_batch, line);
                     let c = self.config.control.mask_update;
                     self.charge_control(c);
-                    for &(rfh, vrf) in wave {
-                        self.vrf_mut(rfh, vrf).fill_plane(Plane::Mask, true);
+                    for &slot in &members {
+                        self.vrfs.vrfs[slot].fill_plane(Plane::Mask, true);
                     }
                     self.stats.instructions += 1;
                     self.trace_control_instr(line, "UNMASK", c);
@@ -1393,9 +1425,8 @@ impl Mpu {
                     self.charge_control(c);
                     // EFI: jump back (continue the loop) while any lane of
                     // any wave VRF remains enabled (§VI-B semantics).
-                    let any_enabled = wave
-                        .iter()
-                        .any(|&(rfh, vrf)| self.vrf_mut(rfh, vrf).any_lane_set(Plane::Mask));
+                    let any_enabled =
+                        members.iter().any(|&slot| self.vrfs.vrfs[slot].any_lane_set(Plane::Mask));
                     self.stats.instructions += 1;
                     self.trace_control_instr(line, "JUMP_COND", c);
                     i = if any_enabled { target as usize } else { i + 1 };
@@ -1441,8 +1472,8 @@ impl Mpu {
                 }
                 BlockStep::Exit => {
                     // Leave predication clean for the next ensemble.
-                    for &(rfh, vrf) in wave {
-                        self.vrf_mut(rfh, vrf).fill_plane(Plane::Mask, true);
+                    for &slot in &members {
+                        self.vrfs.vrfs[slot].fill_plane(Plane::Mask, true);
                     }
                     return Ok(line);
                 }
@@ -1454,15 +1485,14 @@ impl Mpu {
         }
     }
 
-    /// Executes the pending batched compute run over every VRF of the
-    /// wave, one VRF at a time, and empties it. VRFs are independent, so
-    /// per-VRF state is identical to the step-interleaved order, and each
-    /// VRF's storage stays L1-resident for the whole run.
-    fn execute_run(&mut self, wave: &[(u16, u16)], run: &mut Vec<Arc<CompiledRecipe>>) {
+    /// Executes the pending batched compute run over the wave in one
+    /// [`run_batch`] pass and empties it. Each micro-op is decoded once and
+    /// applied to every member before the next, as the compute controller
+    /// broadcasts it; a wave that names a VRF twice runs instruction by
+    /// instruction, member by member, as the single-step tiers do.
+    fn execute_run(&mut self, members: &[usize], run: &mut Vec<Arc<CompiledRecipe>>) {
         if !run.is_empty() {
-            for &(rfh, vrf) in wave {
-                run_batch(self.vrf_mut(rfh, vrf), run);
-            }
+            run_batch(&mut self.vrfs.vrfs, members, run);
             run.clear();
         }
     }
@@ -1856,9 +1886,7 @@ impl Mpu {
                                 self.write_lanes_logical(dst_rfh, dst_vrf.0, rd.0 as u8, &values);
                                 // Runtime landing write: subject to RFH
                                 // write-corruption faults.
-                                if let Some(v) = self.vrfs.get_mut(&(dst_rfh, dst_vrf.0)) {
-                                    v.corrupt_register_write(rd.0 as u8);
-                                }
+                                self.vrf_mut(dst_rfh, dst_vrf.0).corrupt_register_write(rd.0 as u8);
                             }
                         }
                         // Sequential-consistency: transfers execute one at
@@ -1955,9 +1983,7 @@ impl Mpu {
             self.write_lanes_logical(w.rfh, w.vrf, w.reg, &w.values);
             // Runtime landing write: subject to RFH write-corruption
             // faults.
-            if let Some(v) = self.vrfs.get_mut(&(w.rfh, w.vrf)) {
-                v.corrupt_register_write(w.reg);
-            }
+            self.vrf_mut(w.rfh, w.vrf).corrupt_register_write(w.reg);
         }
     }
 
