@@ -496,10 +496,13 @@ impl DatapathModel {
     /// attribution counters for this synthesis.
     pub fn recipe_with_stats(&self, instr: &Instruction) -> Option<(Recipe, crate::opt::OptStats)> {
         let template = build_recipe(self.recipe_ctx(), instr)?;
-        let cost = |kind: MicroOpKind| {
-            self.costs.get(kind).map(|c| (c.cycles.into(), self.uop_energy_pj(kind, 1)))
-        };
-        Some(crate::opt::optimize(&template, self.family, self.opt, &cost))
+        Some(crate::opt::optimize(&template, self.family, self.opt, &|kind| self.opt_cost(kind)))
+    }
+
+    /// The optimizer's price of one `kind` micro-op, `(cycles, pJ per
+    /// lane)`, or `None` when this backend cannot issue it.
+    pub(crate) fn opt_cost(&self, kind: MicroOpKind) -> Option<(u64, f64)> {
+        self.costs.get(kind).map(|c| (c.cycles.into(), self.uop_energy_pj(kind, 1)))
     }
 
     /// What `recipe` costs on this datapath ([`RecipeCtx::recipe_cost`]

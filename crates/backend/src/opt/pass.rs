@@ -23,24 +23,34 @@
 //! Architectural planes (`Reg`/`Cond`/`Mask`) are live at recipe exit;
 //! scratch planes are not.
 //!
-//! Data layout: every per-plane table (current value, liveness) is a flat
-//! vector indexed by a dense plane slot ([`PlaneIndex`]); holder lists are
-//! indexed by the packed [`ValRef`]; only node interning hashes, with a
-//! multiplicative [`NodeHasher`]. Node numbers are assigned in insertion
-//! order and holder lists keep establishment order, so none of these
-//! choices can change a rewrite decision (DESIGN.md §10).
+//! Data layout: every per-plane table (current value, liveness, holder
+//! links) is a flat vector indexed by a dense plane slot ([`PlaneIndex`]).
+//! Holder lists are intrusive doubly linked lists threaded through the
+//! plane slots: each packed [`ValRef`] has a `[head, tail]` pair, each slot
+//! a `[prev, next]` pair, so a write moves a plane between lists in
+//! constant time and allocates nothing. Node interning probes an
+//! open-addressed table of node numbers, each tagged with half of its
+//! node's hash, cleared per round. Node numbers are assigned in
+//! insertion order and a plane joins a holder list at its tail, so lists
+//! keep establishment order and none of these choices can change a
+//! rewrite decision (DESIGN.md §10).
 
 use super::{OptConfig, OptRule, OptStats};
 use crate::bitplane::{BitPlaneVrf, Plane, SCRATCH_PLANES};
 use crate::logic::LogicFamily;
 use crate::microop::{MicroOp, MicroOpKind};
 use crate::recipe::Recipe;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// Fixpoint cap. Each round strictly removes ops or reaches quiescence;
-/// synthesized templates converge in two or three rounds.
-const MAX_ROUNDS: usize = 4;
+/// every synthesized template reaches a round that changes nothing within
+/// four (`opt::tests::every_corpus_recipe_converges_within_max_rounds`).
+pub(super) const MAX_ROUNDS: usize = 4;
+
+/// The end of a holder list.
+const NIL: u32 = u32::MAX;
+
+/// A free node-table bucket.
+const EMPTY: u64 = u64::MAX;
 
 const TRUE: ValRef = ValRef(0);
 const FALSE: ValRef = ValRef(1);
@@ -53,7 +63,7 @@ fn latch_plane() -> Plane {
 /// the complement bit rides on the edge, so negation is free and double
 /// negation cancels structurally. The packed order is the `(idx, neg)`
 /// order operand canonicalization sorts by.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct ValRef(u32);
 
 impl ValRef {
@@ -79,10 +89,11 @@ impl ValRef {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Node {
     True,
-    Input(Plane),
+    /// The recipe-entry contents of the plane at this [`PlaneIndex`] slot.
+    Input(u32),
     And(ValRef, ValRef),
     /// Operands stored positive; polarity lifted to the referencing edge.
     Xor(ValRef, ValRef),
@@ -91,45 +102,24 @@ enum Node {
     Merge(ValRef, ValRef),
 }
 
-/// FxHash's multiply-rotate step, for the node-interning table. A node is
-/// a few small integers the pass itself assigns (node numbers, plane
-/// ids), never bytes from outside the program, so SipHash's flooding
-/// resistance buys nothing here; the table maps nodes to insertion-ordered
-/// numbers, so the hasher sets its speed and never its answers.
-#[derive(Default)]
-struct NodeHasher(u64);
-
-impl NodeHasher {
-    fn add(&mut self, x: u64) {
-        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-impl Hasher for NodeHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.add(u64::from(b));
-        }
-    }
-
-    fn write_u8(&mut self, x: u8) {
-        self.add(u64::from(x));
-    }
-
-    fn write_u16(&mut self, x: u16) {
-        self.add(u64::from(x));
-    }
-
-    fn write_u32(&mut self, x: u32) {
-        self.add(u64::from(x));
-    }
-
-    fn write_usize(&mut self, x: usize) {
-        self.add(x as u64);
+impl Node {
+    /// Multiply-rotate hash of the node's tag and operands (FxHash's
+    /// step). A node is a few small integers the pass itself assigns, so
+    /// no flooding resistance is needed; the table maps nodes to
+    /// insertion-ordered numbers, so the hash sets its speed and never its
+    /// answers.
+    fn hash(self) -> u64 {
+        const K: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+        let (tag, a, b, c) = match self {
+            Node::True => (0, 0, 0, 0),
+            Node::Input(s) => (1, s, 0, 0),
+            Node::And(a, b) => (2, a.0, b.0, 0),
+            Node::Xor(a, b) => (3, a.0, b.0, 0),
+            Node::Maj(a, b, c) => (4, a.0, b.0, c.0),
+            Node::Merge(a, b) => (5, a.0, b.0, 0),
+        };
+        let h = (u64::from(a) | u64::from(b) << 32).wrapping_mul(K);
+        (h.rotate_left(5) ^ (u64::from(c) << 3 | tag)).wrapping_mul(K)
     }
 }
 
@@ -149,14 +139,17 @@ struct PlaneIndex {
 impl PlaneIndex {
     fn of(ops: &[MicroOp]) -> PlaneIndex {
         let mut ix = PlaneIndex { bits: 1, regs: 0, scratch: SCRATCH_PLANES };
-        for p in ops.iter().flat_map(|op| op.reads().into_iter().chain(op.writes())) {
-            match p {
-                Plane::Reg { reg, bit } => {
-                    ix.regs = ix.regs.max(usize::from(reg) + 1);
-                    ix.bits = ix.bits.max(usize::from(bit) + 1);
+        for op in ops {
+            let (reads, writes) = (op.reads(), op.writes());
+            for &p in reads.iter().chain(writes.iter()) {
+                match p {
+                    Plane::Reg { reg, bit } => {
+                        ix.regs = ix.regs.max(usize::from(reg) + 1);
+                        ix.bits = ix.bits.max(usize::from(bit) + 1);
+                    }
+                    Plane::Scratch(i) => ix.scratch = ix.scratch.max(usize::from(i) + 1),
+                    Plane::Cond | Plane::Mask | Plane::Const(_) => {}
                 }
-                Plane::Scratch(i) => ix.scratch = ix.scratch.max(usize::from(i) + 1),
-                Plane::Cond | Plane::Mask | Plane::Const(_) => {}
             }
         }
         ix
@@ -164,6 +157,20 @@ impl PlaneIndex {
 
     fn len(self) -> usize {
         self.regs * self.bits + self.scratch + 4
+    }
+
+    /// Every plane in slot order: the inverse of [`PlaneIndex::slot`].
+    fn planes(self) -> impl Iterator<Item = Plane> {
+        let regs = (0..self.regs).flat_map(move |reg| {
+            (0..self.bits).map(move |bit| Plane::Reg { reg: reg as u8, bit: bit as u8 })
+        });
+        let scratch = (0..self.scratch).map(|i| Plane::Scratch(i as u16));
+        regs.chain(scratch).chain([
+            Plane::Cond,
+            Plane::Mask,
+            Plane::Const(false),
+            Plane::Const(true),
+        ])
     }
 
     fn slot(self, p: Plane) -> usize {
@@ -186,23 +193,37 @@ impl PlaneIndex {
 /// [`Values::reset`] before each forward pass.
 struct Values {
     planes: PlaneIndex,
+    /// The plane at each slot.
+    plane_at: Vec<Plane>,
     nodes: Vec<Node>,
-    index: HashMap<Node, u32, BuildHasherDefault<NodeHasher>>,
+    /// Open-addressed, linearly probed node table. A bucket holds the top
+    /// half of the node's hash above its node number, so a probe touches
+    /// `nodes` only on a likely match; [`EMPTY`] when free. Its length is a
+    /// power of two and it is kept at most half full.
+    table: Vec<u64>,
     /// Current value per plane slot; `None` until first read or write.
     val: Vec<Option<ValRef>>,
-    /// Planes holding each value, indexed by the packed [`ValRef`], in
-    /// the order they came to hold it.
-    holders: Vec<Vec<Plane>>,
+    /// `[head, tail]` slots of each value's holder list, indexed by the
+    /// packed [`ValRef`]: the planes holding it, in the order they came to
+    /// hold it.
+    ends: Vec<[u32; 2]>,
+    /// `[prev, next]` holder-list links per plane slot, meaningful while
+    /// the slot holds a value.
+    links: Vec<[u32; 2]>,
 }
 
 impl Values {
     fn new(planes: PlaneIndex) -> Values {
+        let plane_at: Vec<Plane> = planes.planes().collect();
+        debug_assert!(plane_at.iter().enumerate().all(|(s, &p)| planes.slot(p) == s));
         let mut vals = Values {
             planes,
+            plane_at,
             nodes: Vec::new(),
-            index: HashMap::default(),
+            table: vec![EMPTY; 64],
             val: vec![None; planes.len()],
-            holders: Vec::new(),
+            ends: Vec::new(),
+            links: vec![[NIL; 2]; planes.len()],
         };
         vals.reset();
         vals
@@ -212,11 +233,9 @@ impl Values {
     /// every allocation.
     fn reset(&mut self) {
         self.nodes.clear();
-        self.index.clear();
+        self.table.fill(EMPTY);
         self.val.fill(None);
-        for list in &mut self.holders {
-            list.clear();
-        }
+        self.ends.clear();
         self.intern(Node::True);
     }
 
@@ -225,20 +244,52 @@ impl Values {
     }
 
     fn intern(&mut self, node: Node) -> ValRef {
-        let idx = match self.index.get(&node) {
-            Some(&i) => i,
-            None => {
-                let i = self.nodes.len() as u32;
-                self.nodes.push(node);
-                self.index.insert(node, i);
-                let refs = 2 * self.nodes.len();
-                if self.holders.len() < refs {
-                    self.holders.resize_with(refs, Vec::new);
-                }
-                i
+        let hash = node.hash();
+        let tag = hash & !u64::from(u32::MAX);
+        let mask = self.table.len() - 1;
+        let mut b = Values::bucket(hash, self.table.len());
+        loop {
+            let e = self.table[b];
+            if e == EMPTY {
+                break;
             }
-        };
-        ValRef(idx << 1)
+            let i = e as u32;
+            if e & !u64::from(u32::MAX) == tag && self.nodes[i as usize] == node {
+                return ValRef(i << 1);
+            }
+            b = (b + 1) & mask;
+        }
+        let i = self.nodes.len() as u32;
+        self.nodes.push(node);
+        self.table[b] = tag | u64::from(i);
+        self.ends.extend([[NIL; 2]; 2]);
+        if 2 * self.nodes.len() > self.table.len() {
+            self.grow();
+        }
+        ValRef(i << 1)
+    }
+
+    /// The first bucket probed for a node hashing to `hash` in a table of
+    /// `len` buckets: the hash's top bits, the best mixed ones of a
+    /// multiplicative hash.
+    fn bucket(hash: u64, len: usize) -> usize {
+        (hash >> (64 - len.trailing_zeros())) as usize
+    }
+
+    /// Doubles the node table and reinserts every node.
+    fn grow(&mut self) {
+        let len = 2 * self.table.len();
+        self.table.clear();
+        self.table.resize(len, EMPTY);
+        let mask = len - 1;
+        for (i, &node) in self.nodes.iter().enumerate() {
+            let hash = node.hash();
+            let mut b = Values::bucket(hash, len);
+            while self.table[b] != EMPTY {
+                b = (b + 1) & mask;
+            }
+            self.table[b] = hash & !u64::from(u32::MAX) | i as u64;
+        }
     }
 
     fn cref(value: bool) -> ValRef {
@@ -252,31 +303,69 @@ impl Values {
     /// Current value of `p`, creating an `Input` leaf on first read of a
     /// plane that has not been written yet.
     fn read(&mut self, p: Plane) -> ValRef {
-        if let Plane::Const(b) = p {
-            return Values::cref(b);
+        match p {
+            Plane::Const(b) => Values::cref(b),
+            _ => self.read_slot(self.planes.slot(p)),
         }
-        let s = self.planes.slot(p);
+    }
+
+    /// [`Values::read`] of the plane at slot `s`.
+    fn read_slot(&mut self, s: usize) -> ValRef {
         if let Some(v) = self.val[s] {
             return v;
         }
-        let v = self.intern(Node::Input(p));
+        let v = self.intern(Node::Input(s as u32));
         self.val[s] = Some(v);
-        self.holders[v.0 as usize].push(p);
+        self.push_holder(v, s);
         v
     }
 
     fn write(&mut self, p: Plane, v: ValRef) {
-        let s = self.planes.slot(p);
+        self.write_slot(self.planes.slot(p), v);
+    }
+
+    /// [`Values::write`] to the plane at slot `s`.
+    fn write_slot(&mut self, s: usize, v: ValRef) {
         if let Some(old) = self.val[s] {
-            self.holders[old.0 as usize].retain(|&q| q != p);
+            self.drop_holder(old, s);
         }
         self.val[s] = Some(v);
-        self.holders[v.0 as usize].push(p);
+        self.push_holder(v, s);
+    }
+
+    /// Appends slot `s` to the tail of `v`'s holder list.
+    fn push_holder(&mut self, v: ValRef, s: usize) {
+        let ends = &mut self.ends[v.0 as usize];
+        let tail = ends[1];
+        ends[1] = s as u32;
+        if tail == NIL {
+            ends[0] = s as u32;
+        } else {
+            self.links[tail as usize][1] = s as u32;
+        }
+        self.links[s] = [tail, NIL];
+    }
+
+    /// Unlinks slot `s` from `v`'s holder list.
+    fn drop_holder(&mut self, v: ValRef, s: usize) {
+        let [prev, next] = self.links[s];
+        let ends = &mut self.ends[v.0 as usize];
+        if prev == NIL {
+            ends[0] = next;
+        } else {
+            self.links[prev as usize][1] = next;
+        }
+        if next == NIL {
+            ends[1] = prev;
+        } else {
+            self.links[next as usize][0] = prev;
+        }
     }
 
     /// The canonical (earliest-established, still-valid) plane holding `v`.
     fn holder(&self, v: ValRef) -> Option<Plane> {
-        self.holders[v.0 as usize].first().copied()
+        let head = self.ends[v.0 as usize][0];
+        (head != NIL).then(|| self.plane_at[head as usize])
     }
 
     fn mk_and(&mut self, x: ValRef, y: ValRef) -> ValRef {
@@ -378,13 +467,24 @@ impl Values {
     /// constructor normalizations then fold degenerate tables (constants,
     /// pass-throughs, single-input negations) for free.
     fn mk_lut(&mut self, table: u8, a: ValRef, b: ValRef, c: ValRef) -> ValRef {
+        // Minterms `idx` and `idx | 4` share their `(a, b)` half; it is
+        // built on first use, in the order the minterms ask for it.
+        let mut ab = [None; 4];
         let mut v = FALSE;
         for idx in 0..8u8 {
             if table >> idx & 1 == 1 {
-                let xa = if idx & 1 != 0 { a } else { a.not() };
-                let xb = if idx & 2 != 0 { b } else { b.not() };
+                let pair = usize::from(idx & 3);
+                let t = match ab[pair] {
+                    Some(t) => t,
+                    None => {
+                        let xa = if idx & 1 != 0 { a } else { a.not() };
+                        let xb = if idx & 2 != 0 { b } else { b.not() };
+                        let t = self.mk_and(xa, xb);
+                        ab[pair] = Some(t);
+                        t
+                    }
+                };
                 let xc = if idx & 4 != 0 { c } else { c.not() };
-                let t = self.mk_and(xa, xb);
                 let t = self.mk_and(t, xc);
                 v = self.mk_or(v, t);
             }
@@ -408,35 +508,51 @@ impl Values {
         self.intern(Node::Merge(old, new))
     }
 
-    /// Rewrites a read operand in place: constant values are rewired to the
-    /// preset constant planes; otherwise the operand is redirected to the
-    /// canonical holder of its value (copy propagation when the value is a
-    /// plain plane copy, chain collapsing when it is a derived node).
-    fn rewrite_operand(&mut self, p: &mut Plane, gate: &RuleGate, stats: &mut OptStats) -> bool {
-        let v = self.read(*p);
-        if v.is_const() {
-            let c = Plane::Const(v == TRUE);
-            if *p != c && gate.on(OptRule::ConstFold) {
-                stats.rule_mut(OptRule::ConstFold).fires += 1;
-                *p = c;
-                return true;
+    /// Rewrites a read operand in place and returns its value: constant
+    /// values are rewired to the preset constant planes; otherwise the
+    /// operand is redirected to the canonical holder of its value (copy
+    /// propagation when the value is a plain plane copy, chain collapsing
+    /// when it is a derived node). Sets `changed` when it rewrites.
+    fn operand(
+        &mut self,
+        p: &mut Plane,
+        gate: &RuleGate,
+        stats: &mut OptStats,
+        changed: &mut bool,
+    ) -> ValRef {
+        let (v, s) = match *p {
+            Plane::Const(b) => (Values::cref(b), NIL as usize),
+            _ => {
+                let s = self.planes.slot(*p);
+                (self.read_slot(s), s)
             }
-            return false;
-        }
-        let Some(q) = self.holder(v) else { return false };
-        if q == *p {
-            return false;
-        }
-        let rule = match self.node(v) {
-            Node::Input(_) | Node::Merge(..) => OptRule::CopyProp,
-            _ => OptRule::ChainCollapse,
         };
-        if !gate.on(rule) {
-            return false;
-        }
+        let rule = if v.is_const() {
+            let c = Plane::Const(v == TRUE);
+            if *p == c || !gate.on(OptRule::ConstFold) {
+                return v;
+            }
+            *p = c;
+            OptRule::ConstFold
+        } else {
+            // `p` holds `v`, so its holder list is not empty.
+            let head = self.ends[v.0 as usize][0] as usize;
+            if head == s {
+                return v;
+            }
+            let rule = match self.node(v) {
+                Node::Input(_) | Node::Merge(..) => OptRule::CopyProp,
+                _ => OptRule::ChainCollapse,
+            };
+            if !gate.on(rule) {
+                return v;
+            }
+            *p = self.plane_at[head];
+            rule
+        };
         stats.rule_mut(rule).fires += 1;
-        *p = q;
-        true
+        *changed = true;
+        v
     }
 }
 
@@ -484,9 +600,23 @@ pub(super) fn run(
     config: OptConfig,
     cost: &dyn Fn(MicroOpKind) -> Option<(u64, f64)>,
 ) -> (Recipe, OptStats) {
+    let (recipe, stats, _) = run_rounds(recipe, family, config, cost);
+    (recipe, stats)
+}
+
+/// [`run`], also returning the 1-based round that changed nothing and so
+/// ended the fixpoint: `Some(0)` for a recipe passed through without
+/// analysis, `None` when [`MAX_ROUNDS`] cut the iteration off while a
+/// round still changed the recipe.
+pub(super) fn run_rounds(
+    recipe: &Recipe,
+    family: LogicFamily,
+    config: OptConfig,
+    cost: &dyn Fn(MicroOpKind) -> Option<(u64, f64)>,
+) -> (Recipe, OptStats, Option<usize>) {
     let mut stats = OptStats::default();
     if !config.enabled {
-        return (recipe.clone(), stats);
+        return (recipe.clone(), stats, Some(0));
     }
     let mut ops: Vec<MicroOp> = recipe.ops().to_vec();
     if config.canary {
@@ -500,37 +630,45 @@ pub(super) fn run(
     // registers; their dataflow is not expressible in the per-plane value
     // lattice, so recipes containing them pass through unmodified.
     if ops.iter().any(|op| matches!(op, MicroOp::Word { .. })) {
-        return (recipe.with_optimized_ops(ops, 0), stats);
+        return (recipe.with_optimized_ops(ops, 0), stats, Some(0));
     }
     // The merge model assumes the mask plane is wave-constant, and writes
     // to constant planes trap at execution time; synthesized recipes never
     // do either, but `Recipe::from_ops` sequences may — pass those through.
     if ops.iter().any(|op| op.writes().iter().any(|w| matches!(w, Plane::Mask | Plane::Const(_)))) {
-        return (recipe.with_optimized_ops(ops, 0), stats);
+        return (recipe.with_optimized_ops(ops, 0), stats, Some(0));
     }
     let gate = RuleGate { family, config, costs: MicroOpKind::ALL.map(cost) };
     let planes = PlaneIndex::of(&ops);
     let mut vals = Values::new(planes);
-    let mut live = vec![None; planes.len()];
+    // Liveness at recipe exit: architectural planes are live, scratch
+    // planes are not.
+    let exit: Vec<(bool, bool)> = planes
+        .planes()
+        .map(|p| if let Plane::Scratch(_) = p { (false, false) } else { (true, true) })
+        .collect();
+    let mut live = exit.clone();
     let mut slots: Vec<Slot> =
         ops.into_iter().map(|op| Slot { op, live: true, dup: false }).collect();
-    for _ in 0..MAX_ROUNDS {
+    let mut quiescent = None;
+    for round in 1..=MAX_ROUNDS {
         for s in &mut slots {
             s.dup = false;
         }
         vals.reset();
         let mut changed = forward(&mut slots, &mut vals, &gate, &mut stats);
-        live.fill(None);
+        live.copy_from_slice(&exit);
         changed |= liveness(&mut slots, planes, &mut live, &gate, &mut stats);
         changed |= coalesce(&mut slots, &gate, &mut stats);
         slots.retain(|s| s.live);
         if !changed {
+            quiescent = Some(round);
             break;
         }
     }
     let optimized: Vec<MicroOp> = slots.into_iter().map(|s| s.op).collect();
     let saved = (recipe.len() - optimized.len()) as u32;
-    (recipe.with_optimized_ops(optimized, saved), stats)
+    (recipe.with_optimized_ops(optimized, saved), stats, quiescent)
 }
 
 /// Forward value-numbering rewrite pass over the live ops, starting from
@@ -541,80 +679,48 @@ fn forward(slots: &mut [Slot], vals: &mut Values, gate: &RuleGate, stats: &mut O
         if !slot.live {
             continue;
         }
-        match slot.op {
+        let mut operand = |p: &mut Plane| vals.operand(p, gate, stats, &mut changed);
+        let (out, v) = match slot.op {
             MicroOp::Nor { mut a, mut b, out } => {
-                changed |= vals.rewrite_operand(&mut a, gate, stats);
-                changed |= vals.rewrite_operand(&mut b, gate, stats);
+                let (va, vb) = (operand(&mut a), operand(&mut b));
                 slot.op = MicroOp::Nor { a, b, out };
-                let va = vals.read(a);
-                let vb = vals.read(b);
-                let v = vals.mk_nor(va, vb);
-                changed |= finish_single(slot, out, v, vals, gate, stats);
+                (out, vals.mk_nor(va, vb))
             }
             MicroOp::And { mut a, mut b, out } => {
-                changed |= vals.rewrite_operand(&mut a, gate, stats);
-                changed |= vals.rewrite_operand(&mut b, gate, stats);
+                let (va, vb) = (operand(&mut a), operand(&mut b));
                 slot.op = MicroOp::And { a, b, out };
-                let va = vals.read(a);
-                let vb = vals.read(b);
-                let v = vals.mk_and(va, vb);
-                changed |= finish_single(slot, out, v, vals, gate, stats);
+                (out, vals.mk_and(va, vb))
             }
             MicroOp::Or { mut a, mut b, out } => {
-                changed |= vals.rewrite_operand(&mut a, gate, stats);
-                changed |= vals.rewrite_operand(&mut b, gate, stats);
+                let (va, vb) = (operand(&mut a), operand(&mut b));
                 slot.op = MicroOp::Or { a, b, out };
-                let va = vals.read(a);
-                let vb = vals.read(b);
-                let v = vals.mk_or(va, vb);
-                changed |= finish_single(slot, out, v, vals, gate, stats);
+                (out, vals.mk_or(va, vb))
             }
             MicroOp::Xor { mut a, mut b, out } => {
-                changed |= vals.rewrite_operand(&mut a, gate, stats);
-                changed |= vals.rewrite_operand(&mut b, gate, stats);
+                let (va, vb) = (operand(&mut a), operand(&mut b));
                 slot.op = MicroOp::Xor { a, b, out };
-                let va = vals.read(a);
-                let vb = vals.read(b);
-                let v = vals.mk_xor(va, vb);
-                changed |= finish_single(slot, out, v, vals, gate, stats);
+                (out, vals.mk_xor(va, vb))
             }
             MicroOp::Tra { mut a, mut b, mut c, out } => {
-                changed |= vals.rewrite_operand(&mut a, gate, stats);
-                changed |= vals.rewrite_operand(&mut b, gate, stats);
-                changed |= vals.rewrite_operand(&mut c, gate, stats);
+                let (va, vb, vc) = (operand(&mut a), operand(&mut b), operand(&mut c));
                 slot.op = MicroOp::Tra { a, b, c, out };
-                let va = vals.read(a);
-                let vb = vals.read(b);
-                let vc = vals.read(c);
-                let v = vals.mk_maj(va, vb, vc);
-                changed |= finish_single(slot, out, v, vals, gate, stats);
+                (out, vals.mk_maj(va, vb, vc))
             }
             MicroOp::Not { mut a, out } => {
-                changed |= vals.rewrite_operand(&mut a, gate, stats);
+                let va = operand(&mut a);
                 slot.op = MicroOp::Not { a, out };
-                let v = vals.read(a).not();
-                changed |= finish_single(slot, out, v, vals, gate, stats);
+                (out, va.not())
             }
             MicroOp::Copy { mut a, out } => {
-                changed |= vals.rewrite_operand(&mut a, gate, stats);
+                let va = operand(&mut a);
                 slot.op = MicroOp::Copy { a, out };
-                let v = vals.read(a);
-                changed |= finish_single(slot, out, v, vals, gate, stats);
+                (out, va)
             }
-            MicroOp::Set { out, value } => {
-                let v = Values::cref(value);
-                changed |= finish_single(slot, out, v, vals, gate, stats);
-            }
+            MicroOp::Set { out, value } => (out, Values::cref(value)),
             MicroOp::Lut { mut a, mut b, mut c, out, table } => {
-                changed |= vals.rewrite_operand(&mut a, gate, stats);
-                changed |= vals.rewrite_operand(&mut b, gate, stats);
-                changed |= vals.rewrite_operand(&mut c, gate, stats);
+                let (va, vb, vc) = (operand(&mut a), operand(&mut b), operand(&mut c));
                 slot.op = MicroOp::Lut { a, b, c, out, table };
-                let va = vals.read(a);
-                let vb = vals.read(b);
-                let vc = vals.read(c);
-                let v = vals.mk_lut(table, va, vb, vc);
-                changed |= finish_single(slot, out, v, vals, gate, stats);
+                (out, vals.mk_lut(table, va, vb, vc))
             }
             MicroOp::Word { .. } => {
                 unreachable!("word-serial recipes bypass the optimizer (run() passes them through)")
@@ -622,11 +728,8 @@ fn forward(slots: &mut [Slot], vals: &mut Values, gate: &RuleGate, stats: &mut O
             MicroOp::FullAdd { mut a, mut b, carry, sum } => {
                 // The carry operand is read *and* written — never redirect
                 // it: the carry-out must land back in the same plane.
-                changed |= vals.rewrite_operand(&mut a, gate, stats);
-                changed |= vals.rewrite_operand(&mut b, gate, stats);
+                let (va, vb) = (operand(&mut a), operand(&mut b));
                 slot.op = MicroOp::FullAdd { a, b, carry, sum };
-                let va = vals.read(a);
-                let vb = vals.read(b);
                 let vc = vals.read(carry);
                 let vx = vals.mk_xor(va, vb);
                 let vsum = vals.mk_xor(vx, vc);
@@ -646,8 +749,10 @@ fn forward(slots: &mut [Slot], vals: &mut Values, gate: &RuleGate, stats: &mut O
                     vsum
                 };
                 vals.write(sum, seff);
+                continue;
             }
-        }
+        };
+        changed |= finish_single(slot, out, v, vals, gate, stats);
     }
     changed
 }
@@ -665,7 +770,8 @@ fn finish_single(
 ) -> bool {
     let mut changed = false;
     let masked = BitPlaneVrf::is_masked_target(out);
-    let old = vals.read(out);
+    let s = vals.planes.slot(out);
+    let old = vals.read_slot(s);
     let eff = if masked { vals.mk_merge(old, v) } else { v };
     if eff == old && gate.on(OptRule::MaskStrength) {
         // The store provably leaves the destination unchanged — either the
@@ -703,26 +809,20 @@ fn finish_single(
             }
         }
     }
-    vals.write(out, eff);
+    vals.write_slot(s, eff);
     changed
 }
 
 /// Backward two-bit liveness (enabled lanes, mask-disabled lanes) and
 /// dead-op deletion, with per-rule attribution of each removal. `live` is
-/// indexed by plane slot and starts all `None` (= live as at recipe exit).
+/// indexed by plane slot and starts as liveness at recipe exit.
 fn liveness(
     slots: &mut [Slot],
     planes: PlaneIndex,
-    live: &mut [Option<(bool, bool)>],
+    live: &mut [(bool, bool)],
     gate: &RuleGate,
     stats: &mut OptStats,
 ) -> bool {
-    fn exit_live(p: Plane) -> (bool, bool) {
-        match p {
-            Plane::Scratch(_) => (false, false),
-            _ => (true, true),
-        }
-    }
     let mut changed = false;
     for slot in slots.iter_mut().rev() {
         if !slot.live {
@@ -732,7 +832,7 @@ fn liveness(
         let mut needed = false;
         let mut masked_d_live = false;
         for &w in writes.iter() {
-            let (e, d) = live[planes.slot(w)].unwrap_or_else(|| exit_live(w));
+            let (e, d) = live[planes.slot(w)];
             if BitPlaneVrf::is_masked_target(w) {
                 // A masked store only defines the enabled lanes; if only
                 // the disabled lanes are live, deleting it is exact (they
@@ -771,7 +871,7 @@ fn liveness(
         // (kills first so in-place ops end up fully live).
         let mut any_masked = false;
         for &w in writes.iter() {
-            let entry = live[planes.slot(w)].get_or_insert_with(|| exit_live(w));
+            let entry = &mut live[planes.slot(w)];
             if BitPlaneVrf::is_masked_target(w) {
                 entry.0 = false;
                 any_masked = true;
@@ -780,10 +880,10 @@ fn liveness(
             }
         }
         for r in slot.op.reads() {
-            live[planes.slot(r)] = Some((true, true));
+            live[planes.slot(r)] = (true, true);
         }
         if any_masked {
-            live[planes.slot(Plane::Mask)] = Some((true, true));
+            live[planes.slot(Plane::Mask)] = (true, true);
         }
     }
     changed

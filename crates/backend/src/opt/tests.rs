@@ -1,6 +1,7 @@
+use super::pass::{run_rounds, MAX_ROUNDS};
 use super::{optimize, OptConfig, OptRule, OptStats};
 use crate::bitplane::{BitPlaneVrf, Plane};
-use crate::datapath::DatapathModel;
+use crate::datapath::{DatapathKind, DatapathModel};
 use crate::microop::{MicroOp, MicroOpKind};
 use crate::recipe::{build_recipe, Recipe};
 use mpu_isa::{BinaryOp, CompareOp, Instruction, RegId, UnaryOp};
@@ -91,6 +92,32 @@ fn optimized_matches_template_across_backends_and_masks() {
             }
         }
     }
+}
+
+#[path = "../../tests/opt_corpus/mod.rs"]
+mod opt_corpus;
+
+/// The fixpoint cap must never be what stops the pass: every recipe of
+/// the `opt_golden` corpus reaches a round that changes nothing within
+/// [`MAX_ROUNDS`], on every substrate. A rule change that needs one more
+/// round would otherwise be cut off silently.
+#[test]
+fn every_corpus_recipe_converges_within_max_rounds() {
+    let mut cut_off = Vec::new();
+    let mut last_round = 0;
+    for kind in DatapathKind::ALL {
+        let dp = DatapathModel::for_kind(kind);
+        for instr in opt_corpus::corpus() {
+            let template = build_recipe(dp.recipe_ctx(), &instr).expect("compute instruction");
+            let cost = |k| dp.opt_cost(k);
+            match run_rounds(&template, dp.family(), dp.opt_config(), &cost) {
+                (_, _, Some(round)) => last_round = last_round.max(round),
+                (_, _, None) => cut_off.push(format!("{} on {}", instr, dp.name())),
+            }
+        }
+    }
+    assert!(cut_off.is_empty(), "still changing after {MAX_ROUNDS} rounds: {cut_off:?}");
+    assert!(last_round > 1, "the corpus should exercise more than one round");
 }
 
 #[test]
