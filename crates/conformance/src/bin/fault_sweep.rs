@@ -15,9 +15,8 @@
 //! SDC, TMR must have zero SDC, and remapping must reproduce the
 //! reference result — anything else exits 1.
 
-use conformance::{
-    print_stdout, remap_recovers, render_report, run_sweep, PolicyKind, SweepConfig,
-};
+use conformance::{remap_recovers, render_report, run_sweep, PolicyKind, SweepConfig};
+use mastodon::print_stdout;
 use pum_backend::DatapathKind;
 
 fn parse_u64(text: &str) -> Option<u64> {

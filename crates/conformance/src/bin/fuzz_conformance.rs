@@ -9,7 +9,8 @@
 //! divergence the case is shrunk and the reproducer is printed to stderr
 //! and written to `conformance-reproducer.txt`; the process exits 1.
 
-use conformance::{check_case, generate, print_stdout, reproducer_text, shrink};
+use conformance::{check_case, generate, reproducer_text, shrink};
+use mastodon::print_stdout;
 use std::time::{Duration, Instant};
 
 fn parse_u64(text: &str) -> Option<u64> {

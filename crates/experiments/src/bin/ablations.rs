@@ -2,7 +2,9 @@
 //! each toggled on RACER (see `experiments::ablations`). The table is
 //! pinned by `golden/ablations.txt`.
 
+use mastodon::print_stdout;
+
 fn main() -> Result<(), String> {
-    print!("{}", experiments::ablations()?);
+    print_stdout(&experiments::ablations()?);
     Ok(())
 }

@@ -1,5 +1,6 @@
 //! Regenerates every table and figure in sequence (the full artifact run).
 
+use mastodon::print_stdout;
 use std::process::Command;
 
 fn main() {
@@ -9,7 +10,7 @@ fn main() {
         "table1", "table3", "fig01", "fig05", "fig11", "fig12", "fig13", "fig14", "fig15", "table4",
     ];
     for artifact in artifacts {
-        println!("\n########## {artifact} ##########");
+        print_stdout(&format!("\n########## {artifact} ##########\n"));
         let status =
             Command::new(std::env::current_exe().expect("self path").with_file_name(artifact))
                 .args(&forwarded)

@@ -9,7 +9,7 @@
 
 use experiments::{fmt_ratio, fmt_time_ns, parse_jobs, print_table, SEED};
 use ezpim::{Cond, EzProgram};
-use mastodon::{run_single, SimConfig, Stats};
+use mastodon::{print_stdout, run_single, SimConfig, Stats};
 use mpu_isa::RegId;
 use pum_backend::DatapathKind;
 use workloads::{effective_jobs, parallel_map};
@@ -88,8 +88,8 @@ fn main() {
         &["body CMPEQs", "PUM-only time", "Baseline time", "offload share", "slowdown"],
         &rows,
     );
-    println!(
+    print_stdout(
         "\nPaper reference: ~10.1x slowdown at 1 control per 80 instructions; \
-         30-40x for typical bodies."
+         30-40x for typical bodies.\n",
     );
 }

@@ -3,6 +3,7 @@
 //! holders and thermal-aware scheduling.
 
 use experiments::{parse_jobs, print_table};
+use mastodon::print_stdout;
 use pum_backend::power::{
     fig5_sweep, floatpim_like, thermal_active_limit, AIR_COOLING_LIMIT_W_PER_CM2,
 };
@@ -44,13 +45,17 @@ fn main() {
         &headers,
         &rows,
     );
-    println!("\nair-cooling limit: {AIR_COOLING_LIMIT_W_PER_CM2} W/cm2");
+    print_stdout(&format!("\nair-cooling limit: {AIR_COOLING_LIMIT_W_PER_CM2} W/cm2\n"));
     for m in &models {
-        println!("{:>13}: thermally safe active VRFs/RFH = {}", m.name(), thermal_active_limit(m));
+        print_stdout(&format!(
+            "{:>13}: thermally safe active VRFs/RFH = {}\n",
+            m.name(),
+            thermal_active_limit(m)
+        ));
     }
-    println!(
+    print_stdout(&format!(
         "\nPaper reference: {} limited to ~1 active pipeline per cluster; \
-         Duality Cache never thermally throttles.",
+         Duality Cache never thermally throttles.\n",
         models[0].name()
-    );
+    ));
 }

@@ -7,6 +7,7 @@
 use experiments::{
     fmt_ratio, geomean, kernel_matrix_jobs, parse_jobs, print_table, KERNEL_N, SEED,
 };
+use mastodon::print_stdout;
 use pum_backend::{DatapathKind, DatapathModel};
 use workloads::KernelGroup;
 
@@ -67,9 +68,9 @@ fn main() {
         );
     }
     let [racer, mimdram, dc, ..] = &names;
-    println!(
+    print_stdout(&format!(
         "\nPaper reference: average speedups 1.79x / 1.70x / 1.12x and energy savings \
          3.23x / 2.34x / 4.07x for {racer} / {mimdram} / {dc}; basic kernels show \
-         slight slowdowns (iso-area capacity loss), stencil+complex gain ~4.4x on {racer}."
-    );
+         slight slowdowns (iso-area capacity loss), stencil+complex gain ~4.4x on {racer}.\n"
+    ));
 }

@@ -6,6 +6,7 @@ use experiments::{
     base_and_mpu_headers, fmt_ratio, geomean, kernel_matrix_jobs, parse_jobs, print_table,
     KERNEL_N, SEED,
 };
+use mastodon::print_stdout;
 use pum_backend::DatapathKind;
 
 fn main() {
@@ -55,16 +56,16 @@ fn main() {
 
     let dc_speed = geomean(dc.iter().map(|r| r.mpu_speedup_vs_gpu()));
     let dc_energy = geomean(dc.iter().map(|r| r.mpu_energy_savings_vs_gpu()));
-    println!(
+    print_stdout(&format!(
         "\n{} vs GPU (not plotted in the paper): {} speedup, {} energy \
-         savings (paper: 1.6x / 3.6x, capacity-limited).",
+         savings (paper: 1.6x / 3.6x, capacity-limited).\n",
         dc[0].mpu.label,
         fmt_ratio(dc_speed),
         fmt_ratio(dc_energy)
-    );
-    println!(
+    ));
+    print_stdout(&format!(
         "Paper reference: {} 67x / 47x and {} 156x / 35x mean \
-         speedup / energy savings over the GPU.",
+         speedup / energy savings over the GPU.\n",
         racer[0].mpu.label, mimdram[0].mpu.label
-    );
+    ));
 }

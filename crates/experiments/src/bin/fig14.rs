@@ -4,6 +4,7 @@
 use experiments::{
     app_matrix_jobs, base_and_mpu_headers, fmt_ratio, parse_jobs, print_table, APP_KINDS, SEED,
 };
+use mastodon::print_stdout;
 
 fn main() {
     let apps = app_matrix_jobs(SEED, parse_jobs());
@@ -38,11 +39,11 @@ fn main() {
             &rows,
         );
     }
-    println!(
+    print_stdout(&format!(
         "\nPaper reference: {}/{} reach 198x/229x (LLMEncode) and \
          400x/545x (EditDistance) over GPU; BlackScholes remains a GPU win (CORDIC \
          subroutines vs dedicated hardware) but MPU beats Baseline by 2.50x; MPU \
-         energy savings 5.4x/14.2x.",
+         energy savings 5.4x/14.2x.\n",
         apps[0].mpu[0].label, apps[0].mpu[1].label
-    );
+    ));
 }

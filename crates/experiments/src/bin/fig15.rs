@@ -3,6 +3,7 @@
 //! end-to-end applications under MPU and Baseline.
 
 use experiments::{app_matrix_jobs, parse_jobs, print_table, SEED};
+use mastodon::print_stdout;
 
 fn main() {
     let apps = app_matrix_jobs(SEED, parse_jobs());
@@ -26,8 +27,8 @@ fn main() {
         &["application", "config", "MPU compute", "inter-MPU", "off-chip CPU"],
         &rows,
     );
-    println!(
+    print_stdout(
         "\nPaper reference: MPU configurations have zero off-chip time; Baseline \
-         EditDistance is almost entirely off-chip communication (7.72x worse than GPU)."
+         EditDistance is almost entirely off-chip communication (7.72x worse than GPU).\n",
     );
 }

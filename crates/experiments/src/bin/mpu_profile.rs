@@ -13,6 +13,7 @@
 //! `chrome://tracing` or <https://ui.perfetto.dev>.
 
 use experiments::profile_kernel;
+use mastodon::print_stdout;
 use pum_backend::DatapathKind;
 use std::process::ExitCode;
 
@@ -89,18 +90,22 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    println!(
-        "# {} on {} (n={}, seed={}), verified={}",
-        args.kernel, report.run.label, args.n, args.seed, report.run.verified
-    );
-    print!("{}", report.profile_text);
+    // The trace is written before anything is printed, so a reader that
+    // stops early (`mpu_profile ... | head`) still gets the file.
     if let Err(e) = std::fs::write(&args.out, &report.chrome_json) {
         eprintln!("mpu_profile: writing {}: {e}", args.out);
         return ExitCode::FAILURE;
     }
-    println!(
-        "\nwrote Chrome trace to {} — load it in chrome://tracing or https://ui.perfetto.dev",
+    print_stdout(&format!(
+        "# {} on {} (n={}, seed={}), verified={}\n{}\nwrote Chrome trace to {} — load it in \
+         chrome://tracing or https://ui.perfetto.dev\n",
+        args.kernel,
+        report.run.label,
+        args.n,
+        args.seed,
+        report.run.verified,
+        report.profile_text,
         args.out
-    );
+    ));
     ExitCode::SUCCESS
 }

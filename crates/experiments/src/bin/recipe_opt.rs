@@ -14,6 +14,7 @@
 //! `recipe_opt_golden` snapshot test.
 
 use experiments::{opt_attribution, parse_backends, render_opt_attribution};
+use mastodon::print_stdout;
 use pum_backend::DatapathKind;
 use std::process::ExitCode;
 
@@ -60,7 +61,7 @@ fn main() -> ExitCode {
     };
     match opt_attribution(&args.backends, args.n, args.seed) {
         Ok(rows) => {
-            print!("{}", render_opt_attribution(&rows, args.n, args.seed));
+            print_stdout(&render_opt_attribution(&rows, args.n, args.seed));
             ExitCode::SUCCESS
         }
         Err(msg) => {

@@ -1,7 +1,7 @@
 //! Table III: system parameters for the three MPU configurations.
 
 use experiments::print_table;
-use mastodon::SimConfig;
+use mastodon::{print_stdout, SimConfig};
 use pum_backend::DatapathKind;
 
 fn main() {
@@ -27,8 +27,8 @@ fn main() {
     let headers: Vec<&str> =
         ["parameter"].into_iter().chain(labels.iter().map(String::as_str)).collect();
     print_table("Table III — system parameters", &headers, &rows);
-    println!(
+    print_stdout(
         "\nHost CPU (Baseline offload target): 16-core x86 OoO (Xeon Gold 6544Y-class), \
-         8 GB DDR3L."
+         8 GB DDR3L.\n",
     );
 }

@@ -3,7 +3,7 @@
 //! ISA instruction count) and ezpim source statements.
 
 use experiments::{parse_jobs, print_table, SEED};
-use mastodon::SimConfig;
+use mastodon::{print_stdout, SimConfig};
 use pum_backend::DatapathKind;
 use workloads::apps::all_apps;
 use workloads::{effective_jobs, parallel_map};
@@ -36,8 +36,8 @@ fn main() {
         ],
         &rows,
     );
-    println!(
+    print_stdout(
         "\nPaper reference LoC (baseline -> ezpim): LLMEncode 15290 -> 1160, \
-         BlackScholes 1059 -> 383, EditDistance 5428 -> 120."
+         BlackScholes 1059 -> 383, EditDistance 5428 -> 120.\n",
     );
 }

@@ -706,9 +706,8 @@ pub fn geomean(values: impl IntoIterator<Item = f64>) -> f64 {
     (log_sum / count as f64).exp()
 }
 
-/// Prints an aligned text table.
+/// Prints an aligned text table through [`mastodon::print_stdout`].
 pub fn print_table(title: &str, headers: &[impl AsRef<str>], rows: &[Vec<String>]) {
-    println!("\n=== {title} ===");
     let mut widths: Vec<usize> = headers.iter().map(|h| h.as_ref().len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
@@ -725,11 +724,16 @@ pub fn print_table(title: &str, headers: &[impl AsRef<str>], rows: &[Vec<String>
             .collect::<Vec<_>>()
             .join("  ")
     };
-    println!("{}", fmt_row(headers.iter().map(|s| s.as_ref().to_string()).collect()));
-    println!("{}", "-".repeat(widths.iter().sum::<usize>() + 2 * widths.len()));
+    let mut text = format!("\n=== {title} ===\n");
+    text += &fmt_row(headers.iter().map(|s| s.as_ref().to_string()).collect());
+    text += "\n";
+    text += &"-".repeat(widths.iter().sum::<usize>() + 2 * widths.len());
+    text += "\n";
     for row in rows {
-        println!("{}", fmt_row(row.clone()));
+        text += &fmt_row(row.clone());
+        text += "\n";
     }
+    mastodon::print_stdout(&text);
 }
 
 /// Table headers `first, Base:X, MPU:X, ...`, one pair per kind's model.

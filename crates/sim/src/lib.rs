@@ -98,3 +98,19 @@ pub use recipe_cache::{PoolStats, RecipeCache, RecipePool};
 pub use stats::{EnergyStats, FaultStats, Stats};
 pub use system::{System, SystemError};
 pub use trace::{EventLog, FaultAction, InstrClass, TraceEvent, TraceKind, Tracer, UopMix};
+
+/// Writes `text` to stdout for the command-line binaries built on the
+/// simulator. A reader that has gone away (a closed pipe, as in
+/// `fig12 | head -3`) ends the process quietly with status 0: nobody is
+/// left to read the rest. Any other write error ends it with status 1.
+pub fn print_stdout(text: &str) {
+    use std::io::Write;
+    let mut out = std::io::stdout().lock();
+    if let Err(e) = out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("could not write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
