@@ -325,9 +325,9 @@ impl MicroOp {
     }
 
     /// This micro-op with every plane operand replaced by `f` of it, in
-    /// place. [`MicroOp::Word`] names registers, not planes, and is
-    /// returned unchanged.
-    pub(crate) fn map_planes(self, f: impl Fn(Plane) -> Plane) -> MicroOp {
+    /// place, calling `f` in operand order. [`MicroOp::Word`] names
+    /// registers, not planes, and is returned unchanged.
+    pub(crate) fn map_planes(self, mut f: impl FnMut(Plane) -> Plane) -> MicroOp {
         match self {
             MicroOp::Nor { a, b, out } => MicroOp::Nor { a: f(a), b: f(b), out: f(out) },
             MicroOp::Tra { a, b, c, out } => {

@@ -29,11 +29,10 @@
 //! plane slots: each packed [`ValRef`] has a `[head, tail]` pair, each slot
 //! a `[prev, next]` pair, so a write moves a plane between lists in
 //! constant time and allocates nothing. Node interning probes an
-//! open-addressed table of node numbers, each tagged with half of its
-//! node's hash, cleared per round. Node numbers are assigned in
-//! insertion order and a plane joins a holder list at its tail, so lists
-//! keep establishment order and none of these choices can change a
-//! rewrite decision (DESIGN.md §10).
+//! open-addressed table of node numbers, cleared per round. Node numbers
+//! are assigned in insertion order and a plane joins a holder list at its
+//! tail, so lists keep establishment order and none of these choices can
+//! change a rewrite decision (DESIGN.md §10).
 
 use super::{OptConfig, OptRule, OptStats};
 use crate::bitplane::{BitPlaneVrf, Plane, SCRATCH_PLANES};
@@ -46,11 +45,8 @@ use crate::recipe::Recipe;
 /// four (`opt::tests::every_corpus_recipe_converges_within_max_rounds`).
 pub(super) const MAX_ROUNDS: usize = 4;
 
-/// The end of a holder list.
+/// The end of a holder list, and a free node-table bucket.
 const NIL: u32 = u32::MAX;
-
-/// A free node-table bucket.
-const EMPTY: u64 = u64::MAX;
 
 const TRUE: ValRef = ValRef(0);
 const FALSE: ValRef = ValRef(1);
@@ -140,8 +136,9 @@ impl PlaneIndex {
     fn of(ops: &[MicroOp]) -> PlaneIndex {
         let mut ix = PlaneIndex { bits: 1, regs: 0, scratch: SCRATCH_PLANES };
         for op in ops {
-            let (reads, writes) = (op.reads(), op.writes());
-            for &p in reads.iter().chain(writes.iter()) {
+            // Every plane an op reads or writes is an operand, except the
+            // FullAdd latch, which lies below `SCRATCH_PLANES` anyway.
+            op.map_planes(|p| {
                 match p {
                     Plane::Reg { reg, bit } => {
                         ix.regs = ix.regs.max(usize::from(reg) + 1);
@@ -150,7 +147,8 @@ impl PlaneIndex {
                     Plane::Scratch(i) => ix.scratch = ix.scratch.max(usize::from(i) + 1),
                     Plane::Cond | Plane::Mask | Plane::Const(_) => {}
                 }
-            }
+                p
+            });
         }
         ix
     }
@@ -196,11 +194,10 @@ struct Values {
     /// The plane at each slot.
     plane_at: Vec<Plane>,
     nodes: Vec<Node>,
-    /// Open-addressed, linearly probed node table. A bucket holds the top
-    /// half of the node's hash above its node number, so a probe touches
-    /// `nodes` only on a likely match; [`EMPTY`] when free. Its length is a
-    /// power of two and it is kept at most half full.
-    table: Vec<u64>,
+    /// Open-addressed, linearly probed node table: a node number per
+    /// bucket, [`NIL`] when free. Its length is a power of two and it is
+    /// kept at most half full.
+    table: Vec<u32>,
     /// Current value per plane slot; `None` until first read or write.
     val: Vec<Option<ValRef>>,
     /// `[head, tail]` slots of each value's holder list, indexed by the
@@ -220,7 +217,7 @@ impl Values {
             planes,
             plane_at,
             nodes: Vec::new(),
-            table: vec![EMPTY; 64],
+            table: vec![NIL; 64],
             val: vec![None; planes.len()],
             ends: Vec::new(),
             links: vec![[NIL; 2]; planes.len()],
@@ -233,7 +230,7 @@ impl Values {
     /// every allocation.
     fn reset(&mut self) {
         self.nodes.clear();
-        self.table.fill(EMPTY);
+        self.table.fill(NIL);
         self.val.fill(None);
         self.ends.clear();
         self.intern(Node::True);
@@ -244,24 +241,21 @@ impl Values {
     }
 
     fn intern(&mut self, node: Node) -> ValRef {
-        let hash = node.hash();
-        let tag = hash & !u64::from(u32::MAX);
         let mask = self.table.len() - 1;
-        let mut b = Values::bucket(hash, self.table.len());
+        let mut b = Values::bucket(node, self.table.len());
         loop {
-            let e = self.table[b];
-            if e == EMPTY {
+            let i = self.table[b];
+            if i == NIL {
                 break;
             }
-            let i = e as u32;
-            if e & !u64::from(u32::MAX) == tag && self.nodes[i as usize] == node {
+            if self.nodes[i as usize] == node {
                 return ValRef(i << 1);
             }
             b = (b + 1) & mask;
         }
         let i = self.nodes.len() as u32;
         self.nodes.push(node);
-        self.table[b] = tag | u64::from(i);
+        self.table[b] = i;
         self.ends.extend([[NIL; 2]; 2]);
         if 2 * self.nodes.len() > self.table.len() {
             self.grow();
@@ -269,26 +263,24 @@ impl Values {
         ValRef(i << 1)
     }
 
-    /// The first bucket probed for a node hashing to `hash` in a table of
-    /// `len` buckets: the hash's top bits, the best mixed ones of a
-    /// multiplicative hash.
-    fn bucket(hash: u64, len: usize) -> usize {
-        (hash >> (64 - len.trailing_zeros())) as usize
+    /// The first bucket probed for `node` in a table of `len` buckets: the
+    /// top bits of its hash, the best mixed ones of a multiplicative hash.
+    fn bucket(node: Node, len: usize) -> usize {
+        (node.hash() >> (64 - len.trailing_zeros())) as usize
     }
 
     /// Doubles the node table and reinserts every node.
     fn grow(&mut self) {
         let len = 2 * self.table.len();
         self.table.clear();
-        self.table.resize(len, EMPTY);
+        self.table.resize(len, NIL);
         let mask = len - 1;
         for (i, &node) in self.nodes.iter().enumerate() {
-            let hash = node.hash();
-            let mut b = Values::bucket(hash, len);
-            while self.table[b] != EMPTY {
+            let mut b = Values::bucket(node, len);
+            while self.table[b] != NIL {
                 b = (b + 1) & mask;
             }
-            self.table[b] = hash & !u64::from(u32::MAX) | i as u64;
+            self.table[b] = i as u32;
         }
     }
 
@@ -560,14 +552,27 @@ impl Values {
 /// prices, read once per recipe into a table indexed by
 /// [`MicroOpKind::index`].
 struct RuleGate {
+    /// [`OptRule::bit`]s of the rules both enabled and sound for the family.
+    rules: u32,
     family: LogicFamily,
-    config: OptConfig,
     costs: [Option<(u64, f64)>; MicroOpKind::ALL.len()],
 }
 
 impl RuleGate {
+    fn new(
+        family: LogicFamily,
+        config: OptConfig,
+        cost: &dyn Fn(MicroOpKind) -> Option<(u64, f64)>,
+    ) -> RuleGate {
+        let rules = OptRule::ALL
+            .iter()
+            .filter(|&&rule| config.rule_enabled(rule) && rule.sound_for(family))
+            .fold(0, |bits, rule| bits | rule.bit());
+        RuleGate { rules, family, costs: MicroOpKind::ALL.map(cost) }
+    }
+
     fn on(&self, rule: OptRule) -> bool {
-        self.config.rule_enabled(rule) && rule.sound_for(self.family)
+        self.rules & rule.bit() != 0
     }
 
     /// True when issuing `new` instead of `old` is legal on this substrate
@@ -638,7 +643,7 @@ pub(super) fn run_rounds(
     if ops.iter().any(|op| op.writes().iter().any(|w| matches!(w, Plane::Mask | Plane::Const(_)))) {
         return (recipe.with_optimized_ops(ops, 0), stats, Some(0));
     }
-    let gate = RuleGate { family, config, costs: MicroOpKind::ALL.map(cost) };
+    let gate = RuleGate::new(family, config, cost);
     let planes = PlaneIndex::of(&ops);
     let mut vals = Values::new(planes);
     // Liveness at recipe exit: architectural planes are live, scratch
