@@ -17,6 +17,7 @@
 use experiments::chaos::{
     bounded_wait_all, gen_job, percentile, roomy_limits, submit_retrying, MixConfig,
 };
+use mastodon::write_stdout;
 use microjson::Value;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -170,7 +171,9 @@ fn main() {
     let reparsed = Value::parse(&rendered).expect("load_gen report must be valid microjson");
     assert_eq!(reparsed, report, "load_gen report does not round-trip");
 
-    println!("{rendered}");
+    // A closed stdout does not end the run: the file and the hang check
+    // still decide the exit status.
+    write_stdout(&format!("{rendered}\n"));
     if let Some(path) = out {
         std::fs::write(&path, &rendered).unwrap_or_else(|e| {
             eprintln!("cannot write {path}: {e}");

@@ -14,6 +14,7 @@
 //! to a file (the report artifact CI uploads on failure).
 
 use experiments::{parse_backends, prim_suite, render_prim_suite};
+use mastodon::write_stdout;
 use pum_backend::DatapathKind;
 use std::process::ExitCode;
 
@@ -78,7 +79,9 @@ fn main() -> ExitCode {
         }
     };
     let table = render_prim_suite(&rows, args.n, args.seed);
-    print!("{table}");
+    // A closed stdout does not end the run: the file and the golden check
+    // still decide the exit status.
+    write_stdout(&table);
     if let Some(path) = &args.out {
         if let Err(e) = std::fs::write(path, &table) {
             eprintln!("prim_suite: writing {path}: {e}");

@@ -29,6 +29,7 @@
 use experiments::chaos::{
     bounded_wait_all, gen_job, roomy_limits, submit_retrying, GenJob, JobKind, MixConfig,
 };
+use mastodon::write_stdout;
 use microjson::Value;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -243,7 +244,9 @@ fn main() {
         ("health".into(), health_to_json(&health)),
     ]);
     let rendered = report.to_string();
-    println!("{rendered}");
+    // A closed stdout does not end the run: the file and the audit still
+    // decide the exit status.
+    write_stdout(&format!("{rendered}\n"));
     if let Some(path) = out {
         std::fs::write(&path, &rendered).unwrap_or_else(|e| {
             eprintln!("cannot write {path}: {e}");

@@ -100,17 +100,31 @@ pub use system::{System, SystemError};
 pub use trace::{EventLog, FaultAction, InstrClass, TraceEvent, TraceKind, Tracer, UopMix};
 
 /// Writes `text` to stdout for the command-line binaries built on the
-/// simulator. A reader that has gone away (a closed pipe, as in
-/// `fig12 | head -3`) ends the process quietly with status 0: nobody is
-/// left to read the rest. Any other write error ends it with status 1.
-pub fn print_stdout(text: &str) {
+/// simulator and reports whether a reader is still there: `false` once it
+/// has gone away (a closed pipe, as in `prim_suite | head -3`). Any other
+/// write error ends the process with status 1.
+///
+/// A binary that still has work after printing (writing a file, checking
+/// a verdict for its exit status) calls this and carries on; one whose
+/// output is its only product calls [`print_stdout`].
+pub fn write_stdout(text: &str) -> bool {
     use std::io::Write;
     let mut out = std::io::stdout().lock();
-    if let Err(e) = out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
-        if e.kind() == std::io::ErrorKind::BrokenPipe {
-            std::process::exit(0);
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Ok(()) => true,
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => false,
+        Err(e) => {
+            eprintln!("could not write to stdout: {e}");
+            std::process::exit(1);
         }
-        eprintln!("could not write to stdout: {e}");
-        std::process::exit(1);
+    }
+}
+
+/// [`write_stdout`] for a binary whose output is its only product: a
+/// reader that has gone away (`fig12 | head -3`) ends the process quietly
+/// with status 0, since nobody is left to read the rest.
+pub fn print_stdout(text: &str) {
+    if !write_stdout(text) {
+        std::process::exit(0);
     }
 }
