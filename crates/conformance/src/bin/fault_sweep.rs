@@ -16,7 +16,7 @@
 //! reference result — anything else exits 1.
 
 use conformance::{remap_recovers, render_report, run_sweep, PolicyKind, SweepConfig};
-use mastodon::print_stdout;
+use mastodon::write_stdout;
 use pum_backend::DatapathKind;
 
 fn parse_u64(text: &str) -> Option<u64> {
@@ -109,7 +109,7 @@ fn main() {
             let cfg = SweepConfig { backend, seed, rate, trials, policy };
             let report = run_sweep(&cfg);
             let block = render_report(&cfg, &report);
-            print_stdout(&block);
+            write_stdout(&block);
             report_text.push_str(&block);
 
             match policy {
@@ -156,7 +156,7 @@ fn main() {
                 format!("remap backend={backend:?}: FAILED: {e}\n")
             }
         };
-        print_stdout(&remap_line);
+        write_stdout(&remap_line);
         report_text.push_str(&remap_line);
     }
 

@@ -1,6 +1,7 @@
-//! The harness binaries stop quietly when their reader goes away: with
-//! stdout closed (`fault_sweep ... | head -3`), they exit with status 0
-//! and without a panic.
+//! The harness binaries handle a reader that goes away without a panic:
+//! with stdout closed (`fault_sweep ... | head -3`), `fuzz_conformance`
+//! exits with status 0, and `fault_sweep` finishes its sweep, writes its
+//! `--out` report and lets `--assert` decide the exit status.
 
 use std::process::{Command, Output, Stdio};
 
@@ -25,8 +26,14 @@ fn assert_quiet_exit(output: &Output) {
 
 #[test]
 fn fault_sweep_exits_quietly_when_stdout_closes() {
-    let args = ["--backend", "duality-cache", "--trials", "1", "--policy", "inject"];
+    let out =
+        std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("closed_stdout_fault_sweep.txt");
+    let _ = std::fs::remove_file(&out);
+    let out = out.to_str().expect("UTF-8 temp path");
+    let args = ["--backend", "duality-cache", "--trials", "1", "--policy", "inject", "--out", out];
     assert_quiet_exit(&run_with_closed_stdout(env!("CARGO_BIN_EXE_fault_sweep"), &args));
+    let report = std::fs::read_to_string(out).expect("the --out report is written");
+    assert!(report.contains("remap backend=DualityCache"), "{report}");
 }
 
 #[test]
