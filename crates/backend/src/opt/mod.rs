@@ -295,7 +295,8 @@ pub fn optimize(
     config: OptConfig,
     cost: &dyn Fn(MicroOpKind) -> Option<(u64, f64)>,
 ) -> (Recipe, OptStats) {
-    pass::run(recipe, family, config, cost)
+    let (recipe, stats, _) = pass::run(recipe, family, config, cost);
+    (recipe, stats)
 }
 
 #[cfg(test)]

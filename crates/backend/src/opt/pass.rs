@@ -599,21 +599,12 @@ struct Slot {
     dup: bool,
 }
 
+/// Optimizes `recipe` (see [`super::optimize`]) and also returns the
+/// 1-based round that changed nothing and so ended the fixpoint: `Some(0)`
+/// for a recipe passed through without analysis, `None` when
+/// [`MAX_ROUNDS`] cut the iteration off while a round still changed the
+/// recipe.
 pub(super) fn run(
-    recipe: &Recipe,
-    family: LogicFamily,
-    config: OptConfig,
-    cost: &dyn Fn(MicroOpKind) -> Option<(u64, f64)>,
-) -> (Recipe, OptStats) {
-    let (recipe, stats, _) = run_rounds(recipe, family, config, cost);
-    (recipe, stats)
-}
-
-/// [`run`], also returning the 1-based round that changed nothing and so
-/// ended the fixpoint: `Some(0)` for a recipe passed through without
-/// analysis, `None` when [`MAX_ROUNDS`] cut the iteration off while a
-/// round still changed the recipe.
-pub(super) fn run_rounds(
     recipe: &Recipe,
     family: LogicFamily,
     config: OptConfig,

@@ -1,4 +1,4 @@
-use super::pass::{run_rounds, MAX_ROUNDS};
+use super::pass::{run, MAX_ROUNDS};
 use super::{optimize, OptConfig, OptRule, OptStats};
 use crate::bitplane::{BitPlaneVrf, Plane};
 use crate::datapath::{DatapathKind, DatapathModel};
@@ -110,7 +110,7 @@ fn every_corpus_recipe_converges_within_max_rounds() {
         for instr in opt_corpus::corpus() {
             let template = build_recipe(dp.recipe_ctx(), &instr).expect("compute instruction");
             let cost = |k| dp.opt_cost(k);
-            match run_rounds(&template, dp.family(), dp.opt_config(), &cost) {
+            match run(&template, dp.family(), dp.opt_config(), &cost) {
                 (_, _, Some(round)) => last_round = last_round.max(round),
                 (_, _, None) => cut_off.push(format!("{} on {}", instr, dp.name())),
             }
