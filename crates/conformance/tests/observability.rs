@@ -1,5 +1,6 @@
 //! Observability conformance: across random generated programs, every
-//! backend, and both `trace_ensembles` settings, (1) arming a tracer never
+//! backend, MPU and Baseline modes, and both `trace_ensembles` settings,
+//! (1) arming a tracer never
 //! changes execution — lane values, per-MPU statistics and the tier split
 //! are byte-identical to a disarmed run — and (2) the attribution profile
 //! built from the trace conserves every counter and energy field exactly.
@@ -25,12 +26,10 @@ struct Observed {
 /// Runs a generated case on the simulator, optionally traced. Cases whose
 /// programs fail to lower or run (shrinker-style artifacts) return `None`
 /// and are skipped — the point here is trace transparency, not validity.
-fn run_case(kind: DatapathKind, trace_ensembles: bool, seed: u64, armed: bool) -> Option<Observed> {
+fn run_case(config: &SimConfig, seed: u64, armed: bool) -> Option<Observed> {
     let case = generate(seed);
     let programs = case.programs().ok()?;
-    let mut config = SimConfig::mpu(kind);
-    config.trace_ensembles = trace_ensembles;
-    let mut sys = System::new(config, case.mpus.len());
+    let mut sys = System::new(config.clone(), case.mpus.len());
     let log = EventLog::new();
     if armed {
         sys.set_event_log(&log);
@@ -67,18 +66,24 @@ fn run_case(kind: DatapathKind, trace_ensembles: bool, seed: u64, armed: bool) -
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Tracing transparency and conservation over random programs: the
-    /// armed run is byte-identical to the disarmed run (tier split
-    /// included), folding the armed
+    /// Tracing transparency and conservation over random programs, in MPU
+    /// and Baseline mode (host offloads, CPU-mediated SEND/RECV and the
+    /// CPU-idle charge at finish): the armed run is byte-identical to the
+    /// disarmed run (tier split included), folding the armed
     /// run's event deltas reproduces every [`Stats`] field exactly, and
     /// the attribution tree partitions every field but elapsed cycles.
     #[test]
     fn tracing_is_transparent_and_profiles_conserve(seed in 0u64..4096) {
-        for kind in DatapathKind::ALL {
+        let modes = DatapathKind::ALL
+            .into_iter()
+            .flat_map(|kind| [SimConfig::mpu(kind), SimConfig::baseline(kind)]);
+        for mode in modes {
             for trace_ensembles in [false, true] {
-                let ctx = format!("{kind:?}, trace_ensembles={trace_ensembles}, seed={seed}");
-                let armed = run_case(kind, trace_ensembles, seed, true);
-                let disarmed = run_case(kind, trace_ensembles, seed, false);
+                let config = SimConfig { trace_ensembles, ..mode.clone() };
+                let ctx =
+                    format!("{}, trace_ensembles={trace_ensembles}, seed={seed}", config.label());
+                let armed = run_case(&config, seed, true);
+                let disarmed = run_case(&config, seed, false);
                 let (armed, disarmed) = match (armed, disarmed) {
                     (Some(a), Some(d)) => (a, d),
                     (None, None) => continue,

@@ -2,8 +2,8 @@
 //! on multi-MPU (NoC) runs, and Chrome trace-event export validity.
 
 use mastodon::{
-    chrome_trace_json, run_single_traced, EventLog, FaultConfig, Profile, Redundancy, SimConfig,
-    Stats, System, TraceEvent, TraceKind, NOC_TID,
+    chrome_trace_json, run_single_traced, EventLog, FaultAction, FaultConfig, Profile, Redundancy,
+    SimConfig, Stats, StuckLane, System, TraceEvent, TraceKind, NOC_TID,
 };
 use microjson::Value;
 use mpu_isa::Program;
@@ -107,6 +107,40 @@ fn profile_conserves_scheduler_waves_across_checkpoint_restarts() {
             .expect("restarts recover the run");
     assert!(stats.faults.ensemble_restarts > 0, "the run must exercise restarts");
     let profile = Profile::build(&log.take());
+    assert_eq!(profile.mpus[0].totals, stats, "profile totals must reproduce Stats exactly");
+    assert_tree_partitions(&profile);
+}
+
+#[test]
+fn profile_conserves_tmr_votes_and_lane_remap() {
+    // TMR over a transient fault model plus a stuck lane that the boot
+    // self-test power-gates and remaps onto a spare: the redundant runs,
+    // the votes, the self-test charge and the landed-fault count in
+    // `finish` must all fold back into `Stats` and partition the tree.
+    let body = "ADD r0 r1 r2\nADD r2 r1 r2\n".repeat(8);
+    let program = Program::parse_asm(&format!("COMPUTE h0 v0\n{body}COMPUTE_DONE")).expect("asm");
+    let mut config = SimConfig::mpu(DatapathKind::Racer);
+    config.fault = FaultConfig {
+        seed: Some(2),
+        transient_rate: 1e-4,
+        stuck_lanes: vec![StuckLane { mpu: 0, rfh: 0, vrf: 0, lane: 5, value: true }],
+        ..Default::default()
+    };
+    config.recovery.redundancy = Redundancy::Tmr;
+    config.recovery.remap = true;
+    config.recovery.spare_lanes = 4;
+    let inputs = [((0, 0, 0), vec![5; 60]), ((0, 0, 1), vec![9; 60])];
+    let log = EventLog::new();
+    let (stats, _) =
+        run_single_traced(config, &program, &inputs, None, Some(Box::new(log.clone())))
+            .expect("TMR run completes");
+    let events = log.take();
+    assert!(events.iter().any(|e| matches!(e.kind, TraceKind::SelfTest { dead: 1, .. })));
+    assert!(events.iter().any(|e| e.kind == TraceKind::Fault(FaultAction::RedundantRun)));
+    assert!(stats.faults.injected > 0, "transient faults must land");
+    assert!(stats.faults.corrected > 0, "TMR must vote at least one fault out");
+    assert!(stats.faults.remapped_lanes > 0, "lanes past the dead one must shift");
+    let profile = Profile::build(&events);
     assert_eq!(profile.mpus[0].totals, stats, "profile totals must reproduce Stats exactly");
     assert_tree_partitions(&profile);
 }
