@@ -566,31 +566,27 @@ pub fn render_prim_suite(rows: &[PrimSuiteRow], n: u64, seed: u64) -> String {
     render_rows(&title, &headers, &body)
 }
 
-/// Renders a titled, right-aligned text table: the golden-pinned form of
-/// [`print_table`].
-fn render_rows(title: &str, headers: &[String], body: &[Vec<String>]) -> String {
-    let mut widths: Vec<usize> = headers.iter().map(String::len).collect();
+/// Renders a titled, right-aligned text table under a dashed rule. A row
+/// wider than the header gets columns of its own cells' width.
+fn render_rows(title: &str, headers: &[impl AsRef<str>], body: &[Vec<String>]) -> String {
+    let mut widths: Vec<usize> = headers.iter().map(|h| h.as_ref().len()).collect();
     for row in body {
         for (i, cell) in row.iter().enumerate() {
-            widths[i] = widths[i].max(cell.len());
+            match widths.get_mut(i) {
+                Some(w) => *w = (*w).max(cell.len()),
+                None => widths.push(cell.len()),
+            }
         }
     }
-    let render_line = |cells: &[String]| -> String {
-        cells
-            .iter()
-            .enumerate()
-            .map(|(i, c)| format!("{c:>w$}", w = widths[i]))
-            .collect::<Vec<_>>()
-            .join("  ")
-    };
-    let mut out = format!("{title}\n");
-    out.push_str(&render_line(headers));
-    out.push('\n');
+    fn line(cells: &[impl AsRef<str>], widths: &[usize]) -> String {
+        let cells = cells.iter().zip(widths).map(|(c, w)| format!("{:>w$}", c.as_ref()));
+        cells.collect::<Vec<_>>().join("  ") + "\n"
+    }
+    let mut out = format!("{title}\n{}", line(headers, &widths));
     out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)));
     out.push('\n');
     for row in body {
-        out.push_str(&render_line(row));
-        out.push('\n');
+        out.push_str(&line(row, &widths));
     }
     out
 }
@@ -706,34 +702,10 @@ pub fn geomean(values: impl IntoIterator<Item = f64>) -> f64 {
     (log_sum / count as f64).exp()
 }
 
-/// Prints an aligned text table through [`mastodon::print_stdout`].
+/// Prints an aligned text table under an `=== title ===` heading through
+/// [`mastodon::print_stdout`].
 pub fn print_table(title: &str, headers: &[impl AsRef<str>], rows: &[Vec<String>]) {
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.as_ref().len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
-    }
-    let fmt_row = |cells: Vec<String>| {
-        cells
-            .iter()
-            .enumerate()
-            .map(|(i, c)| format!("{c:>w$}", w = widths.get(i).copied().unwrap_or(8)))
-            .collect::<Vec<_>>()
-            .join("  ")
-    };
-    let mut text = format!("\n=== {title} ===\n");
-    text += &fmt_row(headers.iter().map(|s| s.as_ref().to_string()).collect());
-    text += "\n";
-    text += &"-".repeat(widths.iter().sum::<usize>() + 2 * widths.len());
-    text += "\n";
-    for row in rows {
-        text += &fmt_row(row.clone());
-        text += "\n";
-    }
-    mastodon::print_stdout(&text);
+    mastodon::print_stdout(&render_rows(&format!("\n=== {title} ==="), headers, rows));
 }
 
 /// Table headers `first, Base:X, MPU:X, ...`, one pair per kind's model.
@@ -789,6 +761,13 @@ mod tests {
         let g = geomean([1.0, 4.0]);
         assert!((g - 2.0).abs() < 1e-12);
         assert!(geomean(std::iter::empty::<f64>()).is_nan());
+    }
+
+    #[test]
+    fn render_rows_gives_a_wider_row_its_own_columns() {
+        let body = [vec!["1".to_string(), "22".to_string(), "333".to_string()]];
+        let text = render_rows("t", &["a", "bcd"], &body);
+        assert_eq!(text, "t\na  bcd\n-----------\n1   22  333\n");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use crate::config::{ExecutionMode, SimConfig};
 use crate::fault::Redundancy;
 use crate::recipe_cache::{RecipeCache, RecipePool};
-use crate::stats::{EnergyStats, Stats};
+use crate::stats::{EnergyStats, FaultStats, Stats};
 use crate::trace::{FaultAction, InstrClass, TraceEvent, TraceKind, Tracer, UopMix};
 use mpu_isa::{Instruction, MpuId, Program, COND_REG};
 use pum_backend::{
@@ -530,10 +530,11 @@ pub struct Mpu {
     pc: usize,
     halted: bool,
     inbox: Vec<Message>,
-    /// Observability hook (`None` by default): every stats charge is
-    /// mirrored as a [`TraceEvent`] when armed. Disarmed, each emission
-    /// site is a single branch and no event is ever constructed, so
-    /// execution and statistics are byte-identical either way.
+    /// Observability hook (`None` by default). Every ledger change goes
+    /// through [`Self::charge`], which applies its delta either way and,
+    /// when armed, hands the tracer that same delta as a [`TraceEvent`].
+    /// Disarmed, no event kind is built, so execution and statistics are
+    /// byte-identical either way.
     tracer: Option<Box<dyn Tracer>>,
     /// Compute ensembles executed on multi-instruction blocks (host-side
     /// telemetry; not part of [`Stats`] — how a body executes never
@@ -612,48 +613,30 @@ impl Mpu {
         self.tracer = Some(tracer);
     }
 
-    /// Emits a trace event when a tracer is armed. The closure builds the
-    /// `(kind, delta)` pair only in that case, so disarmed machines pay a
-    /// single branch. Call *after* applying the charge: the event's cycle
-    /// stamp is read from the post-charge ledger.
+    /// The one way the ledger changes: adds `delta` to [`Stats`] and, when
+    /// a tracer is armed, emits it as a [`TraceEvent`] of kind `kind()`,
+    /// stamped with the post-charge cycle count. Every event therefore
+    /// carries exactly the delta its charge applied. `kind` runs only when
+    /// armed, so a disarmed machine pays one branch.
     #[inline]
-    fn trace<F: FnOnce() -> (TraceKind, Stats)>(&mut self, line: usize, f: F) {
+    fn charge(&mut self, line: usize, delta: Stats, kind: impl FnOnce() -> TraceKind) {
+        self.stats.merge_sequential(&delta);
         if let Some(tracer) = self.tracer.as_mut() {
-            let (kind, delta) = f();
-            tracer.event(&TraceEvent {
-                mpu: self.id.0,
-                line,
-                cycle: self.stats.cycles,
-                kind,
-                delta,
-            });
+            let cycle = self.stats.cycles;
+            tracer.event(&TraceEvent { mpu: self.id.0, line, cycle, kind: kind(), delta });
         }
     }
 
-    /// Traces one control-path instruction: its control-cycle charge plus
-    /// the instruction count.
-    #[inline]
-    fn trace_control_instr(&mut self, line: usize, mnemonic: &'static str, cycles: u64) {
-        self.trace(line, || {
-            let delta =
-                Stats { cycles, control_cycles: cycles, instructions: 1, ..Stats::default() };
-            (TraceKind::Instr { mnemonic, class: InstrClass::Control }, delta)
-        });
-    }
-
-    /// Traces one redundancy/recovery action and its fault counter.
-    #[inline]
-    fn trace_fault(&mut self, line: usize, action: FaultAction) {
-        self.trace(line, || {
-            let mut delta = Stats::default();
-            match action {
-                FaultAction::RedundantRun => delta.faults.redundant_runs = 1,
-                FaultAction::Detected => delta.faults.detected = 1,
-                FaultAction::Corrected => delta.faults.corrected = 1,
-                FaultAction::Retry => delta.faults.retries = 1,
-            }
-            (TraceKind::Fault(action), delta)
-        });
+    /// Charges one redundancy/recovery action: its fault counter.
+    fn charge_fault(&mut self, line: usize, action: FaultAction) {
+        let mut faults = FaultStats::default();
+        *match action {
+            FaultAction::RedundantRun => &mut faults.redundant_runs,
+            FaultAction::Detected => &mut faults.detected,
+            FaultAction::Corrected => &mut faults.corrected,
+            FaultAction::Retry => &mut faults.retries,
+        } = 1;
+        self.charge(line, Stats { faults, ..Stats::default() }, || TraceKind::Fault(action));
     }
 
     /// Fetches the instruction at `pc`, rejecting truncated programs
@@ -765,26 +748,18 @@ impl Mpu {
         let dead_n = dead.len() as u64;
         let remapped_n = map.iter().enumerate().filter(|&(i, &p)| i != p).count() as u64;
         let lost_n = (logical - map.len()) as u64;
-        let st = &mut self.stats.faults;
-        st.dead_lanes += dead_n;
-        st.remapped_lanes += remapped_n;
-        st.lanes_lost += lost_n;
         // Overhead: two write/read march passes over one register.
-        let words = 4 * lanes as u64;
-        let cycles = words * self.config.datapath.transfer_cycles_per_word();
-        let fj = words * self.config.datapath.transfer_fj_per_word();
-        self.stats.cycles += cycles;
-        self.stats.transfer_cycles += cycles;
-        self.stats.energy.transfer_fj += fj;
-        self.trace(0, || {
-            let mut delta = Stats::default();
-            delta.faults.dead_lanes = dead_n;
-            delta.faults.remapped_lanes = remapped_n;
-            delta.faults.lanes_lost = lost_n;
-            delta.cycles = cycles;
-            delta.transfer_cycles = cycles;
-            delta.energy.transfer_fj = fj;
-            (TraceKind::SelfTest { dead: dead_n, remapped: remapped_n, lost: lost_n }, delta)
+        let faults = FaultStats {
+            dead_lanes: dead_n,
+            remapped_lanes: remapped_n,
+            lanes_lost: lost_n,
+            ..FaultStats::default()
+        };
+        let delta = Stats { faults, ..self.transfer(4 * lanes as u64) };
+        self.charge(0, delta, || TraceKind::SelfTest {
+            dead: dead_n,
+            remapped: remapped_n,
+            lost: lost_n,
         });
         map
     }
@@ -888,29 +863,23 @@ impl Mpu {
     /// Finalizes end-of-run energy (front-end power in MPU mode, CPU idle
     /// power in Baseline mode) and returns a snapshot of the statistics.
     pub fn finish(&mut self) -> Stats {
-        let injected = self.vrfs.vrfs.iter_mut().map(BitPlaneVrf::take_injected).sum::<u64>();
-        self.stats.faults.injected += injected;
         let mut delta = Stats::default();
-        delta.faults.injected = injected;
+        delta.faults.injected = self.vrfs.vrfs.iter_mut().map(BitPlaneVrf::take_injected).sum();
         match self.config.mode {
             // Power × cycles is not a whole number of fJ per cycle
             // (72942.93656 fJ for the default front end), so the product is
             // rounded once here rather than per cycle.
             ExecutionMode::Mpu => {
                 let mw = self.config.frontend_dynamic_mw + self.config.frontend_static_mw;
-                let fj = pj_to_fj(mw * self.stats.cycles as f64);
-                self.stats.energy.frontend_fj += fj;
-                delta.energy.frontend_fj = fj;
+                delta.energy.frontend_fj = pj_to_fj(mw * self.stats.cycles as f64);
             }
             ExecutionMode::Baseline => {
                 let non_offload = self.stats.cycles.saturating_sub(self.stats.offload_cycles);
-                let fj = pj_to_fj(self.config.offload.cpu_idle_mw * non_offload as f64);
-                self.stats.energy.cpu_fj += fj;
-                delta.energy.cpu_fj = fj;
+                delta.energy.cpu_fj =
+                    pj_to_fj(self.config.offload.cpu_idle_mw * non_offload as f64);
             }
         }
-        let line = self.pc;
-        self.trace(line, || (TraceKind::Finish, delta));
+        self.charge(self.pc, delta, || TraceKind::Finish);
         self.stats
     }
 
@@ -974,7 +943,7 @@ impl Mpu {
     /// Queues an incoming message (applied when `RECV` executes).
     pub fn deliver(&mut self, message: Message, arrival_cycle: u64) {
         // The receiver cannot see the message before it arrives.
-        self.stats.cycles = self.stats.cycles.max(arrival_cycle);
+        self.advance_to(arrival_cycle);
         self.inbox.push(message);
     }
 
@@ -1008,20 +977,10 @@ impl Mpu {
                 Instruction::MpuSync => {
                     // One compute controller → ensembles already serialized;
                     // the fence costs a marker.
-                    let marker = self.config.control.ensemble_marker;
-                    self.stats.cycles += marker;
-                    self.stats.control_cycles += marker;
-                    self.stats.instructions += 1;
-                    self.trace(line, || {
-                        let delta = Stats {
-                            cycles: marker,
-                            control_cycles: marker,
-                            instructions: 1,
-                            ..Stats::default()
-                        };
-                        let kind =
-                            TraceKind::Instr { mnemonic: "MPU_SYNC", class: InstrClass::Control };
-                        (kind, delta)
+                    let delta = instr_delta(self.config.control.ensemble_marker);
+                    self.charge(line, delta, || TraceKind::Instr {
+                        mnemonic: "MPU_SYNC",
+                        class: InstrClass::Control,
                     });
                     self.pc += 1;
                 }
@@ -1042,10 +1001,9 @@ impl Mpu {
                             self.offload_comm(msg.bytes, line);
                         }
                         self.apply_message(&msg);
-                        self.stats.instructions += 1;
-                        self.trace(line, || {
-                            let delta = Stats { instructions: 1, ..Stats::default() };
-                            (TraceKind::Instr { mnemonic: "RECV", class: InstrClass::Comm }, delta)
+                        self.charge(line, instr_delta(0), || TraceKind::Instr {
+                            mnemonic: "RECV",
+                            class: InstrClass::Comm,
                         });
                         self.pc += 1;
                     } else {
@@ -1056,25 +1014,16 @@ impl Mpu {
                     // Top-level RETURN is the halt convention (end of main;
                     // subroutine bodies follow).
                     self.halted = true;
-                    self.stats.instructions += 1;
-                    self.trace(line, || {
-                        let delta = Stats { instructions: 1, ..Stats::default() };
-                        (TraceKind::Instr { mnemonic: "RETURN", class: InstrClass::Control }, delta)
+                    self.charge(line, instr_delta(0), || TraceKind::Instr {
+                        mnemonic: "RETURN",
+                        class: InstrClass::Control,
                     });
                 }
                 Instruction::Nop => {
-                    let nop = self.config.control.nop;
-                    self.stats.cycles += nop;
-                    self.stats.control_cycles += nop;
-                    self.stats.instructions += 1;
-                    self.trace(line, || {
-                        let delta = Stats {
-                            cycles: nop,
-                            control_cycles: nop,
-                            instructions: 1,
-                            ..Stats::default()
-                        };
-                        (TraceKind::Instr { mnemonic: "NOP", class: InstrClass::Control }, delta)
+                    let delta = instr_delta(self.config.control.nop);
+                    self.charge(line, delta, || TraceKind::Instr {
+                        mnemonic: "NOP",
+                        class: InstrClass::Control,
                     });
                     self.pc += 1;
                 }
@@ -1113,21 +1062,8 @@ impl Mpu {
         let checkpoint: Vec<Vec<u64>> = self.vrfs.vrfs.iter().map(BitPlaneVrf::snapshot).collect();
         // Checkpointing streams every live register row out to stable
         // storage: charge it as transfer work.
-        let words: u64 = checkpoint.iter().map(|s| s.len() as u64).sum();
-        let cp_cycles = words * self.config.datapath.transfer_cycles_per_word();
-        let cp_fj = words * self.config.datapath.transfer_fj_per_word();
-        self.stats.cycles += cp_cycles;
-        self.stats.transfer_cycles += cp_cycles;
-        self.stats.energy.transfer_fj += cp_fj;
-        self.trace(start_pc, || {
-            let delta = Stats {
-                cycles: cp_cycles,
-                transfer_cycles: cp_cycles,
-                energy: EnergyStats { transfer_fj: cp_fj, ..EnergyStats::default() },
-                ..Stats::default()
-            };
-            (TraceKind::Checkpoint, delta)
-        });
+        let stream = self.transfer(checkpoint.iter().map(|s| s.len() as u64).sum());
+        self.charge(start_pc, stream, || TraceKind::Checkpoint);
         let mut restarts = 0u32;
         loop {
             match self.exec_compute_ensemble_inner(program) {
@@ -1140,7 +1076,6 @@ impl Mpu {
                         ) =>
                 {
                     restarts += 1;
-                    self.stats.faults.ensemble_restarts += 1;
                     self.pc = start_pc;
                     for (slot, v) in self.vrfs.vrfs.iter_mut().enumerate() {
                         match checkpoint.get(slot) {
@@ -1156,17 +1091,8 @@ impl Mpu {
                         }
                     }
                     // Restore streams the checkpoint back in.
-                    self.stats.cycles += cp_cycles;
-                    self.stats.transfer_cycles += cp_cycles;
-                    self.stats.energy.transfer_fj += cp_fj;
-                    self.trace(start_pc, || {
-                        let mut delta = Stats::default();
-                        delta.faults.ensemble_restarts = 1;
-                        delta.cycles = cp_cycles;
-                        delta.transfer_cycles = cp_cycles;
-                        delta.energy.transfer_fj = cp_fj;
-                        (TraceKind::Restart, delta)
-                    });
+                    let faults = FaultStats { ensemble_restarts: 1, ..FaultStats::default() };
+                    self.charge(start_pc, Stats { faults, ..stream }, || TraceKind::Restart);
                 }
                 Err(e)
                     if matches!(
@@ -1193,24 +1119,17 @@ impl Mpu {
     /// Executes one compute ensemble starting at `self.pc` (its first
     /// `COMPUTE` header instruction), including thermal-wave replay.
     fn exec_compute_ensemble_inner(&mut self, program: &Program) -> Result<(), SimError> {
-        let marker = self.config.control.ensemble_marker;
-        let marker_delta =
-            Stats { cycles: marker, control_cycles: marker, instructions: 1, ..Stats::default() };
-        let header_pc = self.pc;
-        self.trace(header_pc, || {
-            (TraceKind::EnsembleBegin { kind: EnsembleKind::Compute }, Stats::default())
-        });
+        let marker = instr_delta(self.config.control.ensemble_marker);
+        let kind = EnsembleKind::Compute;
+        self.charge(self.pc, Stats::default(), || TraceKind::EnsembleBegin { kind });
         // Collect the contiguous COMPUTE header.
         let mut members: Vec<(u16, u16)> = Vec::new();
         while let Instruction::Compute { rfh, vrf } = Self::fetch(program, self.pc)? {
             self.check_geometry(self.pc, rfh.0, vrf.0)?;
             members.push((rfh.0, vrf.0));
-            self.stats.cycles += marker;
-            self.stats.control_cycles += marker;
-            self.stats.instructions += 1;
-            let line = self.pc;
-            self.trace(line, || {
-                (TraceKind::Instr { mnemonic: "COMPUTE", class: InstrClass::Marker }, marker_delta)
+            self.charge(self.pc, marker, || TraceKind::Instr {
+                mnemonic: "COMPUTE",
+                class: InstrClass::Marker,
             });
             self.pc += 1;
         }
@@ -1238,11 +1157,8 @@ impl Mpu {
         for (index, wave) in waves.iter().enumerate() {
             // Charged as each wave starts, so an attempt a restart cuts
             // short counts only the waves it actually replayed.
-            self.stats.scheduler_waves += 1;
-            self.trace(body_start, || {
-                let delta = Stats { scheduler_waves: 1, ..Stats::default() };
-                (TraceKind::Wave { index, vrfs: wave.len() }, delta)
-            });
+            let delta = Stats { scheduler_waves: 1, ..Stats::default() };
+            self.charge(body_start, delta, || TraceKind::Wave { index, vrfs: wave.len() });
             end_pc = self.run_body(&graph, &layout.lines, wave, batch)?;
         }
         if waves.is_empty() {
@@ -1250,16 +1166,11 @@ impl Mpu {
             end_pc = self.run_body(&graph, &layout.lines, &[], batch)?;
         }
         // Footer.
-        self.stats.cycles += marker;
-        self.stats.control_cycles += marker;
-        self.stats.instructions += 1;
-        self.trace(end_pc, || {
-            let kind = TraceKind::Instr { mnemonic: "COMPUTE_DONE", class: InstrClass::Marker };
-            (kind, marker_delta)
+        self.charge(end_pc, marker, || TraceKind::Instr {
+            mnemonic: "COMPUTE_DONE",
+            class: InstrClass::Marker,
         });
-        self.trace(end_pc, || {
-            (TraceKind::EnsembleEnd { kind: EnsembleKind::Compute }, Stats::default())
-        });
+        self.charge(end_pc, Stats::default(), || TraceKind::EnsembleEnd { kind });
         self.pc = end_pc + 1;
         Ok(())
     }
@@ -1334,13 +1245,26 @@ impl Mpu {
             playback_used += 1;
             if playback_used > self.config.playback_entries {
                 playback_used = 1;
-                let refill = self.config.control.playback_refill;
-                self.charge_control(refill);
-                self.trace(line, || {
-                    let delta =
-                        Stats { cycles: refill, control_cycles: refill, ..Stats::default() };
-                    (TraceKind::PlaybackRefill, delta)
-                });
+                let refill = control_delta(self.config.control.playback_refill);
+                self.charge(line, refill, || TraceKind::PlaybackRefill);
+            }
+            // A control step rides a Baseline offload visit, then charges
+            // its control-path cycles and the instruction count.
+            let c = &self.config.control;
+            let control_step = match *step {
+                BlockStep::SetMask(_) => Some(("SETMASK", c.mask_update)),
+                BlockStep::GetMask(_) => Some(("GETMASK", c.mask_readout)),
+                BlockStep::Unmask => Some(("UNMASK", c.mask_update)),
+                BlockStep::JumpCond(_) => Some(("JUMP_COND", c.efi_eval)),
+                BlockStep::Call(_) => Some(("JUMP", c.jump)),
+                BlockStep::Return => Some(("RETURN", c.jump)),
+                BlockStep::Nop => Some(("NOP", c.nop)),
+                _ => None,
+            };
+            if let Some((mnemonic, cycles)) = control_step {
+                self.control_or_offload(wave, &mut pipeline_warm, &mut offload_batch, line);
+                let class = InstrClass::Control;
+                self.charge(line, instr_delta(cycles), || TraceKind::Instr { mnemonic, class });
             }
             match *step {
                 BlockStep::Compute(ref instr) => {
@@ -1373,9 +1297,6 @@ impl Mpu {
                     i += 1;
                 }
                 BlockStep::SetMask(rs) => {
-                    self.control_or_offload(wave, &mut pipeline_warm, &mut offload_batch, line);
-                    let c = self.config.control.mask_update;
-                    self.charge_control(c);
                     for &slot in &members {
                         let v = &mut self.vrfs.vrfs[slot];
                         if rs == COND_REG {
@@ -1384,14 +1305,9 @@ impl Mpu {
                             v.copy_plane(Plane::Reg { reg: rs.0 as u8, bit: 0 }, Plane::Mask);
                         }
                     }
-                    self.stats.instructions += 1;
-                    self.trace_control_instr(line, "SETMASK", c);
                     i += 1;
                 }
                 BlockStep::GetMask(rd) => {
-                    self.control_or_offload(wave, &mut pipeline_warm, &mut offload_batch, line);
-                    let c = self.config.control.mask_readout;
-                    self.charge_control(c);
                     for &slot in &members {
                         let v = &mut self.vrfs.vrfs[slot];
                         v.set_mask_enabled(false);
@@ -1401,42 +1317,25 @@ impl Mpu {
                         }
                         v.set_mask_enabled(true);
                     }
-                    self.stats.instructions += 1;
-                    self.trace_control_instr(line, "GETMASK", c);
                     i += 1;
                 }
                 BlockStep::Unmask => {
-                    self.control_or_offload(wave, &mut pipeline_warm, &mut offload_batch, line);
-                    let c = self.config.control.mask_update;
-                    self.charge_control(c);
                     for &slot in &members {
                         self.vrfs.vrfs[slot].fill_plane(Plane::Mask, true);
                     }
-                    self.stats.instructions += 1;
-                    self.trace_control_instr(line, "UNMASK", c);
                     i += 1;
                 }
                 BlockStep::JumpCond(target) => {
-                    self.control_or_offload(wave, &mut pipeline_warm, &mut offload_batch, line);
                     // The branch decision hands control back to the PUM
                     // fetcher: the CPU visit ends here.
                     offload_batch = false;
-                    let c = self.config.control.efi_eval;
-                    self.charge_control(c);
                     // EFI: jump back (continue the loop) while any lane of
                     // any wave VRF remains enabled (§VI-B semantics).
                     let any_enabled =
                         members.iter().any(|&slot| self.vrfs.vrfs[slot].any_lane_set(Plane::Mask));
-                    self.stats.instructions += 1;
-                    self.trace_control_instr(line, "JUMP_COND", c);
                     i = if any_enabled { target as usize } else { i + 1 };
                 }
                 BlockStep::Call(target) => {
-                    self.control_or_offload(wave, &mut pipeline_warm, &mut offload_batch, line);
-                    let c = self.config.control.jump;
-                    self.charge_control(c);
-                    self.stats.instructions += 1;
-                    self.trace_control_instr(line, "JUMP", c);
                     // JUMP is a call: it pushes its fall-through address
                     // for the matching RETURN. The stack is a hardware
                     // structure — a corrupted target re-executing JUMPs
@@ -1451,25 +1350,13 @@ impl Mpu {
                     i = target as usize;
                 }
                 BlockStep::Return => {
-                    self.control_or_offload(wave, &mut pipeline_warm, &mut offload_batch, line);
-                    let c = self.config.control.jump;
-                    self.charge_control(c);
-                    self.stats.instructions += 1;
-                    self.trace_control_instr(line, "RETURN", c);
                     i = return_stack.pop().ok_or(SimError::ReturnUnderflow { line })?;
                 }
-                BlockStep::Nop => {
-                    // A NOP is a control instruction like every other body
-                    // control op: in Baseline mode it rides a CPU offload
-                    // visit (draining the bit pipeline and opening/joining
-                    // a batch) exactly as SETMASK/JUMP do.
-                    self.control_or_offload(wave, &mut pipeline_warm, &mut offload_batch, line);
-                    let c = self.config.control.nop;
-                    self.charge_control(c);
-                    self.stats.instructions += 1;
-                    self.trace_control_instr(line, "NOP", c);
-                    i += 1;
-                }
+                // A NOP is a control instruction like every other body
+                // control op: in Baseline mode it rides a CPU offload visit
+                // (draining the bit pipeline and opening/joining a batch)
+                // exactly as SETMASK/JUMP do.
+                BlockStep::Nop => i += 1,
                 BlockStep::Exit => {
                     // Leave predication clean for the next ensemble.
                     for &slot in &members {
@@ -1541,25 +1428,12 @@ impl Mpu {
             ExecutionMode::Mpu => outcome.hit,
             ExecutionMode::Baseline => false,
         };
-        if hit {
-            self.stats.recipe_hits += 1;
+        let lookup = if hit {
+            Stats { recipe_hits: 1, ..Stats::default() }
         } else {
-            self.stats.recipe_misses += 1;
-            self.charge_control(penalty);
-        }
-        self.trace(line, || {
-            let delta = if hit {
-                Stats { recipe_hits: 1, ..Stats::default() }
-            } else {
-                Stats {
-                    recipe_misses: 1,
-                    cycles: penalty,
-                    control_cycles: penalty,
-                    ..Stats::default()
-                }
-            };
-            (TraceKind::RecipeLookup { hit, pool: outcome.pool }, delta)
-        });
+            Stats { recipe_misses: 1, ..control_delta(penalty) }
+        };
+        self.charge(line, lookup, || TraceKind::RecipeLookup { hit, pool: outcome.pool });
 
         // Timing: micro-ops are broadcast to all wave VRFs, so issue time
         // does not scale with wave size. RACER overlaps consecutive
@@ -1567,11 +1441,9 @@ impl Mpu {
         let cost = &cached.cost;
         let cycles = if *pipeline_warm { cost.stage_cycles } else { cost.cycles };
         *pipeline_warm = true;
-        self.stats.instructions += 1;
-        let mnemonic = instr.mnemonic();
-        self.trace(line, || {
-            let delta = Stats { instructions: 1, ..Stats::default() };
-            (TraceKind::Instr { mnemonic, class: InstrClass::Compute }, delta)
+        self.charge(line, instr_delta(0), || TraceKind::Instr {
+            mnemonic: instr.mnemonic(),
+            class: InstrClass::Compute,
         });
         Ok((cached, cycles))
     }
@@ -1607,24 +1479,18 @@ impl Mpu {
         cycles: u64,
         line: usize,
     ) {
-        let recipe = &cached.recipe;
-        self.stats.cycles += cycles;
-        self.stats.compute_cycles += cycles;
-        self.stats.uops += recipe.len() as u64;
-        self.stats.uops_saved += u64::from(recipe.saved_uops());
-        let fj = cached.cost.fj_per_lane * enabled;
-        self.stats.energy.datapath_fj += fj;
-        self.trace(line, || {
-            let delta = Stats {
-                cycles,
-                compute_cycles: cycles,
-                uops: recipe.len() as u64,
-                uops_saved: u64::from(recipe.saved_uops()),
-                energy: EnergyStats { datapath_fj: fj, ..EnergyStats::default() },
-                ..Stats::default()
-            };
-            (TraceKind::Exec { vrfs, mix: UopMix(cached.compiled.mix()) }, delta)
-        });
+        let delta = Stats {
+            cycles,
+            compute_cycles: cycles,
+            uops: cached.recipe.len() as u64,
+            uops_saved: u64::from(cached.recipe.saved_uops()),
+            energy: EnergyStats {
+                datapath_fj: cached.cost.fj_per_lane * enabled,
+                ..EnergyStats::default()
+            },
+            ..Stats::default()
+        };
+        self.charge(line, delta, || TraceKind::Exec { vrfs, mix: UopMix(cached.compiled.mix()) });
     }
 
     /// Snapshots every wave VRF (pre- or post-execution state).
@@ -1665,25 +1531,21 @@ impl Mpu {
             self.run_wave_once(cached, wave, cycles, line);
             let first = self.snapshot_wave(wave);
             self.restore_wave(wave, &input);
-            self.stats.faults.redundant_runs += 1;
-            self.trace_fault(line, FaultAction::RedundantRun);
+            self.charge_fault(line, FaultAction::RedundantRun);
             self.run_wave_once(cached, wave, cycles, line);
             let second = self.snapshot_wave(wave);
             if arch_images_agree(&first, &second, &scratch) {
                 if attempt > 0 {
-                    self.stats.faults.corrected += 1;
-                    self.trace_fault(line, FaultAction::Corrected);
+                    self.charge_fault(line, FaultAction::Corrected);
                 }
                 return Ok(());
             }
-            self.stats.faults.detected += 1;
-            self.trace_fault(line, FaultAction::Detected);
+            self.charge_fault(line, FaultAction::Detected);
             if attempt >= self.config.recovery.max_retries {
                 return Err(SimError::UncorrectedFault { line });
             }
             attempt += 1;
-            self.stats.faults.retries += 1;
-            self.trace_fault(line, FaultAction::Retry);
+            self.charge_fault(line, FaultAction::Retry);
             self.restore_wave(wave, &input);
         }
     }
@@ -1706,22 +1568,18 @@ impl Mpu {
         self.run_wave_once(cached, wave, cycles, line);
         let a = self.snapshot_wave(wave);
         self.restore_wave(wave, &input);
-        self.stats.faults.redundant_runs += 1;
-        self.trace_fault(line, FaultAction::RedundantRun);
+        self.charge_fault(line, FaultAction::RedundantRun);
         self.run_wave_once(cached, wave, cycles, line);
         let b = self.snapshot_wave(wave);
         self.restore_wave(wave, &input);
-        self.stats.faults.redundant_runs += 1;
-        self.trace_fault(line, FaultAction::RedundantRun);
+        self.charge_fault(line, FaultAction::RedundantRun);
         self.run_wave_once(cached, wave, cycles, line);
         let c = self.snapshot_wave(wave);
         if arch_images_agree(&a, &b, &scratch) && arch_images_agree(&a, &c, &scratch) {
             return; // unanimous; current state (== c) stands
         }
-        self.stats.faults.detected += 1;
-        self.trace_fault(line, FaultAction::Detected);
-        self.stats.faults.corrected += 1;
-        self.trace_fault(line, FaultAction::Corrected);
+        self.charge_fault(line, FaultAction::Detected);
+        self.charge_fault(line, FaultAction::Corrected);
         for (i, &(rfh, vrf)) in wave.iter().enumerate() {
             let majority: Vec<u64> = a[i]
                 .iter()
@@ -1759,31 +1617,31 @@ impl Mpu {
             // Already at the CPU: per-instruction handling + data movement.
             64 + bus_cycles
         } else {
-            self.stats.offload_events += 1;
             off.round_trip_cycles + bus_cycles
         };
         *offload_batch = true;
-        let bus_fj = pj_to_fj(bytes * off.bus_pj_per_byte);
-        let cpu_fj = pj_to_fj(off.cpu_active_mw * cycles as f64);
-        self.stats.cycles += cycles;
-        self.stats.offload_cycles += cycles;
-        self.stats.energy.offload_bus_fj += bus_fj;
-        self.stats.energy.cpu_fj += cpu_fj;
-        self.trace(line, || {
-            let delta = Stats {
-                cycles,
-                offload_cycles: cycles,
-                offload_events: if batched { 0 } else { 1 },
-                energy: EnergyStats { offload_bus_fj: bus_fj, cpu_fj, ..EnergyStats::default() },
-                ..Stats::default()
-            };
-            (TraceKind::Offload { batched }, delta)
-        });
+        let delta = self.offload(cycles, bytes, u64::from(!batched));
+        self.charge(line, delta, || TraceKind::Offload { batched });
     }
 
-    fn charge_control(&mut self, cycles: u64) {
-        self.stats.cycles += cycles;
-        self.stats.control_cycles += cycles;
+    /// A Baseline host offload of `cycles` moving `bytes` over the
+    /// off-chip bus, counting `events` round trips.
+    fn offload(&self, cycles: u64, bytes: f64, events: u64) -> Stats {
+        let off = &self.config.offload;
+        let energy = EnergyStats {
+            offload_bus_fj: pj_to_fj(bytes * off.bus_pj_per_byte),
+            cpu_fj: pj_to_fj(off.cpu_active_mw * cycles as f64),
+            ..EnergyStats::default()
+        };
+        Stats { cycles, offload_cycles: cycles, offload_events: events, energy, ..Stats::default() }
+    }
+
+    /// Moving `words` 64-bit words on-chip, one at a time.
+    fn transfer(&self, words: u64) -> Stats {
+        let cycles = words * self.config.datapath.transfer_cycles_per_word();
+        let transfer_fj = words * self.config.datapath.transfer_fj_per_word();
+        let energy = EnergyStats { transfer_fj, ..EnergyStats::default() };
+        Stats { cycles, transfer_cycles: cycles, energy, ..Stats::default() }
     }
 
     /// Baseline-mode CPU mediation of inter-MPU communication: one host
@@ -1794,25 +1652,10 @@ impl Mpu {
             return;
         }
         let off = &self.config.offload;
-        let bus = ((2 * bytes) as f64 / off.bus_bytes_per_cycle).ceil() as u64;
-        let cycles = off.round_trip_cycles + bus;
-        let bus_fj = pj_to_fj(2.0 * bytes as f64 * off.bus_pj_per_byte);
-        let cpu_fj = pj_to_fj(off.cpu_active_mw * cycles as f64);
-        self.stats.cycles += cycles;
-        self.stats.offload_cycles += cycles;
-        self.stats.offload_events += 1;
-        self.stats.energy.offload_bus_fj += bus_fj;
-        self.stats.energy.cpu_fj += cpu_fj;
-        self.trace(line, || {
-            let delta = Stats {
-                cycles,
-                offload_cycles: cycles,
-                offload_events: 1,
-                energy: EnergyStats { offload_bus_fj: bus_fj, cpu_fj, ..EnergyStats::default() },
-                ..Stats::default()
-            };
-            (TraceKind::Offload { batched: false }, delta)
-        });
+        let bus_bytes = 2.0 * bytes as f64;
+        let cycles = off.round_trip_cycles + (bus_bytes / off.bus_bytes_per_cycle).ceil() as u64;
+        let delta = self.offload(cycles, bus_bytes, 1);
+        self.charge(line, delta, || TraceKind::Offload { batched: false });
     }
 
     // ----- transfer ensembles ------------------------------------------
@@ -1824,23 +1667,16 @@ impl Mpu {
         program: &Program,
         mut message: Option<&mut Message>,
     ) -> Result<(), SimError> {
-        let marker = self.config.control.ensemble_marker;
-        let marker_delta =
-            Stats { cycles: marker, control_cycles: marker, instructions: 1, ..Stats::default() };
-        let header_pc = self.pc;
-        self.trace(header_pc, || {
-            (TraceKind::EnsembleBegin { kind: EnsembleKind::Transfer }, Stats::default())
-        });
+        let marker = instr_delta(self.config.control.ensemble_marker);
+        let kind = EnsembleKind::Transfer;
+        self.charge(self.pc, Stats::default(), || TraceKind::EnsembleBegin { kind });
         // Header: source/destination RFH pairs → the DTC's target map.
         let mut pairs: Vec<(u16, u16)> = Vec::new();
         while let Instruction::Move { src, dst } = Self::fetch(program, self.pc)? {
             pairs.push((src.0, dst.0));
-            self.stats.cycles += marker;
-            self.stats.control_cycles += marker;
-            self.stats.instructions += 1;
-            let line = self.pc;
-            self.trace(line, || {
-                (TraceKind::Instr { mnemonic: "MOVE", class: InstrClass::Marker }, marker_delta)
+            self.charge(self.pc, marker, || TraceKind::Instr {
+                mnemonic: "MOVE",
+                class: InstrClass::Marker,
             });
             self.pc += 1;
         }
@@ -1849,18 +1685,11 @@ impl Mpu {
         loop {
             match Self::fetch(program, self.pc)? {
                 Instruction::MoveDone => {
-                    self.stats.cycles += marker;
-                    self.stats.control_cycles += marker;
-                    self.stats.instructions += 1;
-                    let line = self.pc;
-                    self.trace(line, || {
-                        let kind =
-                            TraceKind::Instr { mnemonic: "MOVE_DONE", class: InstrClass::Marker };
-                        (kind, marker_delta)
+                    self.charge(self.pc, marker, || TraceKind::Instr {
+                        mnemonic: "MOVE_DONE",
+                        class: InstrClass::Marker,
                     });
-                    self.trace(line, || {
-                        (TraceKind::EnsembleEnd { kind: EnsembleKind::Transfer }, Stats::default())
-                    });
+                    self.charge(self.pc, Stats::default(), || TraceKind::EnsembleEnd { kind });
                     self.pc += 1;
                     return Ok(());
                 }
@@ -1891,27 +1720,12 @@ impl Mpu {
                         }
                         // Sequential-consistency: transfers execute one at
                         // a time, in order.
-                        let cycles = words * self.config.datapath.transfer_cycles_per_word();
-                        let fj = words * self.config.datapath.transfer_fj_per_word();
-                        self.stats.cycles += cycles;
-                        self.stats.transfer_cycles += cycles;
-                        self.stats.energy.transfer_fj += fj;
-                        self.trace(line, || {
-                            let delta = Stats {
-                                cycles,
-                                transfer_cycles: cycles,
-                                energy: EnergyStats { transfer_fj: fj, ..EnergyStats::default() },
-                                ..Stats::default()
-                            };
-                            (TraceKind::Memcpy { src_rfh, dst_rfh }, delta)
-                        });
+                        let delta = self.transfer(words);
+                        self.charge(line, delta, || TraceKind::Memcpy { src_rfh, dst_rfh });
                     }
-                    self.stats.instructions += 1;
-                    self.trace(line, || {
-                        let delta = Stats { instructions: 1, ..Stats::default() };
-                        let kind =
-                            TraceKind::Instr { mnemonic: "MEMCPY", class: InstrClass::Transfer };
-                        (kind, delta)
+                    self.charge(line, instr_delta(0), || TraceKind::Instr {
+                        mnemonic: "MEMCPY",
+                        class: InstrClass::Transfer,
                     });
                     self.pc += 1;
                 }
@@ -1927,18 +1741,12 @@ impl Mpu {
 
     /// Executes a `SEND` block, returning the message to deliver.
     fn exec_send_block(&mut self, program: &Program, dst: MpuId) -> Result<Message, SimError> {
-        let marker = self.config.control.ensemble_marker;
-        let marker_delta =
-            Stats { cycles: marker, control_cycles: marker, instructions: 1, ..Stats::default() };
-        let header_pc = self.pc;
-        self.trace(header_pc, || {
-            (TraceKind::EnsembleBegin { kind: EnsembleKind::Send }, Stats::default())
-        });
-        self.stats.cycles += marker;
-        self.stats.control_cycles += marker;
-        self.stats.instructions += 1;
-        self.trace(header_pc, || {
-            (TraceKind::Instr { mnemonic: "SEND", class: InstrClass::Marker }, marker_delta)
+        let marker = instr_delta(self.config.control.ensemble_marker);
+        let kind = EnsembleKind::Send;
+        self.charge(self.pc, Stats::default(), || TraceKind::EnsembleBegin { kind });
+        self.charge(self.pc, marker, || TraceKind::Instr {
+            mnemonic: "SEND",
+            class: InstrClass::Marker,
         });
         self.pc += 1; // past SEND
         let mut msg =
@@ -1955,22 +1763,12 @@ impl Mpu {
             }
         }
         // SEND_DONE.
-        self.stats.cycles += marker;
-        self.stats.control_cycles += marker;
-        self.stats.instructions += 1;
-        self.stats.messages_sent += 1;
-        self.stats.noc_bytes += msg.bytes;
-        let done_pc = self.pc;
-        let bytes = msg.bytes;
-        self.trace(done_pc, || {
-            let mut delta = marker_delta;
-            delta.messages_sent = 1;
-            delta.noc_bytes = bytes;
-            (TraceKind::Instr { mnemonic: "SEND_DONE", class: InstrClass::Marker }, delta)
+        let done = Stats { messages_sent: 1, noc_bytes: msg.bytes, ..marker };
+        self.charge(self.pc, done, || TraceKind::Instr {
+            mnemonic: "SEND_DONE",
+            class: InstrClass::Marker,
         });
-        self.trace(done_pc, || {
-            (TraceKind::EnsembleEnd { kind: EnsembleKind::Send }, Stats::default())
-        });
+        self.charge(self.pc, Stats::default(), || TraceKind::EnsembleEnd { kind });
         self.pc += 1;
         msg.departure_cycle = self.stats.cycles;
         Ok(msg)
@@ -1992,23 +1790,28 @@ impl Mpu {
         self.stats.cycles
     }
 
-    pub(crate) fn stats_mut(&mut self) -> &mut Stats {
-        &mut self.stats
-    }
-
-    /// Emits a trace event for a charge the [`crate::System`] applied to
-    /// this MPU's ledger (NoC message traversals land on the receiver).
-    /// The event is attributed to the instruction the MPU is currently at
-    /// (a blocked `RECV` while a message is in flight).
-    pub(crate) fn trace_system(&mut self, kind: TraceKind, delta: Stats) {
-        let line = self.pc;
-        self.trace(line, || (kind, delta));
+    /// Charges this MPU's ledger on behalf of the [`crate::System`] (NoC
+    /// message traversals land on the receiver). The charge is attributed
+    /// to the instruction the MPU is currently at (a blocked `RECV` while
+    /// a message is in flight).
+    pub(crate) fn charge_system(&mut self, delta: Stats, kind: impl FnOnce() -> TraceKind) {
+        self.charge(self.pc, delta, kind);
     }
 
     /// Advances the local clock (NoC delays, rendezvous waits).
     pub fn advance_to(&mut self, cycle: u64) {
         self.stats.cycles = self.stats.cycles.max(cycle);
     }
+}
+
+/// A control-path charge of `cycles`.
+fn control_delta(cycles: u64) -> Stats {
+    Stats { cycles, control_cycles: cycles, ..Stats::default() }
+}
+
+/// One executed instruction plus `cycles` of control-path work.
+fn instr_delta(cycles: u64) -> Stats {
+    Stats { instructions: 1, ..control_delta(cycles) }
 }
 
 /// Architectural equality of two wave snapshot sets: every word outside

@@ -232,130 +232,91 @@ fn build_tree(id: u16, events: &[&TraceEvent]) -> ProfileNode {
 
     for ev in events {
         let line = ev.line;
-        match &ev.kind {
+        // Each arm picks the node the event's delta attaches to.
+        let node = match &ev.kind {
             TraceKind::EnsembleBegin { kind } => {
-                let mut span =
-                    ProfileNode::new(format!("e{line}:{kind}"), format!("{kind} @{line}"));
-                span.count = 1;
-                span.stats.merge_sequential(&ev.delta);
-                stack.push(span);
+                stack.push(ProfileNode::new(format!("e{line}:{kind}"), format!("{kind} @{line}")));
+                top(&mut root, &mut stack)
             }
             TraceKind::EnsembleEnd { kind } => {
+                // Merged into the closing span without counting.
                 top(&mut root, &mut stack).stats.merge_sequential(&ev.delta);
                 close_one(&mut root, &mut stack, *kind);
+                continue;
             }
             TraceKind::Restart => {
                 // The failed attempt's spans never closed; fold them back
                 // before attaching the rollback charge at the root.
                 close_all(&mut root, &mut stack);
-                let node = root.child_mut("restart", "checkpoint restart");
-                node.count += 1;
-                node.stats.merge_sequential(&ev.delta);
+                root.child_mut("restart", "checkpoint restart")
             }
-            TraceKind::Wave { index, vrfs } => {
-                let t = top(&mut root, &mut stack);
-                let node =
-                    t.child_mut(&format!("w{index}"), &format!("wave {index} ({vrfs} vrfs)"));
-                node.count += 1;
-                node.stats.merge_sequential(&ev.delta);
-            }
+            TraceKind::Wave { index, vrfs } => top(&mut root, &mut stack)
+                .child_mut(&format!("w{index}"), &format!("wave {index} ({vrfs} vrfs)")),
             TraceKind::Instr { mnemonic, class } => {
-                let t = top(&mut root, &mut stack);
-                let node = t.child_mut(&format!("i{line}"), mnemonic);
+                let node = top(&mut root, &mut stack).child_mut(&format!("i{line}"), mnemonic);
                 node.label = format!("{line}: {mnemonic} [{class:?}]");
-                node.count += 1;
-                node.stats.merge_sequential(&ev.delta);
+                node
             }
             TraceKind::Exec { vrfs, mix } => {
-                let t = top(&mut root, &mut stack);
-                let node = t
+                let node = top(&mut root, &mut stack)
                     .child_mut(&format!("i{line}"), "exec")
                     .child_mut("exec", &format!("exec ({vrfs} vrfs)"));
-                node.count += 1;
-                node.stats.merge_sequential(&ev.delta);
                 // Micro-op-class leaves carry counts only: their parent's
                 // delta already holds the cycles/energy, so the partition
                 // stays exact.
                 for (kind, n) in mix.counts() {
-                    let leaf = node.child_mut(&format!("u{kind}"), &format!("uop {kind}"));
-                    leaf.count += n as u64;
+                    node.child_mut(&format!("u{kind}"), &format!("uop {kind}")).count += n as u64;
                 }
+                node
             }
             TraceKind::RecipeLookup { hit, pool } => {
-                let t = top(&mut root, &mut stack);
                 let what = match (hit, pool) {
                     (true, _) => "hit",
                     (false, Some(true)) => "miss (pool hit)",
                     (false, Some(false)) => "miss (pool miss)",
                     (false, None) => "miss",
                 };
-                let node = t
+                top(&mut root, &mut stack)
                     .child_mut(&format!("i{line}"), "recipe")
-                    .child_mut(&format!("r:{what}"), &format!("recipe {what}"));
-                node.count += 1;
-                node.stats.merge_sequential(&ev.delta);
+                    .child_mut(&format!("r:{what}"), &format!("recipe {what}"))
             }
-            TraceKind::PlaybackRefill => {
-                let t = top(&mut root, &mut stack);
-                let node = t
-                    .child_mut(&format!("i{line}"), "playback")
-                    .child_mut("playback", "playback refill");
-                node.count += 1;
-                node.stats.merge_sequential(&ev.delta);
-            }
+            TraceKind::PlaybackRefill => top(&mut root, &mut stack)
+                .child_mut(&format!("i{line}"), "playback")
+                .child_mut("playback", "playback refill"),
             TraceKind::Offload { batched } => {
-                let t = top(&mut root, &mut stack);
                 let what = if *batched { "offload (batched)" } else { "offload round trip" };
                 let key = if *batched { "o:b" } else { "o:r" };
-                let node = t.child_mut(&format!("i{line}"), "offload").child_mut(key, what);
-                node.count += 1;
-                node.stats.merge_sequential(&ev.delta);
+                top(&mut root, &mut stack)
+                    .child_mut(&format!("i{line}"), "offload")
+                    .child_mut(key, what)
             }
             TraceKind::Memcpy { src_rfh, dst_rfh } => {
-                let t = top(&mut root, &mut stack);
-                let node = t.child_mut(&format!("i{line}"), "memcpy").child_mut(
+                top(&mut root, &mut stack).child_mut(&format!("i{line}"), "memcpy").child_mut(
                     &format!("m{src_rfh}-{dst_rfh}"),
                     &format!("copy h{src_rfh} -> h{dst_rfh}"),
-                );
-                node.count += 1;
-                node.stats.merge_sequential(&ev.delta);
+                )
             }
-            TraceKind::Fault(action) => {
-                let t = top(&mut root, &mut stack);
-                let node = t
-                    .child_mut(&format!("i{line}"), "recovery")
-                    .child_mut(&format!("f:{action:?}"), &format!("{action:?}"));
-                node.count += 1;
-                node.stats.merge_sequential(&ev.delta);
-            }
+            TraceKind::Fault(action) => top(&mut root, &mut stack)
+                .child_mut(&format!("i{line}"), "recovery")
+                .child_mut(&format!("f:{action:?}"), &format!("{action:?}")),
             TraceKind::Checkpoint => {
-                let t = top(&mut root, &mut stack);
-                let node = t.child_mut("checkpoint", "checkpoint");
-                node.count += 1;
-                node.stats.merge_sequential(&ev.delta);
+                top(&mut root, &mut stack).child_mut("checkpoint", "checkpoint")
             }
-            TraceKind::SelfTest { .. } => {
-                let node = root.child_mut("selftest", "boot self-test");
-                node.count += 1;
-                node.stats.merge_sequential(&ev.delta);
-            }
+            TraceKind::SelfTest { .. } => root.child_mut("selftest", "boot self-test"),
             TraceKind::Noc { src, dst, delivered, .. } => {
-                let t = top(&mut root, &mut stack);
                 let what = if *delivered { "delivered" } else { "lost" };
-                let node = t.child_mut(
+                top(&mut root, &mut stack).child_mut(
                     &format!("noc{src}-{dst}:{what}"),
                     &format!("noc mpu{src} -> mpu{dst} ({what})"),
-                );
-                node.count += 1;
-                node.stats.merge_sequential(&ev.delta);
+                )
             }
             TraceKind::Finish => {
                 close_all(&mut root, &mut stack);
-                let node = root.child_mut("finish", "finalization");
-                node.count += 1;
-                node.stats.merge_sequential(&ev.delta);
+                root.child_mut("finish", "finalization")
             }
-        }
+        };
+        node.count += 1;
+        node.stats.merge_sequential(&ev.delta);
     }
     close_all(&mut root, &mut stack);
     root

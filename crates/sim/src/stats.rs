@@ -34,6 +34,7 @@ impl EnergyStats {
 }
 
 impl AddAssign for EnergyStats {
+    #[inline]
     fn add_assign(&mut self, rhs: Self) {
         self.datapath_fj += rhs.datapath_fj;
         self.frontend_fj += rhs.frontend_fj;
@@ -76,6 +77,7 @@ pub struct FaultStats {
 }
 
 impl AddAssign for FaultStats {
+    #[inline]
     fn add_assign(&mut self, rhs: Self) {
         self.injected += rhs.injected;
         self.detected += rhs.detected;
@@ -167,6 +169,7 @@ impl Stats {
     }
 
     /// Merges per-MPU statistics for sequential sections (cycles add).
+    #[inline]
     pub fn merge_sequential(&mut self, other: &Stats) {
         self.cycles += other.cycles;
         self.accumulate_counters(other);
@@ -179,6 +182,7 @@ impl Stats {
         self.accumulate_counters(other);
     }
 
+    #[inline]
     fn accumulate_counters(&mut self, other: &Stats) {
         self.compute_cycles += other.compute_cycles;
         self.control_cycles += other.control_cycles;

@@ -278,35 +278,24 @@ impl System {
         let energy = self.noc.energy_fj(src, dst, bytes);
         let mut msg = msg;
         let mut traversals = 1u64;
-        // Fault-counter mirror for the (single, aggregated) Noc event.
+        // The receiver's one charge for this message: fault counters, then
+        // the wire time and energy of every traversal.
         let mut delta = Stats::default();
+        let noc = |delivered| TraceKind::Noc { src: src as u16, dst: dst as u16, bytes, delivered };
         if let Some(f) = self.noc_faults.as_mut() {
-            let stats = self.mpus[dst].stats_mut();
             // Drop faults: each traversal can lose the message.
             let mut retransmits = 0u32;
             while f.drop_threshold > 0 && f.prng.next_draw() < f.drop_threshold {
-                stats.faults.messages_dropped += 1;
                 delta.faults.messages_dropped += 1;
                 if !f.retry || retransmits >= f.max_retries {
                     // Lost for good: the wire time was still spent.
-                    let wire_cycles = traversals * latency;
-                    let wire_fj = traversals * energy;
-                    stats.transfer_cycles += wire_cycles;
-                    stats.energy.transfer_fj += wire_fj;
-                    delta.transfer_cycles = wire_cycles;
-                    delta.energy.transfer_fj = wire_fj;
-                    let kind = TraceKind::Noc {
-                        src: src as u16,
-                        dst: dst as u16,
-                        bytes,
-                        delivered: false,
-                    };
-                    self.mpus[dst].trace_system(kind, delta);
+                    delta.transfer_cycles = traversals * latency;
+                    delta.energy.transfer_fj = traversals * energy;
+                    self.mpus[dst].charge_system(delta, || noc(false));
                     return;
                 }
                 retransmits += 1;
                 traversals += 1;
-                stats.faults.retransmissions += 1;
                 delta.faults.retransmissions += 1;
             }
             // Corruption faults: one bit of one payload word flips.
@@ -315,7 +304,6 @@ impl System {
                     // Checksum catches it; one clean retransmission (the
                     // seeded stream moves on, so the retry delivers clean).
                     traversals += 1;
-                    stats.faults.retransmissions += 1;
                     delta.faults.retransmissions += 1;
                 } else if !msg.writes.is_empty() {
                     let wi = (f.prng.next_draw() % msg.writes.len() as u64) as usize;
@@ -324,7 +312,6 @@ impl System {
                         let vi = (f.prng.next_draw() % values.len() as u64) as usize;
                         let bit = f.prng.next_draw() % 64;
                         values[vi] ^= 1 << bit;
-                        stats.faults.messages_corrupted += 1;
                         delta.faults.messages_corrupted += 1;
                     }
                 }
@@ -334,15 +321,9 @@ impl System {
         let dst_mpu = &mut self.mpus[dst];
         dst_mpu.deliver(msg, arrival);
         // Receiver pays the wire time & energy (avoids double counting).
-        let wire_cycles = traversals * latency;
-        let wire_fj = traversals * energy;
-        let s = dst_mpu.stats_mut();
-        s.transfer_cycles += wire_cycles;
-        s.energy.transfer_fj += wire_fj;
-        delta.transfer_cycles = wire_cycles;
-        delta.energy.transfer_fj = wire_fj;
-        let kind = TraceKind::Noc { src: src as u16, dst: dst as u16, bytes, delivered: true };
-        dst_mpu.trace_system(kind, delta);
+        delta.transfer_cycles = traversals * latency;
+        delta.energy.transfer_fj = traversals * energy;
+        dst_mpu.charge_system(delta, || noc(true));
     }
 }
 

@@ -8,10 +8,13 @@
 //! [`TraceEvent`] for every mutation of the machine's [`Stats`] ledger,
 //! carrying the exact delta that mutation applied. Three invariants hold:
 //!
-//! * **Zero overhead disarmed.** With no tracer attached (the default),
-//!   no event is constructed — every emission site is a single
-//!   `Option` check — and simulated statistics are byte-identical to a
-//!   build without the tracing layer.
+//! * **One charge path.** Every summable ledger change goes through the
+//!   machine's single `charge(line, delta, kind)` call, which always adds
+//!   `delta` to [`Stats`] and, only when a tracer is armed, builds the
+//!   event's [`TraceKind`] and emits it with that same `delta`. Disarmed,
+//!   no event kind is built and the cost is one `Option` check per charge;
+//!   the ledger cannot drift from the trace because both come from one
+//!   value.
 //! * **Transparency armed.** Attaching a tracer never changes execution:
 //!   lane values and [`Stats`] are byte-identical armed vs disarmed
 //!   (enforced by the conformance observability suite).
