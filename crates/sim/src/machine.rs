@@ -617,7 +617,7 @@ impl Mpu {
     /// a tracer is armed, emits it as a [`TraceEvent`] of kind `kind()`,
     /// stamped with the post-charge cycle count. Every event therefore
     /// carries exactly the delta its charge applied. `kind` runs only when
-    /// armed, so a disarmed machine pays one branch.
+    /// armed: disarmed, a charge costs its adds and one branch.
     #[inline]
     fn charge(&mut self, line: usize, delta: Stats, kind: impl FnOnce() -> TraceKind) {
         self.stats.merge_sequential(&delta);
@@ -630,12 +630,12 @@ impl Mpu {
     /// Charges one redundancy/recovery action: its fault counter.
     fn charge_fault(&mut self, line: usize, action: FaultAction) {
         let mut faults = FaultStats::default();
-        *match action {
-            FaultAction::RedundantRun => &mut faults.redundant_runs,
-            FaultAction::Detected => &mut faults.detected,
-            FaultAction::Corrected => &mut faults.corrected,
-            FaultAction::Retry => &mut faults.retries,
-        } = 1;
+        match action {
+            FaultAction::RedundantRun => faults.redundant_runs = 1,
+            FaultAction::Detected => faults.detected = 1,
+            FaultAction::Corrected => faults.corrected = 1,
+            FaultAction::Retry => faults.retries = 1,
+        }
         self.charge(line, Stats { faults, ..Stats::default() }, || TraceKind::Fault(action));
     }
 
@@ -1248,8 +1248,10 @@ impl Mpu {
                 let refill = control_delta(self.config.control.playback_refill);
                 self.charge(line, refill, || TraceKind::PlaybackRefill);
             }
-            // A control step rides a Baseline offload visit, then charges
-            // its control-path cycles and the instruction count.
+            // Every control step, NOP included, first rides a host offload
+            // visit in Baseline mode (draining the bit pipeline and opening
+            // or joining a batch), then charges its control-path cycles and
+            // the instruction count.
             let c = &self.config.control;
             let control_step = match *step {
                 BlockStep::SetMask(_) => Some(("SETMASK", c.mask_update)),
@@ -1352,10 +1354,6 @@ impl Mpu {
                 BlockStep::Return => {
                     i = return_stack.pop().ok_or(SimError::ReturnUnderflow { line })?;
                 }
-                // A NOP is a control instruction like every other body
-                // control op: in Baseline mode it rides a CPU offload visit
-                // (draining the bit pipeline and opening/joining a batch)
-                // exactly as SETMASK/JUMP do.
                 BlockStep::Nop => i += 1,
                 BlockStep::Exit => {
                     // Leave predication clean for the next ensemble.
@@ -1624,8 +1622,8 @@ impl Mpu {
         self.charge(line, delta, || TraceKind::Offload { batched });
     }
 
-    /// A Baseline host offload of `cycles` moving `bytes` over the
-    /// off-chip bus, counting `events` round trips.
+    /// The charge for a Baseline host offload of `cycles` that moves
+    /// `bytes` over the off-chip bus and counts `events` round trips.
     fn offload(&self, cycles: u64, bytes: f64, events: u64) -> Stats {
         let off = &self.config.offload;
         let energy = EnergyStats {
@@ -1636,7 +1634,7 @@ impl Mpu {
         Stats { cycles, offload_cycles: cycles, offload_events: events, energy, ..Stats::default() }
     }
 
-    /// Moving `words` 64-bit words on-chip, one at a time.
+    /// The charge for moving `words` 64-bit words on-chip.
     fn transfer(&self, words: u64) -> Stats {
         let cycles = words * self.config.datapath.transfer_cycles_per_word();
         let transfer_fj = words * self.config.datapath.transfer_fj_per_word();
@@ -1804,12 +1802,13 @@ impl Mpu {
     }
 }
 
-/// A control-path charge of `cycles`.
+/// The charge for `cycles` of control-path work.
 fn control_delta(cycles: u64) -> Stats {
     Stats { cycles, control_cycles: cycles, ..Stats::default() }
 }
 
-/// One executed instruction plus `cycles` of control-path work.
+/// The charge for one executed instruction plus `cycles` of control-path
+/// work.
 fn instr_delta(cycles: u64) -> Stats {
     Stats { instructions: 1, ..control_delta(cycles) }
 }
