@@ -197,7 +197,7 @@ pub(crate) fn decode(table: u8, ins: [Plane; 3]) -> (LutFn, [usize; 3]) {
 }
 
 /// One micro-op with operands resolved to word offsets into VRF storage.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum CompiledOp {
     /// Any single-output plane op — NOR, TRA, NOT, AND, OR, XOR, COPY,
     /// SET or a LUT query — as `out = func(a, b, c)`; operands the function
@@ -229,7 +229,7 @@ pub(crate) enum CompiledOp {
 /// Built via [`crate::Recipe::compile`] and executed with
 /// [`BitPlaneVrf::run_compiled`]. Execution is byte-identical to
 /// interpreting the recipe's micro-ops in order.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledRecipe {
     ops: Vec<CompiledOp>,
     lanes: usize,

@@ -2,14 +2,17 @@
 //! instruction shape once, then fills each instruction's registers into the
 //! shape's recipe. The filled template must equal direct synthesis —
 //! `DatapathModel::recipe_with_stats` of the instruction itself — in its
-//! micro-ops, saved micro-op count and scratch high-water mark, and the
-//! pool's optimizer attribution must equal the sum of the direct passes.
+//! micro-ops, saved micro-op count and scratch high-water mark; its compiled
+//! form and cost must equal direct synthesis compiled for the datapath's
+//! geometry; and the pool's optimizer attribution must equal the sum of the
+//! direct passes.
 //!
 //! Covered: every recipe-bearing instruction of the 28 kernels on the 5
-//! substrates, and random operands including `rs == rt`, `rd == rs` and
-//! the recipe temp registers. An instruction direct synthesis rejects
-//! (aliasing, temp-register collisions) must be rejected by the pool with
-//! the same panic message.
+//! substrates, and random operands including `rs == rt`, `rd == rs`, the
+//! recipe temp registers and registers at or above the VRF's register
+//! count. An instruction direct synthesis or its compile rejects
+//! (aliasing, temp-register collisions, registers out of range) must be
+//! rejected by the pool with the same panic message.
 
 use mastodon::{RecipePool, SimConfig};
 use mpu_isa::{BinaryOp, CompareOp, InitValue, Instruction, RegId, UnaryOp};
@@ -40,14 +43,32 @@ fn outcome<T>(f: impl FnOnce() -> T) -> Result<T, String> {
 /// Returns the pool's `(misses, shape_misses)`.
 fn assert_pool_matches_direct(dp: &DatapathModel, instrs: &[Instruction]) -> (u64, u64) {
     let pool = RecipePool::new();
+    let g = dp.geometry();
     let mut direct_opt = OptStats::default();
     for instr in instrs {
-        let direct = outcome(|| dp.recipe_with_stats(instr));
+        let name = format!("{} `{instr}`", dp.name());
+        let synthesized = outcome(|| dp.recipe_with_stats(instr));
+        let misses = pool.stats().misses;
         let pooled = outcome(|| pool.get_or_build_compiled(dp, instr));
+        // Each template the pool builds merges its shape's optimizer
+        // attribution, even one whose registers then fail to resolve.
+        if let (Ok(Some((_, opt))), true) = (&synthesized, pool.stats().misses > misses) {
+            direct_opt.merge(opt);
+        }
+        let direct = synthesized.and_then(|built| match built {
+            Some((recipe, _)) => outcome(|| {
+                let compiled = recipe.compile(g.lanes_per_vrf, g.regs_per_vrf);
+                Some((recipe, compiled))
+            }),
+            None => Ok(None),
+        });
         match (direct, pooled) {
-            (Ok(Some((want, opt))), Ok(Some(got))) => {
+            (Ok(Some((want, compiled))), Ok(Some(got))) => {
+                assert!(*got.compiled == compiled, "{name}: compiled template");
+                assert_eq!(got.compiled.mix(), compiled.mix(), "{name}: micro-op mix");
+                assert_eq!(got.compiled.fast(), compiled.fast(), "{name}: fast flag");
+                assert_eq!(got.cost, dp.recipe_cost(&want), "{name}: cost");
                 let got = &*got.recipe;
-                let name = format!("{} `{instr}`", dp.name());
                 assert_eq!(got.ops(), want.ops(), "{name}: micro-ops");
                 assert_eq!(got.saved_uops(), want.saved_uops(), "{name}: saved micro-ops");
                 assert_eq!(
@@ -55,15 +76,11 @@ fn assert_pool_matches_direct(dp: &DatapathModel, instrs: &[Instruction]) -> (u6
                     want.scratch_high_water(),
                     "{name}: scratch high water"
                 );
-                direct_opt.merge(&opt);
             }
             (Ok(None), Ok(None)) => {}
-            (Err(want), Err(got)) => {
-                assert_eq!(got, want, "{} `{instr}`: rejection message", dp.name());
-            }
+            (Err(want), Err(got)) => assert_eq!(got, want, "{name}: rejection message"),
             (want, got) => panic!(
-                "{} `{instr}`: direct {:?} but pooled {:?}",
-                dp.name(),
+                "{name}: direct {:?} but pooled {:?}",
                 want.map(|r| r.is_some()),
                 got.map(|r| r.is_some())
             ),
@@ -102,20 +119,23 @@ fn every_kernel_instruction_matches_direct_synthesis() {
     }
 }
 
-/// Register operands drawn from a few low ids, the two temp registers and
-/// the highest usable register, so repeats (`rs == rt`, `rd == rs`) and
-/// temp collisions are common.
-fn reg(pick: u16, temps: (u8, u8)) -> RegId {
+/// Register operands drawn from a few low ids, the two temp registers, the
+/// highest usable register, the first one past the VRF and the highest
+/// encodable one, so repeats (`rs == rt`, `rd == rs`), temp collisions and
+/// out-of-range registers are common.
+fn reg(pick: u16, temps: (u8, u8), regs: usize) -> RegId {
     RegId(match pick {
         0..=4 => pick,
         5 => u16::from(temps.0),
         6 => u16::from(temps.1),
-        _ => u16::from(temps.0) - 1,
+        7 => u16::from(temps.0) - 1,
+        8 => regs as u16,
+        _ => 63,
     })
 }
 
-fn instruction(kind: u16, op: usize, r: [u16; 3], temps: (u8, u8)) -> Instruction {
-    let [rs, rt, rd] = r.map(|p| reg(p, temps));
+fn instruction(kind: u16, op: usize, r: [u16; 3], temps: (u8, u8), regs: usize) -> Instruction {
+    let [rs, rt, rd] = r.map(|p| reg(p, temps, regs));
     match kind {
         0 => Instruction::Binary { op: BinaryOp::ALL[op % BinaryOp::ALL.len()], rs, rt, rd },
         1 => Instruction::Unary { op: UnaryOp::ALL[op % UnaryOp::ALL.len()], rs, rd },
@@ -131,13 +151,13 @@ proptest! {
 
     #[test]
     fn random_operands_match_direct_synthesis(
-        picks in prop::collection::vec((0u16..6, 0usize..16, 0u16..8, 0u16..8, 0u16..8), 6),
+        picks in prop::collection::vec((0u16..6, 0usize..16, 0u16..10, 0u16..10, 0u16..10), 6),
     ) {
         for dp in datapaths() {
-            let temps = dp.recipe_ctx().temp_regs;
+            let (temps, regs) = (dp.recipe_ctx().temp_regs, dp.geometry().regs_per_vrf);
             let instrs: Vec<Instruction> = picks
                 .iter()
-                .map(|&(kind, op, rs, rt, rd)| instruction(kind, op, [rs, rt, rd], temps))
+                .map(|&(kind, op, rs, rt, rd)| instruction(kind, op, [rs, rt, rd], temps, regs))
                 .collect();
             assert_pool_matches_direct(&dp, &instrs);
         }
@@ -163,6 +183,23 @@ fn rejected_operands_keep_their_messages() {
             assert!(outcome(|| dp.recipe(instr)).is_err(), "{} `{instr}` is rejected", dp.name());
         }
         assert_pool_matches_direct(&dp, &rejected);
+
+        // `ADD r0 r1 r16` and `POPC r20 r1` on a 16-register VRF: a
+        // bit-serial template cannot resolve the register's planes; a
+        // word-serial one reads registers only when it runs.
+        let regs = dp.geometry().regs_per_vrf as u16;
+        let popc = Instruction::Unary { op: UnaryOp::Popc, rs: RegId(regs + 4), rd: RegId(1) };
+        let out_of_range = [(binary(BinaryOp::Add, 0, 1, regs), regs), (popc, regs + 4)];
+        for (instr, reg) in out_of_range {
+            let got = outcome(|| RecipePool::new().get_or_build_compiled(&dp, &instr).is_some());
+            let want = if dp.family() == pum_backend::LogicFamily::WordSerial {
+                Ok(true)
+            } else {
+                Err(format!("register {reg} out of range (VRF has {regs})"))
+            };
+            assert_eq!(got, want, "{} `{instr}`", dp.name());
+        }
+        assert_pool_matches_direct(&dp, &out_of_range.map(|(instr, _)| instr));
     }
 }
 
