@@ -6,9 +6,16 @@
 //! micro-ops per VRF per wave. [`CompiledRecipe`] hoists that work to
 //! synthesis time: each operand becomes a word offset into the VRF's flat
 //! storage, and each output carries its precomputed "honours the lane
-//! mask" flag. The compiled form is built once per `(recipe, geometry)`
-//! and cached alongside the recipe in the simulator's recipe cache/pool,
-//! so the steady-state execution loop is pure word arithmetic.
+//! mask" flag. The steady-state execution loop is pure word arithmetic.
+//!
+//! The simulator's recipe pool compiles each register-renamed instruction
+//! *shape* ([`crate::recipe_shape`]) once per geometry and derives every
+//! instruction's template from it by relocation
+//! ([`CompiledRecipe::relocate`]): each offset inside a shape operand
+//! register's plane block is rebased to the instruction's register, and
+//! word-serial ops rename their registers. That is the paper's I2M decoder
+//! binding a template to its operands through the pointer table; the
+//! result equals compiling the instruction's own recipe.
 //!
 //! Compilation also gives every single-output micro-op one form: a gate
 //! computing a named word function ([`LutFn`]) of at most three operands.
@@ -43,8 +50,9 @@ use crate::bitplane::{
     fill, plane_kernel, with_width, BitPlaneVrf, Plane, WidthJob, SCRATCH_PLANES,
 };
 use crate::microop::{lut3_word, MicroOp, MicroOpKind};
+use crate::recipe::{map_operands, operands};
 use crate::DATA_BITS;
-use mpu_isa::Instruction;
+use mpu_isa::{Instruction, RegId};
 use std::sync::Arc;
 
 /// The word function of a compiled gate, decoded from its truth table
@@ -226,8 +234,8 @@ pub(crate) enum CompiledOp {
 /// A recipe compiled for one VRF geometry: plane operands resolved to flat
 /// storage offsets, mask-target decisions precomputed.
 ///
-/// Built via [`crate::Recipe::compile`] and executed with
-/// [`BitPlaneVrf::run_compiled`]. Execution is byte-identical to
+/// Built via [`crate::Recipe::compile`] or [`Self::relocate`] and executed
+/// with [`BitPlaneVrf::run_compiled`]. Execution is byte-identical to
 /// interpreting the recipe's micro-ops in order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledRecipe {
@@ -236,6 +244,7 @@ pub struct CompiledRecipe {
     regs: usize,
     mix: [u32; MicroOpKind::ALL.len()],
     fast: bool,
+    saved_uops: u32,
 }
 
 impl CompiledRecipe {
@@ -278,6 +287,63 @@ impl CompiledRecipe {
     pub fn fast(&self) -> bool {
         self.fast
     }
+
+    /// Micro-ops the recipe optimizer removed from the synthesized template
+    /// ([`crate::Recipe::saved_uops`]). The simulator charges this into
+    /// `Stats::uops_saved`.
+    pub fn saved_uops(&self) -> u32 {
+        self.saved_uops
+    }
+
+    /// This template, compiled for the instruction shape `shape`
+    /// ([`crate::recipe_shape`]), bound to `instr`'s registers: every
+    /// offset inside the plane block of one of `shape`'s operand registers
+    /// moves to the block of `instr`'s register in the same operand slot,
+    /// and every word-serial op renames its registers the same way. Temp
+    /// registers, scratch and special planes stay put. The result equals
+    /// compiling `instr`'s own recipe.
+    ///
+    /// # Panics
+    ///
+    /// Panics as compiling `instr`'s recipe would if a bound plane lies in
+    /// a register the VRF does not have ("register 16 out of range (VRF has
+    /// 16)"), at the first such operand in compile order. Word-serial ops
+    /// resolve registers only when they run, so they never panic here.
+    pub fn relocate(&self, shape: &Instruction, instr: &Instruction) -> CompiledRecipe {
+        let binding: Vec<(u16, u16)> = operands(shape).into_iter().zip(operands(instr)).collect();
+        let bind = |r: u16| binding.iter().find(|&&(from, _)| from == r).map_or(r, |&(_, to)| to);
+        let (regs, block) = (self.regs, DATA_BITS * self.lanes.div_ceil(64) as u32);
+        let arch = regs as u32 * block;
+        let rebase = |offset: u32| {
+            if offset >= arch {
+                return offset;
+            }
+            let reg = offset / block;
+            let to = u32::from(bind(reg as u16));
+            assert!((to as usize) < regs, "register {to} out of range (VRF has {regs})");
+            offset - reg * block + to * block
+        };
+        let ops = self
+            .ops
+            .iter()
+            .map(|op| match *op {
+                // Fields in the order `compile` resolves them, so the first
+                // register out of range is the one compiling would report.
+                CompiledOp::Gate { kind, func, a, b, c, out, masked } => {
+                    let [a, b, c, out] = [a, b, c, out].map(rebase);
+                    CompiledOp::Gate { kind, func, a, b, c, out, masked }
+                }
+                CompiledOp::FullAdd { a, b, carry, sum, latch, carry_masked, sum_masked } => {
+                    let [carry, sum, a, b] = [carry, sum, a, b].map(rebase);
+                    CompiledOp::FullAdd { a, b, carry, sum, latch, carry_masked, sum_masked }
+                }
+                CompiledOp::Word { instr: w } => CompiledOp::Word {
+                    instr: map_operands(&w, |r| RegId(bind(r.0))).expect("a compute instruction"),
+                },
+            })
+            .collect();
+        CompiledRecipe { ops, ..*self }
+    }
 }
 
 /// Plane-address resolver for a VRF geometry; mirrors the (private)
@@ -316,8 +382,14 @@ impl Layout {
     }
 }
 
-/// Compiles a micro-op sequence for a `(lanes, regs)` VRF geometry.
-pub(crate) fn compile(ops: &[MicroOp], lanes: usize, regs: usize) -> CompiledRecipe {
+/// Compiles a micro-op sequence for a `(lanes, regs)` VRF geometry; the
+/// optimizer removed `saved_uops` micro-ops from its template.
+pub(crate) fn compile(
+    ops: &[MicroOp],
+    lanes: usize,
+    regs: usize,
+    saved_uops: u32,
+) -> CompiledRecipe {
     assert!(lanes > 0, "a VRF needs at least one lane");
     assert!(regs > 0 && regs <= 64, "register count must be in 1..=64");
     let layout = Layout { regs, words: lanes.div_ceil(64) };
@@ -374,7 +446,7 @@ pub(crate) fn compile(ops: &[MicroOp], lanes: usize, regs: usize) -> CompiledRec
             CompiledOp::Gate { kind, func, a, b, c, out, masked }
         })
         .collect();
-    CompiledRecipe { ops: compiled, lanes, regs, mix, fast }
+    CompiledRecipe { ops: compiled, lanes, regs, mix, fast, saved_uops }
 }
 
 /// Where decoded ops run their word loop: the VRF itself, with its
@@ -725,7 +797,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "read-only")]
     fn compiling_const_writes_panics_like_the_interpreter() {
-        compile(&[MicroOp::Set { out: Plane::Const(true), value: false }], 64, 4);
+        compile(&[MicroOp::Set { out: Plane::Const(true), value: false }], 64, 4, 0);
     }
 
     #[test]
@@ -837,12 +909,12 @@ mod tests {
                             op.apply(&mut applied);
                             assert!(applied == want, "apply: {op:?}");
                             compiled.clone_from(&base100);
-                            run_ops(&mut compiled, compile(&[op], 100, 4).ops());
+                            run_ops(&mut compiled, compile(&[op], 100, 4, 0).ops());
                             assert!(compiled == applied, "run_ops as {func:?}: {op:?}");
                             // The fast loop against the oracle.
                             oracle(base_fast, &mut want, op);
                             let mut fast = base_fast.clone();
-                            let recipe = Arc::new(compile(&[op], *fast_lanes, 4));
+                            let recipe = Arc::new(compile(&[op], *fast_lanes, 4, 0));
                             run_ops_fast([&mut fast], &[recipe]);
                             assert!(fast == want, "run_ops_fast as {func:?}: {op:?}");
                         }
@@ -866,7 +938,7 @@ mod tests {
                 table: 0x01,
             })
             .collect();
-        let compiled = compile(&ops, 100, 4);
+        let compiled = compile(&ops, 100, 4, 0);
         for op in compiled.ops() {
             assert!(
                 matches!(op, CompiledOp::Gate { kind: MicroOpKind::Lut, func: LutFn::Nor, .. }),

@@ -134,9 +134,10 @@ impl Recipe {
     /// operands resolve to flat storage offsets and mask-target decisions
     /// are precomputed, so [`crate::BitPlaneVrf::run_compiled`] executes
     /// the sequence without per-op plane resolution. Byte-identical to
-    /// interpreting [`Recipe::ops`] in order.
+    /// interpreting [`Recipe::ops`] in order. The compiled form carries
+    /// [`Self::saved_uops`] along.
     pub fn compile(&self, lanes: usize, regs: usize) -> crate::CompiledRecipe {
-        crate::compiled::compile(&self.ops, lanes, regs)
+        crate::compiled::compile(&self.ops, lanes, regs, self.saved_uops)
     }
 
     /// Builds a recipe from an explicit micro-op sequence.
@@ -214,9 +215,10 @@ pub fn build_recipe(ctx: RecipeCtx, instr: &Instruction) -> Option<Recipe> {
 /// *is* a temp register keeps its id. Repeated operands rename alike, so
 /// the aliasing pattern — and with it every [`build_recipe`] panic — is
 /// unchanged. Synthesis and the optimizer only ever test planes for
-/// equality, so they commute with this renaming:
-/// [`instantiate_recipe`] of the shape's recipe equals the instruction's
-/// own recipe, `OptStats` included (DESIGN.md §10).
+/// equality, so they commute with this renaming: the shape's recipe,
+/// compiled and then relocated to `instr`'s registers
+/// ([`crate::CompiledRecipe::relocate`]), equals the instruction's own
+/// recipe compiled, `OptStats` included (DESIGN.md §10).
 pub fn recipe_shape(ctx: &RecipeCtx, instr: &Instruction) -> Option<Instruction> {
     let (ta, tb) = ctx.temp_regs;
     let is_temp = |r: u16| r == u16::from(ta) || r == u16::from(tb);
@@ -239,39 +241,28 @@ pub fn recipe_shape(ctx: &RecipeCtx, instr: &Instruction) -> Option<Instruction>
     })
 }
 
-/// The recipe of `instr` from the recipe of its [`recipe_shape`]: the
-/// template filler. Every [`Plane::Reg`] and every register of a
-/// [`MicroOp::Word`] instruction is renamed from the shape's operand back
-/// to `instr`'s; temp registers and all other planes map to themselves.
-/// The saved micro-op count and scratch high-water mark carry over.
-///
-/// # Panics
-///
-/// Panics if `instr` has no recipe.
-pub fn instantiate_recipe(ctx: &RecipeCtx, shape_recipe: &Recipe, instr: &Instruction) -> Recipe {
-    let shape = recipe_shape(ctx, instr).expect("only compute instructions have a shape");
-    let pairs: Vec<(u16, u16)> = operands(&shape).into_iter().zip(operands(instr)).collect();
-    let rename = |r: u16| pairs.iter().find(|&&(from, _)| from == r).map_or(r, |&(_, to)| to);
-    let ops = shape_recipe
-        .ops
-        .iter()
-        .map(|op| match *op {
-            MicroOp::Word { instr: w } => MicroOp::Word {
-                instr: map_operands(&w, |r| RegId(rename(r.0))).expect("a compute instruction"),
-            },
-            op => op.map_planes(|p| match p {
-                Plane::Reg { reg, bit } => Plane::Reg { reg: rename(u16::from(reg)) as u8, bit },
-                p => p,
-            }),
-        })
-        .collect();
-    Recipe { ops, ..*shape_recipe }
+/// The first register operand of `instr`, in operand order, that a VRF
+/// of `regs` registers does not have, or `None` when every operand fits
+/// (and for instructions without a recipe). A template with such an operand
+/// cannot resolve the register's planes.
+pub fn operand_out_of_range(instr: &Instruction, regs: usize) -> Option<RegId> {
+    let mut first = None;
+    map_operands(instr, |r| {
+        if first.is_none() && usize::from(r.0) >= regs {
+            first = Some(r);
+        }
+        r
+    });
+    first
 }
 
 /// `instr` with each register operand replaced by `f` of it, called in
 /// operand order (`rs`, `rt`, `rd`); `None` for instructions without a
 /// recipe.
-fn map_operands(instr: &Instruction, mut f: impl FnMut(RegId) -> RegId) -> Option<Instruction> {
+pub(crate) fn map_operands(
+    instr: &Instruction,
+    mut f: impl FnMut(RegId) -> RegId,
+) -> Option<Instruction> {
     Some(match *instr {
         Instruction::Binary { op, rs, rt, rd } => {
             Instruction::Binary { op, rs: f(rs), rt: f(rt), rd: f(rd) }
@@ -286,7 +277,7 @@ fn map_operands(instr: &Instruction, mut f: impl FnMut(RegId) -> RegId) -> Optio
 }
 
 /// The register operands of `instr`, in operand order.
-fn operands(instr: &Instruction) -> Vec<u16> {
+pub(crate) fn operands(instr: &Instruction) -> Vec<u16> {
     let mut regs = Vec::with_capacity(3);
     map_operands(instr, |r| {
         regs.push(r.0);

@@ -24,9 +24,16 @@
 //! ## Recipes
 //!
 //! Every MPU of every launch in one [`Pipeline::run_sharded`] call shares
-//! one [`RecipePool`], so each template is synthesized and optimized once
-//! per call rather than once per chunk. The pool is host-side only: the
-//! simulated template fetch is charged per MPU exactly as without it, so
+//! one [`RecipePool`] ([`call_pool`]), so each template is bound once per
+//! call rather than once per chunk. That pool's templates die with the
+//! call, but it shares one dpapi-wide shape memo with every other call's
+//! pool: each register-renamed instruction shape is synthesized, optimized
+//! and compiled once per process, and a repeat launch of a pipeline runs
+//! no synthesis and no optimizer, only relocation. The memo is bounded:
+//! shapes are renamed to registers and `INIT` takes only `Zero` or `One`,
+//! so it holds at most one entry per operation and aliasing pattern for
+//! each datapath configuration. The pools are host-side only: the
+//! simulated template fetch is charged per MPU exactly as without them, so
 //! the returned [`Stats`] are unchanged.
 
 use crate::lower::{emit_kops, Lowered};
@@ -34,7 +41,20 @@ use crate::pipeline::{apply_map, apply_zip, Pipeline, ReduceOp, Stage};
 use crate::DpError;
 use mastodon::{run_single_pooled, Mpu, RecipePool, RegisterInit, SimConfig, Stats, System};
 use mpu_isa::{BinaryOp, Instruction, Program, RegId};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+/// Holds the shape memo every [`call_pool`] shares; its own templates stay
+/// empty.
+static SHAPES: OnceLock<RecipePool> = OnceLock::new();
+
+/// A fresh recipe pool for one pipeline call: empty templates over the
+/// dpapi-wide shape memo, so what it synthesizes serves every later call.
+/// [`Pipeline::run_sharded`] runs on one; [`RecipePool::stats`] of a pool
+/// passed to [`Pipeline::run_sharded_pooled`] reports that call's memo
+/// traffic.
+pub fn call_pool() -> RecipePool {
+    RecipePool::sharing_shapes(SHAPES.get_or_init(RecipePool::new))
+}
 
 /// Ensemble members simulated per MPU (mirrors the workloads harness:
 /// simulate a slice, scale analytically).
@@ -290,7 +310,10 @@ impl Pipeline {
 
     /// Runs the pipeline with each launch sharded across `mpus` MPUs
     /// (clamped to the chip budget). Reductions aggregate on-device over
-    /// SEND/RECV; other pipelines shard with independent readback.
+    /// SEND/RECV; other pipelines shard with independent readback. Every
+    /// MPU of the call resolves its templates through one fresh
+    /// [`call_pool`], whose shapes persist across calls (module docs,
+    /// "Recipes").
     ///
     /// # Errors
     ///
@@ -301,6 +324,24 @@ impl Pipeline {
         mpus: usize,
         primary: &[u64],
         columns: &[&[u64]],
+    ) -> Result<PipelineRun, DpError> {
+        self.run_sharded_pooled(config, mpus, primary, columns, &Arc::new(call_pool()))
+    }
+
+    /// [`Pipeline::run_sharded`] with every MPU resolving its templates
+    /// through `pool`. Host-side only: the result is the same whichever
+    /// pool serves it.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Pipeline::run`].
+    pub fn run_sharded_pooled(
+        &self,
+        config: &SimConfig,
+        mpus: usize,
+        primary: &[u64],
+        columns: &[&[u64]],
+        pool: &Arc<RecipePool>,
     ) -> Result<PipelineRun, DpError> {
         let terminal = self.validate(columns.len())?;
         let lowered = self.lower()?;
@@ -332,7 +373,6 @@ impl Pipeline {
         let g = config.datapath.geometry();
         let mpus = mpus.clamp(1, g.mpus_per_chip);
         let cap = members.len() * lanes * lowered.seg;
-        let pool = Arc::new(RecipePool::new());
 
         // Running wrapping prefix for scan pipelines, carried across
         // chunks.
@@ -354,7 +394,7 @@ impl Pipeline {
             if let (Some(op), true) = (reduce_op, chunk_bounds.len() > 1) {
                 // On-device aggregation over SEND/RECV.
                 let leaves = chunk_bounds.len() - 1;
-                let mut system = System::new_pooled(config.clone(), chunk_bounds.len(), &pool);
+                let mut system = System::new_pooled(config.clone(), chunk_bounds.len(), pool);
                 system.set_program(0, lowered.root_program(&members, leaves, op)?);
                 let leaf_program = lowered.leaf_program(&members)?;
                 for j in 1..chunk_bounds.len() {
@@ -396,7 +436,7 @@ impl Pipeline {
                     let inputs =
                         lowered.launch_inputs(&members, lanes, &primary[s..e], &zip_chunks);
                     let (stats, mut mpu) =
-                        run_single_pooled(config.clone(), &program, &inputs, Some(&pool))
+                        run_single_pooled(config.clone(), &program, &inputs, Some(pool))
                             .map_err(|err| DpError::Sim(err.to_string()))?;
                     let mut chunk_stats = stats;
                     let mut launches = 1u64;
@@ -448,7 +488,7 @@ impl Pipeline {
                                 }
                                 scan_carry = offset;
                                 let (stats2, mut mpu2) =
-                                    run_single_pooled(config.clone(), p2, &inputs2, Some(&pool))
+                                    run_single_pooled(config.clone(), p2, &inputs2, Some(pool))
                                         .map_err(|err| DpError::Sim(err.to_string()))?;
                                 chunk_stats.merge_sequential(&stats2);
                                 launches += 1;

@@ -1480,8 +1480,8 @@ impl Mpu {
         let delta = Stats {
             cycles,
             compute_cycles: cycles,
-            uops: cached.recipe.len() as u64,
-            uops_saved: u64::from(cached.recipe.saved_uops()),
+            uops: cached.compiled.len() as u64,
+            uops_saved: u64::from(cached.compiled.saved_uops()),
             energy: EnergyStats {
                 datapath_fj: cached.cost.fj_per_lane * enabled,
                 ..EnergyStats::default()

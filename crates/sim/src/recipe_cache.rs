@@ -3,82 +3,83 @@
 //! The recipe table can only hold a few thousand micro-op templates, so the
 //! control path dynamically caches recipes as instructions are issued. We
 //! model a capacity-bounded cache keyed by the encoded instruction word
-//! (operands included — each entry is a template with its registers filled
-//! in), with LRU replacement and hit/miss counters. Baseline datapaths
-//! decode every instruction from scratch. Each entry carries both the
-//! synthesized micro-op sequence and its geometry-specialized
+//! (operands included — each entry is a template bound to its registers),
+//! with LRU replacement and hit/miss counters. Baseline datapaths decode
+//! every instruction from scratch. Each entry is a geometry-specialized
 //! [`CompiledRecipe`], so plane-address resolution happens once per
 //! template rather than once per executed micro-op.
 //!
-//! Recipes are held behind [`Arc`] so an [`Mpu`](crate::Mpu) is `Send` and
-//! chip sweeps can fan out across threads. Every miss resolves through a
-//! [`RecipePool`]: a host-side memo of templates, compiled forms and block
-//! graphs. Concurrent runs may share one, skipping re-deriving the micro-op
-//! sequence for an instruction another thread already lowered; a cache
-//! given no pool uses a private one. The pool is invisible to the
-//! simulated machine — per-MPU hit/miss counters and the miss penalty
-//! model the *hardware* template fetch and are charged identically
-//! whichever pool serves them, so shared-pool and private-pool runs
-//! produce bit-identical statistics.
+//! Templates are held behind [`Arc`] so an [`Mpu`](crate::Mpu) is `Send`
+//! and chip sweeps can fan out across threads. Every miss resolves through
+//! a [`RecipePool`]: a host-side memo of templates, shape forms and block
+//! graphs. Concurrent runs may share one, skipping re-deriving the template
+//! of an instruction another thread already lowered; a cache given no pool
+//! uses a private one. The pool is invisible to the simulated machine —
+//! per-MPU hit/miss counters and the miss penalty model the *hardware*
+//! template fetch and are charged identically whichever pool serves them,
+//! so shared-pool and private-pool runs produce bit-identical statistics.
 //!
-//! The pool also models the decoder's template filler: it synthesizes and
-//! optimizes each register-renamed instruction *shape*
-//! ([`pum_backend::recipe_shape`]) once, and builds each instruction's
-//! template by writing its registers into the shape's recipe
-//! ([`pum_backend::instantiate_recipe`]). `QDIV r7,r8,r3` and
-//! `QDIV r5,r9,r8` share one optimizer pass. Renaming commutes with
-//! synthesis and optimization, so every template equals
-//! [`DatapathModel::recipe_with_stats`] of its instruction.
+//! The pool also models the decoder's template table and pointer table. It
+//! synthesizes, optimizes and compiles each register-renamed instruction
+//! *shape* ([`pum_backend::recipe_shape`]) once per geometry, keeping only
+//! the compiled form, and binds each instruction's template by relocating
+//! that form to the instruction's registers
+//! ([`CompiledRecipe::relocate`]). `QDIV r7,r8,r3` and `QDIV r5,r9,r8`
+//! share one optimizer pass and one compile. Renaming commutes with
+//! synthesis, optimization and compilation, so every template equals
+//! [`DatapathModel::recipe_with_stats`] of its instruction, compiled.
 
 use mpu_isa::Instruction;
 use pum_backend::{
-    BlockGraph, CompiledRecipe, DatapathModel, OptStats, Recipe, RecipeCost, RecipeCtx,
+    BlockGraph, CompiledRecipe, DatapathModel, Geometry, OptStats, Recipe, RecipeCost, RecipeCtx,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-/// A recipe cache entry: the synthesized micro-op sequence, its
-/// pre-compiled form (plane addresses resolved for the owning datapath's
-/// VRF geometry), and what it costs there. The first two are `Arc`-shared
-/// with the pool, so cloning an entry is two reference bumps.
+/// A recipe cache entry: the template compiled for the owning datapath's
+/// VRF geometry, and what it costs there. The compiled form is
+/// `Arc`-shared with the pool, so cloning an entry is one reference bump.
 #[derive(Debug, Clone)]
 pub struct CachedRecipe {
-    /// The synthesized micro-op sequence (micro-op counts, display).
-    pub recipe: Arc<Recipe>,
-    /// The geometry-specialized compiled form executed on the hot path.
+    /// The geometry-specialized compiled form executed on the hot path,
+    /// with its micro-op count, mix and optimizer savings.
     pub compiled: Arc<CompiledRecipe>,
     /// Cycles and energy per enabled lane, computed once with the
     /// compiled form.
     pub cost: RecipeCost,
 }
 
-/// A process-wide memo of synthesized recipes, shared across concurrent
+/// A process-wide memo of compiled templates, shared across concurrent
 /// simulations.
 ///
-/// Recipe templates are keyed by `(RecipeCtx, encoded instruction)`:
-/// synthesis is a pure function of that pair, so datapaths that agree on
-/// logic family, temporary registers, optimizer configuration *and costs*
-/// (including ablated variants of the same
-/// [`pum_backend::DatapathKind`]) reuse each other's work safely — and
-/// datapaths that disagree on any of them, say an optimizer flag or
-/// bit-pipelining flipped against a warm pool, can never be served each
-/// other's templates. Compiled forms additionally key on the VRF geometry
-/// `(lanes, regs)` they were resolved for, so every key covers everything
-/// its value reads. Block graphs hold no recipes and key on the laid-out
-/// body alone.
+/// Templates are keyed by `(RecipeCtx, encoded instruction, lanes, regs)`:
+/// synthesis is a pure function of the first two, and compilation adds the
+/// VRF geometry, so datapaths that agree on logic family, temporary
+/// registers, optimizer configuration, costs *and* geometry (including
+/// ablated variants of the same [`pum_backend::DatapathKind`]) reuse each
+/// other's work safely — and datapaths that disagree on any of them, say an
+/// optimizer flag or bit-pipelining flipped against a warm pool, can never
+/// be served each other's templates. Block graphs hold no recipes and key
+/// on the laid-out body alone.
 ///
-/// Under the per-instruction templates sits a memo of shape recipes keyed
-/// by `(RecipeCtx, shape word)`: a template miss fills in the shape's
-/// recipe, and only a shape miss runs synthesis and the optimizer. Each
-/// memo is its own map, so [`RecipePool::preload`] replaces one
-/// instruction's template and never the shape other instructions are
-/// filled from.
+/// Under the templates sits a memo of shapes keyed the same way by the
+/// shape word: a shape's compiled form, its cost (which depends only on
+/// the micro-op kinds, so renaming keeps it), and its optimizer
+/// attribution. A template miss relocates the shape's form; only a shape
+/// miss runs synthesis, the optimizer and the compiler, and the optimized
+/// recipe is dropped once compiled. A pool's templates live as long as the
+/// pool; its shape memo may outlive it, shared with other pools through
+/// [`RecipePool::sharing_shapes`]. Shapes are register-renamed, so the
+/// memo holds at most one entry per operation and aliasing pattern for
+/// each context and geometry, however many register combinations run.
+/// [`RecipePool::preload`] replaces one instruction's template and never
+/// the shape other instructions are bound from.
 #[derive(Debug, Default)]
 pub struct RecipePool {
-    templates: RwLock<HashMap<(RecipeCtx, u32), Arc<Recipe>>>,
-    shapes: RwLock<HashMap<(RecipeCtx, u32), ShapeRecipe>>,
-    compiled: RwLock<HashMap<CompiledKey, (Arc<CompiledRecipe>, RecipeCost)>>,
+    templates: RwLock<HashMap<TemplateKey, CachedRecipe>>,
+    shapes: Arc<RwLock<HashMap<TemplateKey, Arc<Shape>>>>,
+    preloaded: RwLock<HashMap<(RecipeCtx, u32), Arc<Recipe>>>,
     blocks: RwLock<HashMap<BlockKey, Arc<BlockGraph>>>,
     lookups: AtomicU64,
     hits: AtomicU64,
@@ -99,15 +100,17 @@ pub struct PoolStats {
     /// Template probes that resolved to a recipe (control-path
     /// instructions without a recipe are not counted).
     pub lookups: u64,
-    /// Probes answered from the memo without synthesizing.
+    /// Probes answered from the memo (or from a preloaded recipe) without
+    /// synthesizing.
     pub hits: u64,
-    /// Probes that built a new template, by filling in a shape's recipe.
-    /// Under a race both threads count a miss even though one insert
+    /// Probes that built a new template, by relocating a shape's compiled
+    /// form. Under a race both threads count a miss even though one insert
     /// wins — the counter reports work performed, not table growth.
     pub misses: u64,
-    /// Template misses whose register-renamed shape was not memoized yet:
-    /// the synthesis and optimizer passes actually run (racing threads
-    /// each count one, as for `misses`).
+    /// Template misses whose register-renamed shape was not memoized yet,
+    /// in this pool or a pool sharing its shapes: the synthesis, optimizer
+    /// and compile passes actually run by this pool (racing threads each
+    /// count one, as for `misses`).
     pub shape_misses: u64,
     /// Per-rule recipe-optimizer attribution, merged once per template
     /// miss: what the optimizer bought for each template built, whether
@@ -115,12 +118,19 @@ pub struct PoolStats {
     pub opt: OptStats,
 }
 
-/// A shape's optimized recipe and what its optimizer pass did.
-type ShapeRecipe = (Arc<Recipe>, OptStats);
+/// A shape's form for one geometry: compiled, costed, and what its
+/// optimizer pass did.
+#[derive(Debug)]
+struct Shape {
+    compiled: Arc<CompiledRecipe>,
+    cost: RecipeCost,
+    opt: OptStats,
+}
 
-/// Memo key for a compiled form and its cost: synthesis context, encoded
-/// instruction, and the VRF geometry `(lanes, regs)` it was resolved for.
-type CompiledKey = (RecipeCtx, u32, usize, usize);
+/// Memo key for a template or a shape: synthesis context, encoded
+/// instruction (or shape), and the VRF geometry `(lanes, regs)` it was
+/// compiled for.
+type TemplateKey = (RecipeCtx, u32, usize, usize);
 
 /// Memo key for a block graph: the encoded laid-out body
 /// ([`pum_backend::BodyLayout`]; collision-proof — the words *are* the
@@ -128,62 +138,26 @@ type CompiledKey = (RecipeCtx, u32, usize, usize);
 /// entry index.
 type BlockKey = (Vec<u32>, usize);
 
+fn key(ctx: RecipeCtx, instr: &Instruction, g: &Geometry) -> TemplateKey {
+    (ctx, instr.encode(), g.lanes_per_vrf, g.regs_per_vrf)
+}
+
 impl RecipePool {
     /// Creates an empty pool.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Returns the template for `instr` on `datapath`, synthesizing and
-    /// memoizing it on first use (`None` for control-path instructions),
-    /// plus whether it was already memoized (`true` = pool hit).
-    fn get_or_build_inner(
-        &self,
-        datapath: &DatapathModel,
-        instr: &Instruction,
-    ) -> Option<(Arc<Recipe>, bool)> {
-        let ctx = datapath.recipe_ctx();
-        let key = (ctx, instr.encode());
-        if let Some(recipe) = read(&self.templates).get(&key) {
-            self.lookups.fetch_add(1, Ordering::Relaxed);
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Some((Arc::clone(recipe), true));
-        }
-        let (shape_recipe, opt) = self.get_or_build_shape(datapath, ctx, instr)?;
-        let recipe = Arc::new(pum_backend::instantiate_recipe(&ctx, &shape_recipe, instr));
-        write(&self.opt).merge(&opt);
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut templates = write(&self.templates);
-        Some((Arc::clone(templates.entry(key).or_insert(recipe)), false))
+    /// Creates an empty pool that shares `other`'s shape memo: each pool
+    /// keeps its own templates and counters, but a shape either one has
+    /// compiled is never synthesized again by the other.
+    pub fn sharing_shapes(other: &RecipePool) -> Self {
+        Self { shapes: Arc::clone(&other.shapes), ..Self::default() }
     }
 
-    /// Returns the optimized recipe of `instr`'s register-renamed shape
-    /// ([`pum_backend::recipe_shape`]) and what its optimizer pass did,
-    /// synthesizing and memoizing both on first use (`None` for
+    /// Returns the template for `instr` compiled for `datapath`'s VRF
+    /// geometry, with its cost, memoizing it on first use (`None` for
     /// control-path instructions).
-    fn get_or_build_shape(
-        &self,
-        datapath: &DatapathModel,
-        ctx: RecipeCtx,
-        instr: &Instruction,
-    ) -> Option<ShapeRecipe> {
-        let shape = pum_backend::recipe_shape(&ctx, instr)?;
-        let key = (ctx, shape.encode());
-        if let Some((recipe, opt)) = read(&self.shapes).get(&key) {
-            return Some((Arc::clone(recipe), *opt));
-        }
-        // Synthesize outside the write lock; a racing thread may do the
-        // same work, but the first insert wins and both get the same entry.
-        let (recipe, opt) = datapath.recipe_with_stats(&shape)?;
-        self.shape_misses.fetch_add(1, Ordering::Relaxed);
-        let mut shapes = write(&self.shapes);
-        let (recipe, opt) = shapes.entry(key).or_insert((Arc::new(recipe), opt));
-        Some((Arc::clone(recipe), *opt))
-    }
-
-    /// Returns the recipe for `instr` together with its compiled form for
-    /// `datapath`'s VRF geometry, memoizing both on first use.
     pub fn get_or_build_compiled(
         &self,
         datapath: &DatapathModel,
@@ -192,25 +166,80 @@ impl RecipePool {
         Some(self.build_compiled(datapath, instr)?.0)
     }
 
-    /// [`Self::get_or_build_compiled`] plus whether the *template* was a
-    /// pool hit (compiled-form memoization is not separately counted).
+    /// [`Self::get_or_build_compiled`] plus whether the template was
+    /// already memoized (`true` = pool hit).
+    ///
+    /// # Panics
+    ///
+    /// Panics as direct synthesis and compilation of `instr` would: on
+    /// aliased or reserved operands, or on a register the VRF does not
+    /// have.
     fn build_compiled(
         &self,
         datapath: &DatapathModel,
         instr: &Instruction,
     ) -> Option<(CachedRecipe, bool)> {
-        let (recipe, template_hit) = self.get_or_build_inner(datapath, instr)?;
-        let g = datapath.geometry();
-        let key = (datapath.recipe_ctx(), instr.encode(), g.lanes_per_vrf, g.regs_per_vrf);
-        if let Some((compiled, cost)) = read(&self.compiled).get(&key) {
-            let entry = CachedRecipe { recipe, compiled: Arc::clone(compiled), cost: *cost };
-            return Some((entry, template_hit));
+        let (ctx, g) = (datapath.recipe_ctx(), datapath.geometry());
+        let key = key(ctx, instr, &g);
+        if let Some(entry) = read(&self.templates).get(&key) {
+            self.count(true);
+            return Some((entry.clone(), true));
         }
-        let compiled = Arc::new(recipe.compile(g.lanes_per_vrf, g.regs_per_vrf));
-        let cost = key.0.recipe_cost(&recipe, g.lanes_per_vrf);
-        let mut map = write(&self.compiled);
-        let (compiled, cost) = map.entry(key).or_insert((compiled, cost));
-        Some((CachedRecipe { recipe, compiled: Arc::clone(compiled), cost: *cost }, template_hit))
+        let preloaded = read(&self.preloaded).get(&(ctx, key.1)).cloned();
+        let (entry, hit) = if let Some(recipe) = preloaded {
+            self.count(true);
+            let compiled = Arc::new(recipe.compile(g.lanes_per_vrf, g.regs_per_vrf));
+            (CachedRecipe { compiled, cost: ctx.recipe_cost(&recipe, g.lanes_per_vrf) }, true)
+        } else {
+            let shape = pum_backend::recipe_shape(&ctx, instr)?;
+            let form = self.get_or_build_shape(datapath, ctx, &shape, &g)?;
+            // Counted before binding, which panics on a register the VRF
+            // lacks, as compiling the instruction's own recipe would.
+            write(&self.opt).merge(&form.opt);
+            self.count(false);
+            let compiled = if shape == *instr {
+                Arc::clone(&form.compiled)
+            } else {
+                Arc::new(form.compiled.relocate(&shape, instr))
+            };
+            (CachedRecipe { compiled, cost: form.cost }, false)
+        };
+        let mut templates = write(&self.templates);
+        Some((templates.entry(key).or_insert(entry).clone(), hit))
+    }
+
+    /// Counts one template probe that resolved to a recipe.
+    fn count(&self, hit: bool) {
+        self.lookups.fetch_add(1, Ordering::Relaxed);
+        let counter = if hit { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Returns the compiled form of the register-renamed shape `shape` for
+    /// geometry `g`, with its cost and what its optimizer pass did,
+    /// synthesizing, optimizing and compiling it on first use (`None` for
+    /// control-path instructions).
+    fn get_or_build_shape(
+        &self,
+        datapath: &DatapathModel,
+        ctx: RecipeCtx,
+        shape: &Instruction,
+        g: &Geometry,
+    ) -> Option<Arc<Shape>> {
+        let key = key(ctx, shape, g);
+        if let Some(form) = read(&self.shapes).get(&key) {
+            return Some(Arc::clone(form));
+        }
+        // Synthesize outside the write lock; a racing thread may do the
+        // same work, but the first insert wins and both get the same entry.
+        let (recipe, opt) = datapath.recipe_with_stats(shape)?;
+        self.shape_misses.fetch_add(1, Ordering::Relaxed);
+        let form = Arc::new(Shape {
+            compiled: Arc::new(recipe.compile(g.lanes_per_vrf, g.regs_per_vrf)),
+            cost: ctx.recipe_cost(&recipe, g.lanes_per_vrf),
+            opt,
+        });
+        Some(Arc::clone(write(&self.shapes).entry(key).or_insert(form)))
     }
 
     /// Returns the [`BlockGraph`] of the ensemble body `body` — the lines
@@ -258,8 +287,9 @@ impl RecipePool {
         }
     }
 
-    /// Installs an explicit template for `(ctx, instr)`, replacing any
-    /// memoized one and dropping stale compiled forms derived from it.
+    /// Installs an explicit recipe for `(ctx, instr)`, replacing any
+    /// memoized template: from now on the instruction's template, on every
+    /// geometry, is `recipe` compiled directly.
     ///
     /// This is the conformance harness's fault-injection hook: preloading a
     /// deliberately corrupted recipe (built with
@@ -269,8 +299,8 @@ impl RecipePool {
     /// catch. Preload before any simulation uses the pool.
     pub fn preload(&self, ctx: RecipeCtx, instr: &Instruction, recipe: Recipe) {
         let word = instr.encode();
-        write(&self.templates).insert((ctx, word), Arc::new(recipe));
-        write(&self.compiled).retain(|&(c, w, _, _), _| !(c == ctx && w == word));
+        write(&self.preloaded).insert((ctx, word), Arc::new(recipe));
+        write(&self.templates).retain(|&(c, w, _, _), _| !(c == ctx && w == word));
     }
 
     /// Number of memoized templates.
@@ -517,7 +547,7 @@ mod tests {
 
     #[test]
     fn different_operands_are_different_templates() {
-        // The cached entry includes filled-in operands, so ADD r0 r1 r2 and
+        // The cached entry is bound to its operands, so ADD r0 r1 r2 and
         // ADD r0 r1 r3 occupy separate slots.
         let dp = DatapathModel::racer();
         let mut cache = RecipeCache::new(4);
@@ -614,7 +644,7 @@ mod tests {
 
         let (pr, ph) = pooled.lookup(&dp, &add(2)).unwrap();
         let (sr, sh) = plain.lookup(&dp, &add(2)).unwrap();
-        assert_eq!(*pr.recipe, *sr.recipe, "pooled synthesis yields the same recipe");
+        assert!(*pr.compiled == *sr.compiled, "pooled synthesis yields the same template");
         assert_eq!(ph, sh, "pool must not alter hit/miss behavior");
         assert_eq!(pool.len(), 1);
 
@@ -636,7 +666,7 @@ mod tests {
         let g = dp.geometry();
         assert_eq!(a.compiled.lanes(), g.lanes_per_vrf);
         assert_eq!(a.compiled.regs(), g.regs_per_vrf);
-        assert_eq!(a.compiled.len(), a.recipe.len());
+        assert_eq!(a.compiled.len(), dp.recipe(&add(2)).unwrap().len());
     }
 
     #[test]
@@ -663,23 +693,59 @@ mod tests {
         Instruction::Binary { op, rs: RegId(rs), rt: RegId(rt), rd: RegId(rd) }
     }
 
+    /// `instr`'s own recipe on `dp`, compiled for its geometry.
+    fn direct(dp: &DatapathModel, instr: &Instruction) -> CompiledRecipe {
+        let g = dp.geometry();
+        dp.recipe(instr).unwrap().compile(g.lanes_per_vrf, g.regs_per_vrf)
+    }
+
     #[test]
     fn renamed_registers_share_one_optimizer_pass() {
         let dp = DatapathModel::racer();
         let pool = RecipePool::new();
         let (a, b) = (reg3(BinaryOp::QDiv, 7, 8, 3), reg3(BinaryOp::QDiv, 5, 9, 8));
-        let ra = pool.get_or_build_compiled(&dp, &a).unwrap().recipe;
-        let rb = pool.get_or_build_compiled(&dp, &b).unwrap().recipe;
+        let ca = pool.get_or_build_compiled(&dp, &a).unwrap().compiled;
+        let cb = pool.get_or_build_compiled(&dp, &b).unwrap().compiled;
         let s = pool.stats();
         assert_eq!((s.lookups, s.hits, s.misses, s.shape_misses), (2, 0, 2, 1));
         assert_eq!(s.hits + s.misses, s.lookups);
         assert_eq!(pool.len(), 2, "each instruction keeps its own template");
-        let (da, opt_a) = dp.recipe_with_stats(&a).unwrap();
-        let (db, opt_b) = dp.recipe_with_stats(&b).unwrap();
-        assert_eq!((*ra == da, *rb == db), (true, true), "filled templates equal direct synthesis");
+        assert!(*ca == direct(&dp, &a) && *cb == direct(&dp, &b), "relocated = direct compile");
+        let (_, opt_a) = dp.recipe_with_stats(&a).unwrap();
+        let (_, opt_b) = dp.recipe_with_stats(&b).unwrap();
         let mut both = opt_a;
         both.merge(&opt_b);
         assert_eq!(s.opt, both, "optimizer attribution is merged once per template");
+    }
+
+    #[test]
+    fn pools_sharing_shapes_synthesize_each_shape_once() {
+        let dp = DatapathModel::racer();
+        let first = RecipePool::new();
+        first.get_or_build_compiled(&dp, &reg3(BinaryOp::Mul, 1, 2, 3)).unwrap();
+        let second = RecipePool::sharing_shapes(&first);
+        let got = second.get_or_build_compiled(&dp, &reg3(BinaryOp::Mul, 4, 5, 6)).unwrap();
+        assert!(*got.compiled == direct(&dp, &reg3(BinaryOp::Mul, 4, 5, 6)));
+        let s = second.stats();
+        assert_eq!((s.lookups, s.misses, s.shape_misses), (1, 1, 0), "the shape was shared");
+        assert_eq!((first.len(), second.len()), (1, 1), "templates stay per pool");
+        // A shape first compiled through the second pool serves the first.
+        second.get_or_build_compiled(&dp, &add(7)).unwrap();
+        first.get_or_build_compiled(&dp, &add(8)).unwrap();
+        assert_eq!(first.stats().shape_misses, 1);
+        assert_eq!(second.stats().shape_misses, 1);
+    }
+
+    #[test]
+    fn an_instruction_in_shape_form_shares_the_shape_template() {
+        let dp = DatapathModel::racer();
+        let pool = RecipePool::new();
+        // `ADD r0 r1 r2` is its own shape; `ADD r0 r1 r3` binds rd anew.
+        let shape = pool.get_or_build_compiled(&dp, &add(2)).unwrap().compiled;
+        let bound = pool.get_or_build_compiled(&dp, &add(3)).unwrap().compiled;
+        assert!(Arc::ptr_eq(&shape, &read(&pool.shapes).values().next().unwrap().compiled));
+        assert!(!Arc::ptr_eq(&shape, &bound));
+        assert!(*bound == direct(&dp, &add(3)));
     }
 
     #[test]
@@ -692,19 +758,21 @@ mod tests {
                 value: true,
             }])
         };
-        let direct = dp.recipe(&sibling).unwrap();
+        let g = dp.geometry();
         // Shape memoized before the preload, then after it.
         for shape_first in [true, false] {
             let pool = RecipePool::new();
             if shape_first {
                 pool.get_or_build_compiled(&dp, &reg3(BinaryOp::Add, 9, 10, 11)).unwrap();
             }
+            pool.get_or_build_compiled(&dp, &target).unwrap();
             pool.preload(dp.recipe_ctx(), &target, corrupt());
             let got = pool.get_or_build_compiled(&dp, &sibling).unwrap();
-            assert_eq!(*got.recipe, direct, "shape memoized first: {shape_first}");
-            assert_eq!(got.compiled.len(), direct.len());
+            assert!(*got.compiled == direct(&dp, &sibling), "shape memoized first: {shape_first}");
             let preloaded = pool.get_or_build_compiled(&dp, &target).unwrap();
-            assert_eq!(*preloaded.recipe, corrupt(), "the preloaded template is served");
+            let want = corrupt().compile(g.lanes_per_vrf, g.regs_per_vrf);
+            assert!(*preloaded.compiled == want, "the preloaded recipe is served");
+            assert_eq!(preloaded.cost, dp.recipe_cost(&corrupt()));
             assert_eq!(pool.stats().shape_misses, 1);
         }
     }
@@ -717,8 +785,8 @@ mod tests {
         let off = DatapathModel::racer().with_opt_config(pum_backend::OptConfig::disabled());
         let pool = Arc::new(RecipePool::new());
 
-        let optimized = pool.get_or_build_compiled(&on, &add(2)).unwrap().recipe;
-        let plain = pool.get_or_build_compiled(&off, &add(2)).unwrap().recipe;
+        let optimized = pool.get_or_build_compiled(&on, &add(2)).unwrap().compiled;
+        let plain = pool.get_or_build_compiled(&off, &add(2)).unwrap().compiled;
         assert_eq!(pool.len(), 2, "distinct opt configs occupy distinct pool slots");
         assert_eq!(pool.stats().misses, 2, "the flipped config cannot hit the warm memo");
         assert!(
@@ -728,6 +796,7 @@ mod tests {
             plain.len()
         );
         assert_eq!(plain.saved_uops(), 0, "disabled optimizer records no savings");
+        assert_eq!(optimized.saved_uops() as usize, plain.len() - optimized.len());
     }
 
     #[test]
@@ -767,13 +836,13 @@ mod tests {
         let (fresh, hit) = cache.lookup(&off, &add(2)).unwrap();
         assert!(!hit, "context change flushes the warm entry");
         assert!(
-            warm.recipe.len() < fresh.recipe.len(),
+            warm.compiled.len() < fresh.compiled.len(),
             "the flushed lookup resynthesizes under the new context"
         );
 
         let (back, hit) = cache.lookup(&on, &add(2)).unwrap();
         assert!(!hit, "flipping back flushes again");
-        assert_eq!(back.recipe.len(), warm.recipe.len());
+        assert_eq!(back.compiled.len(), warm.compiled.len());
     }
 
     #[test]
@@ -846,15 +915,15 @@ mod tests {
         // locks; every later job on the same pool must still be served.
         let dp = DatapathModel::racer();
         let pool = RecipePool::new();
-        let before = pool.get_or_build_compiled(&dp, &add(2)).unwrap().recipe;
+        let before = pool.get_or_build_compiled(&dp, &add(2)).unwrap().compiled;
         let stats = pool.stats();
         std::thread::scope(|s| {
             let crashed = s
                 .spawn(|| {
                     let _guards = (
                         write(&pool.templates),
-                        write(&pool.shapes),
-                        write(&pool.compiled),
+                        write(&*pool.shapes),
+                        write(&pool.preloaded),
                         write(&pool.blocks),
                         write(&pool.opt),
                     );
@@ -867,8 +936,8 @@ mod tests {
             pool.templates.is_poisoned() && pool.shapes.is_poisoned() && pool.opt.is_poisoned()
         );
 
-        let after = pool.get_or_build_compiled(&dp, &add(2)).unwrap().recipe;
-        assert!(Arc::ptr_eq(&before, &after), "the memoized recipe is still served");
+        let after = pool.get_or_build_compiled(&dp, &add(2)).unwrap().compiled;
+        assert!(Arc::ptr_eq(&before, &after), "the memoized template is still served");
         assert_eq!(pool.stats().hits, stats.hits + 1);
         assert_eq!(pool.stats().opt, stats.opt);
         assert_eq!(pool.len(), 1);
