@@ -236,7 +236,19 @@ pub(crate) fn build_program(
                 check_rfh(geometry, src.index(), format!("instruction {line} MOVE src"))?;
                 check_rfh(geometry, dst.index(), format!("instruction {line} MOVE dst"))?;
             }
-            _ => {}
+            _ => {
+                if let Some(reg) = pum_backend::operand_out_of_range(instr, geometry.regs_per_vrf)
+                {
+                    return Err(AdmitError::GeometryExceeded {
+                        what: format!(
+                            "instruction {line} {}: reg {} >= {}",
+                            instr.mnemonic(),
+                            reg.0,
+                            geometry.regs_per_vrf
+                        ),
+                    });
+                }
+            }
         }
     }
 

@@ -93,6 +93,31 @@ fn parse_errors_are_rejected_at_admission() {
 }
 
 #[test]
+fn operand_registers_out_of_range_are_rejected_at_admission() {
+    // One service serves all five substrates; each of these programs
+    // would otherwise reach the worker and fail there.
+    let service = Service::start(ServiceConfig { workers: 1, ..Default::default() });
+    for kind in DatapathKind::ALL {
+        for body in ["ADD r0 r1 r16", "POPC r20 r1"] {
+            let mut spec = add_spec("mallory");
+            spec.backend = kind;
+            spec.program = ProgramSource::Asm(format!("COMPUTE h0 v0\n{body}\nCOMPUTE_DONE"));
+            match service.submit(spec).unwrap_err() {
+                AdmitError::GeometryExceeded { what } => {
+                    assert!(what.starts_with("instruction 1"), "{kind:?} `{body}`: {what}")
+                }
+                other => panic!("{kind:?} `{body}`: expected a geometry error, got {other:?}"),
+            }
+        }
+    }
+    let id = service.submit(add_spec("alice")).unwrap();
+    let result = service.wait(id).unwrap().result.expect("later job succeeds");
+    assert_eq!(result.outputs[0].values[0], 42);
+    assert_eq!(service.health().completed, 1);
+    service.shutdown();
+}
+
+#[test]
 fn deeply_nested_text_is_rejected_without_killing_the_service() {
     // 1.6 MB of nested `for` lines: well under the wire's frame limit, and
     // deep enough to overflow an unbounded recursive parser's stack.

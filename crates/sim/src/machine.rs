@@ -1407,13 +1407,21 @@ impl Mpu {
 
     /// Probes the template table for a compute instruction and charges its
     /// decode (hit, or miss penalty) and the instruction count. Returns the
-    /// template and its issue cycles.
+    /// template and its issue cycles, or [`SimError::GeometryExceeded`],
+    /// charging nothing, for an operand register the VRF does not have.
     fn issue_compute(
         &mut self,
         instr: &Instruction,
         pipeline_warm: &mut bool,
         line: usize,
     ) -> Result<(crate::recipe_cache::CachedRecipe, u64), SimError> {
+        let regs = self.config.datapath.geometry().regs_per_vrf;
+        if let Some(reg) = pum_backend::operand_out_of_range(instr, regs) {
+            return Err(SimError::GeometryExceeded {
+                line,
+                what: format!("{} register {reg} >= {regs}", instr.mnemonic()),
+            });
+        }
         let (cached, outcome) = match self.cache.lookup_traced(&self.config.datapath, instr) {
             Some(r) => r,
             // Never silently drop work: a compute instruction without a
@@ -2130,6 +2138,31 @@ mod tests {
         }
         let msg = err.to_string();
         assert!(msg.contains("mpu0") && msg.contains("COMPUTE"), "got {msg}");
+    }
+
+    #[test]
+    fn operand_registers_out_of_range_are_typed_errors() {
+        // `ADD r0 r1 r16` and `POPC r20 r1` name registers a 16-register
+        // VRF does not have: the template probe rejects them on every
+        // substrate and tier instead of panicking while binding planes.
+        for kind in DatapathKind::ALL {
+            let regs = SimConfig::mpu(kind).datapath.geometry().regs_per_vrf;
+            for (body, reg) in [("ADD r0 r1 r16", regs), ("POPC r20 r1", regs + 4)] {
+                for trace_ensembles in [true, false] {
+                    let mut cfg = SimConfig::mpu(kind);
+                    cfg.trace_ensembles = trace_ensembles;
+                    let p = asm(&format!("COMPUTE h0 v0\nNOP\n{body}\nCOMPUTE_DONE"));
+                    let err = run_single(cfg, &p, &[]).unwrap_err();
+                    let what = format!("r{reg} >= {regs}");
+                    match err.root_cause() {
+                        SimError::GeometryExceeded { line: 2, what: got } => {
+                            assert!(got.ends_with(&what), "{kind:?} `{body}`: {got}")
+                        }
+                        other => panic!("{kind:?} `{body}`: expected a geometry error, got {other:?}"),
+                    }
+                }
+            }
+        }
     }
 
     #[test]
