@@ -237,8 +237,7 @@ pub(crate) fn build_program(
                 check_rfh(geometry, dst.index(), format!("instruction {line} MOVE dst"))?;
             }
             _ => {
-                if let Some(reg) = pum_backend::operand_out_of_range(instr, geometry.regs_per_vrf)
-                {
+                if let Some(reg) = pum_backend::operand_out_of_range(instr, geometry.regs_per_vrf) {
                     return Err(AdmitError::GeometryExceeded {
                         what: format!(
                             "instruction {line} {}: reg {} >= {}",

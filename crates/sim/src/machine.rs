@@ -2158,7 +2158,9 @@ mod tests {
                         SimError::GeometryExceeded { line: 2, what: got } => {
                             assert!(got.ends_with(&what), "{kind:?} `{body}`: {got}")
                         }
-                        other => panic!("{kind:?} `{body}`: expected a geometry error, got {other:?}"),
+                        other => {
+                            panic!("{kind:?} `{body}`: expected a geometry error, got {other:?}")
+                        }
                     }
                 }
             }

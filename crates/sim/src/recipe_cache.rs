@@ -78,7 +78,7 @@ pub struct CachedRecipe {
 #[derive(Debug, Default)]
 pub struct RecipePool {
     templates: RwLock<HashMap<TemplateKey, CachedRecipe>>,
-    shapes: Arc<RwLock<HashMap<TemplateKey, Arc<Shape>>>>,
+    shapes: Arc<RwLock<HashMap<TemplateKey, Shape>>>,
     preloaded: RwLock<HashMap<(RecipeCtx, u32), Arc<Recipe>>>,
     blocks: RwLock<HashMap<BlockKey, Arc<BlockGraph>>>,
     lookups: AtomicU64,
@@ -120,7 +120,7 @@ pub struct PoolStats {
 
 /// A shape's form for one geometry: compiled, costed, and what its
 /// optimizer pass did.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Shape {
     compiled: Arc<CompiledRecipe>,
     cost: RecipeCost,
@@ -198,7 +198,7 @@ impl RecipePool {
             write(&self.opt).merge(&form.opt);
             self.count(false);
             let compiled = if shape == *instr {
-                Arc::clone(&form.compiled)
+                form.compiled
             } else {
                 Arc::new(form.compiled.relocate(&shape, instr))
             };
@@ -225,21 +225,21 @@ impl RecipePool {
         ctx: RecipeCtx,
         shape: &Instruction,
         g: &Geometry,
-    ) -> Option<Arc<Shape>> {
+    ) -> Option<Shape> {
         let key = key(ctx, shape, g);
         if let Some(form) = read(&self.shapes).get(&key) {
-            return Some(Arc::clone(form));
+            return Some(form.clone());
         }
         // Synthesize outside the write lock; a racing thread may do the
         // same work, but the first insert wins and both get the same entry.
         let (recipe, opt) = datapath.recipe_with_stats(shape)?;
         self.shape_misses.fetch_add(1, Ordering::Relaxed);
-        let form = Arc::new(Shape {
+        let form = Shape {
             compiled: Arc::new(recipe.compile(g.lanes_per_vrf, g.regs_per_vrf)),
             cost: ctx.recipe_cost(&recipe, g.lanes_per_vrf),
             opt,
-        });
-        Some(Arc::clone(write(&self.shapes).entry(key).or_insert(form)))
+        };
+        Some(write(&self.shapes).entry(key).or_insert(form).clone())
     }
 
     /// Returns the [`BlockGraph`] of the ensemble body `body` — the lines
