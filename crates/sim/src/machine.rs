@@ -1415,18 +1415,18 @@ impl Mpu {
         pipeline_warm: &mut bool,
         line: usize,
     ) -> Result<(crate::recipe_cache::CachedRecipe, u64), SimError> {
-        let regs = self.config.datapath.geometry().regs_per_vrf;
-        if let Some(reg) = pum_backend::operand_out_of_range(instr, regs) {
-            return Err(SimError::GeometryExceeded {
-                line,
-                what: format!("{} register {reg} >= {regs}", instr.mnemonic()),
-            });
-        }
         let (cached, outcome) = match self.cache.lookup_traced(&self.config.datapath, instr) {
-            Some(r) => r,
+            Ok(Some(r)) => r,
             // Never silently drop work: a compute instruction without a
             // synthesizable recipe is a hard error.
-            None => return Err(SimError::RecipeUnavailable { line, mnemonic: instr.mnemonic() }),
+            Ok(None) => {
+                return Err(SimError::RecipeUnavailable { line, mnemonic: instr.mnemonic() })
+            }
+            Err(reg) => {
+                let regs = self.config.datapath.geometry().regs_per_vrf;
+                let what = format!("{} register {reg} >= {regs}", instr.mnemonic());
+                return Err(SimError::GeometryExceeded { line, what });
+            }
         };
         let penalty = self.config.control.recipe_miss_penalty;
         // Decode cost: MPU caches templates; Baseline decodes every time.

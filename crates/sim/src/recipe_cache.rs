@@ -29,7 +29,7 @@
 //! synthesis, optimization and compilation, so every template equals
 //! [`DatapathModel::recipe_with_stats`] of its instruction, compiled.
 
-use mpu_isa::Instruction;
+use mpu_isa::{Instruction, RegId};
 use pum_backend::{
     BlockGraph, CompiledRecipe, DatapathModel, Geometry, OptStats, Recipe, RecipeCost, RecipeCtx,
 };
@@ -406,13 +406,23 @@ impl RecipeCache {
     /// Looks up (or synthesizes, compiles, and caches) the recipe for
     /// `instr`, reporting whether it was a hit. Returns `None` for
     /// control-path instructions that have no recipe.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an operand register the VRF does not have, as compiling
+    /// the instruction's recipe would.
     pub fn lookup(
         &mut self,
         datapath: &DatapathModel,
         instr: &Instruction,
     ) -> Option<(CachedRecipe, bool)> {
-        let (entry, outcome) = self.lookup_traced(datapath, instr)?;
-        Some((entry, outcome.hit))
+        match self.lookup_traced(datapath, instr) {
+            Ok(found) => found.map(|(entry, outcome)| (entry, outcome.hit)),
+            Err(reg) => {
+                let regs = datapath.geometry().regs_per_vrf;
+                panic!("register {} out of range (VRF has {regs})", reg.0)
+            }
+        }
     }
 
     /// Flushes every cached entry if `datapath`'s
@@ -432,11 +442,16 @@ impl RecipeCache {
     /// [`Self::lookup`] plus, on a per-MPU miss that consulted a shared
     /// [`RecipePool`], whether the pool already had the template. Used by
     /// the tracing layer; architectural accounting is identical.
+    ///
+    /// A miss on an instruction with an operand register the VRF does not
+    /// have returns that register as the error, touching no counter. A
+    /// template never enters the table with such an operand, so a hit
+    /// needs no check.
     pub(crate) fn lookup_traced(
         &mut self,
         datapath: &DatapathModel,
         instr: &Instruction,
-    ) -> Option<(CachedRecipe, LookupOutcome)> {
+    ) -> Result<Option<(CachedRecipe, LookupOutcome)>, RegId> {
         self.refresh_ctx(datapath);
         let key = instr.encode();
         if let Some((entry, stamp)) = self.entries.get_mut(&key) {
@@ -445,9 +460,15 @@ impl RecipeCache {
             self.tick += 1;
             *stamp = self.tick;
             self.hits += 1;
-            return Some((entry.clone(), LookupOutcome { hit: true, pool: None }));
+            return Ok(Some((entry.clone(), LookupOutcome { hit: true, pool: None })));
         }
-        let (entry, template_hit) = self.pool.build_compiled(datapath, instr)?;
+        let regs = datapath.geometry().regs_per_vrf;
+        if let Some(reg) = pum_backend::operand_out_of_range(instr, regs) {
+            return Err(reg);
+        }
+        let Some((entry, template_hit)) = self.pool.build_compiled(datapath, instr) else {
+            return Ok(None);
+        };
         let pool = self.shared.then_some(template_hit);
         self.tick += 1;
         self.misses += 1;
@@ -458,7 +479,7 @@ impl RecipeCache {
             }
         }
         self.entries.insert(key, (entry.clone(), self.tick));
-        Some((entry, LookupOutcome { hit: false, pool }))
+        Ok(Some((entry, LookupOutcome { hit: false, pool })))
     }
 
     /// Returns the [`BlockGraph`] of a laid-out ensemble body entered at
@@ -527,7 +548,7 @@ impl RecipeCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpu_isa::{BinaryOp, RegId};
+    use mpu_isa::BinaryOp;
 
     fn add(rd: u16) -> Instruction {
         Instruction::Binary { op: BinaryOp::Add, rs: RegId(0), rt: RegId(1), rd: RegId(rd) }
@@ -759,16 +780,17 @@ mod tests {
             }])
         };
         let g = dp.geometry();
-        // Shape memoized before the preload, then after it.
-        for shape_first in [true, false] {
+        // Built before the preload: nothing (the shape is memoized after
+        // it), another instruction of the shape, or the target's own
+        // template, which the preload then evicts.
+        for before in [None, Some(reg3(BinaryOp::Add, 9, 10, 11)), Some(target)] {
             let pool = RecipePool::new();
-            if shape_first {
-                pool.get_or_build_compiled(&dp, &reg3(BinaryOp::Add, 9, 10, 11)).unwrap();
+            if let Some(instr) = before {
+                pool.get_or_build_compiled(&dp, &instr).unwrap();
             }
-            pool.get_or_build_compiled(&dp, &target).unwrap();
             pool.preload(dp.recipe_ctx(), &target, corrupt());
             let got = pool.get_or_build_compiled(&dp, &sibling).unwrap();
-            assert!(*got.compiled == direct(&dp, &sibling), "shape memoized first: {shape_first}");
+            assert!(*got.compiled == direct(&dp, &sibling), "built first: {before:?}");
             let preloaded = pool.get_or_build_compiled(&dp, &target).unwrap();
             let want = corrupt().compile(g.lanes_per_vrf, g.regs_per_vrf);
             assert!(*preloaded.compiled == want, "the preloaded recipe is served");
@@ -858,7 +880,7 @@ mod tests {
             &pool.get_or_fuse_trace(&DatapathModel::dpu(), &[add(2), add(2)])
         ));
         let mut cache = RecipeCache::with_pool(4, Arc::clone(&pool));
-        let (_, o) = cache.lookup_traced(&DatapathModel::racer(), &add(2)).unwrap();
+        let (_, o) = cache.lookup_traced(&DatapathModel::racer(), &add(2)).unwrap().unwrap();
         assert_eq!(o, LookupOutcome { hit: false, pool: Some(false) });
         let s = pool.stats();
         assert_eq!((s.lookups, s.hits, s.misses), (1, 0, 1));
@@ -870,19 +892,19 @@ mod tests {
         let pool = Arc::new(RecipePool::new());
         let mut first = RecipeCache::with_pool(4, Arc::clone(&pool));
 
-        let (_, o) = first.lookup_traced(&dp, &add(2)).unwrap();
+        let (_, o) = first.lookup_traced(&dp, &add(2)).unwrap().unwrap();
         assert_eq!(o, LookupOutcome { hit: false, pool: Some(false) });
-        let (_, o) = first.lookup_traced(&dp, &add(2)).unwrap();
+        let (_, o) = first.lookup_traced(&dp, &add(2)).unwrap().unwrap();
         assert_eq!(o, LookupOutcome { hit: true, pool: None });
 
         // A second MPU on the same pool misses locally but hits the memo.
         let mut second = RecipeCache::with_pool(4, Arc::clone(&pool));
-        let (_, o) = second.lookup_traced(&dp, &add(2)).unwrap();
+        let (_, o) = second.lookup_traced(&dp, &add(2)).unwrap().unwrap();
         assert_eq!(o, LookupOutcome { hit: false, pool: Some(true) });
 
         // A private pool's outcome is not reported.
         let mut plain = RecipeCache::new(4);
-        let (_, o) = plain.lookup_traced(&dp, &add(2)).unwrap();
+        let (_, o) = plain.lookup_traced(&dp, &add(2)).unwrap().unwrap();
         assert_eq!(o, LookupOutcome { hit: false, pool: None });
     }
 
