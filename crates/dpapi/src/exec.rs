@@ -24,15 +24,16 @@
 //! ## Recipes
 //!
 //! Every MPU of every launch in one [`Pipeline::run_sharded`] call shares
-//! one [`RecipePool`] ([`call_pool`]), so each template is bound once per
-//! call rather than once per chunk. That pool's templates die with the
+//! one [`RecipePool`], so each template is bound once per call rather than
+//! once per chunk. That pool's templates die with the
 //! call, but it shares one dpapi-wide shape memo with every other call's
 //! pool: each register-renamed instruction shape is synthesized, optimized
 //! and compiled once per process, and a repeat launch of a pipeline runs
 //! no synthesis and no optimizer, only relocation. The memo is bounded:
 //! shapes are renamed to registers and `INIT` takes only `Zero` or `One`,
 //! so it holds at most one entry per operation and aliasing pattern for
-//! each datapath configuration. The pools are host-side only: the
+//! each datapath configuration; [`shapes_synthesized`] counts what it
+//! has synthesized. The pools are host-side only: the
 //! simulated template fetch is charged per MPU exactly as without them, so
 //! the returned [`Stats`] are unchanged.
 
@@ -41,19 +42,22 @@ use crate::pipeline::{apply_map, apply_zip, Pipeline, ReduceOp, Stage};
 use crate::DpError;
 use mastodon::{run_single_pooled, Mpu, RecipePool, RegisterInit, SimConfig, Stats, System};
 use mpu_isa::{BinaryOp, Instruction, Program, RegId};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// Holds the shape memo every [`call_pool`] shares; its own templates stay
-/// empty.
+/// Holds the dpapi-wide shape memo every call's pool shares; its own
+/// templates stay empty.
 static SHAPES: OnceLock<RecipePool> = OnceLock::new();
 
-/// A fresh recipe pool for one pipeline call: empty templates over the
-/// dpapi-wide shape memo, so what it synthesizes serves every later call.
-/// [`Pipeline::run_sharded`] runs on one; [`RecipePool::stats`] of a pool
-/// passed to [`Pipeline::run_sharded_pooled`] reports that call's memo
-/// traffic.
-pub fn call_pool() -> RecipePool {
-    RecipePool::sharing_shapes(SHAPES.get_or_init(RecipePool::new))
+/// Shapes synthesized into [`SHAPES`]: the sum of every call pool's
+/// `shape_misses`.
+static SYNTHESIZED: AtomicU64 = AtomicU64::new(0);
+
+/// Shapes the dpapi-wide memo has synthesized, optimized and compiled so
+/// far in this process, summed over every [`Pipeline::run_sharded`] call.
+/// It stays put while repeat launches find their shapes memoized.
+pub fn shapes_synthesized() -> u64 {
+    SYNTHESIZED.load(Ordering::Relaxed)
 }
 
 /// Ensemble members simulated per MPU (mirrors the workloads harness:
@@ -311,9 +315,9 @@ impl Pipeline {
     /// Runs the pipeline with each launch sharded across `mpus` MPUs
     /// (clamped to the chip budget). Reductions aggregate on-device over
     /// SEND/RECV; other pipelines shard with independent readback. Every
-    /// MPU of the call resolves its templates through one fresh
-    /// [`call_pool`], whose shapes persist across calls (module docs,
-    /// "Recipes").
+    /// MPU of the call resolves its templates through one fresh pool over
+    /// the dpapi-wide shape memo, whose shapes persist across calls
+    /// (module docs, "Recipes").
     ///
     /// # Errors
     ///
@@ -325,17 +329,15 @@ impl Pipeline {
         primary: &[u64],
         columns: &[&[u64]],
     ) -> Result<PipelineRun, DpError> {
-        self.run_sharded_pooled(config, mpus, primary, columns, &Arc::new(call_pool()))
+        let pool = Arc::new(RecipePool::sharing_shapes(SHAPES.get_or_init(RecipePool::new)));
+        let run = self.run_on_pool(config, mpus, primary, columns, &pool);
+        SYNTHESIZED.fetch_add(pool.stats().shape_misses, Ordering::Relaxed);
+        run
     }
 
     /// [`Pipeline::run_sharded`] with every MPU resolving its templates
-    /// through `pool`. Host-side only: the result is the same whichever
-    /// pool serves it.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Pipeline::run`].
-    pub fn run_sharded_pooled(
+    /// through `pool`.
+    fn run_on_pool(
         &self,
         config: &SimConfig,
         mpus: usize,

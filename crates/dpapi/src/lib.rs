@@ -47,7 +47,7 @@ mod gen;
 mod lower;
 mod pipeline;
 
-pub use exec::{call_pool, PipelineRun};
+pub use exec::{shapes_synthesized, PipelineRun};
 pub use gen::{random_pipeline, RandomPipeline};
 pub use lower::{Kop, Lowered, Phase2};
 pub use pipeline::{MapOp, Pipeline, PipelineOutput, Pred, ReduceOp, ScanOp, Stage, ZipOp};

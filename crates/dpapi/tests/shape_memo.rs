@@ -1,18 +1,18 @@
 //! A repeat launch runs no recipe synthesis. Every `run_sharded` call
-//! resolves its templates through a fresh per-call pool (`call_pool`), and
-//! every such pool shares one dpapi-wide memo of compiled shapes. So a
-//! second round of the same pipelines builds each template again by
-//! relocation, but synthesizes, optimizes and compiles nothing.
+//! resolves its templates through a fresh per-call pool, and every such
+//! pool shares one dpapi-wide memo of compiled shapes. So a second round
+//! of the same pipelines builds each template again by relocation, but
+//! synthesizes, optimizes and compiles nothing: `shapes_synthesized`, the
+//! sum of the call pools' `shape_misses`, stays put.
 //!
 //! The pipelines are the benchmark's five PrIM shapes (filter-count,
 //! zip-mul-sum, map, scan, filter-select) on RACER and the DPU, on one MPU
 //! and sharded over four. This file is a test binary of its own, so no
 //! other test fills the process-wide memo first.
 
-use dpapi::{call_pool, MapOp, Pipeline, PipelineRun, Pred, ReduceOp, ScanOp, ZipOp};
-use mastodon::{PoolStats, SimConfig};
+use dpapi::{shapes_synthesized, MapOp, Pipeline, PipelineRun, Pred, ReduceOp, ScanOp, ZipOp};
+use mastodon::SimConfig;
 use pum_backend::DatapathKind;
-use std::sync::Arc;
 
 /// Elements per input column: several launches per shape on one MPU, and
 /// a ragged tail.
@@ -42,9 +42,9 @@ fn shapes() -> [(&'static str, bool, Pipeline); 5] {
     ]
 }
 
-/// One round over every pipeline, substrate and MPU count: each run, with
-/// its call pool's counters, checked against the oracle.
-fn round(primary: &[u64], zipped: &[u64]) -> Vec<(String, PipelineRun, PoolStats)> {
+/// One round over every pipeline, substrate and MPU count, each run
+/// checked against the oracle.
+fn round(primary: &[u64], zipped: &[u64]) -> Vec<(String, PipelineRun)> {
     let mut out = Vec::new();
     for (name, zips, pipeline) in shapes() {
         let cols: Vec<&[u64]> = if zips { vec![zipped] } else { Vec::new() };
@@ -52,13 +52,12 @@ fn round(primary: &[u64], zipped: &[u64]) -> Vec<(String, PipelineRun, PoolStats
         for kind in [DatapathKind::Racer, DatapathKind::Dpu] {
             for mpus in [1, 4] {
                 let unit = format!("{name} on {kind:?} x{mpus}");
-                let pool = Arc::new(call_pool());
                 let run = pipeline
-                    .run_sharded_pooled(&SimConfig::mpu(kind), mpus, primary, &cols, &pool)
+                    .run_sharded(&SimConfig::mpu(kind), mpus, primary, &cols)
                     .expect("pipeline runs");
                 assert_eq!(run.values, want.values, "{unit}: values");
                 assert_eq!(run.reduced, want.reduced, "{unit}: reduced");
-                out.push((unit, run, pool.stats()));
+                out.push((unit, run));
             }
         }
     }
@@ -68,24 +67,13 @@ fn round(primary: &[u64], zipped: &[u64]) -> Vec<(String, PipelineRun, PoolStats
 #[test]
 fn a_second_round_of_launches_synthesizes_nothing() {
     let (primary, zipped) = (column(5), column(13));
+    assert_eq!(shapes_synthesized(), 0, "no launch has run yet");
     let first = round(&primary, &zipped);
-    let second = round(&primary, &zipped);
-    let synthesized: u64 = first.iter().map(|(_, _, s)| s.shape_misses).sum();
+    let synthesized = shapes_synthesized();
     assert!(synthesized > 0, "the first round fills the memo");
-    for ((unit, run, cold), (_, again, warm)) in first.iter().zip(&second) {
+    let second = round(&primary, &zipped);
+    assert_eq!(shapes_synthesized(), synthesized, "the repeat round synthesizes nothing");
+    for ((unit, run), (_, again)) in first.iter().zip(&second) {
         assert_eq!(again, run, "{unit}: the repeat launch returns the same run");
-        assert!(warm.misses > 0, "{unit}: each call binds its own templates");
-        assert_eq!(warm.misses, cold.misses, "{unit}: the same templates are bound");
-        assert_eq!(warm.shape_misses, 0, "{unit}: the repeat launch synthesizes nothing");
-        assert_eq!(warm.opt, cold.opt, "{unit}: optimizer attribution is served, not rerun");
     }
-    // `run_sharded` runs on such a pool: it returns the same run.
-    let (name, zips, pipeline) = &shapes()[1];
-    let cols: Vec<&[u64]> = if *zips { vec![&zipped] } else { Vec::new() };
-    let run = pipeline
-        .run_sharded(&SimConfig::mpu(DatapathKind::Racer), 4, &primary, &cols)
-        .expect("pipeline runs");
-    let unit = format!("{name} on Racer x4");
-    let pinned = first.iter().find(|(u, _, _)| *u == unit).expect("unit ran");
-    assert_eq!(run, pinned.1, "{unit}: run_sharded");
 }
