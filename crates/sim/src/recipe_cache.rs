@@ -416,13 +416,10 @@ impl RecipeCache {
         datapath: &DatapathModel,
         instr: &Instruction,
     ) -> Option<(CachedRecipe, bool)> {
-        match self.lookup_traced(datapath, instr) {
-            Ok(found) => found.map(|(entry, outcome)| (entry, outcome.hit)),
-            Err(reg) => {
-                let regs = datapath.geometry().regs_per_vrf;
-                panic!("register {} out of range (VRF has {regs})", reg.0)
-            }
-        }
+        let found = self.lookup_traced(datapath, instr).unwrap_or_else(|reg| {
+            panic!("register {} out of range (VRF has {})", reg.0, datapath.geometry().regs_per_vrf)
+        });
+        found.map(|(entry, outcome)| (entry, outcome.hit))
     }
 
     /// Flushes every cached entry if `datapath`'s
@@ -767,6 +764,21 @@ mod tests {
         assert!(Arc::ptr_eq(&shape, &read(&pool.shapes).values().next().unwrap().compiled));
         assert!(!Arc::ptr_eq(&shape, &bound));
         assert!(*bound == direct(&dp, &add(3)));
+    }
+
+    #[test]
+    fn an_out_of_range_operand_misses_without_counting() {
+        let dp = DatapathModel::racer();
+        assert_eq!(dp.geometry().regs_per_vrf, 16);
+        let mut cache = RecipeCache::new(4);
+        let bad = reg3(BinaryOp::Add, 0, 1, 16);
+        assert!(matches!(cache.lookup_traced(&dp, &bad), Err(RegId(16))));
+        assert_eq!((cache.tick(), cache.hits(), cache.misses(), cache.len()), (0, 0, 0, 0));
+        // `lookup` panics with the text compiling the recipe would give.
+        let lookup = std::panic::AssertUnwindSafe(|| cache.lookup(&dp, &bad));
+        let payload = std::panic::catch_unwind(lookup).unwrap_err();
+        let msg = payload.downcast_ref::<String>().map(String::as_str);
+        assert_eq!(msg, Some("register 16 out of range (VRF has 16)"));
     }
 
     #[test]
