@@ -38,6 +38,7 @@
 use crate::fault::FaultModel;
 use crate::microop::MicroOpKind;
 use crate::DATA_BITS;
+use std::borrow::{Borrow, BorrowMut};
 use std::fmt;
 
 /// Identifies one bit-plane of a VRF, as addressed by micro-ops.
@@ -88,13 +89,16 @@ fn transpose_64x64(a: &mut [u64; 64]) {
     let mut j = 32;
     let mut m = 0x0000_0000_ffff_ffffu64;
     while j != 0 {
-        let mut k = 0;
-        while k < 64 {
-            // Swap the off-diagonal j×j blocks of rows [k, k|j).
-            let t = ((a[k] >> j) ^ a[k | j]) & m;
-            a[k | j] ^= t;
-            a[k] ^= t << j;
-            k = ((k | j) + 1) & !j;
+        // Swap the off-diagonal j×j blocks of each 2j-row band: row `k`
+        // of its first half with row `k + j` of its second. The rows of a
+        // half are contiguous, so the swap runs as straight-line word ops.
+        for band in a.chunks_exact_mut(2 * j) {
+            let (lo, hi) = band.split_at_mut(j);
+            for (x, y) in lo.iter_mut().zip(hi) {
+                let t = ((*x >> j) ^ *y) & m;
+                *y ^= t;
+                *x ^= t << j;
+            }
         }
         j >>= 1;
         m ^= m << j;
@@ -176,9 +180,45 @@ pub(crate) fn plane_kernel<const W: usize>(
     }
 }
 
+/// Planes per VRF: `regs × 64` architectural planes, the scratch planes,
+/// and the cond, mask and two constant planes.
+const fn plane_count(regs: usize) -> usize {
+    regs * DATA_BITS as usize + SCRATCH_PLANES + 4
+}
+
+/// A VRF's state besides its planes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct VrfState {
+    /// When `false`, writes to architectural planes ignore the mask
+    /// register (used while servicing `GETMASK`, which must copy all bits).
+    mask_enabled: bool,
+    /// Cached popcount of the mask plane, refreshed whenever the mask
+    /// plane is written (it is a pure function of the planes, so derived
+    /// equality stays consistent).
+    mask_lanes: usize,
+    /// Optional seeded hardware fault model (see [`crate::fault`]). `None`
+    /// (the default) keeps every hot-path hook down to one branch, so a
+    /// fault-free VRF behaves byte-identically to one built without the
+    /// fault layer.
+    faults: Option<Box<FaultModel>>,
+}
+
+impl VrfState {
+    const POWER_ON: VrfState = VrfState { mask_enabled: true, mask_lanes: 0, faults: None };
+}
+
 /// A bit-plane vector register file: `regs × 64` architectural planes plus
 /// scratch, conditional, mask and constant planes, each a packed bitvector
 /// over `lanes`.
+///
+/// `S` holds the planes and `T` the rest of the VRF's state
+/// ([`VrfState`]). A `BitPlaneVrf` with the default parameters owns both. A
+/// [`VrfMut`] (or [`VrfRef`]) is the same VRF as a view of one member of a
+/// [`PlaneBank`], with every operation available. Plane `p` starts at word
+/// `p × pitch` of `S`: `pitch` is `words` when the VRF owns its planes, and
+/// `members × words` in a bank, whose members' copies of a plane sit side
+/// by side. A member's view starts at its own first word, so the same
+/// plane offsets address every member.
 ///
 /// # Example
 ///
@@ -190,26 +230,23 @@ pub(crate) fn plane_kernel<const W: usize>(
 /// assert_eq!(vrf.read_lane_values(0)[5], 7);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BitPlaneVrf {
+pub struct BitPlaneVrf<S = Vec<u64>, T = VrfState> {
     lanes: usize,
     regs: usize,
     words: usize,
-    /// Flat plane storage: `(regs*64 + SCRATCH + cond + mask + const0/1)`
-    /// planes of `words` u64 words each.
-    storage: Vec<u64>,
-    /// When `false`, writes to architectural planes ignore the mask
-    /// register (used while servicing `GETMASK`, which must copy all bits).
-    mask_enabled: bool,
-    /// Cached popcount of the mask plane, refreshed whenever the mask
-    /// plane is written (it is a pure function of `storage`, so derived
-    /// equality stays consistent).
-    mask_lanes: usize,
-    /// Optional seeded hardware fault model (see [`crate::fault`]). `None`
-    /// (the default) keeps every hot-path hook down to one branch, so a
-    /// fault-free VRF behaves byte-identically to one built without the
-    /// fault layer.
-    faults: Option<Box<FaultModel>>,
+    /// Words from the start of one plane to the start of the next.
+    pitch: usize,
+    /// Plane storage: plane `p` is `storage[p × pitch..][..words]`, for the
+    /// `(regs*64 + SCRATCH + cond + mask + const0/1)` planes.
+    storage: S,
+    state: T,
 }
+
+/// One member of a [`PlaneBank`], borrowed for any VRF operation.
+pub type VrfMut<'a> = BitPlaneVrf<&'a mut [u64], &'a mut VrfState>;
+
+/// One member of a [`PlaneBank`], borrowed for reading.
+pub type VrfRef<'a> = BitPlaneVrf<&'a [u64], &'a VrfState>;
 
 impl BitPlaneVrf {
     /// Creates a VRF with `lanes` lanes and `regs` architectural vector
@@ -219,26 +256,27 @@ impl BitPlaneVrf {
     ///
     /// Panics if `lanes == 0`, `regs == 0`, or `regs > 64`.
     pub fn new(lanes: usize, regs: usize) -> Self {
-        assert!(lanes > 0, "a VRF needs at least one lane");
-        assert!(regs > 0 && regs <= 64, "register count must be in 1..=64");
+        PlaneBank::check(lanes, regs);
         let words = lanes.div_ceil(64);
-        let n_planes = regs * DATA_BITS as usize + SCRATCH_PLANES + 4;
         let mut vrf = Self {
             lanes,
             regs,
             words,
-            storage: vec![0u64; n_planes * words],
-            mask_enabled: true,
-            mask_lanes: 0,
-            faults: None,
+            pitch: words,
+            storage: vec![0u64; plane_count(regs) * words],
+            state: VrfState::POWER_ON,
         };
-        // Mask starts all-enabled; const1 plane all ones.
-        vrf.fill_plane(Plane::Mask, true);
-        let c1 = vrf.plane_index(Plane::Const(true)) * words;
-        vrf.plane_op([c1; 3], c1, false, fill(true));
+        vrf.power_on();
         vrf
     }
 
+    /// True if writes to `plane` must be gated by the mask register.
+    pub(crate) fn is_masked_target(plane: Plane) -> bool {
+        matches!(plane, Plane::Reg { .. } | Plane::Cond)
+    }
+}
+
+impl<S: AsRef<[u64]>, T: Borrow<VrfState>> BitPlaneVrf<S, T> {
     /// Number of lanes (vector elements) in this VRF.
     pub fn lanes(&self) -> usize {
         self.lanes
@@ -269,29 +307,26 @@ impl BitPlaneVrf {
         }
     }
 
-    fn plane(&self, plane: Plane) -> &[u64] {
-        let i = self.plane_index(plane);
-        &self.storage[i * self.words..(i + 1) * self.words]
+    /// Word offset of `plane` in storage.
+    fn base(&self, plane: Plane) -> usize {
+        self.plane_index(plane) * self.pitch
     }
 
-    /// Word offset of the mask plane in `storage`.
+    fn plane(&self, plane: Plane) -> &[u64] {
+        let base = self.base(plane);
+        &self.storage.as_ref()[base..base + self.words]
+    }
+
+    /// Word offset of the mask plane in storage.
     #[inline]
     pub(crate) fn mask_base(&self) -> usize {
-        (self.regs * DATA_BITS as usize + SCRATCH_PLANES + 1) * self.words
+        (self.regs * DATA_BITS as usize + SCRATCH_PLANES + 1) * self.pitch
     }
 
     /// Words per plane (`lanes.div_ceil(64)`).
     #[inline]
     pub(crate) fn words(&self) -> usize {
         self.words
-    }
-
-    /// Direct access to the flat plane storage, for the block tier's
-    /// fast loop (`compiled::run_ops_fast`), which has
-    /// statically discharged all [`Self::finish_write`] bookkeeping.
-    #[inline]
-    pub(crate) fn storage_mut(&mut self) -> &mut [u64] {
-        &mut self.storage
     }
 
     /// Range of words in a [`Self::snapshot`] image occupied by the
@@ -305,9 +340,104 @@ impl BitPlaneVrf {
         arch * self.words..(arch + SCRATCH_PLANES) * self.words
     }
 
-    /// True if writes to `plane` must be gated by the mask register.
-    pub(crate) fn is_masked_target(plane: Plane) -> bool {
-        matches!(plane, Plane::Reg { .. } | Plane::Cond)
+    /// Reads one lane's bit from a plane.
+    pub fn lane_bit(&self, plane: Plane, lane: usize) -> bool {
+        assert!(lane < self.lanes, "lane {lane} out of range");
+        (self.plane(plane)[lane / 64] >> (lane % 64)) & 1 == 1
+    }
+
+    /// True if any lane of `plane` is set (the EFI's "any lane enabled"
+    /// reduction used by `JUMP_COND`).
+    pub fn any_lane_set(&self, plane: Plane) -> bool {
+        self.plane(plane).iter().any(|&w| w != 0)
+    }
+
+    /// Number of set lanes in `plane`.
+    pub fn count_lanes_set(&self, plane: Plane) -> usize {
+        self.plane(plane).iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Number of currently enabled lanes — the cached popcount of the mask
+    /// plane, maintained incrementally so per-instruction energy gating
+    /// does not rescan the plane.
+    pub fn mask_lanes(&self) -> usize {
+        self.state.borrow().mask_lanes
+    }
+
+    /// Reads the packed bitvector of a plane (words of 64 lanes).
+    pub fn plane_words(&self, plane: Plane) -> &[u64] {
+        self.plane(plane)
+    }
+
+    /// Whether lane masking currently applies to architectural writes.
+    pub fn mask_enabled(&self) -> bool {
+        self.state.borrow().mask_enabled
+    }
+
+    /// The attached fault model, if any.
+    pub fn fault_model(&self) -> Option<&FaultModel> {
+        self.state.borrow().faults.as_deref()
+    }
+
+    /// Captures the full plane storage, plane by plane, for
+    /// checkpoint/redundancy replay. The fault model (and its PRNG site) is
+    /// deliberately *not* part of the snapshot: re-running after a restore
+    /// must draw fresh fault sites, not replay the same ones.
+    pub fn snapshot(&self) -> Vec<u64> {
+        let st = self.storage.as_ref();
+        (0..plane_count(self.regs))
+            .flat_map(|p| &st[p * self.pitch..p * self.pitch + self.words])
+            .copied()
+            .collect()
+    }
+
+    /// Reads register `reg` back as 64-bit element values, one per lane
+    /// (the inverse transpose of [`BitPlaneVrf::write_lane_values`]).
+    pub fn read_lane_values(&self, reg: u8) -> Vec<u64> {
+        let mut values = vec![0u64; self.lanes];
+        let mut block = [0u64; 64];
+        for w in 0..self.words {
+            self.read_block(reg, w, &mut block);
+            let lo = w * 64;
+            let n = (self.lanes - lo).min(64);
+            values[lo..lo + n].copy_from_slice(&block[..n]);
+        }
+        values
+    }
+
+    /// Lanes `64w..64w+64` of register `reg` as element values, into
+    /// `block` (lanes past the VRF's read as zero).
+    pub(crate) fn read_block(&self, reg: u8, w: usize, block: &mut [u64; 64]) {
+        let base = self.base(Plane::Reg { reg, bit: 0 }) + w;
+        let st = self.storage.as_ref();
+        for (bit, row) in block.iter_mut().enumerate() {
+            *row = st[base + bit * self.pitch];
+        }
+        transpose_64x64(block);
+    }
+}
+
+impl<S: AsRef<[u64]> + AsMut<[u64]>, T: BorrowMut<VrfState>> BitPlaneVrf<S, T> {
+    /// Sets the planes a VRF holds at power-on: the mask all enabled and
+    /// the `const1` plane all ones.
+    fn power_on(&mut self) {
+        self.fill_plane(Plane::Mask, true);
+        let c1 = self.base(Plane::Const(true));
+        self.plane_op([c1; 3], c1, false, fill(true));
+    }
+
+    /// Direct access to the plane storage, to drive the fast loop
+    /// (`compiled::run_ops_fast`) over one VRF in tests.
+    #[cfg(test)]
+    pub(crate) fn storage_mut(&mut self) -> &mut [u64] {
+        self.storage.as_mut()
+    }
+
+    /// Recounts the cached mask popcount from the mask plane.
+    fn refresh_mask_lanes(&mut self) {
+        let base = self.mask_base();
+        let plane = &self.storage.as_ref()[base..base + self.words];
+        self.state.borrow_mut().mask_lanes = plane.iter().map(|w| w.count_ones() as usize).sum();
     }
 
     /// Resolves an output plane to its storage offset and whether the
@@ -319,7 +449,19 @@ impl BitPlaneVrf {
     #[inline]
     fn out_base(&self, out: Plane) -> (usize, bool) {
         assert!(!matches!(out, Plane::Const(_)), "constant planes are read-only");
-        (self.plane_index(out) * self.words, self.mask_enabled && Self::is_masked_target(out))
+        (self.base(out), self.mask_enabled() && BitPlaneVrf::is_masked_target(out))
+    }
+
+    /// Forces permanently stuck/dead lanes to their stuck values in the
+    /// `words` words at `at` (one plane).
+    fn force_plane(&mut self, at: usize) {
+        let Some(f) = &self.state.borrow().faults else { return };
+        if f.has_forced_lanes() {
+            let st = self.storage.as_mut();
+            for w in 0..self.words {
+                st[at + w] = f.force_word(w, st[at + w]);
+            }
+        }
     }
 
     /// Post-write bookkeeping for the plane at word offset `base`: zeroes
@@ -331,18 +473,11 @@ impl BitPlaneVrf {
     fn finish_write(&mut self, base: usize) {
         let extra = self.words * 64 - self.lanes;
         if extra > 0 {
-            self.storage[base + self.words - 1] &= !0u64 >> extra;
+            self.storage.as_mut()[base + self.words - 1] &= !0u64 >> extra;
         }
-        if let Some(f) = &self.faults {
-            if f.has_forced_lanes() {
-                for w in 0..self.words {
-                    self.storage[base + w] = f.force_word(w, self.storage[base + w]);
-                }
-            }
-        }
+        self.force_plane(base);
         if base == self.mask_base() {
-            self.mask_lanes =
-                self.storage[base..base + self.words].iter().map(|w| w.count_ones() as usize).sum();
+            self.refresh_mask_lanes();
         }
     }
 
@@ -373,14 +508,13 @@ impl BitPlaneVrf {
             }
         }
         let mask = masked.then(|| self.mask_base());
-        with_width(self.words, Op { st: &mut self.storage, ins, out, mask, f });
+        with_width(self.words, Op { st: self.storage.as_mut(), ins, out, mask, f });
         self.finish_write(out);
     }
 
     /// Applies a two-input boolean plane operation: `out = f(a, b)`.
     pub fn apply2(&mut self, a: Plane, b: Plane, out: Plane, f: impl Fn(u64, u64) -> u64) {
-        let a = self.plane_index(a) * self.words;
-        let b = self.plane_index(b) * self.words;
+        let (a, b) = (self.base(a), self.base(b));
         let (out, masked) = self.out_base(out);
         self.plane_op([a, b, b], out, masked, |x, y, _| f(x, y));
     }
@@ -394,16 +528,14 @@ impl BitPlaneVrf {
         out: Plane,
         f: impl Fn(u64, u64, u64) -> u64,
     ) {
-        let a = self.plane_index(a) * self.words;
-        let b = self.plane_index(b) * self.words;
-        let c = self.plane_index(c) * self.words;
+        let (a, b, c) = (self.base(a), self.base(b), self.base(c));
         let (out, masked) = self.out_base(out);
         self.plane_op([a, b, c], out, masked, f);
     }
 
     /// Copies plane `a` into `out` (a row-copy / buffered copy micro-op).
     pub fn copy_plane(&mut self, a: Plane, out: Plane) {
-        let a = self.plane_index(a) * self.words;
+        let a = self.base(a);
         let (out, masked) = self.out_base(out);
         self.plane_op([a; 3], out, masked, |x, _, _| x);
     }
@@ -414,35 +546,6 @@ impl BitPlaneVrf {
         self.plane_op([out; 3], out, masked, fill(value));
     }
 
-    /// Reads one lane's bit from a plane.
-    pub fn lane_bit(&self, plane: Plane, lane: usize) -> bool {
-        assert!(lane < self.lanes, "lane {lane} out of range");
-        (self.plane(plane)[lane / 64] >> (lane % 64)) & 1 == 1
-    }
-
-    /// True if any lane of `plane` is set (the EFI's "any lane enabled"
-    /// reduction used by `JUMP_COND`).
-    pub fn any_lane_set(&self, plane: Plane) -> bool {
-        self.plane(plane).iter().any(|&w| w != 0)
-    }
-
-    /// Number of set lanes in `plane`.
-    pub fn count_lanes_set(&self, plane: Plane) -> usize {
-        self.plane(plane).iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Number of currently enabled lanes — the cached popcount of the mask
-    /// plane, maintained incrementally so per-instruction energy gating
-    /// does not rescan the plane.
-    pub fn mask_lanes(&self) -> usize {
-        self.mask_lanes
-    }
-
-    /// Reads the packed bitvector of a plane (words of 64 lanes).
-    pub fn plane_words(&self, plane: Plane) -> &[u64] {
-        self.plane(plane)
-    }
-
     /// Overwrites a plane with packed lane bits, bypassing the mask (used
     /// by the control path and by DMA-style transfers).
     ///
@@ -451,19 +554,14 @@ impl BitPlaneVrf {
     /// Panics if `words.len()` differs from the plane word count.
     pub fn set_plane_words(&mut self, plane: Plane, words: &[u64]) {
         assert_eq!(words.len(), self.words, "plane word count mismatch");
-        let base = self.plane_index(plane) * self.words;
-        self.storage[base..base + self.words].copy_from_slice(words);
+        let base = self.base(plane);
+        self.storage.as_mut()[base..base + self.words].copy_from_slice(words);
         self.finish_write(base);
     }
 
     /// Temporarily disables lane masking (control-path `GETMASK` path).
     pub fn set_mask_enabled(&mut self, enabled: bool) {
-        self.mask_enabled = enabled;
-    }
-
-    /// Whether lane masking currently applies to architectural writes.
-    pub fn mask_enabled(&self) -> bool {
-        self.mask_enabled
+        self.state.borrow_mut().mask_enabled = enabled;
     }
 
     /// Executes a pre-compiled recipe (see [`crate::CompiledRecipe`]):
@@ -473,11 +571,12 @@ impl BitPlaneVrf {
     ///
     /// # Panics
     ///
-    /// Panics if the recipe was compiled for a different VRF geometry.
+    /// Panics if the recipe was compiled for a different VRF geometry or
+    /// plane layout.
     pub fn run_compiled(&mut self, recipe: &crate::CompiledRecipe) {
         assert_eq!(
-            (recipe.lanes(), recipe.regs()),
-            (self.lanes, self.regs),
+            (recipe.lanes(), recipe.regs(), recipe.bank() * self.words),
+            (self.lanes, self.regs, self.pitch),
             "compiled recipe targets a different VRF geometry"
         );
         crate::compiled::run(self, recipe);
@@ -488,8 +587,8 @@ impl BitPlaneVrf {
     /// plane. With no fault model attached this is a single branch.
     #[inline]
     pub(crate) fn post_op(&mut self, kind: MicroOpKind, out: Plane) {
-        if self.faults.is_some() {
-            let base = self.plane_index(out) * self.words;
+        if self.state.borrow().faults.is_some() {
+            let base = self.base(out);
             self.post_op_at(kind, base);
         }
     }
@@ -501,24 +600,21 @@ impl BitPlaneVrf {
     /// fault sites and stay byte-identical under injection.
     #[inline]
     pub(crate) fn post_op_at(&mut self, kind: MicroOpKind, out_base: usize) {
-        let mask_base = self.mask_base();
-        let lanes = self.lanes;
-        let Some(f) = self.faults.as_deref_mut() else { return };
-        if let Some(lane) = f.draw_flip(kind, lanes) {
-            let (w, bit) = (lane / 64, 1u64 << (lane % 64));
-            // A flip on a permanently forced lane is absorbed by the
-            // stuck value and does not count as an injection.
-            let flipped = f.force_word(w, self.storage[out_base + w] ^ bit);
-            if flipped != self.storage[out_base + w] {
-                self.storage[out_base + w] = flipped;
-                f.note_injected();
-                if out_base == mask_base {
-                    self.mask_lanes = self.storage[mask_base..mask_base + self.words]
-                        .iter()
-                        .map(|w| w.count_ones() as usize)
-                        .sum();
-                }
-            }
+        let (lanes, mask_base) = (self.lanes, self.mask_base());
+        let Some(f) = self.state.borrow_mut().faults.as_deref_mut() else { return };
+        let Some(lane) = f.draw_flip(kind, lanes) else { return };
+        let i = out_base + lane / 64;
+        let st = self.storage.as_mut();
+        // A flip on a permanently forced lane is absorbed by the stuck
+        // value and does not count as an injection.
+        let flipped = f.force_word(lane / 64, st[i] ^ 1u64 << (lane % 64));
+        if flipped == st[i] {
+            return;
+        }
+        st[i] = flipped;
+        f.note_injected();
+        if out_base == mask_base {
+            self.refresh_mask_lanes();
         }
     }
 
@@ -528,20 +624,20 @@ impl BitPlaneVrf {
     /// interface. On a hit, flips one bit of one lane of `reg`; returns
     /// whether a corruption landed.
     pub fn corrupt_register_write(&mut self, reg: u8) -> bool {
-        if self.faults.is_none() {
+        if self.state.borrow().faults.is_none() {
             return false;
         }
-        let base = self.plane_index(Plane::Reg { reg, bit: 0 }) * self.words;
-        let lanes = self.lanes;
-        let Some(f) = self.faults.as_deref_mut() else { return false };
+        let (base, lanes, pitch) = (self.base(Plane::Reg { reg, bit: 0 }), self.lanes, self.pitch);
+        let Some(f) = self.state.borrow_mut().faults.as_deref_mut() else { return false };
         let Some((lane, bit)) = f.draw_write_corruption(lanes) else { return false };
         let (w, lane_bit) = (lane / 64, 1u64 << (lane % 64));
-        let i = base + bit as usize * self.words + w;
-        let flipped = f.force_word(w, self.storage[i] ^ lane_bit);
-        if flipped == self.storage[i] {
+        let i = base + bit as usize * pitch + w;
+        let st = self.storage.as_mut();
+        let flipped = f.force_word(w, st[i] ^ lane_bit);
+        if flipped == st[i] {
             return false;
         }
-        self.storage[i] = flipped;
+        st[i] = flipped;
         f.note_injected();
         true
     }
@@ -550,46 +646,24 @@ impl BitPlaneVrf {
     /// permanently stuck lanes take effect immediately across all planes —
     /// a stuck bit-line is stuck from power-on, not from its next write.
     pub fn set_fault_model(&mut self, model: Option<FaultModel>) {
-        self.faults = model.map(Box::new);
-        if let Some(f) = &self.faults {
-            if f.has_forced_lanes() {
-                let planes = self.storage.len() / self.words;
-                for p in 0..planes {
-                    for w in 0..self.words {
-                        let i = p * self.words + w;
-                        self.storage[i] = f.force_word(w, self.storage[i]);
-                    }
-                }
-                let base = self.mask_base();
-                self.mask_lanes = self.storage[base..base + self.words]
-                    .iter()
-                    .map(|w| w.count_ones() as usize)
-                    .sum();
+        let forced = model.as_ref().is_some_and(FaultModel::has_forced_lanes);
+        self.state.borrow_mut().faults = model.map(Box::new);
+        if forced {
+            for p in 0..plane_count(self.regs) {
+                self.force_plane(p * self.pitch);
             }
+            self.refresh_mask_lanes();
         }
-    }
-
-    /// The attached fault model, if any.
-    pub fn fault_model(&self) -> Option<&FaultModel> {
-        self.faults.as_deref()
     }
 
     /// Mutable access to the attached fault model, if any.
     pub fn fault_model_mut(&mut self) -> Option<&mut FaultModel> {
-        self.faults.as_deref_mut()
+        self.state.borrow_mut().faults.as_deref_mut()
     }
 
     /// Drains the fault model's landed-injection counter (0 if no model).
     pub fn take_injected(&mut self) -> u64 {
-        self.faults.as_deref_mut().map_or(0, FaultModel::take_injected)
-    }
-
-    /// Captures the full plane storage for checkpoint/redundancy replay.
-    /// The fault model (and its PRNG site) is deliberately *not* part of
-    /// the snapshot: re-running after a restore must draw fresh fault
-    /// sites, not replay the same ones.
-    pub fn snapshot(&self) -> Vec<u64> {
-        self.storage.clone()
+        self.fault_model_mut().map_or(0, FaultModel::take_injected)
     }
 
     /// Restores plane storage captured by [`BitPlaneVrf::snapshot`] and
@@ -599,11 +673,34 @@ impl BitPlaneVrf {
     ///
     /// Panics if the snapshot came from a different VRF geometry.
     pub fn restore(&mut self, snapshot: &[u64]) {
-        assert_eq!(snapshot.len(), self.storage.len(), "snapshot geometry mismatch");
-        self.storage.copy_from_slice(snapshot);
-        let base = self.mask_base();
-        self.mask_lanes =
-            self.storage[base..base + self.words].iter().map(|w| w.count_ones() as usize).sum();
+        let words = self.words;
+        assert_eq!(snapshot.len(), plane_count(self.regs) * words, "snapshot geometry mismatch");
+        let (pitch, st) = (self.pitch, self.storage.as_mut());
+        for (p, plane) in snapshot.chunks_exact(words).enumerate() {
+            st[p * pitch..p * pitch + words].copy_from_slice(plane);
+        }
+        self.refresh_mask_lanes();
+    }
+
+    /// Writes `block`'s 64 element values into lanes `64w..64w+64` of
+    /// register `reg`, merged as `(new & m) | (old & !m)` under the lane
+    /// mask word `m` (all ones for an unmasked write). Consumes `block`.
+    fn write_block(&mut self, reg: u8, w: usize, block: &mut [u64; 64], m: u64) {
+        transpose_64x64(block);
+        let base = self.base(Plane::Reg { reg, bit: 0 }) + w;
+        let (pitch, st) = (self.pitch, self.storage.as_mut());
+        for (bit, &plane_word) in block.iter().enumerate() {
+            let i = base + bit * pitch;
+            st[i] = (plane_word & m) | (st[i] & !m);
+        }
+    }
+
+    /// Forces permanently stuck lanes on every plane of register `reg`.
+    fn force_register(&mut self, reg: u8) {
+        let base = self.base(Plane::Reg { reg, bit: 0 });
+        for bit in 0..DATA_BITS as usize {
+            self.force_plane(base + bit * self.pitch);
+        }
     }
 
     /// Writes 64-bit element values into register `reg`, one per lane,
@@ -619,111 +716,158 @@ impl BitPlaneVrf {
     /// Panics if `values.len() > lanes`.
     pub fn write_lane_values(&mut self, reg: u8, values: &[u64]) {
         assert!(values.len() <= self.lanes, "{} values exceed {} lanes", values.len(), self.lanes);
-        let base = self.plane_index(Plane::Reg { reg, bit: 0 }) * self.words;
         let mut block = [0u64; 64];
         for w in 0..self.words {
             let src = &values[values.len().min(w * 64)..];
             let n = src.len().min(64);
             block[..n].copy_from_slice(&src[..n]);
             block[n..].fill(0);
-            transpose_64x64(&mut block);
-            for (bit, &plane_word) in block.iter().enumerate() {
-                self.storage[base + bit * self.words + w] = plane_word;
-            }
+            self.write_block(reg, w, &mut block, !0);
         }
         // This path bypasses `finish_write`, so apply the permanent-lane
         // forcing explicitly: data loaded onto a stuck bit-line reads back
         // at the stuck value.
-        if let Some(f) = &self.faults {
-            if f.has_forced_lanes() {
-                for bit in 0..DATA_BITS as usize {
-                    for w in 0..self.words {
-                        let i = base + bit * self.words + w;
-                        self.storage[i] = f.force_word(w, self.storage[i]);
-                    }
-                }
-            }
-        }
+        self.force_register(reg);
     }
 
-    /// Reads register `reg` back as 64-bit element values, one per lane
-    /// (the inverse transpose of [`BitPlaneVrf::write_lane_values`]).
-    pub fn read_lane_values(&self, reg: u8) -> Vec<u64> {
-        let base = self.plane_index(Plane::Reg { reg, bit: 0 }) * self.words;
-        let mut values = vec![0u64; self.lanes];
-        let mut block = [0u64; 64];
-        for w in 0..self.words {
-            for (bit, row) in block.iter_mut().enumerate() {
-                *row = self.storage[base + bit * self.words + w];
-            }
-            transpose_64x64(&mut block);
-            let lo = w * 64;
-            let n = (self.lanes - lo).min(64);
-            values[lo..lo + n].copy_from_slice(&block[..n]);
-        }
-        values
+    /// Masked word-level register store of one 64-lane block: lanes
+    /// `64w..64w+64` of `reg` receive `block`'s values where the lane mask
+    /// enables them; disabled lanes keep their contents. This is the
+    /// word-serial (DPU) datapath's write-back path — unlike
+    /// [`BitPlaneVrf::write_lane_values`] (a host-side data load that
+    /// bypasses the mask), registers are architectural targets here and the
+    /// merge matches the bit-plane [`Self::plane_op`] semantics exactly.
+    /// Lanes past the VRF's must hold zero in `block`. Consumes `block`;
+    /// the caller forces stuck lanes ([`Self::finish_word_store`]) once the
+    /// register's last block is stored.
+    pub(crate) fn store_block(&mut self, reg: u8, w: usize, block: &mut [u64; 64]) {
+        // Tail lanes beyond `lanes` stay zero either way: the unmasked
+        // plane words carry zeros there, and the mask plane's invariant
+        // tail zeros preserve the (zero) old contents when masked.
+        let m = if self.mask_enabled() { self.storage.as_ref()[self.mask_base() + w] } else { !0 };
+        self.write_block(reg, w, block, m);
     }
 
-    /// Masked word-level register store: lane `i` of `reg` receives
-    /// `values[i]` where the lane mask enables it; disabled lanes keep
-    /// their contents. This is the word-serial (DPU) datapath's write-back
-    /// path — unlike [`BitPlaneVrf::write_lane_values`] (a host-side data
-    /// load that bypasses the mask), registers are architectural targets
-    /// here and the merge matches the bit-plane [`Self::plane_op`] semantics
-    /// exactly.
+    /// Ends a word-serial store to `reg`: forces permanently stuck lanes,
+    /// as every other write path does.
+    pub(crate) fn finish_word_store(&mut self, reg: u8) {
+        self.force_register(reg);
+    }
+
+    /// Masked conditional-plane store of one word of per-lane flags (bit
+    /// `i` of `flags` is lane `64w + i`'s flag). The word-serial datapath's
+    /// `Compare`/`Fuzzy` write-back path; [`Self::finish_cond_store`] ends
+    /// it.
+    pub(crate) fn store_cond_word(&mut self, w: usize, flags: u64) {
+        let (out, masked) = self.out_base(Plane::Cond);
+        let m = if masked { self.storage.as_ref()[self.mask_base() + w] } else { !0 };
+        let st = self.storage.as_mut();
+        st[out + w] = (flags & m) | (st[out + w] & !m);
+    }
+
+    /// Ends a word-serial store to the conditional plane (its post-write
+    /// bookkeeping).
+    pub(crate) fn finish_cond_store(&mut self) {
+        let out = self.base(Plane::Cond);
+        self.finish_write(out);
+    }
+}
+
+/// The planes of several VRFs of one geometry in one storage, so that a
+/// thermal wave of them runs every micro-op as one wide VRF would.
+///
+/// The layout is member-minor: member `m`'s copy of plane `p` is the
+/// `words` words at `(p × members + m) × words`, so the members' copies of
+/// a plane sit side by side and a plane of the whole bank is
+/// `members × words` words. Each member is a VRF in its own right, reached
+/// as a [`VrfMut`] view ([`Self::member`]) whose storage starts at the
+/// member's first word: plane offsets compiled for the bank's pitch
+/// ([`crate::Recipe::compile_for`]) address every member, and the whole
+/// bank, alike.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PlaneBank {
+    lanes: usize,
+    regs: usize,
+    words: usize,
+    storage: Vec<u64>,
+    states: Vec<VrfState>,
+}
+
+impl PlaneBank {
+    /// Creates a bank of `members` VRFs of `lanes` lanes and `regs`
+    /// architectural registers, each as [`BitPlaneVrf::new`] leaves it.
     ///
     /// # Panics
     ///
-    /// Panics if `values.len() != lanes`.
-    pub(crate) fn store_lane_values(&mut self, reg: u8, values: &[u64]) {
-        assert_eq!(values.len(), self.lanes, "word store must cover every lane");
-        let base = self.plane_index(Plane::Reg { reg, bit: 0 }) * self.words;
-        let masked = self.mask_enabled;
-        let mask_base = self.mask_base();
-        let mut block = [0u64; 64];
-        for w in 0..self.words {
-            let lo = w * 64;
-            let n = (self.lanes - lo).min(64);
-            block[..n].copy_from_slice(&values[lo..lo + n]);
-            block[n..].fill(0);
-            transpose_64x64(&mut block);
-            // Tail lanes beyond `lanes` stay zero either way: the unmasked
-            // plane words carry zeros there, and the mask plane's invariant
-            // tail zeros preserve the (zero) old contents when masked.
-            let m = if masked { self.storage[mask_base + w] } else { !0u64 };
-            for (bit, &plane_word) in block.iter().enumerate() {
-                let i = base + bit * self.words + w;
-                self.storage[i] = (plane_word & m) | (self.storage[i] & !m);
-            }
+    /// Panics if `lanes == 0`, `regs == 0`, `regs > 64` or `members == 0`.
+    pub fn new(lanes: usize, regs: usize, members: usize) -> Self {
+        Self::check(lanes, regs);
+        assert!(members > 0, "a plane bank needs at least one member");
+        let words = lanes.div_ceil(64);
+        let storage = vec![0u64; plane_count(regs) * members * words];
+        let mut bank =
+            Self { lanes, regs, words, storage, states: vec![VrfState::POWER_ON; members] };
+        for m in 0..members {
+            bank.member(m).power_on();
         }
-        if let Some(f) = &self.faults {
-            if f.has_forced_lanes() {
-                for bit in 0..DATA_BITS as usize {
-                    for w in 0..self.words {
-                        let i = base + bit * self.words + w;
-                        self.storage[i] = f.force_word(w, self.storage[i]);
-                    }
-                }
-            }
-        }
+        bank
     }
 
-    /// Masked conditional-plane store from pre-packed per-lane flag words
-    /// (bit `i % 64` of `flags[i / 64]` is lane `i`'s flag). The word-serial
-    /// datapath's `Compare`/`Fuzzy` write-back path.
-    pub(crate) fn store_cond_words(&mut self, flags: &[u64]) {
-        assert_eq!(flags.len(), self.words, "flag words must cover the lane range");
-        let (out, masked) = self.out_base(Plane::Cond);
-        if masked {
-            let mask_base = self.mask_base();
-            for (w, &flag_word) in flags.iter().enumerate() {
-                let m = self.storage[mask_base + w];
-                self.storage[out + w] = (flag_word & m) | (self.storage[out + w] & !m);
-            }
-        } else {
-            self.storage[out..out + self.words].copy_from_slice(flags);
-        }
-        self.finish_write(out);
+    fn check(lanes: usize, regs: usize) {
+        assert!(lanes > 0, "a VRF needs at least one lane");
+        assert!(regs > 0 && regs <= 64, "register count must be in 1..=64");
+    }
+
+    /// Number of member VRFs.
+    pub fn members(&self) -> usize {
+        self.states.len()
+    }
+
+    /// Lanes per member VRF.
+    pub fn lanes(&self) -> usize {
+        self.lanes
+    }
+
+    /// Architectural registers per member VRF.
+    pub fn regs(&self) -> usize {
+        self.regs
+    }
+
+    /// Words per member plane.
+    pub(crate) fn words(&self) -> usize {
+        self.words
+    }
+
+    /// Member `m`, as a VRF.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m >= self.members()`.
+    pub fn member(&mut self, m: usize) -> VrfMut<'_> {
+        let (lanes, regs, words, pitch) = (self.lanes, self.regs, self.words, self.pitch());
+        let state = &mut self.states[m];
+        BitPlaneVrf { lanes, regs, words, pitch, storage: &mut self.storage[m * words..], state }
+    }
+
+    /// Member `m`, as a VRF to read.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m >= self.members()`.
+    pub fn member_ref(&self, m: usize) -> VrfRef<'_> {
+        let (lanes, regs, words, pitch) = (self.lanes, self.regs, self.words, self.pitch());
+        let state = &self.states[m];
+        BitPlaneVrf { lanes, regs, words, pitch, storage: &self.storage[m * words..], state }
+    }
+
+    /// Words from one plane's start to the next.
+    fn pitch(&self) -> usize {
+        self.states.len() * self.words
+    }
+
+    /// The whole bank's storage, for the fast loop.
+    pub(crate) fn storage_mut(&mut self) -> &mut [u64] {
+        &mut self.storage
     }
 }
 

@@ -24,7 +24,7 @@
 //! lines decode once. The graph is a pure function of the laid-out body
 //! and its entry, and holds no recipes, so it serves every datapath.
 
-use crate::bitplane::BitPlaneVrf;
+use crate::bitplane::PlaneBank;
 use crate::compiled::{self, CompiledRecipe};
 use mpu_isa::{Instruction, LineNum, RegId};
 use std::sync::Arc;
@@ -184,79 +184,138 @@ pub fn decode_body(body: &[Instruction], entry: usize) -> BlockGraph {
     BlockGraph { steps, entry: entry.min(body.len()) }
 }
 
+/// A thermal-wave member: a VRF as `(bank, member)`, member `member` of
+/// the plane bank `banks[bank]` that [`run_batch`] is given.
+pub type WaveMember = (usize, usize);
+
 /// Executes a run of consecutive compute steps' compiled recipes over the
-/// thermal wave whose member VRFs are `vrfs[m]` for each `m` of `members`,
-/// with plane writes byte-identical to running the recipes one at a time,
-/// each on every member in turn, with [`BitPlaneVrf::run_compiled`]. A
-/// single VRF is the wave `&[0]` of a one-VRF slice.
+/// thermal wave whose members are `members` of `banks`, with plane writes
+/// byte-identical to running the recipes one at a time, each on every
+/// member in turn, with [`crate::BitPlaneVrf::run_compiled`]. A single VRF is the
+/// wave `&[(0, 0)]` of a one-member bank.
 ///
 /// When no member repeats and every member is fault-free with
 /// mask-honouring enabled, each maximal stretch of
 /// [`CompiledRecipe::fast`] recipes runs op-major on the bookkeeping-free
-/// word loop: every micro-op is decoded once and applied to each member
+/// word loop: every micro-op is decoded once and applied to the whole wave
 /// before the next. Members are independent, so that leaves each one as
-/// running its recipes alone. The recipes' mask merges are skipped when
-/// every member's mask is full (a merge under a full mask is the plain
-/// write), and kept on every member otherwise. Any other recipe — and
-/// every recipe of a wave that names a VRF twice, whose two copies are
-/// not independent — runs recipe by recipe and, within each, member by
-/// member with [`BitPlaneVrf::run_compiled`].
+/// running its recipes alone. How one op covers the wave follows from
+/// where the members' planes sit:
+///
+/// * members that are adjacent members of one bank — a whole RACER wave,
+///   or a lone VRF — run as one wide VRF: one kernel call per op over
+///   their side-by-side plane words;
+/// * members each alone in their bank (the wide substrates) run one
+///   kernel call per op and member;
+/// * any other set of members of one bank runs member by member.
+///
+/// The recipes' mask merges are skipped when every member's mask is full
+/// (a merge under a full mask is the plain write), and kept on every
+/// member otherwise. Any other recipe — and every recipe of a wave that
+/// names a VRF twice, whose two copies are not independent, or has a
+/// member with a fault model or a suspended mask — runs recipe by recipe
+/// and, within each, member by member with
+/// [`crate::BitPlaneVrf::run_compiled`].
 ///
 /// # Panics
 ///
-/// Panics if a member is out of range for `vrfs`, or if a recipe was
-/// compiled for a different VRF geometry.
-pub fn run_batch(vrfs: &mut [BitPlaneVrf], members: &[usize], recipes: &[Arc<CompiledRecipe>]) {
-    // A wave is usually listed in ascending slot order already; any other
+/// Panics if a member is out of range for `banks`, or if a recipe was
+/// compiled for a different VRF geometry or bank width.
+pub fn run_batch(banks: &mut [PlaneBank], members: &[WaveMember], recipes: &[Arc<CompiledRecipe>]) {
+    // A wave is usually listed in ascending order already; any other
     // order is sorted into a copy.
     let mut ascending = std::borrow::Cow::Borrowed(members);
     if !members.is_sorted() {
         ascending.to_mut().sort_unstable();
     }
-    let plain = |&m: &usize| vrfs[m].fault_model().is_none() && vrfs[m].mask_enabled();
+    let plain = |&(b, m): &WaveMember| {
+        let v = banks[b].member_ref(m);
+        v.fault_model().is_none() && v.mask_enabled()
+    };
     let op_major = ascending.is_sorted_by(|a, b| a < b) && ascending.iter().all(plain);
     let mut rest = recipes;
     while let Some(recipe) = rest.first() {
         if op_major && recipe.fast() {
             let fast = rest.iter().take_while(|r| r.fast()).count();
-            compiled::run_ops_fast(borrow_members(vrfs, &ascending), &rest[..fast]);
+            run_fast(banks, &ascending, &rest[..fast]);
             rest = &rest[fast..];
         } else {
-            for &m in members {
-                vrfs[m].run_compiled(recipe);
+            for &(b, m) in members {
+                banks[b].member(m).run_compiled(recipe);
             }
             rest = &rest[1..];
         }
     }
 }
 
-/// Mutable borrows of `vrfs[m]` for every `m` of the strictly ascending
-/// `members`, in order.
+/// Runs fast recipes over the distinct, strictly ascending, plain members
+/// `wave` (see [`run_batch`]).
+fn run_fast(banks: &mut [PlaneBank], wave: &[WaveMember], recipes: &[Arc<CompiledRecipe>]) {
+    let Some(&(b0, m0)) = wave.first() else { return };
+    let bank = &banks[b0];
+    let (lanes, words) = (bank.lanes(), bank.words());
+    let layout = (lanes, bank.regs(), bank.members());
+    let mut merge = false;
+    for &(b, m) in wave {
+        let bank = &banks[b];
+        assert_eq!((bank.lanes(), bank.regs(), bank.members()), layout, "wave banks differ");
+        merge |= bank.member_ref(m).mask_lanes() != lanes;
+    }
+    for recipe in recipes {
+        debug_assert!(recipe.fast(), "the fast path runs fast recipes only");
+        assert_eq!(
+            (recipe.lanes(), recipe.regs(), recipe.bank()),
+            layout,
+            "compiled recipe targets a different VRF geometry"
+        );
+    }
+    let mask = bank.member_ref(m0).mask_base();
+    let (last_bank, last) = wave[wave.len() - 1];
+    if last_bank == b0 && last - m0 + 1 == wave.len() {
+        // Adjacent members of one bank: their plane words are adjacent.
+        let st = &mut banks[b0].storage_mut()[m0 * words..];
+        compiled::run_ops_fast(st, &mut [], wave.len() * words, mask, merge, recipes);
+    } else if wave.windows(2).all(|pair| pair[0].0 != pair[1].0) {
+        let mut storages = borrow_members(banks, wave);
+        let first = storages.next().expect("a non-empty wave");
+        let mut rest: Vec<&mut [u64]> = storages.collect();
+        compiled::run_ops_fast(first, &mut rest, words, mask, merge, recipes);
+    } else {
+        for &(b, m) in wave {
+            let st = &mut banks[b].storage_mut()[m * words..];
+            compiled::run_ops_fast(st, &mut [], words, mask, merge, recipes);
+        }
+    }
+}
+
+/// The storage of member `m` of `banks[b]`, from its first word, for every
+/// `(b, m)` of `members`, whose banks are strictly ascending.
 fn borrow_members<'a>(
-    mut vrfs: &'a mut [BitPlaneVrf],
-    members: &'a [usize],
-) -> impl Iterator<Item = &'a mut BitPlaneVrf> {
+    mut banks: &'a mut [PlaneBank],
+    members: &'a [WaveMember],
+) -> impl Iterator<Item = &'a mut [u64]> {
     let mut next = 0;
-    members.iter().map(move |&m| {
-        let (member, rest) = std::mem::take(&mut vrfs)[m - next..]
+    members.iter().map(move |&(b, m)| {
+        let (bank, rest) = std::mem::take(&mut banks)[b - next..]
             .split_first_mut()
             .expect("wave member out of range for the VRF store");
-        vrfs = rest;
-        next = m + 1;
-        member
+        banks = rest;
+        next = b + 1;
+        let words = bank.words();
+        &mut bank.storage_mut()[m * words..]
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DatapathKind, DatapathModel};
+    use crate::{BitPlaneVrf, DatapathKind, DatapathModel};
     use mpu_isa::{BinaryOp, CompareOp, UnaryOp, VrfId, COND_REG};
 
     fn compiled(datapath: &DatapathModel, instr: &Instruction) -> Arc<CompiledRecipe> {
         let g = datapath.geometry();
         let recipe = datapath.recipe(instr).expect("compute instruction");
-        Arc::new(recipe.compile(g.lanes_per_vrf, g.regs_per_vrf))
+        Arc::new(recipe.compile_for(&g))
     }
 
     fn add(rd: u16) -> Instruction {
@@ -286,7 +345,10 @@ mod tests {
             let ys: Vec<u64> = (0..g.lanes_per_vrf as u64).map(|i| i * 7 + 2).collect();
             a.write_lane_values(0, &xs);
             a.write_lane_values(1, &ys);
-            let mut b = a.clone();
+            // b: the last member of a bank laid out as the MPU keeps it.
+            let mut bank = PlaneBank::new(g.lanes_per_vrf, g.regs_per_vrf, g.bank_vrfs());
+            let m = bank.members() - 1;
+            bank.member(m).restore(&a.snapshot());
 
             // a: apply every recipe op by op (the oracle); b: run each
             // run of consecutive compute steps as one batch, under a full
@@ -298,20 +360,19 @@ mod tests {
                     instr,
                     Instruction::SetMask { .. } | Instruction::Unmask | Instruction::Nop
                 ) {
-                    run_batch(std::slice::from_mut(&mut b), &[0], &run);
+                    run_batch(std::slice::from_mut(&mut bank), &[(0, m)], &run);
                     run.clear();
                 }
+                let mut b = bank.member(m);
                 match instr {
                     Instruction::SetMask { .. } => {
-                        for v in [&mut a, &mut b] {
-                            v.copy_plane(crate::Plane::Cond, crate::Plane::Mask);
-                        }
+                        a.copy_plane(crate::Plane::Cond, crate::Plane::Mask);
+                        b.copy_plane(crate::Plane::Cond, crate::Plane::Mask);
                         assert!(b.mask_lanes() < g.lanes_per_vrf, "{kind:?}: a partial mask");
                     }
                     Instruction::Unmask => {
-                        for v in [&mut a, &mut b] {
-                            v.fill_plane(crate::Plane::Mask, true);
-                        }
+                        a.fill_plane(crate::Plane::Mask, true);
+                        b.fill_plane(crate::Plane::Mask, true);
                     }
                     Instruction::Nop => {}
                     ref compute => {
@@ -322,7 +383,12 @@ mod tests {
                     }
                 }
             }
-            assert_eq!(a, b, "{kind:?}: batched steps diverged from the op-by-op oracle");
+            let b = bank.member_ref(m);
+            assert_eq!(
+                (a.snapshot(), a.mask_lanes()),
+                (b.snapshot(), b.mask_lanes()),
+                "{kind:?}: batched steps diverged from the op-by-op oracle"
+            );
         }
     }
 

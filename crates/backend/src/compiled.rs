@@ -47,12 +47,13 @@
 //! exhaustive decode test below enforce this).
 
 use crate::bitplane::{
-    fill, plane_kernel, with_width, BitPlaneVrf, Plane, WidthJob, SCRATCH_PLANES,
+    fill, plane_kernel, with_width, BitPlaneVrf, Plane, VrfState, WidthJob, SCRATCH_PLANES,
 };
 use crate::microop::{lut3_word, MicroOp, MicroOpKind};
 use crate::recipe::{map_operands, operands};
 use crate::DATA_BITS;
 use mpu_isa::{Instruction, RegId};
+use std::borrow::BorrowMut;
 use std::sync::Arc;
 
 /// The word function of a compiled gate, decoded from its truth table
@@ -232,7 +233,10 @@ pub(crate) enum CompiledOp {
 }
 
 /// A recipe compiled for one VRF geometry: plane operands resolved to flat
-/// storage offsets, mask-target decisions precomputed.
+/// storage offsets, mask-target decisions precomputed. The offsets are for
+/// VRFs kept in plane banks of [`Self::bank`] members
+/// ([`crate::PlaneBank`]; 1 for a VRF that owns its planes): plane `p`
+/// starts at word `p × bank × words`.
 ///
 /// Built via [`crate::Recipe::compile`] or [`Self::relocate`] and executed
 /// with [`BitPlaneVrf::run_compiled`]. Execution is byte-identical to
@@ -242,6 +246,7 @@ pub struct CompiledRecipe {
     ops: Vec<CompiledOp>,
     lanes: usize,
     regs: usize,
+    bank: usize,
     mix: [u32; MicroOpKind::ALL.len()],
     fast: bool,
     saved_uops: u32,
@@ -256,6 +261,11 @@ impl CompiledRecipe {
     /// Architectural register count this recipe was compiled for.
     pub fn regs(&self) -> usize {
         self.regs
+    }
+
+    /// VRFs per plane bank this recipe was compiled for.
+    pub fn bank(&self) -> usize {
+        self.bank
     }
 
     /// Number of compiled micro-ops (equals the source recipe's length).
@@ -312,7 +322,8 @@ impl CompiledRecipe {
     pub fn relocate(&self, shape: &Instruction, instr: &Instruction) -> CompiledRecipe {
         let binding: Vec<(u16, u16)> = operands(shape).into_iter().zip(operands(instr)).collect();
         let bind = |r: u16| binding.iter().find(|&&(from, _)| from == r).map_or(r, |&(_, to)| to);
-        let (regs, block) = (self.regs, DATA_BITS * self.lanes.div_ceil(64) as u32);
+        let pitch = self.bank * self.lanes.div_ceil(64);
+        let (regs, block) = (self.regs, DATA_BITS * pitch as u32);
         let arch = regs as u32 * block;
         let rebase = |offset: u32| {
             if offset >= arch {
@@ -351,7 +362,8 @@ impl CompiledRecipe {
 /// so compile-time errors match interpret-time errors.
 struct Layout {
     regs: usize,
-    words: usize,
+    /// Words from one plane's start to the next.
+    pitch: usize,
 }
 
 impl Layout {
@@ -373,7 +385,7 @@ impl Layout {
             Plane::Const(false) => arch + SCRATCH_PLANES + 2,
             Plane::Const(true) => arch + SCRATCH_PLANES + 3,
         };
-        (index * self.words) as u32
+        (index * self.pitch) as u32
     }
 
     fn out(&self, plane: Plane) -> (u32, bool) {
@@ -382,17 +394,18 @@ impl Layout {
     }
 }
 
-/// Compiles a micro-op sequence for a `(lanes, regs)` VRF geometry; the
-/// optimizer removed `saved_uops` micro-ops from its template.
+/// Compiles a micro-op sequence for `(lanes, regs)` VRFs kept in plane
+/// banks of `bank` members; the optimizer removed `saved_uops` micro-ops
+/// from its template.
 pub(crate) fn compile(
     ops: &[MicroOp],
-    lanes: usize,
-    regs: usize,
+    [lanes, regs, bank]: [usize; 3],
     saved_uops: u32,
 ) -> CompiledRecipe {
     assert!(lanes > 0, "a VRF needs at least one lane");
     assert!(regs > 0 && regs <= 64, "register count must be in 1..=64");
-    let layout = Layout { regs, words: lanes.div_ceil(64) };
+    assert!(bank > 0, "a plane bank needs at least one member");
+    let layout = Layout { regs, pitch: bank * lanes.div_ceil(64) };
     let latch = layout.base(Plane::Scratch(SCRATCH_PLANES as u16 - 1));
     let mask = layout.base(Plane::Mask);
     let mut mix = [0u32; MicroOpKind::ALL.len()];
@@ -446,7 +459,7 @@ pub(crate) fn compile(
             CompiledOp::Gate { kind, func, a, b, c, out, masked }
         })
         .collect();
-    CompiledRecipe { ops: compiled, lanes, regs, mix, fast, saved_uops }
+    CompiledRecipe { ops: compiled, lanes, regs, bank, mix, fast, saved_uops }
 }
 
 /// Where decoded ops run their word loop: the VRF itself, with its
@@ -458,7 +471,7 @@ trait WordLoops {
     fn op(&mut self, ins: [usize; 3], out: usize, masked: bool, f: impl Fn(u64, u64, u64) -> u64);
 }
 
-impl WordLoops for BitPlaneVrf {
+impl<S: AsRef<[u64]> + AsMut<[u64]>, T: BorrowMut<VrfState>> WordLoops for BitPlaneVrf<S, T> {
     #[inline(always)]
     fn op(&mut self, ins: [usize; 3], out: usize, masked: bool, f: impl Fn(u64, u64, u64) -> u64) {
         self.plane_op(ins, out, masked, f)
@@ -516,7 +529,11 @@ fn run_full_add(
 
 /// Executes a compiled recipe over a VRF's flat storage. Called through
 /// [`BitPlaneVrf::run_compiled`], which has already checked the geometry.
-pub(crate) fn run(vrf: &mut BitPlaneVrf, recipe: &CompiledRecipe) {
+pub(crate) fn run<S, T>(vrf: &mut BitPlaneVrf<S, T>, recipe: &CompiledRecipe)
+where
+    S: AsRef<[u64]> + AsMut<[u64]>,
+    T: BorrowMut<VrfState>,
+{
     run_ops(vrf, &recipe.ops);
 }
 
@@ -524,7 +541,11 @@ pub(crate) fn run(vrf: &mut BitPlaneVrf, recipe: &CompiledRecipe) {
 /// [`run`] and the block tier's compute runs, so every execution path
 /// performs the identical plane writes (and fault-site draws) in the
 /// identical order.
-pub(crate) fn run_ops(vrf: &mut BitPlaneVrf, ops: &[CompiledOp]) {
+pub(crate) fn run_ops<S, T>(vrf: &mut BitPlaneVrf<S, T>, ops: &[CompiledOp])
+where
+    S: AsRef<[u64]> + AsMut<[u64]>,
+    T: BorrowMut<VrfState>,
+{
     // GETMASK-style mask suspension is a control-path affair, but honour it
     // here too so compiled execution and `MicroOp::apply` never diverge.
     let me = vrf.mask_enabled();
@@ -558,12 +579,13 @@ pub(crate) fn run_ops(vrf: &mut BitPlaneVrf, ops: &[CompiledOp]) {
     }
 }
 
-/// A wave's bare VRF storages at chunk width `W`: the word loop of
+/// A wave's bare storages at chunk width `W`: the word loop of
 /// [`run_ops_fast`], with every post-write bookkeeping step statically
-/// discharged. Each op runs over every member before the next op, so it is
-/// decoded once per wave. The first member's storage is held apart from
-/// the rest's: a wave of one allocates nothing and runs each op as a
-/// single kernel call, as a lone VRF would.
+/// discharged. Each op runs over every storage before the next op, so it
+/// is decoded once per wave. The first storage is held apart from the
+/// rest: a wave held in one storage — a lone VRF, or adjacent members of a
+/// plane bank — allocates nothing and runs each op as a single kernel
+/// call.
 struct FastLoops<'a, 'b, const W: usize> {
     first: &'a mut [u64],
     rest: &'a mut [&'b mut [u64]],
@@ -582,16 +604,24 @@ impl<const W: usize> WordLoops for FastLoops<'_, '_, W> {
     }
 }
 
-/// Executes fast recipes, in order, over a wave of distinct VRFs with
+/// Executes fast recipes, in order, over a wave's plane storages with
 /// every [`BitPlaneVrf`] post-write bookkeeping step statically
 /// discharged — the block tier's fast path. Each micro-op is decoded once
-/// and applied to every member before the next one.
+/// and applied to every storage before the next one.
 ///
-/// The caller must have proven:
+/// Each storage starts at a member's first word and holds `width` words
+/// of each plane the recipes were compiled for: one member's `words`, or
+/// adjacent members of a plane bank side by side, which then run as one
+/// wide VRF. `mask` is the offset of the mask plane. The masked merge
+/// `(new & m) | (old & !m)` under a full mask is the plain write, so the
+/// ops' mask flags are ignored unless `merge`.
 ///
-/// * every recipe is [`CompiledRecipe::fast`]: `lanes % 64 == 0` (no
-///   padding bits to re-zero after a write), no op writes the mask plane
-///   (the cached mask popcount cannot go stale), no op is word-serial;
+/// The caller ([`crate::run_batch`]) must have proven:
+///
+/// * every recipe is [`CompiledRecipe::fast`] and compiled for the
+///   storages' layout: `lanes % 64 == 0` (no padding bits to re-zero after
+///   a write), no op writes the mask plane (the cached mask popcount
+///   cannot go stale), no op is word-serial;
 /// * no member has a fault model — no fault-site draws, no forced lanes;
 /// * every member has mask-honouring enabled (no suspended `GETMASK`
 ///   readout in flight);
@@ -601,16 +631,13 @@ impl<const W: usize> WordLoops for FastLoops<'_, '_, W> {
 /// Under those conditions `finish_write` is a no-op for every single op,
 /// so this loop performs the *identical* plane writes as [`run_ops`] —
 /// byte-identical storage afterwards — while touching only the operand
-/// words. When every member's mask is full, the masked merge
-/// `(new & m) | (old & !m)` equals the plain write, so the ops' mask flags
-/// are ignored; otherwise every member merges.
-///
-/// # Panics
-///
-/// Panics if a recipe or a member has a different geometry than the first
-/// member.
-pub(crate) fn run_ops_fast<'v>(
-    wave: impl IntoIterator<Item = &'v mut BitPlaneVrf>,
+/// words.
+pub(crate) fn run_ops_fast(
+    first: &mut [u64],
+    rest: &mut [&mut [u64]],
+    width: usize,
+    mask: usize,
+    merge: bool,
     recipes: &[Arc<CompiledRecipe>],
 ) {
     struct Fast<'a, 'b> {
@@ -623,7 +650,7 @@ pub(crate) fn run_ops_fast<'v>(
     impl WidthJob for Fast<'_, '_> {
         // Inlined into each arm of `with_width`, so at the shipped widths
         // the chunk count is the literal 1 and each op is one fully
-        // unrolled `[u64; W]` load-compute-store per member.
+        // unrolled `[u64; W]` load-compute-store per storage.
         #[inline(always)]
         fn run<const W: usize>(self, chunks: usize) {
             let (first, rest, mask) = (self.first, self.rest, self.mask);
@@ -658,34 +685,8 @@ pub(crate) fn run_ops_fast<'v>(
             }
         }
     }
-    let mut wave = wave.into_iter();
-    let Some(first) = wave.next() else { return };
-    let (lanes, regs, words, mask) =
-        (first.lanes(), first.regs(), first.words(), first.mask_base());
-    let mut merge = false;
-    let mut check = |v: &BitPlaneVrf| {
-        assert_eq!((v.lanes(), v.regs()), (lanes, regs), "wave members differ in geometry");
-        debug_assert!(v.fault_model().is_none(), "fast path excludes fault models");
-        debug_assert!(v.mask_enabled(), "fast path requires mask-honouring enabled");
-        merge |= v.mask_lanes() != lanes;
-    };
-    check(first);
-    let mut rest: Vec<&mut [u64]> = wave
-        .map(|v| {
-            check(v);
-            v.storage_mut()
-        })
-        .collect();
-    for recipe in recipes {
-        debug_assert!(recipe.fast(), "the fast path runs fast recipes only");
-        assert_eq!(
-            (recipe.lanes(), recipe.regs()),
-            (lanes, regs),
-            "compiled recipe targets a different VRF geometry"
-        );
-    }
-    // The width is fixed per geometry, so it is matched once per run.
-    with_width(words, Fast { first: first.storage_mut(), rest: &mut rest, mask, recipes, merge });
+    // The width is fixed per wave, so it is matched once per run.
+    with_width(width, Fast { first, rest, mask, recipes, merge });
 }
 
 #[cfg(test)]
@@ -797,7 +798,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "read-only")]
     fn compiling_const_writes_panics_like_the_interpreter() {
-        compile(&[MicroOp::Set { out: Plane::Const(true), value: false }], 64, 4, 0);
+        compile(&[MicroOp::Set { out: Plane::Const(true), value: false }], [64, 4, 1], 0);
     }
 
     #[test]
@@ -909,13 +910,22 @@ mod tests {
                             op.apply(&mut applied);
                             assert!(applied == want, "apply: {op:?}");
                             compiled.clone_from(&base100);
-                            run_ops(&mut compiled, compile(&[op], 100, 4, 0).ops());
+                            run_ops(&mut compiled, compile(&[op], [100, 4, 1], 0).ops());
                             assert!(compiled == applied, "run_ops as {func:?}: {op:?}");
                             // The fast loop against the oracle.
                             oracle(base_fast, &mut want, op);
                             let mut fast = base_fast.clone();
-                            let recipe = Arc::new(compile(&[op], *fast_lanes, 4, 0));
-                            run_ops_fast([&mut fast], &[recipe]);
+                            let recipe = Arc::new(compile(&[op], [*fast_lanes, 4, 1], 0));
+                            let (width, mask) = (fast.words(), fast.mask_base());
+                            let merge = fast.mask_lanes() != *fast_lanes;
+                            run_ops_fast(
+                                fast.storage_mut(),
+                                &mut [],
+                                width,
+                                mask,
+                                merge,
+                                &[recipe],
+                            );
                             assert!(fast == want, "run_ops_fast as {func:?}: {op:?}");
                         }
                     }
@@ -938,7 +948,7 @@ mod tests {
                 table: 0x01,
             })
             .collect();
-        let compiled = compile(&ops, 100, 4, 0);
+        let compiled = compile(&ops, [100, 4, 1], 0);
         for op in compiled.ops() {
             assert!(
                 matches!(op, CompiledOp::Gate { kind: MicroOpKind::Lut, func: LutFn::Nor, .. }),

@@ -221,6 +221,22 @@ impl Geometry {
     pub fn usable_regs(&self) -> usize {
         self.regs_per_vrf - 2
     }
+
+    /// VRFs an MPU keeps in one [`crate::PlaneBank`]: one VRF of each RFH
+    /// when a thermal wave takes one VRF per RFH and a plane is one word,
+    /// else 1 (each VRF owns its planes).
+    ///
+    /// Such a wave is the same VRF of every RFH, so banking those VRFs
+    /// lets the wave run each micro-op as one `rfhs_per_mpu`-word kernel
+    /// call instead of one call per member. A plane of several words
+    /// already fills a kernel call, so wider VRFs gain nothing from a bank.
+    pub fn bank_vrfs(&self) -> usize {
+        if self.active_vrfs_per_rfh == 1 && self.lanes_per_vrf <= 64 {
+            self.rfhs_per_mpu
+        } else {
+            1
+        }
+    }
 }
 
 /// A calibrated PUM datapath model.

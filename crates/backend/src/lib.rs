@@ -83,8 +83,8 @@ pub mod opt;
 pub mod power;
 pub mod recipe;
 
-pub use bitplane::{BitPlaneVrf, Plane, SCRATCH_PLANES};
-pub use block::{decode_body, run_batch, BlockGraph, BlockStep, BodyLayout, Trap};
+pub use bitplane::{BitPlaneVrf, Plane, PlaneBank, VrfMut, VrfRef, VrfState, SCRATCH_PLANES};
+pub use block::{decode_body, run_batch, BlockGraph, BlockStep, BodyLayout, Trap, WaveMember};
 pub use compiled::CompiledRecipe;
 pub use datapath::{
     pj_to_fj, CostTable, DatapathBuilder, DatapathKind, DatapathModel, Geometry, RecipeCost,

@@ -20,8 +20,9 @@
 //!   bitline primitives at all; [`MicroOp::Word`] carries a whole ISA
 //!   instruction that the datapath evaluates word-serially, lane by lane.
 
-use crate::bitplane::{BitPlaneVrf, Plane};
+use crate::bitplane::{BitPlaneVrf, Plane, VrfState};
 use mpu_isa::{BinaryOp, InitValue, Instruction};
+use std::borrow::BorrowMut;
 use std::fmt;
 
 /// A single column-parallel micro-operation applied to whole bit-planes.
@@ -425,7 +426,11 @@ impl MicroOp {
     /// If the VRF carries a fault model, one transient-fault draw is made
     /// per executed micro-op against its output plane — the same sequence
     /// the compiled path draws, keeping both paths byte-identical.
-    pub fn apply(&self, vrf: &mut BitPlaneVrf) {
+    pub fn apply<S, T>(&self, vrf: &mut BitPlaneVrf<S, T>)
+    where
+        S: AsRef<[u64]> + AsMut<[u64]>,
+        T: BorrowMut<VrfState>,
+    {
         match *self {
             MicroOp::Nor { a, b, out } => vrf.apply2(a, b, out, |x, y| !(x | y)),
             MicroOp::Tra { a, b, c, out } => {
@@ -511,77 +516,106 @@ fn word_out_plane(instr: &Instruction) -> Plane {
     }
 }
 
-/// Evaluates a compute instruction word-serially against the VRF: read
-/// every operand lane, apply the shared word-level semantics
+/// Evaluates a compute instruction word-serially against the VRF, one
+/// 64-lane block at a time: read each operand the instruction reads into a
+/// stack block (one transpose), apply the shared word-level semantics
 /// ([`crate::recipe::semantics`] — the same functions the reference model
-/// uses), and write the results back under the lane mask.
+/// uses) lane by lane, and write each result block back under the lane
+/// mask. Lanes are independent and every block reads its operands before
+/// writing, so this equals reading whole registers first.
 ///
 /// Both the op-by-op oracle ([`MicroOp::apply`]) and the compiled path call
 /// this same function, so the DPU path is byte-identical between them by
 /// construction. The single
 /// per-op fault draw is made by the caller ([`MicroOp::apply`] /
 /// `compiled::run_ops`) against [`MicroOp::writes`]'s primary target.
-pub(crate) fn apply_word(vrf: &mut BitPlaneVrf, instr: &Instruction) {
+pub(crate) fn apply_word<S, T>(vrf: &mut BitPlaneVrf<S, T>, instr: &Instruction)
+where
+    S: AsRef<[u64]> + AsMut<[u64]>,
+    T: BorrowMut<VrfState>,
+{
     use crate::recipe::semantics as sem;
-    let lanes = vrf.lanes();
     let r = |id: mpu_isa::RegId| id.0 as u8;
+    let lanes = vrf.lanes();
+    let (mut x, mut y, mut z, mut out) = ([0u64; 64], [0u64; 64], [0u64; 64], [0u64; 64]);
+    for w in 0..vrf.words() {
+        let live = (lanes - 64 * w).min(64);
+        match *instr {
+            Instruction::Binary { op, rs, rt, rd } => {
+                vrf.read_block(r(rs), w, &mut x);
+                vrf.read_block(r(rt), w, &mut y);
+                // Only MUX and MAC read rd: skip its transpose for the rest.
+                if matches!(op, BinaryOp::Mac | BinaryOp::Mux) {
+                    vrf.read_block(r(rd), w, &mut z);
+                }
+                if op == BinaryOp::QRDiv {
+                    per_lane(&mut out, live, |i| sem::qrdiv(x[i], y[i]).1);
+                    vrf.store_block(r(rt), w, &mut out);
+                }
+                per_lane(&mut out, live, |i| sem::binary(op, x[i], y[i], z[i]));
+                vrf.store_block(r(rd), w, &mut out);
+            }
+            Instruction::Unary { op, rs, rd } => {
+                vrf.read_block(r(rs), w, &mut x);
+                per_lane(&mut out, live, |i| sem::unary(op, x[i]));
+                vrf.store_block(r(rd), w, &mut out);
+            }
+            Instruction::Compare { op, rs, rt } => {
+                vrf.read_block(r(rs), w, &mut x);
+                vrf.read_block(r(rt), w, &mut y);
+                let flags =
+                    (0..live).fold(0, |f, i| f | u64::from(sem::compare(op, x[i], y[i])) << i);
+                vrf.store_cond_word(w, flags);
+            }
+            Instruction::Fuzzy { rs, rt, rd } => {
+                vrf.read_block(r(rs), w, &mut x);
+                vrf.read_block(r(rt), w, &mut y);
+                vrf.read_block(r(rd), w, &mut z);
+                let flags =
+                    (0..live).fold(0, |f, i| f | u64::from(sem::fuzzy(x[i], y[i], z[i])) << i);
+                vrf.store_cond_word(w, flags);
+            }
+            Instruction::Cas { rs, rt } => {
+                vrf.read_block(r(rs), w, &mut x);
+                vrf.read_block(r(rt), w, &mut y);
+                per_lane(&mut out, live, |i| sem::cas(x[i], y[i]).0);
+                per_lane(&mut z, live, |i| sem::cas(x[i], y[i]).1);
+                vrf.store_block(r(rs), w, &mut out);
+                vrf.store_block(r(rt), w, &mut z);
+            }
+            Instruction::Init { value, rd } => {
+                let v = u64::from(value == InitValue::One);
+                per_lane(&mut out, live, |_| v);
+                vrf.store_block(r(rd), w, &mut out);
+            }
+            ref other => panic!("word micro-op carries non-compute instruction {other:?}"),
+        }
+    }
     match *instr {
-        Instruction::Binary { op, rs, rt, rd } => {
-            let xs = vrf.read_lane_values(r(rs));
-            let ys = vrf.read_lane_values(r(rt));
-            // Only MUX and MAC read rd: skip its transpose for the rest.
-            let acc = match op {
-                BinaryOp::Mac | BinaryOp::Mux => vrf.read_lane_values(r(rd)),
-                _ => vec![0; lanes],
-            };
+        Instruction::Binary { op, rt, rd, .. } => {
             if op == BinaryOp::QRDiv {
-                let rem: Vec<u64> = (0..lanes).map(|i| sem::qrdiv(xs[i], ys[i]).1).collect();
-                vrf.store_lane_values(r(rt), &rem);
+                vrf.finish_word_store(r(rt));
             }
-            let out: Vec<u64> = (0..lanes).map(|i| sem::binary(op, xs[i], ys[i], acc[i])).collect();
-            vrf.store_lane_values(r(rd), &out);
+            vrf.finish_word_store(r(rd));
         }
-        Instruction::Unary { op, rs, rd } => {
-            let xs = vrf.read_lane_values(r(rs));
-            let out: Vec<u64> = xs.iter().map(|&x| sem::unary(op, x)).collect();
-            vrf.store_lane_values(r(rd), &out);
+        Instruction::Unary { rd, .. } | Instruction::Init { rd, .. } => {
+            vrf.finish_word_store(r(rd))
         }
-        Instruction::Compare { op, rs, rt } => {
-            let xs = vrf.read_lane_values(r(rs));
-            let ys = vrf.read_lane_values(r(rt));
-            let mut packed = vec![0u64; lanes.div_ceil(64)];
-            for i in 0..lanes {
-                if sem::compare(op, xs[i], ys[i]) {
-                    packed[i / 64] |= 1 << (i % 64);
-                }
-            }
-            vrf.store_cond_words(&packed);
-        }
-        Instruction::Fuzzy { rs, rt, rd } => {
-            let xs = vrf.read_lane_values(r(rs));
-            let ys = vrf.read_lane_values(r(rt));
-            let ds = vrf.read_lane_values(r(rd));
-            let mut packed = vec![0u64; lanes.div_ceil(64)];
-            for i in 0..lanes {
-                if sem::fuzzy(xs[i], ys[i], ds[i]) {
-                    packed[i / 64] |= 1 << (i % 64);
-                }
-            }
-            vrf.store_cond_words(&packed);
-        }
+        Instruction::Compare { .. } | Instruction::Fuzzy { .. } => vrf.finish_cond_store(),
         Instruction::Cas { rs, rt } => {
-            let xs = vrf.read_lane_values(r(rs));
-            let ys = vrf.read_lane_values(r(rt));
-            let (mins, maxs): (Vec<u64>, Vec<u64>) =
-                xs.iter().zip(&ys).map(|(&x, &y)| sem::cas(x, y)).unzip();
-            vrf.store_lane_values(r(rs), &mins);
-            vrf.store_lane_values(r(rt), &maxs);
+            vrf.finish_word_store(r(rs));
+            vrf.finish_word_store(r(rt));
         }
-        Instruction::Init { value, rd } => {
-            let v = u64::from(value == InitValue::One);
-            vrf.store_lane_values(r(rd), &vec![v; lanes]);
-        }
-        ref other => panic!("word micro-op carries non-compute instruction {other:?}"),
+        _ => unreachable!("rejected above"),
+    }
+}
+
+/// `block[i] = f(i)` for the first `live` lanes of a block, zero past
+/// them: lanes the VRF does not have hold zero.
+#[inline(always)]
+fn per_lane(block: &mut [u64; 64], live: usize, mut f: impl FnMut(usize) -> u64) {
+    for (i, v) in block.iter_mut().enumerate() {
+        *v = if i < live { f(i) } else { 0 };
     }
 }
 

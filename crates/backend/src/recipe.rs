@@ -137,7 +137,15 @@ impl Recipe {
     /// interpreting [`Recipe::ops`] in order. The compiled form carries
     /// [`Self::saved_uops`] along.
     pub fn compile(&self, lanes: usize, regs: usize) -> crate::CompiledRecipe {
-        crate::compiled::compile(&self.ops, lanes, regs, self.saved_uops)
+        crate::compiled::compile(&self.ops, [lanes, regs, 1], self.saved_uops)
+    }
+
+    /// Compiles this recipe as [`Self::compile`] does, for the VRFs of a
+    /// machine of geometry `g`, kept in plane banks of
+    /// [`crate::Geometry::bank_vrfs`] members ([`crate::PlaneBank`]).
+    pub fn compile_for(&self, g: &crate::Geometry) -> crate::CompiledRecipe {
+        let layout = [g.lanes_per_vrf, g.regs_per_vrf, g.bank_vrfs()];
+        crate::compiled::compile(&self.ops, layout, self.saved_uops)
     }
 
     /// Builds a recipe from an explicit micro-op sequence.

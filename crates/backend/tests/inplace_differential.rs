@@ -9,12 +9,13 @@
 //! random micro-op soups, and aliased `out == a` / `out == b` operands.
 //! The last two properties pin the block tier's width-specialized word
 //! loops (`run_batch`) to op-by-op execution at every plane width, and its
-//! wave-wide runs to each member running its recipes alone.
+//! wave-wide runs, over every plane-bank layout, to each member running its
+//! recipes alone.
 
 use proptest::prelude::*;
 use pum_backend::{
-    build_recipe, run_batch, BitPlaneVrf, LogicFamily, MicroOp, Plane, Recipe, RecipeCtx,
-    DATA_BITS, SCRATCH_PLANES,
+    build_recipe, run_batch, BitPlaneVrf, FaultModel, Geometry, LogicFamily, MicroOp, MicroOpKind,
+    Plane, PlaneBank, Recipe, RecipeCtx, DATA_BITS, SCRATCH_PLANES,
 };
 use std::sync::Arc;
 
@@ -401,7 +402,7 @@ proptest! {
                 reference.apply(op);
             }
             compiled_vrf.run_compiled(&compiled);
-            run_batch(std::slice::from_mut(&mut batch_vrf), &[0], &[compiled]);
+            batch_vrf = run_alone(&batch_vrf, &compiled);
             let ctx = format!("{family:?}/{name} at {lanes} lanes");
             assert_engines_agree(&fast, &reference, &format!("{ctx} interpreted"));
             assert_eq!(fast, compiled_vrf, "{ctx}: compiled form diverged");
@@ -512,6 +513,17 @@ fn width_op((kind, a, b, c, out, alias): WidthSpec) -> MicroOp {
     }
 }
 
+/// `vrf` after `run_batch` runs `recipe` on it as the one member of a
+/// bank of one.
+fn run_alone(vrf: &BitPlaneVrf, recipe: &Arc<pum_backend::CompiledRecipe>) -> BitPlaneVrf {
+    let mut bank = PlaneBank::new(vrf.lanes(), vrf.regs(), 1);
+    bank.member(0).restore(&vrf.snapshot());
+    run_batch(std::slice::from_mut(&mut bank), &[(0, 0)], std::slice::from_ref(recipe));
+    let mut out = vrf.clone();
+    out.restore(&bank.member_ref(0).snapshot());
+    out
+}
+
 /// Seeded pseudo-random words (xorshift64).
 fn random_words(state: &mut u64, n: usize) -> Vec<u64> {
     (0..n)
@@ -557,7 +569,7 @@ proptest! {
             for (name, mask) in [("full", vec![!0; words]), ("partial", partial), ("empty", vec![0; words])] {
                 let mut applied = base.clone();
                 applied.set_plane_words(Plane::Mask, &mask);
-                let (mut batched, mut stepped) = (applied.clone(), applied.clone());
+                let mut stepped = applied.clone();
                 let mut reference = ref_base.clone();
                 reference.set_plane(Plane::Mask, mask);
                 for op in recipe.ops() {
@@ -565,8 +577,7 @@ proptest! {
                     reference.apply(op);
                 }
                 assert_engines_agree(&applied, &reference, &format!("{lanes} lanes, {name} mask"));
-                let run = std::slice::from_ref(&compiled);
-                run_batch(std::slice::from_mut(&mut batched), &[0], run);
+                let batched = run_alone(&stepped, &compiled);
                 stepped.run_compiled(&compiled);
                 prop_assert!(batched == applied, "run_batch at {} lanes, {} mask", lanes, name);
                 prop_assert!(stepped == applied, "run_compiled at {} lanes, {} mask", lanes, name);
@@ -587,16 +598,35 @@ fn below(state: &mut u64, n: u64) -> u64 {
     random_words(state, 1)[0] % n
 }
 
+/// A machine geometry whose VRFs sit in plane banks of `bank` members
+/// (1 unless `lanes <= 64`; see [`Geometry::bank_vrfs`]).
+fn banked(lanes: usize, bank: usize) -> Geometry {
+    let g = Geometry {
+        lanes_per_vrf: lanes,
+        regs_per_vrf: 2,
+        vrfs_per_rfh: STORE,
+        rfhs_per_mpu: bank,
+        active_vrfs_per_rfh: 1,
+        mpus_per_chip: 1,
+        mem_bytes_per_mpu: 0,
+    };
+    assert_eq!(g.bank_vrfs(), bank);
+    g
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// `run_batch` over a wave — 1 to 8 members of an 8-VRF store, distinct
-    /// or repeating one — leaves the store as running the recipes through
-    /// `run_compiled` recipe by recipe and, within each, member by member
-    /// (for distinct members: each member running its recipes alone). At
-    /// 1, 4 and 8 words per plane, with every member's mask full, partial
-    /// or empty, random fast recipes with aliased operands, and now and
-    /// then a recipe that writes the mask and so is not fast.
+    /// `run_batch` over a wave of an 8-VRF store leaves the store as
+    /// running the recipes through `run_compiled` recipe by recipe and,
+    /// within each, member by member (for distinct members: each member
+    /// running its recipes alone). The store is laid out as banks of 1, 4
+    /// or 8 members at 64 lanes, and of 1 at 256 and 512 lanes. The wave
+    /// is the whole store in order, a run of adjacent VRFs, a shuffled
+    /// subset, or 1 to 8 draws that may repeat a VRF. Every member's mask
+    /// is full, partial or empty; now and then one member has a fault
+    /// model. The recipes are random fast ones with aliased operands and,
+    /// now and then, one that writes the mask and so is not fast.
     #[test]
     fn wave_runs_match_members_running_alone(
         seed in any::<u64>(),
@@ -619,13 +649,19 @@ proptest! {
             }
             recipes.push(Recipe::from_ops(recipe));
         }
-        for lanes in [64usize, 256, 512] {
+        for (lanes, bank) in [(64usize, 1usize), (64, 4), (64, 8), (256, 1), (512, 1)] {
             let words = lanes / 64;
-            let compiled: Vec<_> = recipes.iter().map(|r| Arc::new(r.compile(lanes, 2))).collect();
+            let g = banked(lanes, bank);
+            let compiled: Vec<_> = recipes.iter().map(|r| Arc::new(r.compile_for(&g))).collect();
             let all_full = below(&mut state, 3) == 0;
-            let mut store: Vec<BitPlaneVrf> = Vec::new();
-            for _ in 0..STORE {
-                let mut vrf = BitPlaneVrf::new(lanes, 2);
+            let faulty = (below(&mut state, 4) == 0).then(|| below(&mut state, STORE as u64));
+            // Store slot `s` is member `s % bank` of bank `s / bank`.
+            let at = |s: usize| (s / bank, s % bank);
+            let mut store: Vec<PlaneBank> =
+                (0..STORE / bank).map(|_| PlaneBank::new(lanes, 2, bank)).collect();
+            for s in 0..STORE {
+                let (b, m) = at(s);
+                let mut vrf = store[b].member(m);
                 for &plane in &POOL[..OUTS] {
                     vrf.set_plane_words(plane, &random_words(&mut state, words));
                 }
@@ -635,29 +671,45 @@ proptest! {
                     _ => vec![0; words],
                 };
                 vrf.set_plane_words(Plane::Mask, &mask);
-                store.push(vrf);
-            }
-            let size = 1 + below(&mut state, 8) as usize;
-            let members: Vec<usize> = if below(&mut state, 2) == 0 {
-                // Distinct: a prefix of a shuffled store.
-                let mut slots: Vec<usize> = (0..STORE).collect();
-                for i in (1..STORE).rev() {
-                    slots.swap(i, below(&mut state, i as u64 + 1) as usize);
+                if faulty == Some(s as u64) {
+                    let mut model = FaultModel::new(seed, lanes);
+                    model.set_transient_rate(MicroOpKind::Lut, 0.5);
+                    vrf.set_fault_model(Some(model));
                 }
-                slots.truncate(size);
-                slots
-            } else {
-                (0..size).map(|_| below(&mut state, STORE as u64) as usize).collect()
+            }
+            let size = 1 + below(&mut state, STORE as u64) as usize;
+            let slots: Vec<usize> = match below(&mut state, 4) {
+                // The whole store, in order: full waves of every bank.
+                0 => (0..STORE).collect(),
+                // A run of adjacent slots.
+                1 => {
+                    let start = below(&mut state, (STORE - size + 1) as u64) as usize;
+                    (start..start + size).collect()
+                }
+                // Distinct: a prefix of a shuffled store.
+                2 => {
+                    let mut slots: Vec<usize> = (0..STORE).collect();
+                    for i in (1..STORE).rev() {
+                        slots.swap(i, below(&mut state, i as u64 + 1) as usize);
+                    }
+                    slots.truncate(size);
+                    slots
+                }
+                _ => (0..size).map(|_| below(&mut state, STORE as u64) as usize).collect(),
             };
+            let members: Vec<(usize, usize)> = slots.iter().map(|&s| at(s)).collect();
             let mut want = store.clone();
             for recipe in &compiled {
-                for &m in &members {
-                    want[m].run_compiled(recipe);
+                for &(b, m) in &members {
+                    want[b].member(m).run_compiled(recipe);
                 }
             }
             run_batch(&mut store, &members, &compiled);
-            for (slot, (got, want)) in store.iter().zip(&want).enumerate() {
-                prop_assert!(got == want, "VRF {} at {} lanes, wave {:?}", slot, lanes, members);
+            for (b, (got, want)) in store.iter().zip(&want).enumerate() {
+                prop_assert!(
+                    got == want,
+                    "bank {} of {} at {} lanes, wave {:?}", b, bank, lanes, members
+                );
             }
         }
     }

@@ -16,8 +16,8 @@ use crate::stats::{EnergyStats, FaultStats, Stats};
 use crate::trace::{FaultAction, InstrClass, TraceEvent, TraceKind, Tracer, UopMix};
 use mpu_isa::{Instruction, MpuId, Program, COND_REG};
 use pum_backend::{
-    pj_to_fj, run_batch, BitPlaneVrf, BlockGraph, BlockStep, BodyLayout, CompiledRecipe, Plane,
-    Trap,
+    pj_to_fj, run_batch, BlockGraph, BlockStep, BodyLayout, CompiledRecipe, Geometry, Plane,
+    PlaneBank, Trap, VrfMut, VrfRef, WaveMember,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -414,33 +414,66 @@ impl RunControl {
     }
 }
 
-/// An MPU's VRFs, each powered on at first touch: dense storage that a
-/// thermal wave borrows whole ([`run_batch`]), and a sorted
-/// `(rfh, vrf) → slot` index. A wave pass resolves its members to slots
-/// once, so a batched run looks nothing up.
+/// An MPU's VRFs, each powered on at first touch, kept in plane banks of
+/// [`Geometry::bank_vrfs`] VRFs that a thermal wave borrows whole
+/// ([`run_batch`]), with a sorted `(rfh, vrf) → (bank, member)` index. A
+/// bank holds VRF `vrf` of adjacent RFHs, RFH-minor: member `m` of bank
+/// `(h, vrf)` is RFH `h × width + m`. A wave that takes VRF `vrf` of every
+/// RFH is then adjacent members of one bank, and runs each micro-op as one
+/// wide VRF. A wave pass resolves its members once, so a batched run looks
+/// nothing up.
 #[derive(Debug, Clone, Default)]
 struct VrfStore {
+    /// Every bank a powered-on VRF lives in, in creation order.
+    banks: Vec<PlaneBank>,
+    /// `((rfh / width, vrf), bank)` of every bank, sorted by key.
+    bank_index: Vec<((u16, u16), usize)>,
     /// Powered-on VRFs, in power-on order.
-    vrfs: Vec<BitPlaneVrf>,
-    /// `((rfh, vrf), slot)` of every powered-on VRF, sorted by key.
-    index: Vec<((u16, u16), usize)>,
+    powered: Vec<WaveMember>,
+    /// `((rfh, vrf), at)` of every powered-on VRF, sorted by key.
+    index: Vec<((u16, u16), WaveMember)>,
 }
 
 impl VrfStore {
-    fn slot(&self, key: (u16, u16)) -> Option<usize> {
+    fn get(&self, key: (u16, u16)) -> Option<WaveMember> {
         let at = self.index.binary_search_by_key(&key, |&(k, _)| k).ok()?;
         Some(self.index[at].1)
     }
 
-    /// Stores a newly powered-on VRF; returns its slot.
-    fn insert(&mut self, key: (u16, u16), vrf: BitPlaneVrf) -> usize {
-        let slot = self.vrfs.len();
+    /// Powers on VRF `key` of a machine of geometry `g`, creating its bank
+    /// at the first touch of any member; returns where it lives. A member
+    /// of a new bank is as [`pum_backend::BitPlaneVrf::new`] leaves a VRF.
+    fn insert(&mut self, key: (u16, u16), g: &Geometry) -> WaveMember {
+        let width = g.bank_vrfs();
+        let bank_key = (key.0 / width as u16, key.1);
+        let bank = match self.bank_index.binary_search_by_key(&bank_key, |&(k, _)| k) {
+            Ok(at) => self.bank_index[at].1,
+            Err(at) => {
+                self.bank_index.insert(at, (bank_key, self.banks.len()));
+                self.banks.push(PlaneBank::new(g.lanes_per_vrf, g.regs_per_vrf, width));
+                self.banks.len() - 1
+            }
+        };
+        let member = (bank, usize::from(key.0) % width);
         match self.index.binary_search_by_key(&key, |&(k, _)| k) {
             Ok(_) => unreachable!("a VRF powers on once"),
-            Err(at) => self.index.insert(at, (key, slot)),
+            Err(at) => self.index.insert(at, (key, member)),
         }
-        self.vrfs.push(vrf);
-        slot
+        self.powered.push(member);
+        member
+    }
+
+    fn member(&mut self, (bank, m): WaveMember) -> VrfMut<'_> {
+        self.banks[bank].member(m)
+    }
+
+    fn member_ref(&self, (bank, m): WaveMember) -> VrfRef<'_> {
+        self.banks[bank].member_ref(m)
+    }
+
+    /// Snapshots of every powered-on VRF, in power-on order.
+    fn snapshots(&self) -> Vec<Vec<u64>> {
+        self.powered.iter().map(|&at| self.member_ref(at).snapshot()).collect()
     }
 }
 
@@ -485,7 +518,7 @@ impl MpuCheckpoint {
     /// Approximate host-memory footprint in 64-bit words (VRF planes
     /// dominate) — lets a scheduler budget checkpoint retention.
     pub fn words(&self) -> usize {
-        self.vrfs.vrfs.iter().map(|v| v.snapshot().len()).sum()
+        self.vrfs.snapshots().iter().map(Vec::len).sum()
     }
 }
 
@@ -684,15 +717,15 @@ impl Mpu {
         Ok(())
     }
 
-    fn vrf_mut(&mut self, rfh: u16, vrf: u16) -> &mut BitPlaneVrf {
-        let slot = self.vrf_slot(rfh, vrf);
-        &mut self.vrfs.vrfs[slot]
+    fn vrf_mut(&mut self, rfh: u16, vrf: u16) -> VrfMut<'_> {
+        let at = self.vrf_slot(rfh, vrf);
+        self.vrfs.member(at)
     }
 
-    /// The store slot of a VRF, powering it on at first touch.
-    fn vrf_slot(&mut self, rfh: u16, vrf: u16) -> usize {
-        match self.vrfs.slot((rfh, vrf)) {
-            Some(slot) => slot,
+    /// Where a VRF lives in the store, powering it on at first touch.
+    fn vrf_slot(&mut self, rfh: u16, vrf: u16) -> WaveMember {
+        match self.vrfs.get((rfh, vrf)) {
+            Some(at) => at,
             None => self.init_vrf(rfh, vrf),
         }
     }
@@ -700,12 +733,12 @@ impl Mpu {
     /// Powers on one VRF: attaches its derived fault model (stuck lanes
     /// assert from power-on) and, under the remap policy, runs the boot
     /// self-test that power-gates dead lanes and maps the logical vector
-    /// onto the healthy ones. Returns its store slot.
-    fn init_vrf(&mut self, rfh: u16, vrf: u16) -> usize {
+    /// onto the healthy ones. Returns where it lives in the store.
+    fn init_vrf(&mut self, rfh: u16, vrf: u16) -> WaveMember {
         let g = self.config.datapath.geometry();
-        let mut v = BitPlaneVrf::new(g.lanes_per_vrf, g.regs_per_vrf);
+        let at = self.vrfs.insert((rfh, vrf), &g);
         if self.config.fault.enabled() {
-            v.set_fault_model(self.config.fault.vrf_model(
+            self.vrfs.member(at).set_fault_model(self.config.fault.vrf_model(
                 self.config.datapath.family(),
                 self.id.0,
                 rfh,
@@ -713,11 +746,11 @@ impl Mpu {
                 g.lanes_per_vrf,
             ));
             if self.config.recovery.remap {
-                let map = self.self_test_and_remap(&mut v, g.lanes_per_vrf);
+                let map = self.self_test_and_remap(at, g.lanes_per_vrf);
                 self.lane_maps.insert((rfh, vrf), map);
             }
         }
-        self.vrfs.insert((rfh, vrf), v)
+        at
     }
 
     /// Boot self-test: march an all-ones then an all-zeros pattern through
@@ -726,7 +759,8 @@ impl Mpu {
     /// mask, so they never participate again) and the logical vector is
     /// packed onto the remaining healthy lanes, spending the configured
     /// spares first. The march and repack are charged as transfer work.
-    fn self_test_and_remap(&mut self, v: &mut BitPlaneVrf, lanes: usize) -> Vec<usize> {
+    fn self_test_and_remap(&mut self, at: WaveMember, lanes: usize) -> Vec<usize> {
+        let mut v = self.vrfs.member(at);
         v.write_lane_values(0, &vec![u64::MAX; lanes]);
         let ones = v.read_lane_values(0);
         v.write_lane_values(0, &vec![0; lanes]);
@@ -768,8 +802,8 @@ impl Mpu {
     /// lane map (identity when remapping is off).
     fn write_lanes_logical(&mut self, rfh: u16, vrf: u16, reg: u8, values: &[u64]) {
         let lanes = self.config.datapath.geometry().lanes_per_vrf;
-        let slot = self.vrf_slot(rfh, vrf); // materialize (runs the boot self-test)
-        let v = &mut self.vrfs.vrfs[slot];
+        let at = self.vrf_slot(rfh, vrf); // materialize (runs the boot self-test)
+        let mut v = self.vrfs.member(at);
         match self.lane_maps.get(&(rfh, vrf)) {
             Some(map) => {
                 let mut physical = vec![0u64; lanes];
@@ -864,7 +898,9 @@ impl Mpu {
     /// power in Baseline mode) and returns a snapshot of the statistics.
     pub fn finish(&mut self) -> Stats {
         let mut delta = Stats::default();
-        delta.faults.injected = self.vrfs.vrfs.iter_mut().map(BitPlaneVrf::take_injected).sum();
+        let (vrfs, powered) = (&mut self.vrfs.banks, &self.vrfs.powered);
+        delta.faults.injected =
+            powered.iter().map(|&(b, m)| vrfs[b].member(m).take_injected()).sum();
         match self.config.mode {
             // Power × cycles is not a whole number of fJ per cycle
             // (72942.93656 fJ for the default front end), so the product is
@@ -1059,7 +1095,7 @@ impl Mpu {
         let start_pc = self.pc;
         // One snapshot per store slot; slots past its end power on during
         // an attempt.
-        let checkpoint: Vec<Vec<u64>> = self.vrfs.vrfs.iter().map(BitPlaneVrf::snapshot).collect();
+        let checkpoint = self.vrfs.snapshots();
         // Checkpointing streams every live register row out to stable
         // storage: charge it as transfer work.
         let stream = self.transfer(checkpoint.iter().map(|s| s.len() as u64).sum());
@@ -1077,7 +1113,9 @@ impl Mpu {
                 {
                     restarts += 1;
                     self.pc = start_pc;
-                    for (slot, v) in self.vrfs.vrfs.iter_mut().enumerate() {
+                    let (banks, powered) = (&mut self.vrfs.banks, &self.vrfs.powered);
+                    for (slot, &(b, m)) in powered.iter().enumerate() {
+                        let mut v = banks[b].member(m);
                         match checkpoint.get(slot) {
                             Some(snap) => v.restore(snap),
                             None => {
@@ -1221,9 +1259,10 @@ impl Mpu {
         // The members power on here, so the pass resolves them to store
         // slots once. Reset masks: an ensemble starts with all lanes
         // enabled.
-        let members: Vec<usize> = wave.iter().map(|&(rfh, vrf)| self.vrf_slot(rfh, vrf)).collect();
-        for &slot in &members {
-            self.vrfs.vrfs[slot].fill_plane(Plane::Mask, true);
+        let members: Vec<WaveMember> =
+            wave.iter().map(|&(rfh, vrf)| self.vrf_slot(rfh, vrf)).collect();
+        for &at in &members {
+            self.vrfs.member(at).fill_plane(Plane::Mask, true);
         }
 
         loop {
@@ -1284,7 +1323,7 @@ impl Mpu {
                             };
                         if cached.compiled.fast() {
                             if run.is_empty() {
-                                let vrfs = members.iter().map(|&slot| &self.vrfs.vrfs[slot]);
+                                let vrfs = members.iter().map(|&at| self.vrfs.member_ref(at));
                                 run_enabled = vrfs.map(|v| v.mask_lanes() as u64).sum();
                             }
                             self.charge_exec(&cached, wave.len(), run_enabled, cycles, line);
@@ -1299,8 +1338,8 @@ impl Mpu {
                     i += 1;
                 }
                 BlockStep::SetMask(rs) => {
-                    for &slot in &members {
-                        let v = &mut self.vrfs.vrfs[slot];
+                    for &at in &members {
+                        let mut v = self.vrfs.member(at);
                         if rs == COND_REG {
                             v.copy_plane(Plane::Cond, Plane::Mask);
                         } else {
@@ -1310,8 +1349,8 @@ impl Mpu {
                     i += 1;
                 }
                 BlockStep::GetMask(rd) => {
-                    for &slot in &members {
-                        let v = &mut self.vrfs.vrfs[slot];
+                    for &at in &members {
+                        let mut v = self.vrfs.member(at);
                         v.set_mask_enabled(false);
                         v.copy_plane(Plane::Mask, Plane::Reg { reg: rd.0 as u8, bit: 0 });
                         for bit in 1..64 {
@@ -1322,8 +1361,8 @@ impl Mpu {
                     i += 1;
                 }
                 BlockStep::Unmask => {
-                    for &slot in &members {
-                        self.vrfs.vrfs[slot].fill_plane(Plane::Mask, true);
+                    for &at in &members {
+                        self.vrfs.member(at).fill_plane(Plane::Mask, true);
                     }
                     i += 1;
                 }
@@ -1333,8 +1372,9 @@ impl Mpu {
                     offload_batch = false;
                     // EFI: jump back (continue the loop) while any lane of
                     // any wave VRF remains enabled (§VI-B semantics).
-                    let any_enabled =
-                        members.iter().any(|&slot| self.vrfs.vrfs[slot].any_lane_set(Plane::Mask));
+                    let any_enabled = members
+                        .iter()
+                        .any(|&at| self.vrfs.member_ref(at).any_lane_set(Plane::Mask));
                     i = if any_enabled { target as usize } else { i + 1 };
                 }
                 BlockStep::Call(target) => {
@@ -1357,8 +1397,8 @@ impl Mpu {
                 BlockStep::Nop => i += 1,
                 BlockStep::Exit => {
                     // Leave predication clean for the next ensemble.
-                    for &slot in &members {
-                        self.vrfs.vrfs[slot].fill_plane(Plane::Mask, true);
+                    for &at in &members {
+                        self.vrfs.member(at).fill_plane(Plane::Mask, true);
                     }
                     return Ok(line);
                 }
@@ -1375,9 +1415,9 @@ impl Mpu {
     /// applied to every member before the next, as the compute controller
     /// broadcasts it; a wave that names a VRF twice runs instruction by
     /// instruction, member by member, as the single-step tiers do.
-    fn execute_run(&mut self, members: &[usize], run: &mut Vec<Arc<CompiledRecipe>>) {
+    fn execute_run(&mut self, members: &[WaveMember], run: &mut Vec<Arc<CompiledRecipe>>) {
         if !run.is_empty() {
-            run_batch(&mut self.vrfs.vrfs, members, run);
+            run_batch(&mut self.vrfs.banks, members, run);
             run.clear();
         }
     }
@@ -1467,7 +1507,7 @@ impl Mpu {
     ) {
         let mut enabled = 0;
         for &(rfh, vrf) in wave {
-            let v = self.vrf_mut(rfh, vrf);
+            let mut v = self.vrf_mut(rfh, vrf);
             enabled += v.mask_lanes() as u64;
             v.run_compiled(&cached.compiled);
         }

@@ -53,9 +53,10 @@ pub struct CachedRecipe {
 /// A process-wide memo of compiled templates, shared across concurrent
 /// simulations.
 ///
-/// Templates are keyed by `(RecipeCtx, encoded instruction, lanes, regs)`:
-/// synthesis is a pure function of the first two, and compilation adds the
-/// VRF geometry, so datapaths that agree on logic family, temporary
+/// Templates are keyed by `(RecipeCtx, encoded instruction, lanes, regs,
+/// bank)`: synthesis is a pure function of the first two, and compilation
+/// adds the VRF geometry and the plane-bank width its offsets are laid out
+/// for ([`Geometry::bank_vrfs`]), so datapaths that agree on logic family, temporary
 /// registers, optimizer configuration, costs *and* geometry (including
 /// ablated variants of the same [`pum_backend::DatapathKind`]) reuse each
 /// other's work safely — and datapaths that disagree on any of them, say an
@@ -128,9 +129,9 @@ struct Shape {
 }
 
 /// Memo key for a template or a shape: synthesis context, encoded
-/// instruction (or shape), and the VRF geometry `(lanes, regs)` it was
+/// instruction (or shape), and the VRF layout `(lanes, regs, bank)` it was
 /// compiled for.
-type TemplateKey = (RecipeCtx, u32, usize, usize);
+type TemplateKey = (RecipeCtx, u32, usize, usize, usize);
 
 /// Memo key for a block graph: the encoded laid-out body
 /// ([`pum_backend::BodyLayout`]; collision-proof — the words *are* the
@@ -139,7 +140,7 @@ type TemplateKey = (RecipeCtx, u32, usize, usize);
 type BlockKey = (Vec<u32>, usize);
 
 fn key(ctx: RecipeCtx, instr: &Instruction, g: &Geometry) -> TemplateKey {
-    (ctx, instr.encode(), g.lanes_per_vrf, g.regs_per_vrf)
+    (ctx, instr.encode(), g.lanes_per_vrf, g.regs_per_vrf, g.bank_vrfs())
 }
 
 impl RecipePool {
@@ -188,7 +189,7 @@ impl RecipePool {
         let preloaded = read(&self.preloaded).get(&(ctx, key.1)).cloned();
         let (entry, hit) = if let Some(recipe) = preloaded {
             self.count(true);
-            let compiled = Arc::new(recipe.compile(g.lanes_per_vrf, g.regs_per_vrf));
+            let compiled = Arc::new(recipe.compile_for(&g));
             (CachedRecipe { compiled, cost: ctx.recipe_cost(&recipe, g.lanes_per_vrf) }, true)
         } else {
             let shape = pum_backend::recipe_shape(&ctx, instr)?;
@@ -235,7 +236,7 @@ impl RecipePool {
         let (recipe, opt) = datapath.recipe_with_stats(shape)?;
         self.shape_misses.fetch_add(1, Ordering::Relaxed);
         let form = Shape {
-            compiled: Arc::new(recipe.compile(g.lanes_per_vrf, g.regs_per_vrf)),
+            compiled: Arc::new(recipe.compile_for(g)),
             cost: ctx.recipe_cost(&recipe, g.lanes_per_vrf),
             opt,
         };
@@ -300,7 +301,7 @@ impl RecipePool {
     pub fn preload(&self, ctx: RecipeCtx, instr: &Instruction, recipe: Recipe) {
         let word = instr.encode();
         write(&self.preloaded).insert((ctx, word), Arc::new(recipe));
-        write(&self.templates).retain(|&(c, w, _, _), _| !(c == ctx && w == word));
+        write(&self.templates).retain(|&(c, w, ..), _| !(c == ctx && w == word));
     }
 
     /// Number of memoized templates.
@@ -714,7 +715,7 @@ mod tests {
     /// `instr`'s own recipe on `dp`, compiled for its geometry.
     fn direct(dp: &DatapathModel, instr: &Instruction) -> CompiledRecipe {
         let g = dp.geometry();
-        dp.recipe(instr).unwrap().compile(g.lanes_per_vrf, g.regs_per_vrf)
+        dp.recipe(instr).unwrap().compile_for(&g)
     }
 
     #[test]
@@ -804,7 +805,7 @@ mod tests {
             let got = pool.get_or_build_compiled(&dp, &sibling).unwrap();
             assert!(*got.compiled == direct(&dp, &sibling), "built first: {before:?}");
             let preloaded = pool.get_or_build_compiled(&dp, &target).unwrap();
-            let want = corrupt().compile(g.lanes_per_vrf, g.regs_per_vrf);
+            let want = corrupt().compile_for(&g);
             assert!(*preloaded.compiled == want, "the preloaded recipe is served");
             assert_eq!(preloaded.cost, dp.recipe_cost(&corrupt()));
             assert_eq!(pool.stats().shape_misses, 1);

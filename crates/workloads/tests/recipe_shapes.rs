@@ -60,7 +60,7 @@ fn assert_pool_matches_direct(dp: &DatapathModel, instrs: &[Instruction]) -> (u6
         let pooled = outcome(|| pool.get_or_build_compiled(dp, instr));
         let direct = synthesized.and_then(|built| match built {
             Some((recipe, _)) => outcome(|| {
-                let compiled = recipe.compile(g.lanes_per_vrf, g.regs_per_vrf);
+                let compiled = recipe.compile_for(&g);
                 Some((recipe, compiled))
             }),
             None => Ok(None),
