@@ -472,6 +472,15 @@ impl DatapathModel {
         self.geometry
     }
 
+    /// Why `instr`'s register operands cannot run on this datapath
+    /// ([`Instruction::operand_error`] against its VRF and the temporaries
+    /// its recipes reserve), or `None` when they can. These are the facts
+    /// recipe synthesis asserts, so an instruction that passes never
+    /// reaches a synthesis or compile panic.
+    pub fn operand_error(&self, instr: &Instruction) -> Option<mpu_isa::OperandError> {
+        instr.operand_error(self.geometry.regs_per_vrf, self.recipe_ctx().reserved_temps())
+    }
+
     /// Recipe-synthesis context: family, reserved temp registers, optimizer
     /// configuration, and every cost a [`RecipeCost`] reads. It keys every
     /// recipe memo, so models that disagree on any of these share nothing.

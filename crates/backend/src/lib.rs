@@ -95,7 +95,7 @@ pub use features::{supports, Feature, Platform};
 pub use logic::{FamilyTable, GateBuilder, LogicFamily};
 pub use microop::{lut3_word, word_kind, MicroOp, MicroOpKind, Planes};
 pub use opt::{optimize, OptConfig, OptRule, OptStats, RuleStats};
-pub use recipe::{build_recipe, operand_out_of_range, recipe_shape, semantics, Recipe, RecipeCtx};
+pub use recipe::{build_recipe, recipe_shape, semantics, Recipe, RecipeCtx};
 
 /// Bits per vector data element (mirrors [`mpu_isa::DATA_BITS`]).
 pub const DATA_BITS: u32 = mpu_isa::DATA_BITS;

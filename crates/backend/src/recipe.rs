@@ -65,6 +65,14 @@ pub struct RecipeCtx {
 }
 
 impl RecipeCtx {
+    /// The temporary registers this context's recipes may overwrite: the
+    /// two [`Self::temp_regs`] for bit-serial families, none for a
+    /// word-serial one (its recipes need no temporaries).
+    pub fn reserved_temps(&self) -> Option<(RegId, RegId)> {
+        let (a, b) = self.temp_regs;
+        (!self.family.word_serial()).then_some((RegId(a.into()), RegId(b.into())))
+    }
+
     /// What `recipe` costs under this context on a VRF of `lanes` lanes:
     /// a pure function of the recipe memo key, so every memoized compiled
     /// form carries exactly the costs its key names.
@@ -195,7 +203,11 @@ fn rp(reg: u16, bit: usize) -> Plane {
 /// # Panics
 ///
 /// Panics if a multi-step instruction aliases `rd` with a source register
-/// (see module docs), or if a register index exceeds 63.
+/// (see module docs), if a divide-family operand is a reserved temporary,
+/// or if a register index exceeds 63. [`crate::DatapathModel::operand_error`]
+/// rejects the first two from the same facts
+/// ([`BinaryOp::rd_excludes_sources`], [`BinaryOp::uses_temps`]), so these
+/// panics are invariants no checked instruction reaches.
 pub fn build_recipe(ctx: RecipeCtx, instr: &Instruction) -> Option<Recipe> {
     if ctx.family.word_serial() {
         return build_word_recipe(instr);
@@ -249,21 +261,6 @@ pub fn recipe_shape(ctx: &RecipeCtx, instr: &Instruction) -> Option<Instruction>
     })
 }
 
-/// The first register operand of `instr`, in operand order, that a VRF
-/// of `regs` registers does not have, or `None` when every operand fits
-/// (and for instructions without a recipe). A template with such an operand
-/// cannot resolve the register's planes.
-pub fn operand_out_of_range(instr: &Instruction, regs: usize) -> Option<RegId> {
-    let mut first = None;
-    map_operands(instr, |r| {
-        if first.is_none() && usize::from(r.0) >= regs {
-            first = Some(r);
-        }
-        r
-    });
-    first
-}
-
 /// `instr` with each register operand replaced by `f` of it, called in
 /// operand order (`rs`, `rt`, `rd`); `None` for instructions without a
 /// recipe.
@@ -301,14 +298,7 @@ pub(crate) fn operands(instr: &Instruction) -> Vec<u16> {
 /// bit-serial builders so the same programs are legal on every backend.
 fn build_word_recipe(instr: &Instruction) -> Option<Recipe> {
     match *instr {
-        Instruction::Binary { op, rs, rt, rd } => match op {
-            BinaryOp::Mul => assert_no_alias("MUL", rd.0, &[rs.0, rt.0]),
-            BinaryOp::Mac => assert_no_alias("MAC", rd.0, &[rs.0, rt.0]),
-            BinaryOp::QDiv | BinaryOp::QRDiv | BinaryOp::RDiv => {
-                assert_no_alias(op.mnemonic(), rd.0, &[rs.0, rt.0]);
-            }
-            _ => {}
-        },
+        Instruction::Binary { op, rs, rt, rd } => assert_no_alias(op, rd.0, &[rs.0, rt.0]),
         Instruction::Unary { .. }
         | Instruction::Compare { .. }
         | Instruction::Fuzzy { .. }
@@ -324,6 +314,7 @@ fn build_word_recipe(instr: &Instruction) -> Option<Recipe> {
 }
 
 fn build_binary(g: &mut GateBuilder, ctx: RecipeCtx, op: BinaryOp, rs: u16, rt: u16, rd: u16) {
+    assert_no_alias(op, rd, &[rs, rt]);
     match op {
         BinaryOp::Add => ripple_add(g, rs, rt, rd, false),
         BinaryOp::Sub => ripple_add(g, rs, rt, rd, true),
@@ -352,14 +343,12 @@ fn build_binary(g: &mut GateBuilder, ctx: RecipeCtx, op: BinaryOp, rs: u16, rt: 
             g.release(lt);
         }
         BinaryOp::Mul => {
-            assert_no_alias("MUL", rd, &[rs, rt]);
             for j in 0..W {
                 g.set(rp(rd, j), false);
             }
             shift_add_multiply(g, rs, rt, rd);
         }
         BinaryOp::Mac => {
-            assert_no_alias("MAC", rd, &[rs, rt]);
             shift_add_multiply(g, rs, rt, rd);
         }
         BinaryOp::QDiv | BinaryOp::QRDiv | BinaryOp::RDiv => {
@@ -368,10 +357,13 @@ fn build_binary(g: &mut GateBuilder, ctx: RecipeCtx, op: BinaryOp, rs: u16, rt: 
     }
 }
 
-fn assert_no_alias(mnemonic: &str, rd: u16, sources: &[u16]) {
+/// Asserts that `rd` aliases none of `sources` when `op`'s recipe writes
+/// `rd` while still reading them ([`BinaryOp::rd_excludes_sources`]).
+fn assert_no_alias(op: BinaryOp, rd: u16, sources: &[u16]) {
     assert!(
-        !sources.contains(&rd),
-        "{mnemonic}: rd must not alias a source register (multi-step recipe)"
+        !op.rd_excludes_sources() || !sources.contains(&rd),
+        "{}: rd must not alias a source register (multi-step recipe)",
+        op.mnemonic()
     );
 }
 
@@ -456,11 +448,10 @@ fn restoring_divide(g: &mut GateBuilder, ctx: RecipeCtx, op: BinaryOp, rs: u16, 
         BinaryOp::QRDiv => "QRDIV",
         _ => "RDIV",
     };
-    assert_no_alias(mnemonic, rd, &[rs, rt]);
     let (ta, tb) = ctx.temp_regs;
     let (ta, tb) = (ta as u16, tb as u16);
     assert!(
-        ![rs, rt, rd].contains(&ta) && ![rs, rt, rd].contains(&tb),
+        !op.uses_temps() || (![rs, rt, rd].contains(&ta) && ![rs, rt, rd].contains(&tb)),
         "{mnemonic}: operands collide with reserved temp registers r{ta}/r{tb}"
     );
     let writes_quotient = matches!(op, BinaryOp::QDiv | BinaryOp::QRDiv);

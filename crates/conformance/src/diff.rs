@@ -33,6 +33,7 @@ pub fn ref_geometry(model: &DatapathModel) -> RefGeometry {
         rfhs_per_mpu: g.rfhs_per_mpu,
         active_vrfs_per_rfh: g.active_vrfs_per_rfh,
         mpus_per_chip: g.mpus_per_chip,
+        reserved_temps: model.recipe_ctx().reserved_temps(),
     }
 }
 

@@ -108,6 +108,7 @@ fn ref_geometry(kind: DatapathKind) -> RefGeometry {
         rfhs_per_mpu: g.rfhs_per_mpu,
         active_vrfs_per_rfh: g.active_vrfs_per_rfh,
         mpus_per_chip: g.mpus_per_chip,
+        reserved_temps: DatapathModel::for_kind(kind).recipe_ctx().reserved_temps(),
     }
 }
 

@@ -88,6 +88,51 @@ impl BinaryOp {
             BinaryOp::Min => "MIN",
         }
     }
+
+    /// True for the multi-step operations whose recipe writes `rd` while
+    /// it still reads `rs` and `rt`, so `rd` must alias neither: `MUL`,
+    /// `MAC` and the divide family.
+    pub fn rd_excludes_sources(self) -> bool {
+        matches!(
+            self,
+            BinaryOp::Mul | BinaryOp::Mac | BinaryOp::QDiv | BinaryOp::QRDiv | BinaryOp::RDiv
+        )
+    }
+
+    /// True for the divide family, whose bit-serial recipe keeps its
+    /// partial remainder in the two reserved temporary registers, so no
+    /// operand may be one of them.
+    pub fn uses_temps(self) -> bool {
+        matches!(self, BinaryOp::QDiv | BinaryOp::QRDiv | BinaryOp::RDiv)
+    }
+}
+
+/// Why a compute instruction's register operands cannot run on a VRF
+/// ([`Instruction::operand_error`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum OperandError {
+    /// The VRF has no such register.
+    OutOfRange(RegId),
+    /// `rd` aliases a source of an operation that must not
+    /// ([`BinaryOp::rd_excludes_sources`]).
+    AliasedDestination(RegId),
+    /// An operand of an operation that uses the reserved temporaries
+    /// ([`BinaryOp::uses_temps`]) is one of them.
+    ReservedTemp(RegId),
+}
+
+impl fmt::Display for OperandError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            OperandError::OutOfRange(r) => write!(f, "register r{} is not in the VRF", r.0),
+            OperandError::AliasedDestination(r) => {
+                write!(f, "rd r{} aliases a source of a multi-step operation", r.0)
+            }
+            OperandError::ReservedTemp(r) => {
+                write!(f, "operand r{} is a reserved temporary register", r.0)
+            }
+        }
+    }
 }
 
 impl fmt::Display for BinaryOp {
@@ -351,6 +396,39 @@ pub enum Instruction {
 }
 
 impl Instruction {
+    /// The first reason this compute instruction's register operands
+    /// cannot run on a VRF of `regs` registers whose recipes reserve the
+    /// temporaries `temps` (`None` on a datapath that reserves none), or
+    /// `None` when they can. In order: every operand, in operand order
+    /// (`rs`, `rt`, `rd`), is in range; `rd` aliases no source of an
+    /// operation that [excludes it](BinaryOp::rd_excludes_sources); no
+    /// operand of an operation that [uses the temporaries](BinaryOp::uses_temps)
+    /// is one of them. Instructions without register operands always pass.
+    pub fn operand_error(
+        &self,
+        regs: usize,
+        temps: Option<(RegId, RegId)>,
+    ) -> Option<OperandError> {
+        let (operands, n) = match *self {
+            Instruction::Binary { rs, rt, rd, .. } | Instruction::Fuzzy { rs, rt, rd } => {
+                ([rs, rt, rd], 3)
+            }
+            Instruction::Unary { rs, rd, .. } => ([rs, rd, rd], 2),
+            Instruction::Compare { rs, rt, .. } | Instruction::Cas { rs, rt } => ([rs, rt, rt], 2),
+            Instruction::Init { rd, .. } => ([rd; 3], 1),
+            _ => return None,
+        };
+        if let Some(&r) = operands[..n].iter().find(|r| usize::from(r.0) >= regs) {
+            return Some(OperandError::OutOfRange(r));
+        }
+        let Instruction::Binary { op, rs, rt, rd } = *self else { return None };
+        if op.rd_excludes_sources() && (rd == rs || rd == rt) {
+            return Some(OperandError::AliasedDestination(rd));
+        }
+        let (a, b) = temps.filter(|_| op.uses_temps())?;
+        [rs, rt, rd].into_iter().find(|&r| r == a || r == b).map(OperandError::ReservedTemp)
+    }
+
     /// The Table II mnemonic for this instruction.
     pub fn mnemonic(&self) -> &'static str {
         match self {
@@ -480,6 +558,39 @@ mod tests {
             Instruction::Fuzzy { rs: RegId(0), rt: RegId(1), rd: RegId(2) }.writes_conditional()
         );
         assert!(!Instruction::Cas { rs: RegId(0), rt: RegId(1) }.writes_conditional());
+    }
+
+    #[test]
+    fn operand_errors_come_in_rule_order() {
+        let bin = |op, rs, rt, rd| Instruction::Binary {
+            op,
+            rs: RegId(rs),
+            rt: RegId(rt),
+            rd: RegId(rd),
+        };
+        let temps = Some((RegId(14), RegId(15)));
+        let err = |i: Instruction| i.operand_error(16, temps);
+        assert_eq!(err(bin(BinaryOp::Add, 3, 3, 3)), None, "ADD may alias");
+        assert_eq!(err(bin(BinaryOp::Mul, 3, 14, 15)), None, "MUL may use the temps");
+        assert_eq!(
+            err(bin(BinaryOp::Mul, 1, 3, 3)),
+            Some(OperandError::AliasedDestination(RegId(3)))
+        );
+        assert_eq!(err(bin(BinaryOp::QDiv, 15, 1, 2)), Some(OperandError::ReservedTemp(RegId(15))));
+        assert_eq!(
+            bin(BinaryOp::QDiv, 15, 1, 2).operand_error(16, None),
+            None,
+            "no temps reserved"
+        );
+        // Range first, then aliasing, then temps.
+        assert_eq!(err(bin(BinaryOp::Mul, 16, 16, 16)), Some(OperandError::OutOfRange(RegId(16))));
+        assert_eq!(
+            err(bin(BinaryOp::RDiv, 14, 1, 14)),
+            Some(OperandError::AliasedDestination(RegId(14)))
+        );
+        let popc = Instruction::Unary { op: UnaryOp::ALL[0], rs: RegId(1), rd: RegId(20) };
+        assert_eq!(err(popc), Some(OperandError::OutOfRange(RegId(20))));
+        assert_eq!(err(Instruction::Nop), None);
     }
 
     #[test]

@@ -55,7 +55,7 @@ mod validate;
 
 pub use encode::DecodeError;
 pub use ids::{LineNum, MpuId, RegId, RfhId, VrfId};
-pub use instr::{BinaryOp, CompareOp, InitValue, Instruction, UnaryOp};
+pub use instr::{BinaryOp, CompareOp, InitValue, Instruction, OperandError, UnaryOp};
 pub use program::Program;
 pub use text::ParseAsmError;
 pub use validate::{ValidateError, ValidateErrorKind};

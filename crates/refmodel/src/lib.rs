@@ -58,6 +58,8 @@ mod machine;
 pub mod semantics;
 mod system;
 
+use mpu_isa::RegId;
+
 pub use machine::{
     run_ref, LaneInit, RefError, RefEvent, RefMessage, RefMpu, RefStep, RefTrace, RefWrite,
     RETURN_STACK_DEPTH,
@@ -82,6 +84,10 @@ pub struct RefGeometry {
     pub active_vrfs_per_rfh: usize,
     /// Iso-area MPU budget per chip (bounds [`RefSystem`] size).
     pub mpus_per_chip: usize,
+    /// The two registers the datapath's divide recipes keep temporaries
+    /// in, which no divide operand may name; `None` when its recipes
+    /// reserve none (a word-serial datapath).
+    pub reserved_temps: Option<(RegId, RegId)>,
 }
 
 impl RefGeometry {
@@ -94,6 +100,7 @@ impl RefGeometry {
             rfhs_per_mpu: 8,
             active_vrfs_per_rfh: 1,
             mpus_per_chip: 497,
+            reserved_temps: Some((RegId(14), RegId(15))),
         }
     }
 
@@ -106,6 +113,7 @@ impl RefGeometry {
             rfhs_per_mpu: 8,
             active_vrfs_per_rfh: 256,
             mpus_per_chip: 450,
+            reserved_temps: Some((RegId(14), RegId(15))),
         }
     }
 
@@ -118,6 +126,7 @@ impl RefGeometry {
             rfhs_per_mpu: 8,
             active_vrfs_per_rfh: 256,
             mpus_per_chip: 12,
+            reserved_temps: Some((RegId(14), RegId(15))),
         }
     }
 }

@@ -5,7 +5,7 @@
 
 use crate::semantics;
 use crate::RefGeometry;
-use mpu_isa::{Instruction, Program, COND_REG};
+use mpu_isa::{Instruction, OperandError, Program, COND_REG};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -26,6 +26,15 @@ pub enum RefError {
         line: usize,
         /// Description of the violation.
         what: String,
+    },
+    /// A compute instruction's operands break a rule of its recipe
+    /// ([`Instruction::operand_error`]): `rd` aliases a source of a
+    /// multi-step operation, or a divide operand is a reserved temporary.
+    IllegalOperand {
+        /// Offending instruction index.
+        line: usize,
+        /// The rule broken.
+        error: OperandError,
     },
     /// `RETURN` with an empty return-address stack inside an ensemble.
     ReturnUnderflow {
@@ -63,6 +72,9 @@ impl fmt::Display for RefError {
             RefError::InvalidProgram(m) => write!(f, "invalid program: {m}"),
             RefError::GeometryExceeded { line, what } => {
                 write!(f, "line {line}: geometry exceeded: {what}")
+            }
+            RefError::IllegalOperand { line, error } => {
+                write!(f, "line {line}: illegal operand: {error}")
             }
             RefError::ReturnUnderflow { line } => {
                 write!(f, "line {line}: RETURN with empty return-address stack")
@@ -523,30 +535,16 @@ impl RefMpu {
         instr: &Instruction,
         wave: &[(u16, u16)],
     ) -> Result<(), RefError> {
-        // Validate register operands once (identically for every member).
-        match *instr {
-            Instruction::Binary { rs, rt, rd, .. } => {
-                self.check_reg(line, rs.0)?;
-                self.check_reg(line, rt.0)?;
-                self.check_reg(line, rd.0)?;
+        // Validate register operands once (identically for every member),
+        // by the rule the simulator applies.
+        let g = &self.geometry;
+        match instr.operand_error(g.regs_per_vrf, g.reserved_temps) {
+            None => {}
+            Some(OperandError::OutOfRange(reg)) => {
+                let what = format!("register r{} >= {}", reg.0, g.regs_per_vrf);
+                return Err(RefError::GeometryExceeded { line, what });
             }
-            Instruction::Unary { rs, rd, .. } => {
-                self.check_reg(line, rs.0)?;
-                self.check_reg(line, rd.0)?;
-            }
-            Instruction::Compare { rs, rt, .. } | Instruction::Cas { rs, rt } => {
-                self.check_reg(line, rs.0)?;
-                self.check_reg(line, rt.0)?;
-            }
-            Instruction::Fuzzy { rs, rt, rd } => {
-                self.check_reg(line, rs.0)?;
-                self.check_reg(line, rt.0)?;
-                self.check_reg(line, rd.0)?;
-            }
-            Instruction::Init { rd, .. } => {
-                self.check_reg(line, rd.0)?;
-            }
-            _ => unreachable!("exec_compute_instr only sees compute-class instructions"),
+            Some(error) => return Err(RefError::IllegalOperand { line, error }),
         }
         for &(rfh, vrf) in wave {
             let v = self.vrf_mut(rfh, vrf);

@@ -3,7 +3,8 @@
 //!
 //! Every job is validated *before* it can occupy a queue slot: the
 //! program must parse, fit the instruction/statement ceilings, stay
-//! within the backend's geometry, avoid inter-MPU communication (the
+//! within the backend's geometry, give every compute instruction operands
+//! its recipe can take, avoid inter-MPU communication (the
 //! service schedules single-MPU jobs), and carry a bounded number of
 //! data-dependent loops (each of which is fenced at runtime by the
 //! per-ensemble instruction watchdog). A rejected submission costs the
@@ -11,8 +12,8 @@
 
 use crate::health::HealthState;
 use crate::job::{JobSpec, Priority, ProgramSource};
-use mpu_isa::{Instruction, Program};
-use pum_backend::Geometry;
+use mpu_isa::{Instruction, OperandError, Program};
+use pum_backend::{DatapathModel, Geometry};
 use std::fmt;
 
 /// Per-job resource ceilings enforced at admission.
@@ -107,6 +108,15 @@ pub enum AdmitError {
         /// What went out of range.
         what: String,
     },
+    /// A compute instruction's operands break a rule of its recipe
+    /// ([`DatapathModel::operand_error`]): `rd` aliases a source of a
+    /// multi-step operation, or a divide operand is a reserved temporary.
+    IllegalOperand {
+        /// Offending instruction index.
+        line: usize,
+        /// The rule broken.
+        error: OperandError,
+    },
     /// Total input words exceed the ceiling.
     TooManyInputWords {
         /// Requested words.
@@ -136,6 +146,7 @@ impl AdmitError {
             AdmitError::TooManyDynamicLoops { .. } => "too_many_dynamic_loops",
             AdmitError::CommNotSupported { .. } => "comm_not_supported",
             AdmitError::GeometryExceeded { .. } => "geometry_exceeded",
+            AdmitError::IllegalOperand { .. } => "illegal_operand",
             AdmitError::TooManyInputWords { .. } => "too_many_input_words",
             AdmitError::InvalidRequest { .. } => "invalid_request",
         }
@@ -171,6 +182,9 @@ impl fmt::Display for AdmitError {
                 write!(f, "instruction {line}: SEND/RECV not supported by the service")
             }
             AdmitError::GeometryExceeded { what } => write!(f, "geometry exceeded: {what}"),
+            AdmitError::IllegalOperand { line, error } => {
+                write!(f, "instruction {line}: illegal operand: {error}")
+            }
             AdmitError::TooManyInputWords { words, limit } => {
                 write!(f, "too many input words: {words} (limit {limit})")
             }
@@ -186,8 +200,9 @@ impl std::error::Error for AdmitError {}
 pub(crate) fn build_program(
     spec: &JobSpec,
     limits: &SubmissionLimits,
-    geometry: &Geometry,
+    datapath: &DatapathModel,
 ) -> Result<Program, AdmitError> {
+    let geometry = &datapath.geometry();
     let program = match &spec.program {
         ProgramSource::EzText(text) => {
             let ez = ezpim::parse(text)
@@ -236,8 +251,9 @@ pub(crate) fn build_program(
                 check_rfh(geometry, src.index(), format!("instruction {line} MOVE src"))?;
                 check_rfh(geometry, dst.index(), format!("instruction {line} MOVE dst"))?;
             }
-            _ => {
-                if let Some(reg) = pum_backend::operand_out_of_range(instr, geometry.regs_per_vrf) {
+            _ => match datapath.operand_error(instr) {
+                None => {}
+                Some(OperandError::OutOfRange(reg)) => {
                     return Err(AdmitError::GeometryExceeded {
                         what: format!(
                             "instruction {line} {}: reg {} >= {}",
@@ -247,7 +263,8 @@ pub(crate) fn build_program(
                         ),
                     });
                 }
-            }
+                Some(error) => return Err(AdmitError::IllegalOperand { line, error }),
+            },
         }
     }
 
@@ -301,8 +318,8 @@ mod tests {
     use crate::job::RegInit;
     use pum_backend::{DatapathKind, DatapathModel};
 
-    fn geo() -> Geometry {
-        DatapathModel::for_kind(DatapathKind::Racer).geometry()
+    fn geo() -> DatapathModel {
+        DatapathModel::for_kind(DatapathKind::Racer)
     }
 
     fn spec(text: &str) -> JobSpec {

@@ -217,8 +217,8 @@ impl Service {
     /// Validates and admits a job; returns its id or a typed rejection.
     pub fn submit(&self, spec: JobSpec) -> Result<JobId, AdmitError> {
         let cfg = &self.shared.config;
-        let geometry = SimConfig::mpu(spec.backend).datapath.geometry();
-        let program = Arc::new(build_program(&spec, &cfg.limits, &geometry)?);
+        let datapath = SimConfig::mpu(spec.backend).datapath;
+        let program = Arc::new(build_program(&spec, &cfg.limits, &datapath)?);
 
         let mut st = lock(&self.shared);
         if st.shutting_down {

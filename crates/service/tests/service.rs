@@ -2,6 +2,7 @@
 //! cancellation, retry exhaustion, panic isolation, checkpoint
 //! preemption, chaos worker kills, and the Unix-socket protocol.
 
+use mpu_isa::{OperandError, RegId};
 use pum_backend::DatapathKind;
 use service::{
     server, AdmitError, FaultRequest, JobError, JobPhase, JobSpec, Priority, ProgramSource,
@@ -114,6 +115,68 @@ fn operand_registers_out_of_range_are_rejected_at_admission() {
     let result = service.wait(id).unwrap().result.expect("later job succeeds");
     assert_eq!(result.outputs[0].values[0], 42);
     assert_eq!(service.health().completed, 1);
+    service.shutdown();
+}
+
+/// Submits `COMPUTE h0 v0 / body / COMPUTE_DONE` on `kind`.
+fn submit_body(service: &Service, kind: DatapathKind, body: &str) -> Result<u64, AdmitError> {
+    let mut spec = add_spec("mallory");
+    spec.backend = kind;
+    spec.program = ProgramSource::Asm(format!("COMPUTE h0 v0\n{body}\nCOMPUTE_DONE"));
+    service.submit(spec)
+}
+
+#[test]
+fn aliased_multi_step_destinations_are_rejected_at_admission() {
+    // `rd` aliasing a source of MUL, MAC or a divide would otherwise panic
+    // in recipe synthesis inside the worker.
+    let service = Service::start(ServiceConfig { workers: 1, ..Default::default() });
+    for kind in DatapathKind::ALL {
+        for (body, rd) in [("MUL r3 r3 r3", 3), ("MAC r1 r2 r2", 2), ("QDIV r4 r5 r4", 4)] {
+            match submit_body(&service, kind, body).unwrap_err() {
+                AdmitError::IllegalOperand { line: 1, error } => {
+                    assert_eq!(
+                        error,
+                        OperandError::AliasedDestination(RegId(rd)),
+                        "{kind:?} `{body}`"
+                    )
+                }
+                other => panic!("{kind:?} `{body}`: expected an illegal operand, got {other:?}"),
+            }
+        }
+    }
+    // `ADD` may alias: it writes each bit after reading it.
+    assert!(submit_body(&service, DatapathKind::Racer, "ADD r3 r3 r3").is_ok());
+    let id = service.submit(add_spec("alice")).unwrap();
+    let result = service.wait(id).unwrap().result.expect("later job succeeds");
+    assert_eq!(result.outputs[0].values[0], 42);
+    service.shutdown();
+}
+
+#[test]
+fn divide_operands_on_reserved_temps_are_rejected_at_admission() {
+    // A bit-serial divide keeps its partial remainder in r14/r15; the
+    // word-serial DPU reserves no temporaries, so it admits these.
+    let service = Service::start(ServiceConfig { workers: 1, ..Default::default() });
+    for kind in DatapathKind::ALL {
+        for (body, temp) in
+            [("QDIV r15 r1 r2", 15), ("RDIV r1 r14 r2", 14), ("QRDIV r1 r2 r15", 15)]
+        {
+            match (kind, submit_body(&service, kind, body)) {
+                (DatapathKind::Dpu, admitted) => {
+                    let id = admitted.expect("the DPU admits divides on r14/r15");
+                    let outcome = service.wait(id).unwrap();
+                    assert!(outcome.result.is_ok(), "DPU `{body}`: {:?}", outcome.result);
+                }
+                (_, Err(AdmitError::IllegalOperand { line: 1, error })) => {
+                    assert_eq!(error, OperandError::ReservedTemp(RegId(temp)), "{kind:?} `{body}`")
+                }
+                (_, other) => {
+                    panic!("{kind:?} `{body}`: expected an illegal operand, got {other:?}")
+                }
+            }
+        }
+    }
     service.shutdown();
 }
 

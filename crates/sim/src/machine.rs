@@ -14,7 +14,7 @@ use crate::fault::Redundancy;
 use crate::recipe_cache::{RecipeCache, RecipePool};
 use crate::stats::{EnergyStats, FaultStats, Stats};
 use crate::trace::{FaultAction, InstrClass, TraceEvent, TraceKind, Tracer, UopMix};
-use mpu_isa::{Instruction, MpuId, Program, COND_REG};
+use mpu_isa::{Instruction, MpuId, OperandError, Program, COND_REG};
 use pum_backend::{
     pj_to_fj, run_batch, BlockGraph, BlockStep, BodyLayout, CompiledRecipe, Geometry, Plane,
     PlaneBank, Trap, VrfMut, VrfRef, WaveMember,
@@ -42,6 +42,15 @@ pub enum SimError {
         line: usize,
         /// Description of the violation.
         what: String,
+    },
+    /// A compute instruction's operands break a rule of its recipe
+    /// ([`mpu_isa::Instruction::operand_error`]): `rd` aliases a source of
+    /// a multi-step operation, or a divide operand is a reserved temporary.
+    IllegalOperand {
+        /// Offending instruction index.
+        line: usize,
+        /// The rule broken.
+        error: OperandError,
     },
     /// A `RETURN` executed with an empty return-address stack inside an
     /// ensemble body.
@@ -209,6 +218,9 @@ impl fmt::Display for SimError {
             SimError::InvalidProgram(m) => write!(f, "invalid program: {m}"),
             SimError::GeometryExceeded { line, what } => {
                 write!(f, "line {line}: geometry exceeded: {what}")
+            }
+            SimError::IllegalOperand { line, error } => {
+                write!(f, "line {line}: illegal operand: {error}")
             }
             SimError::ReturnUnderflow { line } => {
                 write!(f, "line {line}: RETURN with empty return-address stack")
@@ -1447,8 +1459,10 @@ impl Mpu {
 
     /// Probes the template table for a compute instruction and charges its
     /// decode (hit, or miss penalty) and the instruction count. Returns the
-    /// template and its issue cycles, or [`SimError::GeometryExceeded`],
-    /// charging nothing, for an operand register the VRF does not have.
+    /// template and its issue cycles, or, charging nothing,
+    /// [`SimError::GeometryExceeded`] for an operand register the VRF does
+    /// not have and [`SimError::IllegalOperand`] for operands its recipe
+    /// cannot take.
     fn issue_compute(
         &mut self,
         instr: &Instruction,
@@ -1462,11 +1476,12 @@ impl Mpu {
             Ok(None) => {
                 return Err(SimError::RecipeUnavailable { line, mnemonic: instr.mnemonic() })
             }
-            Err(reg) => {
+            Err(OperandError::OutOfRange(reg)) => {
                 let regs = self.config.datapath.geometry().regs_per_vrf;
                 let what = format!("{} register {reg} >= {regs}", instr.mnemonic());
                 return Err(SimError::GeometryExceeded { line, what });
             }
+            Err(error) => return Err(SimError::IllegalOperand { line, error }),
         };
         let penalty = self.config.control.recipe_miss_penalty;
         // Decode cost: MPU caches templates; Baseline decodes every time.

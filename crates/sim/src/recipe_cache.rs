@@ -29,7 +29,7 @@
 //! synthesis, optimization and compilation, so every template equals
 //! [`DatapathModel::recipe_with_stats`] of its instruction, compiled.
 
-use mpu_isa::{Instruction, RegId};
+use mpu_isa::{Instruction, OperandError};
 use pum_backend::{
     BlockGraph, CompiledRecipe, DatapathModel, Geometry, OptStats, Recipe, RecipeCost, RecipeCtx,
 };
@@ -410,15 +410,20 @@ impl RecipeCache {
     ///
     /// # Panics
     ///
-    /// Panics on an operand register the VRF does not have, as compiling
-    /// the instruction's recipe would.
+    /// Panics on operands the datapath cannot run
+    /// ([`DatapathModel::operand_error`]): on a register the VRF does not
+    /// have with the text compiling the recipe would give.
     pub fn lookup(
         &mut self,
         datapath: &DatapathModel,
         instr: &Instruction,
     ) -> Option<(CachedRecipe, bool)> {
-        let found = self.lookup_traced(datapath, instr).unwrap_or_else(|reg| {
-            panic!("register {} out of range (VRF has {})", reg.0, datapath.geometry().regs_per_vrf)
+        let found = self.lookup_traced(datapath, instr).unwrap_or_else(|error| match error {
+            OperandError::OutOfRange(reg) => {
+                let regs = datapath.geometry().regs_per_vrf;
+                panic!("register {} out of range (VRF has {regs})", reg.0)
+            }
+            error => panic!("`{instr}`: {error}"),
         });
         found.map(|(entry, outcome)| (entry, outcome.hit))
     }
@@ -441,15 +446,15 @@ impl RecipeCache {
     /// [`RecipePool`], whether the pool already had the template. Used by
     /// the tracing layer; architectural accounting is identical.
     ///
-    /// A miss on an instruction with an operand register the VRF does not
-    /// have returns that register as the error, touching no counter. A
-    /// template never enters the table with such an operand, so a hit
-    /// needs no check.
+    /// A miss on an instruction whose operands the datapath cannot run
+    /// ([`DatapathModel::operand_error`]) returns why, touching no
+    /// counter. A template never enters the table with such operands, so a
+    /// hit needs no check.
     pub(crate) fn lookup_traced(
         &mut self,
         datapath: &DatapathModel,
         instr: &Instruction,
-    ) -> Result<Option<(CachedRecipe, LookupOutcome)>, RegId> {
+    ) -> Result<Option<(CachedRecipe, LookupOutcome)>, OperandError> {
         self.refresh_ctx(datapath);
         let key = instr.encode();
         if let Some((entry, stamp)) = self.entries.get_mut(&key) {
@@ -460,9 +465,8 @@ impl RecipeCache {
             self.hits += 1;
             return Ok(Some((entry.clone(), LookupOutcome { hit: true, pool: None })));
         }
-        let regs = datapath.geometry().regs_per_vrf;
-        if let Some(reg) = pum_backend::operand_out_of_range(instr, regs) {
-            return Err(reg);
+        if let Some(error) = datapath.operand_error(instr) {
+            return Err(error);
         }
         let Some((entry, template_hit)) = self.pool.build_compiled(datapath, instr) else {
             return Ok(None);
@@ -546,7 +550,7 @@ impl RecipeCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpu_isa::BinaryOp;
+    use mpu_isa::{BinaryOp, RegId};
 
     fn add(rd: u16) -> Instruction {
         Instruction::Binary { op: BinaryOp::Add, rs: RegId(0), rt: RegId(1), rd: RegId(rd) }
@@ -773,13 +777,29 @@ mod tests {
         assert_eq!(dp.geometry().regs_per_vrf, 16);
         let mut cache = RecipeCache::new(4);
         let bad = reg3(BinaryOp::Add, 0, 1, 16);
-        assert!(matches!(cache.lookup_traced(&dp, &bad), Err(RegId(16))));
+        assert!(matches!(cache.lookup_traced(&dp, &bad), Err(OperandError::OutOfRange(RegId(16)))));
         assert_eq!((cache.tick(), cache.hits(), cache.misses(), cache.len()), (0, 0, 0, 0));
         // `lookup` panics with the text compiling the recipe would give.
         let lookup = std::panic::AssertUnwindSafe(|| cache.lookup(&dp, &bad));
         let payload = std::panic::catch_unwind(lookup).unwrap_err();
         let msg = payload.downcast_ref::<String>().map(String::as_str);
         assert_eq!(msg, Some("register 16 out of range (VRF has 16)"));
+    }
+
+    #[test]
+    fn illegal_operands_miss_without_counting() {
+        let dp = DatapathModel::racer();
+        let mut cache = RecipeCache::new(4);
+        for (bad, want) in [
+            (reg3(BinaryOp::Mul, 3, 3, 3), OperandError::AliasedDestination(RegId(3))),
+            (reg3(BinaryOp::QDiv, 15, 1, 2), OperandError::ReservedTemp(RegId(15))),
+        ] {
+            assert_eq!(cache.lookup_traced(&dp, &bad).err(), Some(want), "{bad}");
+        }
+        assert_eq!((cache.tick(), cache.hits(), cache.misses(), cache.len()), (0, 0, 0, 0));
+        // The word-serial DPU reserves no temporaries.
+        let divide = reg3(BinaryOp::QDiv, 15, 1, 2);
+        assert!(cache.lookup_traced(&DatapathModel::dpu(), &divide).is_ok());
     }
 
     #[test]
