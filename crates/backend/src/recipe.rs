@@ -443,11 +443,7 @@ fn shift_add_multiply(g: &mut GateBuilder, rs: u16, rt: u16, rd: u16) {
 /// zero yields an all-ones quotient and remainder `rs`, the natural output
 /// of the restoring-division hardware.
 fn restoring_divide(g: &mut GateBuilder, ctx: RecipeCtx, op: BinaryOp, rs: u16, rt: u16, rd: u16) {
-    let mnemonic = match op {
-        BinaryOp::QDiv => "QDIV",
-        BinaryOp::QRDiv => "QRDIV",
-        _ => "RDIV",
-    };
+    let mnemonic = op.mnemonic();
     let (ta, tb) = ctx.temp_regs;
     let (ta, tb) = (ta as u16, tb as u16);
     assert!(

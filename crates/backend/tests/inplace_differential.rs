@@ -614,19 +614,113 @@ fn banked(lanes: usize, bank: usize) -> Geometry {
     g
 }
 
+/// A shuffled prefix of the store's slots: distinct members.
+fn distinct_slots(state: &mut u64, size: usize) -> Vec<usize> {
+    let mut slots: Vec<usize> = (0..STORE).collect();
+    for i in (1..STORE).rev() {
+        slots.swap(i, below(state, i as u64 + 1) as usize);
+    }
+    slots.truncate(size);
+    slots
+}
+
+/// Draws of the store's slots that may repeat one.
+fn repeating_slots(state: &mut u64, size: usize) -> Vec<usize> {
+    (0..size).map(|_| below(state, STORE as u64) as usize).collect()
+}
+
+/// The wave property: for each `(lanes, bank)` layout, an 8-VRF store in
+/// banks of `bank` members, seeded planes, and every member's mask full,
+/// partial or empty; with `faults`, now and then one member gets a fault
+/// model. `run_batch` over the wave `slots` draws must leave the store as
+/// running the recipes through `run_compiled` recipe by recipe and,
+/// within each, member by member (for distinct members: each member
+/// running its recipes alone). The recipes are cut from `specs`: random
+/// fast ones with aliased operands and, now and then, one that writes the
+/// mask and so is not fast.
+fn check_wave_runs(
+    seed: u64,
+    specs: Vec<WidthSpec>,
+    layouts: &[(usize, usize)],
+    faults: bool,
+    slots: impl Fn(&mut u64, usize) -> Vec<usize>,
+) -> Result<(), TestCaseError> {
+    let mut state = seed | 1;
+    let mut ops: Vec<MicroOp> = specs.into_iter().map(width_op).collect();
+    // Cut the stream into recipes of 1 to 16 ops; a quarter of them end
+    // by loading the mask, which takes them off the fast loop.
+    let mut recipes = Vec::new();
+    while !ops.is_empty() {
+        let len = ops.len().min(1 + below(&mut state, 16) as usize);
+        let mut recipe: Vec<MicroOp> = ops.drain(..len).collect();
+        if below(&mut state, 4) == 0 {
+            let a = POOL[below(&mut state, POOL.len() as u64) as usize];
+            recipe.push(MicroOp::Copy { a, out: Plane::Mask });
+        }
+        recipes.push(Recipe::from_ops(recipe));
+    }
+    for &(lanes, bank) in layouts {
+        let words = lanes / 64;
+        let g = banked(lanes, bank);
+        let compiled: Vec<_> = recipes.iter().map(|r| Arc::new(r.compile_for(&g))).collect();
+        let all_full = below(&mut state, 3) == 0;
+        let faulty = (faults && below(&mut state, 4) == 0).then(|| below(&mut state, 8) as usize);
+        // Store slot `s` is member `s % bank` of bank `s / bank`.
+        let at = |s: usize| (s / bank, s % bank);
+        let mut store: Vec<PlaneBank> =
+            (0..STORE / bank).map(|_| PlaneBank::new(lanes, 2, bank)).collect();
+        for s in 0..STORE {
+            let (b, m) = at(s);
+            let mut vrf = store[b].member(m);
+            for &plane in &POOL[..OUTS] {
+                vrf.set_plane_words(plane, &random_words(&mut state, words));
+            }
+            let mask = match if all_full { 0 } else { below(&mut state, 3) } {
+                0 => vec![!0; words],
+                1 => random_words(&mut state, words),
+                _ => vec![0; words],
+            };
+            vrf.set_plane_words(Plane::Mask, &mask);
+            if faulty == Some(s) {
+                let mut model = FaultModel::new(seed, lanes);
+                model.set_transient_rate(MicroOpKind::Lut, 0.5);
+                vrf.set_fault_model(Some(model));
+            }
+        }
+        let size = 1 + below(&mut state, STORE as u64) as usize;
+        let members: Vec<(usize, usize)> = slots(&mut state, size).into_iter().map(at).collect();
+        let mut want = store.clone();
+        for recipe in &compiled {
+            for &(b, m) in &members {
+                want[b].member(m).run_compiled(recipe);
+            }
+        }
+        run_batch(&mut store, &members, &compiled);
+        for (b, (got, want)) in store.iter().zip(&want).enumerate() {
+            prop_assert!(
+                got == want,
+                "bank {} of {} at {} lanes, wave {:?}",
+                b,
+                bank,
+                lanes,
+                members
+            );
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// `run_batch` over a wave of an 8-VRF store leaves the store as
-    /// running the recipes through `run_compiled` recipe by recipe and,
-    /// within each, member by member (for distinct members: each member
-    /// running its recipes alone). The store is laid out as banks of 1, 4
-    /// or 8 members at 64 lanes, and of 1 at 256 and 512 lanes. The wave
-    /// is the whole store in order, a run of adjacent VRFs, a shuffled
-    /// subset, or 1 to 8 draws that may repeat a VRF. Every member's mask
-    /// is full, partial or empty; now and then one member has a fault
-    /// model. The recipes are random fast ones with aliased operands and,
-    /// now and then, one that writes the mask and so is not fast.
+    /// `run_batch` over a wave — 1 to 8 members of an 8-VRF store, distinct
+    /// or repeating one — leaves the store as running the recipes through
+    /// `run_compiled` recipe by recipe and, within each, member by member
+    /// (for distinct members: each member running its recipes alone). At
+    /// 1, 4 and 8 words per plane, each VRF owning its planes, with every
+    /// member's mask full, partial or empty, random fast recipes with
+    /// aliased operands, and now and then a recipe that writes the mask
+    /// and so is not fast.
     #[test]
     fn wave_runs_match_members_running_alone(
         seed in any::<u64>(),
@@ -635,82 +729,38 @@ proptest! {
             48,
         ),
     ) {
-        let mut state = seed | 1;
-        let mut ops: Vec<MicroOp> = specs.into_iter().map(width_op).collect();
-        // Cut the stream into recipes of 1 to 16 ops; a quarter of them
-        // end by loading the mask, which takes them off the fast loop.
-        let mut recipes = Vec::new();
-        while !ops.is_empty() {
-            let len = ops.len().min(1 + below(&mut state, 16) as usize);
-            let mut recipe: Vec<MicroOp> = ops.drain(..len).collect();
-            if below(&mut state, 4) == 0 {
-                let a = POOL[below(&mut state, POOL.len() as u64) as usize];
-                recipe.push(MicroOp::Copy { a, out: Plane::Mask });
+        let layouts = [(64, 1), (256, 1), (512, 1)];
+        check_wave_runs(seed, specs, &layouts, false, |state, size| {
+            if below(state, 2) == 0 {
+                distinct_slots(state, size)
+            } else {
+                repeating_slots(state, size)
             }
-            recipes.push(Recipe::from_ops(recipe));
-        }
-        for (lanes, bank) in [(64usize, 1usize), (64, 4), (64, 8), (256, 1), (512, 1)] {
-            let words = lanes / 64;
-            let g = banked(lanes, bank);
-            let compiled: Vec<_> = recipes.iter().map(|r| Arc::new(r.compile_for(&g))).collect();
-            let all_full = below(&mut state, 3) == 0;
-            let faulty = (below(&mut state, 4) == 0).then(|| below(&mut state, STORE as u64));
-            // Store slot `s` is member `s % bank` of bank `s / bank`.
-            let at = |s: usize| (s / bank, s % bank);
-            let mut store: Vec<PlaneBank> =
-                (0..STORE / bank).map(|_| PlaneBank::new(lanes, 2, bank)).collect();
-            for s in 0..STORE {
-                let (b, m) = at(s);
-                let mut vrf = store[b].member(m);
-                for &plane in &POOL[..OUTS] {
-                    vrf.set_plane_words(plane, &random_words(&mut state, words));
-                }
-                let mask = match if all_full { 0 } else { below(&mut state, 3) } {
-                    0 => vec![!0; words],
-                    1 => random_words(&mut state, words),
-                    _ => vec![0; words],
-                };
-                vrf.set_plane_words(Plane::Mask, &mask);
-                if faulty == Some(s as u64) {
-                    let mut model = FaultModel::new(seed, lanes);
-                    model.set_transient_rate(MicroOpKind::Lut, 0.5);
-                    vrf.set_fault_model(Some(model));
-                }
+        })?;
+    }
+
+    /// The wave property over plane banks: at 64 lanes, the store is banks
+    /// of 1, 4 or 8 members, and the wave is the whole store in order
+    /// (full waves of every bank), a run of adjacent VRFs (a contiguous
+    /// or partial wave), a shuffled subset, or draws that may repeat a
+    /// VRF; now and then one member has a fault model.
+    #[test]
+    fn bank_waves_match_members_running_alone(
+        seed in any::<u64>(),
+        specs in prop::collection::vec(
+            (any::<u8>(), 0usize..64, 0usize..64, 0usize..64, 0usize..64, any::<u8>()),
+            48,
+        ),
+    ) {
+        let layouts = [(64, 1), (64, 4), (64, 8)];
+        check_wave_runs(seed, specs, &layouts, true, |state, size| match below(state, 4) {
+            0 => (0..STORE).collect(),
+            1 => {
+                let start = below(state, (STORE - size + 1) as u64) as usize;
+                (start..start + size).collect()
             }
-            let size = 1 + below(&mut state, STORE as u64) as usize;
-            let slots: Vec<usize> = match below(&mut state, 4) {
-                // The whole store, in order: full waves of every bank.
-                0 => (0..STORE).collect(),
-                // A run of adjacent slots.
-                1 => {
-                    let start = below(&mut state, (STORE - size + 1) as u64) as usize;
-                    (start..start + size).collect()
-                }
-                // Distinct: a prefix of a shuffled store.
-                2 => {
-                    let mut slots: Vec<usize> = (0..STORE).collect();
-                    for i in (1..STORE).rev() {
-                        slots.swap(i, below(&mut state, i as u64 + 1) as usize);
-                    }
-                    slots.truncate(size);
-                    slots
-                }
-                _ => (0..size).map(|_| below(&mut state, STORE as u64) as usize).collect(),
-            };
-            let members: Vec<(usize, usize)> = slots.iter().map(|&s| at(s)).collect();
-            let mut want = store.clone();
-            for recipe in &compiled {
-                for &(b, m) in &members {
-                    want[b].member(m).run_compiled(recipe);
-                }
-            }
-            run_batch(&mut store, &members, &compiled);
-            for (b, (got, want)) in store.iter().zip(&want).enumerate() {
-                prop_assert!(
-                    got == want,
-                    "bank {} of {} at {} lanes, wave {:?}", b, bank, lanes, members
-                );
-            }
-        }
+            2 => distinct_slots(state, size),
+            _ => repeating_slots(state, size),
+        })?;
     }
 }
