@@ -35,10 +35,11 @@
 //! bookkeeping path ([`run_ops`]) reaches it through
 //! [`BitPlaneVrf::plane_op`], which picks the width per op and finishes
 //! each write; the fast loop ([`run_ops_fast`]) picks the width once per
-//! run of recipes and applies each op to every VRF of a wave before the
-//! next op, so at the shipped widths (1, 4 and 8 words per plane) every op
-//! is decoded once per wave and runs as one fully unrolled `[u64; W]`
-//! load-compute-store per VRF.
+//! run of recipes and applies each op to every storage of a wave before
+//! the next op, so at the shipped widths (1, 4 and 8 words per plane)
+//! every op is decoded once per wave and runs as one fully unrolled
+//! `[u64; W]` load-compute-store per storage. A full RACER wave is one
+//! storage, its plane bank, at 8 words ([`crate::PlaneBank`]).
 //!
 //! Compilation changes no plane write: a compiled recipe executes the
 //! *same* plane writes, with the same fault-site draws, in the same order
