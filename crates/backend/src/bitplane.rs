@@ -419,8 +419,9 @@ impl<S: AsRef<[u64]>, T: Borrow<VrfState>> BitPlaneVrf<S, T> {
 
 impl<S: AsRef<[u64]> + AsMut<[u64]>, T: BorrowMut<VrfState>> BitPlaneVrf<S, T> {
     /// Sets the planes a VRF holds at power-on: the mask all enabled and
-    /// the `const1` plane all ones.
-    fn power_on(&mut self) {
+    /// the `const1` plane all ones. Together with all-zero planes elsewhere
+    /// this is the power-on image.
+    pub fn power_on(&mut self) {
         self.fill_plane(Plane::Mask, true);
         let c1 = self.base(Plane::Const(true));
         self.plane_op([c1; 3], c1, false, fill(true));

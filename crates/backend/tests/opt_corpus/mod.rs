@@ -5,11 +5,6 @@
 
 use mpu_isa::{BinaryOp, CompareOp, InitValue, Instruction, RegId, UnaryOp};
 
-/// Multi-step binary ops: `rd` must not alias a source.
-fn multi_step(op: BinaryOp) -> bool {
-    matches!(op, BinaryOp::Mul | BinaryOp::Mac | BinaryOp::QDiv | BinaryOp::QRDiv | BinaryOp::RDiv)
-}
-
 /// The corpus, in the order the digests hash it.
 pub fn corpus() -> Vec<Instruction> {
     let r = RegId;
@@ -18,7 +13,7 @@ pub fn corpus() -> Vec<Instruction> {
         v.push(Instruction::Binary { op, rs: r(0), rt: r(1), rd: r(2) });
         // Sources may always alias each other.
         v.push(Instruction::Binary { op, rs: r(3), rt: r(3), rd: r(4) });
-        if !multi_step(op) {
+        if !op.rd_excludes_sources() {
             v.push(Instruction::Binary { op, rs: r(0), rt: r(1), rd: r(0) });
             v.push(Instruction::Binary { op, rs: r(0), rt: r(1), rd: r(1) });
             v.push(Instruction::Binary { op, rs: r(5), rt: r(5), rd: r(5) });

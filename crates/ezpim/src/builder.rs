@@ -374,11 +374,7 @@ impl Body<'_> {
         *self.statements += 1;
         // Eagerly reject the aliasing the recipes cannot implement.
         if let Instruction::Binary { op, rs, rt, rd } = instr {
-            let multi_step = matches!(
-                op,
-                BinaryOp::Mul | BinaryOp::Mac | BinaryOp::QDiv | BinaryOp::QRDiv | BinaryOp::RDiv
-            );
-            if multi_step && (rd == rs || rd == rt) {
+            if op.rd_excludes_sources() && (rd == rs || rd == rt) {
                 self.fail(EzError::RegisterAliasing { mnemonic: op.mnemonic() });
                 return self;
             }

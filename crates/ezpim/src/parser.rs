@@ -198,13 +198,8 @@ fn parse_cond(line: usize, toks: &[&str]) -> Result<Cond, ParseError> {
 /// [`crate::EzError::RegisterAliasing`]), but only with the enclosing
 /// construct's location.
 fn check_aliasing(line: usize, instr: &Instruction) -> Result<(), ParseError> {
-    use mpu_isa::BinaryOp;
     if let Instruction::Binary { op, rs, rt, rd } = instr {
-        let multi_step = matches!(
-            op,
-            BinaryOp::Mul | BinaryOp::Mac | BinaryOp::QDiv | BinaryOp::QRDiv | BinaryOp::RDiv
-        );
-        if multi_step && (rd == rs || rd == rt) {
+        if op.rd_excludes_sources() && (rd == rs || rd == rt) {
             return Err(err(
                 line,
                 format!("{} destination r{} aliases a source register", instr.mnemonic(), rd.0),

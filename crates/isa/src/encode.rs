@@ -1,53 +1,9 @@
-//! 32-bit binary encoding of MPU instructions.
-//!
-//! Layout: the opcode occupies the top 7 bits (`[25..32)`); the remaining
-//! 25 bits hold format-specific fields. Reserved bits must be zero, which
-//! makes the encoding canonical: `decode(encode(i)) == i` and
-//! `encode(decode(w)) == w` for every valid word `w`.
-//!
-//! | Format        | Fields (bit positions)                                  |
-//! |---------------|---------------------------------------------------------|
-//! | 3-register    | `rs[18..24)`, `rt[12..18)`, `rd[6..12)`                 |
-//! | 2-register    | `rs[18..24)`, `rd[6..12)`                               |
-//! | COMPUTE       | `rfh[20..25)`, `vrf[14..20)`                            |
-//! | MOVE          | `src[20..25)`, `dst[15..20)`                            |
-//! | SEND/RECV     | `mpu[15..25)`                                           |
-//! | JUMP*         | `target[0..20)`                                         |
-//! | MEMCPY        | `src_vrf[19..25)`, `rs[13..19)`, `dst_vrf[7..13)`, `rd[1..7)` |
+//! 32-bit binary encoding of MPU instructions, read from the ISA table
+//! (the `table` module, whose docs give the field layout).
 
-use crate::ids::{LineNum, MpuId, RegId, RfhId, VrfId};
-use crate::instr::{BinaryOp, CompareOp, InitValue, Instruction, UnaryOp};
+use crate::instr::Instruction;
+use crate::table::{row_of_opcode, ISA};
 use std::fmt;
-
-/// Opcode values (7-bit). Stable across versions of this crate; treat as ABI.
-mod op {
-    pub const COMPUTE: u8 = 0;
-    pub const COMPUTE_DONE: u8 = 1;
-    pub const MPU_SYNC: u8 = 2;
-    pub const MOVE: u8 = 3;
-    pub const MOVE_DONE: u8 = 4;
-    pub const SEND: u8 = 5;
-    pub const SEND_DONE: u8 = 6;
-    pub const RECV: u8 = 7;
-    pub const GETMASK: u8 = 8;
-    pub const SETMASK: u8 = 9;
-    pub const UNMASK: u8 = 10;
-    pub const JUMP_COND: u8 = 11;
-    pub const JUMP: u8 = 12;
-    pub const RETURN: u8 = 13;
-    pub const NOP: u8 = 14;
-    pub const FUZZY: u8 = 15;
-    pub const CAS: u8 = 16;
-    pub const INIT0: u8 = 17;
-    pub const INIT1: u8 = 18;
-    pub const MEMCPY: u8 = 19;
-    /// Binary ops occupy `[BINARY_BASE, BINARY_BASE + 16)`.
-    pub const BINARY_BASE: u8 = 32;
-    /// Unary ops occupy `[UNARY_BASE, UNARY_BASE + 7)`.
-    pub const UNARY_BASE: u8 = 56;
-    /// Compare ops occupy `[COMPARE_BASE, COMPARE_BASE + 3)`.
-    pub const COMPARE_BASE: u8 = 64;
-}
 
 /// Error decoding a 32-bit word into an [`Instruction`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,106 +37,22 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-const fn mask(bits: u32) -> u32 {
-    (1u32 << bits) - 1
-}
-
-fn binary_op_index(op: BinaryOp) -> u8 {
-    BinaryOp::ALL.iter().position(|&o| o == op).expect("op in ALL") as u8
-}
-
-fn unary_op_index(op: UnaryOp) -> u8 {
-    UnaryOp::ALL.iter().position(|&o| o == op).expect("op in ALL") as u8
-}
-
-fn compare_op_index(op: CompareOp) -> u8 {
-    CompareOp::ALL.iter().position(|&o| o == op).expect("op in ALL") as u8
-}
-
 impl Instruction {
     /// Encodes this instruction as a 32-bit word.
     ///
     /// # Panics
     ///
     /// Panics if any operand exceeds its encodable range (see
-    /// [`RegId::MAX`] etc.). [`crate::Program::validate`] checks ranges
-    /// without panicking.
+    /// [`crate::RegId::MAX`] etc.). [`crate::Program::validate`] checks
+    /// ranges without panicking.
     pub fn encode(&self) -> u32 {
-        fn reg(r: RegId) -> u32 {
-            assert!(r.is_encodable(), "register index {} exceeds encodable range", r.0);
-            r.0 as u32
+        let (row, values) = self.row_and_operands();
+        let mut word = u32::from(ISA[row].opcode) << 25;
+        for (&(kind, lo), value) in ISA[row].fields.iter().zip(values) {
+            assert!(value <= kind.max(), "{} {value} exceeds encodable range", kind.spelling().2);
+            word |= value << lo;
         }
-        fn vrf(v: VrfId) -> u32 {
-            assert!(v.is_encodable(), "VRF index {} exceeds encodable range", v.0);
-            v.0 as u32
-        }
-        fn rfh(h: RfhId) -> u32 {
-            assert!(h.is_encodable(), "RFH index {} exceeds encodable range", h.0);
-            h.0 as u32
-        }
-        fn mpu(m: MpuId) -> u32 {
-            assert!(m.is_encodable(), "MPU index {} exceeds encodable range", m.0);
-            m.0 as u32
-        }
-        fn line(l: LineNum) -> u32 {
-            assert!(l.is_encodable(), "jump target {} exceeds encodable range", l.0);
-            l.0
-        }
-        fn three(opc: u8, rs: RegId, rt: RegId, rd: RegId) -> u32 {
-            ((opc as u32) << 25) | (reg(rs) << 18) | (reg(rt) << 12) | (reg(rd) << 6)
-        }
-        fn two(opc: u8, rs: RegId, rd: RegId) -> u32 {
-            ((opc as u32) << 25) | (reg(rs) << 18) | (reg(rd) << 6)
-        }
-
-        match *self {
-            Instruction::Compute { rfh: h, vrf: v } => {
-                ((op::COMPUTE as u32) << 25) | (rfh(h) << 20) | (vrf(v) << 14)
-            }
-            Instruction::ComputeDone => (op::COMPUTE_DONE as u32) << 25,
-            Instruction::MpuSync => (op::MPU_SYNC as u32) << 25,
-            Instruction::Move { src, dst } => {
-                ((op::MOVE as u32) << 25) | (rfh(src) << 20) | (rfh(dst) << 15)
-            }
-            Instruction::MoveDone => (op::MOVE_DONE as u32) << 25,
-            Instruction::Send { dst } => ((op::SEND as u32) << 25) | (mpu(dst) << 15),
-            Instruction::SendDone => (op::SEND_DONE as u32) << 25,
-            Instruction::Recv { src } => ((op::RECV as u32) << 25) | (mpu(src) << 15),
-            Instruction::GetMask { rd } => ((op::GETMASK as u32) << 25) | (reg(rd) << 6),
-            Instruction::SetMask { rs } => ((op::SETMASK as u32) << 25) | (reg(rs) << 18),
-            Instruction::Unmask => (op::UNMASK as u32) << 25,
-            Instruction::JumpCond { target } => ((op::JUMP_COND as u32) << 25) | line(target),
-            Instruction::Jump { target } => ((op::JUMP as u32) << 25) | line(target),
-            Instruction::Return => (op::RETURN as u32) << 25,
-            Instruction::Nop => (op::NOP as u32) << 25,
-            Instruction::Binary { op: o, rs, rt, rd } => {
-                three(op::BINARY_BASE + binary_op_index(o), rs, rt, rd)
-            }
-            Instruction::Unary { op: o, rs, rd } => two(op::UNARY_BASE + unary_op_index(o), rs, rd),
-            Instruction::Compare { op: o, rs, rt } => {
-                ((op::COMPARE_BASE + compare_op_index(o)) as u32) << 25
-                    | (reg(rs) << 18)
-                    | (reg(rt) << 12)
-            }
-            Instruction::Fuzzy { rs, rt, rd } => three(op::FUZZY, rs, rt, rd),
-            Instruction::Cas { rs, rt } => {
-                ((op::CAS as u32) << 25) | (reg(rs) << 18) | (reg(rt) << 12)
-            }
-            Instruction::Init { value, rd } => {
-                let opc = match value {
-                    InitValue::Zero => op::INIT0,
-                    InitValue::One => op::INIT1,
-                };
-                ((opc as u32) << 25) | (reg(rd) << 6)
-            }
-            Instruction::Memcpy { src_vrf, rs, dst_vrf, rd } => {
-                ((op::MEMCPY as u32) << 25)
-                    | (vrf(src_vrf) << 19)
-                    | (reg(rs) << 13)
-                    | (vrf(dst_vrf) << 7)
-                    | (reg(rd) << 1)
-            }
-        }
+        word
     }
 
     /// Decodes a 32-bit word into an instruction.
@@ -191,138 +63,25 @@ impl Instruction {
     /// [`DecodeError::ReservedBits`] if must-be-zero bits are set.
     pub fn decode(word: u32) -> Result<Instruction, DecodeError> {
         let opcode = (word >> 25) as u8;
-        let body = word & mask(25);
-        let reserved = |expected_bits: u32| -> Result<(), DecodeError> {
-            if body & !expected_bits != 0 {
-                Err(DecodeError::ReservedBits { word })
-            } else {
-                Ok(())
-            }
-        };
-        let reg_rs = RegId(((word >> 18) & mask(6)) as u16);
-        let reg_rt = RegId(((word >> 12) & mask(6)) as u16);
-        let reg_rd = RegId(((word >> 6) & mask(6)) as u16);
-
-        const THREE_BITS: u32 = (mask(6) << 18) | (mask(6) << 12) | (mask(6) << 6);
-        const TWO_BITS: u32 = (mask(6) << 18) | (mask(6) << 6);
-        const CMP_BITS: u32 = (mask(6) << 18) | (mask(6) << 12);
-
-        if (op::BINARY_BASE..op::BINARY_BASE + BinaryOp::ALL.len() as u8).contains(&opcode) {
-            reserved(THREE_BITS)?;
-            let o = BinaryOp::ALL[(opcode - op::BINARY_BASE) as usize];
-            return Ok(Instruction::Binary { op: o, rs: reg_rs, rt: reg_rt, rd: reg_rd });
+        let row = row_of_opcode(opcode).ok_or(DecodeError::UnknownOpcode { opcode, word })?;
+        let fields = ISA[row].fields;
+        let covered = fields.iter().fold(0, |bits, &(kind, lo)| bits | kind.max() << lo);
+        if word & ((1 << 25) - 1) & !covered != 0 {
+            return Err(DecodeError::ReservedBits { word });
         }
-        if (op::UNARY_BASE..op::UNARY_BASE + UnaryOp::ALL.len() as u8).contains(&opcode) {
-            reserved(TWO_BITS)?;
-            let o = UnaryOp::ALL[(opcode - op::UNARY_BASE) as usize];
-            return Ok(Instruction::Unary { op: o, rs: reg_rs, rd: reg_rd });
+        let mut values = [0; 4];
+        for (value, &(kind, lo)) in values.iter_mut().zip(fields) {
+            *value = (word >> lo) & kind.max();
         }
-        if (op::COMPARE_BASE..op::COMPARE_BASE + CompareOp::ALL.len() as u8).contains(&opcode) {
-            reserved(CMP_BITS)?;
-            let o = CompareOp::ALL[(opcode - op::COMPARE_BASE) as usize];
-            return Ok(Instruction::Compare { op: o, rs: reg_rs, rt: reg_rt });
-        }
-
-        match opcode {
-            op::COMPUTE => {
-                reserved((mask(5) << 20) | (mask(6) << 14))?;
-                Ok(Instruction::Compute {
-                    rfh: RfhId(((word >> 20) & mask(5)) as u16),
-                    vrf: VrfId(((word >> 14) & mask(6)) as u16),
-                })
-            }
-            op::COMPUTE_DONE => {
-                reserved(0)?;
-                Ok(Instruction::ComputeDone)
-            }
-            op::MPU_SYNC => {
-                reserved(0)?;
-                Ok(Instruction::MpuSync)
-            }
-            op::MOVE => {
-                reserved((mask(5) << 20) | (mask(5) << 15))?;
-                Ok(Instruction::Move {
-                    src: RfhId(((word >> 20) & mask(5)) as u16),
-                    dst: RfhId(((word >> 15) & mask(5)) as u16),
-                })
-            }
-            op::MOVE_DONE => {
-                reserved(0)?;
-                Ok(Instruction::MoveDone)
-            }
-            op::SEND => {
-                reserved(mask(10) << 15)?;
-                Ok(Instruction::Send { dst: MpuId(((word >> 15) & mask(10)) as u16) })
-            }
-            op::SEND_DONE => {
-                reserved(0)?;
-                Ok(Instruction::SendDone)
-            }
-            op::RECV => {
-                reserved(mask(10) << 15)?;
-                Ok(Instruction::Recv { src: MpuId(((word >> 15) & mask(10)) as u16) })
-            }
-            op::GETMASK => {
-                reserved(mask(6) << 6)?;
-                Ok(Instruction::GetMask { rd: reg_rd })
-            }
-            op::SETMASK => {
-                reserved(mask(6) << 18)?;
-                Ok(Instruction::SetMask { rs: reg_rs })
-            }
-            op::UNMASK => {
-                reserved(0)?;
-                Ok(Instruction::Unmask)
-            }
-            op::JUMP_COND => {
-                reserved(mask(20))?;
-                Ok(Instruction::JumpCond { target: LineNum(word & mask(20)) })
-            }
-            op::JUMP => {
-                reserved(mask(20))?;
-                Ok(Instruction::Jump { target: LineNum(word & mask(20)) })
-            }
-            op::RETURN => {
-                reserved(0)?;
-                Ok(Instruction::Return)
-            }
-            op::NOP => {
-                reserved(0)?;
-                Ok(Instruction::Nop)
-            }
-            op::FUZZY => {
-                reserved(THREE_BITS)?;
-                Ok(Instruction::Fuzzy { rs: reg_rs, rt: reg_rt, rd: reg_rd })
-            }
-            op::CAS => {
-                reserved(CMP_BITS)?;
-                Ok(Instruction::Cas { rs: reg_rs, rt: reg_rt })
-            }
-            op::INIT0 => {
-                reserved(mask(6) << 6)?;
-                Ok(Instruction::Init { value: InitValue::Zero, rd: reg_rd })
-            }
-            op::INIT1 => {
-                reserved(mask(6) << 6)?;
-                Ok(Instruction::Init { value: InitValue::One, rd: reg_rd })
-            }
-            op::MEMCPY => {
-                reserved((mask(6) << 19) | (mask(6) << 13) | (mask(6) << 7) | (mask(6) << 1))?;
-                Ok(Instruction::Memcpy {
-                    src_vrf: VrfId(((word >> 19) & mask(6)) as u16),
-                    rs: RegId(((word >> 13) & mask(6)) as u16),
-                    dst_vrf: VrfId(((word >> 7) & mask(6)) as u16),
-                    rd: RegId(((word >> 1) & mask(6)) as u16),
-                })
-            }
-            other => Err(DecodeError::UnknownOpcode { opcode: other, word }),
-        }
+        Ok(Instruction::from_row(row, values))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::{LineNum, MpuId, RegId, RfhId, VrfId};
+    use crate::instr::{BinaryOp, CompareOp, InitValue, UnaryOp};
 
     fn sample_instructions() -> Vec<Instruction> {
         let mut v = vec![

@@ -7,6 +7,7 @@
 //! binary). Each is a distinct type so that e.g. a register index can never
 //! be passed where a VRF index is expected.
 
+use crate::table::FieldKind;
 use std::fmt;
 
 /// Maximum encodable vector-register index (6-bit field).
@@ -21,7 +22,7 @@ pub(crate) const MPU_MAX: u16 = (1 << 10) - 1;
 pub(crate) const LINE_MAX: u32 = (1 << 20) - 1;
 
 macro_rules! id_type {
-    ($(#[$meta:meta])* $name:ident, $inner:ty, $max:expr, $prefix:expr) => {
+    ($(#[$meta:meta])* $name:ident, $inner:ty, $max:expr, $kind:ident) => {
         $(#[$meta])*
         #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
         pub struct $name(pub $inner);
@@ -45,7 +46,7 @@ macro_rules! id_type {
 
         impl fmt::Display for $name {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                write!(f, "{}{}", $prefix, self.0)
+                write!(f, "{}{}", FieldKind::$kind.spelling().0, self.0)
             }
         }
 
@@ -69,7 +70,7 @@ id_type!(
     /// In a bitwise PUM datapath a vector register is one or more physical
     /// columns of a memory array; e.g. in RACER, register *i* maps to column
     /// *i* across all tiles of a pipeline.
-    RegId, u16, REG_MAX, "r"
+    RegId, u16, REG_MAX, Reg
 );
 
 id_type!(
@@ -78,7 +79,7 @@ id_type!(
     /// A VRF corresponds to the smallest collection of physical memory
     /// arrays capable of vector register access (a RACER pipeline, a
     /// MIMDRAM mat, a Duality Cache SRAM subarray).
-    VrfId, u16, VRF_MAX, "v"
+    VrfId, u16, VRF_MAX, Vrf
 );
 
 id_type!(
@@ -87,12 +88,12 @@ id_type!(
     /// An RF holder groups VRFs that share physical constraints (thermal
     /// activation limits, local interconnect, shared control units). The
     /// runtime enforces per-RFH active-VRF limits.
-    RfhId, u16, RFH_MAX, "h"
+    RfhId, u16, RFH_MAX, Rfh
 );
 
 id_type!(
     /// Index of an MPU on a chip. Used by `SEND`/`RECV` message passing.
-    MpuId, u16, MPU_MAX, "mpu"
+    MpuId, u16, MPU_MAX, Mpu
 );
 
 /// A jump target: the index of an instruction within a program binary.
@@ -118,7 +119,7 @@ impl LineNum {
 
 impl fmt::Display for LineNum {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "@{}", self.0)
+        write!(f, "{}{}", FieldKind::Line.spelling().0, self.0)
     }
 }
 

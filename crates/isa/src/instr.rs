@@ -1,6 +1,7 @@
 //! The MPU instruction set (paper Table II).
 
 use crate::ids::{LineNum, MpuId, RegId, RfhId, VrfId};
+use crate::table::{InstrClass, BINARY, COMPARE, ISA, UNARY};
 use std::fmt;
 
 /// Three-operand vector operations (`rd = rs OP rt`, except where noted).
@@ -69,41 +70,21 @@ impl BinaryOp {
 
     /// The Table II mnemonic.
     pub fn mnemonic(self) -> &'static str {
-        match self {
-            BinaryOp::Add => "ADD",
-            BinaryOp::Sub => "SUB",
-            BinaryOp::Mul => "MUL",
-            BinaryOp::Mac => "MAC",
-            BinaryOp::QDiv => "QDIV",
-            BinaryOp::QRDiv => "QRDIV",
-            BinaryOp::RDiv => "RDIV",
-            BinaryOp::And => "AND",
-            BinaryOp::Nand => "NAND",
-            BinaryOp::Nor => "NOR",
-            BinaryOp::Or => "OR",
-            BinaryOp::Xor => "XOR",
-            BinaryOp::Xnor => "XNOR",
-            BinaryOp::Mux => "MUX",
-            BinaryOp::Max => "MAX",
-            BinaryOp::Min => "MIN",
-        }
+        ISA[BINARY + self as usize].mnemonic
     }
 
     /// True for the multi-step operations whose recipe writes `rd` while
     /// it still reads `rs` and `rt`, so `rd` must alias neither: `MUL`,
     /// `MAC` and the divide family.
     pub fn rd_excludes_sources(self) -> bool {
-        matches!(
-            self,
-            BinaryOp::Mul | BinaryOp::Mac | BinaryOp::QDiv | BinaryOp::QRDiv | BinaryOp::RDiv
-        )
+        ISA[BINARY + self as usize].rule.rd_excludes_sources
     }
 
     /// True for the divide family, whose bit-serial recipe keeps its
     /// partial remainder in the two reserved temporary registers, so no
     /// operand may be one of them.
     pub fn uses_temps(self) -> bool {
-        matches!(self, BinaryOp::QDiv | BinaryOp::QRDiv | BinaryOp::RDiv)
+        ISA[BINARY + self as usize].rule.uses_temps
     }
 }
 
@@ -174,15 +155,7 @@ impl UnaryOp {
 
     /// The Table II mnemonic.
     pub fn mnemonic(self) -> &'static str {
-        match self {
-            UnaryOp::Inc => "INC",
-            UnaryOp::Popc => "POPC",
-            UnaryOp::Relu => "RELU",
-            UnaryOp::Inv => "INV",
-            UnaryOp::BFlip => "BFLIP",
-            UnaryOp::LShift => "LSHIFT",
-            UnaryOp::Mov => "MOV",
-        }
+        ISA[UNARY + self as usize].mnemonic
     }
 }
 
@@ -210,11 +183,7 @@ impl CompareOp {
 
     /// The Table II mnemonic.
     pub fn mnemonic(self) -> &'static str {
-        match self {
-            CompareOp::Eq => "CMPEQ",
-            CompareOp::Gt => "CMPGT",
-            CompareOp::Lt => "CMPLT",
-        }
+        ISA[COMPARE + self as usize].mnemonic
     }
 }
 
@@ -399,65 +368,37 @@ impl Instruction {
     /// The first reason this compute instruction's register operands
     /// cannot run on a VRF of `regs` registers whose recipes reserve the
     /// temporaries `temps` (`None` on a datapath that reserves none), or
-    /// `None` when they can. In order: every operand, in operand order
-    /// (`rs`, `rt`, `rd`), is in range; `rd` aliases no source of an
-    /// operation that [excludes it](BinaryOp::rd_excludes_sources); no
-    /// operand of an operation that [uses the temporaries](BinaryOp::uses_temps)
-    /// is one of them. Instructions without register operands always pass.
+    /// `None` when they can. In order, from the instruction's row: every
+    /// operand, in text order (`rs`, `rt`, `rd`), is in range; `rd`
+    /// aliases no source of an operation that
+    /// [excludes it](BinaryOp::rd_excludes_sources); no operand of an
+    /// operation that [uses the temporaries](BinaryOp::uses_temps) is one
+    /// of them. Instructions outside [`InstrClass::Compute`] always pass.
     pub fn operand_error(
         &self,
         regs: usize,
         temps: Option<(RegId, RegId)>,
     ) -> Option<OperandError> {
-        let (operands, n) = match *self {
-            Instruction::Binary { rs, rt, rd, .. } | Instruction::Fuzzy { rs, rt, rd } => {
-                ([rs, rt, rd], 3)
-            }
-            Instruction::Unary { rs, rd, .. } => ([rs, rd, rd], 2),
-            Instruction::Compare { rs, rt, .. } | Instruction::Cas { rs, rt } => ([rs, rt, rt], 2),
-            Instruction::Init { rd, .. } => ([rd; 3], 1),
-            _ => return None,
-        };
-        if let Some(&r) = operands[..n].iter().find(|r| usize::from(r.0) >= regs) {
+        let (row, values) = self.row_and_operands();
+        let row = &ISA[row];
+        if row.class != InstrClass::Compute {
+            return None;
+        }
+        let mut operands = values[..row.fields.len()].iter().map(|&v| RegId(v as u16));
+        if let Some(r) = operands.clone().find(|r| r.index() >= regs) {
             return Some(OperandError::OutOfRange(r));
         }
-        let Instruction::Binary { op, rs, rt, rd } = *self else { return None };
-        if op.rd_excludes_sources() && (rd == rs || rd == rt) {
-            return Some(OperandError::AliasedDestination(rd));
+        let [rs, rt, rd, _] = values;
+        if row.rule.rd_excludes_sources && (rd == rs || rd == rt) {
+            return Some(OperandError::AliasedDestination(RegId(rd as u16)));
         }
-        let (a, b) = temps.filter(|_| op.uses_temps())?;
-        [rs, rt, rd].into_iter().find(|&r| r == a || r == b).map(OperandError::ReservedTemp)
+        let (a, b) = temps.filter(|_| row.rule.uses_temps)?;
+        operands.find(|&r| r == a || r == b).map(OperandError::ReservedTemp)
     }
 
     /// The Table II mnemonic for this instruction.
     pub fn mnemonic(&self) -> &'static str {
-        match self {
-            Instruction::Compute { .. } => "COMPUTE",
-            Instruction::ComputeDone => "COMPUTE_DONE",
-            Instruction::MpuSync => "MPU_SYNC",
-            Instruction::Move { .. } => "MOVE",
-            Instruction::MoveDone => "MOVE_DONE",
-            Instruction::Send { .. } => "SEND",
-            Instruction::SendDone => "SEND_DONE",
-            Instruction::Recv { .. } => "RECV",
-            Instruction::GetMask { .. } => "GETMASK",
-            Instruction::SetMask { .. } => "SETMASK",
-            Instruction::Unmask => "UNMASK",
-            Instruction::JumpCond { .. } => "JUMP_COND",
-            Instruction::Jump { .. } => "JUMP",
-            Instruction::Return => "RETURN",
-            Instruction::Nop => "NOP",
-            Instruction::Binary { op, .. } => op.mnemonic(),
-            Instruction::Unary { op, .. } => op.mnemonic(),
-            Instruction::Compare { op, .. } => op.mnemonic(),
-            Instruction::Fuzzy { .. } => "FUZZY",
-            Instruction::Cas { .. } => "CAS",
-            Instruction::Init { value, .. } => match value {
-                InitValue::Zero => "INIT0",
-                InitValue::One => "INIT1",
-            },
-            Instruction::Memcpy { .. } => "MEMCPY",
-        }
+        self.row().mnemonic
     }
 
     /// True for instructions legal in a compute-ensemble body (vector

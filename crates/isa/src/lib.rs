@@ -50,6 +50,7 @@ mod encode;
 mod ids;
 mod instr;
 mod program;
+mod table;
 mod text;
 mod validate;
 
@@ -57,6 +58,7 @@ pub use encode::DecodeError;
 pub use ids::{LineNum, MpuId, RegId, RfhId, VrfId};
 pub use instr::{BinaryOp, CompareOp, InitValue, Instruction, OperandError, UnaryOp};
 pub use program::Program;
+pub use table::{InstrClass, OpRow};
 pub use text::ParseAsmError;
 pub use validate::{ValidateError, ValidateErrorKind};
 

@@ -6,43 +6,21 @@
 //! the *basic* assembler; the `ezpim` crate layers loops, branches and
 //! subroutine syntax on top.
 
-use crate::ids::{LineNum, MpuId, RegId, RfhId, VrfId};
-use crate::instr::{BinaryOp, CompareOp, InitValue, Instruction, UnaryOp};
+use crate::instr::Instruction;
 use crate::program::Program;
+use crate::table::{FieldKind, ISA};
 use std::fmt;
 use std::str::FromStr;
 
 impl fmt::Display for Instruction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            Instruction::Compute { rfh, vrf } => write!(f, "COMPUTE {rfh} {vrf}"),
-            Instruction::ComputeDone => f.write_str("COMPUTE_DONE"),
-            Instruction::MpuSync => f.write_str("MPU_SYNC"),
-            Instruction::Move { src, dst } => write!(f, "MOVE {src} {dst}"),
-            Instruction::MoveDone => f.write_str("MOVE_DONE"),
-            Instruction::Send { dst } => write!(f, "SEND {dst}"),
-            Instruction::SendDone => f.write_str("SEND_DONE"),
-            Instruction::Recv { src } => write!(f, "RECV {src}"),
-            Instruction::GetMask { rd } => write!(f, "GETMASK {rd}"),
-            Instruction::SetMask { rs } => write!(f, "SETMASK {rs}"),
-            Instruction::Unmask => f.write_str("UNMASK"),
-            Instruction::JumpCond { target } => write!(f, "JUMP_COND {target}"),
-            Instruction::Jump { target } => write!(f, "JUMP {target}"),
-            Instruction::Return => f.write_str("RETURN"),
-            Instruction::Nop => f.write_str("NOP"),
-            Instruction::Binary { op, rs, rt, rd } => write!(f, "{op} {rs} {rt} {rd}"),
-            Instruction::Unary { op, rs, rd } => write!(f, "{op} {rs} {rd}"),
-            Instruction::Compare { op, rs, rt } => write!(f, "{op} {rs} {rt}"),
-            Instruction::Fuzzy { rs, rt, rd } => write!(f, "FUZZY {rs} {rt} {rd}"),
-            Instruction::Cas { rs, rt } => write!(f, "CAS {rs} {rt}"),
-            Instruction::Init { value, rd } => match value {
-                InitValue::Zero => write!(f, "INIT0 {rd}"),
-                InitValue::One => write!(f, "INIT1 {rd}"),
-            },
-            Instruction::Memcpy { src_vrf, rs, dst_vrf, rd } => {
-                write!(f, "MEMCPY {src_vrf} {rs} {dst_vrf} {rd}")
-            }
+        let (row, values) = self.row_and_operands();
+        let row = &ISA[row];
+        f.write_str(row.mnemonic)?;
+        for (&(kind, _), value) in row.fields.iter().zip(values) {
+            write!(f, " {}{value}", kind.spelling().0)?;
         }
+        Ok(())
     }
 }
 
@@ -63,29 +41,19 @@ impl fmt::Display for ParseAsmError {
 
 impl std::error::Error for ParseAsmError {}
 
-fn parse_prefixed(tok: &str, prefix: &str, what: &str) -> Result<u32, String> {
+/// Parses one operand of `kind`. An index must fit its id type (`u16`;
+/// a jump target `u32`); whether it fits the encoding is for validation.
+fn parse_operand(kind: FieldKind, tok: &str) -> Result<u32, String> {
+    let (prefix, what, _) = kind.spelling();
+    if kind == FieldKind::Line {
+        // Accept both `@5` and bare `5` (Table II shows bare line numbers).
+        let digits = tok.strip_prefix(prefix).unwrap_or(tok);
+        return digits.parse::<u32>().map_err(|_| format!("invalid {what} in `{tok}`"));
+    }
     let digits = tok
         .strip_prefix(prefix)
         .ok_or_else(|| format!("expected {what} like `{prefix}0`, found `{tok}`"))?;
-    digits.parse::<u32>().map_err(|_| format!("invalid {what} index in `{tok}`"))
-}
-
-fn reg(tok: &str) -> Result<RegId, String> {
-    parse_prefixed(tok, "r", "register").map(|v| RegId(v as u16))
-}
-fn vrf(tok: &str) -> Result<VrfId, String> {
-    parse_prefixed(tok, "v", "VRF").map(|v| VrfId(v as u16))
-}
-fn rfh(tok: &str) -> Result<RfhId, String> {
-    parse_prefixed(tok, "h", "RF holder").map(|v| RfhId(v as u16))
-}
-fn mpu(tok: &str) -> Result<MpuId, String> {
-    parse_prefixed(tok, "mpu", "MPU").map(|v| MpuId(v as u16))
-}
-fn line_num(tok: &str) -> Result<LineNum, String> {
-    // Accept both `@5` and bare `5` (Table II shows bare line numbers).
-    let digits = tok.strip_prefix('@').unwrap_or(tok);
-    digits.parse::<u32>().map(LineNum).map_err(|_| format!("invalid line number in `{tok}`"))
+    digits.parse::<u16>().map(u32::from).map_err(|_| format!("invalid {what} index in `{tok}`"))
 }
 
 impl FromStr for Instruction {
@@ -95,122 +63,28 @@ impl FromStr for Instruction {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let mut toks = s.split_whitespace();
         let mnemonic = toks.next().ok_or_else(|| "empty instruction".to_string())?;
-        let mn = mnemonic.to_ascii_uppercase();
-        let rest: Vec<&str> = toks.collect();
-        let argc = |n: usize| -> Result<(), String> {
-            if rest.len() == n {
-                Ok(())
-            } else {
-                Err(format!("{mn} expects {n} operand(s), found {}", rest.len()))
+        let index = ISA
+            .iter()
+            .position(|row| row.mnemonic.eq_ignore_ascii_case(mnemonic))
+            .ok_or_else(|| format!("unknown mnemonic `{}`", mnemonic.to_ascii_uppercase()))?;
+        let row = &ISA[index];
+        let mut operands = [""; 4];
+        let mut found = 0;
+        for tok in toks {
+            if let Some(slot) = operands.get_mut(found) {
+                *slot = tok;
             }
-        };
-
-        if let Some(op) = BinaryOp::ALL.iter().find(|o| o.mnemonic() == mn) {
-            argc(3)?;
-            return Ok(Instruction::Binary {
-                op: *op,
-                rs: reg(rest[0])?,
-                rt: reg(rest[1])?,
-                rd: reg(rest[2])?,
-            });
+            found += 1;
         }
-        if let Some(op) = UnaryOp::ALL.iter().find(|o| o.mnemonic() == mn) {
-            argc(2)?;
-            return Ok(Instruction::Unary { op: *op, rs: reg(rest[0])?, rd: reg(rest[1])? });
+        let expected = row.fields.len();
+        if found != expected {
+            return Err(format!("{} expects {expected} operand(s), found {found}", row.mnemonic));
         }
-        if let Some(op) = CompareOp::ALL.iter().find(|o| o.mnemonic() == mn) {
-            argc(2)?;
-            return Ok(Instruction::Compare { op: *op, rs: reg(rest[0])?, rt: reg(rest[1])? });
+        let mut values = [0; 4];
+        for ((value, &(kind, _)), tok) in values.iter_mut().zip(row.fields).zip(operands) {
+            *value = parse_operand(kind, tok)?;
         }
-
-        match mn.as_str() {
-            "COMPUTE" => {
-                argc(2)?;
-                Ok(Instruction::Compute { rfh: rfh(rest[0])?, vrf: vrf(rest[1])? })
-            }
-            "COMPUTE_DONE" => {
-                argc(0)?;
-                Ok(Instruction::ComputeDone)
-            }
-            "MPU_SYNC" => {
-                argc(0)?;
-                Ok(Instruction::MpuSync)
-            }
-            "MOVE" => {
-                argc(2)?;
-                Ok(Instruction::Move { src: rfh(rest[0])?, dst: rfh(rest[1])? })
-            }
-            "MOVE_DONE" => {
-                argc(0)?;
-                Ok(Instruction::MoveDone)
-            }
-            "SEND" => {
-                argc(1)?;
-                Ok(Instruction::Send { dst: mpu(rest[0])? })
-            }
-            "SEND_DONE" => {
-                argc(0)?;
-                Ok(Instruction::SendDone)
-            }
-            "RECV" => {
-                argc(1)?;
-                Ok(Instruction::Recv { src: mpu(rest[0])? })
-            }
-            "GETMASK" => {
-                argc(1)?;
-                Ok(Instruction::GetMask { rd: reg(rest[0])? })
-            }
-            "SETMASK" => {
-                argc(1)?;
-                Ok(Instruction::SetMask { rs: reg(rest[0])? })
-            }
-            "UNMASK" => {
-                argc(0)?;
-                Ok(Instruction::Unmask)
-            }
-            "JUMP_COND" => {
-                argc(1)?;
-                Ok(Instruction::JumpCond { target: line_num(rest[0])? })
-            }
-            "JUMP" => {
-                argc(1)?;
-                Ok(Instruction::Jump { target: line_num(rest[0])? })
-            }
-            "RETURN" => {
-                argc(0)?;
-                Ok(Instruction::Return)
-            }
-            "NOP" => {
-                argc(0)?;
-                Ok(Instruction::Nop)
-            }
-            "FUZZY" => {
-                argc(3)?;
-                Ok(Instruction::Fuzzy { rs: reg(rest[0])?, rt: reg(rest[1])?, rd: reg(rest[2])? })
-            }
-            "CAS" => {
-                argc(2)?;
-                Ok(Instruction::Cas { rs: reg(rest[0])?, rt: reg(rest[1])? })
-            }
-            "INIT0" => {
-                argc(1)?;
-                Ok(Instruction::Init { value: InitValue::Zero, rd: reg(rest[0])? })
-            }
-            "INIT1" => {
-                argc(1)?;
-                Ok(Instruction::Init { value: InitValue::One, rd: reg(rest[0])? })
-            }
-            "MEMCPY" => {
-                argc(4)?;
-                Ok(Instruction::Memcpy {
-                    src_vrf: vrf(rest[0])?,
-                    rs: reg(rest[1])?,
-                    dst_vrf: vrf(rest[2])?,
-                    rd: reg(rest[3])?,
-                })
-            }
-            other => Err(format!("unknown mnemonic `{other}`")),
-        }
+        Ok(Instruction::from_row(index, values))
     }
 }
 
@@ -267,6 +141,8 @@ impl Program {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::{LineNum, RegId, RfhId, VrfId};
+    use crate::instr::{BinaryOp, CompareOp, InitValue};
 
     #[test]
     fn display_matches_table_ii_syntax() {
@@ -342,6 +218,24 @@ mod tests {
         let p = Program::parse_asm("nop\nmpu_sync").unwrap();
         assert_eq!(p[0], Instruction::Nop);
         assert_eq!(p[1], Instruction::MpuSync);
+    }
+
+    #[test]
+    fn indices_that_overflow_their_id_are_parse_errors() {
+        for (line, message) in [
+            ("ADD r0 r1 r65538", "invalid register index in `r65538`"),
+            ("SETMASK r65599", "invalid register index in `r65599`"),
+            ("COMPUTE h0 v65536", "invalid VRF index in `v65536`"),
+            ("MOVE h70000 h1", "invalid RF holder index in `h70000`"),
+            ("RECV mpu65536", "invalid MPU index in `mpu65536`"),
+        ] {
+            assert_eq!(Program::parse_asm(line).unwrap_err().message, message, "{line}");
+        }
+        // Indices that fit the id but not the encoding parse; validation
+        // rejects them.
+        let p = Program::parse_asm("SETMASK r65535").unwrap();
+        assert_eq!(p[0], Instruction::SetMask { rs: RegId(65535) });
+        assert!(p.validate().is_err());
     }
 
     #[test]

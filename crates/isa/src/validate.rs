@@ -11,6 +11,7 @@
 use crate::ids::LineNum;
 use crate::instr::Instruction;
 use crate::program::Program;
+use crate::table::ISA;
 use std::fmt;
 
 /// Where the validator currently is within the block structure.
@@ -118,36 +119,8 @@ impl fmt::Display for ValidateError {
 impl std::error::Error for ValidateError {}
 
 fn operands_encodable(instr: &Instruction) -> bool {
-    match *instr {
-        Instruction::Compute { rfh, vrf } => rfh.is_encodable() && vrf.is_encodable(),
-        Instruction::Move { src, dst } => src.is_encodable() && dst.is_encodable(),
-        Instruction::Send { dst } => dst.is_encodable(),
-        Instruction::Recv { src } => src.is_encodable(),
-        Instruction::GetMask { rd } => rd.is_encodable(),
-        Instruction::SetMask { rs } => rs.is_encodable(),
-        Instruction::JumpCond { target } | Instruction::Jump { target } => target.is_encodable(),
-        Instruction::Binary { rs, rt, rd, .. } | Instruction::Fuzzy { rs, rt, rd } => {
-            rs.is_encodable() && rt.is_encodable() && rd.is_encodable()
-        }
-        Instruction::Unary { rs, rd, .. } => rs.is_encodable() && rd.is_encodable(),
-        Instruction::Compare { rs, rt, .. } | Instruction::Cas { rs, rt } => {
-            rs.is_encodable() && rt.is_encodable()
-        }
-        Instruction::Init { rd, .. } => rd.is_encodable(),
-        Instruction::Memcpy { src_vrf, rs, dst_vrf, rd } => {
-            src_vrf.is_encodable()
-                && rs.is_encodable()
-                && dst_vrf.is_encodable()
-                && rd.is_encodable()
-        }
-        Instruction::ComputeDone
-        | Instruction::MoveDone
-        | Instruction::SendDone
-        | Instruction::MpuSync
-        | Instruction::Unmask
-        | Instruction::Return
-        | Instruction::Nop => true,
-    }
+    let (row, values) = instr.row_and_operands();
+    ISA[row].fields.iter().zip(values).all(|(&(kind, _), value)| value <= kind.max())
 }
 
 /// Validates a program's block structure. See module docs for the rules.
@@ -166,8 +139,6 @@ pub(crate) fn validate(program: &Program) -> Result<(), ValidateError> {
 
     // `stack` tracks enclosing blocks; only [Send, Move*] nests, so depth<=2.
     let mut stack: Vec<Context> = Vec::new();
-    let mut was_in_move_body_of_current_block = false;
-    let mut was_in_compute_body_of_current_block = false;
 
     for (line, instr) in program.iter().enumerate() {
         if !operands_encodable(instr) {
@@ -182,16 +153,11 @@ pub(crate) fn validate(program: &Program) -> Result<(), ValidateError> {
         let ctx = stack.last().copied().unwrap_or(Context::TopLevel);
         match instr {
             Instruction::Compute { .. } => match ctx {
-                Context::TopLevel => {
-                    stack.push(Context::ComputeHeader);
-                    was_in_compute_body_of_current_block = false;
-                }
+                Context::TopLevel => stack.push(Context::ComputeHeader),
                 Context::ComputeHeader => {}
                 Context::ComputeBody => {
-                    return err(
-                        line,
-                        ValidateErrorKind::HeaderNotContiguous { mnemonic: "COMPUTE" },
-                    );
+                    let mnemonic = instr.mnemonic();
+                    return err(line, ValidateErrorKind::HeaderNotContiguous { mnemonic });
                 }
                 _ => return misplaced(line, instr, ctx),
             },
@@ -202,13 +168,11 @@ pub(crate) fn validate(program: &Program) -> Result<(), ValidateError> {
                 _ => return misplaced(line, instr, ctx),
             },
             Instruction::Move { .. } => match ctx {
-                Context::TopLevel | Context::SendBlock => {
-                    stack.push(Context::MoveHeader);
-                    was_in_move_body_of_current_block = false;
-                }
+                Context::TopLevel | Context::SendBlock => stack.push(Context::MoveHeader),
                 Context::MoveHeader => {}
                 Context::MoveBody => {
-                    return err(line, ValidateErrorKind::HeaderNotContiguous { mnemonic: "MOVE" });
+                    let mnemonic = instr.mnemonic();
+                    return err(line, ValidateErrorKind::HeaderNotContiguous { mnemonic });
                 }
                 _ => return misplaced(line, instr, ctx),
             },
@@ -219,10 +183,7 @@ pub(crate) fn validate(program: &Program) -> Result<(), ValidateError> {
                 _ => return misplaced(line, instr, ctx),
             },
             Instruction::Memcpy { .. } => match ctx {
-                Context::MoveHeader => {
-                    *stack.last_mut().expect("nonempty") = Context::MoveBody;
-                    was_in_move_body_of_current_block = true;
-                }
+                Context::MoveHeader => *stack.last_mut().expect("nonempty") = Context::MoveBody,
                 Context::MoveBody => {}
                 _ => return misplaced(line, instr, ctx),
             },
@@ -244,8 +205,7 @@ pub(crate) fn validate(program: &Program) -> Result<(), ValidateError> {
             // and at top level (subroutine bodies reached via JUMP).
             body if body.is_compute_body() => match ctx {
                 Context::ComputeHeader => {
-                    *stack.last_mut().expect("nonempty") = Context::ComputeBody;
-                    was_in_compute_body_of_current_block = true;
+                    *stack.last_mut().expect("nonempty") = Context::ComputeBody
                 }
                 Context::ComputeBody | Context::TopLevel => {}
                 _ => return misplaced(line, instr, ctx),
@@ -257,9 +217,6 @@ pub(crate) fn validate(program: &Program) -> Result<(), ValidateError> {
     if let Some(ctx) = stack.last() {
         return err(len, ValidateErrorKind::UnterminatedBlock { context: ctx.name() });
     }
-    // Suppress "unused assignment" analyses; the flags exist for future
-    // diagnostics (empty-body warnings) and tests assert current behaviour.
-    let _ = (was_in_move_body_of_current_block, was_in_compute_body_of_current_block);
     Ok(())
 }
 

@@ -127,6 +127,23 @@ fn submit_body(service: &Service, kind: DatapathKind, body: &str) -> Result<u64,
 }
 
 #[test]
+fn asm_indices_that_overflow_their_id_are_parse_errors() {
+    // Read as `u32` and cut to the id's `u16`, `r65538` was once admitted
+    // as `r2` and ran.
+    let service = Service::start(ServiceConfig { workers: 1, ..Default::default() });
+    match submit_body(&service, DatapathKind::Racer, "ADD r0 r1 r65538").unwrap_err() {
+        AdmitError::ParseError { message } => {
+            assert!(message.contains("invalid register index in `r65538`"), "{message}")
+        }
+        other => panic!("expected a parse error, got {other:?}"),
+    }
+    let id = service.submit(add_spec("alice")).unwrap();
+    let result = service.wait(id).unwrap().result.expect("later job succeeds");
+    assert_eq!(result.outputs[0].values[0], 42);
+    service.shutdown();
+}
+
+#[test]
 fn aliased_multi_step_destinations_are_rejected_at_admission() {
     // `rd` aliasing a source of MUL, MAC or a divide would otherwise panic
     // in recipe synthesis inside the worker.

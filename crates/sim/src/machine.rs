@@ -13,7 +13,7 @@ use crate::config::{ExecutionMode, SimConfig};
 use crate::fault::Redundancy;
 use crate::recipe_cache::{RecipeCache, RecipePool};
 use crate::stats::{EnergyStats, FaultStats, Stats};
-use crate::trace::{FaultAction, InstrClass, TraceEvent, TraceKind, Tracer, UopMix};
+use crate::trace::{FaultAction, TraceEvent, TraceKind, Tracer, UopMix};
 use mpu_isa::{Instruction, MpuId, OperandError, Program, COND_REG};
 use pum_backend::{
     pj_to_fj, run_batch, BlockGraph, BlockStep, BodyLayout, CompiledRecipe, Geometry, Plane,
@@ -1015,7 +1015,8 @@ impl Mpu {
                     RunDirective::Cancel => return Err(SimError::Cancelled { line }),
                 }
             }
-            match program[line] {
+            let fetched = program[line];
+            match fetched {
                 Instruction::Compute { .. } => self
                     .exec_compute_ensemble(program)
                     .map_err(|e| self.in_ensemble(line, EnsembleKind::Compute, e))?,
@@ -1026,10 +1027,7 @@ impl Mpu {
                     // One compute controller → ensembles already serialized;
                     // the fence costs a marker.
                     let delta = instr_delta(self.config.control.ensemble_marker);
-                    self.charge(line, delta, || TraceKind::Instr {
-                        mnemonic: "MPU_SYNC",
-                        class: InstrClass::Control,
-                    });
+                    self.charge(line, delta, || TraceKind::instr(&fetched));
                     self.pc += 1;
                 }
                 Instruction::Send { dst } => {
@@ -1049,10 +1047,7 @@ impl Mpu {
                             self.offload_comm(msg.bytes, line);
                         }
                         self.apply_message(&msg);
-                        self.charge(line, instr_delta(0), || TraceKind::Instr {
-                            mnemonic: "RECV",
-                            class: InstrClass::Comm,
-                        });
+                        self.charge(line, instr_delta(0), || TraceKind::instr(&fetched));
                         self.pc += 1;
                     } else {
                         return Ok(StepEvent::AwaitingRecv { src });
@@ -1062,17 +1057,11 @@ impl Mpu {
                     // Top-level RETURN is the halt convention (end of main;
                     // subroutine bodies follow).
                     self.halted = true;
-                    self.charge(line, instr_delta(0), || TraceKind::Instr {
-                        mnemonic: "RETURN",
-                        class: InstrClass::Control,
-                    });
+                    self.charge(line, instr_delta(0), || TraceKind::instr(&fetched));
                 }
                 Instruction::Nop => {
                     let delta = instr_delta(self.config.control.nop);
-                    self.charge(line, delta, || TraceKind::Instr {
-                        mnemonic: "NOP",
-                        class: InstrClass::Control,
-                    });
+                    self.charge(line, delta, || TraceKind::instr(&fetched));
                     self.pc += 1;
                 }
                 ref other => {
@@ -1132,9 +1121,10 @@ impl Mpu {
                             Some(snap) => v.restore(snap),
                             None => {
                                 // Materialized during the failed attempt:
-                                // back to power-on zeros (re-forcing any
-                                // stuck lanes).
+                                // back to its power-on image (re-forcing
+                                // any stuck lanes).
                                 v.restore(&vec![0; v.snapshot().len()]);
+                                v.power_on();
                                 let model = v.fault_model().cloned();
                                 v.set_fault_model(model);
                             }
@@ -1174,13 +1164,10 @@ impl Mpu {
         self.charge(self.pc, Stats::default(), || TraceKind::EnsembleBegin { kind });
         // Collect the contiguous COMPUTE header.
         let mut members: Vec<(u16, u16)> = Vec::new();
-        while let Instruction::Compute { rfh, vrf } = Self::fetch(program, self.pc)? {
+        while let header @ Instruction::Compute { rfh, vrf } = Self::fetch(program, self.pc)? {
             self.check_geometry(self.pc, rfh.0, vrf.0)?;
             members.push((rfh.0, vrf.0));
-            self.charge(self.pc, marker, || TraceKind::Instr {
-                mnemonic: "COMPUTE",
-                class: InstrClass::Marker,
-            });
+            self.charge(self.pc, marker, || TraceKind::instr(&header));
             self.pc += 1;
         }
         let body_start = self.pc;
@@ -1209,25 +1196,24 @@ impl Mpu {
             // short counts only the waves it actually replayed.
             let delta = Stats { scheduler_waves: 1, ..Stats::default() };
             self.charge(body_start, delta, || TraceKind::Wave { index, vrfs: wave.len() });
-            end_pc = self.run_body(&graph, &layout.lines, wave, batch)?;
+            end_pc = self.run_body(&graph, &layout, wave, batch)?;
         }
         if waves.is_empty() {
             // Headerless (empty) ensemble: skip to the footer.
-            end_pc = self.run_body(&graph, &layout.lines, &[], batch)?;
+            end_pc = self.run_body(&graph, &layout, &[], batch)?;
         }
         // Footer.
-        self.charge(end_pc, marker, || TraceKind::Instr {
-            mnemonic: "COMPUTE_DONE",
-            class: InstrClass::Marker,
-        });
+        let footer = Self::fetch(program, end_pc)?;
+        self.charge(end_pc, marker, || TraceKind::instr(&footer));
         self.charge(end_pc, Stats::default(), || TraceKind::EnsembleEnd { kind });
         self.pc = end_pc + 1;
         Ok(())
     }
 
     /// Executes a decoded ensemble body once for one wave of VRFs; returns
-    /// the line of the `COMPUTE_DONE` that ended it. `lines` maps each step
-    /// to its program line ([`BodyLayout::lines`]).
+    /// the line of the `COMPUTE_DONE` that ended it. `layout` is the body
+    /// the graph was decoded from: step `i` is `layout.body[i]`, at program
+    /// line `layout.lines[i]`.
     ///
     /// Accounting is per step, in program order: the fetch, the watchdog,
     /// playback refills, the template-table probe, every charge and every
@@ -1242,11 +1228,11 @@ impl Mpu {
     fn run_body(
         &mut self,
         graph: &BlockGraph,
-        lines: &[usize],
+        layout: &BodyLayout,
         wave: &[(u16, u16)],
         batch: bool,
     ) -> Result<usize, SimError> {
-        let steps = graph.steps();
+        let (steps, lines, body) = (graph.steps(), &layout.lines[..], &layout.body[..]);
         let mut i = graph.entry();
         let mut return_stack: Vec<usize> = Vec::new();
         // RACER bit-pipelining: consecutive compute instructions overlap
@@ -1304,20 +1290,17 @@ impl Mpu {
             // or joining a batch), then charges its control-path cycles and
             // the instruction count.
             let c = &self.config.control;
-            let control_step = match *step {
-                BlockStep::SetMask(_) => Some(("SETMASK", c.mask_update)),
-                BlockStep::GetMask(_) => Some(("GETMASK", c.mask_readout)),
-                BlockStep::Unmask => Some(("UNMASK", c.mask_update)),
-                BlockStep::JumpCond(_) => Some(("JUMP_COND", c.efi_eval)),
-                BlockStep::Call(_) => Some(("JUMP", c.jump)),
-                BlockStep::Return => Some(("RETURN", c.jump)),
-                BlockStep::Nop => Some(("NOP", c.nop)),
+            let control_cycles = match *step {
+                BlockStep::SetMask(_) | BlockStep::Unmask => Some(c.mask_update),
+                BlockStep::GetMask(_) => Some(c.mask_readout),
+                BlockStep::JumpCond(_) => Some(c.efi_eval),
+                BlockStep::Call(_) | BlockStep::Return => Some(c.jump),
+                BlockStep::Nop => Some(c.nop),
                 _ => None,
             };
-            if let Some((mnemonic, cycles)) = control_step {
+            if let Some(cycles) = control_cycles {
                 self.control_or_offload(wave, &mut pipeline_warm, &mut offload_batch, line);
-                let class = InstrClass::Control;
-                self.charge(line, instr_delta(cycles), || TraceKind::Instr { mnemonic, class });
+                self.charge(line, instr_delta(cycles), || TraceKind::instr(&body[i]));
             }
             match *step {
                 BlockStep::Compute(ref instr) => {
@@ -1502,10 +1485,7 @@ impl Mpu {
         let cost = &cached.cost;
         let cycles = if *pipeline_warm { cost.stage_cycles } else { cost.cycles };
         *pipeline_warm = true;
-        self.charge(line, instr_delta(0), || TraceKind::Instr {
-            mnemonic: instr.mnemonic(),
-            class: InstrClass::Compute,
-        });
+        self.charge(line, instr_delta(0), || TraceKind::instr(instr));
         Ok((cached, cycles))
     }
 
@@ -1733,28 +1713,22 @@ impl Mpu {
         self.charge(self.pc, Stats::default(), || TraceKind::EnsembleBegin { kind });
         // Header: source/destination RFH pairs → the DTC's target map.
         let mut pairs: Vec<(u16, u16)> = Vec::new();
-        while let Instruction::Move { src, dst } = Self::fetch(program, self.pc)? {
+        while let header @ Instruction::Move { src, dst } = Self::fetch(program, self.pc)? {
             pairs.push((src.0, dst.0));
-            self.charge(self.pc, marker, || TraceKind::Instr {
-                mnemonic: "MOVE",
-                class: InstrClass::Marker,
-            });
+            self.charge(self.pc, marker, || TraceKind::instr(&header));
             self.pc += 1;
         }
         let lanes = self.config.datapath.geometry().lanes_per_vrf;
         let words = lanes as u64; // one 64-bit word per lane per register
         loop {
             match Self::fetch(program, self.pc)? {
-                Instruction::MoveDone => {
-                    self.charge(self.pc, marker, || TraceKind::Instr {
-                        mnemonic: "MOVE_DONE",
-                        class: InstrClass::Marker,
-                    });
+                footer @ Instruction::MoveDone => {
+                    self.charge(self.pc, marker, || TraceKind::instr(&footer));
                     self.charge(self.pc, Stats::default(), || TraceKind::EnsembleEnd { kind });
                     self.pc += 1;
                     return Ok(());
                 }
-                Instruction::Memcpy { src_vrf, rs, dst_vrf, rd } => {
+                copy @ Instruction::Memcpy { src_vrf, rs, dst_vrf, rd } => {
                     let line = self.pc;
                     for &(src_rfh, dst_rfh) in &pairs {
                         self.check_geometry(line, src_rfh, src_vrf.0)?;
@@ -1784,10 +1758,7 @@ impl Mpu {
                         let delta = self.transfer(words);
                         self.charge(line, delta, || TraceKind::Memcpy { src_rfh, dst_rfh });
                     }
-                    self.charge(line, instr_delta(0), || TraceKind::Instr {
-                        mnemonic: "MEMCPY",
-                        class: InstrClass::Transfer,
-                    });
+                    self.charge(line, instr_delta(0), || TraceKind::instr(&copy));
                     self.pc += 1;
                 }
                 ref other => {
@@ -1805,10 +1776,8 @@ impl Mpu {
         let marker = instr_delta(self.config.control.ensemble_marker);
         let kind = EnsembleKind::Send;
         self.charge(self.pc, Stats::default(), || TraceKind::EnsembleBegin { kind });
-        self.charge(self.pc, marker, || TraceKind::Instr {
-            mnemonic: "SEND",
-            class: InstrClass::Marker,
-        });
+        let header = Self::fetch(program, self.pc)?;
+        self.charge(self.pc, marker, || TraceKind::instr(&header));
         self.pc += 1; // past SEND
         let mut msg =
             Message { src: self.id, dst, writes: Vec::new(), bytes: 0, departure_cycle: 0 };
@@ -1825,10 +1794,8 @@ impl Mpu {
         }
         // SEND_DONE.
         let done = Stats { messages_sent: 1, noc_bytes: msg.bytes, ..marker };
-        self.charge(self.pc, done, || TraceKind::Instr {
-            mnemonic: "SEND_DONE",
-            class: InstrClass::Marker,
-        });
+        let footer = Self::fetch(program, self.pc)?;
+        self.charge(self.pc, done, || TraceKind::instr(&footer));
         self.charge(self.pc, Stats::default(), || TraceKind::EnsembleEnd { kind });
         self.pc += 1;
         msg.departure_cycle = self.stats.cycles;
@@ -2982,6 +2949,26 @@ mod tests {
         let mut other = Mpu::new(SimConfig::mpu(DatapathKind::Mimdram), MpuId(0));
         let err = other.import_checkpoint(&cp).unwrap_err();
         assert!(matches!(err, SimError::CheckpointMismatch { .. }), "got {err:?}");
+    }
+
+    #[test]
+    fn a_restart_powers_on_the_vrfs_a_failed_attempt_materialized() {
+        // The spinning ensemble is the first to touch h0 v5, so the
+        // checkpoint holds no image of it: a restart must hand it back in
+        // its power-on image (mask and `const1` planes set), or a later
+        // recipe that reads the constant plane computes wrong lanes.
+        let mut cfg = SimConfig::mpu(DatapathKind::Mimdram);
+        cfg.recovery.checkpoint_restart = true;
+        cfg.recovery.max_restarts = 1;
+        cfg.recovery.watchdog_instructions = Some(50);
+        let lanes = cfg.datapath.geometry().lanes_per_vrf;
+        let mut mpu = Mpu::new(cfg, MpuId(0));
+        let err = mpu.run(&asm("COMPUTE h0 v5\nJUMP_COND @1\nCOMPUTE_DONE")).unwrap_err();
+        assert!(matches!(err.root_cause(), SimError::WatchdogTriggered { .. }), "got {err:?}");
+        mpu.write_register(0, 5, 0, &vec![0b1010; lanes]).unwrap();
+        mpu.write_register(0, 5, 1, &vec![0b0110; lanes]).unwrap();
+        mpu.run(&asm("COMPUTE h0 v5\nOR r0 r1 r2\nCOMPUTE_DONE")).unwrap();
+        assert_eq!(mpu.read_register(0, 5, 2).unwrap(), vec![0b1110; lanes]);
     }
 
     #[test]

@@ -30,6 +30,8 @@
 
 use crate::machine::EnsembleKind;
 use crate::stats::Stats;
+pub use mpu_isa::InstrClass;
+use mpu_isa::Instruction;
 use pum_backend::MicroOpKind;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -64,22 +66,6 @@ impl fmt::Display for UopMix {
         }
         Ok(())
     }
-}
-
-/// Coarse classification of a traced instruction, used by the attribution
-/// profile to group charges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InstrClass {
-    /// A datapath (compute) instruction issuing a micro-op recipe.
-    Compute,
-    /// A control-path instruction (masks, branches, NOP, sync).
-    Control,
-    /// A data-movement instruction (`MEMCPY`).
-    Transfer,
-    /// An inter-MPU communication instruction (`RECV`).
-    Comm,
-    /// An ensemble header/footer marker (`COMPUTE`, `MOVE`, `SEND`, ...).
-    Marker,
 }
 
 /// A redundancy/recovery action (see [`crate::RecoveryPolicy`]).
@@ -184,6 +170,15 @@ pub enum TraceKind {
     /// End-of-run finalization (front-end / CPU-idle energy, landed
     /// fault-injection count).
     Finish,
+}
+
+impl TraceKind {
+    /// The [`TraceKind::Instr`] event of `instr`, named and classed by its
+    /// ISA row.
+    pub(crate) fn instr(instr: &Instruction) -> TraceKind {
+        let row = instr.row();
+        TraceKind::Instr { mnemonic: row.mnemonic, class: row.class }
+    }
 }
 
 /// One traced event: where it happened, when, what it was, and the exact
