@@ -36,12 +36,6 @@ macro_rules! id_type {
             pub fn index(self) -> usize {
                 self.0 as usize
             }
-
-            /// Returns `true` if this index fits in the encoded bitfield.
-            #[inline]
-            pub fn is_encodable(self) -> bool {
-                self.0 <= $max
-            }
         }
 
         impl fmt::Display for $name {
@@ -109,12 +103,6 @@ impl LineNum {
     pub fn index(self) -> usize {
         self.0 as usize
     }
-
-    /// Returns `true` if this target fits in the encoded bitfield.
-    #[inline]
-    pub fn is_encodable(self) -> bool {
-        self.0 <= LINE_MAX
-    }
 }
 
 impl fmt::Display for LineNum {
@@ -150,16 +138,9 @@ mod tests {
 
     #[test]
     fn encodable_bounds() {
-        assert!(RegId(63).is_encodable());
-        assert!(!RegId(64).is_encodable());
-        assert!(VrfId(63).is_encodable());
-        assert!(!VrfId(64).is_encodable());
-        assert!(RfhId(31).is_encodable());
-        assert!(!RfhId(32).is_encodable());
-        assert!(MpuId(1023).is_encodable());
-        assert!(!MpuId(1024).is_encodable());
-        assert!(LineNum(LineNum::MAX).is_encodable());
-        assert!(!LineNum(LineNum::MAX + 1).is_encodable());
+        // The ISA table's fields are as wide as these.
+        assert_eq!((RegId::MAX, VrfId::MAX, RfhId::MAX, MpuId::MAX), (63, 63, 31, 1023));
+        assert_eq!(LineNum::MAX, (1 << 20) - 1);
     }
 
     #[test]
