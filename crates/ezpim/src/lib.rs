@@ -7,12 +7,17 @@
 //! implement arbitrarily nested predication, `JUMP_COND` closes dynamic
 //! loops, and `JUMP`/`RETURN` realize subroutine calls.
 //!
-//! Two front ends are provided:
+//! Three front ends are provided:
 //!
 //! * [`EzProgram`] — a typed builder API (what the workload generators
 //!   use);
 //! * [`parse`] — a textual ezpim language with `ensemble`, `while`, `if`,
-//!   `move`, `send`, and `sub` blocks.
+//!   `move`, `send`, and `sub` blocks;
+//! * the syntax tree ([`Top`], [`Stmt`], [`Memcpy`]) — what the parser
+//!   reads text into and what frontends such as `dpapi` lower into.
+//!   [`EzProgram::push`] and [`Body::emit`] replay it into the builder,
+//!   and its `Display` prints text that [`parse`] reads back to the same
+//!   program.
 //!
 //! # Example
 //!
@@ -40,6 +45,8 @@
 
 mod builder;
 mod parser;
+mod tree;
 
 pub use builder::{Body, Cond, EzError, EzProgram, SendBlock, Transfer};
 pub use parser::{parse, ParseError, MAX_DEPTH};
+pub use tree::{Memcpy, MoveBlock, Stmt, Top};

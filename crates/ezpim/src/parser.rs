@@ -42,7 +42,8 @@
 //! [`MAX_DEPTH`] deep, so hostile text cannot exhaust the parsing
 //! thread's stack.
 
-use crate::builder::{Body, Cond, EzProgram};
+use crate::builder::{Cond, EzProgram};
+use crate::tree::{Memcpy, Stmt, Top};
 use mpu_isa::{Instruction, RegId};
 use std::fmt;
 
@@ -69,36 +70,6 @@ impl fmt::Display for ParseError {
 }
 
 impl std::error::Error for ParseError {}
-
-#[derive(Debug, Clone)]
-enum Stmt {
-    Instr(Instruction),
-    While(Cond, Vec<Stmt>),
-    For(RegId, RegId, Vec<Stmt>),
-    If(Cond, Vec<Stmt>, Option<Vec<Stmt>>),
-    Call(String),
-}
-
-#[derive(Debug, Clone)]
-struct MemcpyLine {
-    src_vrf: u16,
-    rs: RegId,
-    dst_vrf: u16,
-    rd: RegId,
-}
-
-/// One move block inside a `send` construct: RFH pairs + memcpy lines.
-type SendMoveBlock = (Vec<(u16, u16)>, Vec<MemcpyLine>);
-
-#[derive(Debug, Clone)]
-enum Top {
-    Ensemble(Vec<(u16, u16)>, Vec<Stmt>),
-    Move(Vec<(u16, u16)>, Vec<MemcpyLine>),
-    Send(u16, Vec<SendMoveBlock>),
-    Recv(u16),
-    Sync,
-    Sub(String, Vec<Stmt>),
-}
 
 struct Lines<'a> {
     lines: Vec<(usize, &'a str)>,
@@ -273,14 +244,14 @@ fn parse_body(lines: &mut Lines<'_>, depth: usize) -> Result<(Vec<Stmt>, bool), 
             _ => {
                 let instr: Instruction = text.parse().map_err(|m: String| err(ln, m))?;
                 check_aliasing(ln, &instr)?;
-                stmts.push(Stmt::Instr(instr));
+                stmts.push(Stmt::Op(instr));
             }
         }
     }
 }
 
 /// Parses `memcpy vA.rB -> vC.rD` lines until `}`.
-fn parse_move_body(lines: &mut Lines<'_>) -> Result<Vec<MemcpyLine>, ParseError> {
+fn parse_move_body(lines: &mut Lines<'_>) -> Result<Vec<Memcpy>, ParseError> {
     let mut copies = Vec::new();
     loop {
         let (ln, text) = lines
@@ -294,7 +265,7 @@ fn parse_move_body(lines: &mut Lines<'_>) -> Result<Vec<MemcpyLine>, ParseError>
             ["memcpy", src, "->", dst] => {
                 let (src_vrf, rs) = parse_vrf_reg(ln, src)?;
                 let (dst_vrf, rd) = parse_vrf_reg(ln, dst)?;
-                copies.push(MemcpyLine { src_vrf, rs, dst_vrf, rd });
+                copies.push(Memcpy { src_vrf, rs, dst_vrf, rd });
             }
             _ => return Err(err(ln, format!("expected `memcpy vN.rM -> vN.rM`, got `{text}`"))),
         }
@@ -303,20 +274,20 @@ fn parse_move_body(lines: &mut Lines<'_>) -> Result<Vec<MemcpyLine>, ParseError>
 
 fn parse_move_header(line: usize, toks: &[&str]) -> Result<Vec<(u16, u16)>, ParseError> {
     // move h0 -> h1 [, h2 -> h3 ...] {
-    let inner = &toks[1..toks.len() - 1]; // strip `move` and `{`
-    let mut pairs = Vec::new();
-    for chunk in inner.split(|t| *t == ",") {
-        match chunk {
-            [src, "->", dst] => {
-                pairs.push((parse_u16(line, src, "h")?, parse_u16(line, dst, "h")?))
+    // A comma may stand alone or end a pair (`h1,`), as after a member.
+    let inner = toks[1..toks.len() - 1].join(" "); // strip `move` and `{`
+    inner
+        .split(',')
+        .map(|chunk| {
+            let mut t = chunk.split_whitespace();
+            match (t.next(), t.next(), t.next(), t.next()) {
+                (Some(src), Some("->"), Some(dst), None) => {
+                    Ok((parse_u16(line, src, "h")?, parse_u16(line, dst, "h")?))
+                }
+                _ => Err(err(line, "expected `move hA -> hB { ... }`")),
             }
-            _ => return Err(err(line, "expected `move hA -> hB { ... }`")),
-        }
-    }
-    if pairs.is_empty() {
-        return Err(err(line, "move block needs at least one RFH pair"));
-    }
-    Ok(pairs)
+        })
+        .collect()
 }
 
 fn parse_top(lines: &mut Lines<'_>) -> Result<Vec<(usize, Top)>, ParseError> {
@@ -380,31 +351,6 @@ fn parse_top(lines: &mut Lines<'_>) -> Result<Vec<(usize, Top)>, ParseError> {
     Ok(tops)
 }
 
-fn emit_stmts(b: &mut Body<'_>, stmts: &[Stmt]) {
-    for stmt in stmts {
-        match stmt {
-            Stmt::Instr(i) => {
-                b.op(*i);
-            }
-            Stmt::While(cond, body) => {
-                b.while_loop(*cond, |b| emit_stmts(b, body));
-            }
-            Stmt::For(counter, limit, body) => {
-                b.for_loop(*counter, *limit, |b| emit_stmts(b, body));
-            }
-            Stmt::If(cond, then, None) => {
-                b.if_then(*cond, |b| emit_stmts(b, then));
-            }
-            Stmt::If(cond, then, Some(els)) => {
-                b.if_else(*cond, |b| emit_stmts(b, then), |b| emit_stmts(b, els));
-            }
-            Stmt::Call(name) => {
-                b.call(name);
-            }
-        }
-    }
-}
-
 /// Parses ezpim source text into an [`EzProgram`] (call
 /// [`EzProgram::assemble`] for the binary).
 ///
@@ -413,44 +359,10 @@ fn emit_stmts(b: &mut Body<'_>, stmts: &[Stmt]) {
 /// Returns a [`ParseError`] locating the first malformed line, or a
 /// wrapped [`EzError`] from lowering (e.g. mask-pool exhaustion).
 pub fn parse(text: &str) -> Result<EzProgram, ParseError> {
-    let mut lines = Lines::new(text);
-    let tops = parse_top(&mut lines)?;
+    let tops = parse_top(&mut Lines::new(text))?;
     let mut ez = EzProgram::new();
     for (ln, top) in &tops {
-        match top {
-            Top::Ensemble(members, body) => {
-                ez.ensemble(members, |b| emit_stmts(b, body))
-                    .map_err(|e| err(*ln, e.to_string()))?;
-            }
-            Top::Move(pairs, copies) => {
-                ez.transfer(pairs, |t| {
-                    for c in copies {
-                        t.memcpy(c.src_vrf, c.rs, c.dst_vrf, c.rd);
-                    }
-                });
-            }
-            Top::Send(dst, moves) => {
-                ez.send(*dst, |s| {
-                    for (pairs, copies) in moves {
-                        s.transfer(pairs, |t| {
-                            for c in copies {
-                                t.memcpy(c.src_vrf, c.rs, c.dst_vrf, c.rd);
-                            }
-                        });
-                    }
-                });
-            }
-            Top::Recv(src) => {
-                ez.recv(*src);
-            }
-            Top::Sync => {
-                ez.sync();
-            }
-            Top::Sub(name, body) => {
-                ez.subroutine(name, |b| emit_stmts(b, body))
-                    .map_err(|e| err(*ln, e.to_string()))?;
-            }
-        }
+        ez.push(top).map_err(|e| err(*ln, e.to_string()))?;
     }
     Ok(ez)
 }
@@ -564,6 +476,17 @@ sub sqrt {
         let text = p.to_string();
         assert!(text.contains("MOVE h0 h1"));
         assert!(text.contains("MOVE h2 h3"));
+    }
+
+    #[test]
+    fn move_pairs_may_end_in_a_comma() {
+        let spaced = parse("move h0 -> h1 , h2 -> h3 {\n memcpy v0.r0 -> v0.r0\n}").unwrap();
+        let joined = parse("move h0 -> h1, h2 -> h3 {\n memcpy v0.r0 -> v0.r0\n}").unwrap();
+        assert_eq!(joined.assemble().unwrap(), spaced.assemble().unwrap());
+        for bad in ["move h0 -> h1, {", "move h0 -> h1,, h2 -> h3 {", "move {"] {
+            let e = parse(&format!("{bad}\n}}")).unwrap_err();
+            assert!(e.message.contains("expected `move hA -> hB"), "{bad}: {}", e.message);
+        }
     }
 
     #[test]
