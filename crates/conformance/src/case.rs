@@ -1,8 +1,9 @@
 //! The conformance case model: a structured, always-terminating subset of
-//! ezpim programs over one or more MPUs, with three interchangeable views —
-//! a tree ([`Case`]), lowered Table II binaries ([`Case::programs`]), and
-//! ezpim source text ([`Case::to_text`]) that round-trips through the
-//! textual parser.
+//! ezpim programs over one or more MPUs. A case's tree ([`Case`])
+//! converts into the ezpim syntax tree ([`MpuCase::to_ezpim`]), and ezpim
+//! does the rest: its replay gives the Table II binaries
+//! ([`Case::programs`]) and its printer the source text
+//! ([`Case::to_text`]) that parses back to the same binaries.
 //!
 //! # Termination by construction
 //!
@@ -15,22 +16,9 @@
 //! generator. A shrinker can delete body statements or flatten a loop to
 //! its body, but it can never delete just the decrement and hang the test.
 
-use ezpim::{Cond, EzError, EzProgram};
+use ezpim::{Cond, EzError, EzProgram, Memcpy};
 use mpu_isa::{BinaryOp, InitValue, Instruction, Program, RegId, UnaryOp};
 use std::fmt::Write as _;
-
-/// One lowered `MEMCPY` line of a `move` block.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CopyLine {
-    /// Source VRF within each source RFH.
-    pub src_vrf: u16,
-    /// Source register.
-    pub rs: RegId,
-    /// Destination VRF within each destination RFH.
-    pub dst_vrf: u16,
-    /// Destination register.
-    pub rd: RegId,
-}
 
 /// A body statement of a compute ensemble.
 #[derive(Debug, Clone, PartialEq)]
@@ -101,7 +89,7 @@ pub enum Top {
         /// `(src_rfh, dst_rfh)` pairs.
         pairs: Vec<(u16, u16)>,
         /// The copies applied to every pair.
-        copies: Vec<CopyLine>,
+        copies: Vec<Memcpy>,
     },
     /// An inter-MPU `SEND` block with a single move block.
     Send {
@@ -110,7 +98,7 @@ pub enum Top {
         /// `(local_src_rfh, remote_dst_rfh)` pairs.
         pairs: Vec<(u16, u16)>,
         /// The copies applied to every pair.
-        copies: Vec<CopyLine>,
+        copies: Vec<Memcpy>,
     },
     /// `RECV` from the named MPU.
     Recv {
@@ -179,34 +167,52 @@ pub fn for_prep(src: RegId, one: RegId, lim: RegId) -> [Instruction; 4] {
     ]
 }
 
-fn emit_stmts(b: &mut ezpim::Body<'_>, stmts: &[Stmt]) {
+/// The ezpim statements of a case body: each loop node expands into its
+/// prep sequence and an ezpim loop, a `while` body ending in its
+/// decrement.
+fn ezpim_stmts(stmts: &[Stmt]) -> Vec<ezpim::Stmt> {
+    let mut out = Vec::with_capacity(stmts.len());
     for stmt in stmts {
         match stmt {
-            Stmt::Op(i) => {
-                b.op(*i);
-            }
-            Stmt::If { cond, then } => {
-                b.if_then(*cond, |b| emit_stmts(b, then));
-            }
+            Stmt::Op(i) => out.push(ezpim::Stmt::Op(*i)),
+            Stmt::If { cond, then } => out.push(ezpim::Stmt::If(*cond, ezpim_stmts(then), None)),
             Stmt::IfElse { cond, then, otherwise } => {
-                b.if_else(*cond, |b| emit_stmts(b, then), |b| emit_stmts(b, otherwise));
+                let otherwise = Some(ezpim_stmts(otherwise));
+                out.push(ezpim::Stmt::If(*cond, ezpim_stmts(then), otherwise));
             }
             Stmt::While { src, ctr, one, zero, body } => {
-                for i in while_prep(*src, *ctr, *one, *zero) {
-                    b.op(i);
-                }
-                b.while_loop(Cond::Gt(*ctr, *zero), |b| {
-                    emit_stmts(b, body);
-                    b.op(while_dec(*ctr, *one));
-                });
+                out.extend(while_prep(*src, *ctr, *one, *zero).map(ezpim::Stmt::Op));
+                let mut body = ezpim_stmts(body);
+                body.push(ezpim::Stmt::Op(while_dec(*ctr, *one)));
+                out.push(ezpim::Stmt::While(Cond::Gt(*ctr, *zero), body));
             }
             Stmt::For { src, ctr, one, lim, body } => {
-                for i in for_prep(*src, *one, *lim) {
-                    b.op(i);
-                }
-                b.for_loop(*ctr, *lim, |b| emit_stmts(b, body));
+                out.extend(for_prep(*src, *one, *lim).map(ezpim::Stmt::Op));
+                out.push(ezpim::Stmt::For(*ctr, *lim, ezpim_stmts(body)));
             }
         }
+    }
+    out
+}
+
+impl MpuCase {
+    /// This MPU's program as ezpim top-level constructs, the one form
+    /// both [`lower`] and [`print_mpu`] read.
+    pub fn to_ezpim(&self) -> Vec<ezpim::Top> {
+        self.tops
+            .iter()
+            .map(|top| match top {
+                Top::Ensemble { members, body } => {
+                    ezpim::Top::Ensemble(members.clone(), ezpim_stmts(body))
+                }
+                Top::Move { pairs, copies } => ezpim::Top::Move(pairs.clone(), copies.clone()),
+                Top::Send { dst, pairs, copies } => {
+                    ezpim::Top::Send(*dst, vec![(pairs.clone(), copies.clone())])
+                }
+                Top::Recv { src } => ezpim::Top::Recv(*src),
+                Top::Sync => ezpim::Top::Sync,
+            })
+            .collect()
     }
 }
 
@@ -219,130 +225,17 @@ fn emit_stmts(b: &mut ezpim::Body<'_>, stmts: &[Stmt]) {
 /// generator never produces them, but shrunk or hand-written cases might.
 pub fn lower(mpu: &MpuCase) -> Result<Program, EzError> {
     let mut ez = EzProgram::new();
-    for top in &mpu.tops {
-        match top {
-            Top::Ensemble { members, body } => {
-                ez.ensemble(members, |b| emit_stmts(b, body))?;
-            }
-            Top::Move { pairs, copies } => {
-                ez.transfer(pairs, |t| {
-                    for c in copies {
-                        t.memcpy(c.src_vrf, c.rs, c.dst_vrf, c.rd);
-                    }
-                });
-            }
-            Top::Send { dst, pairs, copies } => {
-                ez.send(*dst, |s| {
-                    s.transfer(pairs, |t| {
-                        for c in copies {
-                            t.memcpy(c.src_vrf, c.rs, c.dst_vrf, c.rd);
-                        }
-                    });
-                });
-            }
-            Top::Recv { src } => {
-                ez.recv(*src);
-            }
-            Top::Sync => {
-                ez.sync();
-            }
-        }
+    for top in &mpu.to_ezpim() {
+        ez.push(top)?;
     }
     ez.assemble()
-}
-
-fn cond_text(c: &Cond) -> String {
-    match *c {
-        Cond::Eq(a, b) => format!("r{} == r{}", a.0, b.0),
-        Cond::Gt(a, b) => format!("r{} > r{}", a.0, b.0),
-        Cond::Lt(a, b) => format!("r{} < r{}", a.0, b.0),
-        Cond::Fuzzy(a, b, skip) => format!("r{} ~= r{} skip r{}", a.0, b.0, skip.0),
-    }
-}
-
-fn print_stmts(out: &mut String, stmts: &[Stmt], indent: usize) {
-    let pad = "    ".repeat(indent);
-    for stmt in stmts {
-        match stmt {
-            Stmt::Op(i) => {
-                let _ = writeln!(out, "{pad}{i}");
-            }
-            Stmt::If { cond, then } => {
-                let _ = writeln!(out, "{pad}if {} {{", cond_text(cond));
-                print_stmts(out, then, indent + 1);
-                let _ = writeln!(out, "{pad}}}");
-            }
-            Stmt::IfElse { cond, then, otherwise } => {
-                let _ = writeln!(out, "{pad}if {} {{", cond_text(cond));
-                print_stmts(out, then, indent + 1);
-                let _ = writeln!(out, "{pad}}} else {{");
-                print_stmts(out, otherwise, indent + 1);
-                let _ = writeln!(out, "{pad}}}");
-            }
-            Stmt::While { src, ctr, one, zero, body } => {
-                for i in while_prep(*src, *ctr, *one, *zero) {
-                    let _ = writeln!(out, "{pad}{i}");
-                }
-                let _ = writeln!(out, "{pad}while r{} > r{} {{", ctr.0, zero.0);
-                print_stmts(out, body, indent + 1);
-                let _ = writeln!(out, "{}{}", "    ".repeat(indent + 1), while_dec(*ctr, *one));
-                let _ = writeln!(out, "{pad}}}");
-            }
-            Stmt::For { src, ctr, one, lim, body } => {
-                for i in for_prep(*src, *one, *lim) {
-                    let _ = writeln!(out, "{pad}{i}");
-                }
-                let _ = writeln!(out, "{pad}for r{} < r{} {{", ctr.0, lim.0);
-                print_stmts(out, body, indent + 1);
-                let _ = writeln!(out, "{pad}}}");
-            }
-        }
-    }
-}
-
-fn print_move_block(out: &mut String, keyword: &str, pairs: &[(u16, u16)], copies: &[CopyLine]) {
-    let header = pairs.iter().map(|(s, d)| format!("h{s} -> h{d}")).collect::<Vec<_>>().join(" , ");
-    let _ = writeln!(out, "{keyword} {header} {{");
-    for c in copies {
-        let _ =
-            writeln!(out, "    memcpy v{}.r{} -> v{}.r{}", c.src_vrf, c.rs.0, c.dst_vrf, c.rd.0);
-    }
-    let _ = writeln!(out, "}}");
 }
 
 /// Renders one MPU's case as ezpim source text. Parsing this text and
 /// assembling yields exactly the [`lower`]ed binary (the round-trip
 /// property the conformance suite checks).
 pub fn print_mpu(mpu: &MpuCase) -> String {
-    let mut out = String::new();
-    for top in &mpu.tops {
-        match top {
-            Top::Ensemble { members, body } => {
-                let ms =
-                    members.iter().map(|(h, v)| format!("h{h}.v{v}")).collect::<Vec<_>>().join(" ");
-                let _ = writeln!(out, "ensemble {ms} {{");
-                print_stmts(&mut out, body, 1);
-                let _ = writeln!(out, "}}");
-            }
-            Top::Move { pairs, copies } => print_move_block(&mut out, "move", pairs, copies),
-            Top::Send { dst, pairs, copies } => {
-                let _ = writeln!(out, "send mpu{dst} {{");
-                let mut inner = String::new();
-                print_move_block(&mut inner, "move", pairs, copies);
-                for line in inner.lines() {
-                    let _ = writeln!(out, "    {line}");
-                }
-                let _ = writeln!(out, "}}");
-            }
-            Top::Recv { src } => {
-                let _ = writeln!(out, "recv mpu{src}");
-            }
-            Top::Sync => {
-                let _ = writeln!(out, "sync");
-            }
-        }
-    }
-    out
+    mpu.to_ezpim().iter().map(ToString::to_string).collect()
 }
 
 fn stmt_nodes(stmts: &[Stmt]) -> usize {
@@ -479,7 +372,7 @@ mod tests {
                     },
                     Top::Move {
                         pairs: vec![(0, 1)],
-                        copies: vec![CopyLine { src_vrf: 0, rs: r(2), dst_vrf: 1, rd: r(3) }],
+                        copies: vec![Memcpy { src_vrf: 0, rs: r(2), dst_vrf: 1, rd: r(3) }],
                     },
                     Top::Sync,
                 ],

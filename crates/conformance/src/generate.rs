@@ -18,8 +18,8 @@
 //! The same seed always generates the same case (the vendored `StdRng` is
 //! a deterministic SplitMix64).
 
-use crate::case::{Case, CopyLine, Input, MpuCase, Stmt, Top};
-use ezpim::Cond;
+use crate::case::{Case, Input, MpuCase, Stmt, Top};
+use ezpim::{Cond, Memcpy};
 use mpu_isa::{BinaryOp, CompareOp, InitValue, Instruction, RegId, UnaryOp, COND_REG};
 use rand::{rngs::StdRng, Rng, RngCore, SeedableRng};
 
@@ -216,9 +216,9 @@ fn gen_members(rng: &mut StdRng) -> Vec<(u16, u16)> {
     members
 }
 
-fn gen_copies(rng: &mut StdRng) -> Vec<CopyLine> {
+fn gen_copies(rng: &mut StdRng) -> Vec<Memcpy> {
     (0..rng.random_range(1..=2usize))
-        .map(|_| CopyLine {
+        .map(|_| Memcpy {
             src_vrf: rng.random_range(0..BOX_VRFS),
             rs: readable(rng),
             dst_vrf: rng.random_range(0..BOX_VRFS),

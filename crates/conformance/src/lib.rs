@@ -27,7 +27,7 @@ pub mod generate;
 pub mod pipeline_case;
 pub mod shrink;
 
-pub use case::{reproducer_text, Case, CopyLine, Input, MpuCase, Stmt, Top};
+pub use case::{reproducer_text, Case, Input, MpuCase, Stmt, Top};
 pub use diff::{check_case, check_case_on, ref_geometry, reference_lanes, simulate, Tier, TIERS};
 pub use fault::{remap_recovers, render_report, run_sweep, PolicyKind, SweepConfig, SweepReport};
 pub use generate::{generate, BOX_RFHS, BOX_VRFS};

@@ -13,24 +13,32 @@
 
 use crate::case::{Case, Input, MpuCase, Stmt, Top};
 use crate::generate::{BOX_RFHS, BOX_VRFS};
-use dpapi::{random_pipeline, Kop};
+use dpapi::random_pipeline;
 use mpu_isa::RegId;
 use rand::{rngs::StdRng, Rng, RngCore, SeedableRng};
 
 /// Converts a lowered pipeline body into conformance-case statements.
-/// The two trees mirror the same ezpim builder surface, so the mapping
-/// is one-to-one and lowering the converted case reproduces exactly the
+/// dpapi lowers to instructions and `if`/`else` only, so the mapping is
+/// one-to-one and lowering the converted case reproduces exactly the
 /// frontend's own [`dpapi::Lowered::program`] binary.
-pub fn kops_to_stmts(kops: &[Kop]) -> Vec<Stmt> {
-    kops.iter()
-        .map(|kop| match kop {
-            Kop::Op(i) => Stmt::Op(*i),
-            Kop::If { cond, then } => Stmt::If { cond: *cond, then: kops_to_stmts(then) },
-            Kop::IfElse { cond, then, otherwise } => Stmt::IfElse {
+///
+/// # Panics
+///
+/// On a `while`, `for` or `call`: case loops own their trip counts, so
+/// a free-form ezpim loop has no case form.
+pub fn kops_to_stmts(body: &[ezpim::Stmt]) -> Vec<Stmt> {
+    body.iter()
+        .map(|stmt| match stmt {
+            ezpim::Stmt::Op(i) => Stmt::Op(*i),
+            ezpim::Stmt::If(cond, then, None) => {
+                Stmt::If { cond: *cond, then: kops_to_stmts(then) }
+            }
+            ezpim::Stmt::If(cond, then, Some(otherwise)) => Stmt::IfElse {
                 cond: *cond,
                 then: kops_to_stmts(then),
                 otherwise: kops_to_stmts(otherwise),
             },
+            other => panic!("no conformance statement for `{}`", other.to_string().trim_end()),
         })
         .collect()
 }
@@ -64,14 +72,14 @@ pub fn generate_pipeline_case(seed: u64) -> Case {
     }
 
     let mut mpu = MpuCase {
-        tops: vec![Top::Ensemble { members: members.clone(), body: kops_to_stmts(&lowered.kops) }],
+        tops: vec![Top::Ensemble { members: members.clone(), body: kops_to_stmts(&lowered.body) }],
         inputs: Vec::new(),
     };
     if let Some(p2) = &lowered.phase2 {
         // The real runtime loads the host-computed offsets between the
         // two launches; here both phases share one program and the
         // offsets are just another pre-loaded input.
-        mpu.tops.push(Top::Ensemble { members: members.clone(), body: kops_to_stmts(&p2.kops) });
+        mpu.tops.push(Top::Ensemble { members: members.clone(), body: kops_to_stmts(&p2.body) });
     }
 
     for &(rfh, vrf) in &members {
@@ -120,7 +128,7 @@ mod tests {
         assert_eq!(generate_pipeline_case(7), generate_pipeline_case(7));
     }
 
-    /// The Kop → Stmt conversion is faithful: lowering the converted
+    /// The ezpim → case statement conversion is faithful: lowering the converted
     /// ensemble reproduces the frontend's own binary, phase by phase.
     #[test]
     fn conversion_matches_the_frontend_lowering() {
@@ -130,7 +138,7 @@ mod tests {
             let phase1 = MpuCase {
                 tops: vec![Top::Ensemble {
                     members: members.clone(),
-                    body: kops_to_stmts(&lowered.kops),
+                    body: kops_to_stmts(&lowered.body),
                 }],
                 inputs: Vec::new(),
             };
@@ -143,7 +151,7 @@ mod tests {
                 let phase2 = MpuCase {
                     tops: vec![Top::Ensemble {
                         members: members.clone(),
-                        body: kops_to_stmts(&p2.kops),
+                        body: kops_to_stmts(&p2.body),
                     }],
                     inputs: Vec::new(),
                 };

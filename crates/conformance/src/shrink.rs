@@ -333,7 +333,7 @@ mod tests {
 
     #[test]
     fn comm_pairs_are_removed_together() {
-        let copy = crate::case::CopyLine { src_vrf: 0, rs: RegId(0), dst_vrf: 0, rd: RegId(1) };
+        let copy = ezpim::Memcpy { src_vrf: 0, rs: RegId(0), dst_vrf: 0, rd: RegId(1) };
         let case = Case {
             mpus: vec![
                 MpuCase {

@@ -37,7 +37,7 @@
 //! simulated template fetch is charged per MPU exactly as without them, so
 //! the returned [`Stats`] are unchanged.
 
-use crate::lower::{emit_kops, Lowered};
+use crate::lower::{ensemble, sim, Lowered};
 use crate::pipeline::{apply_map, apply_zip, Pipeline, ReduceOp, Stage};
 use crate::DpError;
 use mastodon::{run_single_pooled, Mpu, RecipePool, RegisterInit, SimConfig, Stats, System};
@@ -166,9 +166,7 @@ impl Lowered {
     /// every member's partial to the root's landing register.
     fn leaf_program(&self, members: &[(u16, u16)]) -> Result<Program, DpError> {
         let (d0, xfer) = (self.data[0], self.xfer_reg());
-        let mut ez = ezpim::EzProgram::new();
-        ez.ensemble(members, |b| emit_kops(b, &self.kops))
-            .map_err(|e| DpError::Sim(e.to_string()))?;
+        let mut ez = ensemble(members, &self.body)?;
         ez.send(0, |s| {
             let mut vrfs: Vec<u16> = members.iter().map(|&(_, v)| v).collect();
             vrfs.dedup();
@@ -183,7 +181,7 @@ impl Lowered {
                 });
             }
         });
-        ez.assemble().map_err(|e| DpError::Sim(e.to_string()))
+        ez.assemble().map_err(sim)
     }
 
     /// Root program for a sharded reduction: phase-1 compute, then RECV
@@ -196,17 +194,15 @@ impl Lowered {
     ) -> Result<Program, DpError> {
         let (d0, xfer) = (self.data[0], self.xfer_reg());
         let fold = Instruction::Binary { op: op.reduce_binary_op(), rs: xfer, rt: d0, rd: d0 };
-        let mut ez = ezpim::EzProgram::new();
-        ez.ensemble(members, |b| emit_kops(b, &self.kops))
-            .map_err(|e| DpError::Sim(e.to_string()))?;
+        let mut ez = ensemble(members, &self.body)?;
         for leaf in 1..=leaves {
             ez.recv(leaf as u16);
             ez.ensemble(members, |b| {
                 b.op(fold);
             })
-            .map_err(|e| DpError::Sim(e.to_string()))?;
+            .map_err(sim)?;
         }
-        ez.assemble().map_err(|e| DpError::Sim(e.to_string()))
+        ez.assemble().map_err(sim)
     }
 }
 

@@ -14,9 +14,9 @@
 //! 1. a plain-Rust **oracle** ([`Pipeline::oracle`]) defining the
 //!    semantics (wrapping u64 arithmetic, `MUL` truncating to the low 32
 //!    bits of each operand like the ISA, unsigned comparisons);
-//! 2. a **lowering** ([`Pipeline::lower`]) to a [`Kop`] IR that replays
-//!    into the ezpim builder, prints as parseable ezpim text, and
-//!    converts into conformance-case statements;
+//! 2. a **lowering** ([`Pipeline::lower`]) into the ezpim syntax tree
+//!    ([`ezpim::Stmt`]), which ezpim replays into its builder and prints
+//!    as parseable text;
 //! 3. an **execution** ([`Pipeline::run`] / [`Pipeline::run_sharded`])
 //!    on the cycle-exact simulator, returning lane-exact results plus
 //!    [`mastodon::Stats`].
@@ -49,7 +49,7 @@ mod pipeline;
 
 pub use exec::{shapes_synthesized, PipelineRun};
 pub use gen::{random_pipeline, RandomPipeline};
-pub use lower::{Kop, Lowered, Phase2};
+pub use lower::{Lowered, Phase2};
 pub use pipeline::{MapOp, Pipeline, PipelineOutput, Pred, ReduceOp, ScanOp, Stage, ZipOp};
 
 use std::fmt;

@@ -1,4 +1,4 @@
-//! Lowering: from a stage list to registers, a [`Kop`] IR, and ezpim.
+//! Lowering: from a stage list to registers and an ezpim statement tree.
 //!
 //! ## Register layout (r0–r9; r10–r15 stay reserved per the register
 //! conventions)
@@ -33,10 +33,9 @@
 
 use crate::pipeline::{MapOp, Pipeline, Pred, ReduceOp, Stage, ZipOp};
 use crate::DpError;
-use ezpim::{Body, Cond, EzProgram};
+use ezpim::{Cond, EzError, EzProgram, Stmt, Top};
 use mpu_isa::{BinaryOp, InitValue, Instruction, Program, RegId, UnaryOp};
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
 
 /// Writable architectural registers (r0–r9): r10–r13 are the ezpim mask
 /// pool and r14/r15 are recipe temporaries.
@@ -45,38 +44,13 @@ pub const WRITABLE_REGS: usize = 10;
 /// Mask-pool nesting levels the default ezpim pool supports.
 pub const MASK_LEVELS: usize = 2;
 
-/// A lowered compute statement: a tree mirror of the ezpim builder
-/// calls, so one lowering can replay into the builder, print as ezpim
-/// text, and convert into conformance-case statements.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Kop {
-    /// A straight-line instruction.
-    Op(Instruction),
-    /// `if (cond) { then }` predication.
-    If {
-        /// The lane predicate.
-        cond: Cond,
-        /// The predicated body.
-        then: Vec<Kop>,
-    },
-    /// `if (cond) { then } else { otherwise }` predication.
-    IfElse {
-        /// The lane predicate.
-        cond: Cond,
-        /// The taken body.
-        then: Vec<Kop>,
-        /// The not-taken body.
-        otherwise: Vec<Kop>,
-    },
-}
-
 /// The phase-2 (scan offset fixup) program of a two-launch scan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Phase2 {
     /// Host-computed per-lane segment offset, loaded as an input.
     pub offset: RegId,
     /// The fixup body: `d_k += offset` for every segment register.
-    pub kops: Vec<Kop>,
+    pub body: Vec<Stmt>,
 }
 
 /// A fully lowered pipeline: register assignments plus the compute body.
@@ -98,7 +72,7 @@ pub struct Lowered {
     /// The computed keep flag (flag path only).
     pub flag: Option<RegId>,
     /// The phase-1 compute body.
-    pub kops: Vec<Kop>,
+    pub body: Vec<Stmt>,
     /// The phase-2 scan fixup, when the pipeline ends in an unfiltered
     /// scan.
     pub phase2: Option<Phase2>,
@@ -110,25 +84,25 @@ fn r(i: usize) -> RegId {
     RegId(i as u16)
 }
 
-fn binary(op: BinaryOp, rs: RegId, rt: RegId, rd: RegId) -> Kop {
-    Kop::Op(Instruction::Binary { op, rs, rt, rd })
+fn binary(op: BinaryOp, rs: RegId, rt: RegId, rd: RegId) -> Stmt {
+    Stmt::Op(Instruction::Binary { op, rs, rt, rd })
 }
 
-fn unary(op: UnaryOp, rs: RegId, rd: RegId) -> Kop {
-    Kop::Op(Instruction::Unary { op, rs, rd })
+fn unary(op: UnaryOp, rs: RegId, rd: RegId) -> Stmt {
+    Stmt::Op(Instruction::Unary { op, rs, rd })
 }
 
-fn init0(rd: RegId) -> Kop {
-    Kop::Op(Instruction::Init { value: InitValue::Zero, rd })
+fn init0(rd: RegId) -> Stmt {
+    Stmt::Op(Instruction::Init { value: InitValue::Zero, rd })
 }
 
-fn init1(rd: RegId) -> Kop {
-    Kop::Op(Instruction::Init { value: InitValue::One, rd })
+fn init1(rd: RegId) -> Stmt {
+    Stmt::Op(Instruction::Init { value: InitValue::One, rd })
 }
 
 impl ReduceOp {
-    /// Kops writing this op's fold identity into `rd`.
-    fn identity_kops(self, rd: RegId) -> Vec<Kop> {
+    /// Statements writing this op's fold identity into `rd`.
+    fn identity_stmts(self, rd: RegId) -> Vec<Stmt> {
         if self.identity() == 0 {
             vec![init0(rd)]
         } else {
@@ -176,7 +150,7 @@ impl Ctx {
         self.zip_regs[pos][k]
     }
 
-    fn map_kops(&self, op: MapOp, d: RegId) -> Vec<Kop> {
+    fn map_stmts(&self, op: MapOp, d: RegId) -> Vec<Stmt> {
         let t = self.scratch;
         match op {
             MapOp::Add(c) => vec![binary(BinaryOp::Add, d, self.creg(c), d)],
@@ -190,18 +164,16 @@ impl Ctx {
             MapOp::Xor(c) => vec![binary(BinaryOp::Xor, d, self.creg(c), d)],
             MapOp::Min(c) => vec![binary(BinaryOp::Min, d, self.creg(c), d)],
             MapOp::Max(c) => vec![binary(BinaryOp::Max, d, self.creg(c), d)],
-            MapOp::Eq(c) => vec![Kop::IfElse {
-                cond: Cond::Eq(d, self.creg(c)),
-                then: vec![init1(d)],
-                otherwise: vec![init0(d)],
-            }],
+            MapOp::Eq(c) => {
+                vec![Stmt::If(Cond::Eq(d, self.creg(c)), vec![init1(d)], Some(vec![init0(d)]))]
+            }
             MapOp::Not => vec![unary(UnaryOp::Inv, d, d)],
             MapOp::Popc => vec![unary(UnaryOp::Popc, d, d)],
             MapOp::Shl1 => vec![unary(UnaryOp::LShift, d, d)],
         }
     }
 
-    fn zip_kops(&self, op: ZipOp, d: RegId, z: RegId) -> Vec<Kop> {
+    fn zip_stmts(&self, op: ZipOp, d: RegId, z: RegId) -> Vec<Stmt> {
         match op {
             ZipOp::Add => vec![binary(BinaryOp::Add, d, z, d)],
             ZipOp::Sub => vec![binary(BinaryOp::Sub, d, z, d)],
@@ -227,25 +199,23 @@ impl Ctx {
 
     /// Lowers `body[idx..]`; each filter nests the remainder inside its
     /// `if`, and the innermost point marks survivors with `f ← v`.
-    fn lower_from(&self, body: &[Stage], idx: usize) -> Vec<Kop> {
+    fn lower_from(&self, body: &[Stage], idx: usize) -> Vec<Stmt> {
         let mut out = Vec::new();
         for (i, &stage) in body.iter().enumerate().skip(idx) {
             match stage {
                 Stage::Map(op) => {
                     for k in 0..self.seg {
-                        out.extend(self.map_kops(op, self.data[k]));
+                        out.extend(self.map_stmts(op, self.data[k]));
                     }
                 }
                 Stage::Zip { column, op } => {
                     for k in 0..self.seg {
-                        out.extend(self.zip_kops(op, self.data[k], self.zreg(column, k)));
+                        out.extend(self.zip_stmts(op, self.data[k], self.zreg(column, k)));
                     }
                 }
                 Stage::Filter(pred) => {
-                    out.push(Kop::If {
-                        cond: self.pred_cond(pred, self.data[0]),
-                        then: self.lower_from(body, i + 1),
-                    });
+                    let cond = self.pred_cond(pred, self.data[0]);
+                    out.push(Stmt::If(cond, self.lower_from(body, i + 1), None));
                     return out;
                 }
                 Stage::Scan(_) | Stage::Reduce(_) => unreachable!("terminal stripped from body"),
@@ -261,8 +231,8 @@ impl Ctx {
 
 impl Pipeline {
     /// Lowers the pipeline: allocates registers, checks the mask-pool
-    /// budget, and produces the [`Kop`] body (plus the phase-2 fixup for
-    /// two-launch scans).
+    /// budget, and produces the ezpim statement body (plus the phase-2
+    /// fixup for two-launch scans).
     ///
     /// # Errors
     ///
@@ -397,16 +367,16 @@ impl Pipeline {
         // Phase-1 body: prelude, the (possibly nested) stage walk, then
         // the terminal.
         let body_end = self.stages().len() - usize::from(terminal.is_some());
-        let mut kops = Vec::new();
+        let mut stmts = Vec::new();
         if flagged {
             let (v, f) = (valid.unwrap(), flag.unwrap());
             if has_filters {
-                kops.push(init0(f));
+                stmts.push(init0(f));
             } else {
-                kops.push(unary(UnaryOp::Mov, v, f));
+                stmts.push(unary(UnaryOp::Mov, v, f));
             }
         }
-        kops.extend(ctx.lower_from(&self.stages()[..body_end], 0));
+        stmts.extend(ctx.lower_from(&self.stages()[..body_end], 0));
 
         let mut phase2 = None;
         match terminal {
@@ -415,21 +385,16 @@ impl Pipeline {
                 if flagged {
                     let f = flag.unwrap();
                     if is_count {
-                        kops.push(unary(UnaryOp::Mov, f, d0));
+                        stmts.push(unary(UnaryOp::Mov, f, d0));
                     } else {
-                        kops.push(Kop::If {
-                            cond: Cond::Eq(f, ctx.creg(0)),
-                            then: op.identity_kops(d0),
-                        });
+                        stmts.push(Stmt::If(Cond::Eq(f, ctx.creg(0)), op.identity_stmts(d0), None));
                     }
                 } else {
                     // Lanes without a fully-real segment fold as the
                     // identity; the host picks up their real elements.
                     let v = valid.unwrap();
-                    kops.push(Kop::If {
-                        cond: Cond::Eq(v, ctx.creg(0)),
-                        then: (0..seg).flat_map(|k| op.identity_kops(data[k])).collect(),
-                    });
+                    let identity = (0..seg).flat_map(|k| op.identity_stmts(data[k])).collect();
+                    stmts.push(Stmt::If(Cond::Eq(v, ctx.creg(0)), identity, None));
                 }
                 // Log-depth in-register tree into d0.
                 let alu = op.binary_op();
@@ -437,7 +402,7 @@ impl Pipeline {
                 while gap < seg {
                     let mut i = 0;
                     while i + gap < seg {
-                        kops.push(binary(alu, data[i + gap], data[i], data[i]));
+                        stmts.push(binary(alu, data[i + gap], data[i], data[i]));
                         i += 2 * gap;
                     }
                     gap *= 2;
@@ -448,24 +413,21 @@ impl Pipeline {
                     // Dead lanes contribute the sum identity; the host
                     // completes the scan (see exec).
                     let f = flag.unwrap();
-                    kops.push(Kop::If {
-                        cond: Cond::Eq(f, ctx.creg(0)),
-                        then: vec![init0(data[0])],
-                    });
+                    stmts.push(Stmt::If(Cond::Eq(f, ctx.creg(0)), vec![init0(data[0])], None));
                 } else {
                     // Log-depth Hillis–Steele inclusive scan per segment;
                     // descending i so each round reads pre-round values.
                     let mut d = 1;
                     while d < seg {
                         for i in (d..seg).rev() {
-                            kops.push(binary(BinaryOp::Add, data[i - d], data[i], data[i]));
+                            stmts.push(binary(BinaryOp::Add, data[i - d], data[i], data[i]));
                         }
                         d *= 2;
                     }
                     let offset = r(seg);
                     let fixup =
                         (0..seg).map(|k| binary(BinaryOp::Add, offset, data[k], data[k])).collect();
-                    phase2 = Some(Phase2 { offset, kops: fixup });
+                    phase2 = Some(Phase2 { offset, body: fixup });
                 }
             }
             _ => {}
@@ -479,74 +441,26 @@ impl Pipeline {
             scratch,
             valid,
             flag,
-            kops,
+            body: stmts,
             phase2,
             terminal,
         })
     }
 }
 
-/// Replays kops into an ezpim [`Body`].
-pub fn emit_kops(b: &mut Body<'_>, kops: &[Kop]) {
-    for kop in kops {
-        match kop {
-            Kop::Op(i) => {
-                b.op(*i);
-            }
-            Kop::If { cond, then } => {
-                b.if_then(*cond, |b| emit_kops(b, then));
-            }
-            Kop::IfElse { cond, then, otherwise } => {
-                b.if_else(*cond, |b| emit_kops(b, then), |b| emit_kops(b, otherwise));
-            }
-        }
-    }
+pub(crate) fn sim(e: EzError) -> DpError {
+    DpError::Sim(e.to_string())
 }
 
-fn cond_text(c: &Cond) -> String {
-    match *c {
-        Cond::Eq(a, b) => format!("r{} == r{}", a.0, b.0),
-        Cond::Gt(a, b) => format!("r{} > r{}", a.0, b.0),
-        Cond::Lt(a, b) => format!("r{} < r{}", a.0, b.0),
-        Cond::Fuzzy(a, b, skip) => format!("r{} ~= r{} skip r{}", a.0, b.0, skip.0),
-    }
-}
-
-fn print_kops(out: &mut String, kops: &[Kop], indent: usize) {
-    let pad = "    ".repeat(indent);
-    for kop in kops {
-        match kop {
-            Kop::Op(i) => {
-                let _ = writeln!(out, "{pad}{i}");
-            }
-            Kop::If { cond, then } => {
-                let _ = writeln!(out, "{pad}if {} {{", cond_text(cond));
-                print_kops(out, then, indent + 1);
-                let _ = writeln!(out, "{pad}}}");
-            }
-            Kop::IfElse { cond, then, otherwise } => {
-                let _ = writeln!(out, "{pad}if {} {{", cond_text(cond));
-                print_kops(out, then, indent + 1);
-                let _ = writeln!(out, "{pad}}} else {{");
-                print_kops(out, otherwise, indent + 1);
-                let _ = writeln!(out, "{pad}}}");
-            }
-        }
-    }
-}
-
-fn ensemble_text(members: &[(u16, u16)], kops: &[Kop]) -> String {
-    let ms = members.iter().map(|(h, v)| format!("h{h}.v{v}")).collect::<Vec<_>>().join(" ");
-    let mut out = format!("ensemble {ms} {{\n");
-    print_kops(&mut out, kops, 1);
-    out.push_str("}\n");
-    out
-}
-
-fn assemble(members: &[(u16, u16)], kops: &[Kop]) -> Result<Program, DpError> {
+/// An ezpim program that opens with one ensemble running `body` over
+/// `members`; sharded runs append their SEND/RECV traffic to it.
+pub(crate) fn ensemble(members: &[(u16, u16)], body: &[Stmt]) -> Result<EzProgram, DpError> {
     let mut ez = EzProgram::new();
-    ez.ensemble(members, |b| emit_kops(b, kops)).map_err(|e| DpError::Sim(e.to_string()))?;
-    ez.assemble().map_err(|e| DpError::Sim(e.to_string()))
+    ez.ensemble(members, |b| {
+        b.emit(body);
+    })
+    .map_err(sim)?;
+    Ok(ez)
 }
 
 impl Lowered {
@@ -557,7 +471,7 @@ impl Lowered {
     /// [`DpError::Sim`] if ezpim rejects the body (pre-validated, so
     /// effectively unreachable).
     pub fn program(&self, members: &[(u16, u16)]) -> Result<Program, DpError> {
-        assemble(members, &self.kops)
+        ensemble(members, &self.body)?.assemble().map_err(sim)
     }
 
     /// The phase-2 fixup program, for two-launch scans.
@@ -566,18 +480,21 @@ impl Lowered {
     ///
     /// [`DpError::Sim`] as for [`Lowered::program`].
     pub fn phase2_program(&self, members: &[(u16, u16)]) -> Result<Option<Program>, DpError> {
-        self.phase2.as_ref().map(|p| assemble(members, &p.kops)).transpose()
+        self.phase2
+            .as_ref()
+            .map(|p| ensemble(members, &p.body)?.assemble().map_err(sim))
+            .transpose()
     }
 
     /// The phase-1 program as ezpim text (parses and assembles back to
     /// exactly [`Lowered::program`]; the round-trip is property-tested).
     pub fn ezpim_text(&self, members: &[(u16, u16)]) -> String {
-        ensemble_text(members, &self.kops)
+        Top::Ensemble(members.to_vec(), self.body.clone()).to_string()
     }
 
     /// The phase-2 program as ezpim text.
     pub fn phase2_text(&self, members: &[(u16, u16)]) -> Option<String> {
-        self.phase2.as_ref().map(|p| ensemble_text(members, &p.kops))
+        self.phase2.as_ref().map(|p| Top::Ensemble(members.to_vec(), p.body.clone()).to_string())
     }
 
     /// Registers the host reads back per member: the data segment, plus
@@ -631,7 +548,7 @@ mod tests {
         let p = Pipeline::new().scan(ScanOp::Sum).lower().unwrap();
         assert_eq!(p.seg, 8);
         let phase2 = p.phase2.expect("unfiltered scan is two-launch");
-        assert_eq!(phase2.kops.len(), 8);
+        assert_eq!(phase2.body.len(), 8);
     }
 
     #[test]
