@@ -4,7 +4,8 @@
 //! [`decode_body`] hoists the per-instruction classification out of the
 //! simulator's body loop. Every body decodes; nothing falls back:
 //!
-//! * compute instructions become compute steps; the simulator resolves
+//! * compute instructions (the ISA table's [`InstrClass::Compute`]
+//!   rows) become compute steps; the simulator resolves
 //!   each one's compiled recipe through its per-step template-table probe,
 //!   and executes a run of consecutive compute steps in one pass over the
 //!   whole thermal wave ([`run_batch`]), decoding each micro-op once per
@@ -26,7 +27,7 @@
 
 use crate::bitplane::PlaneBank;
 use crate::compiled::{self, CompiledRecipe};
-use mpu_isa::{Instruction, LineNum, RegId};
+use mpu_isa::{InstrClass, Instruction, LineNum, RegId};
 use std::sync::Arc;
 
 /// One step of a decoded ensemble body.
@@ -163,12 +164,7 @@ pub fn decode_body(body: &[Instruction], entry: usize) -> BlockGraph {
     let mut steps: Vec<BlockStep> = body
         .iter()
         .map(|instr| match *instr {
-            Instruction::Binary { .. }
-            | Instruction::Unary { .. }
-            | Instruction::Compare { .. }
-            | Instruction::Fuzzy { .. }
-            | Instruction::Cas { .. }
-            | Instruction::Init { .. } => BlockStep::Compute(*instr),
+            _ if instr.row().class == InstrClass::Compute => BlockStep::Compute(*instr),
             Instruction::SetMask { rs } => BlockStep::SetMask(rs),
             Instruction::Unmask => BlockStep::Unmask,
             Instruction::GetMask { rd } => BlockStep::GetMask(rd),
