@@ -456,10 +456,7 @@ pub(crate) fn sim(e: EzError) -> DpError {
 /// `members`; sharded runs append their SEND/RECV traffic to it.
 pub(crate) fn ensemble(members: &[(u16, u16)], body: &[Stmt]) -> Result<EzProgram, DpError> {
     let mut ez = EzProgram::new();
-    ez.ensemble(members, |b| {
-        b.emit(body);
-    })
-    .map_err(sim)?;
+    ez.ensemble(members, |b| b.emit(body)).map_err(sim)?;
     Ok(ez)
 }
 

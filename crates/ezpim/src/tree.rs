@@ -63,44 +63,21 @@ pub enum Top {
 
 impl Body<'_> {
     /// Replays statements into this body, in order.
-    pub fn emit(&mut self, stmts: &[Stmt]) -> &mut Self {
+    pub fn emit(&mut self, stmts: &[Stmt]) {
         for stmt in stmts {
             match stmt {
-                Stmt::Op(i) => {
-                    self.op(*i);
-                }
-                Stmt::If(cond, then, None) => {
-                    self.if_then(*cond, |b| {
-                        b.emit(then);
-                    });
-                }
+                Stmt::Op(i) => self.op(*i),
+                Stmt::If(cond, then, None) => self.if_then(*cond, |b| b.emit(then)),
                 Stmt::If(cond, then, Some(otherwise)) => {
-                    self.if_else(
-                        *cond,
-                        |b| {
-                            b.emit(then);
-                        },
-                        |b| {
-                            b.emit(otherwise);
-                        },
-                    );
+                    self.if_else(*cond, |b| b.emit(then), |b| b.emit(otherwise))
                 }
-                Stmt::While(cond, body) => {
-                    self.while_loop(*cond, |b| {
-                        b.emit(body);
-                    });
-                }
+                Stmt::While(cond, body) => self.while_loop(*cond, |b| b.emit(body)),
                 Stmt::For(counter, limit, body) => {
-                    self.for_loop(*counter, *limit, |b| {
-                        b.emit(body);
-                    });
+                    self.for_loop(*counter, *limit, |b| b.emit(body))
                 }
-                Stmt::Call(name) => {
-                    self.call(name);
-                }
-            }
+                Stmt::Call(name) => self.call(name),
+            };
         }
-        self
     }
 }
 
@@ -119,9 +96,7 @@ impl EzProgram {
     /// [`EzProgram::ensemble`] and [`EzProgram::subroutine`] report them.
     pub fn push(&mut self, top: &Top) -> Result<&mut Self, EzError> {
         match top {
-            Top::Ensemble(members, body) => self.ensemble(members, |b| {
-                b.emit(body);
-            }),
+            Top::Ensemble(members, body) => self.ensemble(members, |b| b.emit(body)),
             Top::Move(pairs, copies) => Ok(self.transfer(pairs, |t| memcpys(t, copies))),
             Top::Send(dst, blocks) => Ok(self.send(*dst, |s| {
                 for (pairs, copies) in blocks {
@@ -130,9 +105,7 @@ impl EzProgram {
             })),
             Top::Recv(src) => Ok(self.recv(*src)),
             Top::Sync => Ok(self.sync()),
-            Top::Sub(name, body) => self.subroutine(name, |b| {
-                b.emit(body);
-            }),
+            Top::Sub(name, body) => self.subroutine(name, |b| b.emit(body)),
         }
     }
 }
