@@ -352,12 +352,13 @@ fn parse_top(lines: &mut Lines<'_>) -> Result<Vec<(usize, Top)>, ParseError> {
 }
 
 /// Parses ezpim source text into an [`EzProgram`] (call
-/// [`EzProgram::assemble`] for the binary).
+/// [`EzProgram::assemble`] for the binary): reads the text into the
+/// syntax tree, then [`EzProgram::push`]es each construct.
 ///
 /// # Errors
 ///
 /// Returns a [`ParseError`] locating the first malformed line, or a
-/// wrapped [`EzError`] from lowering (e.g. mask-pool exhaustion).
+/// wrapped [`crate::EzError`] from lowering (e.g. mask-pool exhaustion).
 pub fn parse(text: &str) -> Result<EzProgram, ParseError> {
     let tops = parse_top(&mut Lines::new(text))?;
     let mut ez = EzProgram::new();
